@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -32,9 +33,9 @@ import (
 // are never stored, so a canceled run cannot poison a shared cache.
 type AnalysisCache struct {
 	mu       sync.Mutex
-	compiles map[string]*tofino.Result
-	profiles map[string]*profile.Profile
-	preps    map[string]*profile.Prepared
+	compiles map[analysisKey]*tofino.Result
+	profiles map[analysisKey]*profile.Profile
+	preps    map[analysisKey]*profile.Prepared
 	stats    AnalysisCacheStats
 }
 
@@ -56,14 +57,14 @@ type AnalysisCacheStats struct {
 // via Options.AnalysisCache.
 func NewAnalysisCache() *AnalysisCache {
 	return &AnalysisCache{
-		compiles: map[string]*tofino.Result{},
-		profiles: map[string]*profile.Profile{},
-		preps:    map[string]*profile.Prepared{},
+		compiles: map[analysisKey]*tofino.Result{},
+		profiles: map[analysisKey]*profile.Profile{},
+		preps:    map[analysisKey]*profile.Prepared{},
 	}
 }
 
 // getCompile looks up a compile result and records the hit or miss.
-func (c *AnalysisCache) getCompile(key string) (*tofino.Result, bool) {
+func (c *AnalysisCache) getCompile(key analysisKey) (*tofino.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	res, ok := c.compiles[key]
@@ -77,7 +78,7 @@ func (c *AnalysisCache) getCompile(key string) (*tofino.Result, bool) {
 
 // putCompile stores a successful compile. The first stored result wins so
 // concurrent probes that raced on the same key keep pointer-stable values.
-func (c *AnalysisCache) putCompile(key string, res *tofino.Result) {
+func (c *AnalysisCache) putCompile(key analysisKey, res *tofino.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.compiles[key]; !ok {
@@ -87,7 +88,7 @@ func (c *AnalysisCache) putCompile(key string, res *tofino.Result) {
 }
 
 // getProfile looks up a profile and records the hit or miss.
-func (c *AnalysisCache) getProfile(key string) (*profile.Profile, bool) {
+func (c *AnalysisCache) getProfile(key analysisKey) (*profile.Profile, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.profiles[key]
@@ -100,7 +101,7 @@ func (c *AnalysisCache) getProfile(key string) (*profile.Profile, bool) {
 }
 
 // putProfile stores a successful profile; first stored result wins.
-func (c *AnalysisCache) putProfile(key string, p *profile.Profile) {
+func (c *AnalysisCache) putProfile(key analysisKey, p *profile.Profile) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.profiles[key]; !ok {
@@ -111,7 +112,7 @@ func (c *AnalysisCache) putProfile(key string, p *profile.Profile) {
 
 // getPrepared looks up a prepared profiler (instrumented program + lowered
 // execution plan) and records the hit or miss.
-func (c *AnalysisCache) getPrepared(key string) (*profile.Prepared, bool) {
+func (c *AnalysisCache) getPrepared(key analysisKey) (*profile.Prepared, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.preps[key]
@@ -126,7 +127,7 @@ func (c *AnalysisCache) getPrepared(key string) (*profile.Prepared, bool) {
 // putPrepared stores a successful preparation; first stored result wins.
 // Prepared values are immutable and every replay takes a fresh Switch from
 // them, so sharing across runs (and concurrent probes) is safe.
-func (c *AnalysisCache) putPrepared(key string, p *profile.Prepared) {
+func (c *AnalysisCache) putPrepared(key analysisKey, p *profile.Prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.preps[key]; !ok {
@@ -142,40 +143,54 @@ func (c *AnalysisCache) Stats() AnalysisCacheStats {
 	return c.stats
 }
 
-// analysisDigest is the hex SHA-256 over length-prefixed parts, so
-// concatenation ambiguity cannot collide keys.
-func analysisDigest(parts ...string) string {
+// analysisKey content-addresses one analysis: the SHA-256 of its inputs.
+// Keys never leave the process, so their byte layout is free to change as
+// long as distinct inputs stay distinct.
+type analysisKey [sha256.Size]byte
+
+// newAnalysisKey streams the key material into SHA-256 through a small
+// buffer, so a lookup never materialises the printed program it is keyed
+// on. The domain tag and the string parts go first, each length-prefixed so
+// concatenation ambiguity cannot collide keys; the program's source is
+// streamed last (its length is unknown until printed, and everything before
+// it is delimited).
+func newAnalysisKey(ast *p4.Program, domain string, parts ...string) analysisKey {
 	h := sha256.New()
+	bw := bufio.NewWriterSize(h, 512)
 	var n [8]byte
-	for _, p := range parts {
+	for _, p := range append([]string{domain}, parts...) {
 		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		bw.Write(n[:])
+		bw.WriteString(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	p4.Fprint(bw, ast)
+	bw.Flush() // a hash never fails a write
+	var key analysisKey
+	h.Sum(key[:0])
+	return key
 }
 
 // compileKey content-addresses one compile: the printed program and the
 // hardware model. doCompile never mutates the AST it is handed, so the
 // printed source is a faithful key.
-func compileKey(ast *p4.Program, tgt tofino.Target) string {
-	return analysisDigest("compile", p4.Print(ast),
+func compileKey(ast *p4.Program, tgt tofino.Target) analysisKey {
+	return newAnalysisKey(ast, "compile",
 		fmt.Sprintf("%d/%d/%d/%d/%d", tgt.Stages, tgt.StageSRAMBytes, tgt.StageTCAMBytes,
 			tgt.MaxTablesPerStage, tgt.StageALUs))
 }
 
 // profileKey content-addresses one trace replay: the printed program, the
 // installed rules, and the trace digest (computed once per run).
-func profileKey(ast *p4.Program, cfg *rt.Config, traceDigest string) string {
-	return analysisDigest("profile", p4.Print(ast), rt.Format(cfg), traceDigest)
+func profileKey(ast *p4.Program, cfg *rt.Config, traceDigest string) analysisKey {
+	return newAnalysisKey(ast, "profile", rt.Format(cfg), traceDigest)
 }
 
 // planKey content-addresses one preparation (instrumentation + plan
 // lowering): the printed program and the rules. The trace is deliberately
 // absent — a prepared plan serves any trace, which is the point of caching
 // it separately from profiles.
-func planKey(ast *p4.Program, cfg *rt.Config) string {
-	return analysisDigest("plan", p4.Print(ast), rt.Format(cfg))
+func planKey(ast *p4.Program, cfg *rt.Config) analysisKey {
+	return newAnalysisKey(ast, "plan", rt.Format(cfg))
 }
 
 // digestTrace hashes the trace packets (port + frame bytes), mirroring the

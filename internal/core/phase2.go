@@ -99,7 +99,7 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 			})
 		}
 	}
-	compiled, err := r.compileCandidate(ctx, candidate)
+	compiled, err := r.doCompile(ctx, candidate)
 	if err != nil {
 		sp.SetAttr(obs.String("rejected", "compile-failed"))
 		return false, nil // rewrite made the program invalid for the target

@@ -184,7 +184,7 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 
 		vsp.SetAttr(obs.Bool("accepted", true))
 		vsp.End()
-		compiled, err := r.compileCandidate(ctx, reducedProg)
+		compiled, err := r.doCompile(ctx, reducedProg)
 		if err != nil {
 			return false, err
 		}
@@ -224,7 +224,7 @@ func (r *run) stagesWithKnob(ctx context.Context, knob memoryKnob, value int) (i
 		sp.SetAttr(obs.String("error", "infeasible"))
 		return 0, nil, err
 	}
-	compiled, err := r.compileCandidate(ctx, candidate)
+	compiled, err := r.doCompile(ctx, candidate)
 	if err != nil {
 		sp.SetAttr(obs.String("error", "compile-failed"))
 		return 0, nil, err

@@ -10,6 +10,7 @@ import (
 	"p2go/internal/ir"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/profile"
 )
 
 // ToCtlAction is the redirect action Phase 4 synthesizes.
@@ -38,14 +39,23 @@ type CandidateReport struct {
 	StagesSaved  int
 	Redirected   int     // packets redirected to the controller
 	RedirectFrac float64 // fraction of the trace
+	// RedirectSource says where Redirected came from: "profile:<table>" or
+	// "profile:total" when the current profile already held the count,
+	// "replay" when the rewritten candidate was replayed to measure it.
+	RedirectSource string
 }
+
+// redirectReplay is the RedirectSource of a candidate the profile could not
+// answer.
+const redirectReplay = "replay"
 
 // phase4 offloads the self-contained code segment that saves at least one
 // stage while redirecting the least traffic to the controller (§3.4). The
 // contiguous-run enumeration over every control block is the dynamic
-// program over (block, start, end); each candidate is compiled and
-// profiled to measure its stage savings and redirected traffic, exactly as
-// the paper describes.
+// program over (block, start, end); each candidate is compiled to measure
+// its stage savings, and its redirected traffic is read off the current
+// profile (see redirectFromProfile). Only the winner is replayed — the run
+// needs its profile anyway — and that replay audits the derived count.
 func (r *run) phase4(ctx context.Context) error {
 	reports, err := r.offloadCandidates(ctx)
 	if err != nil {
@@ -84,17 +94,25 @@ func (r *run) phase4(ctx context.Context) error {
 		obs.String("tables", strings.Join(win.Segment.Tables, ",")),
 		obs.Int("stages_saved", win.StagesSaved))
 	defer asp.End()
-	candidate, ctlProg, err := r.rewriteOffloadBoth(win.Segment)
+	candidate, err := r.rewriteOffload(win.Segment)
 	if err != nil {
 		return err
 	}
-	compiled, err := r.compileCandidate(actx, candidate)
+	ctlProg, err := r.controllerProgram(win.Segment)
+	if err != nil {
+		return err
+	}
+	compiled, err := r.doCompile(actx, candidate)
 	if err != nil {
 		return err
 	}
 	newProf, err := r.profileCandidate(actx, candidate)
 	if err != nil {
 		return err
+	}
+	if got := newProf.Hits[ToCtlTable]; got != win.Redirected {
+		return fmt.Errorf("core: phase4: segment %s redirects %d packets when replayed, but %s gave %d",
+			win.Segment.Desc, got, win.RedirectSource, win.Redirected)
 	}
 	r.cur = candidate
 	r.compile = compiled
@@ -115,14 +133,17 @@ func (r *run) phase4(ctx context.Context) error {
 		Details: map[string]string{
 			"redirected_fraction": fmt.Sprintf("%.6f", win.RedirectFrac),
 			"stages_saved":        fmt.Sprintf("%d", win.StagesSaved),
+			"redirect_source":     win.RedirectSource,
+			"redirect_audit":      fmt.Sprintf("replayed winner: %d == %d", newProf.Hits[ToCtlTable], win.Redirected),
 		},
 	})
 	return nil
 }
 
 // offloadCandidates enumerates self-contained segments and measures each
-// one by compiling and profiling the rewritten program. Measurements are
-// independent (each works on its own clone), so they fan out over the
+// one: a compile of the rewritten program for the stages, the current
+// profile for the redirected traffic. Measurements are independent (each
+// works on its own clone and only reads r.prof), so they fan out over the
 // worker pool; reports are collected by segment index, so the viable list
 // reaches the selection sort in enumeration order exactly as it did
 // sequentially.
@@ -157,8 +178,9 @@ func (r *run) offloadCandidates(ctx context.Context) ([]CandidateReport, error) 
 }
 
 // measureSegment evaluates one offload candidate under its own span:
-// self-containedness, rewrite, compile, and the profile that measures the
-// redirected traffic.
+// self-containedness, rewrite, compile, and the redirected traffic — from
+// the profile when it holds the count, from a replay of the candidate
+// otherwise.
 func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int) (CandidateReport, bool, error) {
 	ctx, sp := obs.Start(ctx, "phase4.candidate",
 		obs.String("segment", seg.Desc),
@@ -173,27 +195,68 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int) (
 		sp.SetAttr(obs.String("rejected", "rewrite-failed"))
 		return CandidateReport{}, false, nil
 	}
-	compiled, err := r.compileCandidate(ctx, candidate)
+	compiled, err := r.doCompile(ctx, candidate)
 	if err != nil {
 		sp.SetAttr(obs.String("rejected", "compile-failed"))
 		return CandidateReport{}, false, nil
 	}
-	prof, err := r.profileCandidate(ctx, candidate)
-	if err != nil {
-		sp.SetAttr(obs.String("rejected", "profile-failed"))
-		return CandidateReport{}, false, nil
+	redirected, source, ok := r.redirectFromProfile(seg)
+	if !ok {
+		prof, err := r.profileCandidate(ctx, candidate)
+		if err != nil {
+			sp.SetAttr(obs.String("rejected", "profile-failed"))
+			return CandidateReport{}, false, nil
+		}
+		redirected, source = prof.Hits[ToCtlTable], redirectReplay
 	}
-	redirected := prof.Hits[ToCtlTable]
 	rep := CandidateReport{
-		Segment:     seg,
-		StagesSaved: baseStages - totalStages(compiled.Mapping),
-		Redirected:  redirected,
+		Segment:        seg,
+		StagesSaved:    baseStages - totalStages(compiled.Mapping),
+		Redirected:     redirected,
+		RedirectSource: source,
 	}
-	if prof.TotalPackets > 0 {
-		rep.RedirectFrac = float64(redirected) / float64(prof.TotalPackets)
+	if total := r.prof.TotalPackets; total > 0 {
+		rep.RedirectFrac = float64(redirected) / float64(total)
 	}
-	sp.SetAttr(obs.Int("stages_saved", rep.StagesSaved), obs.Int("redirected", redirected))
+	sp.SetAttr(obs.Int("stages_saved", rep.StagesSaved), obs.Int("redirected", redirected),
+		obs.String("redirect_source", source))
 	return rep, true, nil
+}
+
+// redirectFromProfile reads a candidate's redirected-packet count off the
+// current profile. The rewrite replaces statements of one block with
+// apply(To_Ctl), which hits on every packet entering that block — and the
+// current program already counts those packets: a table applied directly
+// as a statement of the same block sees each of them exactly once (P4_14
+// control blocks have no early exit, profiling neutralises drops, and
+// p4.Check rejects a second apply of a table), so its Applied count is the
+// block's entry count; the root ingress block is entered by every packet.
+// The rewrite cannot change that count: everything deciding whether a
+// packet reaches the block runs before the segment, registers are
+// table-local, and selfContained forbids any field the segment writes
+// being read outside it. The table must be one whose Applied counts misses
+// too (profile.CountsEveryApply).
+//
+// It reports false for a block holding only ifs and nested blocks below
+// the root; those candidates are replayed.
+func (r *run) redirectFromProfile(seg Segment) (int, string, bool) {
+	block, _, _, err := locateSegment(r.cur, seg.Index)
+	if err != nil {
+		return 0, "", false
+	}
+	for _, s := range block.Stmts {
+		apply, ok := s.(*p4.ApplyStmt)
+		if !ok {
+			continue
+		}
+		if t := r.cur.Table(apply.Table); t != nil && profile.CountsEveryApply(t) {
+			return r.prof.Applied[t.Name], "profile:" + t.Name, true
+		}
+	}
+	if block == r.cur.Control(p4.IngressControl).Body {
+		return r.prof.TotalPackets, "profile:total", true
+	}
+	return 0, "", false
 }
 
 // enumerateSegments lists every contiguous statement run containing at
@@ -347,50 +410,47 @@ func instanceOf(ast *p4.Program, k ir.FieldKey) *p4.Instance {
 // statements with an apply of the To_Ctl redirect table, and prunes the
 // now-unreachable declarations.
 func (r *run) rewriteOffload(seg Segment) (*p4.Program, error) {
-	candidate, _, err := r.rewriteOffloadBoth(seg)
-	return candidate, err
-}
-
-// rewriteOffloadBoth additionally returns the controller program: the
-// original program with its ingress control reduced to just the offloaded
-// segment. Reception at the controller implies the segment's external
-// guards held (the data plane still evaluates them before redirecting), so
-// the controller runs the segment body unconditionally.
-func (r *run) rewriteOffloadBoth(seg Segment) (*p4.Program, *p4.Program, error) {
 	candidate := p4.Clone(r.cur)
 	segs := enumerateSegments(candidate)
 	if seg.Index >= len(segs) {
-		return nil, nil, fmt.Errorf("core: segment index %d out of range", seg.Index)
+		return nil, fmt.Errorf("core: segment index %d out of range", seg.Index)
 	}
 	clone := segs[seg.Index]
 	if strings.Join(clone.Tables, ",") != strings.Join(seg.Tables, ",") {
-		return nil, nil, fmt.Errorf("core: segment enumeration diverged between clones")
+		return nil, fmt.Errorf("core: segment enumeration diverged between clones")
 	}
 	if err := ensureToCtl(candidate); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Re-locate the block: enumerateSegments is deterministic, so the
 	// index identifies the same (block, lo, hi) in the clone.
 	block, lo, hi, err := locateSegment(candidate, seg.Index)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Controller program: the segment's statements become the whole
-	// ingress control of a copy of the (pre-offload) program.
-	ctlProg := p4.Clone(r.cur)
-	ctlBlock, ctlLo, ctlHi, err := locateSegment(ctlProg, seg.Index)
-	if err != nil {
-		return nil, nil, err
-	}
-	segmentStmts := append([]p4.Stmt(nil), ctlBlock.Stmts[ctlLo:ctlHi+1]...)
-	ctlProg.Control(p4.IngressControl).Body = &p4.BlockStmt{Stmts: segmentStmts}
-	pruneUnused(ctlProg)
-
 	redirect := &p4.ApplyStmt{Table: ToCtlTable}
 	rest := append([]p4.Stmt{redirect}, block.Stmts[hi+1:]...)
 	block.Stmts = append(block.Stmts[:lo], rest...)
 	pruneUnused(candidate)
-	return candidate, ctlProg, nil
+	return candidate, nil
+}
+
+// controllerProgram builds the controller's side of an offload: the
+// current (pre-offload) program with its ingress control reduced to just
+// the segment. Reception at the controller implies the segment's external
+// guards held (the data plane still evaluates them before redirecting), so
+// the controller runs the segment body unconditionally. Only the accepted
+// segment needs one.
+func (r *run) controllerProgram(seg Segment) (*p4.Program, error) {
+	ctlProg := p4.Clone(r.cur)
+	block, lo, hi, err := locateSegment(ctlProg, seg.Index)
+	if err != nil {
+		return nil, err
+	}
+	segmentStmts := append([]p4.Stmt(nil), block.Stmts[lo:hi+1]...)
+	ctlProg.Control(p4.IngressControl).Body = &p4.BlockStmt{Stmts: segmentStmts}
+	pruneUnused(ctlProg)
+	return ctlProg, nil
 }
 
 // locateSegment re-runs the enumeration walk and returns the block and

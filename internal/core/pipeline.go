@@ -284,8 +284,9 @@ func (r *run) interrupted() error {
 }
 
 // doCompile is the single funnel for every compile the pipeline issues.
-// The AST handed over is never mutated afterwards, so the analysis cache
-// (and hook implementations) may key on its printed source. A cache hit
+// The cache is keyed on the caller's AST as it stands; only a miss clones
+// it, so the compiler, the hook and the cached Result.AST own a copy no
+// later rewrite can reach while a hit costs a print and a hash. A cache hit
 // emits the same "compile" span with the same stages attr as a real
 // compile, so span trees are structurally identical either way.
 func (r *run) doCompile(ctx context.Context, ast *p4.Program) (*tofino.Result, error) {
@@ -301,6 +302,7 @@ func (r *run) doCompile(ctx context.Context, ast *p4.Program) (*tofino.Result, e
 		return res, nil
 	}
 	r.noteCompile(false)
+	ast = p4.Clone(ast)
 	res, err := func() (*tofino.Result, error) {
 		if r.opts.CompileHook != nil {
 			return r.opts.CompileHook(ctx, ast, r.tgt)
@@ -368,7 +370,7 @@ func (r *run) prepared(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*p
 
 // recompile refreshes the compiler outputs for the current program.
 func (r *run) recompile(ctx context.Context) error {
-	res, err := r.doCompile(ctx, p4.Clone(r.cur))
+	res, err := r.doCompile(ctx, r.cur)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -446,12 +448,6 @@ func (o *Optimizer) OffloadCandidates(ast *p4.Program, cfg *rt.Config, trace *tr
 // (egress is zero for ingress-only programs, so Table 2 semantics are
 // unchanged).
 func totalStages(m *tofino.Mapping) int { return m.StagesUsed + m.EgressStagesUsed }
-
-// compileCandidate compiles a rewritten program without touching the run
-// state.
-func (r *run) compileCandidate(ctx context.Context, ast *p4.Program) (*tofino.Result, error) {
-	return r.doCompile(ctx, p4.Clone(ast))
-}
 
 // profileCandidate profiles a rewritten program without touching the run
 // state.

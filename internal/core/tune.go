@@ -210,7 +210,7 @@ func (r *run) tuneEval(ctx context.Context, bindings map[string]int, refHits int
 	}
 	ctx, sp := obs.Start(ctx, "tune.candidate", obs.String("bindings", p4.FormatBindings(bindings)))
 	defer sp.End()
-	comp, err := r.compileCandidate(ctx, inst)
+	comp, err := r.doCompile(ctx, inst)
 	if err != nil {
 		return nil, err
 	}

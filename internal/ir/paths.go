@@ -56,17 +56,26 @@ func (p *Program) EnumeratePaths() ([]Path, error) {
 		return nil, err
 	}
 	// Deduplicate (e.g. an if with no else contributes identical
-	// continuations) and sort for determinism.
-	seen := map[string]bool{}
-	var out []Path
+	// continuations) and sort for determinism. Each path's key is built
+	// once; the comparator and the dedup set both read it.
+	type keyed struct {
+		key  string
+		path Path
+	}
+	seen := make(map[string]bool, len(paths))
+	uniq := make([]keyed, 0, len(paths))
 	for _, pt := range paths {
 		k := pt.String()
 		if !seen[k] {
 			seen[k] = true
-			out = append(out, pt)
+			uniq = append(uniq, keyed{k, pt})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(uniq, func(i, j int) bool { return uniq[i].key < uniq[j].key })
+	out := make([]Path, len(uniq))
+	for i, u := range uniq {
+		out[i] = u.path
+	}
 	return out, nil
 }
 

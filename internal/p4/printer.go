@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -11,16 +12,31 @@ import (
 // them.
 func Print(p *Program) string {
 	var b strings.Builder
-	for i, d := range p.Decls {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		printDecl(&b, d)
-	}
+	Fprint(&b, p)
 	return b.String()
 }
 
-func printDecl(b *strings.Builder, d Decl) {
+// Writer is what the printer writes to: *strings.Builder, *bytes.Buffer
+// and *bufio.Writer all satisfy it. Write errors are the writer's to
+// report (a bufio.Writer keeps the first one for Flush).
+type Writer interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
+// Fprint streams exactly the text Print returns to w, without building it
+// in memory — for callers that hash or forward the source.
+func Fprint(w Writer, p *Program) {
+	for i, d := range p.Decls {
+		if i > 0 {
+			w.WriteByte('\n')
+		}
+		printDecl(w, d)
+	}
+}
+
+func printDecl(b Writer, d Decl) {
 	switch v := d.(type) {
 	case *Tunable:
 		fmt.Fprintf(b, "@tunable(%s, %d, %d, %d);\n", v.Name, v.Min, v.Max, v.Default)
@@ -148,7 +164,7 @@ func printDecl(b *strings.Builder, d Decl) {
 	}
 }
 
-func printBlock(b *strings.Builder, blk *BlockStmt, depth int) {
+func printBlock(b Writer, blk *BlockStmt, depth int) {
 	indent := strings.Repeat("    ", depth)
 	b.WriteString("{\n")
 	for _, s := range blk.Stmts {
@@ -157,7 +173,7 @@ func printBlock(b *strings.Builder, blk *BlockStmt, depth int) {
 	b.WriteString(indent + "}")
 }
 
-func printStmt(b *strings.Builder, s Stmt, depth int) {
+func printStmt(b Writer, s Stmt, depth int) {
 	indent := strings.Repeat("    ", depth)
 	switch v := s.(type) {
 	case *ApplyStmt:

@@ -1,6 +1,8 @@
 package p4
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -138,6 +140,14 @@ func TestRandomProgramRoundTrip(t *testing.T) {
 		// Clone is faithful.
 		if Print(Clone(prog)) != printed {
 			t.Fatalf("program %d: clone print differs", i)
+		}
+		// Fprint streams the same text, here through a buffer far smaller
+		// than the program.
+		var sink bytes.Buffer
+		bw := bufio.NewWriterSize(&sink, 64)
+		Fprint(bw, prog)
+		if err := bw.Flush(); err != nil || sink.String() != printed {
+			t.Fatalf("program %d: Fprint differs from Print (flush error %v)", i, err)
 		}
 	}
 }

@@ -169,6 +169,15 @@ func Instrument(src *p4.Program) (*Instrumented, error) {
 	return ins, nil
 }
 
+// CountsEveryApply reports whether a profile's Applied count for the table
+// is the number of packets it was applied to: every apply must leave a
+// marker, hit or miss. A table with a match key always does (Instrument
+// synthesizes the miss action when no default is declared); a read-less
+// table only when it declares a default action.
+func CountsEveryApply(t *p4.TableDecl) bool {
+	return len(t.Reads) > 0 || t.DefaultAction != ""
+}
+
 // ParseTrailer extracts the marker values from an outgoing packet and
 // returns the executed (table, action) pairs, in marker order.
 func (ins *Instrumented) ParseTrailer(data []byte) ([]FieldInfo, error) {

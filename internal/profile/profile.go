@@ -155,8 +155,8 @@ func (p *Profile) coOccur(tableA, actionA, tableB, actionB string, requireHit bo
 }
 
 // Equal reports whether two profiles are identical: same totals, same hit
-// counts, same execution sets. Phase 3 uses this to verify that a memory
-// reduction "does not change the program profile".
+// and applied counts, same execution sets. Phase 3 uses this to verify that
+// a memory reduction "does not change the program profile".
 func (p *Profile) Equal(other *Profile) bool {
 	return p.Diff(other) == ""
 }
@@ -167,36 +167,20 @@ func (p *Profile) Diff(other *Profile) string {
 	if p.TotalPackets != other.TotalPackets {
 		out = append(out, fmt.Sprintf("total packets %d vs %d", p.TotalPackets, other.TotalPackets))
 	}
-	tables := map[string]bool{}
-	for t := range p.Hits {
-		tables[t] = true
-	}
-	for t := range other.Hits {
-		tables[t] = true
-	}
-	var names []string
-	for t := range tables {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
+	for _, t := range unionKeys(p.Hits, other.Hits) {
 		if p.Hits[t] != other.Hits[t] {
 			out = append(out, fmt.Sprintf("table %s: %d vs %d hits", t, p.Hits[t], other.Hits[t]))
 		}
 	}
-	keys := map[string]bool{}
-	for k := range p.Sets {
-		keys[k] = true
+	// Applied is a function of Sets, so it cannot differ on its own between
+	// two sound profiles; it is compared because Phase 4 reads it, and a
+	// replay path that miscounts it must not pass as Equal.
+	for _, t := range unionKeys(p.Applied, other.Applied) {
+		if p.Applied[t] != other.Applied[t] {
+			out = append(out, fmt.Sprintf("table %s: applied %d vs %d times", t, p.Applied[t], other.Applied[t]))
+		}
 	}
-	for k := range other.Sets {
-		keys[k] = true
-	}
-	var setNames []string
-	for k := range keys {
-		setNames = append(setNames, k)
-	}
-	sort.Strings(setNames)
-	for _, k := range setNames {
+	for _, k := range unionKeys(p.Sets, other.Sets) {
 		if p.Sets[k] != other.Sets[k] {
 			out = append(out, fmt.Sprintf("set {%s}: %d vs %d packets", k, p.Sets[k], other.Sets[k]))
 		}
@@ -205,6 +189,21 @@ func (p *Profile) Diff(other *Profile) string {
 		out = append(out, fmt.Sprintf("drops %d vs %d", p.Drops, other.Drops))
 	}
 	return strings.Join(out, "; ")
+}
+
+// unionKeys lists the keys of either map, sorted.
+func unionKeys(a, b map[string]int) []string {
+	keys := make([]string, 0, len(a))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // BehaviorEqual reports whether two profiles describe the same observable
@@ -223,37 +222,13 @@ func (p *Profile) BehaviorDiff(other *Profile) string {
 	if p.TotalPackets != other.TotalPackets {
 		out = append(out, fmt.Sprintf("total packets %d vs %d", p.TotalPackets, other.TotalPackets))
 	}
-	tables := map[string]bool{}
-	for t := range p.Hits {
-		tables[t] = true
-	}
-	for t := range other.Hits {
-		tables[t] = true
-	}
-	var names []string
-	for t := range tables {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, t := range names {
+	for _, t := range unionKeys(p.Hits, other.Hits) {
 		if p.Hits[t] != other.Hits[t] {
 			out = append(out, fmt.Sprintf("table %s: %d vs %d hits", t, p.Hits[t], other.Hits[t]))
 		}
 	}
 	a, b := p.hitSets(), other.hitSets()
-	keys := map[string]bool{}
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	var setNames []string
-	for k := range keys {
-		setNames = append(setNames, k)
-	}
-	sort.Strings(setNames)
-	for _, k := range setNames {
+	for _, k := range unionKeys(a, b) {
 		if a[k] != b[k] {
 			out = append(out, fmt.Sprintf("hit set {%s}: %d vs %d packets", k, a[k], b[k]))
 		}

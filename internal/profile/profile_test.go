@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -265,5 +267,90 @@ func TestAppliedCounts(t *testing.T) {
 	}
 	if prof.Applied["IPv4"] != prof.TotalPackets {
 		t.Errorf("IPv4 applied = %d, want all %d", prof.Applied["IPv4"], prof.TotalPackets)
+	}
+}
+
+// appliedFromSets recomputes Applied from the execution sets: a table was
+// applied to a packet exactly when the packet's set holds one of its
+// entries.
+func appliedFromSets(p *Profile) map[string]int {
+	out := map[string]int{}
+	for key, n := range p.Sets {
+		seen := map[string]bool{}
+		for _, m := range strings.Split(key, "|") {
+			table := m[:strings.IndexByte(m, '.')]
+			if !seen[table] {
+				seen[table] = true
+				out[table] += n
+			}
+		}
+	}
+	return out
+}
+
+// TestAppliedFollowsSets: Phase 4 reads Applied as a block's entry count,
+// so every way a profile is assembled must keep it the function of Sets it
+// is defined as — the plain replay, dedup's weighted representatives, and
+// MergeProfiles over shards — and Diff must notice when it is not.
+func TestAppliedFollowsSets(t *testing.T) {
+	check := func(name string, p *Profile) {
+		t.Helper()
+		if want := appliedFromSets(p); !reflect.DeepEqual(p.Applied, want) {
+			t.Errorf("%s: Applied = %v, sets say %v", name, p.Applied, want)
+		}
+	}
+	check("ex1 sequential", profileEx1(t))
+
+	// Dedup: 16 distinct natgre packets repeated 4000 times, so every
+	// representative carries a weight far above one.
+	base := trafficgen.NATGRETrace(trafficgen.NATGRESpec{Seed: 4})
+	trace := &trafficgen.Trace{}
+	for i := 0; i < 4000; i++ {
+		trace.Packets = append(trace.Packets, base.Packets[i*7%16])
+	}
+	prep, err := Prepare(p4.MustParse(programs.NATGRE), programs.NATGREConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	full, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 1, NoDedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dedup, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dedup.Engine.UniquePackets != 16 {
+		t.Fatalf("dedup replayed %d packets, want 16", dedup.Engine.UniquePackets)
+	}
+	check("natgre dedup", dedup)
+	if !reflect.DeepEqual(dedup.Applied, full.Applied) {
+		t.Errorf("dedup weighting changed Applied: %v vs %v", dedup.Applied, full.Applied)
+	}
+
+	// Merge: the two halves of the trace, profiled apart, sum to the whole.
+	half := len(trace.Packets) / 2
+	var parts []*Profile
+	for _, pkts := range [][]trafficgen.Packet{trace.Packets[:half], trace.Packets[half:]} {
+		part, err := prep.Profiler().RunWith(ctx, &trafficgen.Trace{Packets: pkts}, RunOptions{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	merged := MergeProfiles(parts...)
+	check("natgre merged halves", merged)
+	if !reflect.DeepEqual(merged.Applied, full.Applied) {
+		t.Errorf("MergeProfiles changed Applied: %v vs %v", merged.Applied, full.Applied)
+	}
+	if d := merged.Diff(full); d != "" {
+		t.Errorf("merged halves differ from the whole: %s", d)
+	}
+
+	// A miscounted Applied entry alone makes two profiles unequal.
+	merged.Applied["nat"]++
+	if d := merged.Diff(full); !strings.Contains(d, "table nat: applied") {
+		t.Errorf("Diff missed a corrupted Applied entry: %q", d)
 	}
 }

@@ -13,13 +13,25 @@ import (
 // Result bundles the compiler outputs P2GO consumes: "(i) the actual
 // mapping of the program to the physical stages; (ii) the dependency
 // graph; and (iii) the control graph, containing all possible execution
-// paths packets may take through the program".
+// paths packets may take through the program". The first two are computed
+// by Compile; the control graph is enumerated on demand by Paths, because
+// no optimizer decision reads it and it grows exponentially with the
+// number of sequentially applied tables.
 type Result struct {
 	AST     *p4.Program
 	IR      *ir.Program
 	Deps    *deps.Graph
 	Mapping *Mapping
-	Paths   []ir.Path
+}
+
+// Paths enumerates the control graph: every execution path through the
+// ingress control, sorted. It fails when the graph exceeds ir.MaxPaths.
+func (r *Result) Paths() ([]ir.Path, error) {
+	paths, err := r.IR.EnumeratePaths()
+	if err != nil {
+		return nil, fmt.Errorf("tofino: %w", err)
+	}
+	return paths, nil
 }
 
 // Compile checks, lowers, analyzes, and stage-allocates a program against
@@ -39,11 +51,7 @@ func Compile(ast *p4.Program, tgt Target) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	paths, err := prog.EnumeratePaths()
-	if err != nil {
-		return nil, fmt.Errorf("tofino: %w", err)
-	}
-	return &Result{AST: ast, IR: prog, Deps: g, Mapping: mapping, Paths: paths}, nil
+	return &Result{AST: ast, IR: prog, Deps: g, Mapping: mapping}, nil
 }
 
 // CompileSource parses src and compiles it.

@@ -1,6 +1,7 @@
 package tofino
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -227,12 +228,16 @@ control ingress {
 
 func TestControlPathsInResult(t *testing.T) {
 	res := compileEx1(t)
-	if len(res.Paths) == 0 {
+	paths, err := res.Paths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
 		t.Fatal("no control paths")
 	}
 	// Every path that applies DNS_Drop must also apply all three sketch
 	// tables (they dominate it in the control flow).
-	for _, path := range res.Paths {
+	for _, path := range paths {
 		tables := map[string]bool{}
 		for _, s := range path {
 			tables[s.Table] = true
@@ -240,6 +245,49 @@ func TestControlPathsInResult(t *testing.T) {
 		if tables["DNS_Drop"] && (!tables["Sketch_1"] || !tables["Sketch_Min"]) {
 			t.Errorf("path %s applies DNS_Drop without the sketch", path)
 		}
+	}
+}
+
+// manyTablesSource is n independent tables applied one after another: a
+// trivial mapping, and a control graph of 2^n paths.
+func manyTablesSource(n int) string {
+	var b strings.Builder
+	b.WriteString("action a() { no_op(); }\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "table t%d { actions { a; } default_action : a; }\n", i)
+	}
+	b.WriteString("control ingress {\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    apply(t%d);\n", i)
+	}
+	b.WriteString("}\n")
+	return b.String()
+}
+
+// TestCompileManyIndependentTables: compiling never enumerates the control
+// graph, so a program whose path count exceeds ir.MaxPaths (2^17, 2^24)
+// still compiles to its trivial mapping; only the on-demand Paths reports
+// the bound.
+func TestCompileManyIndependentTables(t *testing.T) {
+	for _, n := range []int{17, 24} {
+		res, err := CompileSource(manyTablesSource(n), DefaultTarget())
+		if err != nil {
+			t.Fatalf("%d tables: %v", n, err)
+		}
+		// 16 tables share a stage on the default target.
+		if res.Mapping.StagesUsed != 2 || !res.Mapping.Fits {
+			t.Errorf("%d tables: mapping %s, want two stages", n, res.Mapping.Summary())
+		}
+		if _, err := res.Paths(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%d tables: Paths() = %v, want the MaxPaths error", n, err)
+		}
+	}
+	res, err := CompileSource(manyTablesSource(10), DefaultTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paths, err := res.Paths(); err != nil || len(paths) != 1<<10 {
+		t.Errorf("10 tables: %d paths, err %v; want 1024", len(paths), err)
 	}
 }
 
