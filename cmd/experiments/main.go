@@ -303,7 +303,7 @@ func ablOffloadFirst(seed int64) error {
 	if err != nil {
 		return err
 	}
-	partial, err := p2go.Optimize(prog, cfg, trace, p2go.Options{DisablePhase4: true})
+	partial, err := p2go.Optimize(prog, cfg, trace, p2go.Options{Passes: []string{"phase2", "phase3"}})
 	if err != nil {
 		return err
 	}

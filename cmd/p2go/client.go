@@ -66,9 +66,6 @@ func cmdSubmit(args []string) error {
 	seed := fs.Int64("seed", 1, "trace generator seed")
 	passes := fs.String("passes", "", "comma-separated pass schedule, e.g. phase4,phase2,phase3 (see 'p2go passes'; empty = default order)")
 	set := fs.String("set", "", `tunable bindings, e.g. "sc_bf_cells=32768" (default: the @tunable declarations' defaults)`)
-	noDeps := fs.Bool("no-deps", false, "disable Phase 2 (dependency removal); deprecated, use -passes")
-	noMem := fs.Bool("no-mem", false, "disable Phase 3 (memory reduction); deprecated, use -passes")
-	noOffload := fs.Bool("no-offload", false, "disable Phase 4 (offloading); deprecated, use -passes")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job timeout on the server (0 = server default)")
 	parallelism := fs.Int("parallelism", 0, "job workers for replay shards and candidate probes (0 = server default)")
 	wait := fs.Bool("wait", false, "poll until the job finishes and print the result")
@@ -84,9 +81,6 @@ func cmdSubmit(args []string) error {
 		Seed:           *seed,
 		Passes:         splitPasses(*passes),
 		Bindings:       *set,
-		NoDeps:         *noDeps,
-		NoMem:          *noMem,
-		NoOffload:      *noOffload,
 		TimeoutSeconds: jobTimeout.Seconds(),
 		Parallelism:    *parallelism,
 	}

@@ -95,7 +95,6 @@ func usage() {
   p2go optimize -workload <name> [-seed N] [-passes id,id,...] [-emit out.p4] [-json]
                 [-tune] [-set k=v,...]   (knob search over @tunable parameters / pin them)
                 [-parallelism N] [-trace out.json] [-log-level debug]
-                [-no-deps] [-no-mem] [-no-offload]   (deprecated; use -passes)
                 [-faults <plan>] [-degrade fail-open|fail-closed|fallback] [-replicas N]
                 (with -faults, equivalence is verified under injected failures:
                  e.g. -faults "controller.down:from=10,to=60;redirect.loss:p=0.3,seed=7")
@@ -280,9 +279,6 @@ func cmdProfile(args []string) error {
 func cmdOptimize(args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	passes := fs.String("passes", "", "comma-separated pass schedule, e.g. phase4,phase2,phase3 (see 'p2go passes'; empty = default order)")
-	noDeps := fs.Bool("no-deps", false, "disable Phase 2 (dependency removal); deprecated, use -passes")
-	noMem := fs.Bool("no-mem", false, "disable Phase 3 (memory reduction); deprecated, use -passes")
-	noOffload := fs.Bool("no-offload", false, "disable Phase 4 (offloading); deprecated, use -passes")
 	emit := fs.String("emit", "", "write the optimized program to this file")
 	emitCtl := fs.String("emit-controller", "", "write the controller program to this file")
 	tune := fs.Bool("tune", false, "prepend the tune pass (knob search over @tunable parameters) to the schedule")
@@ -304,12 +300,9 @@ func cmdOptimize(args []string) error {
 	o.logger.Debug("optimizing", "workload", in.workload, "seed", in.seed,
 		"packets", len(in.trace.Packets), "parallelism", *parallelism)
 	opts := p2go.Options{
-		Passes:        splitPasses(*passes),
-		DisablePhase2: *noDeps,
-		DisablePhase3: *noMem,
-		DisablePhase4: *noOffload,
-		Parallelism:   *parallelism,
-		Bindings:      in.bindings,
+		Passes:      splitPasses(*passes),
+		Parallelism: *parallelism,
+		Bindings:    in.bindings,
 	}
 	if in.tune != nil {
 		opts.Tune = &p2go.TuneOptions{

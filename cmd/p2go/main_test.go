@@ -86,7 +86,7 @@ func TestCmdOptimizeEmits(t *testing.T) {
 }
 
 func TestCmdOptimizeDisabledPhases(t *testing.T) {
-	if err := cmdOptimize([]string{"-workload", "quickstart", "-no-deps", "-no-mem", "-no-offload"}); err != nil {
+	if err := cmdOptimize([]string{"-workload", "quickstart", "-passes", "phase3"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,4 +1,4 @@
-package service
+package cache
 
 import (
 	"errors"
@@ -153,13 +153,4 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func TestDigestDistinguishesConcatenation(t *testing.T) {
-	if Digest("ab", "c") == Digest("a", "bc") {
-		t.Fatal("length prefixing failed: ambiguous concatenation collides")
-	}
-	if Digest("x") != Digest("x") {
-		t.Fatal("digest not deterministic")
-	}
 }

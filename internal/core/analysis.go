@@ -2,45 +2,51 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
+	"p2go/internal/cache"
+	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/profile"
 	"p2go/internal/rt"
 	"p2go/internal/tofino"
-	"p2go/internal/trafficgen"
 )
 
-// AnalysisCache is the content-addressed store for the two expensive
-// analyses the pipeline computes: compiles (stage mapping + dependency
-// graph) and profiles (trace replays). Keys are digests of the analysis
+// AnalysisCache is the pipeline's typed view of the content-addressed store
+// (internal/cache) for its three expensive analyses: compiles (stage
+// mapping + dependency graph), profiles (trace replays) and prepared plans
+// (instrumentation + bytecode lowering). Keys are digests of the analysis
 // inputs — the printed program plus the hardware model for compiles, plus
 // the rules and the trace for profiles — so any two requests for the same
-// analysis of the same program share one result, wherever in the pipeline
-// they come from: Phase 3's binary search re-visiting a probe value,
-// Phase 4 re-compiling the winning candidate it already measured, or a
-// whole re-run with only Options changed.
+// analysis share one result, wherever they come from: Phase 3's binary
+// search re-visiting a probe value, Phase 4 re-compiling the candidate it
+// already measured, a re-run with only Options changed, a sibling device of
+// a fleet, another p2god job.
 //
-// A fresh per-run cache is created automatically; pass one explicitly via
-// Options.AnalysisCache to carry results across runs (incremental
-// re-optimization). Cached values are treated as immutable and shared —
-// the same contract CompileHook/ProfileHook results already obey. Only
-// successful analyses are cached: errors (including context cancellation)
-// are never stored, so a canceled run cannot poison a shared cache.
+// The store is bounded and single-flight: concurrent lookups of one key run
+// one fill, the others wait and count a hit; an entry a neighbour evicted
+// is recomputed on the next lookup (a run holds the pointers it was
+// handed, so eviction never changes an answer). Errors, cancellation
+// included, are not stored. Stored values are immutable and shared.
+//
+// A run without Options.AnalysisCache gets a fresh view over a fresh store;
+// pass one to carry results across runs.
 type AnalysisCache struct {
-	mu       sync.Mutex
-	compiles map[analysisKey]*tofino.Result
-	profiles map[analysisKey]*profile.Profile
-	preps    map[analysisKey]*profile.Prepared
-	stats    AnalysisCacheStats
+	store                     *cache.Cache
+	compiles, profiles, plans lookupCounters
 }
 
-// AnalysisCacheStats counts lookups and stored entries across the cache's
-// lifetime (all runs that shared it).
+// lookupCounters counts one analysis kind's lookups through a view.
+type lookupCounters struct{ hits, misses, stored atomic.Int64 }
+
+// AnalysisCacheStats counts the lookups made through one view over its
+// lifetime (all runs that shared it). The Entries fields count what the
+// view stored; the store may have evicted some since.
 type AnalysisCacheStats struct {
 	CompileHits    int
 	CompileMisses  int
@@ -53,94 +59,84 @@ type AnalysisCacheStats struct {
 	PlanEntries    int
 }
 
-// NewAnalysisCache creates an empty cache, ready to be shared across runs
-// via Options.AnalysisCache.
+// NewAnalysisCache creates a view over a fresh memory-only store of the
+// default bound, ready to be shared across runs via Options.AnalysisCache.
 func NewAnalysisCache() *AnalysisCache {
-	return &AnalysisCache{
-		compiles: map[analysisKey]*tofino.Result{},
-		profiles: map[analysisKey]*profile.Profile{},
-		preps:    map[analysisKey]*profile.Prepared{},
-	}
+	return NewAnalysisCacheOver(cache.NewCache(0, ""))
 }
 
-// getCompile looks up a compile result and records the hit or miss.
-func (c *AnalysisCache) getCompile(key analysisKey) (*tofino.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	res, ok := c.compiles[key]
-	if ok {
-		c.stats.CompileHits++
+// NewAnalysisCacheOver creates a view over an existing store, whose bound
+// the analyses then share with whatever else it holds.
+func NewAnalysisCacheOver(store *cache.Cache) *AnalysisCache {
+	return &AnalysisCache{store: store}
+}
+
+// lookup serves one analysis from the store under "<kind>:<hex key>",
+// running fill on a miss. A hit allocates the key string and nothing else.
+func lookup[T any](c *AnalysisCache, n *lookupCounters, kind string, key analysisKey, fill func() (T, error)) (T, bool, error) {
+	buf := make([]byte, 0, 8+2*len(key))
+	buf = append(append(buf, kind...), ':')
+	buf = hex.AppendEncode(buf, key[:])
+	v, hit, err := c.store.Do(string(buf), func() (any, error) { return fill() })
+	if hit {
+		n.hits.Add(1)
 	} else {
-		c.stats.CompileMisses++
+		n.misses.Add(1)
 	}
-	return res, ok
+	if err != nil {
+		var zero T
+		return zero, hit, err
+	}
+	if !hit {
+		n.stored.Add(1)
+	}
+	return v.(T), hit, nil
 }
 
-// putCompile stores a successful compile. The first stored result wins so
-// concurrent probes that raced on the same key keep pointer-stable values.
-func (c *AnalysisCache) putCompile(key analysisKey, res *tofino.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.compiles[key]; !ok {
-		c.compiles[key] = res
-		c.stats.CompileEntries++
-	}
+// compile returns the compile of (ast, tgt), running fill on a miss; the
+// bool reports a result served without running this caller's fill.
+func (c *AnalysisCache) compile(ast *p4.Program, tgt tofino.Target, fill func() (*tofino.Result, error)) (*tofino.Result, bool, error) {
+	return lookup(c, &c.compiles, "compile", compileKey(ast, tgt), fill)
 }
 
-// getProfile looks up a profile and records the hit or miss.
-func (c *AnalysisCache) getProfile(key analysisKey) (*profile.Profile, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.profiles[key]
-	if ok {
-		c.stats.ProfileHits++
-	} else {
-		c.stats.ProfileMisses++
-	}
-	return p, ok
+// Profile returns the profile of (ast, cfg) on the trace with the given
+// digest (trafficgen.Trace.Digest), running fill on a miss.
+func (c *AnalysisCache) Profile(ast *p4.Program, cfg *rt.Config, traceDigest string, fill func() (*profile.Profile, error)) (*profile.Profile, bool, error) {
+	return lookup(c, &c.profiles, "profile", profileKey(ast, cfg, traceDigest), fill)
 }
 
-// putProfile stores a successful profile; first stored result wins.
-func (c *AnalysisCache) putProfile(key analysisKey, p *profile.Profile) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.profiles[key]; !ok {
-		c.profiles[key] = p
-		c.stats.ProfileEntries++
+// Prepare returns the instrumented program and lowered execution plan for
+// (ast, cfg), preparing them on a miss — a profile of the same program on a
+// different trace (a re-run, a fleet sibling, another job) pays
+// instrumentation and bytecode lowering once. Every replay takes a fresh
+// Switch from the shared plan. A hit emits the same "profile.instrument"
+// span with the same tables attr as a real preparation, so span trees are
+// structurally identical either way.
+func (c *AnalysisCache) Prepare(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*profile.Prepared, error) {
+	prep, hit, err := lookup(c, &c.plans, "plan", planKey(ast, cfg), func() (*profile.Prepared, error) {
+		return profile.PrepareContext(ctx, ast, cfg)
+	})
+	if err == nil && hit {
+		_, sp := obs.Start(ctx, "profile.instrument")
+		sp.SetAttr(obs.Int("tables", prep.Tables()))
+		sp.End()
 	}
+	return prep, err
 }
 
-// getPrepared looks up a prepared profiler (instrumented program + lowered
-// execution plan) and records the hit or miss.
-func (c *AnalysisCache) getPrepared(key analysisKey) (*profile.Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.preps[key]
-	if ok {
-		c.stats.PlanHits++
-	} else {
-		c.stats.PlanMisses++
-	}
-	return p, ok
-}
-
-// putPrepared stores a successful preparation; first stored result wins.
-// Prepared values are immutable and every replay takes a fresh Switch from
-// them, so sharing across runs (and concurrent probes) is safe.
-func (c *AnalysisCache) putPrepared(key analysisKey, p *profile.Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.preps[key]; !ok {
-		c.preps[key] = p
-		c.stats.PlanEntries++
-	}
-}
-
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the view's counters.
 func (c *AnalysisCache) Stats() AnalysisCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return AnalysisCacheStats{
+		CompileHits:    int(c.compiles.hits.Load()),
+		CompileMisses:  int(c.compiles.misses.Load()),
+		ProfileHits:    int(c.profiles.hits.Load()),
+		ProfileMisses:  int(c.profiles.misses.Load()),
+		PlanHits:       int(c.plans.hits.Load()),
+		PlanMisses:     int(c.plans.misses.Load()),
+		CompileEntries: int(c.compiles.stored.Load()),
+		ProfileEntries: int(c.profiles.stored.Load()),
+		PlanEntries:    int(c.plans.stored.Load()),
+	}
 }
 
 // analysisKey content-addresses one analysis: the SHA-256 of its inputs.
@@ -191,20 +187,4 @@ func profileKey(ast *p4.Program, cfg *rt.Config, traceDigest string) analysisKey
 // it separately from profiles.
 func planKey(ast *p4.Program, cfg *rt.Config) analysisKey {
 	return newAnalysisKey(ast, "plan", rt.Format(cfg))
-}
-
-// digestTrace hashes the trace packets (port + frame bytes), mirroring the
-// service-layer trace digest so profile keys distinguish traces even when
-// they come from the same generator spec.
-func digestTrace(t *trafficgen.Trace) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, pkt := range t.Packets {
-		binary.BigEndian.PutUint64(n[:], pkt.Port)
-		h.Write(n[:])
-		binary.BigEndian.PutUint64(n[:], uint64(len(pkt.Data)))
-		h.Write(n[:])
-		h.Write(pkt.Data)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -15,7 +15,7 @@ import (
 // optimizeEx1WithGuards runs the pipeline with runtime violation detectors.
 func optimizeEx1WithGuards(t *testing.T) *Result {
 	t.Helper()
-	return optimizeEx1(t, Options{InsertDependencyGuards: true, DisablePhase3: true, DisablePhase4: true})
+	return optimizeEx1(t, Options{InsertDependencyGuards: true, Passes: []string{"phase2"}})
 }
 
 // TestGuardInsertedWithRewrite: the removed ACL dependency gets a detector
@@ -135,7 +135,7 @@ func TestGuardDetectsRuntimeViolation(t *testing.T) {
 // history match the guard-less run.
 func TestGuardKeepsPipelineResults(t *testing.T) {
 	guarded := optimizeEx1WithGuards(t)
-	plain := optimizeEx1(t, Options{DisablePhase3: true, DisablePhase4: true})
+	plain := optimizeEx1(t, Options{Passes: []string{"phase2"}})
 	if guarded.StagesBefore() != plain.StagesBefore() || guarded.StagesAfter() != plain.StagesAfter() {
 		t.Errorf("guarded stages %d->%d vs plain %d->%d",
 			guarded.StagesBefore(), guarded.StagesAfter(), plain.StagesBefore(), plain.StagesAfter())

@@ -79,7 +79,7 @@ func (m *manager) newRun(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trac
 		original:   original,
 		bindings:   bindings,
 		cur:        p4.Clone(original),
-		traceDig:   digestTrace(trace),
+		traceDig:   trace.Digest(),
 		phaseStart: time.Now(),
 	}, nil
 }

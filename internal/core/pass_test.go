@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"p2go/internal/cache"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/profile"
@@ -86,19 +87,15 @@ func TestValidatePasses(t *testing.T) {
 	}
 }
 
-// TestDisableShimsMapToPasses: the deprecated DisablePhaseN flags resolve
-// to filtered default schedules, and an explicit Passes list always wins.
-func TestDisableShimsMapToPasses(t *testing.T) {
+// TestPassIDsDefaultAndExplicit: an unset Passes resolves to the default
+// schedule, and an explicit list — an empty one included — is run as given.
+func TestPassIDsDefaultAndExplicit(t *testing.T) {
 	cases := []struct {
 		opts Options
 		want []string
 	}{
 		{Options{}, []string{"phase2", "phase3", "phase4"}},
-		{Options{DisablePhase2: true}, []string{"phase3", "phase4"}},
-		{Options{DisablePhase3: true}, []string{"phase2", "phase4"}},
-		{Options{DisablePhase4: true}, []string{"phase2", "phase3"}},
-		{Options{DisablePhase2: true, DisablePhase3: true, DisablePhase4: true}, nil},
-		{Options{Passes: []string{"phase3"}, DisablePhase3: true}, []string{"phase3"}},
+		{Options{Passes: []string{"phase3"}}, []string{"phase3"}},
 		{Options{Passes: []string{}}, []string{}},
 	}
 	for i, c := range cases {
@@ -427,5 +424,39 @@ func TestPlanCacheServesRepeatedPrograms(t *testing.T) {
 	// must profile Equal to the cold run — replayed through cached plans.
 	if !warm.Profile.Equal(coldRes.Profile) {
 		t.Errorf("reversed-trace profile differs from cold run:\n%s", warm.Profile.Diff(coldRes.Profile))
+	}
+}
+
+// TestEvictionCostsRecomputeNotAnswer: the store under the analysis cache
+// is bounded, and a run holds the results it was handed, so a store far too
+// small for the run's working set — two entries, evicting on nearly every
+// fill — changes how often ex1's analyses are computed and nothing else.
+func TestEvictionCostsRecomputeNotAnswer(t *testing.T) {
+	roomy := optimizeEx1(t, Options{Parallelism: 1})
+	store := cache.NewCache(2, "")
+	tight := optimizeEx1(t, Options{Parallelism: 1, AnalysisCache: NewAnalysisCacheOver(store)})
+
+	if a, b := p4.Print(roomy.Optimized), p4.Print(tight.Optimized); a != b {
+		t.Errorf("optimized program differs:\n--- default bound ---\n%s--- 2 entries ---\n%s", a, b)
+	}
+	if !reflect.DeepEqual(roomy.Observations, tight.Observations) {
+		t.Errorf("observations differ:\ndefault bound: %+v\n2 entries: %+v", roomy.Observations, tight.Observations)
+	}
+	if roomy.StagesBefore() != tight.StagesBefore() || roomy.StagesAfter() != tight.StagesAfter() {
+		t.Errorf("stages %d -> %d under 2 entries, %d -> %d under the default bound",
+			tight.StagesBefore(), tight.StagesAfter(), roomy.StagesBefore(), roomy.StagesAfter())
+	}
+	misses := func(res *Result) (n int) {
+		for _, ps := range res.PassStats {
+			n += ps.CompileMisses + ps.ProfileMisses
+		}
+		return n
+	}
+	if misses(tight) <= misses(roomy) {
+		t.Errorf("2-entry store missed %d times, default bound %d: nothing was evicted, the test shows nothing",
+			misses(tight), misses(roomy))
+	}
+	if n := store.Stats().Entries; n > 2 {
+		t.Errorf("store holds %d entries, bound is 2", n)
 	}
 }

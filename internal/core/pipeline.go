@@ -23,18 +23,9 @@ type Options struct {
 	// Passes selects which optimization passes run and in what order
 	// (the §2.2 phase-ordering ablations as configuration). IDs come
 	// from the pass registry (see Passes()); duplicates are allowed.
-	// nil means the default schedule — phase2, phase3, phase4, filtered
-	// by the deprecated DisablePhaseN shims below. A non-nil empty slice
-	// means "profile only, run no optimization pass".
+	// nil means the default schedule — phase2, phase3, phase4. A non-nil
+	// empty slice means "profile only, run no optimization pass".
 	Passes []string
-	// DisablePhase2/3/4 let the programmer re-run P2GO with individual
-	// optimizations turned off (§2.2).
-	//
-	// Deprecated: set Passes instead; these shims only apply when Passes
-	// is nil and cannot express reordering.
-	DisablePhase2 bool
-	DisablePhase3 bool
-	DisablePhase4 bool
 	// MaxPhase2Removals bounds dependency removals; 0 means "until no
 	// candidate improves the pipeline". The paper's strict
 	// one-change-at-a-time mode is MaxPhase2Removals == 1.
@@ -60,16 +51,15 @@ type Options struct {
 	// checks it before every compile and profile (the operations that
 	// dominate cost) and aborts with the context's error.
 	Context context.Context
-	// CompileHook, when non-nil, intercepts every compile the pipeline
-	// issues — including the candidate probes inside Phase 3's binary
-	// search and Phase 4's enumeration — so a caller can serve repeats
-	// from a content-addressed cache. The context is the span-carrying
-	// context of the enclosing pipeline step, so hook-side spans (cache
-	// lookups, replays) nest under the right probe. The returned result
-	// is treated as immutable and may be shared across runs.
+	// CompileHook, when non-nil, replaces tofino.Compile for every compile
+	// the analysis cache does not answer — including the candidate probes
+	// inside Phase 3's binary search and Phase 4's enumeration — so a
+	// caller can count or time them. The context is the span-carrying
+	// context of the enclosing pipeline step. The returned result is
+	// treated as immutable and is shared through the cache.
 	CompileHook func(context.Context, *p4.Program, tofino.Target) (*tofino.Result, error)
-	// ProfileHook likewise intercepts every trace replay. The returned
-	// profile is treated as immutable.
+	// ProfileHook likewise replaces the replay of every profile the cache
+	// does not answer. The returned profile is treated as immutable.
 	ProfileHook func(context.Context, *p4.Program, *rt.Config, *trafficgen.Trace) (*profile.Profile, error)
 	// Parallelism bounds the worker count of the parallel paths: trace
 	// replay shards (stateless programs only — see profile.StatefulTables)
@@ -79,12 +69,12 @@ type Options struct {
 	// creation order. Results are collected by index either way, so the
 	// observations, history, and final program never depend on it.
 	Parallelism int
-	// AnalysisCache, when non-nil, carries compiled mappings and profiles
-	// across runs: a re-run of the same program and trace with only the
-	// pass schedule or thresholds changed replays mostly from cache. nil
-	// means a fresh cache per run (which still deduplicates the repeated
-	// programs inside one run, e.g. Phase 3 re-compiling the winning
-	// probe it already measured).
+	// AnalysisCache, when non-nil, carries compiled mappings, profiles and
+	// prepared plans across runs: a re-run of the same program and trace
+	// with only the pass schedule or thresholds changed replays mostly from
+	// cache. nil means a fresh cache per run (which still deduplicates the
+	// repeated programs inside one run, e.g. Phase 3 re-compiling the
+	// winning probe it already measured).
 	AnalysisCache *AnalysisCache
 	// Bindings assigns values to the program's @tunable symbols before
 	// anything runs; missing names take their declared defaults. The run
@@ -117,23 +107,13 @@ func (o Options) parallelism() int {
 	return o.Parallelism
 }
 
-// passIDs resolves the pass schedule: an explicit Passes list wins;
-// otherwise the deprecated DisablePhaseN shims filter the default order.
+// passIDs resolves the pass schedule: an explicit Passes list, or the
+// default order.
 func (o Options) passIDs() []string {
 	if o.Passes != nil {
 		return o.Passes
 	}
-	var out []string
-	for _, id := range DefaultPassIDs() {
-		switch {
-		case id == "phase2" && o.DisablePhase2:
-		case id == "phase3" && o.DisablePhase3:
-		case id == "phase4" && o.DisablePhase4:
-		default:
-			out = append(out, id)
-		}
-	}
-	return out
+	return DefaultPassIDs()
 }
 
 // Result is the outcome of a P2GO run.
@@ -295,77 +275,43 @@ func (r *run) doCompile(ctx context.Context, ast *p4.Program) (*tofino.Result, e
 	}
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	key := compileKey(ast, r.tgt)
-	if res, ok := r.mgr.cache.getCompile(key); ok {
-		r.noteCompile(true)
-		sp.SetAttr(obs.Int("stages", totalStages(res.Mapping)))
-		return res, nil
-	}
-	r.noteCompile(false)
-	ast = p4.Clone(ast)
-	res, err := func() (*tofino.Result, error) {
+	res, hit, err := r.mgr.cache.compile(ast, r.tgt, func() (*tofino.Result, error) {
+		ast := p4.Clone(ast)
 		if r.opts.CompileHook != nil {
 			return r.opts.CompileHook(ctx, ast, r.tgt)
 		}
 		return tofino.Compile(ast, r.tgt)
-	}()
-	if err == nil {
-		r.mgr.cache.putCompile(key, res)
-		sp.SetAttr(obs.Int("stages", totalStages(res.Mapping)))
+	})
+	r.noteCompile(hit)
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	sp.SetAttr(obs.Int("stages", totalStages(res.Mapping)))
+	return res, nil
 }
 
 // doProfile is the single funnel for every trace replay. Cached replays
 // are returned under the usual "profile" span (with no replay children —
-// nothing was replayed).
+// nothing was replayed). A replay looks its prepared plan up under a key of
+// its own, so the fill never waits on the key it is filling.
 func (r *run) doProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*profile.Profile, error) {
 	if err := r.interrupted(); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.Start(ctx, "profile")
 	defer sp.End()
-	key := profileKey(ast, cfg, r.traceDig)
-	if prof, ok := r.mgr.cache.getProfile(key); ok {
-		r.noteProfile(true)
-		return prof, nil
-	}
-	r.noteProfile(false)
-	prof, err := func() (*profile.Profile, error) {
+	prof, hit, err := r.mgr.cache.Profile(ast, cfg, r.traceDig, func() (*profile.Profile, error) {
 		if r.opts.ProfileHook != nil {
 			return r.opts.ProfileHook(ctx, ast, cfg, r.trace)
 		}
-		prep, err := r.prepared(ctx, ast, cfg)
+		prep, err := r.mgr.cache.Prepare(ctx, ast, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return prep.Profiler().RunWith(ctx, r.trace, profile.RunOptions{Shards: r.opts.parallelism()})
-	}()
-	if err == nil {
-		r.mgr.cache.putProfile(key, prof)
-	}
+	})
+	r.noteProfile(hit)
 	return prof, err
-}
-
-// prepared returns the instrumented program and lowered execution plan for
-// (ast, cfg), serving repeats from the analysis cache — a profile of the
-// same program on a different trace (a re-run, a fleet sibling) pays
-// instrumentation and bytecode lowering once. A cache hit emits the same
-// "profile.instrument" span with the same tables attr as a real
-// preparation, so span trees are structurally identical either way.
-func (r *run) prepared(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*profile.Prepared, error) {
-	key := planKey(ast, cfg)
-	if prep, ok := r.mgr.cache.getPrepared(key); ok {
-		_, sp := obs.Start(ctx, "profile.instrument")
-		sp.SetAttr(obs.Int("tables", prep.Tables()))
-		sp.End()
-		return prep, nil
-	}
-	prep, err := profile.PrepareContext(ctx, ast, cfg)
-	if err == nil {
-		r.mgr.cache.putPrepared(key, prep)
-	}
-	return prep, err
 }
 
 // recompile refreshes the compiler outputs for the current program.

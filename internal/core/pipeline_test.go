@@ -190,25 +190,25 @@ func TestEx1OptimizedPrintsAndReparses(t *testing.T) {
 	}
 }
 
-// TestPhaseDisabling: each phase can be turned off independently (§2.2's
-// re-run loop).
+// TestPhaseDisabling: each phase can be scheduled on its own (§2.2's re-run
+// loop).
 func TestPhaseDisabling(t *testing.T) {
-	onlyP2 := optimizeEx1(t, Options{DisablePhase3: true, DisablePhase4: true})
+	onlyP2 := optimizeEx1(t, Options{Passes: []string{"phase2"}})
 	if onlyP2.StagesAfter() != 7 {
 		t.Errorf("phase 2 only: %d stages, want 7", onlyP2.StagesAfter())
 	}
-	onlyP3 := optimizeEx1(t, Options{DisablePhase2: true, DisablePhase4: true})
+	onlyP3 := optimizeEx1(t, Options{Passes: []string{"phase3"}})
 	// Without the dependency removal, shrinking Sketch_1 cannot co-locate
 	// it with the ACLs... it can still co-locate with ACL_DHCP's stage.
 	// IPv4's reduction alone saves a stage: 8 -> 7.
 	if onlyP3.StagesAfter() >= 8 {
 		t.Errorf("phase 3 only: %d stages, want < 8", onlyP3.StagesAfter())
 	}
-	onlyP4 := optimizeEx1(t, Options{DisablePhase2: true, DisablePhase3: true})
+	onlyP4 := optimizeEx1(t, Options{Passes: []string{"phase4"}})
 	if onlyP4.StagesAfter() >= 8 {
 		t.Errorf("phase 4 only: %d stages, want < 8", onlyP4.StagesAfter())
 	}
-	nothing := optimizeEx1(t, Options{DisablePhase2: true, DisablePhase3: true, DisablePhase4: true})
+	nothing := optimizeEx1(t, Options{Passes: []string{}})
 	if nothing.StagesAfter() != 8 {
 		t.Errorf("all phases off: %d stages, want 8", nothing.StagesAfter())
 	}
@@ -219,7 +219,7 @@ func TestPhaseDisabling(t *testing.T) {
 
 // TestMaxPhase2Removals: the strict one-change-at-a-time mode.
 func TestMaxPhase2Removals(t *testing.T) {
-	res := optimizeEx1(t, Options{MaxPhase2Removals: 1, DisablePhase3: true, DisablePhase4: true})
+	res := optimizeEx1(t, Options{MaxPhase2Removals: 1, Passes: []string{"phase2"}})
 	accepted := 0
 	for _, o := range res.Observations {
 		if o.Phase == PhaseDependencies && o.Accepted {
@@ -260,7 +260,7 @@ func TestOffloadFirstAblation(t *testing.T) {
 	}
 
 	// Run phases 2+3, then measure again.
-	res := optimizeEx1(t, Options{DisablePhase4: true})
+	res := optimizeEx1(t, Options{Passes: []string{"phase2", "phase3"}})
 	after, err := opt.OffloadCandidates(res.Optimized, res.OptimizedConfig, trace)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/core"
 	"p2go/internal/faults"
 	"p2go/internal/network"
@@ -39,15 +40,12 @@ type DeviceCache interface {
 type Options struct {
 	// Core is the per-device optimization template: target, hooks,
 	// thresholds, context. The fleet runner copies it per device and
-	// overrides Passes/Parallelism from the spec and AnalysisCache from
-	// the shared cache below.
+	// overrides Passes/Parallelism from the spec. Core.AnalysisCache is
+	// shared across every device in the fleet — the core of the
+	// network-wide story: a homogeneous fleet of N same-program devices
+	// compiles far fewer than N times. nil means a fresh cache per fleet
+	// (still shared across the fleet's devices, just not across fleets).
 	Core core.Options
-	// AnalysisCache is the compile/profile cache shared across every
-	// device in the fleet — the core of the network-wide story: a
-	// homogeneous fleet of N same-program devices compiles far fewer than
-	// N times. nil means a fresh cache per fleet (still shared across the
-	// fleet's devices, just not across fleets).
-	AnalysisCache *core.AnalysisCache
 	// DeviceCache, when non-nil, serves and stores whole per-device rows
 	// across runs (see DeviceCache). Only optimized rows are stored —
 	// failures are always recomputed.
@@ -118,17 +116,15 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 		collectFailed[e.Device] = append(collectFailed[e.Device], e.Error())
 	}
 
-	shared := opts.AnalysisCache
-	if shared == nil {
-		shared = core.NewAnalysisCache()
+	if opts.Core.AnalysisCache == nil {
+		opts.Core.AnalysisCache = core.NewAnalysisCache()
 	}
-	statsBefore := shared.Stats()
 
 	rows := make([]report.FleetDevice, len(devices))
 	runErr := forEach(ctx, len(devices), spec.DeviceParallelism, func(i int) error {
 		dev := devices[i]
 		trace := traces[dev.spec.Name]
-		row, err := runDevice(ctx, spec, opts, shared, dev, trace, collectFailed[dev.spec.Name])
+		row, err := runDevice(ctx, spec, opts, dev, trace, collectFailed[dev.spec.Name])
 		if err != nil {
 			return err
 		}
@@ -142,12 +138,22 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 		return nil, runErr
 	}
 
-	statsAfter := shared.Stats()
 	out := report.AggregateFleet(spec.Name, rows)
-	out.CompileHits = statsAfter.CompileHits - statsBefore.CompileHits
-	out.CompileMisses = statsAfter.CompileMisses - statsBefore.CompileMisses
-	out.ProfileHits = statsAfter.ProfileHits - statsBefore.ProfileHits
-	out.ProfileMisses = statsAfter.ProfileMisses - statsBefore.ProfileMisses
+	// The fleet's lookups are its own devices' pass rows. The shared cache's
+	// counters cannot say: on a daemon-wide cache they move with every
+	// concurrent job. A cached row's passes are the lookups of the run that
+	// computed it, not of this one.
+	for _, row := range rows {
+		if row.Cached || row.Result == nil {
+			continue
+		}
+		for _, ps := range row.Result.Passes {
+			out.CompileHits += ps.CompileHits
+			out.CompileMisses += ps.CompileMisses
+			out.ProfileHits += ps.ProfileHits
+			out.ProfileMisses += ps.ProfileMisses
+		}
+	}
 	out.DurationSeconds = time.Since(start).Seconds()
 	root.SetAttr(
 		obs.Int("fleet.optimized", out.Optimized),
@@ -165,7 +171,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 // fresh P2GO run against the device's observed trace). The error return
 // aborts the whole fleet and is reserved for context cancellation —
 // every per-device failure becomes a row instead.
-func runDevice(ctx context.Context, spec Spec, opts Options, shared *core.AnalysisCache,
+func runDevice(ctx context.Context, spec Spec, opts Options,
 	dev resolvedDevice, trace *trafficgen.Trace, collectErrs []string) (report.FleetDevice, error) {
 	name := dev.spec.Name
 	packets := 0
@@ -209,7 +215,6 @@ func runDevice(ctx context.Context, spec Spec, opts Options, shared *core.Analys
 
 	devOpts := opts.Core
 	devOpts.Context = devCtx
-	devOpts.AnalysisCache = shared
 	if spec.Passes != nil {
 		devOpts.Passes = spec.Passes
 	}
@@ -341,24 +346,14 @@ func buildInjections(spec Spec) ([]network.Injection, error) {
 // fleets and after crashes.
 func deviceKey(dev resolvedDevice, trace *trafficgen.Trace, passes []string, copts core.Options) string {
 	tgt := copts.Target
-	return digest("fleet-device",
+	return cache.Digest("fleet-device",
 		dev.printed,
 		dev.rules,
-		traceDigest(trace),
+		trace.Digest(),
 		strings.Join(passes, ","),
 		fmt.Sprintf("%d/%d/%d/%d/%d", tgt.Stages, tgt.StageSRAMBytes, tgt.StageTCAMBytes,
 			tgt.MaxTablesPerStage, tgt.StageALUs),
 	)
-}
-
-// traceDigest hashes a trace's packets (port + payload, length-prefixed)
-// — the same content addressing the service layer uses for profile keys.
-func traceDigest(t *trafficgen.Trace) string {
-	parts := make([]string, 0, 2*len(t.Packets))
-	for _, pkt := range t.Packets {
-		parts = append(parts, fmt.Sprintf("%d", pkt.Port), string(pkt.Data))
-	}
-	return digest(parts...)
 }
 
 // forEach runs fn(0..n-1) on up to workers goroutines — the same bounded

@@ -203,11 +203,13 @@ func TestExternalAnalysisCacheAcrossFleets(t *testing.T) {
 	hooks := &testHooks{}
 	spec := Synthetic("quickstart", 2, 1, 30)
 	spec.DeviceParallelism = 1
-	if _, err := Run(context.Background(), spec, Options{Core: hooks.core(), AnalysisCache: shared}); err != nil {
+	opts := Options{Core: hooks.core()}
+	opts.Core.AnalysisCache = shared
+	if _, err := Run(context.Background(), spec, opts); err != nil {
 		t.Fatal(err)
 	}
 	cold := hooks.compiles.Load()
-	res, err := Run(context.Background(), spec, Options{Core: hooks.core(), AnalysisCache: shared})
+	res, err := Run(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +221,75 @@ func TestExternalAnalysisCacheAcrossFleets(t *testing.T) {
 	}
 	if res.Optimized != 2 {
 		t.Errorf("re-run optimized %d devices, want 2", res.Optimized)
+	}
+}
+
+// TestConcurrentDevicesDoNotDoubleMiss: the store under the analysis cache
+// is single-flight, so devices of a homogeneous fleet racing on the same
+// compile run it once — a fleet at DeviceParallelism 8 misses exactly what
+// it misses one device at a time, and every other lookup is a hit.
+func TestConcurrentDevicesDoNotDoubleMiss(t *testing.T) {
+	run := func(deviceParallelism int) *report.FleetResult {
+		t.Helper()
+		// ex1 compiles take milliseconds: long enough that racing devices
+		// would meet inside one.
+		spec := Synthetic("ex1", 8, 1, 300)
+		spec.DeviceParallelism = deviceParallelism
+		res, err := Run(context.Background(), spec, Options{Core: core.Options{Parallelism: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, par := run(1), run(8)
+	if seq.CompileMisses == 0 {
+		t.Fatal("sequential fleet reports no compile misses; counters not exercised")
+	}
+	if par.CompileMisses != seq.CompileMisses || par.CompileHits != seq.CompileHits {
+		t.Errorf("compile lookups at DeviceParallelism 8 = %d hits / %d misses, at 1 = %d / %d",
+			par.CompileHits, par.CompileMisses, seq.CompileHits, seq.CompileMisses)
+	}
+}
+
+// TestConcurrentFleetsReportOwnLookups: two fleets running at once over
+// one shared analysis cache each report the lookups of their own devices —
+// the same totals they report running alone — not whatever the shared
+// cache's counters moved by in the meantime.
+func TestConcurrentFleetsReportOwnLookups(t *testing.T) {
+	specs := []Spec{Synthetic("quickstart", 6, 1, 30), Synthetic("quickstart", 9, 2, 30)}
+	lookups := func(r *report.FleetResult) [2]int {
+		return [2]int{r.CompileHits + r.CompileMisses, r.ProfileHits + r.ProfileMisses}
+	}
+	var solo [2][2]int
+	for i, spec := range specs {
+		res, err := Run(context.Background(), spec, Options{Core: core.Options{Parallelism: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = lookups(res)
+	}
+
+	opts := Options{Core: core.Options{Parallelism: 1, AnalysisCache: core.NewAnalysisCache()}}
+	var (
+		wg   sync.WaitGroup
+		both [2]*report.FleetResult
+		errs [2]error
+	)
+	for i, spec := range specs {
+		wg.Add(1)
+		go func(i int, spec Spec) {
+			defer wg.Done()
+			both[i], errs[i] = Run(context.Background(), spec, opts)
+		}(i, spec)
+	}
+	wg.Wait()
+	for i := range specs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got := lookups(both[i]); got != solo[i] {
+			t.Errorf("fleet %d reports %v compile/profile lookups beside a concurrent fleet, %v alone", i, got, solo[i])
+		}
 	}
 }
 

@@ -17,12 +17,10 @@
 package fleet
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
+	"p2go/internal/cache"
 	"p2go/internal/core"
 	"p2go/internal/workloads"
 )
@@ -168,7 +166,7 @@ func (s Spec) Fingerprint() string {
 			fmt.Sprintf("%s/%s/%d/%d", inj.Device, inj.Workload, inj.Seed, inj.Count))
 	}
 	parts = append(parts, "passes", strings.Join(s.Passes, ","))
-	return digest(parts...)
+	return cache.Digest(parts...)
 }
 
 // Synthetic builds an n-device fleet of disconnected switches all running
@@ -189,17 +187,4 @@ func Synthetic(workload string, n int, seed int64, packets int) Spec {
 		})
 	}
 	return s
-}
-
-// digest is the hex SHA-256 over length-prefixed parts, so concatenation
-// ambiguity cannot collide keys (same scheme as the service layer's).
-func digest(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

@@ -84,8 +84,7 @@ func TestBindingsJobPinsKnobs(t *testing.T) {
 		Kind:     "optimize",
 		Workload: "syncookie",
 		Bindings: "sc_bf_cells=65536",
-		Passes:   []string{}, // profile only; [] normalizes to default — use explicit phases
-		NoDeps:   true, NoMem: true, NoOffload: true,
+		Passes:   []string{"phase2"}, // the knob is what is under test, not the schedule
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,46 +1,6 @@
 package service
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"fmt"
+import "p2go/internal/trafficgen"
 
-	"p2go/internal/tofino"
-	"p2go/internal/trafficgen"
-)
-
-// Digest returns the hex SHA-256 over the parts. Each part is
-// length-prefixed so concatenation ambiguity cannot collide keys
-// ("ab","c" vs "a","bc").
-func Digest(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TraceDigest hashes a trace's packets (port + frame bytes) so cache keys
-// distinguish traces even when they come from the same generator spec.
-func TraceDigest(t *trafficgen.Trace) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, pkt := range t.Packets {
-		binary.BigEndian.PutUint64(n[:], pkt.Port)
-		h.Write(n[:])
-		binary.BigEndian.PutUint64(n[:], uint64(len(pkt.Data)))
-		h.Write(n[:])
-		h.Write(pkt.Data)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// targetKey canonicalizes the hardware model for cache keys.
-func targetKey(t tofino.Target) string {
-	return fmt.Sprintf("%d/%d/%d/%d/%d",
-		t.Stages, t.StageSRAMBytes, t.StageTCAMBytes, t.MaxTablesPerStage, t.StageALUs)
-}
+// TraceDigest is the trace's content digest; see trafficgen.Trace.Digest.
+func TraceDigest(t *trafficgen.Trace) string { return t.Digest() }

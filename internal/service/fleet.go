@@ -5,13 +5,8 @@ import (
 	"encoding/json"
 	"time"
 
-	"p2go/internal/core"
 	"p2go/internal/fleet"
-	"p2go/internal/p4"
-	"p2go/internal/profile"
 	"p2go/internal/report"
-	"p2go/internal/rt"
-	"p2go/internal/trafficgen"
 )
 
 // executeFleet runs a Kind "fleet" job: the fleet runner collects every
@@ -19,27 +14,17 @@ import (
 // own bounded pool (the job occupies exactly one service worker, so a
 // fleet can never deadlock the job queue it was submitted through).
 //
-// Caching is layered the same way single jobs are, but shared wider:
-//   - the daemon-wide AnalysisCache dedups compiles/profiles across all
-//     devices of all fleet jobs in this process (the network-wide story:
-//     a homogeneous fleet of N devices compiles ~once, not N times);
-//   - the compile/profile hooks behind it serve from the LRU + disk
-//     spill artifact cache, shared with single jobs and across restarts;
-//   - whole device rows spill through the same cache, which is what lets
-//     a fleet job killed mid-run (kill -9) recompute only the devices
-//     that had not finished when it is recovered from the journal.
+// Devices run over the daemon's analysis cache like every other job, so a
+// homogeneous fleet of N devices compiles ~once, not N times, and shares
+// those compiles with single jobs. Whole device rows go through the same
+// artifact cache as bytes — and so reach its disk spill — which is what
+// lets a fleet job killed mid-run (kill -9) recompute only the devices
+// that had not finished when it is recovered from the journal.
 func (m *Manager) executeFleet(ctx context.Context, job *Job) ([]byte, error) {
-	spec := *job.Spec.Fleet
-	parallelism := m.jobParallelism(job)
 	start := time.Now()
-	res, err := fleet.Run(ctx, spec, fleet.Options{
-		Core: core.Options{
-			CompileHook: m.compileHook(),
-			ProfileHook: m.fleetProfileHook(parallelism),
-			Parallelism: parallelism,
-		},
-		AnalysisCache: m.fleetAnalysis,
-		DeviceCache:   deviceCache{m: m},
+	res, err := fleet.Run(ctx, *job.Spec.Fleet, fleet.Options{
+		Core:        m.coreOptions(job),
+		DeviceCache: deviceCache{m: m},
 		OnDevice: func(row report.FleetDevice) {
 			m.cfg.Journal.Device(job.ID, row.Device, row.Status)
 			m.metrics.FleetDevice(row.Status)
@@ -66,16 +51,6 @@ func (m *Manager) executeFleet(ctx context.Context, job *Job) ([]byte, error) {
 		res.Resources = report.FromUsage(job.meter.Sample())
 	}
 	return json.Marshal(res)
-}
-
-// fleetProfileHook serves trace replays from the artifact cache like
-// profileHook, but digests the trace per call: a fleet replays a
-// different observed trace per device, so there is no single job-wide
-// trace digest to close over.
-func (m *Manager) fleetProfileHook(parallelism int) func(context.Context, *p4.Program, *rt.Config, *trafficgen.Trace) (*profile.Profile, error) {
-	return func(ctx context.Context, prog *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*profile.Profile, error) {
-		return m.cachedProfile(ctx, prog, cfg, trace, TraceDigest(trace), parallelism)
-	}
 }
 
 // deviceCache adapts the manager's artifact cache to the fleet runner's

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/cluster"
 	"p2go/internal/core"
 	"p2go/internal/fleet"
@@ -43,17 +44,9 @@ type JobSpec struct {
 	Bindings string `json:"bindings,omitempty"`
 	// Passes selects which optimization passes run and in what order,
 	// mirroring the CLI's -passes (IDs from core.Passes(); only used for
-	// optimize jobs). Empty means the default schedule filtered by the
-	// deprecated phase toggles below. It is part of the artifact digest:
-	// different schedules produce different artifacts.
+	// optimize jobs). Empty means the default schedule. It is part of the
+	// artifact digest: different schedules produce different artifacts.
 	Passes []string `json:"passes,omitempty"`
-	// Phase toggles, mirroring the CLI's -no-deps/-no-mem/-no-offload.
-	//
-	// Deprecated: set Passes instead; the toggles only apply when Passes
-	// is empty.
-	NoDeps    bool `json:"no_deps,omitempty"`
-	NoMem     bool `json:"no_mem,omitempty"`
-	NoOffload bool `json:"no_offload,omitempty"`
 	// TimeoutSeconds bounds the job's run; 0 uses the server default.
 	// The timeout is not part of the artifact digest: the same inputs
 	// produce the same artifact however long they were allowed to take.
@@ -135,10 +128,9 @@ func (s *JobSpec) normalize() error {
 // produce the same artifact.
 func (s JobSpec) digest() string {
 	if s.Kind == "fleet" {
-		return Digest(s.Kind, s.Fleet.Fingerprint())
+		return cache.Digest(s.Kind, s.Fleet.Fingerprint())
 	}
-	return Digest(s.Kind, s.Workload, fmt.Sprintf("%d", s.Seed), s.Program, s.Rules,
-		fmt.Sprintf("%t/%t/%t", s.NoDeps, s.NoMem, s.NoOffload),
+	return cache.Digest(s.Kind, s.Workload, fmt.Sprintf("%d", s.Seed), s.Program, s.Rules,
 		strings.Join(s.Passes, ","), s.Bindings)
 }
 

@@ -21,7 +21,6 @@ import (
 	"p2go/internal/profile"
 	"p2go/internal/report"
 	"p2go/internal/rt"
-	"p2go/internal/tofino"
 	"p2go/internal/trafficgen"
 	"p2go/internal/workloads"
 )
@@ -151,12 +150,11 @@ type Manager struct {
 	metrics *Metrics
 	logger  *slog.Logger
 
-	// fleetAnalysis is the daemon-wide analysis cache shared by every
-	// fleet job's devices: content-addressed compiles and profiles, so
-	// homogeneous fleets dedup across devices and across jobs. Entries
-	// live for the process lifetime; the byte-artifact LRU + spill behind
-	// the hooks provides the bounded, restart-surviving layer.
-	fleetAnalysis *core.AnalysisCache
+	// analysis is the daemon's one view of the artifact cache for compiles,
+	// profiles and prepared plans. Every job — optimize, profile, each
+	// device of a fleet — runs over it, so analyses dedup across devices
+	// and across jobs, single-flight, under the cache's LRU bound.
+	analysis *core.AnalysisCache
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -224,17 +222,18 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:           cfg,
-		cache:         cfg.Cache,
-		metrics:       cfg.Metrics,
-		logger:        cfg.Logger,
-		fleetAnalysis: core.NewAnalysisCache(),
-		baseCtx:       ctx,
-		baseCancel:    cancel,
-		jobs:          map[string]*Job{},
-		queue:         make(chan *Job, cfg.QueueDepth),
-		breakers:      map[string]*breakerState{},
+		cfg:        cfg,
+		cache:      cfg.Cache,
+		metrics:    cfg.Metrics,
+		logger:     cfg.Logger,
+		analysis:   core.NewAnalysisCacheOver(cfg.Cache),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		jobs:       map[string]*Job{},
+		queue:      make(chan *Job, cfg.QueueDepth),
+		breakers:   map[string]*breakerState{},
 	}
+	m.metrics.observeAnalyses(m.analysis.Stats)
 	if cfg.Profiles != nil {
 		// The store predates the manager; route its capture outcomes into
 		// this registry now that both exist.
@@ -882,9 +881,8 @@ func (m *Manager) pruneLocked() {
 	m.order = kept
 }
 
-// execute runs one job for real: resolve the inputs, thread the artifact
-// cache through the pipeline's compile/profile hooks, and serialize the
-// shared report schema.
+// execute runs one job for real: resolve the inputs, run the pipeline
+// over the daemon's analysis cache, and serialize the shared report schema.
 func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 	spec := job.Spec
 	if spec.Kind == "fleet" {
@@ -922,8 +920,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	traceDigest := TraceDigest(trace)
-	parallelism := m.jobParallelism(job)
+	opts := m.coreOptions(job)
 
 	if spec.Kind == "profile" {
 		// Profiling runs on the concrete program: bind the @tunable
@@ -932,7 +929,9 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		pf, err := m.cachedProfile(ctx, concrete, cfg, trace, traceDigest, parallelism)
+		pf, _, err := m.analysis.Profile(concrete, cfg, trace.Digest(), func() (*profile.Profile, error) {
+			return opts.ProfileHook(ctx, concrete, cfg, trace)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -941,17 +940,9 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 		return json.Marshal(rep)
 	}
 
-	opts := core.Options{
-		Context:       ctx,
-		Passes:        spec.Passes, // nil = default schedule via the toggles below
-		DisablePhase2: spec.NoDeps,
-		DisablePhase3: spec.NoMem,
-		DisablePhase4: spec.NoOffload,
-		CompileHook:   m.compileHook(),
-		ProfileHook:   m.profileHook(traceDigest, parallelism),
-		Parallelism:   parallelism,
-		Bindings:      bindings,
-	}
+	opts.Context = ctx
+	opts.Passes = spec.Passes
+	opts.Bindings = bindings
 	if w.Tune != nil {
 		// The workload's tune spec configures the pass if the job's
 		// schedule includes "tune"; harmless otherwise.
@@ -972,6 +963,34 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 	return json.Marshal(rep)
 }
 
+// coreOptions is what every job's pipeline runs with, whatever its kind:
+// the daemon's analysis cache, the job's worker count, and a ProfileHook
+// that feeds the replay metrics. The hook caches nothing — the pipeline
+// calls it only for a replay it must execute — and prepares through the
+// analysis cache, so a program replayed before is not re-instrumented.
+func (m *Manager) coreOptions(job *Job) core.Options {
+	parallelism := job.Spec.Parallelism
+	if parallelism <= 0 {
+		parallelism = m.cfg.Parallelism
+	}
+	return core.Options{
+		AnalysisCache: m.analysis,
+		Parallelism:   parallelism,
+		ProfileHook: func(ctx context.Context, prog *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*profile.Profile, error) {
+			prep, err := m.analysis.Prepare(ctx, prog, cfg)
+			if err != nil {
+				return nil, err
+			}
+			start := time.Now()
+			pf, err := prep.Profiler().RunWith(ctx, trace, profile.RunOptions{Shards: parallelism})
+			if err == nil {
+				m.metrics.Replayed(pf.TotalPackets, time.Since(start).Seconds())
+			}
+			return pf, err
+		},
+	}
+}
+
 // jobResources samples the job's meter mid-flight so the serialized
 // report carries the resources consumed up to the moment the result was
 // produced. A cached artifact keeps the block from its original
@@ -983,66 +1002,4 @@ func (m *Manager) jobResources(job *Job) *report.Resources {
 		return nil
 	}
 	return report.FromUsage(job.meter.Sample())
-}
-
-// compileHook serves the pipeline's compiles from the artifact cache,
-// keyed on the printed program and the hardware model. This is what makes
-// Phase 3's binary search and Phase 4's enumeration cheap on repeats —
-// within a job and across concurrent jobs alike. The lookup runs under a
-// "cache.lookup" span, so the trace shows which probes hit and which
-// compiled for real.
-func (m *Manager) compileHook() func(context.Context, *p4.Program, tofino.Target) (*tofino.Result, error) {
-	return func(ctx context.Context, prog *p4.Program, tgt tofino.Target) (*tofino.Result, error) {
-		key := "compile:" + Digest(p4.Print(prog), targetKey(tgt))
-		_, sp := obs.Start(ctx, "cache.lookup", obs.String("kind", "compile"))
-		defer sp.End()
-		v, hit, err := m.cache.Do(key, func() (any, error) {
-			return tofino.Compile(prog, tgt)
-		})
-		sp.SetAttr(obs.Bool("hit", hit))
-		m.metrics.Cache("compile", hit)
-		if err != nil {
-			return nil, err
-		}
-		return v.(*tofino.Result), nil
-	}
-}
-
-// jobParallelism resolves a job's worker count: the spec's override when
-// set, the manager default otherwise.
-func (m *Manager) jobParallelism(job *Job) int {
-	if job.Spec.Parallelism > 0 {
-		return job.Spec.Parallelism
-	}
-	return m.cfg.Parallelism
-}
-
-// profileHook serves trace replays from the artifact cache, keyed on the
-// printed program, the rules, and the trace digest. The parallelism is
-// deliberately not part of the key: sharded and sequential replays
-// produce equal profiles.
-func (m *Manager) profileHook(traceDigest string, parallelism int) func(context.Context, *p4.Program, *rt.Config, *trafficgen.Trace) (*profile.Profile, error) {
-	return func(ctx context.Context, prog *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*profile.Profile, error) {
-		return m.cachedProfile(ctx, prog, cfg, trace, traceDigest, parallelism)
-	}
-}
-
-func (m *Manager) cachedProfile(ctx context.Context, prog *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, traceDigest string, parallelism int) (*profile.Profile, error) {
-	key := "profile:" + Digest(p4.Print(prog), rt.Format(cfg), traceDigest)
-	ctx, sp := obs.Start(ctx, "cache.lookup", obs.String("kind", "profile"))
-	defer sp.End()
-	v, hit, err := m.cache.Do(key, func() (any, error) {
-		start := time.Now()
-		pf, err := profile.RunParallelContext(ctx, prog, cfg, trace, parallelism)
-		if err == nil {
-			m.metrics.Replayed(pf.TotalPackets, time.Since(start).Seconds())
-		}
-		return pf, err
-	})
-	sp.SetAttr(obs.Bool("hit", hit))
-	m.metrics.Cache("profile", hit)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*profile.Profile), nil
 }

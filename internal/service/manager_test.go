@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"p2go/internal/cache"
 )
 
 // waitState polls until the job reaches want or the deadline expires.
@@ -256,6 +258,15 @@ func TestJobTimeout(t *testing.T) {
 	t.Fatal("job never timed out")
 }
 
+func TestDigestDistinguishesConcatenation(t *testing.T) {
+	if cache.Digest("ab", "c") == cache.Digest("a", "bc") {
+		t.Fatal("length prefixing failed: ambiguous concatenation collides")
+	}
+	if cache.Digest("x") != cache.Digest("x") {
+		t.Fatal("digest not deterministic")
+	}
+}
+
 func TestJobSpecDigest(t *testing.T) {
 	a := JobSpec{Kind: "optimize", Workload: "ex1", Seed: 1}
 	b := JobSpec{Kind: "optimize", Workload: "ex1", Seed: 1, TimeoutSeconds: 30}
@@ -266,9 +277,9 @@ func TestJobSpecDigest(t *testing.T) {
 	if a.digest() == c.digest() {
 		t.Error("seed must change the artifact digest")
 	}
-	d := JobSpec{Kind: "optimize", Workload: "ex1", Seed: 1, NoMem: true}
+	d := JobSpec{Kind: "optimize", Workload: "ex1", Seed: 1, Passes: []string{"phase2", "phase4"}}
 	if a.digest() == d.digest() {
-		t.Error("phase toggles must change the artifact digest")
+		t.Error("the pass schedule must change the artifact digest")
 	}
 	for i, spec := range []*JobSpec{&a, &b, &c, &d} {
 		if err := spec.normalize(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"p2go/internal/core"
 	"p2go/internal/obs"
 	"p2go/internal/prof"
 )
@@ -15,9 +16,7 @@ import (
 // Prometheus text exposition format — so the service stays stdlib-only.
 //
 // Latency-shaped quantities (phase wall time, job wall time, queue wait,
-// replay throughput) are histograms; the pre-histogram `_seconds_total`
-// counters are still emitted, derived from the histogram sums, so
-// existing dashboards keep working.
+// replay throughput) are histograms.
 type Metrics struct {
 	mu sync.Mutex
 
@@ -25,8 +24,12 @@ type Metrics struct {
 	jobsFinished  map[string]int64 // by outcome: done, failed, canceled
 	rejected      int64
 
-	cacheHits   map[string]int64 // by artifact kind: job, compile, profile
+	cacheHits   map[string]int64 // by artifact kind: job, fleetdev
 	cacheMisses map[string]int64
+	// analyses reads the lookup counters of the manager's analysis cache,
+	// rendered as the compile and profile kinds of the two cache families;
+	// nil (a registry without a manager) renders neither.
+	analyses func() core.AnalysisCacheStats
 
 	phaseDuration map[string]*obs.Histogram // by stage-history label
 	jobDuration   map[string]*obs.Histogram // by outcome
@@ -68,7 +71,7 @@ type Metrics struct {
 	leaseAcquireFailures int64
 
 	// Resource attribution: what jobs cost the daemon itself. CPU time is
-	// a histogram by job kind (plus a derived legacy-style _total); allocs,
+	// a histogram by job kind (plus a derived _total); allocs,
 	// alloc bytes, and GC cycles are plain counters; peak heap per job is
 	// a bytes histogram.
 	jobCPU          map[string]*obs.Histogram // by job kind
@@ -143,7 +146,16 @@ func (m *Metrics) QueueWaited(seconds float64) {
 	m.queueWait.Observe(seconds)
 }
 
-// Cache counts one artifact-cache lookup.
+// observeAnalyses sets the source of the compile and profile cache counts.
+func (m *Metrics) observeAnalyses(stats func() core.AnalysisCacheStats) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.analyses = stats
+}
+
+// Cache counts one artifact-cache lookup of a byte artifact (a job result
+// or a fleet device row). Compile and profile lookups are not counted one
+// by one: the analysis cache counts them itself (see observeAnalyses).
 func (m *Metrics) Cache(kind string, hit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -375,25 +387,16 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
 		map[string]string{"label": "outcome"}, toF(m.jobsFinished))
 	counter("p2god_queue_rejected_total", "Submissions bounced with 429 (queue full).",
 		nil, map[string]float64{"": float64(m.rejected)})
+	cacheHits, cacheMisses := toF(m.cacheHits), toF(m.cacheMisses)
+	if m.analyses != nil {
+		st := m.analyses()
+		cacheHits["compile"], cacheMisses["compile"] = float64(st.CompileHits), float64(st.CompileMisses)
+		cacheHits["profile"], cacheMisses["profile"] = float64(st.ProfileHits), float64(st.ProfileMisses)
+	}
 	counter("p2god_cache_hits_total", "Artifact cache hits, by artifact kind.",
-		map[string]string{"label": "kind"}, toF(m.cacheHits))
+		map[string]string{"label": "kind"}, cacheHits)
 	counter("p2god_cache_misses_total", "Artifact cache misses (fills), by artifact kind.",
-		map[string]string{"label": "kind"}, toF(m.cacheMisses))
-
-	// Legacy sum counters, derived from the histograms so the metric
-	// names pre-dating histogram support keep reporting the same values.
-	phaseSums := map[string]float64{}
-	for k, h := range m.phaseDuration {
-		phaseSums[k] = h.Sum()
-	}
-	counter("p2god_phase_seconds_total", "Pipeline wall time, by phase.",
-		map[string]string{"label": "phase"}, phaseSums)
-	jobSeconds := 0.0
-	for _, h := range m.jobDuration {
-		jobSeconds += h.Sum()
-	}
-	counter("p2god_job_seconds_total", "Total job wall time.",
-		nil, map[string]float64{"": jobSeconds})
+		map[string]string{"label": "kind"}, cacheMisses)
 	counter("p2god_replayed_packets_total", "Packets replayed through the behavioral simulator.",
 		nil, map[string]float64{"": float64(m.packetsReplayed)})
 	counter("p2god_fleet_jobs_total", "Fleet (network-wide) jobs completed.",
@@ -432,7 +435,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
 		nil, map[string]float64{"": float64(m.leaseAcquireFailures)})
 
 	// Resource attribution. The _total counter is derived from the
-	// per-kind CPU histogram sums, mirroring the phase/job legacy counters.
+	// per-kind CPU histogram sums.
 	cpuSeconds := 0.0
 	for _, h := range m.jobCPU {
 		cpuSeconds += h.Sum()
@@ -467,16 +470,16 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
 	histogram("p2god_job_heap_peak_bytes", "Per-job peak in-use heap distribution.",
 		"", map[string]*obs.Histogram{"": m.jobHeapPeak})
 
-	var hits, misses int64
-	for _, v := range m.cacheHits {
+	var hits, misses float64
+	for _, v := range cacheHits {
 		hits += v
 	}
-	for _, v := range m.cacheMisses {
+	for _, v := range cacheMisses {
 		misses += v
 	}
 	ratio := 0.0
 	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
+		ratio = hits / (hits + misses)
 	}
 	fmt.Fprintf(w, "# HELP p2god_cache_hit_ratio Overall artifact cache hit ratio.\n# TYPE p2god_cache_hit_ratio gauge\np2god_cache_hit_ratio %g\n", ratio)
 

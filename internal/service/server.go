@@ -1,14 +1,15 @@
 // Package service is the p2god optimization service: a stdlib-only HTTP
 // daemon that runs profile/optimize jobs on a bounded worker pool, serves
-// repeated work from a content-addressed artifact cache (threaded through
-// the pipeline's compile/profile hooks, so even intra-job probe loops hit
-// it), and exposes job status, Prometheus metrics, health, queue-full
+// repeated work from a content-addressed artifact cache (the pipeline's
+// analysis cache is a view over it, so even intra-job probe loops hit it),
+// and exposes job status, Prometheus metrics, health, queue-full
 // backpressure, and graceful drain.
 package service
 
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"p2go/internal/fleet"
@@ -58,19 +59,15 @@ func NewHandler(m *Manager) http.Handler {
 	}
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
-			return
+		if decodeSpec(w, r, "job spec", &spec) {
+			submit(w, spec)
 		}
-		submit(w, spec)
 	})
 	mux.HandleFunc("POST /fleets", func(w http.ResponseWriter, r *http.Request) {
 		var spec fleet.Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, "bad fleet spec: "+err.Error())
-			return
+		if decodeSpec(w, r, "fleet spec", &spec) {
+			submit(w, JobSpec{Kind: "fleet", Fleet: &spec})
 		}
-		submit(w, JobSpec{Kind: "fleet", Fleet: &spec})
 	})
 	mux.HandleFunc("GET /fleets", func(w http.ResponseWriter, r *http.Request) {
 		var out []JobStatus
@@ -246,6 +243,30 @@ func NewHandler(m *Manager) http.Handler {
 		})
 	})
 	return mux
+}
+
+// maxSpecBytes caps a submitted job or fleet spec. The largest real ones —
+// a fleet of hundreds of devices, each with an inline program and rules —
+// are a few megabytes.
+const maxSpecBytes = 8 << 20
+
+// decodeSpec reads a submitted spec into v, answering the request itself
+// (and returning false) when the body is over maxSpecBytes (413), is not
+// JSON, or names a field the spec does not have (400) — so a client built
+// against another version's schema is refused, not run with the field
+// silently dropped.
+func decodeSpec(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s over %d bytes", what, maxSpecBytes))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad "+what+": "+err.Error())
+	}
+	return err == nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -137,7 +137,7 @@ func TestServeOptimizeEx1EndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"p2god_jobs_submitted_total 2",
 		`p2god_jobs_finished_total{outcome="done"} 2`,
-		`p2god_phase_seconds_total{phase="removing-dependencies"}`,
+		`p2god_phase_duration_seconds_sum{phase="removing-dependencies"}`,
 		"p2god_replayed_packets_total",
 		"p2god_replay_packets_per_second",
 		"p2god_cache_hit_ratio",
@@ -190,6 +190,54 @@ func TestServeBadRequests(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %s, want 404", r.Status)
+	}
+}
+
+// TestServeRefusesUnknownFieldsAndOversizedSpecs: both POST routes decode
+// strictly and under one size cap — a field the spec does not have (a stale
+// client's "no_deps") is a 400 naming it, not a silently different
+// schedule; a body over maxSpecBytes is a 413 with a JSON error body, and
+// one just under the cap is read in full.
+func TestServeRefusesUnknownFieldsAndOversizedSpecs(t *testing.T) {
+	srv, _ := newTestServer(t, ManagerConfig{Workers: 1, QueueDepth: 4})
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var msg struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+			t.Fatalf("POST %s: %s with a body that is not JSON: %v", path, resp.Status, err)
+		}
+		return resp.StatusCode, msg.Error
+	}
+	for path, body := range map[string]string{
+		"/jobs":   `{"kind":"optimize","workload":"quickstart","no_deps":true}`,
+		"/fleets": `{"name":"f","devices":[{"name":"a","workload":"quickstart","no_deps":true}]}`,
+	} {
+		if code, msg := post(path, body); code != http.StatusBadRequest || !strings.Contains(msg, "no_deps") {
+			t.Errorf("POST %s with an unknown field: %d %q, want 400 naming no_deps", path, code, msg)
+		}
+	}
+
+	// A spec padded to the byte: the rules field soaks up the slack.
+	padded := func(size int) string {
+		const head, tail = `{"kind":"profile","workload":"no-such","rules":"`, `"}`
+		return head + strings.Repeat("#", size-len(head)-len(tail)) + tail
+	}
+	if code, msg := post("/jobs", padded(maxSpecBytes+1)); code != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Errorf("spec one byte over the cap: %d %q, want 413 with an error body", code, msg)
+	}
+	if code, msg := post("/fleets", padded(maxSpecBytes+1)); code != http.StatusRequestEntityTooLarge || msg == "" {
+		t.Errorf("fleet spec one byte over the cap: %d %q, want 413 with an error body", code, msg)
+	}
+	// At the cap the body is decoded whole and refused for what it says.
+	if code, msg := post("/jobs", padded(maxSpecBytes)); code != http.StatusBadRequest || !strings.Contains(msg, "no-such") {
+		t.Errorf("spec at the cap: %d %q, want 400 for the unknown workload", code, msg)
 	}
 }
 

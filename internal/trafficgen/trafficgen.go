@@ -6,6 +6,9 @@
 package trafficgen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 
@@ -24,6 +27,23 @@ type Packet struct {
 // Trace is an ordered packet sequence.
 type Trace struct {
 	Packets []Packet
+}
+
+// Digest is the hex SHA-256 of the trace's packets (port, then the
+// length-prefixed frame bytes). Every cache key that depends on a trace —
+// profile analyses, fleet device rows — is built from it, so keys tell
+// traces apart even when they come from the same generator spec.
+func (t *Trace) Digest() string {
+	h := sha256.New()
+	var n [8]byte
+	for _, pkt := range t.Packets {
+		binary.BigEndian.PutUint64(n[:], pkt.Port)
+		h.Write(n[:])
+		binary.BigEndian.PutUint64(n[:], uint64(len(pkt.Data)))
+		h.Write(n[:])
+		h.Write(pkt.Data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Records converts the trace to pcap records (ports are not representable
