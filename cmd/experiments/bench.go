@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2go"
+	"p2go/internal/fleet"
 	"p2go/internal/p4"
 	"p2go/internal/profile"
 	"p2go/internal/trafficgen"
@@ -28,6 +29,10 @@ type BenchResult struct {
 	Parallelism int     `json:"parallelism,omitempty"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	// BytesPerOp/AllocsPerOp are the -benchmem figures, for rows whose
+	// subject is allocation (build-injections).
+	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 	// PacketsPerSec is the replay throughput, for trace-replay benchmarks.
 	PacketsPerSec float64 `json:"packets_per_sec,omitempty"`
 	// StagesBefore/StagesAfter are the pipeline lengths around the full
@@ -248,6 +253,43 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 			fmt.Printf("  zipf flow dedup: %d unique of %d packets, x%.1f throughput\n",
 				unique, len(ztrace.Packets), rates[false]/rates[true])
 		}
+	}
+
+	// Fleet front end: expanding the fleet-64 ledger workload's 64
+	// injections (48 natgre, 16 ex1, 400 packets each) into per-packet
+	// network injections on one worker. What it costs should follow the
+	// 25 600 packets used, not the 800 000 the 64 whole traces hold.
+	if only == "" || only == "fleet-inject" {
+		ran++
+		spec := fleet.Spec{DeviceParallelism: 1}
+		for i := 0; i < 64; i++ {
+			wl := "natgre"
+			if i%4 == 3 {
+				wl = "ex1"
+			}
+			name := fmt.Sprintf("sw-%02d", i)
+			spec.Devices = append(spec.Devices, fleet.DeviceSpec{Name: name, Workload: wl})
+			spec.Injections = append(spec.Injections, fleet.InjectionSpec{
+				Device: name, Workload: wl, Seed: seed + int64(i), Count: 400})
+		}
+		packets := 0
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inj, err := fleet.BuildInjections(context.Background(), spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				packets = len(inj)
+			}
+		})
+		out.Benchmarks = append(out.Benchmarks, BenchResult{
+			Name: "build-injections", Workload: "fleet-64", Parallelism: 1,
+			Iterations: r.N, NsPerOp: float64(r.NsPerOp()),
+			BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp(),
+		})
+		fmt.Printf("  build-injections      %10d iters  %12.0f ns/op  %10d B/op  %8d allocs/op  (%d packets)\n",
+			r.N, float64(r.NsPerOp()), r.AllocedBytesPerOp(), r.AllocsPerOp(), packets)
 	}
 
 	if ran == 0 {

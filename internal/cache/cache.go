@@ -98,6 +98,7 @@ func (c *Cache) DoBytes(key string, fill func() ([]byte, error)) ([]byte, bool, 
 }
 
 func (c *Cache) do(key string, fill func() (any, error), spill bool) (any, bool, error) {
+	spill = spill && c.dir != ""
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -106,15 +107,6 @@ func (c *Cache) do(key string, fill func() (any, error), spill bool) (any, bool,
 			v := e.Value.(*cacheEntry).val
 			c.mu.Unlock()
 			return v, true, nil
-		}
-		if spill && c.dir != "" {
-			c.slowDisk()
-			if data, err := os.ReadFile(c.spillPath(key)); err == nil {
-				c.hits++
-				c.storeLocked(key, data)
-				c.mu.Unlock()
-				return data, true, nil
-			}
 		}
 		if f, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
@@ -129,19 +121,35 @@ func (c *Cache) do(key string, fill func() (any, error), spill bool) (any, bool,
 		}
 		f := &flight{done: make(chan struct{})}
 		c.inflight[key] = f
-		c.misses++
 		c.mu.Unlock()
 
-		v, err := fill()
+		// The leader works outside the mutex — spill probe, fill, spill
+		// write. Every analysis of every job shares this cache: a slow
+		// disk or the fsync of the crash-atomic spill write must stall the
+		// callers waiting on this key, not every other lookup.
+		var (
+			v       any
+			err     error
+			spilled bool
+		)
+		if spill {
+			v, spilled = c.readSpill(key)
+		}
+		if !spilled {
+			v, err = fill()
+		}
 		c.mu.Lock()
 		delete(c.inflight, key)
+		if spilled {
+			c.hits++
+		} else {
+			c.misses++
+		}
 		if err == nil {
 			c.storeLocked(key, v)
 		}
 		c.mu.Unlock()
-		if err == nil && spill && c.dir != "" {
-			// Outside the mutex: the fsync in the crash-atomic spill write
-			// must not stall every other cache operation.
+		if err == nil && spill && !spilled {
 			c.writeSpill(key, v.([]byte))
 		}
 		f.val, f.err = v, err
@@ -149,8 +157,16 @@ func (c *Cache) do(key string, fill func() (any, error), spill bool) (any, bool,
 		if err != nil {
 			return nil, false, err
 		}
-		return v, false, nil
+		return v, spilled, nil
 	}
+}
+
+// readSpill reads key's spilled artifact, paying any injected disk latency.
+// Call it without holding c.mu.
+func (c *Cache) readSpill(key string) ([]byte, bool) {
+	c.slowDisk()
+	data, err := os.ReadFile(c.spillPath(key))
+	return data, err == nil
 }
 
 func (c *Cache) storeLocked(key string, v any) {
@@ -217,24 +233,48 @@ func (c *Cache) spillPath(key string) string {
 // like fleet device rows computed inside a running fleet job.
 func (c *Cache) GetBytes(key string) ([]byte, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		if data, isBytes := e.Value.(*cacheEntry).val.([]byte); isBytes {
-			c.lru.MoveToFront(e)
-			c.hits++
-			return data, true
-		}
+	if data, ok := c.bytesLocked(key); ok {
+		c.mu.Unlock()
+		return data, true
 	}
+	c.mu.Unlock()
+	var (
+		data    []byte
+		spilled bool
+	)
 	if c.dir != "" {
-		c.slowDisk()
-		if data, err := os.ReadFile(c.spillPath(key)); err == nil {
-			c.hits++
-			c.storeLocked(key, data)
-			return data, true
-		}
+		data, spilled = c.readSpill(key)
 	}
-	c.misses++
-	return nil, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !spilled {
+		c.misses++
+		return nil, false
+	}
+	// A PutBytes may have landed while the disk was read; the entry in
+	// memory is the one later hits will see, so serve it.
+	if stored, ok := c.bytesLocked(key); ok {
+		return stored, true
+	}
+	c.hits++
+	c.storeLocked(key, data)
+	return data, true
+}
+
+// bytesLocked is the in-memory half of GetBytes: a hit on a byte-valued
+// entry, counted and moved to the LRU's front.
+func (c *Cache) bytesLocked(key string) ([]byte, bool) {
+	e, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	data, isBytes := e.Value.(*cacheEntry).val.([]byte)
+	if !isBytes {
+		return nil, false
+	}
+	c.lru.MoveToFront(e)
+	c.hits++
+	return data, true
 }
 
 // PutBytes stores a byte artifact, writing through to the spill when one

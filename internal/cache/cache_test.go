@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"p2go/internal/faults"
 )
 
 func TestCacheHitMiss(t *testing.T) {
@@ -153,4 +158,108 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// A spill probe sleeps on a degraded disk (faults.SlowDisk, 2 ms a read).
+// It must do so outside the cache mutex: every compile, profile and plan
+// lookup of every job shares this cache, so a probe that holds the lock
+// makes a memory hit on an unrelated key wait out the disk read. One
+// goroutine misses key after key against the slow spill; each time a read
+// has just begun, the test clocks one memory hit on key B. With the lock
+// held across the read the median hit takes the rest of the read, about
+// 2 ms; without it, microseconds.
+func TestSlowSpillProbeDoesNotStallMemoryHits(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		probe func(c *Cache, key string)
+	}{
+		{"GetBytes", func(c *Cache, key string) { c.GetBytes(key) }},
+		{"DoBytes", func(c *Cache, key string) {
+			c.DoBytes(key, func() ([]byte, error) { return nil, errors.New("not computed here") })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache(16, t.TempDir())
+			c.PutBytes("row:b", []byte("resident"))
+			slow := faults.MustSet(faults.Spec{Point: faults.SlowDisk, Probability: 1})
+			c.SetFaults(slow)
+
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+						tc.probe(c, fmt.Sprintf("row:a%d", i))
+					}
+				}
+			}()
+			lat := make([]time.Duration, 21)
+			for i := range lat {
+				reads := slow.Fired(faults.SlowDisk)
+				for slow.Fired(faults.SlowDisk) == reads {
+					runtime.Gosched()
+				}
+				start := time.Now()
+				v, ok := c.GetBytes("row:b")
+				lat[i] = time.Since(start)
+				if !ok || string(v) != "resident" {
+					t.Errorf("memory hit %d = %q, %v", i, v, ok)
+				}
+			}
+			close(stop)
+			<-done
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			if median := lat[len(lat)/2]; median > time.Millisecond {
+				t.Errorf("median memory hit on another key took %v while the spill was being read: the probe holds the cache lock", median)
+			}
+		})
+	}
+}
+
+// A GetBytes that finds its key on disk while a PutBytes for it lands serves
+// one value and leaves it resident; single-flight still holds on the spill
+// path (one fill for concurrent DoBytes of a key absent from disk).
+func TestSpillProbeOutsideLockKeepsSingleFlight(t *testing.T) {
+	dir := t.TempDir()
+	NewCache(4, dir).PutBytes("row:x", []byte("spilled"))
+
+	c := NewCache(4, dir)
+	c.SetFaults(faults.MustSet(faults.Spec{Point: faults.SlowDisk, Probability: 1}))
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, ok := c.GetBytes("row:x"); !ok || string(v) != "spilled" {
+				t.Errorf("GetBytes = %q, %v", v, ok)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Hits != 8 || st.Misses != 0 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 8 hits, 0 misses, 1 entry", st)
+	}
+
+	var fills atomic.Int64
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, _, err := c.DoBytes("row:y", func() ([]byte, error) {
+				fills.Add(1)
+				return []byte("filled"), nil
+			})
+			if err != nil || string(v) != "filled" {
+				t.Errorf("DoBytes = %q, %v", v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if fills.Load() != 1 {
+		t.Errorf("fills = %d, want 1", fills.Load())
+	}
 }

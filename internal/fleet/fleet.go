@@ -96,7 +96,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 	}
 	topo.SetFaults(opts.Faults)
 
-	injections, err := buildInjections(spec)
+	injections, err := BuildInjections(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -255,48 +255,61 @@ func runDevice(ctx context.Context, spec Spec, opts Options,
 
 // resolve parses every device's program, loads its rules, and boots the
 // topology. Returned devices are in spec order (the row order of the
-// result).
+// result). Parsing, printing and rule formatting happen once per distinct
+// (source, rules) pair, not once per device: devices that share a pair
+// share its read-only AST, while every device still gets a config (an
+// optimize run installs guard rules into its own) and a switch of its own.
 func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 	topo := network.NewTopology()
 	devices := make([]resolvedDevice, 0, len(spec.Devices))
+	// Rules are inline text or, without any, the named workload's own.
+	type pair struct{ src, rules, rulesOf string }
+	resolved := map[pair]resolvedDevice{}
 	for _, d := range spec.Devices {
-		src := d.Program
-		var cfg *rt.Config
+		key := pair{src: d.Program, rules: d.Rules}
+		var w workloads.Workload
 		if d.Workload != "" {
-			w, err := workloads.Get(d.Workload)
-			if err != nil {
+			var err error
+			if w, err = workloads.Get(d.Workload); err != nil {
 				return nil, nil, fmt.Errorf("fleet: device %q: %w", d.Name, err)
 			}
-			if src == "" {
-				src = w.Source
+			if key.src == "" {
+				key.src = w.Source
 			}
-			cfg = w.Config()
-		}
-		if d.Rules != "" {
-			parsed, err := rt.Parse(d.Rules)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fleet: device %q rules: %w", d.Name, err)
+			if key.rules == "" {
+				key.rulesOf = d.Workload
 			}
-			cfg = parsed
 		}
-		prog, err := p4.Parse(src)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: device %q program: %w", d.Name, err)
+		dev, ok := resolved[key]
+		if !ok {
+			switch {
+			case d.Rules != "":
+				parsed, err := rt.Parse(d.Rules)
+				if err != nil {
+					return nil, nil, fmt.Errorf("fleet: device %q rules: %w", d.Name, err)
+				}
+				dev.cfg = parsed
+			case d.Workload != "":
+				dev.cfg = w.Config()
+			}
+			var err error
+			if dev.prog, err = p4.Parse(key.src); err != nil {
+				return nil, nil, fmt.Errorf("fleet: device %q program: %w", d.Name, err)
+			}
+			dev.printed = p4.Print(dev.prog)
+			if dev.cfg != nil {
+				dev.rules = rt.Format(dev.cfg)
+			}
+			resolved[key] = dev
 		}
-		if err := topo.AddDevice(d.Name, prog, cfg); err != nil {
+		dev.spec = d
+		if dev.cfg != nil {
+			dev.cfg = dev.cfg.Clone()
+		}
+		if err := topo.AddDevice(d.Name, dev.prog, dev.cfg); err != nil {
 			return nil, nil, fmt.Errorf("fleet: %w", err)
 		}
-		rules := ""
-		if cfg != nil {
-			rules = rt.Format(cfg)
-		}
-		devices = append(devices, resolvedDevice{
-			spec:    d,
-			prog:    prog,
-			cfg:     cfg,
-			printed: p4.Print(prog),
-			rules:   rules,
-		})
+		devices = append(devices, dev)
 	}
 	for _, l := range spec.Links {
 		if err := topo.Link(network.Hop{Device: l.From.Device, Port: l.From.Port},
@@ -307,31 +320,43 @@ func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 	return devices, topo, nil
 }
 
-// buildInjections expands every injection spec into per-packet network
-// injections: the workload's generated trace (optionally capped) entering
-// at the named device on each packet's own recorded port.
-func buildInjections(spec Spec) ([]network.Injection, error) {
-	var out []network.Injection
-	for i, inj := range spec.Injections {
+// BuildInjections expands every injection spec into per-packet network
+// injections: the first Count packets of the workload's trace (all of them
+// for Count 0) entering at the named device on each packet's own recorded
+// port. Only those packets are generated (workloads.TracePrefix), on the
+// run's bounded pool; the streams are concatenated in spec order, so a
+// linked topology sees the same interleaving whatever the parallelism.
+func BuildInjections(ctx context.Context, spec Spec) ([]network.Injection, error) {
+	streams := make([][]trafficgen.Packet, len(spec.Injections))
+	err := forEach(ctx, len(spec.Injections), spec.DeviceParallelism, func(i int) error {
+		inj := spec.Injections[i]
 		w, err := workloads.Get(inj.Workload)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: injection %d: %w", i, err)
+			return fmt.Errorf("fleet: injection %d: %w", i, err)
 		}
 		seed := inj.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		trace, err := w.Trace(seed)
+		trace, err := w.TracePrefix(seed, inj.Count)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: injection %d (%s): %w", i, inj.Workload, err)
+			return fmt.Errorf("fleet: injection %d (%s): %w", i, inj.Workload, err)
 		}
-		pkts := trace.Packets
-		if inj.Count > 0 && inj.Count < len(pkts) {
-			pkts = pkts[:inj.Count]
-		}
+		streams[i] = trace.Packets
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, pkts := range streams {
+		total += len(pkts)
+	}
+	out := make([]network.Injection, 0, total)
+	for i, pkts := range streams {
 		for _, pkt := range pkts {
 			out = append(out, network.Injection{
-				At:   network.Hop{Device: inj.Device, Port: pkt.Port},
+				At:   network.Hop{Device: spec.Injections[i].Device, Port: pkt.Port},
 				Data: pkt.Data,
 			})
 		}

@@ -61,7 +61,8 @@ type InjectionSpec struct {
 	// Seed drives the workload's trace generator; 0 defaults to 1.
 	Seed int64 `json:"seed,omitempty"`
 	// Count caps how many trace packets are injected; 0 means the whole
-	// generated trace.
+	// trace. Only the packets injected are generated, so Count also bounds
+	// what the injection costs.
 	Count int `json:"count,omitempty"`
 }
 
@@ -90,12 +91,32 @@ type Spec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// Validate checks the spec cheaply (no parsing): device names unique,
-// workloads registered, links and injections referencing known devices,
-// pass IDs valid. The expensive program parsing happens in Run.
+// What one fleet job may ask for. A spec is outside input (the POST /fleets
+// body) and a few hundred bytes of it can name gigabytes of traffic, so the
+// request-size cap alone does not bound a job: these do, before anything is
+// parsed or generated. The packet budget counts what would be generated —
+// an injection's Count, or its workload's whole trace for Count 0 or a Count
+// beyond it — at roughly 200 bytes of trace, injection and per-device copy
+// each.
+const (
+	maxFleetDevices    = 4096
+	maxFleetInjections = 16384
+	maxFleetPackets    = 4 << 20
+)
+
+// Validate checks the spec cheaply (no parsing, no generation): within the
+// size caps above, device names unique, workloads registered, links and
+// injections referencing known devices, pass IDs valid. The expensive
+// program parsing happens in Run.
 func (s *Spec) Validate() error {
 	if len(s.Devices) == 0 {
 		return fmt.Errorf("fleet: no devices")
+	}
+	if len(s.Devices) > maxFleetDevices {
+		return fmt.Errorf("fleet: %d devices, at most %d per fleet", len(s.Devices), maxFleetDevices)
+	}
+	if len(s.Injections) > maxFleetInjections {
+		return fmt.Errorf("fleet: %d injections, at most %d per fleet", len(s.Injections), maxFleetInjections)
 	}
 	seen := map[string]bool{}
 	for i, d := range s.Devices {
@@ -126,16 +147,27 @@ func (s *Spec) Validate() error {
 	if len(s.Injections) == 0 {
 		return fmt.Errorf("fleet: no injections (every device would be skipped with an empty trace)")
 	}
+	packets := 0
 	for i, inj := range s.Injections {
 		if !seen[inj.Device] {
 			return fmt.Errorf("fleet: injection %d at unknown device %q", i, inj.Device)
 		}
-		if _, err := workloads.Get(inj.Workload); err != nil {
+		w, err := workloads.Get(inj.Workload)
+		if err != nil {
 			return fmt.Errorf("fleet: injection %d: %w", i, err)
 		}
 		if inj.Count < 0 {
 			return fmt.Errorf("fleet: injection %d: negative count", i)
 		}
+		if inj.Count == 0 || inj.Count > w.Packets {
+			packets += w.Packets
+		} else {
+			packets += inj.Count
+		}
+	}
+	if packets > maxFleetPackets {
+		return fmt.Errorf("fleet: injections name %d packets, at most %d per fleet (set count to what each device needs)",
+			packets, maxFleetPackets)
 	}
 	if len(s.Passes) == 0 {
 		s.Passes = nil // JSON cannot distinguish [] from absent

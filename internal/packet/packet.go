@@ -31,41 +31,70 @@ const (
 	PortDHCPClient = 68
 )
 
-// Layer is a protocol layer that can serialize itself. Bytes must return a
-// fresh slice; Serialize stitches layers together and lets outer layers fix
-// lengths/checksums over their payloads.
+// Layer is one of this package's eight protocol layers. A layer appends
+// its own header to a frame under construction (gopacket's serialize-buffer
+// shape); Serialize stitches layers together and lets the layers that carry
+// a length or checksum (IPv4, UDP) fix them up over their payloads.
 type Layer interface {
 	// LayerName identifies the layer for diagnostics.
 	LayerName() string
-	// Bytes returns the wire encoding of the header (without payload).
-	Bytes() []byte
-	// FixUp is called with the serialized payload that follows this
-	// layer, letting the layer patch lengths and checksums into hdr,
-	// which is its own previously returned encoding.
-	FixUp(hdr, payload []byte)
+	// AppendTo appends the wire encoding of the header (without payload)
+	// to b and returns the extended slice. It keeps no reference to b.
+	AppendTo(b []byte) []byte
 }
 
-// Serialize encodes a layer stack outside-in (Ethernet first).
+// Serialize encodes a layer stack outside-in (Ethernet first). It makes one
+// allocation, the returned frame: the frame is assembled in a stack buffer
+// (every bundled generator's frames fit; a larger one spills to the heap)
+// and layers are dispatched on their concrete type, because a call through
+// the interface would force every caller's layer literals to the heap.
 func Serialize(layers ...Layer) []byte {
-	headers := make([][]byte, len(layers))
-	total := 0
-	for i, l := range layers {
-		headers[i] = l.Bytes()
-		total += len(headers[i])
-	}
-	out := make([]byte, 0, total)
-	offsets := make([]int, len(layers))
-	for i, h := range headers {
-		offsets[i] = len(out)
-		out = append(out, h...)
+	var frame [128]byte
+	var endsBuf [8]int
+	b, ends := frame[:0], endsBuf[:0]
+	for _, l := range layers {
+		b = appendLayer(b, l)
+		ends = append(ends, len(b))
 	}
 	// Fix up inside-out so outer checksums see final inner bytes.
 	for i := len(layers) - 1; i >= 0; i-- {
-		hdrStart := offsets[i]
-		hdrEnd := hdrStart + len(headers[i])
-		layers[i].FixUp(out[hdrStart:hdrEnd], out[hdrEnd:])
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		hdr, payload := b[start:ends[i]], b[ends[i]:]
+		switch l := layers[i].(type) {
+		case *IPv4:
+			l.fixUp(hdr, payload)
+		case *UDP:
+			l.fixUp(hdr, payload)
+		}
 	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
+}
+
+func appendLayer(b []byte, l Layer) []byte {
+	switch l := l.(type) {
+	case *Ethernet:
+		return l.AppendTo(b)
+	case *IPv4:
+		return l.AppendTo(b)
+	case *UDP:
+		return l.AppendTo(b)
+	case *TCP:
+		return l.AppendTo(b)
+	case *GRE:
+		return l.AppendTo(b)
+	case *DHCP:
+		return l.AppendTo(b)
+	case *DNS:
+		return l.AppendTo(b)
+	case Raw:
+		return l.AppendTo(b)
+	}
+	panic("packet: Serialize of a layer type this package does not define")
 }
 
 // Ethernet is the 14-byte Ethernet II header.
@@ -78,17 +107,12 @@ type Ethernet struct {
 // LayerName implements Layer.
 func (e *Ethernet) LayerName() string { return "ethernet" }
 
-// Bytes implements Layer.
-func (e *Ethernet) Bytes() []byte {
-	b := make([]byte, 14)
-	copy(b[0:6], e.Dst[:])
-	copy(b[6:12], e.Src[:])
-	binary.BigEndian.PutUint16(b[12:14], e.EtherType)
-	return b
+// AppendTo implements Layer.
+func (e *Ethernet) AppendTo(b []byte) []byte {
+	b = append(b, e.Dst[:]...)
+	b = append(b, e.Src[:]...)
+	return binary.BigEndian.AppendUint16(b, e.EtherType)
 }
-
-// FixUp implements Layer.
-func (e *Ethernet) FixUp(hdr, payload []byte) {}
 
 // IPv4 is the 20-byte (no options) IPv4 header.
 type IPv4 struct {
@@ -105,26 +129,23 @@ type IPv4 struct {
 // LayerName implements Layer.
 func (ip *IPv4) LayerName() string { return "ipv4" }
 
-// Bytes implements Layer.
-func (ip *IPv4) Bytes() []byte {
-	b := make([]byte, 20)
-	b[0] = 0x45 // version 4, IHL 5
-	b[1] = ip.TOS
-	binary.BigEndian.PutUint16(b[4:6], ip.ID)
-	binary.BigEndian.PutUint16(b[6:8], uint16(ip.Flags)<<13|ip.FragOff&0x1FFF)
+// AppendTo implements Layer; totalLen and the checksum stay zero until fixUp.
+func (ip *IPv4) AppendTo(b []byte) []byte {
 	ttl := ip.TTL
 	if ttl == 0 {
 		ttl = 64
 	}
-	b[8] = ttl
-	b[9] = ip.Protocol
-	binary.BigEndian.PutUint32(b[12:16], ip.Src)
-	binary.BigEndian.PutUint32(b[16:20], ip.Dst)
-	return b
+	b = append(b, 0x45, ip.TOS, 0, 0) // version 4, IHL 5
+	b = binary.BigEndian.AppendUint16(b, ip.ID)
+	b = binary.BigEndian.AppendUint16(b, uint16(ip.Flags)<<13|ip.FragOff&0x1FFF)
+	b = append(b, ttl, ip.Protocol, 0, 0)
+	b = binary.BigEndian.AppendUint32(b, ip.Src)
+	return binary.BigEndian.AppendUint32(b, ip.Dst)
 }
 
-// FixUp implements Layer: totalLen and header checksum.
-func (ip *IPv4) FixUp(hdr, payload []byte) {
+// fixUp patches totalLen and the header checksum into hdr, the encoding
+// AppendTo wrote, once the payload that follows it is serialized.
+func (ip *IPv4) fixUp(hdr, payload []byte) {
 	binary.BigEndian.PutUint16(hdr[2:4], uint16(len(hdr)+len(payload)))
 	binary.BigEndian.PutUint16(hdr[10:12], 0)
 	binary.BigEndian.PutUint16(hdr[10:12], Checksum(hdr))
@@ -145,7 +166,7 @@ func Checksum(data []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// UDP is the 8-byte UDP header. Length is filled during FixUp; the checksum
+// UDP is the 8-byte UDP header. Length is filled by Serialize; the checksum
 // is left zero (legal for IPv4).
 type UDP struct {
 	SrcPort uint16
@@ -155,16 +176,15 @@ type UDP struct {
 // LayerName implements Layer.
 func (u *UDP) LayerName() string { return "udp" }
 
-// Bytes implements Layer.
-func (u *UDP) Bytes() []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], u.DstPort)
-	return b
+// AppendTo implements Layer.
+func (u *UDP) AppendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, u.SrcPort)
+	b = binary.BigEndian.AppendUint16(b, u.DstPort)
+	return append(b, 0, 0, 0, 0) // length, checksum
 }
 
-// FixUp implements Layer.
-func (u *UDP) FixUp(hdr, payload []byte) {
+// fixUp patches the length into hdr once the payload is serialized.
+func (u *UDP) fixUp(hdr, payload []byte) {
 	binary.BigEndian.PutUint16(hdr[4:6], uint16(len(hdr)+len(payload)))
 }
 
@@ -190,25 +210,20 @@ const (
 // LayerName implements Layer.
 func (t *TCP) LayerName() string { return "tcp" }
 
-// Bytes implements Layer.
-func (t *TCP) Bytes() []byte {
-	b := make([]byte, 20)
-	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(b[4:8], t.Seq)
-	binary.BigEndian.PutUint32(b[8:12], t.Ack)
-	b[12] = 5 << 4 // data offset
-	b[13] = t.Flags
+// AppendTo implements Layer (checksum left zero: the simulator ignores it).
+func (t *TCP) AppendTo(b []byte) []byte {
 	win := t.Window
 	if win == 0 {
 		win = 65535
 	}
-	binary.BigEndian.PutUint16(b[14:16], win)
-	return b
+	b = binary.BigEndian.AppendUint16(b, t.SrcPort)
+	b = binary.BigEndian.AppendUint16(b, t.DstPort)
+	b = binary.BigEndian.AppendUint32(b, t.Seq)
+	b = binary.BigEndian.AppendUint32(b, t.Ack)
+	b = append(b, 5<<4, t.Flags) // data offset
+	b = binary.BigEndian.AppendUint16(b, win)
+	return append(b, 0, 0, 0, 0) // checksum, urgent pointer
 }
-
-// FixUp implements Layer (checksum left zero: the simulator ignores it).
-func (t *TCP) FixUp(hdr, payload []byte) {}
 
 // GRE is the basic 4-byte GRE header (no optional fields).
 type GRE struct {
@@ -218,15 +233,10 @@ type GRE struct {
 // LayerName implements Layer.
 func (g *GRE) LayerName() string { return "gre" }
 
-// Bytes implements Layer.
-func (g *GRE) Bytes() []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint16(b[2:4], g.Protocol)
-	return b
+// AppendTo implements Layer.
+func (g *GRE) AppendTo(b []byte) []byte {
+	return binary.BigEndian.AppendUint16(append(b, 0, 0), g.Protocol)
 }
-
-// FixUp implements Layer.
-func (g *GRE) FixUp(hdr, payload []byte) {}
 
 // DHCP is the fixed 8-byte prefix of a BOOTP/DHCP message (enough for the
 // snooping examples: op, htype, hlen, hops, xid).
@@ -241,19 +251,10 @@ type DHCP struct {
 // LayerName implements Layer.
 func (d *DHCP) LayerName() string { return "dhcp" }
 
-// Bytes implements Layer.
-func (d *DHCP) Bytes() []byte {
-	b := make([]byte, 8)
-	b[0] = d.Op
-	b[1] = d.HType
-	b[2] = d.HLen
-	b[3] = d.Hops
-	binary.BigEndian.PutUint32(b[4:8], d.XID)
-	return b
+// AppendTo implements Layer.
+func (d *DHCP) AppendTo(b []byte) []byte {
+	return binary.BigEndian.AppendUint32(append(b, d.Op, d.HType, d.HLen, d.Hops), d.XID)
 }
-
-// FixUp implements Layer.
-func (d *DHCP) FixUp(hdr, payload []byte) {}
 
 // DNS is the 12-byte DNS message header.
 type DNS struct {
@@ -268,20 +269,13 @@ type DNS struct {
 // LayerName implements Layer.
 func (d *DNS) LayerName() string { return "dns" }
 
-// Bytes implements Layer.
-func (d *DNS) Bytes() []byte {
-	b := make([]byte, 12)
-	binary.BigEndian.PutUint16(b[0:2], d.ID)
-	binary.BigEndian.PutUint16(b[2:4], d.Flags)
-	binary.BigEndian.PutUint16(b[4:6], d.QDCount)
-	binary.BigEndian.PutUint16(b[6:8], d.ANCount)
-	binary.BigEndian.PutUint16(b[8:10], d.NSCount)
-	binary.BigEndian.PutUint16(b[10:12], d.ARCount)
+// AppendTo implements Layer.
+func (d *DNS) AppendTo(b []byte) []byte {
+	for _, v := range [...]uint16{d.ID, d.Flags, d.QDCount, d.ANCount, d.NSCount, d.ARCount} {
+		b = binary.BigEndian.AppendUint16(b, v)
+	}
 	return b
 }
-
-// FixUp implements Layer.
-func (d *DNS) FixUp(hdr, payload []byte) {}
 
 // Raw is an opaque payload.
 type Raw []byte
@@ -289,11 +283,8 @@ type Raw []byte
 // LayerName implements Layer.
 func (r Raw) LayerName() string { return "raw" }
 
-// Bytes implements Layer.
-func (r Raw) Bytes() []byte { return append([]byte(nil), r...) }
-
-// FixUp implements Layer.
-func (r Raw) FixUp(hdr, payload []byte) {}
+// AppendTo implements Layer.
+func (r Raw) AppendTo(b []byte) []byte { return append(b, r...) }
 
 // MAC builds a MAC address from six bytes.
 func MAC(a, b, c, d, e, f byte) [6]byte { return [6]byte{a, b, c, d, e, f} }

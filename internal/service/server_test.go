@@ -129,8 +129,15 @@ func TestServeOptimizeEx1EndToEnd(t *testing.T) {
 		t.Error("cached result differs from the original")
 	}
 
-	// The hit must be observable in /metrics.
+	// The hit must be observable in /metrics. A job's terminal state is
+	// published before its finished counter moves, so give the counter a
+	// moment to follow the state the poll above saw.
 	metrics := getBody(t, srv.URL+"/metrics")
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline) &&
+		!strings.Contains(metrics, `p2god_jobs_finished_total{outcome="done"} 2`); {
+		time.Sleep(5 * time.Millisecond)
+		metrics = getBody(t, srv.URL+"/metrics")
+	}
 	if !strings.Contains(metrics, `p2god_cache_hits_total{kind="job"} 1`) {
 		t.Errorf("metrics lack the job cache hit:\n%s", grepLines(metrics, "p2god_cache"))
 	}
@@ -197,9 +204,11 @@ func TestServeBadRequests(t *testing.T) {
 // strictly and under one size cap — a field the spec does not have (a stale
 // client's "no_deps") is a 400 naming it, not a silently different
 // schedule; a body over maxSpecBytes is a 413 with a JSON error body, and
-// one just under the cap is read in full.
+// one just under the cap is read in full. A fleet spec that fits the byte cap
+// but names more traffic than a job may hold is a 400 on its counts, and no
+// job is queued for it.
 func TestServeRefusesUnknownFieldsAndOversizedSpecs(t *testing.T) {
-	srv, _ := newTestServer(t, ManagerConfig{Workers: 1, QueueDepth: 4})
+	srv, m := newTestServer(t, ManagerConfig{Workers: 1, QueueDepth: 4})
 	post := func(path, body string) (int, string) {
 		t.Helper()
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
@@ -238,6 +247,26 @@ func TestServeRefusesUnknownFieldsAndOversizedSpecs(t *testing.T) {
 	// At the cap the body is decoded whole and refused for what it says.
 	if code, msg := post("/jobs", padded(maxSpecBytes)); code != http.StatusBadRequest || !strings.Contains(msg, "no-such") {
 		t.Errorf("spec at the cap: %d %q, want 400 for the unknown workload", code, msg)
+	}
+
+	// 100 000 whole ex1 traces (2 billion packets) in under 5 MB of JSON.
+	var huge strings.Builder
+	huge.WriteString(`{"name":"huge","devices":[{"name":"a","workload":"ex1"}],"injections":[`)
+	for i := 0; i < 100000; i++ {
+		if i > 0 {
+			huge.WriteByte(',')
+		}
+		fmt.Fprintf(&huge, `{"device":"a","workload":"ex1","seed":%d}`, i+1)
+	}
+	huge.WriteString(`]}`)
+	if huge.Len() >= maxSpecBytes {
+		t.Fatalf("the oversized fleet is %d bytes, meant to fit the %d-byte cap", huge.Len(), maxSpecBytes)
+	}
+	if code, msg := post("/fleets", huge.String()); code != http.StatusBadRequest || !strings.Contains(msg, "at most") {
+		t.Errorf("fleet naming 100000 whole traces: %d %q, want 400 naming the cap", code, msg)
+	}
+	if jobs := m.List(); len(jobs) != 0 {
+		t.Errorf("%d jobs queued by refused specs", len(jobs))
 	}
 }
 

@@ -21,11 +21,15 @@ type NATGRESpec struct {
 
 // NATGRETrace generates traffic where NATted destinations and GRE-tunneled
 // destinations are disjoint flows.
-func NATGRETrace(spec NATGRESpec) *Trace {
+func NATGRETrace(spec NATGRESpec) *Trace { return NATGREPrefix(spec, 0) }
+
+// NATGREPrefix is NATGRETrace's bounded form.
+func NATGREPrefix(spec NATGRESpec, n int) *Trace {
 	total := spec.Total
 	if total == 0 {
 		total = 10000
 	}
+	limit := bound(n, total)
 	if spec.NATShare == 0 {
 		spec.NATShare = 0.30
 	}
@@ -35,8 +39,8 @@ func NATGRETrace(spec NATGRESpec) *Trace {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	natDsts := []uint32{packet.IP(198, 51, 100, 10), packet.IP(198, 51, 100, 11)}
 	greDsts := []uint32{packet.IP(10, 5, 0, 1), packet.IP(10, 5, 0, 2)}
-	out := &Trace{}
-	for i := 0; i < total; i++ {
+	out := &Trace{Packets: make([]Packet, 0, limit)}
+	for i := 0; i < limit; i++ {
 		var dst uint32
 		r := rng.Float64()
 		switch {
@@ -73,11 +77,15 @@ type SourceguardSpec struct {
 // spoofed-source violations, and a few packets on the quarantined ingress
 // ports — including one from a learned source and one from an unlearned
 // source, so the ACL dependencies manifest in the profile.
-func SourceguardTrace(spec SourceguardSpec) *Trace {
+func SourceguardTrace(spec SourceguardSpec) *Trace { return SourceguardPrefix(spec, 0) }
+
+// SourceguardPrefix is SourceguardTrace's bounded form.
+func SourceguardPrefix(spec SourceguardSpec, n int) *Trace {
 	total := spec.Total
 	if total == 0 {
 		total = 10000
 	}
+	limit := bound(n, total)
 	clients := spec.Clients
 	if clients == 0 {
 		clients = 40
@@ -109,7 +117,7 @@ func SourceguardTrace(spec SourceguardSpec) *Trace {
 		Packet{Port: 30, Data: sgDataPacket(learned[0], rng)},
 		Packet{Port: 31, Data: sgDataPacket(packet.IP(172, 16, 66, 66), rng)},
 	)
-	for len(out.Packets) < total {
+	for len(out.Packets) < limit {
 		var src uint32
 		if rng.Float64() < spec.ViolationShare {
 			src = packet.IP(10, 66, byte(rng.Intn(256)), byte(1+rng.Intn(254))) // spoofed
@@ -118,7 +126,7 @@ func SourceguardTrace(spec SourceguardSpec) *Trace {
 		}
 		out.Packets = append(out.Packets, Packet{Port: 1, Data: sgDataPacket(src, rng)})
 	}
-	return out
+	return out.head(n)
 }
 
 func sgDataPacket(src uint32, rng *rand.Rand) []byte {
@@ -146,11 +154,15 @@ type FailureSpec struct {
 // retransmissions plus one failure event: FailureBurst distinct flows
 // towards a single destination each retransmit one packet, driving the
 // per-destination Count-Min Sketch past the alarm threshold.
-func FailureTrace(spec FailureSpec) *Trace {
+func FailureTrace(spec FailureSpec) *Trace { return FailurePrefix(spec, 0) }
+
+// FailurePrefix is FailureTrace's bounded form.
+func FailurePrefix(spec FailureSpec, n int) *Trace {
 	total := spec.Total
 	if total == 0 {
 		total = 20000
 	}
+	limit := bound(n, total)
 	if spec.BackgroundRetrans == 0 {
 		spec.BackgroundRetrans = 0.01
 	}
@@ -169,8 +181,8 @@ func FailureTrace(spec FailureSpec) *Trace {
 	}
 	// Background traffic first; the failure burst goes in the middle.
 	half := total / 2
-	emitBackground := func(n int) {
-		for i := 0; i < n && len(out.Packets) < total; i++ {
+	emitBackground := func(k int) {
+		for i := 0; i < k && len(out.Packets) < limit; i++ {
 			src := packet.IP(10, 30, byte(rng.Intn(256)), byte(1+rng.Intn(254)))
 			dst := packet.IP(10, 40, byte(rng.Intn(256)), byte(1+rng.Intn(254)))
 			sport := uint16(1024 + rng.Intn(60000))
@@ -184,7 +196,7 @@ func FailureTrace(spec FailureSpec) *Trace {
 	}
 	emitBackground(half)
 	// Failure event: distinct flows to the failed prefix retransmit.
-	for i := 0; i < spec.FailureBurst && len(out.Packets)+1 < total; i++ {
+	for i := 0; i < spec.FailureBurst && len(out.Packets)+1 < total && len(out.Packets) < limit; i++ {
 		src := packet.IP(10, 31, byte(i/200), byte(1+i%200))
 		sport := uint16(2000 + i)
 		seq := uint32(1000 + i)
@@ -194,7 +206,7 @@ func FailureTrace(spec FailureSpec) *Trace {
 		)
 	}
 	emitBackground(total - len(out.Packets))
-	return out
+	return out.head(n)
 }
 
 // L2L3ACLSpec parameterizes the phase-ordering workload.
@@ -213,18 +225,22 @@ type L2L3ACLSpec struct {
 // L2L3ACLTrace generates mostly-TCP routed traffic with a thin UDP slice
 // whose ACL1 and ACL2 violations are disjoint. Destinations alternate
 // between the two installed routes so both Flow_Count entries stay hot.
-func L2L3ACLTrace(spec L2L3ACLSpec) *Trace {
+func L2L3ACLTrace(spec L2L3ACLSpec) *Trace { return L2L3ACLPrefix(spec, 0) }
+
+// L2L3ACLPrefix is L2L3ACLTrace's bounded form.
+func L2L3ACLPrefix(spec L2L3ACLSpec, n int) *Trace {
 	total := spec.Total
 	if total == 0 {
 		total = 4000
 	}
+	limit := bound(n, total)
 	period := spec.UDPPeriod
 	if period == 0 {
 		period = 20
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	out := &Trace{}
-	for i := 0; i < total; i++ {
+	out := &Trace{Packets: make([]Packet, 0, limit)}
+	for i := 0; i < limit; i++ {
 		// Every 4th destination takes the 10.2/16 pod route (next hop 2);
 		// the rest take the 10/8 default (next hop 1).
 		dst := packet.IP(10, 0, byte(rng.Intn(256)), byte(1+rng.Intn(254)))
@@ -268,13 +284,17 @@ func L2L3ACLTrace(spec L2L3ACLSpec) *Trace {
 
 // StressTrace exercises the does-not-fit ACL chain: every packet matches at
 // most one ACL table.
-func StressTrace(total int, seed int64) *Trace {
+func StressTrace(total int, seed int64) *Trace { return StressPrefix(total, seed, 0) }
+
+// StressPrefix is StressTrace's bounded form.
+func StressPrefix(total int, seed int64, n int) *Trace {
 	if total == 0 {
 		total = 5000
 	}
+	limit := bound(n, total)
 	rng := rand.New(rand.NewSource(seed))
-	out := &Trace{}
-	for i := 0; i < total; i++ {
+	out := &Trace{Packets: make([]Packet, 0, limit)}
+	for i := 0; i < limit; i++ {
 		var dport uint16
 		if rng.Float64() < 0.5 {
 			// Blocked by exactly one of the chained ACLs.
@@ -297,13 +317,17 @@ func StressTrace(total int, seed int64) *Trace {
 
 // QuickstartTrace drives the quickstart router: routed, unrouted, and
 // blocked-port packets.
-func QuickstartTrace(total int, seed int64) *Trace {
+func QuickstartTrace(total int, seed int64) *Trace { return QuickstartPrefix(total, seed, 0) }
+
+// QuickstartPrefix is QuickstartTrace's bounded form.
+func QuickstartPrefix(total int, seed int64, n int) *Trace {
 	if total == 0 {
 		total = 1000
 	}
+	limit := bound(n, total)
 	rng := rand.New(rand.NewSource(seed))
-	out := &Trace{}
-	for i := 0; i < total; i++ {
+	out := &Trace{Packets: make([]Packet, 0, limit)}
+	for i := 0; i < limit; i++ {
 		port := uint64(1)
 		dst := packet.IP(10, 1, 2, byte(1+rng.Intn(254)))
 		switch i % 10 {
@@ -352,7 +376,11 @@ type MaglevSpec struct {
 // pair sending Rounds packets to the VIP; packets are emitted round-robin
 // across connections so connection-table collisions manifest as repeated
 // evictions rather than a single overwrite.
-func MaglevTrace(spec MaglevSpec) *Trace {
+func MaglevTrace(spec MaglevSpec) *Trace { return MaglevPrefix(spec, 0) }
+
+// MaglevPrefix is MaglevTrace's bounded form. The connection table is
+// always drawn whole (it comes first and costs no packets).
+func MaglevPrefix(spec MaglevSpec, n int) *Trace {
 	flows := spec.Flows
 	if flows == 0 {
 		flows = 600
@@ -380,10 +408,11 @@ func MaglevTrace(spec MaglevSpec) *Trace {
 			sport: uint16(1024 + rng.Intn(60000)),
 		}
 	}
-	out := &Trace{}
+	limit := bound(n, flows*rounds+background)
+	out := &Trace{Packets: make([]Packet, 0, limit)}
 	bgPer := background / rounds
-	emitBackground := func(n int) {
-		for i := 0; i < n; i++ {
+	emitBackground := func(k int) {
+		for i := 0; i < k && len(out.Packets) < limit; i++ {
 			out.Packets = append(out.Packets, Packet{
 				Port: 1,
 				Data: packet.Serialize(
@@ -396,6 +425,9 @@ func MaglevTrace(spec MaglevSpec) *Trace {
 	}
 	for r := 0; r < rounds; r++ {
 		for _, f := range fl {
+			if len(out.Packets) >= limit {
+				break
+			}
 			out.Packets = append(out.Packets, Packet{
 				Port: 1,
 				Data: packet.Serialize(
@@ -433,7 +465,12 @@ type SynCookieSpec struct {
 // deterministically. Every distinct non-SYN source's first packet should
 // hit cookie_check; Bloom false positives at reduced filter sizes erode
 // exactly that count.
-func SynCookieTrace(spec SynCookieSpec) *Trace {
+func SynCookieTrace(spec SynCookieSpec) *Trace { return SynCookiePrefix(spec, 0) }
+
+// SynCookiePrefix is SynCookieTrace's bounded form. The shuffle moves any
+// packet anywhere, so every packet's fields are always drawn and shuffled;
+// what the bound saves is serializing the frames past it.
+func SynCookiePrefix(spec SynCookieSpec, n int) *Trace {
 	clients := spec.Clients
 	if clients == 0 {
 		clients = 300
@@ -452,37 +489,48 @@ func SynCookieTrace(spec SynCookieSpec) *Trace {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	service := packet.IP(10, 0, 0, 5)
-	mkPkt := func(src uint32, sport uint16, flags uint8) Packet {
-		return Packet{
-			Port: 1,
-			Data: packet.Serialize(
-				&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
-				&packet.IPv4{Protocol: packet.ProtoTCP, Src: src, Dst: service},
-				&packet.TCP{SrcPort: sport, DstPort: 443, Seq: rng.Uint32(), Flags: flags},
-			),
-		}
+	type segment struct {
+		src   uint32
+		sport uint16
+		flags uint8
+		seq   uint32
 	}
-	var pkts []Packet
+	segs := make([]segment, 0, clients*(1+acks)+attackSyns+attackAcks)
+	add := func(src uint32, sport uint16, flags uint8) {
+		segs = append(segs, segment{src, sport, flags, rng.Uint32()})
+	}
 	for i := 0; i < clients; i++ {
 		src := packet.IP(10, 20, byte(i/250), byte(1+i%250))
-		pkts = append(pkts, mkPkt(src, uint16(1024+i), packet.TCPSyn))
+		add(src, uint16(1024+i), packet.TCPSyn)
 		for a := 0; a < acks; a++ {
-			pkts = append(pkts, mkPkt(src, uint16(1024+i), packet.TCPAck))
+			add(src, uint16(1024+i), packet.TCPAck)
 		}
 	}
 	for i := 0; i < attackSyns; i++ {
 		src := packet.IP(198, 18, byte(rng.Intn(256)), byte(1+rng.Intn(254)))
-		pkts = append(pkts, mkPkt(src, uint16(rng.Intn(65535)+1), packet.TCPSyn))
+		add(src, uint16(rng.Intn(65535)+1), packet.TCPSyn)
 	}
 	// Random attack sources (a few repeats are harmless): consecutive
 	// addresses would correlate under the linear CRC filter hash and
 	// suppress the false-positive curve the knob is supposed to expose.
 	for i := 0; i < attackAcks; i++ {
 		src := packet.IP(198, 19, byte(rng.Intn(256)), byte(1+rng.Intn(254)))
-		pkts = append(pkts, mkPkt(src, uint16(2000+i), packet.TCPAck))
+		add(src, uint16(2000+i), packet.TCPAck)
 	}
-	rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
-	return &Trace{Packets: pkts}
+	rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
+	segs = segs[:bound(n, len(segs))]
+	out := &Trace{Packets: make([]Packet, 0, len(segs))}
+	for _, g := range segs {
+		out.Packets = append(out.Packets, Packet{
+			Port: 1,
+			Data: packet.Serialize(
+				&packet.Ethernet{EtherType: packet.EtherTypeIPv4},
+				&packet.IPv4{Protocol: packet.ProtoTCP, Src: g.src, Dst: service},
+				&packet.TCP{SrcPort: g.sport, DstPort: 443, Seq: g.seq, Flags: g.flags},
+			),
+		})
+	}
+	return out
 }
 
 // ZipfSpec parameterizes the Zipf flow-popularity trace: a generic TCP
@@ -526,7 +574,7 @@ func ZipfTCPTrace(spec ZipfSpec) *Trace {
 			&packet.TCP{SrcPort: uint16(1024 + i), DstPort: 443, Seq: uint32(i), Flags: packet.TCPAck},
 		)
 	}
-	out := &Trace{}
+	out := &Trace{Packets: make([]Packet, 0, total)}
 	for i := 0; i < total; i++ {
 		out.Packets = append(out.Packets, Packet{Port: 1, Data: data[zipf.Uint64()]})
 	}

@@ -3,6 +3,14 @@
 // generation in the paper. Every generator is seeded and calibrated so the
 // resulting profile matches the rates the paper reports (Ex. 1: IPv4 100%,
 // ACL_UDP 8%, ACL_DHCP 14%, Sketch_* 2%, DNS_Drop 1%).
+//
+// Every workload generator XTrace(spec) has a bounded form XPrefix(spec, n)
+// whose contract is the prefix property: it returns byte-for-byte the first
+// n packets of XTrace(spec) — same ports, same frames, hence the same Digest
+// as the truncated full trace — and all of them when n <= 0 or n exceeds the
+// trace. A bounded run makes the full run's RNG draws in the full run's
+// order and stops after packet n, so what a caller pays follows the packets
+// it uses, not the length of the calibrated trace. XTrace is XPrefix(spec, 0).
 package trafficgen
 
 import (
@@ -11,6 +19,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"p2go/internal/hashes"
 	"p2go/internal/packet"
@@ -66,6 +75,24 @@ func FromRecords(recs []pcap.Record, port uint64) *Trace {
 	return t
 }
 
+// bound is how many packets a generator has to produce to serve a request
+// for the first n of total.
+func bound(n, total int) int {
+	if n <= 0 || n > total {
+		return total
+	}
+	return n
+}
+
+// head cuts t down to the n packets asked for (n <= 0: all of them); a
+// generator's last step may overshoot its bound.
+func (t *Trace) head(n int) *Trace {
+	if n > 0 && n < len(t.Packets) {
+		t.Packets = t.Packets[:n]
+	}
+	return t
+}
+
 // EnterpriseSpec parameterizes the Ex. 1 workload.
 type EnterpriseSpec struct {
 	Total int   // total packets; 0 means 20000
@@ -106,7 +133,86 @@ var (
 // EnterpriseTrace generates the calibrated Ex. 1 mix. It fails only if the
 // engineered CRC collision cannot be found in the enterprise address space
 // (which would indicate a hash implementation change).
-func EnterpriseTrace(spec EnterpriseSpec) (*Trace, error) {
+func EnterpriseTrace(spec EnterpriseSpec) (*Trace, error) { return EnterprisePrefix(spec, 0) }
+
+// Slot kinds of the enterprise schedule.
+const (
+	slotTCP = iota
+	slotDNS
+	slotBlocked
+	slotDHCP
+)
+
+// slotFix is one exact-rate fixup: slot at, scheduled as a TCP filler, is
+// redrawn as kind.
+type slotFix struct {
+	at   int
+	kind uint8
+}
+
+// enterpriseSchedule lays out which kind of packet fills each slot of a
+// total-packet enterprise trace, and the fixups applied to it afterwards in
+// the order they are drawn (from the last slot down).
+func enterpriseSchedule(total int) (slots []uint8, fixups []slotFix) {
+	nBlocked := int(float64(total) * enterpriseBlockedUDPShare)
+	nDHCP := int(float64(total) * enterpriseDHCPShare)
+	nDNS := int(float64(total) * enterpriseDNSShare)
+
+	// Interleave: spread the DNS packets evenly (in order), and schedule
+	// the blocked-UDP and DHCP shares across the remaining slots with
+	// Bresenham accumulators, so the mix is stationary — every profiling
+	// window of the trace sees the same rates (a property the online
+	// monitor's drift detection relies on).
+	slots = make([]uint8, total)
+	dnsEvery := total / nDNS
+	nonDNS := total - nDNS
+	dnsLeft, blockedLeft, dhcpLeft := nDNS, nBlocked, nDHCP
+	accB, accD := 0, 0
+	for i := range slots {
+		if dnsLeft > 0 && i%dnsEvery == dnsEvery-1 {
+			slots[i] = slotDNS
+			dnsLeft--
+			continue
+		}
+		accB += nBlocked
+		if accB >= nonDNS && blockedLeft > 0 {
+			accB -= nonDNS
+			blockedLeft--
+			slots[i] = slotBlocked
+			continue
+		}
+		accD += nDHCP
+		if accD >= nonDNS && dhcpLeft > 0 {
+			accD -= nonDNS
+			dhcpLeft--
+			slots[i] = slotDHCP
+		}
+	}
+	// Exact-rate fixups: swap trailing TCP fillers for any unscheduled
+	// blocked/DHCP/DNS packets (the accumulators and the DNS slots collide;
+	// about 1% of the default trace, all in its tail). They are drawn after
+	// the whole first pass, from the last slot down.
+	for i := total - 1; i >= 0 && dnsLeft+blockedLeft+dhcpLeft > 0; i-- {
+		if slots[i] != slotTCP {
+			continue
+		}
+		switch {
+		case dnsLeft > 0:
+			dnsLeft--
+			fixups = append(fixups, slotFix{i, slotDNS})
+		case blockedLeft > 0:
+			blockedLeft--
+			fixups = append(fixups, slotFix{i, slotBlocked})
+		default:
+			dhcpLeft--
+			fixups = append(fixups, slotFix{i, slotDHCP})
+		}
+	}
+	return slots, fixups
+}
+
+// EnterprisePrefix is EnterpriseTrace's bounded form.
+func EnterprisePrefix(spec EnterpriseSpec, n int) (*Trace, error) {
 	total := spec.Total
 	if total == 0 {
 		total = 20000
@@ -120,8 +226,6 @@ func EnterpriseTrace(spec EnterpriseSpec) (*Trace, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
-	nBlocked := int(float64(total) * enterpriseBlockedUDPShare)
-	nDHCP := int(float64(total) * enterpriseDHCPShare)
 	nDNS := int(float64(total) * enterpriseDNSShare)
 	if nDNS < dnsHeavyCount+dnsEngineeredCount+8 {
 		return nil, fmt.Errorf("trafficgen: DNS share too small (%d packets) for the calibrated sub-mix", nDNS)
@@ -138,30 +242,24 @@ func EnterpriseTrace(spec EnterpriseSpec) (*Trace, error) {
 		return nil, err
 	}
 
-	// Build the DNS sub-sequence: heavy flow first, then the engineered
-	// flow (so its packets see the heavy flow's inflated cells), then
-	// clean light flows.
-	var dns []Packet
-	for i := 0; i < dnsHeavyCount; i++ {
-		dns = append(dns, Packet{Port: programs.TrustedPort, Data: dnsQuery(heavySrc, dnsServer, uint16(i))})
+	// The DNS sub-sequence, drawn on in order: heavy flow first, then the
+	// engineered flow (so its packets see the heavy flow's inflated
+	// cells), then clean light flows up to nDNS packets.
+	dnsNext := 0
+	mkDNS := func() Packet {
+		k := dnsNext
+		dnsNext++
+		src, dst, id := heavySrc, dnsServer, k
+		if k >= dnsHeavyCount+dnsEngineeredCount {
+			// Distinct low-16 srcAddr bits per clean flow, avoiding the
+			// heavy and engineered cells at both row sizes.
+			id = k - dnsHeavyCount - dnsEngineeredCount
+			src = packet.IP(10, 8, 0, 0) | uint32(5000+(id/4)*3)
+		} else if k >= dnsHeavyCount {
+			src, dst, id = engSrc, engDst, k-dnsHeavyCount
+		}
+		return Packet{Port: programs.TrustedPort, Data: dnsQuery(src, dst, uint16(id))}
 	}
-	for i := 0; i < dnsEngineeredCount; i++ {
-		dns = append(dns, Packet{Port: programs.TrustedPort, Data: dnsQuery(engSrc, engDst, uint16(i))})
-	}
-	for i := 0; len(dns) < nDNS; i++ {
-		// Distinct low-16 srcAddr bits per clean flow, avoiding the
-		// heavy and engineered cells at both row sizes.
-		low := uint32(5000 + (i/4)*3)
-		src := packet.IP(10, 8, 0, 0) | low
-		dns = append(dns, Packet{Port: programs.TrustedPort, Data: dnsQuery(src, dnsServer, uint16(i))})
-	}
-
-	// Interleave: spread the DNS packets evenly (in order), and schedule
-	// the blocked-UDP and DHCP shares across the remaining slots with
-	// Bresenham accumulators, so the mix is stationary — every profiling
-	// window of the trace sees the same rates (a property the online
-	// monitor's drift detection relies on).
-	out := &Trace{}
 	mkBlocked := func() Packet {
 		port := programs.Ex1BlockedUDPPorts[rng.Intn(len(programs.Ex1BlockedUDPPorts))]
 		return Packet{
@@ -196,53 +294,46 @@ func EnterpriseTrace(spec EnterpriseSpec) (*Trace, error) {
 			),
 		}
 	}
-	dnsEvery := total / nDNS
-	nonDNS := total - nDNS
-	dnsIdx, blockedLeft, dhcpLeft := 0, nBlocked, nDHCP
-	accB, accD := 0, 0
-	for i := 0; i < total; i++ {
-		if dnsIdx < len(dns) && i%dnsEvery == dnsEvery-1 {
-			out.Packets = append(out.Packets, dns[dnsIdx])
-			dnsIdx++
-			continue
+	mk := func(kind uint8) Packet {
+		switch kind {
+		case slotDNS:
+			return mkDNS()
+		case slotBlocked:
+			return mkBlocked()
+		case slotDHCP:
+			return mkDHCP()
 		}
-		accB += nBlocked
-		if accB >= nonDNS && blockedLeft > 0 {
-			accB -= nonDNS
-			blockedLeft--
-			out.Packets = append(out.Packets, mkBlocked())
-			continue
-		}
-		accD += nDHCP
-		if accD >= nonDNS && dhcpLeft > 0 {
-			accD -= nonDNS
-			dhcpLeft--
-			out.Packets = append(out.Packets, mkDHCP())
-			continue
-		}
-		out.Packets = append(out.Packets, mkTCP())
+		return mkTCP()
 	}
-	// Exact-rate fixups: swap trailing TCP fillers for any unscheduled
-	// blocked/DHCP/DNS packets (at most a handful when accumulators and
-	// DNS slots collide near the end).
-	for i := len(out.Packets) - 1; i >= 0 && blockedLeft+dhcpLeft+(len(dns)-dnsIdx) > 0; i-- {
-		v, err := packet.Decode(out.Packets[i].Data)
-		if err != nil || v.TCP == nil {
-			continue
-		}
-		switch {
-		case dnsIdx < len(dns):
-			out.Packets[i] = dns[dnsIdx]
-			dnsIdx++
-		case blockedLeft > 0:
-			blockedLeft--
-			out.Packets[i] = mkBlocked()
-		case dhcpLeft > 0:
-			dhcpLeft--
-			out.Packets[i] = mkDHCP()
+
+	// Schedule first, generate second. Which kind of packet fills each slot
+	// never depends on the RNG, so the schedule is laid out whole (integer
+	// arithmetic only) and packets are then drawn for as many slots as the
+	// caller asked for.
+	slots, fixups := enterpriseSchedule(total)
+	firstFix := total
+	if len(fixups) > 0 {
+		firstFix = fixups[len(fixups)-1].at
+	}
+
+	// A prefix that ends at or below the lowest fixed-up slot is untouched
+	// by the fixups, and by the draws of every slot after it: generate just
+	// the prefix. One that reaches into the fixups is generated in full and
+	// truncated, so the answer never depends on which way it was produced.
+	gen := bound(n, total)
+	if gen > firstFix {
+		gen = total
+	}
+	out := &Trace{Packets: make([]Packet, 0, gen)}
+	for _, kind := range slots[:gen] {
+		out.Packets = append(out.Packets, mk(kind))
+	}
+	if gen == total {
+		for _, f := range fixups {
+			out.Packets[f.at] = mk(f.kind)
 		}
 	}
-	return out, nil
+	return out.head(n), nil
 }
 
 // ExpectedEnterpriseDNSDrops returns how many DNS_Drop hits the calibrated
@@ -270,17 +361,32 @@ func randServer(rng *rand.Rand) uint32 {
 	return packet.IP(10, byte(rng.Intn(3)), byte(rng.Intn(256)), byte(1+rng.Intn(254)))
 }
 
+// crcCollisions memoizes findCRCCollision, a pure function of its
+// arguments: the search runs thousands of CRC probes, more work than
+// serializing the few hundred packets a bounded trace is asked for.
+var crcCollisions sync.Map // crcCollisionKey -> uint32
+
+type crcCollisionKey struct {
+	heavySrc, heavyDst, engSrc uint32
+	cells                      int
+}
+
 // findCRCCollision searches the enterprise space for a dstAddr such that
 // crc16(engSrc, dst) lands in the same Sketch_2 cell (modulus cells) as
 // crc16(heavySrc, heavyDst): the engineered flow then shares the heavy
 // flow's row-2 cell at the ORIGINAL size, which row 1 masks until Phase 3
 // shrinks it — exactly the over-counting hazard §3.3 describes.
 func findCRCCollision(heavySrc, heavyDst, engSrc uint32, cells int) (uint32, error) {
+	key := crcCollisionKey{heavySrc, heavyDst, engSrc, cells}
+	if dst, ok := crcCollisions.Load(key); ok {
+		return dst.(uint32), nil
+	}
 	target := flowCell(heavySrc, heavyDst, cells)
 	for b2 := 0; b2 < 256; b2++ {
 		for b3 := 1; b3 < 255; b3++ {
 			dst := packet.IP(10, 0, byte(b2), byte(b3))
 			if flowCell(engSrc, dst, cells) == target {
+				crcCollisions.Store(key, dst)
 				return dst, nil
 			}
 		}

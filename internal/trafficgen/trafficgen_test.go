@@ -252,3 +252,75 @@ func TestTraceRecordsRoundTrip(t *testing.T) {
 		t.Errorf("Describe = %s", trace.Describe())
 	}
 }
+
+func samePackets(a, b []Packet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Port != b[i].Port || !bytes.Equal(a[i].Data, b[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// The enterprise generator's exact-rate fixups redraw TCP slots in the
+// trace's tail after the first pass. A prefix that ends at or below the
+// lowest of them is generated bounded, one that reaches into them in full
+// and truncated; both must be the head of the full trace, exactly at that
+// switch and across the tail, for a non-default Total too.
+func TestEnterprisePrefixAcrossFixups(t *testing.T) {
+	for _, total := range []int{20000, 33333} {
+		spec := EnterpriseSpec{Seed: 5, Total: total}
+		full, err := EnterpriseTrace(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fixups := enterpriseSchedule(total)
+		if len(fixups) == 0 {
+			t.Fatalf("total %d: no fixups, nothing to straddle", total)
+		}
+		first := fixups[len(fixups)-1].at
+		ns := []int{first - 2, first - 1, first, first + 1, first + 2, fixups[0].at, fixups[0].at + 1}
+		for n := first - 100; n < total; n += 41 {
+			ns = append(ns, n)
+		}
+		for _, n := range ns {
+			got, err := EnterprisePrefix(spec, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePackets(got.Packets, full.Packets[:n]) {
+				t.Fatalf("total %d, fixups from slot %d: first %d packets differ from the full trace's", total, first, n)
+			}
+		}
+	}
+}
+
+// Non-default spec fields bound the same way: the prefix is cut from the
+// trace the spec describes, not the default one.
+func TestPrefixHonoursSpec(t *testing.T) {
+	equal := func(name string, got, full *Trace, n int) {
+		t.Helper()
+		if !samePackets(got.Packets, full.Packets[:n]) {
+			t.Errorf("%s: first %d packets differ from the full trace's", name, n)
+		}
+	}
+	fs := FailureSpec{Seed: 3, Total: 900, BackgroundRetrans: 0.2}
+	for _, n := range []int{1, 449, 450, 451, 520, 899} {
+		equal("failure", FailurePrefix(fs, n), FailureTrace(fs), n)
+	}
+	ms := MaglevSpec{Seed: 3, Flows: 50, Rounds: 3, Background: 100}
+	for _, n := range []int{1, 50, 51, 83, 84, 249} {
+		equal("maglev", MaglevPrefix(ms, n), MaglevTrace(ms), n)
+	}
+	ss := SourceguardSpec{Seed: 3, Total: 200, Clients: 60}
+	for _, n := range []int{1, 60, 62, 63, 199} {
+		equal("sourceguard", SourceguardPrefix(ss, n), SourceguardTrace(ss), n)
+	}
+	sc := SynCookieSpec{Seed: 3, Clients: 20, AttackSyns: 50, AttackAcks: 30}
+	for _, n := range []int{1, 80, 159} {
+		equal("syncookie", SynCookiePrefix(sc, n), SynCookieTrace(sc), n)
+	}
+}

@@ -18,7 +18,15 @@ type Workload struct {
 	Description string
 	Source      string
 	Config      func() *rt.Config
-	Trace       func(seed int64) (*trafficgen.Trace, error)
+	// Trace generates the workload's whole calibrated trace. Callers that
+	// use only the head of it should call TracePrefix.
+	Trace func(seed int64) (*trafficgen.Trace, error)
+	// Packets is the length of that trace, whatever the seed: what a
+	// caller must budget for before it generates anything.
+	Packets int
+	// prefix is the generator's bounded form (see TracePrefix); every
+	// registered workload has one and Trace is derived from it.
+	prefix func(seed int64, n int) (*trafficgen.Trace, error)
 	// Paper documents the expected stage reduction, for reports.
 	Paper string
 	// Tune configures the tune pass for workloads whose programs declare
@@ -41,8 +49,9 @@ var registry = map[string]Workload{
 		Description: "Example 1 enterprise firewall: IPv4 + UDP/DHCP ACLs + DNS query limiter (CMS)",
 		Source:      programs.Ex1,
 		Config:      programs.Ex1Config,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.EnterpriseTrace(trafficgen.EnterpriseSpec{Seed: seed})
+		Packets:     20000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.EnterprisePrefix(trafficgen.EnterpriseSpec{Seed: seed}, n)
 		},
 		Paper: "Table 2: 8 -> 7 -> 6 -> 3 stages",
 	},
@@ -51,8 +60,9 @@ var registry = map[string]Workload{
 		Description: "L2/L3 router + two rarely hit port ACLs + flow accounting (phase-ordering ablation)",
 		Source:      programs.L2L3ACL,
 		Config:      programs.L2L3ACLConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.L2L3ACLTrace(trafficgen.L2L3ACLSpec{Seed: seed}), nil
+		Packets:     4000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.L2L3ACLPrefix(trafficgen.L2L3ACLSpec{Seed: seed}, n), nil
 		},
 		Paper: "§2.2: offloading first removes both ACLs (5 -> 3); the default order saves one of those stages in Phase 2 first",
 	},
@@ -61,8 +71,9 @@ var registry = map[string]Workload{
 		Description: "NAT & GRE features from switch.p4 (dependency removal)",
 		Source:      programs.NATGRE,
 		Config:      programs.NATGREConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.NATGRETrace(trafficgen.NATGRESpec{Seed: seed}), nil
+		Packets:     10000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.NATGREPrefix(trafficgen.NATGRESpec{Seed: seed}, n), nil
 		},
 		Paper: "Table 3: 4 -> 3 stages (Removing Dependencies)",
 	},
@@ -71,8 +82,9 @@ var registry = map[string]Workload{
 		Description: "Sourceguard DHCP snooping with a Bloom-filter database (memory reduction)",
 		Source:      programs.Sourceguard,
 		Config:      programs.SourceguardConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.SourceguardTrace(trafficgen.SourceguardSpec{Seed: seed}), nil
+		Packets:     10000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.SourceguardPrefix(trafficgen.SourceguardSpec{Seed: seed}, n), nil
 		},
 		Paper: "Table 3: 5 -> 4 stages (Reducing Memory, one register -8.4%)",
 		Tune:  &TuneSpec{AccuracyTable: "sg_drop"},
@@ -82,8 +94,9 @@ var registry = map[string]Workload{
 		Description: "Blink-style failure detection: retransmission BF + per-prefix CMS + alarm (offload)",
 		Source:      programs.FailureDetection,
 		Config:      programs.FailureConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.FailureTrace(trafficgen.FailureSpec{Seed: seed}), nil
+		Packets:     20000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.FailurePrefix(trafficgen.FailureSpec{Seed: seed}, n), nil
 		},
 		Paper: "Table 3: 4 -> 2 stages (Offloading Code)",
 		Tune:  &TuneSpec{AccuracyTable: "FailureAlarm"},
@@ -93,8 +106,9 @@ var registry = map[string]Workload{
 		Description: "Maglev-style L4 load balancer with a tunable per-connection table (parameter tuning)",
 		Source:      programs.Maglev,
 		Config:      programs.MaglevConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.MaglevTrace(trafficgen.MaglevSpec{Seed: seed}), nil
+		Packets:     5000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.MaglevPrefix(trafficgen.MaglevSpec{Seed: seed}, n), nil
 		},
 		Paper: "tune: 5 -> 4 stages (conn_cells shrunk until both connection registers share a stage)",
 		Tune:  &TuneSpec{AccuracyTable: "maglev_rehash"},
@@ -104,8 +118,9 @@ var registry = map[string]Workload{
 		Description: "SYN-cookie DDoS mitigation with a tunable proven-clients filter (parameter tuning)",
 		Source:      programs.SynCookie,
 		Config:      programs.SynCookieConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.SynCookieTrace(trafficgen.SynCookieSpec{Seed: seed}), nil
+		Packets:     7700,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.SynCookiePrefix(trafficgen.SynCookieSpec{Seed: seed}, n), nil
 		},
 		Paper: "tune: 4 -> 3 stages (sc_bf_cells shrunk until the proven-clients filter shares a stage)",
 		Tune:  &TuneSpec{AccuracyTable: "cookie_check"},
@@ -115,8 +130,9 @@ var registry = map[string]Workload{
 		Description: "Does-not-fit 14-deep ACL chain (oversized program, folded by Phase 2)",
 		Source:      programs.Stress(),
 		Config:      programs.StressConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.StressTrace(0, seed), nil
+		Packets:     5000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.StressPrefix(0, seed, n), nil
 		},
 		Paper: "§2.2: compiles in simulation at 14 stages, fits after optimization",
 	},
@@ -125,11 +141,36 @@ var registry = map[string]Workload{
 		Description: "Minimal L3 router (no optimization opportunities)",
 		Source:      programs.Quickstart,
 		Config:      programs.QuickstartConfig,
-		Trace: func(seed int64) (*trafficgen.Trace, error) {
-			return trafficgen.QuickstartTrace(0, seed), nil
+		Packets:     1000,
+		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
+			return trafficgen.QuickstartPrefix(0, seed, n), nil
 		},
 		Paper: "baseline: 2 stages, unchanged",
 	},
+}
+
+func init() {
+	for name, w := range registry {
+		prefix := w.prefix
+		w.Trace = func(seed int64) (*trafficgen.Trace, error) { return prefix(seed, 0) }
+		registry[name] = w
+	}
+}
+
+// TracePrefix returns byte-for-byte the first n packets of Trace(seed) —
+// the whole trace when n <= 0 or n exceeds it — at a cost that follows n,
+// not the trace's calibrated length (trafficgen's prefix contract). A
+// Workload built outside the registry has no bounded generator: its whole
+// trace is generated and cut, so the answer is the same either way.
+func (w Workload) TracePrefix(seed int64, n int) (*trafficgen.Trace, error) {
+	if w.prefix != nil {
+		return w.prefix(seed, n)
+	}
+	t, err := w.Trace(seed)
+	if err != nil || n <= 0 || n >= len(t.Packets) {
+		return t, err
+	}
+	return &trafficgen.Trace{Packets: t.Packets[:n]}, nil
 }
 
 // Get returns a registered workload.
