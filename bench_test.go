@@ -7,6 +7,7 @@ package p2go
 // `go test -bench=.` regenerates the evaluation.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -19,7 +20,6 @@ import (
 	"p2go/internal/p4"
 	"p2go/internal/p5"
 	"p2go/internal/packet"
-	"p2go/internal/profile"
 	"p2go/internal/programs"
 	"p2go/internal/sim"
 	"p2go/internal/tofino"
@@ -51,7 +51,7 @@ func BenchmarkProfileEx1(b *testing.B) {
 	cfg := programs.Ex1Config()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prof, err := profile.Run(ast, cfg, trace)
+		prof, err := RunProfile(context.Background(), ast, cfg, trace, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func BenchmarkDependencyGraphEx1(b *testing.B) {
 // non-exclusive actions.
 func BenchmarkNonExclusiveSets(b *testing.B) {
 	trace := enterpriseTrace(b)
-	prof, err := profile.Run(p4.MustParse(programs.Ex1), programs.Ex1Config(), trace)
+	prof, err := RunProfile(context.Background(), p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func BenchmarkAblationOffloadFirst(b *testing.B) {
 func BenchmarkAblationCMSShrink(b *testing.B) {
 	trace := enterpriseTrace(b)
 	cfg := programs.Ex1Config()
-	base, err := profile.Run(p4.MustParse(programs.Ex1), cfg, trace)
+	base, err := RunProfile(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func BenchmarkAblationCMSShrink(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		redProf, err := profile.Run(reduced, cfg, trace)
+		redProf, err := RunProfile(context.Background(), reduced, cfg, trace, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func BenchmarkEquivalenceCheck(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		report, err := controller.VerifyEquivalence(res.Original, cfg, res.Optimized,
+		report, err := controller.VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized,
 			res.OptimizedConfig, res.ControllerProgram, trace)
 		if err != nil {
 			b.Fatal(err)

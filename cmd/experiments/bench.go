@@ -110,7 +110,7 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 
 		r = testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p2go.RunProfile(prog, cfg, trace); err != nil {
+				if _, err := p2go.RunProfile(context.Background(), prog, cfg, trace, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -127,7 +127,7 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 		// once, outside the loop), across shard counts. Stateful programs
 		// fall back to sequential replay, so their rows stay flat — that
 		// is the documented behavior, not a measurement error.
-		profiler, err := profile.NewProfiler(p4.MustParse(w.Source), cfg)
+		profiler, err := newProfiler(w)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -136,7 +136,7 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 			shards := shards
 			r = testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := profiler.RunSharded(trace, shards); err != nil {
+					if _, err := profiler.RunWith(context.Background(), trace, profile.RunOptions{Shards: shards}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -215,7 +215,7 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 			return err
 		}
 		ztrace := trafficgen.ZipfTCPTrace(trafficgen.ZipfSpec{Seed: seed})
-		profiler, err := profile.NewProfiler(p4.MustParse(w.Source), w.Config())
+		profiler, err := newProfiler(w)
 		if err != nil {
 			return err
 		}
@@ -309,6 +309,16 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 		return checkBaseline(out, baselinePath)
 	}
 	return nil
+}
+
+// newProfiler prepares a workload's program and takes one profiler over
+// the plan, so the replay rows time RunWith alone.
+func newProfiler(w workloads.Workload) (*profile.Profiler, error) {
+	prep, err := profile.PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
+	if err != nil {
+		return nil, err
+	}
+	return prep.Profiler(), nil
 }
 
 // replayRate converts a replay benchmark into packets/sec.

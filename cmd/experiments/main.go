@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -162,7 +163,7 @@ func ex1HitRates(seed int64) error {
 	if err != nil {
 		return err
 	}
-	prof, err := p2go.RunProfile(prog, cfg, trace)
+	prof, err := p2go.RunProfile(context.Background(), prog, cfg, trace, 1)
 	if err != nil {
 		return err
 	}
@@ -212,7 +213,7 @@ func tab1NonExclusiveSets(seed int64) error {
 	if err != nil {
 		return err
 	}
-	prof, err := p2go.RunProfile(prog, cfg, trace)
+	prof, err := p2go.RunProfile(context.Background(), prog, cfg, trace, 1)
 	if err != nil {
 		return err
 	}
@@ -335,7 +336,7 @@ func ablCMSShrink(seed int64) error {
 	if err != nil {
 		return err
 	}
-	base, err := p2go.RunProfile(prog, cfg, trace)
+	base, err := p2go.RunProfile(context.Background(), prog, cfg, trace, 1)
 	if err != nil {
 		return err
 	}
@@ -347,7 +348,7 @@ func ablCMSShrink(seed int64) error {
 			call.Args[3] = p4.IntLit{Value: uint64(programs.Ex1ReducedSketchCells)}
 		}
 	}
-	redProf, err := p2go.RunProfile(reduced, cfg, trace)
+	redProf, err := p2go.RunProfile(context.Background(), reduced, cfg, trace, 1)
 	if err != nil {
 		return err
 	}

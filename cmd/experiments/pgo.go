@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,7 +22,6 @@ import (
 
 	"p2go"
 	"p2go/internal/fleet"
-	"p2go/internal/p4"
 	"p2go/internal/profile"
 	"p2go/internal/service"
 	"p2go/internal/workloads"
@@ -292,13 +292,13 @@ func runPGOReplayBench(path string, seed int64) error {
 		if err != nil {
 			return err
 		}
-		profiler, err := profile.NewProfiler(p4.MustParse(w.Source), w.Config())
+		profiler, err := newProfiler(w)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := profiler.RunSharded(trace, 1); err != nil {
+				if _, err := profiler.RunWith(context.Background(), trace, profile.RunOptions{Shards: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -262,7 +262,7 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	prof, err := p2go.RunProfileParallelContext(ctx, concrete, in.cfg, in.trace, *parallelism)
+	prof, err := p2go.RunProfile(ctx, concrete, in.cfg, in.trace, *parallelism)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func cmdOptimize(args []string) error {
 		if err != nil {
 			return err
 		}
-		chaos, err := p2go.VerifyChaosEquivalenceContext(ctx, res, in.cfg, in.trace, p2go.ResilientOptions{
+		chaos, err := p2go.VerifyChaosEquivalence(ctx, res, in.cfg, in.trace, p2go.ResilientOptions{
 			Replicas: *replicas,
 			Policy:   policy,
 			Faults:   set,

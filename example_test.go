@@ -1,6 +1,7 @@
 package p2go_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,8 @@ func ExampleCompile() {
 }
 
 // ExampleRunProfile shows Phase 1 on its own: hit rates from a replayed
-// trace.
+// trace. The last argument is the replay worker count (0: one per CPU);
+// the profile is the same at any count.
 func ExampleRunProfile() {
 	prog, err := p2go.ParseProgram(programs.Quickstart)
 	if err != nil {
@@ -41,7 +43,7 @@ func ExampleRunProfile() {
 		log.Fatal(err)
 	}
 	trace := trafficgen.QuickstartTrace(1000, 1)
-	prof, err := p2go.RunProfile(prog, cfg, trace)
+	prof, err := p2go.RunProfile(context.Background(), prog, cfg, trace, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

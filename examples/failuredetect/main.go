@@ -14,8 +14,6 @@ import (
 
 	"p2go"
 	"p2go/internal/controller"
-	"p2go/internal/ir"
-	"p2go/internal/p4"
 	"p2go/internal/programs"
 	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
@@ -54,15 +52,7 @@ func main() {
 
 	// Build the optimized data plane and wire redirected packets to the
 	// controller over TCP.
-	ast := p4.Clone(res.Optimized)
-	if err := p4.Check(ast); err != nil {
-		log.Fatal(err)
-	}
-	irProg, err := ir.Build(ast)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dataPlane, err := sim.New(irProg, res.OptimizedConfig, sim.Options{})
+	dataPlane, err := sim.NewFromAST(res.Optimized, res.OptimizedConfig, sim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	}
 
 	// Phase 1: the profile on its own (the Ex. 1 annotation + Table 1).
-	prof, err := p2go.RunProfile(prog, cfg, trace)
+	prof, err := p2go.RunProfile(context.Background(), prog, cfg, trace, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	trace := trafficgen.QuickstartTrace(2000, 7)
-	prof, err := p2go.RunProfile(prog, cfg, trace)
+	prof, err := p2go.RunProfile(context.Background(), prog, cfg, trace, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

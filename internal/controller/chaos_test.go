@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -64,7 +65,7 @@ func chaosOpts(set *faults.Set, policy DegradationPolicy) ResilientOptions {
 
 func runChaos(t *testing.T, f chaosFixture, opts ResilientOptions) *ChaosReport {
 	t.Helper()
-	rep, err := VerifyChaosEquivalence(f.res.Original, f.cfg,
+	rep, err := VerifyChaosEquivalence(context.Background(), f.res.Original, f.cfg,
 		f.res.Optimized, f.res.OptimizedConfig, f.res.ControllerProgram, f.trace, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"testing"
 
 	"p2go/internal/core"
@@ -63,12 +64,8 @@ func TestChaosTunedWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			segment := res.ControllerProgram
-			if segment == nil {
-				segment = p4.MustParse("control ingress { }")
-			}
-			rep, err := VerifyChaosEquivalence(res.Original, cfg,
-				res.Optimized, res.OptimizedConfig, segment, tc.trace,
+			rep, err := VerifyChaosEquivalence(context.Background(), res.Original, cfg,
+				res.Optimized, res.OptimizedConfig, res.ControllerProgram, tc.trace,
 				chaosOpts(set, FailOpen))
 			if err != nil {
 				t.Fatal(err)

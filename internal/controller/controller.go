@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sync"
 
-	"p2go/internal/ir"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
@@ -41,25 +40,22 @@ type Controller struct {
 
 // New builds a controller from the offloaded-segment program (e.g.
 // core.Result.ControllerProgram) and the full runtime configuration —
-// rules for tables outside the segment are filtered out.
+// rules for tables outside the segment are filtered out. A nil segment
+// (a run that offloaded nothing) is the empty pass-through control, so the
+// deployments and equivalence checks built on New accept it too.
 func New(segment *p4.Program, cfg *rt.Config) (*Controller, error) {
-	ast := p4.Clone(segment)
-	if err := p4.Check(ast); err != nil {
-		return nil, fmt.Errorf("controller: %w", err)
-	}
-	prog, err := ir.Build(ast)
-	if err != nil {
-		return nil, fmt.Errorf("controller: %w", err)
+	if segment == nil {
+		segment = p4.MustParse("control ingress { }")
 	}
 	filtered := &rt.Config{}
 	if cfg != nil {
 		for _, rule := range cfg.Rules {
-			if ast.Table(rule.Table) != nil {
+			if segment.Table(rule.Table) != nil {
 				filtered.Add(rule)
 			}
 		}
 	}
-	sw, err := sim.New(prog, filtered, sim.Options{})
+	sw, err := sim.NewFromAST(segment, filtered, sim.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
 	}
@@ -132,17 +128,9 @@ type Deployment struct {
 // original configuration drive the controller.
 func NewDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, fullCfg *rt.Config) (*Deployment, error) {
-	ast := p4.Clone(optimized)
-	if err := p4.Check(ast); err != nil {
+	dp, err := sim.NewFromAST(optimized, optimizedCfg, sim.Options{})
+	if err != nil {
 		return nil, fmt.Errorf("controller: optimized program: %w", err)
-	}
-	prog, err := ir.Build(ast)
-	if err != nil {
-		return nil, err
-	}
-	dp, err := sim.New(prog, optimizedCfg, sim.Options{})
-	if err != nil {
-		return nil, err
 	}
 	ctl, err := New(segment, fullCfg)
 	if err != nil {
@@ -223,23 +211,28 @@ func (r *EquivalenceReport) String() string {
 	return fmt.Sprintf("%d/%d mismatches (first: %s)", r.Mismatches, r.Packets, r.First)
 }
 
-// VerifyEquivalence replays the trace through the original program and
-// through the optimized program + controller, comparing the fate of every
-// packet: drops must match, controller notifications must correspond to
-// the original's CPU-port redirects, and forwarded packets must leave on
-// the same port.
-func VerifyEquivalence(original *p4.Program, originalCfg *rt.Config,
-	optimized *p4.Program, optimizedCfg *rt.Config,
-	segment *p4.Program, trace *trafficgen.Trace) (*EquivalenceReport, error) {
-	return VerifyEquivalenceContext(context.Background(), original, originalCfg,
-		optimized, optimizedCfg, segment, trace)
+// sameFate is the equivalence both verifiers hold every packet to: drops
+// must match, a controller notification must correspond to the original's
+// CPU-port redirect, and forwarded packets must leave on the same port.
+func sameFate(orig *sim.Output, v Verdict) bool {
+	switch {
+	case orig.Dropped != v.Dropped:
+		return false
+	case orig.Dropped:
+		return true
+	case orig.ToCPU:
+		return v.Notified
+	}
+	return orig.Port == v.Port && !v.Notified
 }
 
-// VerifyEquivalenceContext is VerifyEquivalence under a tracer-carrying
-// context: the whole comparison runs inside a "controller.verify" span,
-// the replay loop goes through sim.Replay (so it reports packets/sec),
-// and each redirect shows up as a "controller.redirect" child span.
-func VerifyEquivalenceContext(ctx context.Context,
+// VerifyEquivalence replays the trace through the original program and
+// through the optimized program + controller, comparing the fate of every
+// packet (sameFate). A nil segment is the empty pass-through controller. The
+// whole comparison runs inside a "controller.verify" span, the replay loop
+// goes through sim.Replay (so it reports packets/sec), and each redirect
+// shows up as a "controller.redirect" child span.
+func VerifyEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, trace *trafficgen.Trace) (*EquivalenceReport, error) {
@@ -247,15 +240,7 @@ func VerifyEquivalenceContext(ctx context.Context,
 	ctx, sp := obs.Start(ctx, "controller.verify", obs.Int("packets", len(trace.Packets)))
 	defer sp.End()
 
-	origAST := p4.Clone(original)
-	if err := p4.Check(origAST); err != nil {
-		return nil, err
-	}
-	origIR, err := ir.Build(origAST)
-	if err != nil {
-		return nil, err
-	}
-	origSwitch, err := sim.New(origIR, originalCfg, sim.Options{})
+	origSwitch, err := sim.NewFromAST(original, originalCfg, sim.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -280,15 +265,7 @@ func VerifyEquivalenceContext(ctx context.Context,
 		if verdict.ViaController {
 			report.Redirected++
 		}
-		equal := origOut.Dropped == verdict.Dropped
-		if equal && !origOut.Dropped {
-			if origOut.ToCPU {
-				equal = verdict.Notified
-			} else {
-				equal = origOut.Port == verdict.Port && !verdict.Notified
-			}
-		}
-		if !equal {
+		if !sameFate(&origOut, verdict) {
 			report.Mismatches++
 			if report.First == "" {
 				report.First = fmt.Sprintf(

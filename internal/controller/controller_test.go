@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"testing"
 
 	"p2go/internal/core"
@@ -27,7 +28,7 @@ func TestEx1DeploymentEquivalence(t *testing.T) {
 	if res.ControllerProgram == nil {
 		t.Fatal("no controller program produced")
 	}
-	report, err := VerifyEquivalence(res.Original, cfg, res.Optimized, res.OptimizedConfig,
+	report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
 		res.ControllerProgram, trace)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +55,7 @@ func TestFailureDeploymentEquivalence(t *testing.T) {
 	if res.ControllerProgram == nil {
 		t.Fatal("no controller program produced")
 	}
-	report, err := VerifyEquivalence(res.Original, cfg, res.Optimized, res.OptimizedConfig,
+	report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
 		res.ControllerProgram, trace)
 	if err != nil {
 		t.Fatal(err)

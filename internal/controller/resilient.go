@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"p2go/internal/faults"
-	"p2go/internal/ir"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
@@ -201,17 +200,9 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 	original *p4.Program, opts ResilientOptions) (*ResilientDeployment, error) {
 
 	opts = opts.withDefaults()
-	ast := p4.Clone(optimized)
-	if err := p4.Check(ast); err != nil {
+	dp, err := sim.NewFromAST(optimized, optimizedCfg, sim.Options{})
+	if err != nil {
 		return nil, fmt.Errorf("controller: optimized program: %w", err)
-	}
-	prog, err := ir.Build(ast)
-	if err != nil {
-		return nil, err
-	}
-	dp, err := sim.New(prog, optimizedCfg, sim.Options{})
-	if err != nil {
-		return nil, err
 	}
 	d := &ResilientDeployment{
 		dataPlane: dp,
@@ -229,17 +220,9 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 		if original == nil {
 			return nil, fmt.Errorf("controller: fallback policy requires the original program")
 		}
-		origAST := p4.Clone(original)
-		if err := p4.Check(origAST); err != nil {
+		d.fallback, err = sim.NewFromAST(original, fullCfg, sim.Options{})
+		if err != nil {
 			return nil, fmt.Errorf("controller: original program: %w", err)
-		}
-		origIR, err := ir.Build(origAST)
-		if err != nil {
-			return nil, err
-		}
-		d.fallback, err = sim.New(origIR, fullCfg, sim.Options{})
-		if err != nil {
-			return nil, err
 		}
 	}
 	return d, nil
@@ -515,20 +498,11 @@ func (r *ChaosReport) String() string {
 // VerifyChaosEquivalence replays the trace through the original program
 // and through the resilient deployment under opts (including its fault
 // plan), comparing every packet's fate. Divergences are legal only when
-// flagged degraded; anything else is a silent divergence.
-func VerifyChaosEquivalence(original *p4.Program, originalCfg *rt.Config,
-	optimized *p4.Program, optimizedCfg *rt.Config,
-	segment *p4.Program, trace *trafficgen.Trace,
-	opts ResilientOptions) (*ChaosReport, error) {
-	return VerifyChaosEquivalenceContext(context.Background(), original, originalCfg,
-		optimized, optimizedCfg, segment, trace, opts)
-}
-
-// VerifyChaosEquivalenceContext is VerifyChaosEquivalence under a
-// tracer-carrying context: the comparison runs inside a
+// flagged degraded; anything else is a silent divergence. A nil segment is
+// the empty pass-through controller. The comparison runs inside a
 // "controller.verify-chaos" span, the replay goes through sim.Replay, and
 // every redirect, retry, and degradation decision appears as child spans.
-func VerifyChaosEquivalenceContext(ctx context.Context,
+func VerifyChaosEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, trace *trafficgen.Trace,
@@ -537,15 +511,7 @@ func VerifyChaosEquivalenceContext(ctx context.Context,
 	ctx, sp := obs.Start(ctx, "controller.verify-chaos", obs.Int("packets", len(trace.Packets)))
 	defer sp.End()
 
-	origAST := p4.Clone(original)
-	if err := p4.Check(origAST); err != nil {
-		return nil, err
-	}
-	origIR, err := ir.Build(origAST)
-	if err != nil {
-		return nil, err
-	}
-	origSwitch, err := sim.New(origIR, originalCfg, sim.Options{})
+	origSwitch, err := sim.NewFromAST(original, originalCfg, sim.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -570,15 +536,7 @@ func VerifyChaosEquivalenceContext(ctx context.Context,
 		if verdict.ViaController {
 			report.Redirected++
 		}
-		equal := origOut.Dropped == verdict.Dropped
-		if equal && !origOut.Dropped {
-			if origOut.ToCPU {
-				equal = verdict.Notified
-			} else {
-				equal = origOut.Port == verdict.Port && !verdict.Notified
-			}
-		}
-		if !equal {
+		if !sameFate(&origOut, verdict) {
 			if verdict.Degraded {
 				report.Degraded++
 			} else {

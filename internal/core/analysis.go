@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sync/atomic"
 
 	"p2go/internal/cache"
@@ -170,9 +169,7 @@ func newAnalysisKey(ast *p4.Program, domain string, parts ...string) analysisKey
 // hardware model. doCompile never mutates the AST it is handed, so the
 // printed source is a faithful key.
 func compileKey(ast *p4.Program, tgt tofino.Target) analysisKey {
-	return newAnalysisKey(ast, "compile",
-		fmt.Sprintf("%d/%d/%d/%d/%d", tgt.Stages, tgt.StageSRAMBytes, tgt.StageTCAMBytes,
-			tgt.MaxTablesPerStage, tgt.StageALUs))
+	return newAnalysisKey(ast, "compile", tgt.Key())
 }
 
 // profileKey content-addresses one trace replay: the printed program, the

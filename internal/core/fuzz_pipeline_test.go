@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -126,12 +127,8 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 		if err := p4.Check(reparsed); err != nil {
 			t.Fatalf("program %d: optimized does not recheck: %v\n%s", i, err, printed)
 		}
-		segment := res.ControllerProgram
-		if segment == nil {
-			segment = p4.MustParse("control ingress { }")
-		}
-		report, err := controller.VerifyEquivalence(res.Original, res.OptimizedConfig,
-			res.Optimized, res.OptimizedConfig, segment, trace)
+		report, err := controller.VerifyEquivalence(context.Background(), res.Original, res.OptimizedConfig,
+			res.Optimized, res.OptimizedConfig, res.ControllerProgram, trace)
 		if err != nil {
 			t.Fatalf("program %d: equivalence: %v\n%s", i, err, src)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -163,6 +164,25 @@ func TestReportRendering(t *testing.T) {
 	} {
 		if !strings.Contains(guarded, want) {
 			t.Errorf("guarded report missing %q:\n%s", want, guarded)
+		}
+	}
+}
+
+// TestCompileKeysStable pins compile keys recorded before the hardware
+// model's spelling moved into tofino.Target.Key: a moved key orphans every
+// spilled "compile:" entry.
+func TestCompileKeysStable(t *testing.T) {
+	ast := p4.MustParse(programs.Quickstart)
+	for _, g := range []struct {
+		tgt  tofino.Target
+		want string
+	}{
+		{tofino.DefaultTarget(), "0f0de55b09bdb0def892467bdd192f379a0b56c1c4d331d5bc3983114532b085"},
+		{tofino.Target{Stages: 7, StageSRAMBytes: 1000, StageTCAMBytes: 200, MaxTablesPerStage: 3, StageALUs: 5},
+			"3aa6b09d2bd8fb3b8bd217c668708e66030544773d28a3baa7ee733ea20e27f2"},
+	} {
+		if got := fmt.Sprintf("%x", compileKey(ast, g.tgt)); got != g.want {
+			t.Errorf("compileKey(quickstart, %s) = %s, want %s", g.tgt.Key(), got, g.want)
 		}
 	}
 }

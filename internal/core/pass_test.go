@@ -221,7 +221,11 @@ func (h *countingHooks) options(cache *AnalysisCache, tweak func(*Options)) Opti
 		},
 		ProfileHook: func(ctx context.Context, ast *p4.Program, cfg *rt.Config, tr *trafficgen.Trace) (*profile.Profile, error) {
 			h.profiles.Add(1)
-			return profile.RunParallelContext(ctx, ast, cfg, tr, 1)
+			prep, err := profile.PrepareContext(ctx, ast, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return prep.Profiler().RunWith(ctx, tr, profile.RunOptions{Shards: 1})
 		},
 	}
 	if tweak != nil {

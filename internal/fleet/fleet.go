@@ -370,14 +370,12 @@ func BuildInjections(ctx context.Context, spec Spec) ([]network.Injection, error
 // the same row, which is what makes the DeviceCache safe to share across
 // fleets and after crashes.
 func deviceKey(dev resolvedDevice, trace *trafficgen.Trace, passes []string, copts core.Options) string {
-	tgt := copts.Target
 	return cache.Digest("fleet-device",
 		dev.printed,
 		dev.rules,
 		trace.Digest(),
 		strings.Join(passes, ","),
-		fmt.Sprintf("%d/%d/%d/%d/%d", tgt.Stages, tgt.StageSRAMBytes, tgt.StageTCAMBytes,
-			tgt.MaxTablesPerStage, tgt.StageALUs),
+		copts.Target.Key(),
 	)
 }
 

@@ -34,7 +34,11 @@ func (h *testHooks) core() core.Options {
 		},
 		ProfileHook: func(ctx context.Context, ast *p4.Program, cfg *rt.Config, tr *trafficgen.Trace) (*profile.Profile, error) {
 			h.profiles.Add(1)
-			return profile.RunParallelContext(ctx, ast, cfg, tr, 1)
+			prep, err := profile.PrepareContext(ctx, ast, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return prep.Profiler().RunWith(ctx, tr, profile.RunOptions{Shards: 1})
 		},
 	}
 }
@@ -415,5 +419,26 @@ func TestRunLinkedTopology(t *testing.T) {
 	}
 	if down.Status == report.FleetSkipped && edge.Status != report.FleetOptimized {
 		t.Errorf("unexpected statuses: edge %q downstream %q", edge.Status, down.Status)
+	}
+}
+
+// TestDeviceKeysStable pins device keys recorded before the hardware
+// model's spelling moved into tofino.Target.Key: a moved key orphans every
+// spilled "fleetdev:" row.
+func TestDeviceKeysStable(t *testing.T) {
+	dev := resolvedDevice{printed: "control ingress { }\n", rules: "table_add t a 1 => 2\n"}
+	tr := trafficgen.QuickstartTrace(10, 1)
+	passes := []string{"phase2", "phase3"}
+	for _, g := range []struct {
+		tgt  tofino.Target
+		want string
+	}{
+		{tofino.DefaultTarget(), "0d77e803464800fa2d1a8064a3474af694d1b6cc3e96f81cfda7ff60ad9d0be7"},
+		{tofino.Target{Stages: 7, StageSRAMBytes: 1000, StageTCAMBytes: 200, MaxTablesPerStage: 3, StageALUs: 5},
+			"4e8bee36693e04e47126a13b6d8c1fcdb551afd7afc908df19ff697943d199ef"},
+	} {
+		if got := deviceKey(dev, tr, passes, core.Options{Target: g.tgt}); got != g.want {
+			t.Errorf("deviceKey(target %s) = %s, want %s", g.tgt.Key(), got, g.want)
+		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 
 	"p2go/internal/core"
 	"p2go/internal/faults"
-	"p2go/internal/ir"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
 	"p2go/internal/sim"
@@ -85,15 +84,7 @@ func (t *Topology) AddDevice(name string, prog *p4.Program, cfg *rt.Config) erro
 	if _, ok := t.devices[name]; ok {
 		return fmt.Errorf("network: duplicate device %q", name)
 	}
-	ast := p4.Clone(prog)
-	if err := p4.Check(ast); err != nil {
-		return fmt.Errorf("network: device %s: %w", name, err)
-	}
-	built, err := ir.Build(ast)
-	if err != nil {
-		return fmt.Errorf("network: device %s: %w", name, err)
-	}
-	sw, err := sim.New(built, cfg, sim.Options{})
+	sw, err := sim.NewFromAST(prog, cfg, sim.Options{})
 	if err != nil {
 		return fmt.Errorf("network: device %s: %w", name, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"p2go/internal/faults"
-	"p2go/internal/ir"
 	"p2go/internal/p4"
 	"p2go/internal/profile"
 	"p2go/internal/rt"
@@ -54,13 +53,9 @@ func NewRollbackGuard(optimized *p4.Program, optimizedCfg *rt.Config,
 	if err != nil {
 		return nil, err
 	}
-	prog, err := ir.Build(original)
+	fallback, err := sim.NewFromAST(original, originalCfg, sim.Options{})
 	if err != nil {
-		return nil, err
-	}
-	fallback, err := sim.New(prog, originalCfg, sim.Options{})
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("online: original program: %w", err)
 	}
 	return &RollbackGuard{mon: mon, fallback: fallback, faults: opts.Faults}, nil
 }

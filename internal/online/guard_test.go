@@ -18,6 +18,14 @@ func newGuard(t *testing.T, opts GuardOptions) *RollbackGuard {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both planes run the compiled engine. res.Original never went through
+	// p4.Check, so it lacks standard_metadata: the standby lowers only
+	// because the guard builds it from a checked clone (sim.NewFromAST).
+	for name, sw := range map[string]*sim.Switch{"monitor": g.mon.sw, "standby": g.fallback} {
+		if engine, reason := sw.Engine(); engine != "compiled" {
+			t.Fatalf("%s switch runs the %s engine (%s), want compiled", name, engine, reason)
+		}
+	}
 	return g
 }
 

@@ -71,6 +71,9 @@ type Monitor struct {
 	ins      *profile.Instrumented
 	sw       *sim.Switch
 	baseline *profile.Profile
+	// missDefault classifies default-action executions as misses exactly
+	// the way the offline profiler that produced baseline did.
+	missDefault map[string]bool
 
 	processed int
 	windowID  int
@@ -107,12 +110,13 @@ func NewMonitor(ast *p4.Program, rules *rt.Config, baseline *profile.Profile, cf
 	}
 	c := cfg.withDefaults()
 	return &Monitor{
-		cfg:      c,
-		ins:      ins,
-		sw:       sw,
-		baseline: baseline,
-		winHits:  map[string]int{},
-		recent:   make([]trafficgen.Packet, c.RecordLast),
+		cfg:         c,
+		ins:         ins,
+		sw:          sw,
+		baseline:    baseline,
+		missDefault: profile.MissDefaults(ins.AST, rules),
+		winHits:     map[string]int{},
+		recent:      make([]trafficgen.Packet, c.RecordLast),
 	}, nil
 }
 
@@ -135,7 +139,7 @@ func (m *Monitor) Process(in sim.Input) (sim.Output, error) {
 		m.winSample++
 		seen := map[string]bool{}
 		for _, info := range executed {
-			if info.Miss || m.isDefaultOnReadsTable(info.Table, info.Action) {
+			if info.Miss || m.missDefault[info.Table+"."+info.Action] {
 				continue
 			}
 			if !seen[info.Table] {
@@ -151,11 +155,6 @@ func (m *Monitor) Process(in sim.Input) (sim.Output, error) {
 		m.closeWindow()
 	}
 	return out, nil
-}
-
-func (m *Monitor) isDefaultOnReadsTable(table, action string) bool {
-	t := m.ins.AST.Table(table)
-	return t != nil && len(t.Reads) > 0 && t.DefaultAction == action
 }
 
 // closeWindow compares the window's hit rates with the baseline.

@@ -31,7 +31,7 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prep, err := Prepare(p4.MustParse(w.Source), w.Config())
+			prep, err := PrepareContext(ctx, p4.MustParse(w.Source), w.Config())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestDedupCollapsesRepeatedFlows(t *testing.T) {
 		trace.Packets = append(trace.Packets, base.Packets[rng.Intn(distinct)])
 	}
 
-	prep, err := Prepare(p4.MustParse(w.Source), w.Config())
+	prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,10 @@
 package profile
 
 import (
-	"context"
 	"runtime"
 	"sort"
 
 	"p2go/internal/ir"
-	"p2go/internal/p4"
-	"p2go/internal/rt"
-	"p2go/internal/trafficgen"
 )
 
 // DefaultShards is the replay parallelism used when the caller passes a
@@ -122,41 +118,4 @@ func StatefulTables(prog *ir.Program) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// StatefulTables reports the instrumented program's stateful tables — the
-// ones that force sharded replay to fall back to sequential.
-func (p *Profiler) StatefulTables() []string { return StatefulTables(p.prog) }
-
-// RunSharded replays the trace across shards workers and merges the
-// per-worker profiles. See RunShardedContext.
-func (p *Profiler) RunSharded(trace *trafficgen.Trace, shards int) (*Profile, error) {
-	return p.RunShardedContext(context.Background(), trace, shards)
-}
-
-// RunShardedContext shards the trace across up to shards workers (<=0
-// means one per CPU), each replaying its contiguous slice against an
-// independent Switch built from the shared plan, and deterministically
-// merges the per-worker profiles — a result Profile.Equal to the
-// sequential replay. Programs with stateful tables (see StatefulTables)
-// fall back to one worker with the fallback reason recorded on a span.
-// It is RunWith with the default engine and dedup policy.
-func (p *Profiler) RunShardedContext(ctx context.Context, trace *trafficgen.Trace, shards int) (*Profile, error) {
-	return p.RunWith(ctx, trace, RunOptions{Shards: shards})
-}
-
-// RunParallel profiles a program on a trace with sharded replay in one
-// call; shards <= 0 means one worker per CPU.
-func RunParallel(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, shards int) (*Profile, error) {
-	return RunParallelContext(context.Background(), ast, cfg, trace, shards)
-}
-
-// RunParallelContext is RunParallel with tracing and cancellation. With
-// shards == 1 (or a stateful program) it is exactly RunContext.
-func RunParallelContext(ctx context.Context, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, shards int) (*Profile, error) {
-	p, err := NewProfilerContext(ctx, ast, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunShardedContext(ctx, trace, shards)
 }

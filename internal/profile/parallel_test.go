@@ -28,16 +28,17 @@ func TestShardedReplayMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: trace: %v", name, err)
 			}
-			p, err := NewProfiler(p4.MustParse(w.Source), w.Config())
+			prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want, err := p.Run(trace)
+			p := prep.Profiler()
+			want, err := p.RunWith(context.Background(), trace, RunOptions{Shards: 1})
 			if err != nil {
 				t.Fatalf("%s: sequential: %v", name, err)
 			}
 			for _, shards := range []int{1, 2, 4, 8} {
-				got, err := p.RunSharded(trace, shards)
+				got, err := p.RunWith(context.Background(), trace, RunOptions{Shards: shards})
 				if err != nil {
 					t.Fatalf("%s seed=%d shards=%d: %v", name, seed, shards, err)
 				}
@@ -79,7 +80,7 @@ func TestStatefulTablesPerWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewProfiler(p4.MustParse(w.Source), w.Config())
+		prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -88,8 +89,8 @@ func TestStatefulTablesPerWorkload(t *testing.T) {
 			t.Errorf("workload %s not covered by this test; add its expectation", name)
 			continue
 		}
-		if got := p.StatefulTables(); !reflect.DeepEqual(got, expect) {
-			t.Errorf("%s: StatefulTables() = %v, want %v", name, got, expect)
+		if got := prep.stateful; !reflect.DeepEqual(got, expect) {
+			t.Errorf("%s: stateful tables = %v, want %v", name, got, expect)
 		}
 	}
 }
@@ -110,7 +111,11 @@ func TestShardedReplaySpans(t *testing.T) {
 		}
 		col := obs.NewCollector(0)
 		ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
-		if _, err := RunParallelContext(ctx, p4.MustParse(w.Source), w.Config(), trace, shards); err != nil {
+		prep, err := PrepareContext(ctx, p4.MustParse(w.Source), w.Config())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: shards}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		counts := map[string]int{}
@@ -217,15 +222,16 @@ func TestShardedReplayScalesWithCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProfiler(p4.MustParse(w.Source), w.Config())
+	prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := prep.Profiler()
 	replay := func(shards int) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 3; i++ { // best-of-3 damps scheduler noise
 			start := time.Now()
-			if _, err := p.RunSharded(trace, shards); err != nil {
+			if _, err := p.RunWith(context.Background(), trace, RunOptions{Shards: shards}); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {

@@ -1,14 +1,10 @@
 package profile
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
-	"p2go/internal/ir"
-	"p2go/internal/p4"
-	"p2go/internal/rt"
 	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
 )
@@ -281,53 +277,14 @@ func (p *Profile) Render() string {
 	return b.String()
 }
 
-// Profiler replays traces through an instrumented program.
+// Profiler replays traces through an instrumented program. It is built by
+// Prepared.Profiler and driven by RunWith.
 type Profiler struct {
 	Ins    *Instrumented
 	Switch *sim.Switch
-	source *p4.Program
-	cfg    *rt.Config
-	// prog is the instrumented program's IR; sharded replay builds one
-	// additional Switch per worker from it.
-	prog *ir.Program
-	// opts rebuilds worker Switches identical to Switch.
-	opts sim.Options
 	// prep is the shared immutable state this profiler was built from
-	// (plan, stateful-table list, miss-default lookup).
+	// (plans, stateful-table list, miss-default lookup).
 	prep *Prepared
-}
-
-// NewProfiler instruments the program and boots a simulator with the given
-// runtime configuration. Drops are neutralized so the collector observes
-// every packet (the instrumented program is only used for profiling and
-// never deployed, §3.1).
-func NewProfiler(ast *p4.Program, cfg *rt.Config) (*Profiler, error) {
-	return NewProfilerContext(context.Background(), ast, cfg)
-}
-
-// NewProfilerContext is NewProfiler under a "profile.instrument" span
-// covering instrumentation, IR build, and plan lowering. It is
-// PrepareContext plus a Profiler over the prepared plan; callers that
-// profile the same program repeatedly should hold the Prepared instead.
-func NewProfilerContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Profiler, error) {
-	prep, err := PrepareContext(ctx, ast, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Profiler(), nil
-}
-
-// Run replays the trace and builds the profile. Register state is reset
-// first so repeated runs are reproducible.
-func (p *Profiler) Run(trace *trafficgen.Trace) (*Profile, error) {
-	return p.RunContext(context.Background(), trace)
-}
-
-// RunContext is Run with tracing: the replay runs under a "sim.replay"
-// span recording the packet count, engine, and throughput. It is
-// RunWith on a single shard with the default engine and dedup policy.
-func (p *Profiler) RunContext(ctx context.Context, trace *trafficgen.Trace) (*Profile, error) {
-	return p.RunWith(ctx, trace, RunOptions{Shards: 1})
 }
 
 // collector accumulates one replay slice into a Profile: each worker of a
@@ -424,7 +381,7 @@ func (c *collector) foldOutput(i int, out *sim.Output, weight int) error {
 	for _, info := range executed {
 		base := info.Table + "." + info.Action
 		entry := base
-		if info.Miss || c.p.isMissDefault(base, info.Table, info.Action) {
+		if info.Miss || c.p.prep.missDefault[base] {
 			entry = base + missTag
 		} else {
 			prof.Hits[info.Table] += weight
@@ -441,37 +398,4 @@ func (c *collector) foldOutput(i int, out *sim.Output, weight int) error {
 		prof.Sets[c.keys.key(entries)] += weight
 	}
 	return nil
-}
-
-// isDefaultOnReadsTable classifies an execution as a (probable) miss: the
-// action is the effective default — a runtime table_set_default override,
-// or the declared default — of a table that has a reads block. A rule
-// installing the default-named action is misclassified as a miss; the
-// standard profiling approximation, irrelevant to the example programs.
-func (p *Profiler) isDefaultOnReadsTable(table, action string) bool {
-	t := p.Ins.AST.Table(table)
-	if t == nil || len(t.Reads) == 0 {
-		return false
-	}
-	if p.cfg != nil {
-		if d := p.cfg.DefaultFor(table); d != nil {
-			return d.Action == action
-		}
-	}
-	return t.DefaultAction == action
-}
-
-// Run profiles a program on a trace in one call.
-func Run(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*Profile, error) {
-	return RunContext(context.Background(), ast, cfg, trace)
-}
-
-// RunContext is Run with tracing: instrumentation and the replay loop
-// each get a span under ctx's current span.
-func RunContext(ctx context.Context, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*Profile, error) {
-	p, err := NewProfilerContext(ctx, ast, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunContext(ctx, trace)
 }

@@ -9,6 +9,7 @@ import (
 
 	"p2go/internal/p4"
 	"p2go/internal/programs"
+	"p2go/internal/rt"
 	"p2go/internal/trafficgen"
 )
 
@@ -21,14 +22,24 @@ func enterpriseTrace(t *testing.T) *trafficgen.Trace {
 	return trace
 }
 
-func profileEx1(t *testing.T) *Profile {
+// replay is the one replay path: prepare, take a profiler, RunWith.
+func replay(t testing.TB, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, opts RunOptions) *Profile {
 	t.Helper()
-	ast := p4.MustParse(programs.Ex1)
-	prof, err := Run(ast, programs.Ex1Config(), enterpriseTrace(t))
+	ctx := context.Background()
+	prep, err := PrepareContext(ctx, ast, cfg)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	prof, err := prep.Profiler().RunWith(ctx, trace, opts)
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
 	return prof
+}
+
+func profileEx1(t *testing.T) *Profile {
+	t.Helper()
+	return replay(t, p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t), RunOptions{Shards: 1})
 }
 
 // TestEx1HitRates pins the paper's Ex. 1 annotation: IPv4 100%, ACL_UDP 8%,
@@ -114,10 +125,7 @@ func TestACLDependencyDoesNotManifest(t *testing.T) {
 // it.
 func TestReducedSketchChangesProfile(t *testing.T) {
 	trace := enterpriseTrace(t)
-	base, err := Run(p4.MustParse(programs.Ex1), programs.Ex1Config(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := replay(t, p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, RunOptions{Shards: 1})
 	reduced := p4.MustParse(programs.Ex1)
 	reduced.Register("cms_r1").InstanceCount = programs.Ex1ReducedSketchCells
 	// The resize also updates the hash modulus, as P2GO's rewrite does.
@@ -127,10 +135,7 @@ func TestReducedSketchChangesProfile(t *testing.T) {
 			call.Args[3] = p4.IntLit{Value: uint64(programs.Ex1ReducedSketchCells)}
 		}
 	}
-	redProf, err := Run(reduced, programs.Ex1Config(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	redProf := replay(t, reduced, programs.Ex1Config(), trace, RunOptions{Shards: 1})
 	if base.Equal(redProf) {
 		t.Fatal("reduced-sketch profile must differ (CMS over-counting)")
 	}
@@ -154,16 +159,10 @@ func TestReducedSketchChangesProfile(t *testing.T) {
 // applies) must NOT change the profile.
 func TestReducedIPv4KeepsProfile(t *testing.T) {
 	trace := enterpriseTrace(t)
-	base, err := Run(p4.MustParse(programs.Ex1), programs.Ex1Config(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := replay(t, p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, RunOptions{Shards: 1})
 	reduced := p4.MustParse(programs.Ex1)
 	reduced.Table("IPv4").Size = programs.Ex1IPv4ReducedSize
-	redProf, err := Run(reduced, programs.Ex1Config(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
+	redProf := replay(t, reduced, programs.Ex1Config(), trace, RunOptions{Shards: 1})
 	if !base.Equal(redProf) {
 		t.Errorf("IPv4 shrink changed the profile: %s", base.Diff(redProf))
 	}
@@ -308,7 +307,7 @@ func TestAppliedFollowsSets(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		trace.Packets = append(trace.Packets, base.Packets[i*7%16])
 	}
-	prep, err := Prepare(p4.MustParse(programs.NATGRE), programs.NATGREConfig())
+	prep, err := PrepareContext(context.Background(), p4.MustParse(programs.NATGRE), programs.NATGREConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
-// Replay entry point and flow deduplication. RunWith is the single
-// convergence point for every profiling replay: it picks the execution
-// engine (the compiled plan, or the interpreter on request or fallback),
-// decides whether flow-level deduplication applies, shards the trace when
-// asked, and reports all of it through span attributes and the profile's
-// EngineReport — a silent fallback to a slow path is visible instead of
-// just slow.
+// Replay entry point and flow deduplication. PrepareContext then
+// Prepared.Profiler().RunWith is the only way to replay a trace: RunWith
+// picks the execution engine (the compiled plan, or the reference
+// interpreter when RunOptions.Interpret forces it), decides whether
+// flow-level deduplication applies, shards the trace when asked, and
+// reports all of it through span attributes and the profile's
+// EngineReport.
 //
 // Flow deduplication collapses packets identical in (ingress port,
 // payload) into weighted representatives: the pipeline is a deterministic
@@ -49,8 +49,9 @@ type RunOptions struct {
 type EngineReport struct {
 	// Engine is "compiled" or "interpreter".
 	Engine string `json:"engine"`
-	// FallbackReason says why the interpreter ran when it did ("forced",
-	// or the lowering error).
+	// FallbackReason says why the interpreter ran when it did: "forced"
+	// (RunOptions.Interpret). A program that does not lower is an error
+	// from PrepareContext, never a slower replay.
 	FallbackReason string `json:"fallback_reason,omitempty"`
 	// Dedup reports whether flow deduplication was applied; DedupReason
 	// says why not when it wasn't ("disabled", "stateful-tables").
@@ -65,7 +66,7 @@ type EngineReport struct {
 
 // String renders the one-line human form of the block, e.g.
 // "compiled, flow dedup 512 unique, 4 shards" or
-// "interpreter (lowering: ...), no dedup (stateful-tables)".
+// "interpreter (forced), no dedup (stateful-tables)".
 func (e *EngineReport) String() string {
 	var b strings.Builder
 	b.WriteString(e.Engine)
@@ -92,12 +93,8 @@ func (e *EngineReport) String() string {
 // Profilers, so repeated optimizer phases (and the daemon's analysis
 // cache) pay instrumentation and lowering once per (program, config).
 type Prepared struct {
-	Ins    *Instrumented
-	source *p4.Program
-	cfg    *rt.Config
-	prog   *ir.Program
-	opts   sim.Options
-	plan   *sim.Plan
+	Ins  *Instrumented
+	plan *sim.Plan
 	// interp is the same pipeline with lowering disabled, shared by
 	// forced-interpreter replays.
 	interp      *sim.Plan
@@ -105,13 +102,11 @@ type Prepared struct {
 	missDefault map[string]bool
 }
 
-// Prepare is PrepareContext without tracing.
-func Prepare(ast *p4.Program, cfg *rt.Config) (*Prepared, error) {
-	return PrepareContext(context.Background(), ast, cfg)
-}
-
 // PrepareContext instruments the program, builds its IR, and lowers the
-// execution plan under a "profile.instrument" span.
+// execution plan under a "profile.instrument" span. Drops are neutralized
+// so the collector observes every packet (the instrumented program is only
+// used for profiling and never deployed, §3.1). A program the lowerer does
+// not cover is an error here.
 func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prepared, error) {
 	_, sp := obs.Start(ctx, "profile.instrument")
 	defer sp.End()
@@ -134,8 +129,25 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 	if err != nil {
 		return nil, err
 	}
+	sp.SetAttr(obs.Int("tables", len(ins.AST.Tables)))
+	return &Prepared{
+		Ins:         ins,
+		plan:        plan,
+		interp:      interp,
+		stateful:    StatefulTables(prog),
+		missDefault: MissDefaults(ins.AST, cfg),
+	}, nil
+}
+
+// MissDefaults returns the "table.action" executions that count as a
+// (probable) miss: the action is the effective default — a runtime
+// table_set_default override, or the declared default — of a table that
+// has a reads block. A rule installing the default-named action is
+// misclassified as a miss; the standard profiling approximation,
+// irrelevant to the example programs.
+func MissDefaults(ast *p4.Program, cfg *rt.Config) map[string]bool {
 	md := map[string]bool{}
-	for _, t := range ins.AST.Tables {
+	for _, t := range ast.Tables {
 		if len(t.Reads) == 0 {
 			continue
 		}
@@ -149,18 +161,7 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 			md[t.Name+"."+action] = true
 		}
 	}
-	sp.SetAttr(obs.Int("tables", len(ins.AST.Tables)))
-	return &Prepared{
-		Ins:         ins,
-		source:      ast,
-		cfg:         cfg,
-		prog:        prog,
-		opts:        opts,
-		plan:        plan,
-		interp:      interp,
-		stateful:    StatefulTables(prog),
-		missDefault: md,
-	}, nil
+	return md
 }
 
 // Tables returns the instrumented program's table count (the
@@ -168,57 +169,23 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 func (pr *Prepared) Tables() int { return len(pr.Ins.AST.Tables) }
 
 // Engine reports the execution engine Profilers built from this Prepared
-// use, and the fallback reason when it is the interpreter.
+// use by default: always ("compiled", ""), since PrepareContext fails on a
+// program that does not lower.
 func (pr *Prepared) Engine() (engine, reason string) { return pr.plan.Engine() }
 
 // Profiler instantiates a Profiler over the shared plan with a fresh
 // Switch (fresh register/counter state). Each call is independent:
-// concurrent callers each take their own.
+// concurrent callers each take their own. It is the only constructor.
 func (pr *Prepared) Profiler() *Profiler {
-	return &Profiler{
-		Ins:    pr.Ins,
-		Switch: sim.NewFromPlan(pr.plan),
-		source: pr.source,
-		cfg:    pr.cfg,
-		prog:   pr.prog,
-		opts:   pr.opts,
-		prep:   pr,
-	}
-}
-
-// statefulTables returns the cached stateful-table list when prepared.
-func (p *Profiler) statefulTables() []string {
-	if p.prep != nil {
-		return p.prep.stateful
-	}
-	return p.StatefulTables()
-}
-
-// interpPlan returns the interpreter-forced plan for this profiler.
-func (p *Profiler) interpPlan() (*sim.Plan, error) {
-	if p.prep != nil {
-		return p.prep.interp, nil
-	}
-	iopts := p.opts
-	iopts.Interpret = true
-	return sim.NewPlan(p.prog, p.cfg, iopts)
-}
-
-// isMissDefault classifies a "table.action" execution entry as a
-// (probable) miss — see Profiler.isDefaultOnReadsTable.
-func (p *Profiler) isMissDefault(entry, table, action string) bool {
-	if p.prep != nil {
-		return p.prep.missDefault[entry]
-	}
-	return p.isDefaultOnReadsTable(table, action)
+	return &Profiler{Ins: pr.Ins, Switch: sim.NewFromPlan(pr.plan), prep: pr}
 }
 
 // RunWith replays the trace and builds the profile. All replay paths —
-// sequential, sharded, deduplicated, interpreter-forced — converge here;
-// RunContext and RunShardedContext are wrappers. The resulting profile
-// carries an EngineReport describing how the replay executed, and is
-// Profile.Equal across every option combination (asserted by the
-// differential harness on all bundled workloads).
+// sequential, sharded, deduplicated, interpreter-forced — converge here.
+// Register state is reset first so repeated runs are reproducible. The
+// resulting profile carries an EngineReport describing how the replay
+// executed, and is Profile.Equal across every option combination
+// (asserted by the differential harness on all bundled workloads).
 func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts RunOptions) (*Profile, error) {
 	n := len(trace.Packets)
 	shards := opts.Shards
@@ -240,7 +207,7 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	// filters) depend on replay order and multiplicity, so they get
 	// neither sharding nor dedup. The fallback is recorded on a span so
 	// the slow path is visible.
-	if stateful := p.statefulTables(); len(stateful) > 0 && (shards > 1 || dedup) {
+	if stateful := p.prep.stateful; len(stateful) > 0 && (shards > 1 || dedup) {
 		_, fsp := obs.Start(ctx, "sim.replay-fallback",
 			obs.String("reason", "stateful-tables"),
 			obs.String("tables", strings.Join(stateful, ",")))
@@ -250,13 +217,14 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 			dedup, dedupReason = false, "stateful-tables"
 		}
 	}
-	engine, fallback := p.Switch.Engine()
+	pl := p.prep.plan
 	if opts.Interpret {
-		engine, fallback = "interpreter", "forced"
+		pl = p.prep.interp
 	}
+	engine, reason := pl.Engine()
 	rep := &EngineReport{
 		Engine:         engine,
-		FallbackReason: fallback,
+		FallbackReason: reason,
 		Dedup:          dedup,
 		DedupReason:    dedupReason,
 		Shards:         shards,
@@ -266,11 +234,7 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	if shards <= 1 {
 		sw := p.Switch
 		if opts.Interpret {
-			ipl, err := p.interpPlan()
-			if err != nil {
-				return nil, err
-			}
-			sw = sim.NewFromPlan(ipl)
+			sw = sim.NewFromPlan(pl)
 		} else {
 			sw.Reset()
 		}
@@ -292,14 +256,6 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 		return col.prof, nil
 	}
 
-	pl := p.Switch.Plan()
-	if opts.Interpret {
-		ipl, err := p.interpPlan()
-		if err != nil {
-			return nil, err
-		}
-		pl = ipl
-	}
 	spanAttrs := append([]obs.Attr{obs.Int("packets", n), obs.Int("shards", shards)}, attrs...)
 	ctx, sp := obs.Start(ctx, "sim.replay-sharded", spanAttrs...)
 	defer sp.End()

@@ -361,9 +361,9 @@ type Profile struct {
 	Drops            int                `json:"drops"`
 	ToCPU            int                `json:"to_cpu"`
 	NonExclusiveSets []ActionSet        `json:"non_exclusive_sets,omitempty"`
-	// ReplayEngine records how the replay executed (compiled vs
-	// interpreter, dedup on/off with fallback reasons) so a silent slow
-	// path is visible in the report, not just in wall-clock time.
+	// ReplayEngine records how the replay executed (compiled, or the
+	// forced interpreter; dedup on/off and why not; shards) so the path
+	// taken is visible in the report, not just in wall-clock time.
 	ReplayEngine *profile.EngineReport `json:"replay_engine,omitempty"`
 }
 

@@ -38,8 +38,7 @@ func (m *Manager) executeFleet(ctx context.Context, job *Job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.metrics.FleetJobCompleted(res.DeviceCount, time.Since(start).Seconds(),
-		res.CompileHits, res.CompileMisses, res.ProfileHits, res.ProfileMisses)
+	m.metrics.FleetJobCompleted(res.DeviceCount, time.Since(start).Seconds())
 	if job.replica != "" {
 		// Attribution only; report.FleetEquivalent ignores it, so the
 		// survivor's result after a takeover still compares equal.

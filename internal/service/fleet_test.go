@@ -93,8 +93,13 @@ func TestServeFleetEndToEnd(t *testing.T) {
 	if res.StagesBefore != 4 || res.StagesAfter != 4 {
 		t.Errorf("fleet stages = %d -> %d, want 4 -> 4 (two 2-stage quickstarts)", res.StagesBefore, res.StagesAfter)
 	}
+	// The report is the one surface for how much the fleet deduped.
 	if res.CompileHits == 0 {
 		t.Error("homogeneous fleet reports zero cross-device compile cache hits")
+	}
+	if res.CompileMisses == 0 || res.ProfileMisses == 0 {
+		t.Errorf("cold fleet reports %d compile / %d profile misses, want both > 0",
+			res.CompileMisses, res.ProfileMisses)
 	}
 
 	// The fleet listing shows the job; the generic job listing does too.
@@ -112,13 +117,16 @@ func TestServeFleetEndToEnd(t *testing.T) {
 		"p2god_fleet_jobs_total 1",
 		`p2god_fleet_devices_total{status="optimized"} 2`,
 		`p2god_fleet_devices_total{status="skipped"} 1`,
-		`p2god_fleet_cross_device_cache_hits_total{kind="compile"}`,
 		"p2god_fleet_device_fanout",
 		"p2god_fleet_job_duration_seconds",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics lack %q:\n%s", want, grepLines(metrics, "p2god_fleet"))
 		}
+	}
+	if strings.Contains(metrics, "cross_device") {
+		t.Errorf("metrics still export a second copy of the report's cache counters:\n%s",
+			grepLines(metrics, "cross_device"))
 	}
 
 	// An identical resubmission completes via the job artifact cache.

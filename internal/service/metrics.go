@@ -39,14 +39,12 @@ type Metrics struct {
 	packetsReplayed int64
 	replaySeconds   float64
 
-	// Fleet counters: network-wide jobs, their per-device fan-out by row
-	// status, and the cross-device analysis-cache traffic that measures
-	// how much a homogeneous fleet deduped.
+	// Fleet counters: network-wide jobs and their per-device fan-out by row
+	// status. How much a homogeneous fleet deduped is in its report
+	// (compile/profile hits and misses), not here.
 	fleetJobs         int64
 	fleetDevices      map[string]int64 // by row status: optimized, skipped, failed
-	fleetCrossHits    map[string]int64 // by analysis kind: compile, profile
-	fleetCrossMisses  map[string]int64
-	fleetDeviceFanout *obs.Histogram // devices per fleet job
+	fleetDeviceFanout *obs.Histogram   // devices per fleet job
 	fleetJobDuration  *obs.Histogram
 
 	// Resilience counters: every degradation path the daemon takes is
@@ -88,16 +86,14 @@ type Metrics struct {
 // NewMetrics creates an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		jobsFinished:     map[string]int64{},
-		cacheHits:        map[string]int64{},
-		cacheMisses:      map[string]int64{},
-		phaseDuration:    map[string]*obs.Histogram{},
-		jobDuration:      map[string]*obs.Histogram{},
-		queueWait:        obs.NewHistogram(obs.DurationBuckets()...),
-		replayRate:       obs.NewHistogram(obs.ThroughputBuckets()...),
-		fleetDevices:     map[string]int64{},
-		fleetCrossHits:   map[string]int64{},
-		fleetCrossMisses: map[string]int64{},
+		jobsFinished:  map[string]int64{},
+		cacheHits:     map[string]int64{},
+		cacheMisses:   map[string]int64{},
+		phaseDuration: map[string]*obs.Histogram{},
+		jobDuration:   map[string]*obs.Histogram{},
+		queueWait:     obs.NewHistogram(obs.DurationBuckets()...),
+		replayRate:    obs.NewHistogram(obs.ThroughputBuckets()...),
+		fleetDevices:  map[string]int64{},
 		fleetDeviceFanout: obs.NewHistogram(
 			1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
 		fleetJobDuration: obs.NewHistogram(obs.DurationBuckets()...),
@@ -197,19 +193,14 @@ func (m *Metrics) FleetDevice(status string) {
 	m.fleetDevices[status]++
 }
 
-// FleetJobCompleted records one finished fleet job: its device fan-out,
-// wall time, and the cross-device analysis-cache traffic its shared
-// cache saw (hits grow with fleet homogeneity).
-func (m *Metrics) FleetJobCompleted(devices int, seconds float64, compileHits, compileMisses, profileHits, profileMisses int) {
+// FleetJobCompleted records one finished fleet job: its device fan-out
+// and wall time.
+func (m *Metrics) FleetJobCompleted(devices int, seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.fleetJobs++
 	m.fleetDeviceFanout.Observe(float64(devices))
 	m.fleetJobDuration.Observe(seconds)
-	m.fleetCrossHits["compile"] += int64(compileHits)
-	m.fleetCrossMisses["compile"] += int64(compileMisses)
-	m.fleetCrossHits["profile"] += int64(profileHits)
-	m.fleetCrossMisses["profile"] += int64(profileMisses)
 }
 
 // JobRetried counts one transient-failure retry of a job.
@@ -403,10 +394,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, gauges map[string]float64) {
 		nil, map[string]float64{"": float64(m.fleetJobs)})
 	counter("p2god_fleet_devices_total", "Fleet device rows finished, by row status.",
 		map[string]string{"label": "status"}, toF(m.fleetDevices))
-	counter("p2god_fleet_cross_device_cache_hits_total", "Shared analysis-cache hits across a fleet's devices, by analysis kind.",
-		map[string]string{"label": "kind"}, toF(m.fleetCrossHits))
-	counter("p2god_fleet_cross_device_cache_misses_total", "Shared analysis-cache misses across a fleet's devices, by analysis kind.",
-		map[string]string{"label": "kind"}, toF(m.fleetCrossMisses))
 	counter("p2god_job_retries_total", "Transient job failures retried with backoff.",
 		nil, map[string]float64{"": float64(m.jobRetries)})
 	counter("p2god_worker_panics_total", "Worker panics recovered into failed jobs.",

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"p2go/internal/ir"
@@ -256,39 +257,67 @@ func TestInstallRuleKeepsEnginesEquivalent(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackSurfacesReason: a rule that fails lowering (here
-// simulated via the planDisabled escape hatch InstallRule uses) must
-// switch the engine report to the interpreter with the reason attached,
-// and Process must keep working through the interpreter.
-func TestEngineFallbackSurfacesReason(t *testing.T) {
-	w, err := workloads.Get("quickstart")
+// TestInstallRuleLoweringErrorLeavesSwitchUntouched: a rule that passes
+// rt.Validate but fails lowering is an InstallRule error, and the Switch
+// is left exactly as it was — same rule count, same engine, and the next
+// 100 packets leave as they would have. p4.Check rejects every program
+// whose rules could fail to lower, so the test builds its IR from an
+// unchecked AST: action "bad" reads a register nobody declared, and no
+// initial rule reaches it.
+func TestInstallRuleLoweringErrorLeavesSwitchUntouched(t *testing.T) {
+	ast := p4.MustParse(`
+header_type h_t { fields { a : 8; b : 8; } }
+header h_t h;
+header_type m_t { fields { x : 8; } }
+metadata m_t m;
+parser start { extract(h); return ingress; }
+action fwd(port) { modify_field(standard_metadata.egress_spec, port); }
+action bad(port) { register_read(m.x, nosuch, 0); modify_field(standard_metadata.egress_spec, port); }
+table t { reads { h.a : exact; } actions { fwd; bad; } size : 16; }
+control ingress { apply(t); }
+`)
+	p4.EnsureBuiltins(ast)
+	prog, err := ir.Build(ast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, interp := enginePair(t, w.Source, w.Config())
-
-	// The lowering error InstallRule would hit on a malformed rule.
-	cc := compiled.plan.c.lower
-	decl := compiled.tables[w.Config().Rules[0].Table].decl
-	_, lerr := cc.lowerRule(decl, &compiled.plan.c.tables[cc.tableOf[decl.Name]], rt.Rule{
-		Table: decl.Name, Action: w.Config().Rules[0].Action,
-	})
-	if lerr == nil {
-		t.Fatal("lowerRule accepted a rule with no matches for a keyed table")
+	rule := func(action string, key, port uint64) rt.Rule {
+		return rt.Rule{Table: "t", Action: action, Args: []uint64{port},
+			Matches: []rt.FieldMatch{{Kind: p4.MatchExact, Value: key}}}
 	}
-
-	compiled.planDisabled = "rule lowering: " + lerr.Error()
-	if engine, reason := compiled.Engine(); engine != "interpreter" || reason == "" {
-		t.Fatalf("fallback not reported: engine=%s reason=%q", engine, reason)
+	cfg := &rt.Config{}
+	cfg.Add(rule("fwd", 1, 3))
+	build := func() *Switch {
+		sw, err := New(prog, &rt.Config{Rules: append([]rt.Rule(nil), cfg.Rules...)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw
 	}
-	trace, err := w.Trace(1)
-	if err != nil {
+	sw, untouched := build(), build()
+
+	if err := sw.InstallRule(rule("bad", 2, 4)); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("InstallRule of an unlowerable rule: err = %v, want the lowering error", err)
+	}
+	if got := len(sw.tables["t"].rules); got != 1 {
+		t.Errorf("failed install left %d rules in the table, want 1", got)
+	}
+	if got := len(sw.cfg.Rules); got != 1 {
+		t.Errorf("failed install left %d rules in the config, want 1", got)
+	}
+	if engine, reason := sw.Engine(); engine != "compiled" || reason != "" {
+		t.Errorf("engine after a failed install = %s (%q), want compiled", engine, reason)
+	}
+	for i := 0; i < 100; i++ {
+		in := Input{Port: uint64(i % 4), Data: []byte{byte(i % 3), byte(i)}}
+		diffProcess(t, sw, untouched, in, "packet "+itoa(i))
+	}
+	// A rule that does lower still installs, and takes effect.
+	if err := sw.InstallRule(rule("fwd", 2, 4)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100 && i < len(trace.Packets); i++ {
-		pkt := trace.Packets[i]
-		diffProcess(t, compiled, interp, Input{Port: pkt.Port, Data: pkt.Data},
-			"fallback packet "+itoa(i))
+	if out, err := sw.Process(Input{Data: []byte{2, 0}}); err != nil || out.Port != 4 {
+		t.Errorf("installed rule not applied: out=%+v err=%v", out, err)
 	}
 }
 

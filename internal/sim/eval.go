@@ -463,28 +463,26 @@ func (s *Switch) setField(st *state, k ir.FieldKey, v uint64) {
 var egressSpecKey = ir.FieldKey(p4.StandardMetadataName + "." + p4.FieldEgressSpec)
 
 // InstallRule adds a rule at runtime (used by tests and the what-if flows).
+// The rule is validated and lowered before anything is committed: on error
+// the Switch is exactly as it was.
 func (s *Switch) InstallRule(r rt.Rule) error {
 	probe := &rt.Config{Rules: []rt.Rule{r}}
 	if err := rt.Validate(probe, s.prog); err != nil {
 		return err
 	}
 	ts := s.tables[r.Table]
-	// Copy on write: the backing array is shared with the plan and with
-	// sibling Switches built from it.
-	ts.rules = append(append([]rt.Rule(nil), ts.rules...), r)
-	s.cfg.Add(r)
 	if s.useCompiled() {
 		cc := s.plan.c.lower
 		ti := cc.tableOf[r.Table]
 		cr, err := cc.lowerRule(ts.decl, &s.plan.c.tables[ti], r)
 		if err != nil {
-			// The interpreter may still run this rule (surfacing its own
-			// packet-time diagnostics), so fall back instead of failing the
-			// install; Engine reports the reason.
-			s.planDisabled = "rule lowering: " + err.Error()
-			return nil
+			return err
 		}
 		s.crules[ti] = append(append([]cRule(nil), s.crules[ti]...), cr)
 	}
+	// Copy on write: the backing array is shared with the plan and with
+	// sibling Switches built from it.
+	ts.rules = append(append([]rt.Rule(nil), ts.rules...), r)
+	s.cfg.Add(r)
 	return nil
 }

@@ -55,26 +55,11 @@ func (st *cstate) reset(skipExec bool) {
 }
 
 // useCompiled reports whether this Switch runs the compiled engine.
-func (s *Switch) useCompiled() bool {
-	return s.plan != nil && s.plan.c != nil && s.planDisabled == ""
-}
+func (s *Switch) useCompiled() bool { return s.plan.c != nil }
 
-// Engine reports the execution engine of this Switch — "compiled" or
-// "interpreter" — and, for the interpreter, the fallback reason.
-func (s *Switch) Engine() (engine, reason string) {
-	if s.plan == nil {
-		return "interpreter", "no plan"
-	}
-	if s.planDisabled != "" {
-		return "interpreter", s.planDisabled
-	}
-	return s.plan.Engine()
-}
-
-// Plan returns the execution plan this Switch was built from. Plans are
-// immutable and safely shared: sharded replay builds one worker Switch
-// per goroutine from the same plan.
-func (s *Switch) Plan() *Plan { return s.plan }
+// Engine reports the execution engine of this Switch: ("compiled", ""),
+// or ("interpreter", "forced") under Options.Interpret.
+func (s *Switch) Engine() (engine, reason string) { return s.plan.Engine() }
 
 // BatchOpts tunes ProcessBatch.
 type BatchOpts struct {

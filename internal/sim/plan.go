@@ -11,18 +11,18 @@ import (
 
 // Plan is an immutable, pre-lowered execution plan for one (program,
 // config, options) triple. Building a Plan validates the configuration
-// and — unless Options.Interpret is set or the program uses a construct
-// the lowerer does not cover — compiles the parser, both controls, every
-// table, and every reachable action body into flat arrays: field
+// and — unless Options.Interpret is set — compiles the parser, both
+// controls, every table, and every reachable action body into flat
+// arrays: field
 // references become dense slot indexes, match keys become pre-shifted
 // comparisons, action bodies become straight-line op lists, and hit/miss
 // and if/else arms become jump targets. A Plan holds no mutable state, so
 // one Plan is shared by every worker Switch of a sharded replay; Switch
 // construction from a Plan only allocates register/counter/scratch state.
 //
-// When compilation is not possible the Plan still works: Switches built
-// from it run the tree-walking interpreter, and the reason is reported
-// through Switch.Engine so the fallback is visible instead of just slow.
+// Lowering is total: a program that uses a construct the lowerer does not
+// cover fails NewPlan. Only a Plan built with Options.Interpret runs the
+// tree-walking interpreter, and Engine says so.
 type Plan struct {
 	prog   *ir.Program
 	cfg    *rt.Config
@@ -34,25 +34,23 @@ type Plan struct {
 	tableRules map[string][]rt.Rule
 	defaults   map[string]*rt.DefaultEntry
 
-	c      *compiled // nil: interpreter fallback
-	reason string    // why c is nil
+	c *compiled // nil: Options.Interpret
 }
 
 // Engine reports the execution engine Switches built from this plan use:
-// "compiled" with an empty reason, or "interpreter" with the fallback
-// cause.
+// "compiled" with an empty reason, or "interpreter" with the reason
+// "forced" (Options.Interpret).
 func (pl *Plan) Engine() (engine, reason string) {
 	if pl.c != nil {
 		return "compiled", ""
 	}
-	return "interpreter", pl.reason
+	return "interpreter", "forced"
 }
 
 // NewPlan validates the configuration against the program and lowers the
-// pipeline. Validation errors are returned; lowering errors are recorded
-// as the interpreter-fallback reason instead, because the interpreter can
-// run (and fail at packet time with its own diagnostics) for any program
-// that type-checks.
+// pipeline, returning validation and lowering errors alike. With
+// Options.Interpret nothing is lowered: the interpreter runs (and fails at
+// packet time with its own diagnostics) for any program that type-checks.
 func NewPlan(prog *ir.Program, cfg *rt.Config, opts Options) (*Plan, error) {
 	if cfg == nil {
 		cfg = &rt.Config{}
@@ -82,15 +80,13 @@ func NewPlan(prog *ir.Program, cfg *rt.Config, opts Options) (*Plan, error) {
 		pl.defaults[t.Name] = cfg.DefaultFor(t.Name)
 	}
 	if opts.Interpret {
-		pl.reason = "forced"
 		return pl, nil
 	}
 	c, err := compilePlan(pl)
 	if err != nil {
-		pl.reason = err.Error()
-	} else {
-		pl.c = c
+		return nil, err
 	}
+	pl.c = c
 	return pl, nil
 }
 

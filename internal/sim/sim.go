@@ -30,9 +30,10 @@ type Options struct {
 	// egress; the profiler uses this so the collector sees every packet.
 	// The drop is still recorded in Output.WouldDrop.
 	NeutralizeDrops bool
-	// Interpret forces the tree-walking interpreter even when the program
-	// lowers cleanly — the reference engine for differential tests and the
-	// bench harness's before/after rows.
+	// Interpret forces the tree-walking interpreter — the reference engine
+	// for differential tests and the bench harness's before/after rows.
+	// It is the only way to run it: without Interpret a program that does
+	// not lower is a construction error.
 	Interpret bool
 }
 
@@ -48,13 +49,10 @@ type Switch struct {
 	counters  map[string][]CounterCell
 	tables    map[string]*tableState
 
-	// plan is the shared immutable execution plan; when it compiled
-	// (plan.c != nil) Process runs the flat bytecode engine in exec.go
-	// instead of the tree-walking interpreter.
+	// plan is the shared immutable execution plan; unless it was built
+	// with Options.Interpret (plan.c == nil) Process runs the flat bytecode
+	// engine in exec.go instead of the tree-walking interpreter.
 	plan *Plan
-	// planDisabled names why this Switch abandoned the compiled engine
-	// after construction (a runtime-installed rule that would not lower).
-	planDisabled string
 	// regArr/ctrArr alias the registers/counters maps by the plan's dense
 	// ids; crules holds per-Switch rule lists (shared with the plan until
 	// InstallRule copies on write).
@@ -106,6 +104,22 @@ func New(prog *ir.Program, cfg *rt.Config, opts Options) (*Switch, error) {
 		return nil, err
 	}
 	return NewFromPlan(pl), nil
+}
+
+// NewFromAST boots a Switch from a parsed program: it type-checks a clone
+// (p4.Check declares the intrinsic standard_metadata the pipeline reads, so
+// an AST that never went through it would not lower), builds the IR, and
+// calls New. The caller's AST is left untouched.
+func NewFromAST(ast *p4.Program, cfg *rt.Config, opts Options) (*Switch, error) {
+	ast = p4.Clone(ast)
+	if err := p4.Check(ast); err != nil {
+		return nil, err
+	}
+	prog, err := ir.Build(ast)
+	if err != nil {
+		return nil, err
+	}
+	return New(prog, cfg, opts)
 }
 
 // NewFromPlan instantiates a Switch over a shared execution plan. Only

@@ -39,6 +39,15 @@ type Target struct {
 	StageALUs int
 }
 
+// Key renders the hardware model the way every content-addressed cache key
+// spells it (core's compile keys, fleet's device keys): all fields, in
+// declaration order, "/"-separated. The spelling is part of the on-disk
+// key format — changing it orphans every spilled entry.
+func (t Target) Key() string {
+	return fmt.Sprintf("%d/%d/%d/%d/%d", t.Stages, t.StageSRAMBytes, t.StageTCAMBytes,
+		t.MaxTablesPerStage, t.StageALUs)
+}
+
 // DefaultTarget returns the target model used throughout the reproduction:
 // 12 stages, 256 KiB SRAM and 64 KiB TCAM per stage, 16 tables per stage.
 func DefaultTarget() Target {

@@ -26,9 +26,11 @@
 //
 //	prog, _ := p2go.ParseProgram(src)
 //	cfg, _ := p2go.ParseRules(rules)
-//	res, _ := p2go.Optimize(prog, cfg, trace, p2go.Options{})
+//	prof, _ := p2go.RunProfile(ctx, prog, cfg, trace, 0) // Phase 1 alone
+//	res, _ := p2go.OptimizeContext(ctx, prog, cfg, trace, p2go.Options{})
 //	fmt.Println(p2go.RenderHistory(res.History)) // Table 2-style report
 //	fmt.Println(p2go.PrintProgram(res.Optimized))
+//	eq, _ := p2go.VerifyEquivalenceContext(ctx, res, cfg, trace)
 package p2go
 
 import (
@@ -161,34 +163,23 @@ func Compile(prog *Program, tgt Target) (*CompileResult, error) {
 // RunProfile profiles the program on the trace: it instruments the program
 // so every packet records the actions applied to it, replays the trace in
 // the behavioral simulator, and derives hit rates and non-exclusive action
-// sets (the paper's Phase 1).
-func RunProfile(prog *Program, cfg *Config, trace *Trace) (*Profile, error) {
-	return profile.Run(prog, cfg, trace)
-}
-
-// RunProfileContext is RunProfile under a tracer-carrying context (see
-// Tracing below): instrumentation and the trace replay are recorded as
-// "profile.instrument" and "sim.replay" spans.
-func RunProfileContext(ctx context.Context, prog *Program, cfg *Config, trace *Trace) (*Profile, error) {
-	return profile.RunContext(ctx, prog, cfg, trace)
-}
-
-// RunProfileParallel is RunProfile with the trace sharded across up to
-// shards workers (0 means one per CPU), each replaying against its own
-// simulator; the per-shard profiles merge deterministically, so the
-// result equals the sequential profile. Programs whose replay behavior
-// depends on cross-packet register state (Count-Min sketches, Bloom
-// filters) are detected statically and fall back to sequential replay.
-func RunProfileParallel(prog *Program, cfg *Config, trace *Trace, shards int) (*Profile, error) {
-	return profile.RunParallel(prog, cfg, trace, shards)
-}
-
-// RunProfileParallelContext is RunProfileParallel with tracing and
-// cancellation; the sharded replay is recorded as a "sim.replay-sharded"
-// span (or "sim.replay-fallback" plus the sequential "sim.replay" when
-// the program is stateful).
-func RunProfileParallelContext(ctx context.Context, prog *Program, cfg *Config, trace *Trace, shards int) (*Profile, error) {
-	return profile.RunParallelContext(ctx, prog, cfg, trace, shards)
+// sets (the paper's Phase 1). The trace is sharded across up to shards
+// workers (0 means one per CPU), each replaying against its own simulator;
+// the per-shard profiles merge deterministically, so the result equals the
+// one-shard profile. Programs whose replay behavior depends on cross-packet
+// register state (Count-Min sketches, Bloom filters) are detected
+// statically and replay on one worker.
+//
+// Under a tracer-carrying context (obs.WithTracer) instrumentation is
+// recorded as a "profile.instrument" span and the replay as "sim.replay",
+// or "sim.replay-sharded" on more than one worker; a canceled ctx stops
+// the replay between batches.
+func RunProfile(ctx context.Context, prog *Program, cfg *Config, trace *Trace, shards int) (*Profile, error) {
+	prep, err := profile.PrepareContext(ctx, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return prep.Profiler().RunWith(ctx, trace, profile.RunOptions{Shards: shards})
 }
 
 // Optimize runs the full P2GO pipeline: profile, remove dependencies,
@@ -199,11 +190,11 @@ func Optimize(prog *Program, cfg *Config, trace *Trace, opts Options) (*Result, 
 	return core.New(opts).Optimize(prog, cfg, trace)
 }
 
-// OptimizeContext is Optimize with cancellation and tracing: the pipeline
-// checks ctx before every compile and trace replay (the operations that
-// dominate cost) and aborts with ctx's error once it is done. Long-running
-// callers — the p2god service in particular — use this to enforce per-job
-// timeouts and user-requested cancellation.
+// OptimizeContext is Optimize with Options.Context set to ctx, which buys
+// cancellation and tracing: the pipeline checks ctx before every compile
+// and trace replay (the operations that dominate cost) and aborts with
+// ctx's error once it is done. Long-running callers — the p2god service in particular — use
+// this to enforce per-job timeouts and user-requested cancellation.
 //
 // Tracing: when ctx carries a tracer (obs.WithTracer), every pipeline
 // step — each phase, each dependency-removal candidate, each memory-probe
@@ -213,7 +204,7 @@ func Optimize(prog *Program, cfg *Config, trace *Trace, opts Options) (*Result, 
 // build on this.
 func OptimizeContext(ctx context.Context, prog *Program, cfg *Config, trace *Trace, opts Options) (*Result, error) {
 	opts.Context = ctx
-	return core.New(opts).Optimize(prog, cfg, trace)
+	return Optimize(prog, cfg, trace, opts)
 }
 
 // RenderHistory formats per-phase stage snapshots as a Table 2-style
@@ -264,54 +255,32 @@ func NewDeployment(optimized *Program, optimizedCfg *Config, segment *Program, f
 	return controller.NewDeployment(optimized, optimizedCfg, segment, fullCfg)
 }
 
-// VerifyEquivalence replays the trace through the original program and the
-// optimized program + controller, comparing every packet's fate. When the
-// run offloaded nothing, the controller side is an empty pass-through and
-// the check compares the two programs directly.
+// VerifyEquivalence is VerifyEquivalenceContext under
+// context.Background().
 func VerifyEquivalence(res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
-	segment := res.ControllerProgram
-	if segment == nil {
-		segment = p4.MustParse("control ingress { }")
-	}
-	return controller.VerifyEquivalence(res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		segment, trace)
+	return VerifyEquivalenceContext(context.Background(), res, cfg, trace)
 }
 
-// VerifyEquivalenceContext is VerifyEquivalence under a tracer-carrying
-// context: the comparison runs inside a "controller.verify" span with a
-// "controller.redirect" child for every packet the data plane sends to
-// the controller.
+// VerifyEquivalenceContext replays the trace through the original program
+// and the optimized program + controller, comparing every packet's fate.
+// When the run offloaded nothing, the controller side is an empty
+// pass-through and the check compares the two programs directly. Under a
+// tracer-carrying context the comparison runs inside a "controller.verify"
+// span with a "controller.redirect" child for every packet the data plane
+// sends to the controller.
 func VerifyEquivalenceContext(ctx context.Context, res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
-	segment := res.ControllerProgram
-	if segment == nil {
-		segment = p4.MustParse("control ingress { }")
-	}
-	return controller.VerifyEquivalenceContext(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		segment, trace)
+	return controller.VerifyEquivalence(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
+		res.ControllerProgram, trace)
 }
 
-// VerifyChaosEquivalence is VerifyEquivalence under fault injection: the
-// optimized program runs behind a replicated, retrying, policy-degrading
-// controller deployment, and every verdict divergence must be explicitly
-// flagged as a counted degradation — the report's Clean() is false if any
-// divergence was silent.
-func VerifyChaosEquivalence(res *Result, cfg *Config, trace *Trace, opts ResilientOptions) (*ChaosReport, error) {
-	segment := res.ControllerProgram
-	if segment == nil {
-		segment = p4.MustParse("control ingress { }")
-	}
-	return controller.VerifyChaosEquivalence(res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		segment, trace, opts)
-}
-
-// VerifyChaosEquivalenceContext is VerifyChaosEquivalence under a
-// tracer-carrying context: redirect deliveries, retries, and degradation
-// decisions all appear as spans under a "controller.verify-chaos" root.
-func VerifyChaosEquivalenceContext(ctx context.Context, res *Result, cfg *Config, trace *Trace, opts ResilientOptions) (*ChaosReport, error) {
-	segment := res.ControllerProgram
-	if segment == nil {
-		segment = p4.MustParse("control ingress { }")
-	}
-	return controller.VerifyChaosEquivalenceContext(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		segment, trace, opts)
+// VerifyChaosEquivalence is VerifyEquivalenceContext under fault
+// injection: the optimized program runs behind a replicated, retrying,
+// policy-degrading controller deployment, and every verdict divergence
+// must be explicitly flagged as a counted degradation — the report's
+// Clean() is false if any divergence was silent. Redirect deliveries,
+// retries, and degradation decisions all appear as spans under a
+// "controller.verify-chaos" root.
+func VerifyChaosEquivalence(ctx context.Context, res *Result, cfg *Config, trace *Trace, opts ResilientOptions) (*ChaosReport, error) {
+	return controller.VerifyChaosEquivalence(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
+		res.ControllerProgram, trace, opts)
 }

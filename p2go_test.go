@@ -1,6 +1,7 @@
 package p2go
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Errorf("quickstart stages = %d, want 2", compiled.Mapping.StagesUsed)
 	}
 	trace := trafficgen.QuickstartTrace(500, 1)
-	prof, err := RunProfile(prog, cfg, trace)
+	prof, err := RunProfile(context.Background(), prog, cfg, trace, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
