@@ -62,12 +62,53 @@ func New(segment *p4.Program, cfg *rt.Config) (*Controller, error) {
 	return &Controller{sw: sw}, nil
 }
 
+// fate runs one packet through sw for its forwarding decision alone: the
+// verdict loops of this package never read the execution trace or the
+// outgoing bytes, so the Switch skips the first and serializes into its
+// arena, and the returned Output carries neither.
+func fate(sw *sim.Switch, in sim.Input) (sim.Output, error) {
+	var out [1]sim.Output
+	_, err := sw.ProcessBatch([]sim.Input{in}, out[:], fateOnly)
+	out[0].Data = nil
+	return out[0], err
+}
+
+var fateOnly = sim.BatchOpts{SkipExec: true, ReuseData: true}
+
+// replayFates drives the original program over the trace in batches under a
+// "sim.replay" span (so the loop reports packets/sec) and hands each packet
+// and its fate to step, in trace order. A packet the original fails on ends
+// the replay after step has seen every packet before it.
+func replayFates(ctx context.Context, original *sim.Switch, trace *trafficgen.Trace,
+	step func(i int, in sim.Input, fate *sim.Output) error) error {
+
+	n := len(trace.Packets)
+	ins := make([]sim.Input, 0, sim.ReplayBatchSize)
+	outs := make([]sim.Output, sim.ReplayBatchSize)
+	return sim.ReplayBatch(ctx, n, n, func(lo, hi int) error {
+		ins = ins[:0]
+		for _, pkt := range trace.Packets[lo:hi] {
+			ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
+		}
+		k, err := original.ProcessBatch(ins, outs, fateOnly)
+		for j := 0; j < k; j++ {
+			if err := step(lo+j, ins[j], &outs[j]); err != nil {
+				return err
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("controller: original, packet %d: %w", lo+k, err)
+		}
+		return nil
+	})
+}
+
 // Handle processes one redirected packet through the segment and returns
-// the segment's output.
+// the segment's verdict (an Output without Data or Exec).
 func (c *Controller) Handle(in sim.Input) (sim.Output, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, err := c.sw.Process(in)
+	out, err := fate(c.sw, in)
 	if err != nil {
 		return sim.Output{}, err
 	}
@@ -154,7 +195,7 @@ func (d *Deployment) Process(in sim.Input) (Verdict, error) {
 // with the segment's verdict. Non-redirected packets stay span-free — the
 // fast path is the common path.
 func (d *Deployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict, error) {
-	out, err := d.dataPlane.Process(in)
+	out, err := fate(d.dataPlane, in)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -230,7 +271,7 @@ func sameFate(orig *sim.Output, v Verdict) bool {
 // through the optimized program + controller, comparing the fate of every
 // packet (sameFate). A nil segment is the empty pass-through controller. The
 // whole comparison runs inside a "controller.verify" span, the replay loop
-// goes through sim.Replay (so it reports packets/sec), and each redirect
+// goes through replayFates (so it reports packets/sec), and each redirect
 // shows up as a "controller.redirect" child span.
 func VerifyEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
@@ -250,13 +291,7 @@ func VerifyEquivalence(ctx context.Context,
 	}
 
 	report := &EquivalenceReport{}
-	err = sim.Replay(ctx, len(trace.Packets), func(i int) error {
-		pkt := trace.Packets[i]
-		in := sim.Input{Port: pkt.Port, Data: pkt.Data}
-		origOut, err := origSwitch.Process(in)
-		if err != nil {
-			return fmt.Errorf("controller: original, packet %d: %w", i, err)
-		}
+	err = replayFates(ctx, origSwitch, trace, func(i int, in sim.Input, origOut *sim.Output) error {
 		verdict, err := dep.ProcessContext(ctx, in)
 		if err != nil {
 			return fmt.Errorf("controller: deployment, packet %d: %w", i, err)
@@ -265,7 +300,7 @@ func VerifyEquivalence(ctx context.Context,
 		if verdict.ViaController {
 			report.Redirected++
 		}
-		if !sameFate(&origOut, verdict) {
+		if !sameFate(origOut, verdict) {
 			report.Mismatches++
 			if report.First == "" {
 				report.First = fmt.Sprintf(

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 
 	"p2go/internal/core"
@@ -39,6 +41,37 @@ func TestEx1DeploymentEquivalence(t *testing.T) {
 	// Exactly the DNS share is redirected.
 	if report.Redirected != res.Profile.Hits["Sketch_1"] {
 		t.Errorf("redirected = %d, want %d", report.Redirected, res.Profile.Hits["Sketch_1"])
+	}
+}
+
+// TestVerifyEquivalenceAllocCeiling: the verify loop reads fates only, so
+// it must not allocate per packet. Over ex1's 20 000 packets one
+// VerifyEquivalence measured 1 796 allocations (three switches built from
+// ASTs, 400 redirects); with an Exec slice and a Data copy per packet per
+// switch it measured 99 800. The ceiling is a quarter of that.
+func TestVerifyEquivalenceAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply to -race builds")
+	}
+	trace, err := trafficgen.EnterpriseTrace(trafficgen.EnterpriseSpec{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := programs.Ex1Config()
+	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
+			res.ControllerProgram, trace)
+		if err != nil || !report.Equivalent() {
+			t.Fatalf("verify: %v, %v", err, report)
+		}
+	})
+	t.Logf("ex1, %d packets: %.0f allocations per VerifyEquivalence", len(trace.Packets), allocs)
+	if allocs > 24950 {
+		t.Errorf("%.0f allocations per VerifyEquivalence, want <= 24950 (a quarter of 99800)", allocs)
 	}
 }
 
@@ -139,4 +172,33 @@ func TestControllerStats(t *testing.T) {
 
 func simInput(p trafficgen.Packet) (in sim.Input) {
 	return sim.Input{Port: p.Port, Data: p.Data}
+}
+
+// TestVerifyEquivalenceNamesTheFailingPacket: the original switch runs a
+// batch ahead of the deployment, and a packet it fails on must still be
+// reported by its trace index — here one in the second batch.
+func TestVerifyEquivalenceNamesTheFailingPacket(t *testing.T) {
+	prog := p4.MustParse(`
+header_type h_t { fields { a : 8; } }
+header h_t h;
+register r { width : 8; instance_count : 4; }
+parser start { extract(h); return ingress; }
+action note() { register_write(r, h.a, 1); modify_field(standard_metadata.egress_spec, 2); }
+table t { actions { note; } default_action : note; }
+control ingress { apply(t); }
+`)
+	const bad = sim.ReplayBatchSize + 188
+	trace := &trafficgen.Trace{}
+	for i := 0; i < bad+100; i++ {
+		idx := byte(i % 4)
+		if i == bad {
+			idx = 9 // out of range for r[4]
+		}
+		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: []byte{idx}})
+	}
+	_, err := VerifyEquivalence(context.Background(), prog, nil, prog, nil, nil, trace)
+	want := "controller: original, packet " + strconv.Itoa(bad) + ": "
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %v, want prefix %q", err, want)
+	}
 }

@@ -240,7 +240,7 @@ func (d *ResilientDeployment) Process(in sim.Input) (Verdict, error) {
 // "controller.degrade" child span with the applied policy. Packets the
 // data plane handles alone stay span-free.
 func (d *ResilientDeployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict, error) {
-	out, err := d.dataPlane.Process(in)
+	out, err := fate(d.dataPlane, in)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -411,7 +411,7 @@ func (d *ResilientDeployment) degradeLocked(in sim.Input, out sim.Output) (Verdi
 		v.Port = sim.DropPort
 	case FallbackOriginal:
 		d.stats.DegradedFallback++
-		fout, err := d.fallback.Process(in)
+		fout, err := fate(d.fallback, in)
 		if err != nil {
 			return Verdict{}, fmt.Errorf("controller: fallback: %w", err)
 		}
@@ -500,7 +500,7 @@ func (r *ChaosReport) String() string {
 // plan), comparing every packet's fate. Divergences are legal only when
 // flagged degraded; anything else is a silent divergence. A nil segment is
 // the empty pass-through controller. The comparison runs inside a
-// "controller.verify-chaos" span, the replay goes through sim.Replay, and
+// "controller.verify-chaos" span, the replay goes through replayFates, and
 // every redirect, retry, and degradation decision appears as child spans.
 func VerifyChaosEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
@@ -521,13 +521,7 @@ func VerifyChaosEquivalence(ctx context.Context,
 	}
 
 	report := &ChaosReport{}
-	err = sim.Replay(ctx, len(trace.Packets), func(i int) error {
-		pkt := trace.Packets[i]
-		in := sim.Input{Port: pkt.Port, Data: pkt.Data}
-		origOut, err := origSwitch.Process(in)
-		if err != nil {
-			return fmt.Errorf("controller: original, packet %d: %w", i, err)
-		}
+	err = replayFates(ctx, origSwitch, trace, func(i int, in sim.Input, origOut *sim.Output) error {
 		verdict, err := dep.ProcessContext(ctx, in)
 		if err != nil {
 			return fmt.Errorf("controller: resilient deployment, packet %d: %w", i, err)
@@ -536,7 +530,7 @@ func VerifyChaosEquivalence(ctx context.Context,
 		if verdict.ViaController {
 			report.Redirected++
 		}
-		if !sameFate(&origOut, verdict) {
+		if !sameFate(origOut, verdict) {
 			if verdict.Degraded {
 				report.Degraded++
 			} else {

@@ -37,13 +37,11 @@ type Instrumented struct {
 	Fields []FieldInfo
 	// byTableAction maps (table, action) to the marker field name.
 	byTableAction map[[2]string]string
+	trailerBytes  int
 }
 
 // TrailerBytes returns the byte length of the profiling header.
-func (ins *Instrumented) TrailerBytes() int {
-	ht := ins.AST.HeaderType(trailerType)
-	return (ht.Bits() + 7) / 8
-}
+func (ins *Instrumented) TrailerBytes() int { return ins.trailerBytes }
 
 // Field returns the marker field for (table, action), or "".
 func (ins *Instrumented) Field(table, action string) string {
@@ -158,6 +156,7 @@ func Instrument(src *p4.Program) (*Instrumented, error) {
 	if len(ht.Fields) == 0 {
 		return nil, fmt.Errorf("profile: program has no table actions to instrument")
 	}
+	ins.trailerBytes = (ht.Bits() + 7) / 8
 	inst := &p4.Instance{TypeName: trailerType, Name: TrailerName}
 	ast.HeaderTypes = append(ast.HeaderTypes, ht)
 	ast.Instances = append(ast.Instances, inst)
@@ -181,23 +180,18 @@ func CountsEveryApply(t *p4.TableDecl) bool {
 // ParseTrailer extracts the marker values from an outgoing packet and
 // returns the executed (table, action) pairs, in marker order.
 func (ins *Instrumented) ParseTrailer(data []byte) ([]FieldInfo, error) {
-	return ins.AppendExecuted(nil, data)
-}
-
-// AppendExecuted is ParseTrailer appending into dst, for callers that
-// reuse a scratch slice across packets (the profiler's replay loop).
-func (ins *Instrumented) AppendExecuted(dst []FieldInfo, data []byte) ([]FieldInfo, error) {
 	n := ins.TrailerBytes()
 	if len(data) < n {
 		return nil, fmt.Errorf("profile: packet shorter (%d bytes) than trailer (%d)", len(data), n)
 	}
 	trailer := data[len(data)-n:]
+	var executed []FieldInfo
 	for i, info := range ins.Fields {
 		if trailer[i] != 0 {
-			dst = append(dst, info)
+			executed = append(executed, info)
 		}
 	}
-	return dst, nil
+	return executed, nil
 }
 
 // sortedFieldNames is a test helper listing marker fields in order.

@@ -22,38 +22,6 @@ import (
 // non-positive shard count: one worker per available CPU.
 func DefaultShards() int { return runtime.GOMAXPROCS(0) }
 
-// keyInterner memoizes SetKey: execution sets recur for almost every
-// packet (a trace exercises few distinct paths), so the sort+join runs
-// once per distinct set instead of once per packet. The lookup key is the
-// entries joined in execution order, built in a reusable buffer — a map
-// probe with string(buf) does not allocate — and the value is the
-// canonical sorted key. Not safe for concurrent use; each collector owns
-// one.
-type keyInterner struct {
-	m   map[string]string
-	buf []byte
-}
-
-// key returns SetKey(entries), memoized.
-func (ki *keyInterner) key(entries []string) string {
-	ki.buf = ki.buf[:0]
-	for i, e := range entries {
-		if i > 0 {
-			ki.buf = append(ki.buf, '|')
-		}
-		ki.buf = append(ki.buf, e...)
-	}
-	if k, ok := ki.m[string(ki.buf)]; ok {
-		return k
-	}
-	if ki.m == nil {
-		ki.m = map[string]string{}
-	}
-	canon := SetKey(entries)
-	ki.m[string(ki.buf)] = canon
-	return canon
-}
-
 // MergeProfiles folds per-shard profiles into one. Every field is a
 // commutative sum, so the result does not depend on shard order — but the
 // shards are passed in trace order anyway, keeping the operation's

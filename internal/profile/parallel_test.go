@@ -168,37 +168,6 @@ func TestMergeProfiles(t *testing.T) {
 	}
 }
 
-func TestKeyInternerMatchesSetKey(t *testing.T) {
-	var ki keyInterner
-	cases := [][]string{
-		{"t1.a"},
-		{"t2.b", "t1.a"},
-		{"t2.b", "t1.a"}, // repeat hits the memo
-		{"t3.c!miss", "t1.a", "t2.b"},
-		{},
-	}
-	for _, entries := range cases {
-		if got, want := ki.key(entries), SetKey(entries); got != want {
-			t.Errorf("key(%v) = %q, want %q", entries, got, want)
-		}
-	}
-}
-
-// TestKeyInternerSteadyStateAllocs proves the point of the interner: once
-// a set has been seen, keying it again allocates nothing, where SetKey
-// allocates on every call.
-func TestKeyInternerSteadyStateAllocs(t *testing.T) {
-	entries := []string{"acl_udp.drop", "ipv4_fwd.set_egr", "acl_dhcp.nop!miss"}
-	var ki keyInterner
-	ki.key(entries) // warm the memo
-	if allocs := testing.AllocsPerRun(100, func() { ki.key(entries) }); allocs != 0 {
-		t.Errorf("interned key: %v allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { SetKey(entries) }); allocs == 0 {
-		t.Errorf("SetKey unexpectedly allocation-free; the interner may be unnecessary")
-	}
-}
-
 // TestShardedReplayScalesWithCores asserts the wall-clock point of the
 // engine: on a machine with at least 4 CPUs, 4-shard replay of a
 // register-free workload is at least 1.5x the sequential throughput (the
@@ -253,14 +222,5 @@ func BenchmarkSetKey(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		SetKey(entries)
-	}
-}
-
-func BenchmarkKeyInterner(b *testing.B) {
-	entries := []string{"acl_udp.drop", "ipv4_fwd.set_egr", "acl_dhcp.nop!miss"}
-	var ki keyInterner
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ki.key(entries)
 	}
 }

@@ -287,42 +287,35 @@ type Profiler struct {
 	prep *Prepared
 }
 
-// collector accumulates one replay slice into a Profile: each worker of a
-// sharded replay owns one (with its own Switch), and the sequential path
-// uses a single one over the profiler's Switch.
+// collector accumulates one replay slice: each worker of a sharded replay
+// owns one (with its own Switch), and the sequential path uses a single one
+// over the profiler's Switch. Per packet it only counts — the raw trailer
+// byte pattern, drops, redirects — because a trace exercises few distinct
+// execution sets; profile expands each distinct pattern into the Profile's
+// string-keyed maps once, when the slice is done.
 type collector struct {
-	p    *Profiler
-	sw   *sim.Switch
-	prof *Profile
-	keys keyInterner
-	// entries and seen are per-packet scratch, reused across packets;
-	// ins/outs/marks are per-batch scratch for the ProcessBatch path.
-	entries []string
-	seen    map[string]bool
-	ins     []sim.Input
-	outs    []sim.Output
-	marks   []FieldInfo
+	p  *Profiler
+	sw *sim.Switch
+	// patterns maps a trailer byte pattern to its index in counts. Probing
+	// with string(trailer) allocates only when the pattern is new.
+	patterns map[string]int
+	counts   []int
+
+	drops, toCPU int
+	// ins/outs are per-batch scratch for the ProcessBatch path.
+	ins  []sim.Input
+	outs []sim.Output
 }
 
 func newCollector(p *Profiler, sw *sim.Switch) *collector {
-	return &collector{
-		p:  p,
-		sw: sw,
-		prof: &Profile{
-			Hits:         map[string]int{},
-			Applied:      map[string]int{},
-			ActionCounts: map[string]int{},
-			Sets:         map[string]int{},
-		},
-		seen: make(map[string]bool, 8),
-	}
+	return &collector{p: p, sw: sw, patterns: map[string]int{}}
 }
 
 // observeBatch replays packets[lo:hi) through the Switch in one
-// ProcessBatch call and folds each result into the profile. weights and
-// firstIdx, when non-nil, carry dedup multiplicities and the original
-// trace index of each representative (for deterministic error reports);
-// without them each packet has weight 1 and its own index.
+// ProcessBatch call and counts each result. weights and firstIdx, when
+// non-nil, carry dedup multiplicities and the original trace index of each
+// representative (for deterministic error reports); without them each
+// packet has weight 1 and its own index.
 func (c *collector) observeBatch(packets []trafficgen.Packet, weights, firstIdx []int, lo, hi int) error {
 	ins := c.ins[:0]
 	for i := lo; i < hi; i++ {
@@ -334,19 +327,36 @@ func (c *collector) observeBatch(packets []trafficgen.Packet, weights, firstIdx 
 	}
 	outs := c.outs[:len(ins)]
 	// The profiler reads executions from the trailer, not Output.Exec, and
-	// never keeps Data past the fold — so both per-packet allocations of
+	// never keeps Data past the count — so both per-packet allocations of
 	// the process loop are skipped.
 	k, err := c.sw.ProcessBatch(ins, outs, sim.BatchOpts{SkipExec: true, ReuseData: true})
 	if err != nil {
 		return fmt.Errorf("profile: packet %d: %w", origIndex(firstIdx, lo+k), err)
 	}
+	n := c.p.Ins.TrailerBytes()
 	for j := range outs {
+		out := &outs[j]
 		w := 1
 		if weights != nil {
 			w = weights[lo+j]
 		}
-		if err := c.foldOutput(origIndex(firstIdx, lo+j), &outs[j], w); err != nil {
-			return err
+		if len(out.Data) < n {
+			return fmt.Errorf("profile: packet %d: shorter (%d bytes) than trailer (%d)",
+				origIndex(firstIdx, lo+j), len(out.Data), n)
+		}
+		trailer := out.Data[len(out.Data)-n:]
+		idx, ok := c.patterns[string(trailer)]
+		if !ok {
+			idx = len(c.counts)
+			c.patterns[string(trailer)] = idx
+			c.counts = append(c.counts, 0)
+		}
+		c.counts[idx] += w
+		if out.WouldDrop {
+			c.drops += w
+		}
+		if out.ToCPU {
+			c.toCPU += w
 		}
 	}
 	return nil
@@ -360,42 +370,45 @@ func origIndex(firstIdx []int, i int) int {
 	return i
 }
 
-// foldOutput folds one packet's execution set into the profile with the
-// given multiplicity.
-func (c *collector) foldOutput(i int, out *sim.Output, weight int) error {
-	executed, err := c.p.Ins.AppendExecuted(c.marks[:0], out.Data)
-	if err != nil {
-		return fmt.Errorf("profile: packet %d: %w", i, err)
+// profile expands the counted patterns into the slice's Profile: every
+// packet that left with a given trailer executed the same (table, action)
+// set, so each distinct pattern is folded once with its packet count.
+func (c *collector) profile() *Profile {
+	prof := &Profile{
+		Hits:         map[string]int{},
+		Applied:      map[string]int{},
+		ActionCounts: map[string]int{},
+		Sets:         map[string]int{},
+		Drops:        c.drops,
+		ToCPU:        c.toCPU,
 	}
-	c.marks = executed
-	prof := c.prof
-	prof.TotalPackets += weight
-	if out.WouldDrop {
-		prof.Drops += weight
-	}
-	if out.ToCPU {
-		prof.ToCPU += weight
-	}
-	entries := c.entries[:0]
-	clear(c.seen)
-	for _, info := range executed {
-		base := info.Table + "." + info.Action
-		entry := base
-		if info.Miss || c.p.prep.missDefault[base] {
-			entry = base + missTag
-		} else {
-			prof.Hits[info.Table] += weight
+	seen := map[string]bool{}
+	for pattern, idx := range c.patterns {
+		weight := c.counts[idx]
+		prof.TotalPackets += weight
+		var entries []string
+		clear(seen)
+		for i, info := range c.p.Ins.Fields {
+			if pattern[i] == 0 {
+				continue
+			}
+			base := info.Table + "." + info.Action
+			entry := base
+			if info.Miss || c.p.prep.missDefault[base] {
+				entry = base + missTag
+			} else {
+				prof.Hits[info.Table] += weight
+			}
+			if !seen[info.Table] {
+				seen[info.Table] = true
+				prof.Applied[info.Table] += weight
+			}
+			prof.ActionCounts[base] += weight
+			entries = append(entries, entry)
 		}
-		if !c.seen[info.Table] {
-			c.seen[info.Table] = true
-			prof.Applied[info.Table] += weight
+		if len(entries) > 0 {
+			prof.Sets[SetKey(entries)] += weight
 		}
-		prof.ActionCounts[base] += weight
-		entries = append(entries, entry)
 	}
-	c.entries = entries
-	if len(entries) > 0 {
-		prof.Sets[c.keys.key(entries)] += weight
-	}
-	return nil
+	return prof
 }

@@ -252,8 +252,9 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 		if err != nil {
 			return nil, err
 		}
-		col.prof.Engine = rep
-		return col.prof, nil
+		prof := col.profile()
+		prof.Engine = rep
+		return prof, nil
 	}
 
 	spanAttrs := append([]obs.Attr{obs.Int("packets", n), obs.Int("shards", shards)}, attrs...)
@@ -320,7 +321,7 @@ func (p *Profiler) replayShard(ctx context.Context, pl *sim.Plan, trace *traffic
 			return nil, 0, err
 		}
 	}
-	return col.prof, hi - lo, nil
+	return col.profile(), hi - lo, nil
 }
 
 // dedupPackets collapses packets[lo:hi) that are identical in (port,

@@ -54,6 +54,21 @@ func (st *cstate) reset(skipExec bool) {
 	st.hit = false
 }
 
+// record appends one table application to the packet's execution trace.
+// The trace escapes into Output.Exec, so it is allocated per packet — once,
+// on the first application, with room for every table of the plan (each is
+// applied at most once).
+func (s *Switch) record(e *Executed) {
+	st := &s.cst
+	if st.skipExec {
+		return
+	}
+	if st.exec == nil {
+		st.exec = make([]Executed, 0, len(s.plan.c.tables))
+	}
+	st.exec = append(st.exec, *e)
+}
+
 // useCompiled reports whether this Switch runs the compiled engine.
 func (s *Switch) useCompiled() bool { return s.plan.c != nil }
 
@@ -236,9 +251,7 @@ func (s *Switch) applyCompiled(ti int32) error {
 				return err
 			}
 		}
-		if !st.skipExec {
-			st.exec = append(st.exec, t.defExec)
-		}
+		s.record(&t.defExec)
 		st.hit = true
 		return nil
 	}
@@ -282,9 +295,7 @@ func (s *Switch) applyCompiled(ti int32) error {
 		if err := s.execBody(&r.body); err != nil {
 			return err
 		}
-		if !st.skipExec {
-			st.exec = append(st.exec, r.exec)
-		}
+		s.record(&r.exec)
 		st.hit = true
 		return nil
 	}
@@ -293,9 +304,7 @@ func (s *Switch) applyCompiled(ti int32) error {
 			return err
 		}
 	}
-	if !st.skipExec {
-		st.exec = append(st.exec, t.missExec)
-	}
+	s.record(&t.missExec)
 	st.hit = false
 	return nil
 }
@@ -445,9 +454,9 @@ func (s *Switch) runParserC(data []byte) error {
 				}
 				st.extent[op.inst] = int32(bitPos)
 				for _, f := range op.fields {
-					st.fields[f.slot] = readBitsFast(data, bitPos, f.width)
-					bitPos += f.width
+					st.fields[f.slot] = readBitsFast(data, bitPos+f.off, f.width)
 				}
+				bitPos += op.bits
 				st.valid[op.inst] = true
 			} else {
 				s.cstore(op.dst, op.val.eval(st))
@@ -487,10 +496,10 @@ func (s *Switch) runParserC(data []byte) error {
 	}
 }
 
-// serializeC is the compiled serialize: calculated-field updates, header
-// write-back into a copy of the packet appended to dst, and the trailer.
-// Passing dst nil yields a fresh allocation per packet (Process); the
-// batch path passes the arena.
+// serializeC is the compiled serialize: calculated-field updates, write-back
+// of the fields the program may have changed into a copy of the packet
+// appended to dst, and the trailer. Passing dst nil yields a fresh allocation
+// per packet (Process); the batch path passes the arena.
 func (s *Switch) serializeC(original, dst []byte) []byte {
 	c := s.plan.c
 	st := &s.cst
@@ -511,18 +520,18 @@ func (s *Switch) serializeC(original, dst []byte) []byte {
 		}
 		bit := int(st.extent[e.inst])
 		for _, f := range e.fields {
-			writeBitsFast(data, bit, f.width, st.fields[f.slot])
-			bit += f.width
+			writeBitsFast(data, bit+f.off, f.width, st.fields[f.slot])
 		}
 	}
+	for _, slot := range c.trailerBytes {
+		dst = append(dst, byte(st.fields[slot]))
+	}
 	if c.trailer != nil {
-		tbase := len(dst) - base
+		bit := (len(dst) - base) * 8
 		dst = append(dst, c.trailerZero...)
 		data = dst[base:]
-		bit := tbase * 8
 		for _, f := range c.trailer.fields {
-			writeBitsFast(data, bit, f.width, st.fields[f.slot])
-			bit += f.width
+			writeBitsFast(data, bit+f.off, f.width, st.fields[f.slot])
 		}
 	}
 	return dst

@@ -238,19 +238,22 @@ type cTable struct {
 }
 
 // cPField is a (slot, width) pair used by parser extracts, select keys,
-// hash inputs, and serialization.
+// hash inputs, and serialization. Extract and emit lists hold only the
+// fields fieldLiveness kept, so each also carries its bit offset inside the
+// header.
 type cPField struct {
 	slot  int32
 	width int
+	off   int
 }
 
 // cParserOp is one statement of a lowered parser state.
 type cParserOp struct {
 	extract bool
-	inst    int32 // extract: instance id
-	bits    int   // extract: header width
-	fields  []cPField
-	dst     int32 // set_metadata
+	inst    int32     // extract: instance id
+	bits    int       // extract: header width
+	fields  []cPField // extract: the fields something may read or write
+	dst     int32     // set_metadata
 	val     cexpr
 }
 
@@ -299,7 +302,9 @@ type cCalc struct {
 	hash int32 // chash id
 }
 
-// cEmit is the serialization write-back list of one header instance.
+// cEmit is the serialization write-back list of one header instance: the
+// fields something may write. The rest re-serialize to the bits they were
+// parsed from, which the copy of the input packet already holds.
 type cEmit struct {
 	inst   int32
 	fields []cPField
@@ -349,9 +354,13 @@ type compiled struct {
 	hashes []chash
 	calcs  []cCalc
 
-	emits       []cEmit
-	trailer     *cEmit
-	trailerZero []byte // zeroed trailer bytes, appended then written over
+	emits []cEmit // instances with at least one may-written field
+	// The trailer is appended one byte per slot of trailerBytes when every
+	// field is 8 bits wide (what profile.Instrument declares); any other
+	// layout appends trailerZero and writes trailer's fields over it.
+	trailerBytes []int32
+	trailer      *cEmit
+	trailerZero  []byte
 
 	neutralizeDrops bool
 
@@ -371,6 +380,9 @@ type compiler struct {
 	regOf   map[string]int32
 	ctrOf   map[string]int32
 	hashOf  map[string]int32
+
+	// written and touched are fieldLiveness's per-slot answers.
+	written, touched []bool
 }
 
 // compilePlan lowers the plan's program. Any unsupported construct aborts
@@ -410,6 +422,7 @@ func compilePlan(pl *Plan) (*compiled, error) {
 			c.mask = append(c.mask, m)
 		}
 	}
+	cc.written, cc.touched = cc.fieldLiveness()
 	var err error
 	std := p4.StandardMetadataName
 	if c.slotIngressPort, err = cc.slot(p4.FieldRef{Instance: std, Field: p4.FieldIngressPort}); err != nil {
@@ -495,21 +508,25 @@ func compilePlan(pl *Plan) (*compiled, error) {
 		if inst.Metadata {
 			continue
 		}
-		fields, err := cc.instFields(inst)
-		if err != nil {
-			return nil, err
+		if fields := cc.instFields(inst, cc.written); len(fields) > 0 {
+			c.emits = append(c.emits, cEmit{inst: cc.instOf[inst.Name], fields: fields})
 		}
-		c.emits = append(c.emits, cEmit{inst: cc.instOf[inst.Name], fields: fields})
 	}
 	if pl.opts.Trailer != "" {
 		inst := ast.Instance(pl.opts.Trailer)
-		fields, err := cc.instFields(inst)
-		if err != nil {
-			return nil, err
+		fields := cc.instFields(inst, nil)
+		bytewise := true
+		for _, f := range fields {
+			bytewise = bytewise && f.width == 8
 		}
-		ht := ast.HeaderType(inst.TypeName)
-		c.trailer = &cEmit{inst: cc.instOf[inst.Name], fields: fields}
-		c.trailerZero = make([]byte, (ht.Bits()+7)/8)
+		if bytewise {
+			for _, f := range fields {
+				c.trailerBytes = append(c.trailerBytes, f.slot)
+			}
+		} else {
+			c.trailer = &cEmit{inst: cc.instOf[inst.Name], fields: fields}
+			c.trailerZero = make([]byte, (ast.HeaderType(inst.TypeName).Bits()+7)/8)
+		}
 	}
 	c.lower = cc
 	return c, nil
@@ -524,18 +541,19 @@ func (cc *compiler) slot(ref p4.FieldRef) (int32, error) {
 	return s, nil
 }
 
-// instFields lists an instance's (slot, width) pairs in field order.
-func (cc *compiler) instFields(inst *p4.Instance) ([]cPField, error) {
-	ht := cc.pl.prog.AST.HeaderType(inst.TypeName)
-	out := make([]cPField, 0, len(ht.Fields))
-	for _, f := range ht.Fields {
-		s, err := cc.slot(p4.FieldRef{Instance: inst.Name, Field: f.Name})
-		if err != nil {
-			return nil, err
+// instFields lists an instance's fields in header order, each with its bit
+// offset inside the header; a non-nil keep (indexed by slot) filters them.
+func (cc *compiler) instFields(inst *p4.Instance, keep []bool) []cPField {
+	var out []cPField
+	off := 0
+	for _, f := range cc.pl.prog.AST.HeaderType(inst.TypeName).Fields {
+		s := cc.slotOf[ir.FieldKey(inst.Name+"."+f.Name)]
+		if keep == nil || keep[s] {
+			out = append(out, cPField{slot: s, width: f.Width, off: off})
 		}
-		out = append(out, cPField{slot: s, width: f.Width})
+		off += f.Width
 	}
-	return out, nil
+	return out
 }
 
 // expr lowers an arithmetic expression under a parameter binding.
@@ -1066,16 +1084,11 @@ func (cc *compiler) lowerParser() error {
 				if inst == nil {
 					return fmt.Errorf("sim: extract of unknown instance %q", v.Instance)
 				}
-				fields, err := cc.instFields(inst)
-				if err != nil {
-					return err
-				}
-				ht := ast.HeaderType(inst.TypeName)
 				cs.ops = append(cs.ops, cParserOp{
 					extract: true,
 					inst:    cc.instOf[inst.Name],
-					bits:    ht.Bits(),
-					fields:  fields,
+					bits:    ast.HeaderType(inst.TypeName).Bits(),
+					fields:  cc.instFields(inst, cc.touched),
 				})
 			case *p4.SetMetadataStmt:
 				val, err := cc.expr(v.Value, nil)

@@ -7,37 +7,18 @@ import (
 	"p2go/internal/obs"
 )
 
-// Replay executes a packet-replay loop under a "sim.replay" span that
-// records the packet count and the observed throughput (packets/sec).
-// step processes packet i — typically a Switch.Process call plus whatever
-// the caller accumulates — and a step error aborts the replay. The
-// profiler and the equivalence harnesses run their trace loops through
-// this so every replay shows up in traces with its rate.
-func Replay(ctx context.Context, packets int, step func(i int) error) error {
-	_, sp := obs.Start(ctx, "sim.replay", obs.Int("packets", packets))
-	defer sp.End()
-	start := time.Now()
-	for i := 0; i < packets; i++ {
-		if err := step(i); err != nil {
-			sp.SetAttr(obs.String("error", err.Error()))
-			return err
-		}
-	}
-	if packets > 0 {
-		sp.SetAttr(obs.Float("packets_per_sec", Throughput(packets, time.Since(start))))
-	}
-	return nil
-}
-
 // ReplayBatchSize is the index-range granularity of ReplayBatch: large
 // enough to amortize the per-call closure and accounting, small enough to
 // keep cancellation checks responsive.
 const ReplayBatchSize = 512
 
-// ReplayBatch is Replay with a batched step: step is invoked with
-// half-open index ranges [lo, hi) covering [0, n), so the per-packet
-// closure dispatch and span accounting of Replay amortize across
-// ReplayBatchSize packets. total is the packet count recorded on the span
+// ReplayBatch executes a packet-replay loop under a "sim.replay" span that
+// records the packet count and the observed throughput (packets/sec). The
+// profiler and the equivalence harnesses run their trace loops through this
+// so every replay shows up in traces with its rate. step is invoked with
+// half-open index ranges [lo, hi) covering [0, n) — typically one
+// Switch.ProcessBatch call plus whatever the caller accumulates — and a step
+// error aborts the replay. total is the packet count recorded on the span
 // and used for the throughput attribute — under flow deduplication the
 // caller replays n unique representatives that stand for total packets,
 // and the reported rate is the effective one. attrs are appended to the
