@@ -233,6 +233,13 @@ func (d *Deployment) Reset() {
 	d.ctl.Reset()
 }
 
+// release ends the deployment, handing its switches' register memory back
+// for reuse (sim.Switch.Release); the verifiers call it when they are done.
+func (d *Deployment) release() {
+	d.dataPlane.Release()
+	d.ctl.sw.Release()
+}
+
 // EquivalenceReport summarizes an original-vs-deployment comparison.
 type EquivalenceReport struct {
 	Packets    int
@@ -285,10 +292,12 @@ func VerifyEquivalence(ctx context.Context,
 	if err != nil {
 		return nil, err
 	}
+	defer origSwitch.Release()
 	dep, err := NewDeployment(optimized, optimizedCfg, segment, originalCfg)
 	if err != nil {
 		return nil, err
 	}
+	defer dep.release()
 
 	report := &EquivalenceReport{}
 	err = replayFates(ctx, origSwitch, trace, func(i int, in sim.Input, origOut *sim.Output) error {

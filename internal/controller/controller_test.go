@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,6 +73,40 @@ func TestVerifyEquivalenceAllocCeiling(t *testing.T) {
 	t.Logf("ex1, %d packets: %.0f allocations per VerifyEquivalence", len(trace.Packets), allocs)
 	if allocs > 24950 {
 		t.Errorf("%.0f allocations per VerifyEquivalence, want <= 24950 (a quarter of 99800)", allocs)
+	}
+}
+
+// TestVerifyEquivalenceByteCeiling: the verifier releases the original,
+// data-plane and controller switches when it is done, so a repeated check
+// runs on recycled register memory. sourceguard's two switches declare
+// 524 160 cells (4.2 MB) each: a second VerifyEquivalence measured
+// 8 475 032 bytes when every switch allocated them afresh, 258 456 now.
+func TestVerifyEquivalenceByteCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply to -race builds")
+	}
+	trace := trafficgen.SourceguardTrace(trafficgen.SourceguardSpec{Seed: 1})
+	cfg := programs.SourceguardConfig()
+	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Sourceguard), cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
+			res.ControllerProgram, trace)
+		if err != nil || !report.Equivalent() {
+			t.Fatalf("verify: %v, %v", err, report)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("sourceguard, %d packets: %d bytes allocated by a second VerifyEquivalence", len(trace.Packets), bytes)
+	if bytes >= 1<<20 {
+		t.Errorf("a second VerifyEquivalence allocated %d bytes, want < 1 MiB: its switches are not recycled", bytes)
 	}
 }
 

@@ -468,6 +468,17 @@ func (d *ResilientDeployment) Reset() {
 	d.rr = 0
 }
 
+// release ends the deployment the way Deployment.release does.
+func (d *ResilientDeployment) release() {
+	d.dataPlane.Release()
+	for _, r := range d.replicas {
+		r.ctl.sw.Release()
+	}
+	if d.fallback != nil {
+		d.fallback.Release()
+	}
+}
+
 // ChaosReport is the chaos-equivalence verdict: every packet either
 // matched the original program exactly or carried an explicit degradation
 // flag. Silent is the count of unexplained divergences — the invariant
@@ -515,10 +526,12 @@ func VerifyChaosEquivalence(ctx context.Context,
 	if err != nil {
 		return nil, err
 	}
+	defer origSwitch.Release()
 	dep, err := NewResilientDeployment(optimized, optimizedCfg, segment, originalCfg, original, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer dep.release()
 
 	report := &ChaosReport{}
 	err = replayFates(ctx, origSwitch, trace, func(i int, in sim.Input, origOut *sim.Output) error {

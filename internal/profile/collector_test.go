@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"p2go/internal/p4"
@@ -145,5 +146,44 @@ func TestReplayAllocCeiling(t *testing.T) {
 	t.Logf("natgre, 10000 packets: %.0f allocations per RunWith", allocs)
 	if allocs > 10000 {
 		t.Errorf("%.0f allocations per RunWith, want <= 10000: replay allocates per packet again", allocs)
+	}
+}
+
+// TestReplayByteCeiling: a replay's register state is recycled, so what a
+// repeated RunWith allocates is its batch scratch, not the program's
+// registers. failure declares 368 000 register cells (2.9 MB): a second
+// prep.Profiler().RunWith measured 3 200 312 bytes when every replay
+// allocated them afresh, 237 776 with the first replay's slab reused.
+func TestReplayByteCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply to -race builds")
+	}
+	ctx := context.Background()
+	w, err := workloads.Get("failure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := w.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := PrepareContext(ctx, p4.MustParse(w.Source), w.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("failure, %d packets: %d bytes allocated by a second RunWith", len(trace.Packets), bytes)
+	if bytes >= 256<<10 {
+		t.Errorf("a second RunWith allocated %d bytes, want < 256 KiB: register state is allocated per replay again", bytes)
 	}
 }

@@ -122,17 +122,24 @@ func TestDedupCollapsesRepeatedFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prep.Profiler().RunWith(context.Background(), trace, RunOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(ref) {
-		t.Fatalf("deduplicated profile diverges:\n%s", got.Diff(ref))
-	}
-	if got.Engine.UniquePackets != distinct {
-		t.Errorf("replayed %d unique packets, want %d", got.Engine.UniquePackets, distinct)
-	}
-	if got.TotalPackets != 8000 {
-		t.Errorf("TotalPackets = %d, want 8000", got.TotalPackets)
+	// Shards split the flows, not the trace: a flow is replayed once however
+	// many shards there are, and no shard is started without a flow to replay.
+	for _, shards := range []int{1, 4, 64} {
+		got, err := prep.Profiler().RunWith(context.Background(), trace, RunOptions{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(ref) {
+			t.Fatalf("shards=%d: deduplicated profile diverges:\n%s", shards, got.Diff(ref))
+		}
+		if got.Engine.UniquePackets != distinct {
+			t.Errorf("shards=%d: replayed %d unique packets, want %d", shards, got.Engine.UniquePackets, distinct)
+		}
+		if want := min(shards, distinct); got.Engine.Shards != want {
+			t.Errorf("shards=%d: engine report says %d workers, want %d", shards, got.Engine.Shards, want)
+		}
+		if got.TotalPackets != 8000 {
+			t.Errorf("shards=%d: TotalPackets = %d, want 8000", shards, got.TotalPackets)
+		}
 	}
 }

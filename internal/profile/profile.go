@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"p2go/internal/sim"
-	"p2go/internal/trafficgen"
 )
 
 // Profile is the result of profiling a program on a trace: "(i) the
@@ -280,16 +279,15 @@ func (p *Profile) Render() string {
 // Profiler replays traces through an instrumented program. It is built by
 // Prepared.Profiler and driven by RunWith.
 type Profiler struct {
-	Ins    *Instrumented
-	Switch *sim.Switch
+	Ins *Instrumented
 	// prep is the shared immutable state this profiler was built from
 	// (plans, stateful-table list, miss-default lookup).
 	prep *Prepared
 }
 
 // collector accumulates one replay slice: each worker of a sharded replay
-// owns one (with its own Switch), and the sequential path uses a single one
-// over the profiler's Switch. Per packet it only counts — the raw trailer
+// owns one (with its own Switch), and the sequential path uses a single
+// one. Per packet it only counts — the raw trailer
 // byte pattern, drops, redirects — because a trace exercises few distinct
 // execution sets; profile expands each distinct pattern into the Profile's
 // string-keyed maps once, when the slice is done.
@@ -311,15 +309,14 @@ func newCollector(p *Profiler, sw *sim.Switch) *collector {
 	return &collector{p: p, sw: sw, patterns: map[string]int{}}
 }
 
-// observeBatch replays packets[lo:hi) through the Switch in one
-// ProcessBatch call and counts each result. weights and firstIdx, when
-// non-nil, carry dedup multiplicities and the original trace index of each
-// representative (for deterministic error reports); without them each
-// packet has weight 1 and its own index.
-func (c *collector) observeBatch(packets []trafficgen.Packet, weights, firstIdx []int, lo, hi int) error {
+// observeBatch replays positions [lo, hi) of the work through the Switch in
+// one ProcessBatch call and counts each result with its position's weight;
+// errors name the original trace index.
+func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 	ins := c.ins[:0]
 	for i := lo; i < hi; i++ {
-		ins = append(ins, sim.Input{Port: packets[i].Port, Data: packets[i].Data})
+		pkt := &work.packets[work.index(i)]
+		ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
 	}
 	c.ins = ins
 	if cap(c.outs) < len(ins) {
@@ -331,18 +328,18 @@ func (c *collector) observeBatch(packets []trafficgen.Packet, weights, firstIdx 
 	// the process loop are skipped.
 	k, err := c.sw.ProcessBatch(ins, outs, sim.BatchOpts{SkipExec: true, ReuseData: true})
 	if err != nil {
-		return fmt.Errorf("profile: packet %d: %w", origIndex(firstIdx, lo+k), err)
+		return fmt.Errorf("profile: packet %d: %w", work.index(lo+k), err)
 	}
 	n := c.p.Ins.TrailerBytes()
 	for j := range outs {
 		out := &outs[j]
 		w := 1
-		if weights != nil {
-			w = weights[lo+j]
+		if work.weights != nil {
+			w = work.weights[lo+j]
 		}
 		if len(out.Data) < n {
 			return fmt.Errorf("profile: packet %d: shorter (%d bytes) than trailer (%d)",
-				origIndex(firstIdx, lo+j), len(out.Data), n)
+				work.index(lo+j), len(out.Data), n)
 		}
 		trailer := out.Data[len(out.Data)-n:]
 		idx, ok := c.patterns[string(trailer)]
@@ -360,14 +357,6 @@ func (c *collector) observeBatch(packets []trafficgen.Packet, weights, firstIdx 
 		}
 	}
 	return nil
-}
-
-// origIndex maps a replay position to its original trace index.
-func origIndex(firstIdx []int, i int) int {
-	if firstIdx != nil {
-		return firstIdx[i]
-	}
-	return i
 }
 
 // profile expands the counted patterns into the slice's Profile: every

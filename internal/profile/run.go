@@ -6,8 +6,9 @@
 // reports all of it through span attributes and the profile's
 // EngineReport.
 //
-// Flow deduplication collapses packets identical in (ingress port,
-// payload) into weighted representatives: the pipeline is a deterministic
+// Flow deduplication replays one weighted representative per distinct
+// (ingress port, payload) pair — the trace's flow index, trafficgen's
+// Trace.Flows, built once per trace: the pipeline is a deterministic
 // function of those two inputs for stateless programs, so replay cost
 // drops to O(unique flows) while every profile counter is scaled by the
 // representative's multiplicity. The result is guaranteed Profile.Equal
@@ -57,10 +58,12 @@ type EngineReport struct {
 	// says why not when it wasn't ("disabled", "stateful-tables").
 	Dedup       bool   `json:"dedup"`
 	DedupReason string `json:"dedup_reason,omitempty"`
-	// UniquePackets is the number of representatives actually replayed
-	// (equal to the profile's TotalPackets without dedup).
+	// UniquePackets is the number of packets actually replayed: with dedup
+	// the trace-wide count of distinct flows, however many shards replayed
+	// them; without, the profile's TotalPackets.
 	UniquePackets int `json:"unique_packets,omitempty"`
-	// Shards is the worker count used.
+	// Shards is the worker count actually used (never more than there were
+	// packets to replay).
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -173,31 +176,28 @@ func (pr *Prepared) Tables() int { return len(pr.Ins.AST.Tables) }
 // program that does not lower.
 func (pr *Prepared) Engine() (engine, reason string) { return pr.plan.Engine() }
 
-// Profiler instantiates a Profiler over the shared plan with a fresh
-// Switch (fresh register/counter state). Each call is independent:
-// concurrent callers each take their own. It is the only constructor.
+// Profiler instantiates a Profiler over the shared plan. It holds no
+// replay state — every RunWith takes its Switches when it starts and
+// releases them when it finishes — so one serves concurrent callers. It is
+// the only constructor.
 func (pr *Prepared) Profiler() *Profiler {
-	return &Profiler{Ins: pr.Ins, Switch: sim.NewFromPlan(pr.plan), prep: pr}
+	return &Profiler{Ins: pr.Ins, prep: pr}
 }
 
 // RunWith replays the trace and builds the profile. All replay paths —
 // sequential, sharded, deduplicated, interpreter-forced — converge here.
-// Register state is reset first so repeated runs are reproducible. The
-// resulting profile carries an EngineReport describing how the replay
-// executed, and is Profile.Equal across every option combination
-// (asserted by the differential harness on all bundled workloads).
+// Every run starts from zeroed register state, so repeated runs are
+// reproducible. The resulting profile carries an EngineReport describing
+// how the replay executed, and is Profile.Equal across every option
+// combination (asserted by the differential harness on all bundled
+// workloads).
 func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts RunOptions) (*Profile, error) {
 	n := len(trace.Packets)
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = DefaultShards()
 	}
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = min(shards, n)
 	dedup := !opts.NoDedup
 	dedupReason := ""
 	if opts.NoDedup {
@@ -217,6 +217,15 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 			dedup, dedupReason = false, "stateful-tables"
 		}
 	}
+	// work is what gets replayed: the whole trace, or with dedup one
+	// representative per flow. Shards split the representatives, so a flow
+	// is replayed once however many shards there are.
+	work := replayWork{packets: trace.Packets, n: n}
+	if dedup {
+		flows := trace.Flows()
+		work.weights, work.first, work.n = flows.Weights, flows.First, len(flows.First)
+	}
+	shards = max(1, min(shards, work.n))
 	pl := p.prep.plan
 	if opts.Interpret {
 		pl = p.prep.interp
@@ -227,27 +236,20 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 		FallbackReason: reason,
 		Dedup:          dedup,
 		DedupReason:    dedupReason,
+		UniquePackets:  work.n,
 		Shards:         shards,
 	}
 	attrs := []obs.Attr{obs.String("engine", engine), obs.Bool("dedup", dedup)}
 
-	if shards <= 1 {
-		sw := p.Switch
-		if opts.Interpret {
-			sw = sim.NewFromPlan(pl)
-		} else {
-			sw.Reset()
-		}
-		col := newCollector(p, sw)
-		packets := trace.Packets
-		var weights, firstIdx []int
+	if shards == 1 {
 		if dedup {
-			packets, weights, firstIdx = dedupPackets(trace.Packets, 0, n)
-			attrs = append(attrs, obs.Int("unique_packets", len(packets)))
+			attrs = append(attrs, obs.Int("unique_packets", work.n))
 		}
-		rep.UniquePackets = len(packets)
-		err := sim.ReplayBatch(ctx, n, len(packets), func(lo, hi int) error {
-			return col.observeBatch(packets, weights, firstIdx, lo, hi)
+		sw := sim.NewFromPlan(pl)
+		defer sw.Release()
+		col := newCollector(p, sw)
+		err := sim.ReplayBatch(ctx, n, work.n, func(lo, hi int) error {
+			return col.observeBatch(work, lo, hi)
 		}, attrs...)
 		if err != nil {
 			return nil, err
@@ -263,16 +265,15 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	start := time.Now()
 
 	parts := make([]*Profile, shards)
-	uniq := make([]int, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
 	for w := 0; w < shards; w++ {
-		lo := w * n / shards
-		hi := (w + 1) * n / shards
+		lo := w * work.n / shards
+		hi := (w + 1) * work.n / shards
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			parts[w], uniq[w], errs[w] = p.replayShard(ctx, pl, trace, lo, hi, dedup)
+			parts[w], errs[w] = p.replayShard(ctx, pl, work, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -285,70 +286,46 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 		}
 	}
 	merged := MergeProfiles(parts...)
-	for _, u := range uniq {
-		rep.UniquePackets += u
-	}
 	if dedup {
-		sp.SetAttr(obs.Int("unique_packets", rep.UniquePackets))
+		sp.SetAttr(obs.Int("unique_packets", work.n))
 	}
 	sp.SetAttr(obs.Float("packets_per_sec", sim.Throughput(merged.TotalPackets, time.Since(start))))
 	merged.Engine = rep
 	return merged, nil
 }
 
-// replayShard replays trace packets [lo, hi) on a fresh Switch built
-// from the shared plan, deduplicating within the shard when enabled.
-// Returns the shard profile and the number of packets actually replayed.
-func (p *Profiler) replayShard(ctx context.Context, pl *sim.Plan, trace *trafficgen.Trace, lo, hi int, dedup bool) (*Profile, int, error) {
-	col := newCollector(p, sim.NewFromPlan(pl))
-	packets := trace.Packets
-	var weights, firstIdx []int
-	if dedup {
-		packets, weights, firstIdx = dedupPackets(trace.Packets, lo, hi)
-		lo, hi = 0, len(packets)
+// replayWork is the packet sequence one RunWith replays: positions [0, n)
+// are the trace's packets themselves or, when weights and first are set,
+// its flows — position i standing for packets[first[i]] weights[i] times.
+type replayWork struct {
+	packets        []trafficgen.Packet
+	weights, first []int
+	n              int
+}
+
+// index maps a replay position to its trace index.
+func (w *replayWork) index(i int) int {
+	if w.first != nil {
+		return w.first[i]
 	}
+	return i
+}
+
+// replayShard replays positions [lo, hi) of the work on a Switch of its
+// own, built from the shared plan, and returns the shard's profile.
+func (p *Profiler) replayShard(ctx context.Context, pl *sim.Plan, work replayWork, lo, hi int) (*Profile, error) {
+	sw := sim.NewFromPlan(pl)
+	defer sw.Release()
+	col := newCollector(p, sw)
 	// Check cancellation between batches: a canceled profile should stop
 	// burning CPU on a large shard.
 	for b := lo; b < hi; b += sim.ReplayBatchSize {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		e := b + sim.ReplayBatchSize
-		if e > hi {
-			e = hi
-		}
-		if err := col.observeBatch(packets, weights, firstIdx, b, e); err != nil {
-			return nil, 0, err
+		if err := col.observeBatch(work, b, min(b+sim.ReplayBatchSize, hi)); err != nil {
+			return nil, err
 		}
 	}
-	return col.profile(), hi - lo, nil
-}
-
-// dedupPackets collapses packets[lo:hi) that are identical in (port,
-// payload) into representatives in first-occurrence order, returning the
-// multiplicity of each and the trace index of its first occurrence (for
-// deterministic error reports).
-func dedupPackets(packets []trafficgen.Packet, lo, hi int) ([]trafficgen.Packet, []int, []int) {
-	idx := make(map[string]int, (hi-lo)/4+1)
-	var buf []byte
-	var reps []trafficgen.Packet
-	var weights, firstIdx []int
-	for i := lo; i < hi; i++ {
-		pkt := &packets[i]
-		buf = append(buf[:0],
-			byte(pkt.Port>>56), byte(pkt.Port>>48), byte(pkt.Port>>40), byte(pkt.Port>>32),
-			byte(pkt.Port>>24), byte(pkt.Port>>16), byte(pkt.Port>>8), byte(pkt.Port))
-		buf = append(buf, pkt.Data...)
-		// The string(buf) map probe does not allocate; the key is only
-		// materialized for first occurrences.
-		if j, ok := idx[string(buf)]; ok {
-			weights[j]++
-			continue
-		}
-		idx[string(buf)] = len(reps)
-		reps = append(reps, *pkt)
-		weights = append(weights, 1)
-		firstIdx = append(firstIdx, i)
-	}
-	return reps, weights, firstIdx
+	return col.profile(), nil
 }

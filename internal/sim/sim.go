@@ -44,7 +44,11 @@ type Switch struct {
 	cfg  *rt.Config
 	opts Options
 
-	widths    map[ir.FieldKey]int
+	widths map[ir.FieldKey]int
+	// slab backs every register array (registers and regArr hold sub-slices
+	// of it); it comes from the free list in slab.go and goes back on
+	// Release.
+	slab      []uint64
 	registers map[string][]uint64
 	counters  map[string][]CounterCell
 	tables    map[string]*tableState
@@ -124,7 +128,9 @@ func NewFromAST(ast *p4.Program, cfg *rt.Config, opts Options) (*Switch, error) 
 
 // NewFromPlan instantiates a Switch over a shared execution plan. Only
 // mutable state (registers, counters, scratch) is allocated; the lowered
-// program, rule sets, and widths are shared with the plan.
+// program, rule sets, and widths are shared with the plan. Register state
+// is zeroed memory recycled from Switches that were Released; a caller done
+// with a Switch should Release it (one that is not is simply collected).
 func NewFromPlan(pl *Plan) *Switch {
 	s := &Switch{
 		prog:      pl.prog,
@@ -137,8 +143,16 @@ func NewFromPlan(pl *Plan) *Switch {
 		tables:    map[string]*tableState{},
 	}
 	prog := pl.prog
+	cells := 0
 	for _, r := range prog.AST.Registers {
-		s.registers[r.Name] = make([]uint64, r.InstanceCount)
+		cells += r.InstanceCount
+	}
+	s.slab = takeSlab(cells)
+	off := 0
+	for _, r := range prog.AST.Registers {
+		end := off + r.InstanceCount
+		s.registers[r.Name] = s.slab[off:end:end]
+		off = end
 	}
 	for _, c := range prog.AST.Counters {
 		s.counters[c.Name] = make([]CounterCell, c.InstanceCount)
@@ -170,16 +184,21 @@ func NewFromPlan(pl *Plan) *Switch {
 
 // Reset clears all register and counter state.
 func (s *Switch) Reset() {
-	for name := range s.registers {
-		for i := range s.registers[name] {
-			s.registers[name][i] = 0
-		}
+	clear(s.slab)
+	for _, c := range s.counters {
+		clear(c)
 	}
-	for name := range s.counters {
-		for i := range s.counters[name] {
-			s.counters[name][i] = CounterCell{}
-		}
-	}
+}
+
+// Release hands the Switch's register memory back for the next NewFromPlan
+// to reuse. The Switch is finished: it has no registers any more, so any
+// register access a later packet makes is an error. Calling Release again
+// does nothing.
+func (s *Switch) Release() {
+	putSlab(s.slab)
+	s.slab = nil
+	clear(s.registers)
+	clear(s.regArr)
 }
 
 // Register returns a copy of a register array's contents (for tests and

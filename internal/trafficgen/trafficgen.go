@@ -33,19 +33,26 @@ type Packet struct {
 	Data []byte
 }
 
-// Trace is an ordered packet sequence.
+// Trace is an ordered packet sequence. It memoizes its digest and flow
+// index (see flows.go), so it travels by pointer.
 type Trace struct {
 	Packets []Packet
+
+	digest memo[string]
+	flows  memo[*Flows]
 }
 
 // Digest is the hex SHA-256 of the trace's packets (port, then the
-// length-prefixed frame bytes). Every cache key that depends on a trace —
-// profile analyses, fleet device rows — is built from it, so keys tell
-// traces apart even when they come from the same generator spec.
-func (t *Trace) Digest() string {
+// length-prefixed frame bytes), computed on first use. Every cache key that
+// depends on a trace — profile analyses, fleet device rows — is built from
+// it, so keys tell traces apart even when they come from the same generator
+// spec.
+func (t *Trace) Digest() string { return t.digest.get(t.Packets, digestPackets) }
+
+func digestPackets(packets []Packet) string {
 	h := sha256.New()
 	var n [8]byte
-	for _, pkt := range t.Packets {
+	for _, pkt := range packets {
 		binary.BigEndian.PutUint64(n[:], pkt.Port)
 		h.Write(n[:])
 		binary.BigEndian.PutUint64(n[:], uint64(len(pkt.Data)))
