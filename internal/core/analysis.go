@@ -1,11 +1,11 @@
 package core
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"sync"
 	"sync/atomic"
 
 	"p2go/internal/cache"
@@ -139,30 +139,36 @@ func (c *AnalysisCache) Stats() AnalysisCacheStats {
 }
 
 // analysisKey content-addresses one analysis: the SHA-256 of its inputs.
-// Keys never leave the process, so their byte layout is free to change as
-// long as distinct inputs stay distinct.
+// Keys leave the process — the store spills entries to disk under them and a
+// later process must find them — so the byte layout below and the text
+// p4.AppendProgram emits are both pinned (TestCompileKeysStable,
+// TestPrintGolden); changing either orphans every spilled entry.
 type analysisKey [sha256.Size]byte
 
-// newAnalysisKey streams the key material into SHA-256 through a small
-// buffer, so a lookup never materialises the printed program it is keyed
-// on. The domain tag and the string parts go first, each length-prefixed so
-// concatenation ambiguity cannot collide keys; the program's source is
-// streamed last (its length is unknown until printed, and everything before
-// it is delimited).
+// keyBufs recycles the buffers key material is assembled in, so a lookup of
+// a program that fits allocates nothing for its key.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// newAnalysisKey hashes the key material: the domain tag and the string
+// parts first, each length-prefixed so concatenation ambiguity cannot
+// collide keys, then the program's source (its length is unknown until
+// printed, and everything before it is delimited).
 func newAnalysisKey(ast *p4.Program, domain string, parts ...string) analysisKey {
-	h := sha256.New()
-	bw := bufio.NewWriterSize(h, 512)
-	var n [8]byte
-	for _, p := range append([]string{domain}, parts...) {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		bw.Write(n[:])
-		bw.WriteString(p)
+	bp := keyBufs.Get().(*[]byte)
+	buf := appendKeyPart((*bp)[:0], domain)
+	for _, p := range parts {
+		buf = appendKeyPart(buf, p)
 	}
-	p4.Fprint(bw, ast)
-	bw.Flush() // a hash never fails a write
-	var key analysisKey
-	h.Sum(key[:0])
+	buf = p4.AppendProgram(buf, ast)
+	key := analysisKey(sha256.Sum256(buf))
+	*bp = buf
+	keyBufs.Put(bp)
 	return key
+}
+
+func appendKeyPart(buf []byte, part string) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(part)))
+	return append(buf, part...)
 }
 
 // compileKey content-addresses one compile: the printed program and the

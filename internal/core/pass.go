@@ -79,7 +79,7 @@ var passRegistry = []*passDef{
 		needs:    []string{"compile", "profile", "deps"},
 		readOnly: true,
 		run: func(r *run, ctx context.Context) error {
-			reps, err := r.offloadCandidates(ctx)
+			reps, err := r.offloadCandidates(ctx, true)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,13 +24,35 @@ const ToCtlTable = "To_Ctl"
 const cpuPort = 255
 
 // Segment is one offload candidate: a contiguous statement run in some
-// control block, identified by its index in the deterministic enumeration
-// order so it can be re-located in program clones.
+// control block. Index is its position in the deterministic enumeration
+// order; the unexported path and bounds re-locate it in clones of the
+// enumerated program without enumerating again (see locate).
 type Segment struct {
 	Index  int
 	Tables []string
-	// Depth and span describe the location for diagnostics.
+	// Desc describes the location for diagnostics.
 	Desc string
+
+	path   []blockStep // from the ingress body down to the segment's block
+	lo, hi int         // the run is block.Stmts[lo : hi+1]
+}
+
+// blockStep is one level of a Segment's path: the statement to descend
+// through and which of its child blocks (see childBlocks) to enter.
+type blockStep struct{ stmt, child int }
+
+// childBlocks lists the blocks nested directly in a statement — absent ones
+// nil — with the suffix each goes by in a Segment's Desc.
+func childBlocks(s p4.Stmt) ([2]*p4.BlockStmt, [2]string) {
+	switch v := s.(type) {
+	case *p4.ApplyStmt:
+		return [2]*p4.BlockStmt{v.Hit, v.Miss}, [2]string{".hit", ".miss"}
+	case *p4.IfStmt:
+		return [2]*p4.BlockStmt{v.Then, v.Else}, [2]string{".then", ".else"}
+	case *p4.BlockStmt:
+		return [2]*p4.BlockStmt{v}, [2]string{}
+	}
+	return [2]*p4.BlockStmt{}, [2]string{}
 }
 
 // CandidateReport carries the metrics Phase 4's selection uses; exported
@@ -57,7 +80,7 @@ const redirectReplay = "replay"
 // profile (see redirectFromProfile). Only the winner is replayed — the run
 // needs its profile anyway — and that replay audits the derived count.
 func (r *run) phase4(ctx context.Context) error {
-	reports, err := r.offloadCandidates(ctx)
+	reports, err := r.offloadCandidates(ctx, false)
 	if err != nil {
 		return err
 	}
@@ -146,8 +169,9 @@ func (r *run) phase4(ctx context.Context) error {
 // works on its own clone and only reads r.prof), so they fan out over the
 // worker pool; reports are collected by segment index, so the viable list
 // reaches the selection sort in enumeration order exactly as it did
-// sequentially.
-func (r *run) offloadCandidates(ctx context.Context) ([]CandidateReport, error) {
+// sequentially. measureAll is the offload-report ablation: it also replays
+// candidates whose stage saving alone already rules them out of phase4.
+func (r *run) offloadCandidates(ctx context.Context, measureAll bool) ([]CandidateReport, error) {
 	segs := enumerateSegments(r.cur)
 	baseStages := totalStages(r.compile.Mapping)
 	reports := make([]CandidateReport, len(segs))
@@ -158,7 +182,7 @@ func (r *run) offloadCandidates(ctx context.Context) ([]CandidateReport, error) 
 		if err := r.interrupted(); err != nil {
 			return err
 		}
-		rep, ok, err := r.measureSegment(ctx, segs[i], baseStages)
+		rep, ok, err := r.measureSegment(ctx, segs[i], baseStages, measureAll)
 		if err != nil {
 			return err
 		}
@@ -180,8 +204,10 @@ func (r *run) offloadCandidates(ctx context.Context) ([]CandidateReport, error) 
 // measureSegment evaluates one offload candidate under its own span:
 // self-containedness, rewrite, compile, and the redirected traffic — from
 // the profile when it holds the count, from a replay of the candidate
-// otherwise.
-func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int) (CandidateReport, bool, error) {
+// otherwise. The stage saving is known after the compile, so unless
+// measureAll is set a candidate that saves too little is rejected before it
+// costs a replay of the whole trace.
+func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, measureAll bool) (CandidateReport, bool, error) {
 	ctx, sp := obs.Start(ctx, "phase4.candidate",
 		obs.String("segment", seg.Desc),
 		obs.String("tables", strings.Join(seg.Tables, ",")))
@@ -200,8 +226,13 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int) (
 		sp.SetAttr(obs.String("rejected", "compile-failed"))
 		return CandidateReport{}, false, nil
 	}
+	saved := baseStages - totalStages(compiled.Mapping)
 	redirected, source, ok := r.redirectFromProfile(seg)
 	if !ok {
+		if !measureAll && saved < r.mgr.minSavings {
+			sp.SetAttr(obs.String("rejected", "no-stage-saved"), obs.Int("stages_saved", saved))
+			return CandidateReport{}, false, nil
+		}
 		prof, err := r.profileCandidate(ctx, candidate)
 		if err != nil {
 			sp.SetAttr(obs.String("rejected", "profile-failed"))
@@ -211,7 +242,7 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int) (
 	}
 	rep := CandidateReport{
 		Segment:        seg,
-		StagesSaved:    baseStages - totalStages(compiled.Mapping),
+		StagesSaved:    saved,
 		Redirected:     redirected,
 		RedirectSource: source,
 	}
@@ -240,7 +271,7 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int) (
 // It reports false for a block holding only ifs and nested blocks below
 // the root; those candidates are replayed.
 func (r *run) redirectFromProfile(seg Segment) (int, string, bool) {
-	block, _, _, err := locateSegment(r.cur, seg.Index)
+	block, err := seg.locate(r.cur)
 	if err != nil {
 		return 0, "", false
 	}
@@ -253,7 +284,7 @@ func (r *run) redirectFromProfile(seg Segment) (int, string, bool) {
 			return r.prof.Applied[t.Name], "profile:" + t.Name, true
 		}
 	}
-	if block == r.cur.Control(p4.IngressControl).Body {
+	if len(seg.path) == 0 {
 		return r.prof.TotalPackets, "profile:total", true
 	}
 	return 0, "", false
@@ -261,15 +292,16 @@ func (r *run) redirectFromProfile(seg Segment) (int, string, bool) {
 
 // enumerateSegments lists every contiguous statement run containing at
 // least one table, across all blocks of the ingress control, in a
-// deterministic depth-first order.
+// deterministic depth-first order. It runs once per phase4/offload-report:
+// each Segment records where it was found, and locate follows that.
 func enumerateSegments(ast *p4.Program) []Segment {
 	ingress := ast.Control(p4.IngressControl)
 	if ingress == nil {
 		return nil
 	}
 	var out []Segment
-	var walk func(b *p4.BlockStmt, where string)
-	walk = func(b *p4.BlockStmt, where string) {
+	var walk func(b *p4.BlockStmt, where string, path []blockStep)
+	walk = func(b *p4.BlockStmt, where string, path []blockStep) {
 		if b == nil {
 			return
 		}
@@ -283,29 +315,53 @@ func enumerateSegments(ast *p4.Program) []Segment {
 					Index:  len(out),
 					Tables: tables,
 					Desc:   fmt.Sprintf("%s[%d:%d]", where, lo, hi),
+					path:   path,
+					lo:     lo,
+					hi:     hi,
 				})
 			}
 		}
 		for i, s := range b.Stmts {
-			switch v := s.(type) {
-			case *p4.ApplyStmt:
-				walk(v.Hit, fmt.Sprintf("%s.%d.hit", where, i))
-				walk(v.Miss, fmt.Sprintf("%s.%d.miss", where, i))
-			case *p4.IfStmt:
-				walk(v.Then, fmt.Sprintf("%s.%d.then", where, i))
-				walk(v.Else, fmt.Sprintf("%s.%d.else", where, i))
-			case *p4.BlockStmt:
-				walk(v, fmt.Sprintf("%s.%d", where, i))
+			kids, names := childBlocks(s)
+			for k, kid := range kids {
+				if kid != nil {
+					// Clipped, so siblings never append into one array.
+					walk(kid, fmt.Sprintf("%s.%d%s", where, i, names[k]), append(path[:len(path):len(path)], blockStep{i, k}))
+				}
 			}
 		}
 	}
-	walk(ingress.Body, "ingress")
+	walk(ingress.Body, "ingress", nil)
 	return out
 }
 
 func tablesInRun(b *p4.BlockStmt, lo, hi int) []string {
 	tmp := &p4.BlockStmt{Stmts: b.Stmts[lo : hi+1]}
 	return p4.TablesInBlock(tmp)
+}
+
+// locate returns the segment's block in ast — the program it was enumerated
+// in, or a clone of it — by following the recorded path, and re-checks that
+// the run [lo, hi] of that block applies exactly the segment's tables: a
+// clone whose control tree diverged from the enumerated one is an error,
+// never a silently different segment.
+func (seg Segment) locate(ast *p4.Program) (*p4.BlockStmt, error) {
+	var b *p4.BlockStmt
+	if ingress := ast.Control(p4.IngressControl); ingress != nil {
+		b = ingress.Body
+	}
+	for _, step := range seg.path {
+		if b == nil || step.stmt >= len(b.Stmts) {
+			b = nil
+			break
+		}
+		kids, _ := childBlocks(b.Stmts[step.stmt])
+		b = kids[step.child]
+	}
+	if b == nil || seg.hi >= len(b.Stmts) || !slices.Equal(tablesInRun(b, seg.lo, seg.hi), seg.Tables) {
+		return nil, fmt.Errorf("core: segment %s: enumeration diverged between clones", seg.Desc)
+	}
+	return b, nil
 }
 
 // selfContained checks the paper's offloadability criteria: packets sent to
@@ -382,11 +438,11 @@ func (r *run) selfContained(seg Segment) bool {
 // the segment's statements.
 func (r *run) segmentCondReads(seg Segment) ir.FieldSet {
 	out := ir.FieldSet{}
-	block, lo, hi, err := locateSegment(r.cur, seg.Index)
+	block, err := seg.locate(r.cur)
 	if err != nil {
 		return out
 	}
-	probe := &p4.BlockStmt{Stmts: block.Stmts[lo : hi+1]}
+	probe := &p4.BlockStmt{Stmts: block.Stmts[seg.lo : seg.hi+1]}
 	p4.WalkStmts(probe, func(s p4.Stmt) bool {
 		if ifs, ok := s.(*p4.IfStmt); ok {
 			for k := range deps.CondReads(ifs.Cond) {
@@ -411,26 +467,16 @@ func instanceOf(ast *p4.Program, k ir.FieldKey) *p4.Instance {
 // now-unreachable declarations.
 func (r *run) rewriteOffload(seg Segment) (*p4.Program, error) {
 	candidate := p4.Clone(r.cur)
-	segs := enumerateSegments(candidate)
-	if seg.Index >= len(segs) {
-		return nil, fmt.Errorf("core: segment index %d out of range", seg.Index)
-	}
-	clone := segs[seg.Index]
-	if strings.Join(clone.Tables, ",") != strings.Join(seg.Tables, ",") {
-		return nil, fmt.Errorf("core: segment enumeration diverged between clones")
+	block, err := seg.locate(candidate)
+	if err != nil {
+		return nil, err
 	}
 	if err := ensureToCtl(candidate); err != nil {
 		return nil, err
 	}
-	// Re-locate the block: enumerateSegments is deterministic, so the
-	// index identifies the same (block, lo, hi) in the clone.
-	block, lo, hi, err := locateSegment(candidate, seg.Index)
-	if err != nil {
-		return nil, err
-	}
 	redirect := &p4.ApplyStmt{Table: ToCtlTable}
-	rest := append([]p4.Stmt{redirect}, block.Stmts[hi+1:]...)
-	block.Stmts = append(block.Stmts[:lo], rest...)
+	rest := append([]p4.Stmt{redirect}, block.Stmts[seg.hi+1:]...)
+	block.Stmts = append(block.Stmts[:seg.lo], rest...)
 	pruneUnused(candidate)
 	return candidate, nil
 }
@@ -443,63 +489,14 @@ func (r *run) rewriteOffload(seg Segment) (*p4.Program, error) {
 // segment needs one.
 func (r *run) controllerProgram(seg Segment) (*p4.Program, error) {
 	ctlProg := p4.Clone(r.cur)
-	block, lo, hi, err := locateSegment(ctlProg, seg.Index)
+	block, err := seg.locate(ctlProg)
 	if err != nil {
 		return nil, err
 	}
-	segmentStmts := append([]p4.Stmt(nil), block.Stmts[lo:hi+1]...)
+	segmentStmts := append([]p4.Stmt(nil), block.Stmts[seg.lo:seg.hi+1]...)
 	ctlProg.Control(p4.IngressControl).Body = &p4.BlockStmt{Stmts: segmentStmts}
 	pruneUnused(ctlProg)
 	return ctlProg, nil
-}
-
-// locateSegment re-runs the enumeration walk and returns the block and
-// bounds of the segment with the given index.
-func locateSegment(ast *p4.Program, index int) (*p4.BlockStmt, int, int, error) {
-	ingress := ast.Control(p4.IngressControl)
-	count := 0
-	var foundBlock *p4.BlockStmt
-	var foundLo, foundHi int
-	var walk func(b *p4.BlockStmt) bool
-	walk = func(b *p4.BlockStmt) bool {
-		if b == nil {
-			return true
-		}
-		for lo := 0; lo < len(b.Stmts); lo++ {
-			for hi := lo; hi < len(b.Stmts); hi++ {
-				if len(tablesInRun(b, lo, hi)) == 0 {
-					continue
-				}
-				if count == index {
-					foundBlock, foundLo, foundHi = b, lo, hi
-					return false
-				}
-				count++
-			}
-		}
-		for _, s := range b.Stmts {
-			switch v := s.(type) {
-			case *p4.ApplyStmt:
-				if !walk(v.Hit) || !walk(v.Miss) {
-					return false
-				}
-			case *p4.IfStmt:
-				if !walk(v.Then) || !walk(v.Else) {
-					return false
-				}
-			case *p4.BlockStmt:
-				if !walk(v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(ingress.Body)
-	if foundBlock == nil {
-		return nil, 0, 0, fmt.Errorf("core: segment %d not found", index)
-	}
-	return foundBlock, foundLo, foundHi, nil
 }
 
 // ensureToCtl declares the redirect action and table if absent.

@@ -384,3 +384,86 @@ func TestCompileHitDoesNotClone(t *testing.T) {
 		t.Errorf("warm re-run allocated %d bytes, ceiling 2.2 MB", bytes)
 	}
 }
+
+// TestWarmRerunAllocCeiling: a warm re-run builds and keys every candidate
+// again and replays nothing, so its allocations are what a candidate costs:
+// a clone that shares the parse-time declarations, a key printed into a
+// recycled buffer, a segment located by its path. The tree before those made
+// 36 666 allocations for ex1; the ceiling is 45% of that.
+func TestWarmRerunAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not apply under -race")
+	}
+	_, rerun := warmEx1(t)
+	allocs := testing.AllocsPerRun(5, func() { rerun() })
+	t.Logf("warm ex1 re-run: %.0f allocations", allocs)
+	if allocs > 16500 {
+		t.Errorf("warm ex1 re-run made %.0f allocations, ceiling 16500", allocs)
+	}
+}
+
+// TestPhase4SkipsReplayItWouldDiscard: a candidate the profile cannot answer
+// used to be replayed over the whole trace even when its compile had just
+// shown it saves no stage — ex1's {ACL_DHCP} in the miss arm. phase4 now
+// rejects it on the stage count and replays only the winner; the
+// offload-report ablation still measures it.
+func TestPhase4SkipsReplayItWouldDiscard(t *testing.T) {
+	const desc = "ingress.0.then.1.then.0.miss[0:0]"
+	col := obs.NewCollector(0)
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
+	res, err := New(Options{Context: ctx, Parallelism: 1}).Optimize(
+		p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StagesAfter() != 3 {
+		t.Errorf("stages after = %d, want 3", res.StagesAfter())
+	}
+	lines := strings.Split(col.Tree("packets_per_sec"), "\n")
+	found, replays := false, 0
+	inPhase4 := false
+	for i, line := range lines {
+		switch trimmed := strings.TrimSpace(line); {
+		case strings.HasPrefix(trimmed, "phase4.offload"):
+			inPhase4 = true
+		case inPhase4 && strings.HasPrefix(trimmed, "sim.replay"):
+			replays++
+		case strings.HasPrefix(trimmed, "phase4.candidate") && strings.Contains(line, "segment="+desc+" "):
+			found = true
+			if !strings.Contains(line, "rejected=no-stage-saved") || !strings.Contains(line, "stages_saved=0") {
+				t.Errorf("candidate not rejected on its stage count: %s", line)
+			}
+			if i+2 < len(lines) && strings.HasPrefix(strings.TrimSpace(lines[i+2]), "profile") {
+				t.Errorf("rejected candidate was still replayed:\n%s\n%s\n%s", line, lines[i+1], lines[i+2])
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no phase4.candidate span for %s:\n%s", desc, strings.Join(lines, "\n"))
+	}
+	if replays != 1 {
+		t.Errorf("phase4 replayed the trace %d times, want once (the winner's audit)", replays)
+	}
+
+	// The ablation pass, on the same program Phase 4 saw, still measures it.
+	r := runThrough(t, p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t),
+		Options{Passes: []string{"phase2", "phase3"}})
+	for _, measureAll := range []bool{true, false} {
+		reports, err := r.offloadCandidates(context.Background(), measureAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep *CandidateReport
+		for i := range reports {
+			if reports[i].Segment.Desc == desc {
+				rep = &reports[i]
+			}
+		}
+		switch {
+		case measureAll && (rep == nil || rep.RedirectSource != redirectReplay || rep.StagesSaved != 0):
+			t.Errorf("offload-report did not replay the candidate that saves no stage: %+v", rep)
+		case !measureAll && rep != nil:
+			t.Errorf("phase4 still reports the candidate it would discard: %+v", rep)
+		}
+	}
+}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"p2go/internal/p4"
 )
@@ -250,6 +251,13 @@ func buildDependencyGuard(ast *p4.Program, from, to string) (*DependencyGuard, *
 		ast.HeaderTypes = append(ast.HeaderTypes, ht)
 		ast.Instances = append(ast.Instances, inst)
 		ast.Decls = append(ast.Decls, ht, inst)
+	} else {
+		// A clone shares its header types with the program it was cloned
+		// from (p4.Clone): swap in a copy to extend, never edit in place.
+		grown := &p4.HeaderType{Name: ht.Name, Fields: append([]*p4.FieldDecl(nil), ht.Fields...)}
+		ast.HeaderTypes[slices.Index(ast.HeaderTypes, ht)] = grown
+		ast.Decls[slices.Index(ast.Decls, p4.Decl(ht))] = grown
+		ht = grown
 	}
 	ht.Fields = append(ht.Fields, &p4.FieldDecl{Name: metaField, Width: 32})
 

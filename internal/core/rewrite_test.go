@@ -264,18 +264,77 @@ func TestEnumerateSegmentsDeterministic(t *testing.T) {
 			t.Fatalf("segment %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	// locateSegment agrees with the enumeration.
-	for i := range a {
-		block, lo, hi, err := locateSegment(ast, i)
-		if err != nil {
-			t.Fatalf("locateSegment(%d): %v", i, err)
-		}
-		if got := strings.Join(tablesInRun(block, lo, hi), ","); got != strings.Join(a[i].Tables, ",") {
-			t.Fatalf("segment %d: located %s, enumerated %s", i, got, strings.Join(a[i].Tables, ","))
+	// locate agrees with the enumeration, in the program and in a clone.
+	clone := p4.Clone(ast)
+	for _, prog := range []*p4.Program{ast, clone} {
+		for _, seg := range a {
+			block, err := seg.locate(prog)
+			if err != nil {
+				t.Fatalf("locate(%s): %v", seg.Desc, err)
+			}
+			if got := strings.Join(tablesInRun(block, seg.lo, seg.hi), ","); got != strings.Join(seg.Tables, ",") {
+				t.Fatalf("segment %s: located %s, enumerated %s", seg.Desc, got, strings.Join(seg.Tables, ","))
+			}
 		}
 	}
-	if _, _, _, err := locateSegment(ast, len(a)+5); err == nil {
-		t.Error("out-of-range segment index should fail")
+}
+
+// TestLocateRefusesDivergedClone is the clone-divergence guard: a segment
+// whose recorded path or bounds name something else in the program it is
+// located in — a deliberately wrong path, the other arm, bounds past the
+// block, a clone whose control tree was edited — is an error,
+// never a different segment.
+func TestLocateRefusesDivergedClone(t *testing.T) {
+	ast := p4.MustParse(programs.Ex1)
+	if err := p4.Check(ast); err != nil {
+		t.Fatal(err)
+	}
+	segs := enumerateSegments(ast)
+	var nested Segment
+	for _, seg := range segs {
+		if len(seg.path) > 0 {
+			nested = seg
+			break
+		}
+	}
+	if nested.path == nil {
+		t.Fatal("ex1 has no nested segment")
+	}
+	mutate := map[string]func(*Segment){
+		"sibling statement":        func(s *Segment) { s.path = []blockStep{{s.path[0].stmt + 1, s.path[0].child}} },
+		"statement past the block": func(s *Segment) { s.path = []blockStep{{99, s.path[0].child}} },
+		"the other arm":            func(s *Segment) { s.path = []blockStep{{s.path[0].stmt, 1 - s.path[0].child}} },
+		"deeper than the tree":     func(s *Segment) { s.path = append(s.path[:len(s.path):len(s.path)], blockStep{0, 0}, blockStep{0, 0}) },
+		"shifted bounds":           func(s *Segment) { s.lo, s.hi = s.lo+1, s.hi+1 },
+		"bounds past the block":    func(s *Segment) { s.hi = 99 },
+		"root instead of nested":   func(s *Segment) { s.path = nil },
+	}
+	for name, edit := range mutate {
+		seg := nested
+		edit(&seg)
+		if _, err := seg.locate(ast); err == nil {
+			t.Errorf("%s: locate found a segment for a wrong path", name)
+		}
+	}
+	// A clone whose tree was edited after the enumeration.
+	clone := p4.Clone(ast)
+	body := clone.Control(p4.IngressControl).Body
+	body.Stmts = body.Stmts[1:]
+	refused := 0
+	for _, seg := range segs {
+		if _, err := seg.locate(clone); err != nil {
+			if !strings.Contains(err.Error(), "diverged") {
+				t.Errorf("%s: error %q does not name the divergence", seg.Desc, err)
+			}
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Error("no segment was refused in a clone with a statement removed")
+	}
+	r := &run{cur: clone}
+	if _, err := r.rewriteOffload(nested); err == nil {
+		t.Error("rewriteOffload rewrote a diverged clone")
 	}
 }
 

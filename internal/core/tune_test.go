@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"p2go/internal/p4"
@@ -139,5 +140,40 @@ func TestTuneNoopWithoutTunables(t *testing.T) {
 	}
 	if len(res.Bindings) != 0 || len(res.Tunables) != 0 {
 		t.Errorf("knob-free program reported bindings %v / tunables %v", res.Bindings, res.Tunables)
+	}
+}
+
+// TestTableSizeKnobChangesStages: a table size written as a tunable reaches
+// the compiler — through Options.Bindings and through the tune pass. The
+// declaration copy used to drop TableDecl.SizeSym before Instantiate bound
+// it, so every binding compiled at the default size.
+func TestTableSizeKnobChangesStages(t *testing.T) {
+	src := "@tunable(tsize, 16, 262144, 131072);\n" +
+		strings.Replace(programs.Quickstart, "size : 16;", "size : tsize;", 1)
+	if !strings.Contains(src, "size : tsize;") {
+		t.Fatal("quickstart no longer declares the port_acl table at size 16")
+	}
+	trace := trafficgen.QuickstartTrace(200, 1)
+	optimize := func(opts Options) *Result {
+		t.Helper()
+		res, err := New(opts).Optimize(p4.MustParse(src), programs.QuickstartConfig(), trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	atDefault := optimize(Options{Passes: []string{}})
+	small := optimize(Options{Passes: []string{}, Bindings: map[string]int{"tsize": 64}})
+	if got := small.Original.Table("port_acl").Size; got != 64 {
+		t.Errorf("port_acl at tsize=64 has size %d", got)
+	}
+	if small.StagesBefore() >= atDefault.StagesBefore() {
+		t.Errorf("stages at tsize=64: %d, at the default 131072: %d; want fewer",
+			small.StagesBefore(), atDefault.StagesBefore())
+	}
+	tuned := optimize(Options{Passes: []string{"tune"}})
+	if tuned.StagesAfter() >= tuned.StagesBefore() || tuned.Bindings["tsize"] >= 131072 {
+		t.Errorf("tune left tsize at %d and stages %d -> %d; want a smaller table in fewer stages",
+			tuned.Bindings["tsize"], tuned.StagesBefore(), tuned.StagesAfter())
 	}
 }

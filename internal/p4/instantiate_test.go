@@ -152,6 +152,47 @@ func TestInstantiate(t *testing.T) {
 	}
 }
 
+// TestTableSizeTunable: a table size written as a tunable survives Clone as
+// the symbol and is bound by Instantiate. cloneDecl used to drop SizeSym, so
+// a clone printed the default as a literal and no binding ever reached the
+// table.
+func TestTableSizeTunable(t *testing.T) {
+	prog := MustParse(strings.Replace(tunableSrc, "@tunable(threshold, 1, 100, 25);",
+		"@tunable(threshold, 1, 100, 25);\n@tunable(tsize, 16, 4096, 1024);", 1))
+	prog.Table("alarm").Size, prog.Table("alarm").SizeSym = 1024, "tsize"
+	if err := Check(prog); err != nil {
+		t.Fatal(err)
+	}
+	cp := Clone(prog)
+	if got := cp.Table("alarm"); got.SizeSym != "tsize" || got.Size != 1024 {
+		t.Errorf("clone's table alarm = %+v, want SizeSym tsize", got)
+	}
+	if !strings.Contains(Print(cp), "size : tsize;") || Print(cp) != Print(prog) {
+		t.Errorf("clone does not print the symbolic size:\n%s", Print(cp))
+	}
+	inst, err := Instantiate(prog, map[string]int{"tsize": 64, "threshold": 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inst.Table("alarm"); got.Size != 64 || got.SizeSym != "" {
+		t.Errorf("table alarm at tsize=64 = %+v, want Size 64", got)
+	}
+	if got := inst.Table("tally_t"); got.Size != 9 || got.SizeSym != "" {
+		t.Errorf("table tally_t at threshold=9 = %+v, want Size 9", got)
+	}
+	if strings.Contains(Print(inst), "tsize") {
+		t.Errorf("instantiated print still mentions the symbol:\n%s", Print(inst))
+	}
+	for _, v := range []int{15, 4097} {
+		if _, err := Instantiate(prog, map[string]int{"tsize": v}); err == nil {
+			t.Errorf("tsize=%d: out-of-range table size accepted", v)
+		}
+	}
+	if got := prog.Table("alarm"); got.SizeSym != "tsize" || got.Size != 1024 {
+		t.Errorf("instantiate edited its input: %+v", got)
+	}
+}
+
 func TestInstantiateErrors(t *testing.T) {
 	prog := MustParse(tunableSrc)
 	if _, err := Instantiate(prog, map[string]int{"nope": 1}); err == nil {

@@ -188,8 +188,13 @@ func TestPrintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep states Clone's split: what rewrites edit (registers,
+// actions, tables, controls) is copied all the way down, the declaration
+// kinds nothing edits after parsing are the same pointers, and the per-kind
+// slices are the clone's own either way.
 func TestCloneIsDeep(t *testing.T) {
 	prog := mustParseAndCheck(t, miniProgram)
+	before := Print(prog)
 	cp := Clone(prog)
 	cp.Table("forward").Size = 7
 	if prog.Table("forward").Size != 1024 {
@@ -202,6 +207,76 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if Print(Clone(prog)) != Print(prog) {
 		t.Error("clone does not print identically to original")
+	}
+
+	// Deep: every edit a pass or the instrumentation makes, in place and by
+	// append, on a fresh clone.
+	cp = Clone(prog)
+	cp.Register("counts").InstanceCount = 1
+	act := cp.Action("count_flow")
+	act.Body[0].Args[3] = IntLit{Value: 1}
+	act.Body[1].Name = PrimNoOp
+	act.Body = append(act.Body, &PrimitiveCall{Name: PrimNoOp})
+	act.Body[0].Args = append(act.Body[0].Args, IntLit{Value: 2})
+	cp.Action("set_port").Params[0] = "p"
+	tbl := cp.Table("forward")
+	tbl.Reads[0].Kind = MatchExact
+	tbl.Reads = append(tbl.Reads, &ReadEntry{Field: FieldRef{Instance: "ipv4", Field: "ttl"}, Kind: MatchExact})
+	tbl.ActionNames[0] = "do_drop"
+	tbl.ActionNames = append(tbl.ActionNames, "set_port")
+	tbl.DefaultAction = "set_port"
+	tbl.DefaultArgs = append(tbl.DefaultArgs, IntLit{Value: 3})
+	ifs := cp.Control("ingress").Body.Stmts[0].(*IfStmt)
+	ifs.Cond.(*ValidExpr).Instance = "ethernet"
+	apply := ifs.Then.Stmts[0].(*ApplyStmt)
+	apply.Hit.Stmts = append(apply.Hit.Stmts, &ApplyStmt{Table: "forward"})
+	apply.Table = "counter_tbl"
+	ifs.Then.Stmts = append(ifs.Then.Stmts, &ApplyStmt{Table: "forward"})
+	if Print(prog) != before {
+		t.Errorf("editing a clone's registers, actions, tables and controls changed the original:\n%s", Print(prog))
+	}
+	if Print(cp) == before {
+		t.Error("the edits did not show in the clone")
+	}
+
+	// Shared: the kinds nothing edits are pointer-equal, in slices the clone
+	// owns (dropping a declaration from the clone leaves the original whole).
+	cp = Clone(prog)
+	for _, h := range prog.HeaderTypes {
+		if cp.HeaderType(h.Name) != h {
+			t.Errorf("header type %s was copied", h.Name)
+		}
+	}
+	for _, in := range prog.Instances {
+		if cp.Instance(in.Name) != in {
+			t.Errorf("instance %s was copied", in.Name)
+		}
+	}
+	if cp.FieldList("flow_fl") != prog.FieldList("flow_fl") || cp.Calculation("flow_hash") != prog.Calculation("flow_hash") {
+		t.Error("field list or calculation was copied")
+	}
+	for _, ps := range prog.ParserStates {
+		if cp.ParserState(ps.Name) != ps {
+			t.Errorf("parser state %s was copied", ps.Name)
+		}
+	}
+	for i, d := range prog.Decls {
+		switch d.(type) {
+		case *Register, *ActionDecl, *TableDecl, *ControlDecl:
+			if cp.Decls[i] == d {
+				t.Errorf("declaration %s is shared, want a copy", d.declName())
+			}
+		default:
+			if cp.Decls[i] != d {
+				t.Errorf("declaration %s was copied, want it shared", d.declName())
+			}
+		}
+	}
+	cp.HeaderTypes = cp.HeaderTypes[:0]
+	cp.ParserStates[0] = nil
+	cp.Decls = cp.Decls[:1]
+	if Print(prog) != before || prog.HeaderTypes[0] == nil || prog.ParserStates[0] == nil {
+		t.Error("the clone's per-kind slices alias the original's")
 	}
 }
 

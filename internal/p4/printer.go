@@ -1,241 +1,330 @@
 package p4
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 )
 
 // Print renders a program back to P4_14 source. The output parses back to an
 // equivalent AST (round-trip property, see tests), which is what lets the
 // optimizer hand rewritten programs to the compiler, and the programmer read
 // them.
-func Print(p *Program) string {
-	var b strings.Builder
-	Fprint(&b, p)
-	return b.String()
+func Print(p *Program) string { return string(AppendProgram(nil, p)) }
+
+// Fprint writes exactly the text Print returns to w.
+func Fprint(w io.Writer, p *Program) error {
+	_, err := w.Write(AppendProgram(nil, p))
+	return err
 }
 
-// Writer is what the printer writes to: *strings.Builder, *bytes.Buffer
-// and *bufio.Writer all satisfy it. Write errors are the writer's to
-// report (a bufio.Writer keeps the first one for Flush).
-type Writer interface {
-	io.Writer
-	io.ByteWriter
-	io.StringWriter
-}
-
-// Fprint streams exactly the text Print returns to w, without building it
-// in memory — for callers that hash or forward the source.
-func Fprint(w Writer, p *Program) {
+// AppendProgram appends the program's source text to dst and returns the
+// extended slice; with enough capacity in dst it allocates nothing, which is
+// what lets every analysis-cache lookup key a candidate on its printed text.
+//
+// The text is a contract, not a rendering choice: compile, profile, plan and
+// fleet-device keys are digests of it and are spilled to disk, and reports
+// carry it verbatim. A changed byte orphans every spilled entry (see
+// core.TestPrintGolden).
+func AppendProgram(dst []byte, p *Program) []byte {
 	for i, d := range p.Decls {
 		if i > 0 {
-			w.WriteByte('\n')
+			dst = append(dst, '\n')
 		}
-		printDecl(w, d)
+		dst = appendDecl(dst, d)
 	}
+	return dst
 }
 
-func printDecl(b Writer, d Decl) {
+func appendDecl(b []byte, d Decl) []byte {
 	switch v := d.(type) {
 	case *Tunable:
-		fmt.Fprintf(b, "@tunable(%s, %d, %d, %d);\n", v.Name, v.Min, v.Max, v.Default)
+		b = cat(b, "@tunable(", v.Name)
+		for _, n := range [...]int{v.Min, v.Max, v.Default} {
+			b = append(b, ", "...)
+			b = appendInt(b, n)
+		}
+		b = append(b, ");\n"...)
 	case *HeaderType:
-		fmt.Fprintf(b, "header_type %s {\n    fields {\n", v.Name)
+		b = cat(b, "header_type ", v.Name, " {\n    fields {\n")
 		for _, f := range v.Fields {
-			fmt.Fprintf(b, "        %s : %d;\n", f.Name, f.Width)
+			b = cat(b, "        ", f.Name, " : ")
+			b = appendInt(b, f.Width)
+			b = append(b, ";\n"...)
 		}
-		b.WriteString("    }\n}\n")
+		b = append(b, "    }\n}\n"...)
 	case *Instance:
-		kw := "header"
+		kw := "header "
 		if v.Metadata {
-			kw = "metadata"
+			kw = "metadata "
 		}
-		fmt.Fprintf(b, "%s %s %s;\n", kw, v.TypeName, v.Name)
+		b = cat(b, kw, v.TypeName, " ", v.Name, ";\n")
 	case *Register:
-		count := fmt.Sprintf("%d", v.InstanceCount)
+		b = cat(b, "register ", v.Name, " {\n    width : ")
+		b = appendInt(b, v.Width)
+		b = append(b, ";\n    instance_count : "...)
 		if v.CountSym != "" {
-			count = v.CountSym
+			b = append(b, v.CountSym...)
+		} else {
+			b = appendInt(b, v.InstanceCount)
 		}
-		fmt.Fprintf(b, "register %s {\n    width : %d;\n    instance_count : %s;\n}\n",
-			v.Name, v.Width, count)
+		b = append(b, ";\n}\n"...)
 	case *Counter:
-		fmt.Fprintf(b, "counter %s {\n    type : %s;\n    instance_count : %d;\n}\n",
-			v.Name, v.Kind, v.InstanceCount)
+		b = cat(b, "counter ", v.Name, " {\n    type : ", v.Kind, ";\n    instance_count : ")
+		b = appendInt(b, v.InstanceCount)
+		b = append(b, ";\n}\n"...)
 	case *FieldList:
-		fmt.Fprintf(b, "field_list %s {\n", v.Name)
+		b = cat(b, "field_list ", v.Name, " {\n")
 		for _, f := range v.Fields {
-			fmt.Fprintf(b, "    %s;\n", f)
+			b = append(b, "    "...)
+			b = appendFieldRef(b, f)
+			b = append(b, ";\n"...)
 		}
-		b.WriteString("}\n")
+		b = append(b, "}\n"...)
 	case *FieldListCalc:
-		fmt.Fprintf(b, "field_list_calculation %s {\n    input {\n        %s;\n    }\n    algorithm : %s;\n    output_width : %d;\n}\n",
-			v.Name, v.Input, v.Algorithm, v.OutputWidth)
+		b = cat(b, "field_list_calculation ", v.Name, " {\n    input {\n        ", v.Input, ";\n    }\n    algorithm : ", v.Algorithm, ";\n    output_width : ")
+		b = appendInt(b, v.OutputWidth)
+		b = append(b, ";\n}\n"...)
 	case *CalculatedField:
-		fmt.Fprintf(b, "calculated_field %s {\n", v.Field)
+		b = append(b, "calculated_field "...)
+		b = appendFieldRef(b, v.Field)
+		b = append(b, " {\n"...)
 		if v.Verify != "" {
-			fmt.Fprintf(b, "    verify %s;\n", v.Verify)
+			b = cat(b, "    verify ", v.Verify, ";\n")
 		}
 		if v.Update != "" {
-			fmt.Fprintf(b, "    update %s;\n", v.Update)
+			b = cat(b, "    update ", v.Update, ";\n")
 		}
-		b.WriteString("}\n")
+		b = append(b, "}\n"...)
 	case *ParserState:
-		fmt.Fprintf(b, "parser %s {\n", v.Name)
-		for _, s := range v.Statements {
-			switch st := s.(type) {
-			case *ExtractStmt:
-				fmt.Fprintf(b, "    extract(%s);\n", st.Instance)
-			case *SetMetadataStmt:
-				fmt.Fprintf(b, "    set_metadata(%s, %s);\n", st.Dst, exprString(st.Value))
-			}
-		}
-		switch r := v.Return.(type) {
-		case *ReturnState:
-			fmt.Fprintf(b, "    return %s;\n", r.State)
-		case *ReturnSelect:
-			ons := make([]string, len(r.On))
-			for i, e := range r.On {
-				ons[i] = exprString(e)
-			}
-			fmt.Fprintf(b, "    return select(%s) {\n", strings.Join(ons, ", "))
-			for _, c := range r.Cases {
-				switch {
-				case c.IsDefault:
-					fmt.Fprintf(b, "        default : %s;\n", c.State)
-				case c.HasMask:
-					fmt.Fprintf(b, "        0x%x &&& 0x%x : %s;\n", c.Value, c.Mask, c.State)
-				default:
-					fmt.Fprintf(b, "        0x%x : %s;\n", c.Value, c.State)
-				}
-			}
-			b.WriteString("    }\n")
-		}
-		b.WriteString("}\n")
+		b = appendParserState(b, v)
 	case *ActionDecl:
-		fmt.Fprintf(b, "action %s(%s) {\n", v.Name, strings.Join(v.Params, ", "))
+		b = cat(b, "action ", v.Name, "(")
+		for i, p := range v.Params {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, p...)
+		}
+		b = append(b, ") {\n"...)
 		for _, c := range v.Body {
-			args := make([]string, len(c.Args))
-			for i, a := range c.Args {
-				args[i] = exprString(a)
-			}
-			fmt.Fprintf(b, "    %s(%s);\n", c.Name, strings.Join(args, ", "))
+			b = cat(b, "    ", c.Name, "(")
+			b = appendExprs(b, c.Args)
+			b = append(b, ");\n"...)
 		}
-		b.WriteString("}\n")
+		b = append(b, "}\n"...)
 	case *TableDecl:
-		fmt.Fprintf(b, "table %s {\n", v.Name)
-		if len(v.Reads) > 0 {
-			b.WriteString("    reads {\n")
-			for _, r := range v.Reads {
-				fmt.Fprintf(b, "        %s : %s;\n", r.Field, r.Kind)
-			}
-			b.WriteString("    }\n")
-		}
-		b.WriteString("    actions {\n")
-		for _, a := range v.ActionNames {
-			fmt.Fprintf(b, "        %s;\n", a)
-		}
-		b.WriteString("    }\n")
-		switch {
-		case v.SizeSym != "":
-			fmt.Fprintf(b, "    size : %s;\n", v.SizeSym)
-		case v.Size > 0:
-			fmt.Fprintf(b, "    size : %d;\n", v.Size)
-		}
-		if v.DefaultAction != "" {
-			if len(v.DefaultArgs) > 0 {
-				args := make([]string, len(v.DefaultArgs))
-				for i, a := range v.DefaultArgs {
-					args[i] = exprString(a)
-				}
-				fmt.Fprintf(b, "    default_action : %s(%s);\n", v.DefaultAction, strings.Join(args, ", "))
-			} else {
-				fmt.Fprintf(b, "    default_action : %s;\n", v.DefaultAction)
-			}
-		}
-		if v.SupportTimeout {
-			b.WriteString("    support_timeout : true;\n")
-		}
-		b.WriteString("}\n")
+		b = appendTable(b, v)
 	case *ControlDecl:
-		fmt.Fprintf(b, "control %s ", v.Name)
-		printBlock(b, v.Body, 0)
-		b.WriteByte('\n')
+		b = cat(b, "control ", v.Name, " ")
+		b = appendBlock(b, v.Body, 0)
+		b = append(b, '\n')
 	}
+	return b
 }
 
-func printBlock(b Writer, blk *BlockStmt, depth int) {
-	indent := strings.Repeat("    ", depth)
-	b.WriteString("{\n")
+func appendParserState(b []byte, v *ParserState) []byte {
+	b = cat(b, "parser ", v.Name, " {\n")
+	for _, s := range v.Statements {
+		switch st := s.(type) {
+		case *ExtractStmt:
+			b = cat(b, "    extract(", st.Instance, ");\n")
+		case *SetMetadataStmt:
+			b = append(b, "    set_metadata("...)
+			b = appendFieldRef(b, st.Dst)
+			b = append(b, ", "...)
+			b = appendExpr(b, st.Value)
+			b = append(b, ");\n"...)
+		}
+	}
+	switch r := v.Return.(type) {
+	case *ReturnState:
+		b = cat(b, "    return ", r.State, ";\n")
+	case *ReturnSelect:
+		b = append(b, "    return select("...)
+		b = appendExprs(b, r.On)
+		b = append(b, ") {\n"...)
+		for _, c := range r.Cases {
+			b = append(b, "        "...)
+			if c.IsDefault {
+				b = append(b, "default"...)
+			} else {
+				b = append(b, "0x"...)
+				b = strconv.AppendUint(b, c.Value, 16)
+				if c.HasMask {
+					b = append(b, " &&& 0x"...)
+					b = strconv.AppendUint(b, c.Mask, 16)
+				}
+			}
+			b = cat(b, " : ", c.State, ";\n")
+		}
+		b = append(b, "    }\n"...)
+	}
+	return append(b, "}\n"...)
+}
+
+func appendTable(b []byte, v *TableDecl) []byte {
+	b = cat(b, "table ", v.Name, " {\n")
+	if len(v.Reads) > 0 {
+		b = append(b, "    reads {\n"...)
+		for _, r := range v.Reads {
+			b = append(b, "        "...)
+			b = appendFieldRef(b, r.Field)
+			b = cat(b, " : ", r.Kind, ";\n")
+		}
+		b = append(b, "    }\n"...)
+	}
+	b = append(b, "    actions {\n"...)
+	for _, a := range v.ActionNames {
+		b = cat(b, "        ", a, ";\n")
+	}
+	b = append(b, "    }\n"...)
+	switch {
+	case v.SizeSym != "":
+		b = cat(b, "    size : ", v.SizeSym, ";\n")
+	case v.Size > 0:
+		b = append(b, "    size : "...)
+		b = appendInt(b, v.Size)
+		b = append(b, ";\n"...)
+	}
+	if v.DefaultAction != "" {
+		b = cat(b, "    default_action : ", v.DefaultAction)
+		if len(v.DefaultArgs) > 0 {
+			b = append(b, '(')
+			b = appendExprs(b, v.DefaultArgs)
+			b = append(b, ')')
+		}
+		b = append(b, ";\n"...)
+	}
+	if v.SupportTimeout {
+		b = append(b, "    support_timeout : true;\n"...)
+	}
+	return append(b, "}\n"...)
+}
+
+func appendIndent(b []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		b = append(b, "    "...)
+	}
+	return b
+}
+
+func appendBlock(b []byte, blk *BlockStmt, depth int) []byte {
+	b = append(b, "{\n"...)
 	for _, s := range blk.Stmts {
-		printStmt(b, s, depth+1)
+		b = appendStmt(b, s, depth+1)
 	}
-	b.WriteString(indent + "}")
+	b = appendIndent(b, depth)
+	return append(b, '}')
 }
 
-func printStmt(b Writer, s Stmt, depth int) {
-	indent := strings.Repeat("    ", depth)
+func appendStmt(b []byte, s Stmt, depth int) []byte {
+	b = appendIndent(b, depth)
 	switch v := s.(type) {
 	case *ApplyStmt:
+		b = cat(b, "apply(", v.Table)
 		if v.Hit == nil && v.Miss == nil {
-			fmt.Fprintf(b, "%sapply(%s);\n", indent, v.Table)
-			return
+			return append(b, ");\n"...)
 		}
-		fmt.Fprintf(b, "%sapply(%s) {\n", indent, v.Table)
+		b = append(b, ") {\n"...)
 		if v.Hit != nil {
-			fmt.Fprintf(b, "%s    hit ", indent)
-			printBlock(b, v.Hit, depth+1)
-			b.WriteByte('\n')
+			b = appendIndent(b, depth+1)
+			b = append(b, "hit "...)
+			b = appendBlock(b, v.Hit, depth+1)
+			b = append(b, '\n')
 		}
 		if v.Miss != nil {
-			fmt.Fprintf(b, "%s    miss ", indent)
-			printBlock(b, v.Miss, depth+1)
-			b.WriteByte('\n')
+			b = appendIndent(b, depth+1)
+			b = append(b, "miss "...)
+			b = appendBlock(b, v.Miss, depth+1)
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(b, "%s}\n", indent)
+		b = appendIndent(b, depth)
+		b = append(b, "}\n"...)
 	case *IfStmt:
-		fmt.Fprintf(b, "%sif (%s) ", indent, BoolExprString(v.Cond))
-		printBlock(b, v.Then, depth)
+		b = append(b, "if ("...)
+		b = appendBoolExpr(b, v.Cond)
+		b = append(b, ") "...)
+		b = appendBlock(b, v.Then, depth)
 		if v.Else != nil {
-			b.WriteString(" else ")
-			printBlock(b, v.Else, depth)
+			b = append(b, " else "...)
+			b = appendBlock(b, v.Else, depth)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	case *BlockStmt:
-		b.WriteString(indent)
-		printBlock(b, v, depth)
-		b.WriteByte('\n')
+		b = appendBlock(b, v, depth)
+		b = append(b, '\n')
 	}
+	return b
 }
 
-func exprString(e Expr) string {
+// cat appends the strings to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+func appendFieldRef(b []byte, f FieldRef) []byte {
+	b = append(b, f.Instance...)
+	if f.Field != "" {
+		b = append(b, '.')
+		b = append(b, f.Field...)
+	}
+	return b
+}
+
+func appendExpr(b []byte, e Expr) []byte {
 	switch v := e.(type) {
 	case FieldRef:
-		return v.String()
+		return appendFieldRef(b, v)
 	case IntLit:
-		return fmt.Sprintf("%d", v.Value)
+		return strconv.AppendUint(b, v.Value, 10)
 	case ParamRef:
-		return v.Name
+		return append(b, v.Name...)
 	case SymRef:
-		return v.Name
+		return append(b, v.Name...)
 	}
-	return "<?>"
+	return append(b, "<?>"...)
+}
+
+// appendExprs appends the expressions comma-separated.
+func appendExprs(b []byte, es []Expr) []byte {
+	for i, e := range es {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendExpr(b, e)
+	}
+	return b
+}
+
+func appendBoolExpr(b []byte, e BoolExpr) []byte {
+	switch v := e.(type) {
+	case *ValidExpr:
+		return cat(b, "valid(", v.Instance, ")")
+	case *CompareExpr:
+		b = appendExpr(b, v.Left)
+		b = cat(b, " ", v.Op, " ")
+		return appendExpr(b, v.Right)
+	case *BinaryBoolExpr:
+		b = append(b, '(')
+		b = appendBoolExpr(b, v.Left)
+		b = cat(b, ") ", v.Op, " (")
+		b = appendBoolExpr(b, v.Right)
+		return append(b, ')')
+	case *NotExpr:
+		b = append(b, "not ("...)
+		b = appendBoolExpr(b, v.X)
+		return append(b, ')')
+	}
+	return append(b, "<?>"...)
 }
 
 // ExprString renders an expression as source text.
-func ExprString(e Expr) string { return exprString(e) }
+func ExprString(e Expr) string { return string(appendExpr(nil, e)) }
 
 // BoolExprString renders a boolean expression as source text.
-func BoolExprString(e BoolExpr) string {
-	switch v := e.(type) {
-	case *ValidExpr:
-		return fmt.Sprintf("valid(%s)", v.Instance)
-	case *CompareExpr:
-		return fmt.Sprintf("%s %s %s", exprString(v.Left), v.Op, exprString(v.Right))
-	case *BinaryBoolExpr:
-		return fmt.Sprintf("(%s) %s (%s)", BoolExprString(v.Left), v.Op, BoolExprString(v.Right))
-	case *NotExpr:
-		return fmt.Sprintf("not (%s)", BoolExprString(v.X))
-	}
-	return "<?>"
-}
+func BoolExprString(e BoolExpr) string { return string(appendBoolExpr(nil, e)) }
