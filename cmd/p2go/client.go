@@ -46,7 +46,7 @@ func (sf *serverFlags) client() *service.Client {
 	return service.NewClient(servers, *sf.timeout)
 }
 
-// printStatus renders a JobStatus the way the server would.
+// printStatus renders a JobStatus indented; the server sends it compact.
 func printStatus(st service.JobStatus) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
@@ -56,8 +56,9 @@ func printStatus(st service.JobStatus) error {
 	return nil
 }
 
-// cmdSubmit posts a job to p2god; with -wait it polls until the job is
-// terminal and prints the full status (result included).
+// cmdSubmit posts a job to p2god; with -wait it stays until the job is
+// terminal — the server holds the status request open and answers when the
+// job ends — and prints the full status (result included).
 func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	sf := addServerFlags(fs)
@@ -68,8 +69,8 @@ func cmdSubmit(args []string) error {
 	set := fs.String("set", "", `tunable bindings, e.g. "sc_bf_cells=32768" (default: the @tunable declarations' defaults)`)
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job timeout on the server (0 = server default)")
 	parallelism := fs.Int("parallelism", 0, "job workers for replay shards and candidate probes (0 = server default)")
-	wait := fs.Bool("wait", false, "poll until the job finishes and print the result")
-	poll := fs.Duration("poll", 200*time.Millisecond, "poll interval with -wait")
+	wait := fs.Bool("wait", false, "wait until the job finishes and print the result")
+	poll := fs.Duration("poll", 200*time.Millisecond, "with -wait: pause before re-asking a server that answered early (draining, mid-takeover, or too old to hold the request)")
 	waitTimeout := fs.Duration("wait-timeout", 10*time.Minute, "give up on -wait after this long (0 = wait forever)")
 	if err := fs.Parse(args); err != nil {
 		return err

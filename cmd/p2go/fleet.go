@@ -46,8 +46,8 @@ func cmdFleetSubmit(args []string) error {
 	packets := fs.Int("packets", 200, "synthetic fleet: packets injected per device")
 	passes := fs.String("passes", "", "comma-separated pass schedule for every device (empty = default order)")
 	deviceParallelism := fs.Int("device-parallelism", 0, "devices optimized concurrently (0 = all CPUs)")
-	wait := fs.Bool("wait", false, "poll until the fleet finishes and print the aggregated report")
-	poll := fs.Duration("poll", 200*time.Millisecond, "poll interval with -wait")
+	wait := fs.Bool("wait", false, "wait until the fleet finishes and print the aggregated report")
+	poll := fs.Duration("poll", 200*time.Millisecond, "with -wait: pause before re-asking a server that answered early (draining, mid-takeover, or too old to hold the request)")
 	waitTimeout := fs.Duration("wait-timeout", 30*time.Minute, "give up on -wait after this long (0 = wait forever)")
 	if err := fs.Parse(args); err != nil {
 		return err

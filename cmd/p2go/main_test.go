@@ -173,6 +173,41 @@ func TestClientSubcommands(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitIsNotPaced: `submit -wait` reports when the job ends — the
+// server holds the status request and answers at the terminal transition —
+// so a -poll far longer than the job no longer sets how long the command
+// takes (at the old 200 ms default a 13 ms job reported after 200 ms; at
+// this 10 s one it would take 10 s). The same holds for a resubmission,
+// which the POST itself answers.
+func TestSubmitWaitIsNotPaced(t *testing.T) {
+	m := service.NewManager(service.ManagerConfig{Workers: 1, QueueDepth: 4})
+	m.Start()
+	srv := httptest.NewServer(service.NewHandler(m))
+	t.Cleanup(func() {
+		srv.Close()
+		m.Drain(5 * time.Second)
+	})
+	for _, wantCached := range []bool{false, true} {
+		start := time.Now()
+		out := captureStdout(t, func() error {
+			return cmdSubmit([]string{"-server", srv.URL, "-workload", "quickstart",
+				"-kind", "profile", "-wait", "-poll", "10s"})
+		})
+		took := time.Since(start)
+		var st service.JobStatus
+		if err := json.Unmarshal([]byte(out), &st); err != nil {
+			t.Fatalf("submit output not JSON: %v\n%s", err, out)
+		}
+		if st.State != service.StateDone || len(st.Result) == 0 || st.Cached != wantCached {
+			t.Fatalf("submit -wait = state %s, cached %v, %d result bytes; want done, cached %v",
+				st.State, st.Cached, len(st.Result), wantCached)
+		}
+		if took >= time.Second {
+			t.Errorf("submit -wait -poll 10s took %s (cached %v), want under 1s", took, wantCached)
+		}
+	}
+}
+
 // TestFleetSubcommands drives fleet submit/status/jobs against an
 // in-process p2god instance, both synthetic and from a spec file.
 func TestFleetSubcommands(t *testing.T) {

@@ -30,7 +30,7 @@
 // Submit with curl (or `p2go submit`):
 //
 //	curl -s -X POST localhost:9095/jobs -d '{"kind":"optimize","workload":"ex1"}'
-//	curl -s localhost:9095/jobs/j-000001
+//	curl -s 'localhost:9095/jobs/j-000001?wait=30s'   (answers when the job ends)
 //	p2go fleet submit -devices 64 -workload quickstart -wait   (network-wide job)
 //	curl -s localhost:9095/jobs/j-000001/trace > trace.json   (load in Perfetto)
 //	curl -s localhost:9095/metrics
@@ -52,7 +52,13 @@
 // stored CPU captures are mergeable into a PGO profile; see
 // `cmd/experiments -pgo`.
 //
-// SIGINT/SIGTERM drain gracefully: the listener closes, queued jobs are
+// A spec the artifact cache already answers is served at admission: the
+// POST's own response is terminal (state done, cached true) and the job
+// never enters the queue. Responses are compact JSON; pipe them through
+// `jq .` (or use `p2go status`) to read them indented.
+//
+// SIGINT/SIGTERM drain gracefully: the listener closes, parked ?wait=
+// requests are answered with the state their job is in, queued jobs are
 // requeued via the journal (canceled when -journal is unset), and running
 // jobs get -drain-timeout to finish before their contexts are canceled.
 // With -journal set, jobs that were queued or running when the process
@@ -65,6 +71,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -259,7 +266,17 @@ func run(o options) error {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	srv := &http.Server{Addr: o.listen, Handler: handler}
+	// Requests derive their contexts from reqCtx, and Shutdown ends it: a
+	// client parked in GET /jobs/{id}?wait= is answered at once instead of
+	// holding the shutdown open for the rest of its wait.
+	reqCtx, endRequests := context.WithCancel(context.Background())
+	defer endRequests()
+	srv := &http.Server{
+		Addr:        o.listen,
+		Handler:     handler,
+		BaseContext: func(net.Listener) context.Context { return reqCtx },
+	}
+	srv.RegisterOnShutdown(endRequests)
 	errc := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", o.listen, "workers", o.workers,

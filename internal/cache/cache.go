@@ -232,6 +232,18 @@ func (c *Cache) spillPath(key string) string {
 // This is the lookup path for artifacts whose fill is owned elsewhere,
 // like fleet device rows computed inside a running fleet job.
 func (c *Cache) GetBytes(key string) ([]byte, bool) {
+	return c.getBytes(key, true)
+}
+
+// ProbeBytes is GetBytes for a caller that follows a miss with a Do on
+// the same key (p2god's admission probe, then the worker's DoBytes): a
+// hit counts as one, a miss counts nothing, so the one lookup the request
+// amounts to is counted once, by whichever call answered it.
+func (c *Cache) ProbeBytes(key string) ([]byte, bool) {
+	return c.getBytes(key, false)
+}
+
+func (c *Cache) getBytes(key string, countMiss bool) ([]byte, bool) {
 	c.mu.Lock()
 	if data, ok := c.bytesLocked(key); ok {
 		c.mu.Unlock()
@@ -248,7 +260,9 @@ func (c *Cache) GetBytes(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !spilled {
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		return nil, false
 	}
 	// A PutBytes may have landed while the disk was read; the entry in

@@ -37,6 +37,46 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestProbeBytesCountsOnlyHits: a probe followed by a Do on the same key
+// is one lookup — the probe's miss is not counted, the Do's is — and a
+// probe that answers counts as the hit it is, from memory or from the spill
+// (which it promotes, like GetBytes).
+func TestProbeBytesCountsOnlyHits(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCache(4, dir)
+	if _, ok := c.ProbeBytes("job:k"); ok {
+		t.Fatal("probe of an empty cache hit")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats after a missed probe = %+v, want nothing counted", st)
+	}
+	if _, hit, err := c.DoBytes("job:k", func() ([]byte, error) { return []byte("v"), nil }); err != nil || hit {
+		t.Fatalf("DoBytes after the probe: hit=%v err=%v, want a fill", hit, err)
+	}
+	if v, ok := c.ProbeBytes("job:k"); !ok || string(v) != "v" {
+		t.Fatalf("probe after the fill = %q, %v", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+	// A second cache over the same directory starts cold in memory: the
+	// probe answers from the spill and promotes the entry.
+	c2 := NewCache(4, dir)
+	if v, ok := c2.ProbeBytes("job:k"); !ok || string(v) != "v" {
+		t.Fatalf("probe of the spill = %q, %v", v, ok)
+	}
+	if st := c2.Stats(); st.Hits != 1 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("stats after a spill probe = %+v, want 1 hit and the entry promoted", st)
+	}
+	// GetBytes still counts its misses.
+	if _, ok := c2.GetBytes("job:other"); ok {
+		t.Fatal("GetBytes of an absent key hit")
+	}
+	if st := c2.Stats(); st.Misses != 1 {
+		t.Fatalf("stats after a missed GetBytes = %+v, want the miss counted", st)
+	}
+}
+
 func TestCacheSingleFlight(t *testing.T) {
 	c := NewCache(4, "")
 	var fills atomic.Int64

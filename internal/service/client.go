@@ -111,7 +111,7 @@ func (c *Client) SubmitJob(spec JobSpec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	return c.submit("/jobs", body, spec.RouteKey())
+	return c.submit("/jobs", body, c.route(spec))
 }
 
 // SubmitFleet posts a network-wide job, routed by the fleet fingerprint.
@@ -120,8 +120,18 @@ func (c *Client) SubmitFleet(spec fleet.Spec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	route := JobSpec{Kind: "fleet", Fleet: &spec}.RouteKey()
-	return c.submit("/fleets", body, route)
+	return c.submit("/fleets", body, c.route(JobSpec{Kind: "fleet", Fleet: &spec}))
+}
+
+// route is the spec's RouteKey when there is a replica set to rank by it.
+// With one server the key chooses nothing, and computing it — normalizing
+// and fingerprinting the whole spec a second time, client-side — is most
+// of what submitting a large fleet costs the client.
+func (c *Client) route(spec JobSpec) string {
+	if len(c.servers) < 2 {
+		return ""
+	}
+	return spec.RouteKey()
 }
 
 func (c *Client) submit(path string, body []byte, route string) (JobStatus, error) {
@@ -240,11 +250,15 @@ func (c *Client) CaptureProfiles() ([]prof.Info, error) {
 	return infos, nil
 }
 
-// AwaitJob polls until the job is terminal. Polling is failover-tolerant
-// by construction (each poll asks the whole replica set), and a job that
-// is momentarily unknown everywhere — mid-takeover, between a replica
-// dying and a survivor re-submitting — is retried until the deadline
-// rather than failed.
+// AwaitJob waits until the job is terminal. It long-polls: each request
+// asks the server to hold the answer until the job finishes (GET
+// ...?wait=), so the result arrives when the job ends, not at the next
+// tick. poll is only the pause before re-asking after an answer that came
+// back early and non-terminal (a draining or older server) or an error.
+// Waiting is failover-tolerant by construction (each request asks the
+// whole replica set), and a job that is momentarily unknown everywhere —
+// mid-takeover, between a replica dying and a survivor re-submitting — is
+// retried until the deadline rather than failed.
 func (c *Client) AwaitJob(id string, poll, timeout time.Duration) (JobStatus, error) {
 	return c.await("/jobs/"+id, poll, timeout)
 }
@@ -259,24 +273,32 @@ func (c *Client) await(path string, poll, timeout time.Duration) (JobStatus, err
 		poll = 200 * time.Millisecond
 	}
 	deadline := time.Now().Add(timeout)
-	var lastErr error
 	for {
-		st, err := c.getStatus(path)
-		if err == nil {
-			if st.State.Terminal() {
-				return st, nil
-			}
-			lastErr = nil
-		} else {
-			lastErr = err
+		// Ask the server to hold the request for no longer than the time
+		// left here, than half the request timeout (the other half is for
+		// the transfer), and than the server would agree to anyway.
+		wait, pause := maxWait, poll
+		if half := c.http.Timeout / 2; half > 0 {
+			wait = min(wait, half)
 		}
-		if timeout > 0 && time.Now().After(deadline) {
-			if lastErr != nil {
-				return JobStatus{}, fmt.Errorf("await %s: %w", path, lastErr)
-			}
-			return JobStatus{}, fmt.Errorf("await %s: job not terminal after %s", path, timeout)
+		if timeout > 0 {
+			wait = max(0, min(wait, time.Until(deadline)))
 		}
-		c.sleep(poll)
+		st, err := c.getStatus(path + "?wait=" + wait.String())
+		if err == nil && st.State.Terminal() {
+			return st, nil
+		}
+		if timeout > 0 {
+			left := time.Until(deadline)
+			if left <= 0 {
+				if err != nil {
+					return JobStatus{}, fmt.Errorf("await %s: %w", path, err)
+				}
+				return JobStatus{}, fmt.Errorf("await %s: job not terminal after %s", path, timeout)
+			}
+			pause = min(pause, left)
+		}
+		c.sleep(pause)
 	}
 }
 
@@ -380,7 +402,7 @@ func (c *Client) once(method, url string, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -394,6 +416,19 @@ func (c *Client) once(method, url string, body []byte) ([]byte, error) {
 		return nil, he
 	}
 	return data, nil
+}
+
+// readBody reads the whole response body, into a buffer of the declared
+// size when the server declared one (p2god does) instead of through
+// io.ReadAll's doublings, which copy a fleet report more than twice over.
+// A declared length past maxSpecBytes is not trusted with an allocation.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 || resp.ContentLength > maxSpecBytes {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, resp.ContentLength)
+	_, err := io.ReadFull(resp.Body, data)
+	return data, err
 }
 
 // ranked orders the replica set for a route key by rendezvous

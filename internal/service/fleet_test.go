@@ -107,9 +107,14 @@ func TestServeFleetEndToEnd(t *testing.T) {
 	if !strings.Contains(body, st.ID) {
 		t.Errorf("GET /fleets lacks %s: %s", st.ID, body)
 	}
+	var served struct {
+		Result struct {
+			Kind string `json:"kind"`
+		} `json:"result"`
+	}
 	fleetBody := getBody(t, srv.URL+"/fleets/"+st.ID)
-	if !strings.Contains(fleetBody, `"kind": "fleet"`) {
-		t.Errorf("GET /fleets/%s lacks the fleet result", st.ID)
+	if err := json.Unmarshal([]byte(fleetBody), &served); err != nil || served.Result.Kind != "fleet" {
+		t.Errorf("GET /fleets/%s lacks the fleet result (%v)", st.ID, err)
 	}
 
 	metrics := getBody(t, srv.URL+"/metrics")

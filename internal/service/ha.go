@@ -154,6 +154,7 @@ func (m *Manager) Kill() {
 	}
 	m.killed = true
 	m.draining = true // reject submissions, guard double queue-close
+	close(m.drainCh)
 	m.mu.Unlock()
 	// Order matters: close the journal before canceling contexts, so the
 	// cancellation fallout (failed/canceled outcomes) cannot reach disk.

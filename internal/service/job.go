@@ -162,7 +162,11 @@ type Job struct {
 	Spec   JobSpec
 	Digest string
 
-	state      JobState
+	state JobState
+	// done is closed, under the manager's mutex, by the transition that
+	// makes state terminal — so a Wait-er woken by it (or finding it
+	// already closed) can never read a non-terminal state.
+	done       chan struct{}
 	cached     bool
 	errText    string
 	result     []byte

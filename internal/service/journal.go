@@ -24,10 +24,16 @@ import (
 // so a second scan — or the dead replica restarting — sees the job as
 // already re-owned.
 //
-// The format is one JSON object per line, fsynced per append. A torn
-// final line (the crash happened mid-write) is tolerated and reported as
-// a warning; corruption anywhere before the final record is an error,
-// because a journal that lies in the middle cannot be trusted at all.
+// The format is one JSON object per line. Records that protect pending
+// work — accepted, finished, requeued, takeover of a job that was queued —
+// are fsynced per append. Lines replay ignores — a fleet's device progress,
+// the finished line of a job answered at admission — are written without a
+// flush of their own and become durable with the next synced record: the
+// bytes survive the process dying, and a power loss can only drop lines
+// recovery would have skipped. A torn final line (the crash happened
+// mid-write) is tolerated and reported as a warning; corruption anywhere
+// before the final record is an error, because a journal that lies in the
+// middle cannot be trusted at all.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -115,9 +121,9 @@ func ReadPending(path string) ([]PendingJob, []string, error) {
 
 // replayJournal folds journal bytes into the pending set. A final line
 // that fails to parse is a torn tail from a crash mid-append: it is
-// skipped with a warning, because the fsync discipline guarantees every
-// earlier record was durable before it was written. An unparseable line
-// anywhere else is corruption and fails the replay.
+// skipped with a warning, because appends are whole lines in order: every
+// earlier record was written out before it. An unparseable line anywhere
+// else is corruption and fails the replay.
 func replayJournal(data []byte, path string) ([]PendingJob, []string, error) {
 	type pendingAt struct {
 		job PendingJob
@@ -180,7 +186,7 @@ func (j *Journal) Accepted(id string, spec JobSpec) {
 	if j == nil {
 		return
 	}
-	j.append(journalEntry{Op: "accepted", ID: id, Spec: &spec})
+	j.append(journalEntry{Op: "accepted", ID: id, Spec: &spec}, true)
 }
 
 // Finished records a terminal outcome; the job will not be recovered.
@@ -188,18 +194,29 @@ func (j *Journal) Finished(id string, state JobState) {
 	if j == nil {
 		return
 	}
-	j.append(journalEntry{Op: "finished", ID: id, State: string(state)})
+	j.append(journalEntry{Op: "finished", ID: id, State: string(state)}, true)
+}
+
+// answered records a job served from the artifact cache at admission. It
+// was never pending — replay ignores a finished with no accepted — so the
+// line documents the request without paying for a flush.
+func (j *Journal) answered(id string) {
+	if j == nil {
+		return
+	}
+	j.append(journalEntry{Op: "finished", ID: id, State: string(StateDone)}, false)
 }
 
 // Device records one finished device row of a running fleet job, so an
 // operator reading the journal after a crash can see how far the fleet
 // got. Recovery does not replay these — the re-run fleet job recovers
-// finished rows from the spilled device cache instead.
+// finished rows from the spilled device cache instead — so they are not
+// flushed one by one: the fleet's finished record syncs them.
 func (j *Journal) Device(id, device, status string) {
 	if j == nil {
 		return
 	}
-	j.append(journalEntry{Op: "device", ID: id, Device: device, State: status})
+	j.append(journalEntry{Op: "device", ID: id, Device: device, State: status}, false)
 }
 
 // Requeued documents that a drain left the job pending on purpose; it
@@ -208,7 +225,7 @@ func (j *Journal) Requeued(id string) {
 	if j == nil {
 		return
 	}
-	j.append(journalEntry{Op: "requeued", ID: id})
+	j.append(journalEntry{Op: "requeued", ID: id}, true)
 }
 
 // AppendTakeover appends a takeover record to the journal at path (a
@@ -237,10 +254,10 @@ func AppendTakeover(path, jobID, by string) error {
 	return f.Sync()
 }
 
-// append writes one line and fsyncs. Errors are swallowed after marking
-// nothing: the journal is a recovery aid; a full disk must not take the
-// daemon down with it.
-func (j *Journal) append(e journalEntry) {
+// append writes one line and, for a record replay acts on, fsyncs. Errors
+// are swallowed after marking nothing: the journal is a recovery aid; a
+// full disk must not take the daemon down with it.
+func (j *Journal) append(e journalEntry, durable bool) {
 	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	data, err := json.Marshal(e)
 	if err != nil {
@@ -251,7 +268,7 @@ func (j *Journal) append(e journalEntry) {
 	if j.f == nil {
 		return
 	}
-	if _, err := j.f.Write(append(data, '\n')); err == nil {
+	if _, err := j.f.Write(append(data, '\n')); err == nil && durable {
 		_ = j.f.Sync()
 	}
 }

@@ -63,6 +63,11 @@ func IsTransient(err error) bool {
 // the artifact cache regardless.
 const maxFinishedJobs = 256
 
+// maxWait caps how long one Wait (one GET ...?wait=) may park: a waiting
+// client costs a request per half minute, a vanished one's goroutine is
+// reclaimed within it.
+const maxWait = 30 * time.Second
+
 // ManagerConfig sizes the job manager.
 type ManagerConfig struct {
 	// Workers is the worker-pool size; <=0 means 2.
@@ -165,8 +170,10 @@ type Manager struct {
 	queue    chan *Job
 	queued   int
 	running  int
+	terminal int // tracked jobs in a terminal state; what pruneLocked bounds
 	draining bool
-	killed   bool // Kill() simulated kill -9; suppress journal/lease writes
+	drainCh  chan struct{} // closed when draining is set; releases every Wait
+	killed   bool          // Kill() simulated kill -9; suppress journal/lease writes
 	seq      int
 	breakers map[string]*breakerState // by job digest
 
@@ -231,6 +238,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		baseCancel: cancel,
 		jobs:       map[string]*Job{},
 		queue:      make(chan *Job, cfg.QueueDepth),
+		drainCh:    make(chan struct{}),
 		breakers:   map[string]*breakerState{},
 	}
 	m.metrics.observeAnalyses(m.analysis.Stats)
@@ -280,8 +288,11 @@ func (m *Manager) Start() {
 	}
 }
 
-// Submit validates, registers, and enqueues a job. It returns ErrQueueFull
-// when the bounded queue has no room and ErrDraining during shutdown.
+// Submit validates and registers a job. A spec whose result the artifact
+// cache already holds is answered on the spot — the returned status is
+// terminal, done and cached; anything else is enqueued. It returns
+// ErrQueueFull when the bounded queue has no room for a job that needs a
+// worker and ErrDraining during shutdown.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	return m.submit(spec, "", "", nil)
 }
@@ -294,13 +305,56 @@ func (m *Manager) submit(spec JobSpec, presetID, takenOverFrom string, lease *cl
 	if err := spec.normalize(); err != nil {
 		return JobStatus{}, err
 	}
+	job := &Job{
+		Spec:          spec,
+		Digest:        spec.digest(),
+		state:         StateQueued,
+		done:          make(chan struct{}),
+		createdAt:     time.Now(),
+		lease:         lease,
+		takenOverFrom: takenOverFrom,
+	}
+	if m.cfg.Cluster != nil {
+		job.replica = m.cfg.Cluster.ID()
+	}
+	// A request whose answer is already in the artifact cache asks for no
+	// work and gets none: no queue slot, worker, meter, lease or write-ahead
+	// record. The probe runs before the lock — it may read the spill, and
+	// the disk must never stall every Get and every worker's state flip.
+	// Recovered and taken-over jobs stay on the queued path: their lease
+	// hand-off and takeover-record ordering live in the worker.
+	var hit []byte
+	if presetID == "" {
+		key := "job:" + job.Digest
+		if out, ok := m.cache.ProbeBytes(key); ok && m.validHit(key, out) {
+			hit = out
+		}
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	st, err := m.admitLocked(job, presetID, hit)
+	m.mu.Unlock()
+	if err == nil && hit != nil {
+		// After the lock: nobody else waits for this request's file writes.
+		m.persistTrace(job.ID, job.trace)
+		m.cfg.Journal.answered(job.ID)
+		m.metrics.Cache("job", true)
+		m.metrics.JobFinished(string(StateDone), 0)
+		m.logger.Info("job finished",
+			"job_id", job.ID, "kind", spec.Kind, "digest", job.Digest,
+			"replica_id", job.replica, "outcome", string(StateDone),
+			"cached", true, "admission", true, "seconds", 0.0)
+	}
+	return st, err
+}
+
+// admitLocked refuses the job (draining, open breaker, full queue) or
+// registers it: terminal already when hit is its cached result, queued and
+// journaled otherwise.
+func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus, error) {
 	if m.draining {
 		return JobStatus{}, ErrDraining
 	}
-	digest := spec.digest()
-	if b, ok := m.breakers[digest]; ok && b.fails >= m.cfg.BreakerThreshold {
+	if b, ok := m.breakers[job.Digest]; ok && b.fails >= m.cfg.BreakerThreshold {
 		if m.now().Before(b.openUntil) {
 			m.metrics.CircuitRejected()
 			return JobStatus{}, ErrCircuitOpen
@@ -309,51 +363,90 @@ func (m *Manager) submit(spec JobSpec, presetID, takenOverFrom string, lease *cl
 		// burst of re-submissions cannot stampede a failing spec.
 		b.openUntil = m.now().Add(m.cfg.BreakerCooldown)
 	}
-	id := presetID
-	if id == "" {
-		id = m.nextIDLocked()
-	} else if _, taken := m.jobs[id]; taken {
-		return JobStatus{}, fmt.Errorf("service: job %q already tracked", id)
+	job.ID = presetID
+	if presetID == "" {
+		job.ID = m.nextIDLocked()
+	} else if _, taken := m.jobs[presetID]; taken {
+		return JobStatus{}, fmt.Errorf("service: job %q already tracked", presetID)
 	}
-	job := &Job{
-		ID:            id,
-		Spec:          spec,
-		Digest:        digest,
-		state:         StateQueued,
-		createdAt:     time.Now(),
-		lease:         lease,
-		takenOverFrom: takenOverFrom,
-	}
-	if m.cfg.Cluster != nil {
-		job.replica = m.cfg.Cluster.ID()
-	}
-	select {
-	case m.queue <- job:
-	default:
-		if presetID == "" {
-			m.seq-- // not admitted; reuse the ID
+	if hit != nil {
+		job.cached, job.result = true, hit
+		job.startedAt = job.createdAt
+		m.finishLocked(job, StateDone, "")
+		job.trace = admissionTrace(job)
+		m.breakerUpdateLocked(job.Digest, StateDone)
+	} else {
+		select {
+		case m.queue <- job:
+		default:
+			if presetID == "" {
+				m.seq-- // not admitted; reuse the ID
+			}
+			m.metrics.QueueRejected()
+			return JobStatus{}, ErrQueueFull
 		}
-		m.metrics.QueueRejected()
-		return JobStatus{}, ErrQueueFull
+		m.queued++
 	}
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
-	m.queued++
 	m.pruneLocked()
 	m.metrics.JobSubmitted()
-	// Journal while still holding the lock: a worker that pops this job
-	// cannot record "finished" before "accepted" is durable.
-	m.cfg.Journal.Accepted(job.ID, job.Spec)
-	if takenOverFrom != "" {
-		m.logger.Info("job accepted",
-			"job_id", job.ID, "kind", spec.Kind, "workload", spec.Workload,
-			"digest", digest, "replica_id", job.replica, "taken_over_from", takenOverFrom)
-	} else {
-		m.logger.Info("job accepted",
-			"job_id", job.ID, "kind", spec.Kind, "workload", spec.Workload,
-			"digest", digest, "replica_id", job.replica)
+	attrs := []any{"job_id", job.ID, "kind", job.Spec.Kind, "workload", job.Spec.Workload,
+		"digest", job.Digest, "replica_id", job.replica}
+	if job.takenOverFrom != "" {
+		attrs = append(attrs, "taken_over_from", job.takenOverFrom)
 	}
+	if hit == nil {
+		// Journal while still holding the lock: a worker that pops this job
+		// cannot record "finished" before "accepted" is durable. (A job
+		// answered from the cache was never pending: no record.)
+		m.cfg.Journal.Accepted(job.ID, job.Spec)
+	}
+	m.logger.Info("job accepted", attrs...)
 	return job.statusLocked(false), nil
+}
+
+// validHit reports whether a cached job artifact may be served. Job
+// results are JSON by construction; one that no longer parses was
+// corrupted (bit rot, torn spill write, or an injected fault) and is
+// purged, so the caller's next lookup recomputes it. Every hit passes
+// through here, which is what lets writeJSON splice stored bytes unscanned.
+func (m *Manager) validHit(key string, out []byte) bool {
+	if !m.cfg.Faults.Fire(faults.CacheCorrupt) && json.Valid(out) {
+		return true
+	}
+	m.metrics.CacheCorruptionDetected()
+	m.cache.Delete(key)
+	return false
+}
+
+// jobSpanAttrs identifies a job on its trace's root span.
+func jobSpanAttrs(job *Job) []obs.Attr {
+	attrs := []obs.Attr{
+		obs.String("id", job.ID),
+		obs.String("kind", job.Spec.Kind),
+		obs.String("workload", job.Spec.Workload),
+		obs.Int64("seed", job.Spec.Seed),
+		obs.String("digest", job.Digest),
+	}
+	if job.replica != "" {
+		attrs = append(attrs, obs.String("replica", job.replica))
+	}
+	return attrs
+}
+
+// admissionTrace is the span tree of a job answered at admission, in the
+// shape a worker-run cache hit has — a job root over one cache.lookup, which
+// is all the job was — so GET /jobs/{id}/trace explains it like any other.
+func admissionTrace(job *Job) *obs.Collector {
+	took := job.finishedAt.Sub(job.createdAt)
+	col := obs.NewCollector(2)
+	col.Export(obs.SpanData{ID: 2, ParentID: 1, Name: "cache.lookup", Start: job.createdAt, Duration: took,
+		Attrs: []obs.Attr{obs.String("kind", "job"), obs.String("key", "job:"+job.Digest), obs.Bool("hit", true)}})
+	col.Export(obs.SpanData{ID: 1, Name: "job", Start: job.createdAt, Duration: took,
+		Attrs: append(jobSpanAttrs(job), obs.String("outcome", string(StateDone)),
+			obs.Bool("cache_hit", true), obs.Bool("admission", true))})
+	return col
 }
 
 // nextIDLocked mints the next job ID: replica-prefixed in cluster mode
@@ -391,9 +484,29 @@ func (m *Manager) Requeue(pending []PendingJob) (accepted, dropped int) {
 
 // Get returns a job's status; includeResult attaches the result JSON.
 func (m *Manager) Get(id string, includeResult bool) (JobStatus, bool) {
+	return m.Wait(context.Background(), id, 0, includeResult)
+}
+
+// Wait is Get that first parks for up to d (capped at maxWait) until the
+// job is terminal. It returns early — with whatever state the job is in —
+// when ctx ends or the manager begins draining, so a long poll never
+// outlives its request or holds up a shutdown; d <= 0 does not park.
+func (m *Manager) Wait(ctx context.Context, id string, d time.Duration, includeResult bool) (JobStatus, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	job, ok := m.jobs[id]
+	if ok && d > 0 && !job.state.Terminal() && !m.draining {
+		m.mu.Unlock()
+		t := time.NewTimer(min(d, maxWait))
+		select {
+		case <-job.done:
+		case <-t.C:
+		case <-ctx.Done():
+		case <-m.drainCh:
+		}
+		t.Stop()
+		m.mu.Lock()
+	}
+	defer m.mu.Unlock()
 	if !ok {
 		return JobStatus{}, false
 	}
@@ -468,6 +581,7 @@ func (m *Manager) Drain(timeout time.Duration) DrainReport {
 		return rep
 	}
 	m.draining = true
+	close(m.drainCh)
 	for _, id := range m.order {
 		job, ok := m.jobs[id]
 		if !ok || job.state != StateQueued {
@@ -532,13 +646,10 @@ func (m *Manager) runJob(job *Job) {
 		if job.requeue {
 			// Drained with a journal: the accepted record stays
 			// pending, so the job is recovered on the next start.
-			job.state = StateRequeued
-			job.errText = "requeued at drain; recovered on next start"
+			m.finishLocked(job, StateRequeued, "requeued at drain; recovered on next start")
 		} else {
-			job.state = StateCanceled
-			job.errText = "canceled before start"
+			m.finishLocked(job, StateCanceled, "canceled before start")
 		}
-		job.finishedAt = time.Now()
 		outcome := job.state
 		m.mu.Unlock()
 		if outcome == StateCanceled {
@@ -575,15 +686,7 @@ func (m *Manager) runJob(job *Job) {
 		"queue_wait_seconds", queueWait.Seconds())
 
 	ctx = obs.WithTracer(ctx, tracer)
-	ctx, root := obs.Start(ctx, "job",
-		obs.String("id", job.ID),
-		obs.String("kind", job.Spec.Kind),
-		obs.String("workload", job.Spec.Workload),
-		obs.Int64("seed", job.Spec.Seed),
-		obs.String("digest", job.Digest))
-	if job.replica != "" {
-		root.SetAttr(obs.String("replica", job.replica))
-	}
+	ctx, root := obs.Start(ctx, "job", jobSpanAttrs(job)...)
 	if job.takenOverFrom != "" {
 		// The job arrived by lease takeover; record the provenance in the
 		// trace so a reclaimed job is distinguishable from a fresh one.
@@ -629,37 +732,25 @@ func (m *Manager) runJob(job *Job) {
 	if !served {
 		out, hit, err = m.lookupJob(ctx, key, job)
 	}
-	if err == nil && hit {
-		// Job results are JSON by construction; a cached artifact that
-		// no longer parses was corrupted (bit rot, torn spill write, or
-		// an injected fault). Purge and recompute instead of serving it.
-		if m.cfg.Faults.Fire(faults.CacheCorrupt) {
-			out = append([]byte{0xff}, out...)
-		}
-		if !json.Valid(out) {
-			m.metrics.CacheCorruptionDetected()
-			m.cache.Delete(key)
-			out, hit, err = m.lookupJob(ctx, key, job)
-		}
+	if err == nil && hit && !m.validHit(key, out) {
+		// Purged; recompute instead of serving it.
+		out, hit, err = m.lookupJob(ctx, key, job)
 	}
 	m.metrics.Cache("job", hit)
 
 	m.mu.Lock()
 	m.running--
-	job.finishedAt = time.Now()
-	seconds := job.finishedAt.Sub(job.startedAt).Seconds()
 	switch {
 	case err == nil:
-		job.state = StateDone
 		job.cached = hit
 		job.result = out
+		m.finishLocked(job, StateDone, "")
 	case job.canceled || errors.Is(err, context.Canceled):
-		job.state = StateCanceled
-		job.errText = err.Error()
+		m.finishLocked(job, StateCanceled, err.Error())
 	default:
-		job.state = StateFailed
-		job.errText = err.Error()
+		m.finishLocked(job, StateFailed, err.Error())
 	}
+	seconds := job.finishedAt.Sub(job.startedAt).Seconds()
 	outcome := job.state
 	lease := job.lease
 	killed := m.killed
@@ -761,7 +852,8 @@ func (m *Manager) persistTrace(jobID string, col *obs.Collector) {
 
 // Trace returns a snapshot of a job's collected spans. ok is false when
 // the job is unknown or has not started running yet; a running job
-// returns the spans ended so far.
+// returns the spans ended so far, a job answered at admission the two
+// spans of admissionTrace.
 func (m *Manager) Trace(id string) ([]obs.SpanData, bool) {
 	m.mu.Lock()
 	var col *obs.Collector
@@ -857,23 +949,31 @@ func (m *Manager) jobTimeout(job *Job) time.Duration {
 	return m.cfg.JobTimeout
 }
 
-// pruneLocked caps the terminal-job backlog.
+// finishLocked makes the job terminal and wakes everyone waiting on it.
+func (m *Manager) finishLocked(job *Job, state JobState, errText string) {
+	job.state = state
+	job.errText = errText
+	job.finishedAt = time.Now()
+	close(job.done)
+	m.terminal++
+}
+
+// pruneLocked caps the terminal-job backlog, dropping the oldest first. It
+// runs on every submission, so it costs what it drops: nothing while under
+// the cap, and otherwise a walk that ends at the last job it removes.
 func (m *Manager) pruneLocked() {
-	finished := 0
-	for _, id := range m.order {
-		if job, ok := m.jobs[id]; ok && job.state.Terminal() {
-			finished++
-		}
-	}
-	if finished <= maxFinishedJobs {
+	if m.terminal <= maxFinishedJobs {
 		return
 	}
 	kept := m.order[:0]
-	for _, id := range m.order {
-		job, ok := m.jobs[id]
-		if ok && job.state.Terminal() && finished > maxFinishedJobs {
+	for i, id := range m.order {
+		if m.terminal <= maxFinishedJobs {
+			kept = append(kept, m.order[i:]...)
+			break
+		}
+		if job, ok := m.jobs[id]; ok && job.state.Terminal() {
 			delete(m.jobs, id)
-			finished--
+			m.terminal--
 			continue
 		}
 		kept = append(kept, id)

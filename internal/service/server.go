@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"time"
 
 	"p2go/internal/fleet"
 	"p2go/internal/obs"
@@ -22,12 +24,15 @@ import (
 //
 //	POST /jobs             submit a JobSpec; 202 + JobStatus, 429 when full
 //	GET  /jobs             list jobs (no results)
-//	GET  /jobs/{id}        one job; result attached once done
+//	GET  /jobs/{id}        one job; result attached once done. ?wait=30s
+//	                       parks the request until the job is terminal
+//	                       (or the wait, capped at 30s, elapses)
 //	GET  /jobs/{id}/trace  the job's span tree as Chrome trace-event JSON
 //	POST /jobs/{id}/cancel request cancellation
 //	POST /fleets           submit a fleet.Spec (network-wide job); 202 + JobStatus
 //	GET  /fleets           list fleet jobs (no results)
-//	GET  /fleets/{id}      one fleet job; FleetResult attached once done
+//	GET  /fleets/{id}      one fleet job; FleetResult attached once done;
+//	                       ?wait= as for /jobs/{id}
 //	GET  /workloads        registered workload names and descriptions
 //	GET  /cluster          replica-group view: self, peers, member liveness
 //	GET  /debug/profiles        list the daemon's stored self-captures
@@ -36,8 +41,9 @@ import (
 //	GET  /metrics          Prometheus text exposition
 //	GET  /healthz          liveness + queue occupancy
 //
-// The /debug/profiles routes answer 404 unless the manager was built
-// with a profile store (p2god -profile-dir).
+// Bodies are compact JSON (clients that show them re-indent). The
+// /debug/profiles routes answer 404 unless the manager was built with a
+// profile store (p2god -profile-dir).
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	submit := func(w http.ResponseWriter, spec JobSpec) {
@@ -82,7 +88,7 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 	mux.HandleFunc("GET /fleets/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := m.Get(r.PathValue("id"), true)
+		st, ok := m.Wait(r.Context(), r.PathValue("id"), waitParam(r), true)
 		if !ok || st.Kind != "fleet" {
 			writeError(w, http.StatusNotFound, "unknown fleet job "+r.PathValue("id"))
 			return
@@ -93,7 +99,7 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, m.List())
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := m.Get(r.PathValue("id"), true)
+		st, ok := m.Wait(r.Context(), r.PathValue("id"), waitParam(r), true)
 		if !ok {
 			writeError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 			return
@@ -269,12 +275,47 @@ func decodeSpec(w http.ResponseWriter, r *http.Request, what string, v any) bool
 	return err == nil
 }
 
+// waitParam reads ?wait=<duration>. Absent, malformed or negative means no
+// wait — the immediate answer a client that never heard of the parameter
+// gets; Manager.Wait caps what is left.
+func waitParam(r *http.Request) time.Duration {
+	d, err := time.ParseDuration(r.URL.Query().Get("wait"))
+	if err != nil {
+		return 0
+	}
+	return d
+}
+
+// writeJSON writes v as one line of compact JSON. A JobStatus carrying a
+// result is not re-encoded: its envelope is marshalled without the result
+// and the stored bytes are spliced in verbatim, so a report — hundreds of
+// kilobytes for a fleet — is neither copied nor re-scanned per response.
+// That is sound because a result only ever comes from a fill that
+// marshalled it or a cache hit that passed Manager.validHit.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var result []byte
+	if st, ok := v.(JobStatus); ok && len(st.Result) > 0 {
+		result, st.Result = st.Result, nil
+		v = st
+	}
+	head, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	if result == nil {
+		w.Header().Set("Content-Length", strconv.Itoa(len(head)+1))
+		w.WriteHeader(code)
+		_, _ = w.Write(append(head, '\n'))
+		return
+	}
+	const field = `,"result":`
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(field)+len(result)+1))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(head[:len(head)-1], field...)) // reopen the envelope's object
+	_, _ = w.Write(result)
+	_, _ = w.Write([]byte("}\n"))
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

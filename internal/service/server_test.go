@@ -19,13 +19,20 @@ import (
 func newTestServer(t *testing.T, cfg ManagerConfig) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(cfg)
+	return newServerOn(t, m), m
+}
+
+// newServerOn starts m — built by the caller, so it can stub execFn first —
+// and serves it; the cleanup stops both.
+func newServerOn(t *testing.T, m *Manager) *httptest.Server {
+	t.Helper()
 	m.Start()
 	srv := httptest.NewServer(NewHandler(m))
 	t.Cleanup(func() {
 		srv.Close()
 		m.Drain(5 * time.Second)
 	})
-	return srv, m
+	return srv
 }
 
 func postJob(t *testing.T, base string, spec JobSpec) (JobStatus, *http.Response) {
@@ -313,8 +320,11 @@ func TestServeHealthAndWorkloads(t *testing.T) {
 	srv, _ := newTestServer(t, ManagerConfig{Workers: 1, QueueDepth: 2})
 
 	body := getBody(t, srv.URL+"/healthz")
-	if !strings.Contains(body, `"status": "ok"`) {
-		t.Errorf("healthz = %s", body)
+	var health struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal([]byte(body), &health); err != nil || health.Status != "ok" {
+		t.Errorf("healthz = %s (%v)", body, err)
 	}
 	body = getBody(t, srv.URL+"/workloads")
 	if !strings.Contains(body, "ex1") || !strings.Contains(body, "quickstart") {
