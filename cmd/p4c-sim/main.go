@@ -1,7 +1,8 @@
 // Command p4c-sim is the standalone compiler driver: it checks a P4_14
 // program, maps it onto the RMT target model, and prints the three
 // artifacts the optimizer consumes — the stage mapping, the dependency
-// graph (optionally as Graphviz), and the control graph's execution paths.
+// graph (optionally as Graphviz), and the control graph's execution paths —
+// plus what the profiling replay's lowering keeps of the program.
 //
 // Usage:
 //
@@ -9,11 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"p2go"
+	"p2go/internal/profile"
 	"p2go/internal/tofino"
 	"p2go/internal/workloads"
 )
@@ -34,6 +37,7 @@ func main() {
 
 func run(workload, programFile string, dot, paths bool, stages int) error {
 	src := ""
+	var cfg *p2go.Config // a program file comes without rules
 	if programFile != "" {
 		data, err := os.ReadFile(programFile)
 		if err != nil {
@@ -45,7 +49,7 @@ func run(workload, programFile string, dot, paths bool, stages int) error {
 		if err != nil {
 			return err
 		}
-		src = w.Source
+		src, cfg = w.Source, w.Config()
 	}
 	prog, err := p2go.ParseProgram(src)
 	if err != nil {
@@ -84,6 +88,16 @@ func run(workload, programFile string, dot, paths bool, stages int) error {
 				fmt.Println("   ", p)
 			}
 		}
+	}
+	// The numbers on a job trace's "sim.plan" span: a replay reads only the
+	// profiling header and the fate off each packet, and computes only that.
+	fmt.Println("\n== replay lowering ==")
+	if prep, err := profile.PrepareContext(context.Background(), prog, cfg); err != nil {
+		fmt.Println("   not lowered:", err)
+	} else {
+		low := prep.Lowering()
+		fmt.Printf("  observing the %s: %d of %d header fields extracted, %d ops and %d calculated-field updates elided\n",
+			low.Observe, low.FieldsExtracted, low.FieldsTotal, low.OpsElided, low.CalcsElided)
 	}
 	if paths {
 		// Enumerated here, on demand: the graph is exponential in the

@@ -55,51 +55,60 @@ func New(segment *p4.Program, cfg *rt.Config) (*Controller, error) {
 			}
 		}
 	}
-	sw, err := sim.NewFromAST(segment, filtered, sim.Options{})
+	sw, err := sim.NewFromAST(segment, filtered, fateOnly)
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
 	}
 	return &Controller{sw: sw}, nil
 }
 
-// fate runs one packet through sw for its forwarding decision alone: the
-// verdict loops of this package never read the execution trace or the
-// outgoing bytes, so the Switch skips the first and serializes into its
-// arena, and the returned Output carries neither.
-func fate(sw *sim.Switch, in sim.Input) (sim.Output, error) {
-	var out [1]sim.Output
-	_, err := sw.ProcessBatch([]sim.Input{in}, out[:], fateOnly)
-	out[0].Data = nil
-	return out[0], err
-}
+// fateOnly lowers every Switch of this package: its verdict loops never read
+// the execution trace or the outgoing bytes, so the plans compute neither and
+// an Output carries only the forwarding decision.
+var fateOnly = sim.Options{Observe: sim.ObserveFate}
 
-var fateOnly = sim.BatchOpts{SkipExec: true, ReuseData: true}
-
-// replayFates drives the original program over the trace in batches under a
+// replayFates drives the original program — and, in lock-step, a deployment's
+// data plane when one is given — over the trace in batches under a
 // "sim.replay" span (so the loop reports packets/sec) and hands each packet
-// and its fate to step, in trace order. A packet the original fails on ends
-// the replay after step has seen every packet before it.
-func replayFates(ctx context.Context, original *sim.Switch, trace *trafficgen.Trace,
-	step func(i int, in sim.Input, fate *sim.Output) error) error {
+// and its fates to step, in trace order (dpFate is nil without a data plane).
+// The data plane may run a batch ahead of the controller step feeds, because
+// it never reads controller state. A packet a Switch fails on ends the replay
+// after step has seen every packet before it.
+func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
+	step func(i int, in sim.Input, fate, dpFate *sim.Output) error) error {
 
 	n := len(trace.Packets)
 	ins := make([]sim.Input, 0, sim.ReplayBatchSize)
 	outs := make([]sim.Output, sim.ReplayBatchSize)
+	var dpOuts []sim.Output
+	if dataPlane != nil {
+		dpOuts = make([]sim.Output, sim.ReplayBatchSize)
+	}
 	return sim.ReplayBatch(ctx, n, n, func(lo, hi int) error {
 		ins = ins[:0]
 		for _, pkt := range trace.Packets[lo:hi] {
 			ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
 		}
-		k, err := original.ProcessBatch(ins, outs, fateOnly)
+		k, err := original.ProcessBatch(ins, outs, sim.BatchOpts{})
+		if err != nil {
+			err = fmt.Errorf("controller: original, packet %d: %w", lo+k, err)
+		}
+		if dataPlane != nil {
+			// On a tie the original's error is the one reported.
+			if dk, derr := dataPlane.ProcessBatch(ins, dpOuts, sim.BatchOpts{}); dk < k {
+				k, err = dk, fmt.Errorf("controller: deployment, packet %d: %w", lo+dk, derr)
+			}
+		}
 		for j := 0; j < k; j++ {
-			if err := step(lo+j, ins[j], &outs[j]); err != nil {
+			var dpFate *sim.Output
+			if dataPlane != nil {
+				dpFate = &dpOuts[j]
+			}
+			if err := step(lo+j, ins[j], &outs[j], dpFate); err != nil {
 				return err
 			}
 		}
-		if err != nil {
-			return fmt.Errorf("controller: original, packet %d: %w", lo+k, err)
-		}
-		return nil
+		return err
 	})
 }
 
@@ -108,7 +117,7 @@ func replayFates(ctx context.Context, original *sim.Switch, trace *trafficgen.Tr
 func (c *Controller) Handle(in sim.Input) (sim.Output, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out, err := fate(c.sw, in)
+	out, err := c.sw.Process(in)
 	if err != nil {
 		return sim.Output{}, err
 	}
@@ -169,7 +178,7 @@ type Deployment struct {
 // original configuration drive the controller.
 func NewDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, fullCfg *rt.Config) (*Deployment, error) {
-	dp, err := sim.NewFromAST(optimized, optimizedCfg, sim.Options{})
+	dp, err := sim.NewFromAST(optimized, optimizedCfg, fateOnly)
 	if err != nil {
 		return nil, fmt.Errorf("controller: optimized program: %w", err)
 	}
@@ -195,10 +204,16 @@ func (d *Deployment) Process(in sim.Input) (Verdict, error) {
 // with the segment's verdict. Non-redirected packets stay span-free — the
 // fast path is the common path.
 func (d *Deployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict, error) {
-	out, err := fate(d.dataPlane, in)
+	out, err := d.dataPlane.Process(in)
 	if err != nil {
 		return Verdict{}, err
 	}
+	return d.verdict(ctx, in, &out)
+}
+
+// verdict completes a packet the data plane has decided: out is its fate
+// there, and a redirect goes through the controller.
+func (d *Deployment) verdict(ctx context.Context, in sim.Input, out *sim.Output) (Verdict, error) {
 	if !out.ToCPU {
 		return Verdict{Dropped: out.Dropped, Port: out.Port}, nil
 	}
@@ -277,9 +292,9 @@ func sameFate(orig *sim.Output, v Verdict) bool {
 // VerifyEquivalence replays the trace through the original program and
 // through the optimized program + controller, comparing the fate of every
 // packet (sameFate). A nil segment is the empty pass-through controller. The
-// whole comparison runs inside a "controller.verify" span, the replay loop
-// goes through replayFates (so it reports packets/sec), and each redirect
-// shows up as a "controller.redirect" child span.
+// whole comparison runs inside a "controller.verify" span, both data planes
+// go through replayFates batch by batch (so the loop reports packets/sec),
+// and each redirect shows up as a "controller.redirect" child span.
 func VerifyEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
@@ -288,7 +303,7 @@ func VerifyEquivalence(ctx context.Context,
 	ctx, sp := obs.Start(ctx, "controller.verify", obs.Int("packets", len(trace.Packets)))
 	defer sp.End()
 
-	origSwitch, err := sim.NewFromAST(original, originalCfg, sim.Options{})
+	origSwitch, err := sim.NewFromAST(original, originalCfg, fateOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -300,8 +315,8 @@ func VerifyEquivalence(ctx context.Context,
 	defer dep.release()
 
 	report := &EquivalenceReport{}
-	err = replayFates(ctx, origSwitch, trace, func(i int, in sim.Input, origOut *sim.Output) error {
-		verdict, err := dep.ProcessContext(ctx, in)
+	err = replayFates(ctx, origSwitch, dep.dataPlane, trace, func(i int, in sim.Input, origOut, dpOut *sim.Output) error {
+		verdict, err := dep.verdict(ctx, in, dpOut)
 		if err != nil {
 			return fmt.Errorf("controller: deployment, packet %d: %w", i, err)
 		}

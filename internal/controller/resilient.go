@@ -200,7 +200,7 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 	original *p4.Program, opts ResilientOptions) (*ResilientDeployment, error) {
 
 	opts = opts.withDefaults()
-	dp, err := sim.NewFromAST(optimized, optimizedCfg, sim.Options{})
+	dp, err := sim.NewFromAST(optimized, optimizedCfg, fateOnly)
 	if err != nil {
 		return nil, fmt.Errorf("controller: optimized program: %w", err)
 	}
@@ -220,7 +220,7 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 		if original == nil {
 			return nil, fmt.Errorf("controller: fallback policy requires the original program")
 		}
-		d.fallback, err = sim.NewFromAST(original, fullCfg, sim.Options{})
+		d.fallback, err = sim.NewFromAST(original, fullCfg, fateOnly)
 		if err != nil {
 			return nil, fmt.Errorf("controller: original program: %w", err)
 		}
@@ -240,7 +240,7 @@ func (d *ResilientDeployment) Process(in sim.Input) (Verdict, error) {
 // "controller.degrade" child span with the applied policy. Packets the
 // data plane handles alone stay span-free.
 func (d *ResilientDeployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict, error) {
-	out, err := fate(d.dataPlane, in)
+	out, err := d.dataPlane.Process(in)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -411,7 +411,7 @@ func (d *ResilientDeployment) degradeLocked(in sim.Input, out sim.Output) (Verdi
 		v.Port = sim.DropPort
 	case FallbackOriginal:
 		d.stats.DegradedFallback++
-		fout, err := fate(d.fallback, in)
+		fout, err := d.fallback.Process(in)
 		if err != nil {
 			return Verdict{}, fmt.Errorf("controller: fallback: %w", err)
 		}
@@ -522,7 +522,7 @@ func VerifyChaosEquivalence(ctx context.Context,
 	ctx, sp := obs.Start(ctx, "controller.verify-chaos", obs.Int("packets", len(trace.Packets)))
 	defer sp.End()
 
-	origSwitch, err := sim.NewFromAST(original, originalCfg, sim.Options{})
+	origSwitch, err := sim.NewFromAST(original, originalCfg, fateOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +534,7 @@ func VerifyChaosEquivalence(ctx context.Context,
 	defer dep.release()
 
 	report := &ChaosReport{}
-	err = replayFates(ctx, origSwitch, trace, func(i int, in sim.Input, origOut *sim.Output) error {
+	err = replayFates(ctx, origSwitch, nil, trace, func(i int, in sim.Input, origOut, _ *sim.Output) error {
 		verdict, err := dep.ProcessContext(ctx, in)
 		if err != nil {
 			return fmt.Errorf("controller: resilient deployment, packet %d: %w", i, err)

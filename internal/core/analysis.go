@@ -109,14 +109,16 @@ func (c *AnalysisCache) Profile(ast *p4.Program, cfg *rt.Config, traceDigest str
 // different trace (a re-run, a fleet sibling, another job) pays
 // instrumentation and bytecode lowering once. Every replay takes a fresh
 // Switch from the shared plan. A hit emits the same "profile.instrument"
-// span with the same tables attr as a real preparation, so span trees are
-// structurally identical either way.
+// span and "sim.plan" child with the same attrs as a real preparation, so
+// span trees are structurally identical either way.
 func (c *AnalysisCache) Prepare(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*profile.Prepared, error) {
 	prep, hit, err := lookup(c, &c.plans, "plan", planKey(ast, cfg), func() (*profile.Prepared, error) {
 		return profile.PrepareContext(ctx, ast, cfg)
 	})
 	if err == nil && hit {
-		_, sp := obs.Start(ctx, "profile.instrument")
+		ictx, sp := obs.Start(ctx, "profile.instrument")
+		_, psp := obs.Start(ictx, "sim.plan", prep.Lowering().Attrs()...)
+		psp.End()
 		sp.SetAttr(obs.Int("tables", prep.Tables()))
 		sp.End()
 	}

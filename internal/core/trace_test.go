@@ -40,6 +40,7 @@ func TestNATGRESpanTreeGolden(t *testing.T) {
   phase1.profile
     profile
       profile.instrument tables=4
+        sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=trailer ops_elided=3
       sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
   phase2.remove-dependencies
     phase2.iteration improved=true iteration=1
@@ -47,6 +48,7 @@ func TestNATGRESpanTreeGolden(t *testing.T) {
         compile stages=3
         profile
           profile.instrument tables=4
+            sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=trailer ops_elided=3
           sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
     phase2.iteration improved=false iteration=2
       phase2.candidate from=nat rejected=manifests to=ipv4_fwd

@@ -1,12 +1,16 @@
 package profile
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"p2go/internal/ir"
 	"p2go/internal/p4"
+	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
 	"p2go/internal/workloads"
 )
@@ -38,6 +42,11 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 			if engine, reason := prep.Engine(); engine != "compiled" {
 				t.Fatalf("workload did not lower: engine=%s reason=%q", engine, reason)
 			}
+			// Every compiled replay below runs the plan lowered for the
+			// collector; the interpreter's hands it whole packets.
+			if got := prep.Lowering().Observe; got != sim.ObserveTrailer {
+				t.Fatalf("replay plan observes the %s, want the trailer", got)
+			}
 			stateful := len(prep.stateful) > 0
 
 			ref, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 1, Interpret: true, NoDedup: true})
@@ -50,6 +59,9 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 
 			for _, shards := range []int{1, 2, 4} {
 				for _, noDedup := range []bool{false, true} {
+					// How a replay was carried out — dedup, why not, how many
+					// packets and workers — does not depend on the engine.
+					var compiledReport EngineReport
 					for _, interp := range []bool{false, true} {
 						opts := RunOptions{Shards: shards, Interpret: interp, NoDedup: noDedup}
 						label := fmt.Sprintf("shards=%d noDedup=%v interp=%v", shards, noDedup, interp)
@@ -70,6 +82,15 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 						}
 						if rep.Engine != wantEngine {
 							t.Errorf("%s: engine = %s, want %s (reason %q)", label, rep.Engine, wantEngine, rep.FallbackReason)
+						}
+						if !interp {
+							compiledReport = *rep
+						} else {
+							want := compiledReport
+							want.Engine, want.FallbackReason = "interpreter", "forced"
+							if *rep != want {
+								t.Errorf("%s: EngineReport %+v, the compiled replay's %+v", label, *rep, compiledReport)
+							}
 						}
 						if stateful {
 							if rep.Dedup || rep.Shards != 1 {
@@ -141,5 +162,83 @@ func TestDedupCollapsesRepeatedFlows(t *testing.T) {
 		if got.TotalPackets != 8000 {
 			t.Errorf("shards=%d: TotalPackets = %d, want 8000", shards, got.TotalPackets)
 		}
+	}
+}
+
+// TestInstrumentedPacketPlanByteExact holds a compiled plan that observes the
+// packet to the interpreter's bytes on the programs the profiler actually
+// lowers — instrumented, trailer appended, drops neutralized — where natgre
+// rewrites addresses and recomputes an IPv4 checksum. The replay plan of the same
+// program skips write-back and checksum because its caller reads neither;
+// online, network and the bench probe forward or time real bytes and build
+// this plan, which must not inherit those shortcuts.
+func TestInstrumentedPacketPlanByteExact(t *testing.T) {
+	for _, name := range []string{"natgre", "l2l3_acl", "ex1"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace, err := w.Trace(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := ir.Build(prep.Ins.AST)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := sim.Options{Trailer: TrailerName, NeutralizeDrops: true}
+			compiled, err := sim.New(prog, w.Config(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := sim.New(prog, w.Config(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Interpret = true
+			interp, err := sim.New(prog, w.Config(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := make([]sim.Input, len(trace.Packets))
+			for i, pkt := range trace.Packets {
+				ins[i] = sim.Input{Port: pkt.Port, Data: pkt.Data}
+			}
+			// One whole-trace batch into the arena, as bench/layers.go's
+			// sim.exec probe runs it.
+			outs := make([]sim.Output, len(ins))
+			if _, err := batched.ProcessBatch(ins, outs, sim.BatchOpts{SkipExec: true, ReuseData: true}); err != nil {
+				t.Fatal(err)
+			}
+			changed := 0
+			for i, in := range ins {
+				want, err := interp.Process(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := compiled.Process(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("packet %d: compiled %+v, interpreter %+v", i, got, want)
+				}
+				if !bytes.Equal(outs[i].Data, want.Data) {
+					t.Fatalf("packet %d: batch data % x, interpreter % x", i, outs[i].Data, want.Data)
+				}
+				if !bytes.HasPrefix(want.Data, in.Data) {
+					changed++
+				}
+			}
+			if name == "natgre" && changed == 0 {
+				t.Errorf("%s rewrote no packet of the trace: the write-back path went unexercised", name)
+			}
+		})
 	}
 }

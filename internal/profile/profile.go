@@ -313,20 +313,21 @@ func newCollector(p *Profiler, sw *sim.Switch) *collector {
 // one ProcessBatch call and counts each result with its position's weight;
 // errors name the original trace index.
 func (c *collector) observeBatch(work replayWork, lo, hi int) error {
+	if cap(c.ins) < hi-lo {
+		c.ins = make([]sim.Input, 0, hi-lo)
+		c.outs = make([]sim.Output, hi-lo)
+	}
 	ins := c.ins[:0]
 	for i := lo; i < hi; i++ {
 		pkt := &work.packets[work.index(i)]
 		ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
 	}
-	c.ins = ins
-	if cap(c.outs) < len(ins) {
-		c.outs = make([]sim.Output, len(ins))
-	}
 	outs := c.outs[:len(ins)]
-	// The profiler reads executions from the trailer, not Output.Exec, and
-	// never keeps Data past the count — so both per-packet allocations of
-	// the process loop are skipped.
-	k, err := c.sw.ProcessBatch(ins, outs, sim.BatchOpts{SkipExec: true, ReuseData: true})
+	// The plan was lowered for this loop (sim.ObserveTrailer): executions are
+	// read from the trailer, which is all Data holds and lives in the
+	// Switch's arena until the next batch. The interpreter hands back whole
+	// packets that end with the same bytes.
+	k, err := c.sw.ProcessBatch(ins, outs, sim.BatchOpts{})
 	if err != nil {
 		return fmt.Errorf("profile: packet %d: %w", work.index(lo+k), err)
 	}

@@ -108,10 +108,12 @@ type Prepared struct {
 // PrepareContext instruments the program, builds its IR, and lowers the
 // execution plan under a "profile.instrument" span. Drops are neutralized
 // so the collector observes every packet (the instrumented program is only
-// used for profiling and never deployed, §3.1). A program the lowerer does
-// not cover is an error here.
+// used for profiling and never deployed, §3.1), and the plan computes no more
+// than the collector reads off a packet: the profiling header and the fate
+// (sim.ObserveTrailer; a "sim.plan" child span records what that left of the
+// program). A program the lowerer does not cover is an error here.
 func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prepared, error) {
-	_, sp := obs.Start(ctx, "profile.instrument")
+	ctx, sp := obs.Start(ctx, "profile.instrument")
 	defer sp.End()
 	ins, err := Instrument(ast)
 	if err != nil {
@@ -121,8 +123,13 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	opts := sim.Options{Trailer: TrailerName, NeutralizeDrops: true}
+	opts := sim.Options{Trailer: TrailerName, NeutralizeDrops: true, Observe: sim.ObserveTrailer}
+	_, psp := obs.Start(ctx, "sim.plan")
 	plan, err := sim.NewPlan(prog, cfg, opts)
+	if err == nil {
+		psp.SetAttr(plan.Lowering().Attrs()...)
+	}
+	psp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +177,10 @@ func MissDefaults(ast *p4.Program, cfg *rt.Config) map[string]bool {
 // Tables returns the instrumented program's table count (the
 // "profile.instrument" span attribute, re-emitted on plan-cache hits).
 func (pr *Prepared) Tables() int { return len(pr.Ins.AST.Tables) }
+
+// Lowering reports what the replay plan's lowering kept of the program (the
+// "sim.plan" span's attributes, re-emitted on plan-cache hits).
+func (pr *Prepared) Lowering() sim.Lowering { return pr.plan.Lowering() }
 
 // Engine reports the execution engine Profilers built from this Prepared
 // use by default: always ("compiled", ""), since PrepareContext fails on a

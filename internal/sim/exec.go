@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"p2go/internal/hashes"
 	"p2go/internal/p4"
@@ -32,8 +33,9 @@ type cstate struct {
 	forwardPort uint64
 	hit         bool
 
-	// arena backs Output.Data for ProcessBatch with ReuseData: one
-	// growing buffer per batch instead of one allocation per packet.
+	// arena backs Output.Data for ProcessBatch with ReuseData, and for every
+	// call on a plan that does not observe the packet: one growing buffer
+	// per batch instead of one allocation per packet.
 	arena []byte
 }
 
@@ -44,8 +46,10 @@ func (st *cstate) init(c *compiled) {
 	st.key = make([]uint64, c.maxKeys)
 }
 
-func (st *cstate) reset(skipExec bool) {
-	clear(st.fields)
+// reset readies the state for the next packet. Only the live slots need
+// zeroing: nothing lowered reads any other before storing to it.
+func (st *cstate) reset(c *compiled, skipExec bool) {
+	clear(st.fields[:c.nLive])
 	clear(st.valid)
 	st.exec = nil
 	st.skipExec = skipExec
@@ -76,7 +80,9 @@ func (s *Switch) useCompiled() bool { return s.plan.c != nil }
 // or ("interpreter", "forced") under Options.Interpret.
 func (s *Switch) Engine() (engine, reason string) { return s.plan.Engine() }
 
-// BatchOpts tunes ProcessBatch.
+// BatchOpts tunes ProcessBatch. A Switch whose plan was built with an
+// Options.Observe other than ObservePacket behaves as if both fields were set
+// on every call, Process included.
 type BatchOpts struct {
 	// SkipExec leaves Output.Exec nil, avoiding the one per-packet
 	// allocation the execution trace costs. The profiler reads executions
@@ -103,36 +109,40 @@ func (s *Switch) ProcessBatch(ins []Input, outs []Output, opts BatchOpts) (int, 
 		}
 		return len(ins), nil
 	}
-	if opts.ReuseData {
-		s.cst.arena = s.cst.arena[:0]
+	s.cst.arena = s.cst.arena[:0]
+	if c := s.plan.c; c.observe == ObserveTrailer && cap(s.cst.arena) == 0 {
+		// The whole batch's output, known in advance: no growth by doubling.
+		s.cst.arena = make([]byte, 0, len(ins)*(len(c.trailerBytes)+len(c.trailerZero)))
 	}
 	for i := range ins {
-		out, err := s.processCompiled(ins[i], opts.SkipExec, opts.ReuseData)
-		if err != nil {
+		if err := s.processCompiled(&ins[i], &outs[i], opts.SkipExec, opts.ReuseData); err != nil {
 			return i, err
 		}
-		outs[i] = out
 	}
 	return len(ins), nil
 }
 
 // processCompiled is the compiled Process: parser, ingress, optional
-// egress, serialization — all over dense state, no AST in sight.
-func (s *Switch) processCompiled(in Input, skipExec, reuseData bool) (Output, error) {
+// egress, serialization — all over dense state, no AST in sight. It fills
+// out only when the packet ran to the end.
+func (s *Switch) processCompiled(in *Input, out *Output, skipExec, reuseData bool) error {
 	c := s.plan.c
 	st := &s.cst
-	st.reset(skipExec)
+	if c.observe != ObservePacket {
+		skipExec, reuseData = true, true
+	}
+	st.reset(c, skipExec)
 	// Intrinsic inputs are stored raw (unmasked), as the interpreter does.
 	st.fields[c.slotIngressPort] = in.Port
 	st.fields[c.slotPacketLen] = uint64(len(in.Data))
 
 	if c.hasParser {
 		if err := s.runParserC(in.Data); err != nil {
-			return Output{}, err
+			return err
 		}
 	}
 	if err := s.runCode(c.ingress); err != nil {
-		return Output{}, err
+		return err
 	}
 	if c.hasEgr {
 		spec := st.fields[c.slotEgressSpec]
@@ -140,19 +150,18 @@ func (s *Switch) processCompiled(in Input, skipExec, reuseData bool) (Output, er
 		if !skip {
 			s.cstore(c.slotEgressPort, spec)
 			if err := s.runCode(c.egress); err != nil {
-				return Output{}, err
+				return err
 			}
 		}
 	}
 
-	out := Output{Exec: st.exec, WouldDrop: st.wouldDrop, ForwardPort: st.forwardPort}
-	out.Port = st.fields[c.slotEgressSpec]
-	if out.Port == DropPort && !c.neutralizeDrops {
-		out.Dropped = true
-	}
-	if out.Port == CPUPort {
-		out.ToCPU = true
-	}
+	port := st.fields[c.slotEgressSpec]
+	out.Port = port
+	out.Dropped = port == DropPort && !c.neutralizeDrops
+	out.WouldDrop = st.wouldDrop
+	out.ToCPU = port == CPUPort
+	out.ForwardPort = st.forwardPort
+	out.Exec = st.exec
 	if reuseData {
 		start := len(st.arena)
 		st.arena = s.serializeC(in.Data, st.arena)
@@ -160,7 +169,7 @@ func (s *Switch) processCompiled(in Input, skipExec, reuseData bool) (Output, er
 	} else {
 		out.Data = s.serializeC(in.Data, nil)
 	}
-	return out, nil
+	return nil
 }
 
 // cstore stores a field value masked to its declared width, tracking the
@@ -498,11 +507,16 @@ func (s *Switch) runParserC(data []byte) error {
 
 // serializeC is the compiled serialize: calculated-field updates, write-back
 // of the fields the program may have changed into a copy of the packet
-// appended to dst, and the trailer. Passing dst nil yields a fresh allocation
-// per packet (Process); the batch path passes the arena.
+// appended to dst, and the trailer. A plan that does not observe the packet
+// has no calculated fields and no write-back lowered and appends no copy:
+// what is left is the trailer, or nothing. Passing dst nil yields a fresh
+// allocation per packet (Process); the batch path passes the arena.
 func (s *Switch) serializeC(original, dst []byte) []byte {
 	c := s.plan.c
 	st := &s.cst
+	if c.observe != ObservePacket {
+		original = nil
+	}
 	for i := range c.calcs {
 		cf := &c.calcs[i]
 		if !st.valid[cf.inst] {
@@ -523,8 +537,13 @@ func (s *Switch) serializeC(original, dst []byte) []byte {
 			writeBitsFast(data, bit+f.off, f.width, st.fields[f.slot])
 		}
 	}
-	for _, slot := range c.trailerBytes {
-		dst = append(dst, byte(st.fields[slot]))
+	if n := len(c.trailerBytes); n > 0 {
+		dst = slices.Grow(dst, n)
+		tail := dst[len(dst) : len(dst)+n]
+		for i, slot := range c.trailerBytes {
+			tail[i] = byte(st.fields[slot])
+		}
+		dst = dst[:len(dst)+n]
 	}
 	if c.trailer != nil {
 		bit := (len(dst) - base) * 8

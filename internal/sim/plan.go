@@ -5,6 +5,7 @@ import (
 
 	"p2go/internal/hashes"
 	"p2go/internal/ir"
+	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
 )
@@ -60,6 +61,9 @@ func NewPlan(prog *ir.Program, cfg *rt.Config, opts Options) (*Plan, error) {
 	}
 	if opts.Trailer != "" && prog.AST.Instance(opts.Trailer) == nil {
 		return nil, fmt.Errorf("sim: trailer instance %q not declared", opts.Trailer)
+	}
+	if opts.Observe == ObserveTrailer && opts.Trailer == "" {
+		return nil, fmt.Errorf("sim: ObserveTrailer without a trailer instance")
 	}
 	pl := &Plan{
 		prog:       prog,
@@ -252,7 +256,7 @@ type cParserOp struct {
 	extract bool
 	inst    int32     // extract: instance id
 	bits    int       // extract: header width
-	fields  []cPField // extract: the fields something may read or write
+	fields  []cPField // extract: the live fields
 	dst     int32     // set_metadata
 	val     cexpr
 }
@@ -304,7 +308,8 @@ type cCalc struct {
 
 // cEmit is the serialization write-back list of one header instance: the
 // fields something may write. The rest re-serialize to the bits they were
-// parsed from, which the copy of the input packet already holds.
+// parsed from, which the copy of the input packet already holds. Only an
+// ObservePacket plan has any.
 type cEmit struct {
 	inst   int32
 	fields []cPField
@@ -327,7 +332,14 @@ type cCtrDecl struct {
 // Plan.
 type compiled struct {
 	nSlots int
-	mask   []uint64 // per-slot store mask (^0 for 64-bit fields)
+	// nLive: slots [0, nLive) are the fields fieldLiveness found live, the
+	// only ones a packet's evaluation can read before it wrote them — so the
+	// only ones reset between packets.
+	nLive int
+	mask  []uint64 // per-slot store mask (^0 for 64-bit fields)
+	// observe is Options.Observe. Anything but ObservePacket implies
+	// BatchOpts{SkipExec, ReuseData} and a Data without the packet's bytes.
+	observe Observation
 
 	slotIngressPort int32
 	slotEgressSpec  int32
@@ -354,7 +366,7 @@ type compiled struct {
 	hashes []chash
 	calcs  []cCalc
 
-	emits []cEmit // instances with at least one may-written field
+	emits []cEmit // ObservePacket: instances with at least one may-written field
 	// The trailer is appended one byte per slot of trailerBytes when every
 	// field is 8 bits wide (what profile.Instrument declares); any other
 	// layout appends trailerZero and writes trailer's fields over it.
@@ -363,6 +375,8 @@ type compiled struct {
 	trailerZero  []byte
 
 	neutralizeDrops bool
+
+	lowering Lowering
 
 	// lower keeps the symbol tables so InstallRule can lower runtime rules
 	// against the same slot/table ids. Read-only after compilation.
@@ -381,8 +395,45 @@ type compiler struct {
 	ctrOf   map[string]int32
 	hashOf  map[string]int32
 
-	// written and touched are fieldLiveness's per-slot answers.
-	written, touched []bool
+	// written is fieldLiveness's per-slot answer; its other one, live, is
+	// slot < nLive once the slots are renumbered.
+	written []bool
+}
+
+// live reports whether fieldLiveness found the slot's field live.
+func (cc *compiler) live(slot int32) bool { return int(slot) < cc.c.nLive }
+
+// Lowering says what a plan's lowering kept and skipped: the answer to "what
+// did this replay compute" that the "sim.plan" span and p4c-sim print.
+type Lowering struct {
+	Observe Observation
+	// FieldsExtracted of the FieldsTotal header fields the parser's extract
+	// statements cover are read out of the packet.
+	FieldsExtracted, FieldsTotal int
+	// OpsElided counts the declared action primitives and parser
+	// set_metadata statements whose destination nothing observable reads;
+	// CalcsElided the calculated-field updates no one sees the result of.
+	OpsElided, CalcsElided int
+}
+
+// Lowering reports the plan's Lowering; the zero value (observing the
+// packet) for an interpreter plan, which lowers nothing.
+func (pl *Plan) Lowering() Lowering {
+	if pl.c == nil {
+		return Lowering{}
+	}
+	return pl.c.lowering
+}
+
+// Attrs renders the Lowering as span attributes.
+func (l Lowering) Attrs() []obs.Attr {
+	return []obs.Attr{
+		obs.String("observe", l.Observe.String()),
+		obs.Int("fields_extracted", l.FieldsExtracted),
+		obs.Int("fields_total", l.FieldsTotal),
+		obs.Int("ops_elided", l.OpsElided),
+		obs.Int("calcs_elided", l.CalcsElided),
+	}
 }
 
 // compilePlan lowers the plan's program. Any unsupported construct aborts
@@ -393,7 +444,7 @@ func compilePlan(pl *Plan) (*compiled, error) {
 	ast := pl.prog.AST
 	cc := &compiler{
 		pl:      pl,
-		c:       &compiled{neutralizeDrops: pl.opts.NeutralizeDrops},
+		c:       &compiled{neutralizeDrops: pl.opts.NeutralizeDrops, observe: pl.opts.Observe},
 		slotOf:  map[ir.FieldKey]int32{},
 		instOf:  map[string]int32{},
 		tableOf: map[string]int32{},
@@ -422,7 +473,33 @@ func compilePlan(pl *Plan) (*compiled, error) {
 			c.mask = append(c.mask, m)
 		}
 	}
-	cc.written, cc.touched = cc.fieldLiveness()
+	// Renumber so the live slots come first: resetting a packet's state is
+	// then one clear of a prefix.
+	live, written, elided := cc.fieldLiveness()
+	c.lowering.Observe, c.lowering.OpsElided = c.observe, elided
+	perm := make([]int32, c.nSlots)
+	for s, l := range live {
+		if l {
+			perm[s] = int32(c.nLive)
+			c.nLive++
+		}
+	}
+	next := int32(c.nLive)
+	for s, l := range live {
+		if !l {
+			perm[s] = next
+			next++
+		}
+	}
+	mask := make([]uint64, c.nSlots)
+	cc.written = make([]bool, c.nSlots)
+	for s, to := range perm {
+		mask[to], cc.written[to] = c.mask[s], written[s]
+	}
+	c.mask = mask
+	for k, s := range cc.slotOf {
+		cc.slotOf[k] = perm[s]
+	}
 	var err error
 	std := p4.StandardMetadataName
 	if c.slotIngressPort, err = cc.slot(p4.FieldRef{Instance: std, Field: p4.FieldIngressPort}); err != nil {
@@ -485,9 +562,14 @@ func compilePlan(pl *Plan) (*compiled, error) {
 		}
 	}
 
-	// Deparser: calculated fields, header write-back, trailer.
+	// Deparser: calculated fields and header write-back when the caller
+	// observes the packet, the trailer unless it observes only the fate.
 	for _, cf := range ast.CalcFields {
 		if cf.Update == "" {
+			continue
+		}
+		if c.observe != ObservePacket {
+			c.lowering.CalcsElided++
 			continue
 		}
 		hi, err := cc.hash(cf.Update)
@@ -505,14 +587,14 @@ func compilePlan(pl *Plan) (*compiled, error) {
 		c.calcs = append(c.calcs, cCalc{inst: inst, dst: dst, hash: hi})
 	}
 	for _, inst := range ast.Instances {
-		if inst.Metadata {
+		if inst.Metadata || c.observe != ObservePacket {
 			continue
 		}
-		if fields := cc.instFields(inst, cc.written); len(fields) > 0 {
+		if fields := cc.instFields(inst, func(s int32) bool { return cc.written[s] }); len(fields) > 0 {
 			c.emits = append(c.emits, cEmit{inst: cc.instOf[inst.Name], fields: fields})
 		}
 	}
-	if pl.opts.Trailer != "" {
+	if pl.opts.Trailer != "" && c.observe != ObserveFate {
 		inst := ast.Instance(pl.opts.Trailer)
 		fields := cc.instFields(inst, nil)
 		bytewise := true
@@ -542,13 +624,13 @@ func (cc *compiler) slot(ref p4.FieldRef) (int32, error) {
 }
 
 // instFields lists an instance's fields in header order, each with its bit
-// offset inside the header; a non-nil keep (indexed by slot) filters them.
-func (cc *compiler) instFields(inst *p4.Instance, keep []bool) []cPField {
+// offset inside the header; a non-nil keep filters them by slot.
+func (cc *compiler) instFields(inst *p4.Instance, keep func(slot int32) bool) []cPField {
 	var out []cPField
 	off := 0
 	for _, f := range cc.pl.prog.AST.HeaderType(inst.TypeName).Fields {
 		s := cc.slotOf[ir.FieldKey(inst.Name+"."+f.Name)]
-		if keep == nil || keep[s] {
+		if keep == nil || keep(s) {
 			out = append(out, cPField{slot: s, width: f.Width, off: off})
 		}
 		off += f.Width
@@ -876,7 +958,12 @@ func (cc *compiler) addScratchSlot() int32 {
 	return s
 }
 
-// lowerPrimitive lowers one primitive call. skip is true for no-ops.
+// lowerPrimitive lowers one primitive call. skip is true for no-ops, and for
+// an op that stores to a field outside fieldLiveness's live set and cannot
+// fail: every op that can fail or touch state (register_read's bounds check
+// even when nothing reads its destination, register_write, count, a hash
+// whose size is not a non-zero constant, drop) is lowered, so packet-time
+// errors and register and counter state do not depend on Options.Observe.
 func (cc *compiler) lowerPrimitive(call *p4.PrimitiveCall, bind map[string]cexpr) (cOp, bool, error) {
 	dst := func(i int) (int32, error) {
 		ref, ok := call.Args[i].(p4.FieldRef)
@@ -909,7 +996,7 @@ func (cc *compiler) lowerPrimitive(call *p4.PrimitiveCall, bind map[string]cexpr
 		} else if call.Name == p4.PrimSubFromField {
 			kind = oSub
 		}
-		return cOp{kind: kind, dst: d, a: a}, false, nil
+		return cOp{kind: kind, dst: d, a: a}, !cc.live(d), nil
 	case p4.PrimBitAnd, p4.PrimBitOr, p4.PrimBitXor, p4.PrimMin, p4.PrimMax:
 		d, err := dst(0)
 		if err != nil {
@@ -936,7 +1023,7 @@ func (cc *compiler) lowerPrimitive(call *p4.PrimitiveCall, bind map[string]cexpr
 		case p4.PrimMax:
 			kind = oMax
 		}
-		return cOp{kind: kind, dst: d, a: a, b: b}, false, nil
+		return cOp{kind: kind, dst: d, a: a, b: b}, !cc.live(d), nil
 	case p4.PrimDrop:
 		return cOp{kind: oDrop}, false, nil
 	case p4.PrimNoOp:
@@ -1012,7 +1099,8 @@ func (cc *compiler) lowerPrimitive(call *p4.PrimitiveCall, bind map[string]cexpr
 		if err != nil {
 			return cOp{}, false, err
 		}
-		return cOp{kind: oHash, dst: d, a: base, b: size, res: hi}, false, nil
+		cannotFail := size.isConst && size.c != 0
+		return cOp{kind: oHash, dst: d, a: base, b: size, res: hi}, cannotFail && !cc.live(d), nil
 	}
 	return cOp{}, false, fmt.Errorf("sim: unknown primitive %q", call.Name)
 }
@@ -1084,12 +1172,15 @@ func (cc *compiler) lowerParser() error {
 				if inst == nil {
 					return fmt.Errorf("sim: extract of unknown instance %q", v.Instance)
 				}
-				cs.ops = append(cs.ops, cParserOp{
+				op := cParserOp{
 					extract: true,
 					inst:    cc.instOf[inst.Name],
 					bits:    ast.HeaderType(inst.TypeName).Bits(),
-					fields:  cc.instFields(inst, cc.touched),
-				})
+					fields:  cc.instFields(inst, cc.live),
+				}
+				cc.c.lowering.FieldsExtracted += len(op.fields)
+				cc.c.lowering.FieldsTotal += len(ast.HeaderType(inst.TypeName).Fields)
+				cs.ops = append(cs.ops, op)
 			case *p4.SetMetadataStmt:
 				val, err := cc.expr(v.Value, nil)
 				if err != nil {
@@ -1099,7 +1190,9 @@ func (cc *compiler) lowerParser() error {
 				if err != nil {
 					return err
 				}
-				cs.ops = append(cs.ops, cParserOp{dst: d, val: val})
+				if cc.live(d) {
+					cs.ops = append(cs.ops, cParserOp{dst: d, val: val})
+				}
 			default:
 				return fmt.Errorf("sim: unknown parser statement %T", stmt)
 			}

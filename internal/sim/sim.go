@@ -35,6 +35,37 @@ type Options struct {
 	// It is the only way to run it: without Interpret a program that does
 	// not lower is a construction error.
 	Interpret bool
+	// Observe says how much of a processed packet the plan's only caller
+	// reads, and the compiled engine computes no more than that (the
+	// interpreter ignores it and stays the byte-exact reference). It is set
+	// in code by the two replay loops that read less than the packet — the
+	// profile collector and the controller's verdict loops — and by nothing a
+	// user can reach.
+	Observe Observation
+}
+
+// Observation is what the caller of a compiled plan reads off each Output.
+// Whatever the level, Port, Dropped, WouldDrop, ToCPU and ForwardPort, the
+// register and counter state, and every packet-time error are exact.
+type Observation uint8
+
+const (
+	// ObservePacket: all of Output. Data is the whole outgoing packet.
+	ObservePacket Observation = iota
+	// ObserveTrailer: Data is the Options.Trailer bytes alone, Exec is nil.
+	ObserveTrailer
+	// ObserveFate: Data is empty and Exec nil.
+	ObserveFate
+)
+
+func (o Observation) String() string {
+	switch o {
+	case ObserveTrailer:
+		return "trailer"
+	case ObserveFate:
+		return "fate"
+	}
+	return "packet"
 }
 
 // Switch is an instantiated data plane: a compiled program plus installed
@@ -278,10 +309,13 @@ type headerExtent struct {
 // safe for concurrent use on one Switch (register, counter, and scratch
 // state); run one Switch per goroutine instead.
 func (s *Switch) Process(in Input) (Output, error) {
-	if s.useCompiled() {
-		return s.processCompiled(in, false, false)
+	if !s.useCompiled() {
+		return s.processInterp(in)
 	}
-	return s.processInterp(in)
+	var out Output
+	s.cst.arena = s.cst.arena[:0]
+	err := s.processCompiled(&in, &out, false, false)
+	return out, err
 }
 
 // processInterp is the tree-walking reference engine.
