@@ -324,7 +324,7 @@ func cmdOptimize(args []string) error {
 		"stages_after", res.StagesAfter(), "offloaded", len(res.OffloadedTables))
 	jr := report.FromResult(in.workload, in.seed, res)
 	var checkLine string
-	var chaosErr error
+	var checkErr error
 	if *faultPlan != "" || *degrade != "" {
 		set, err := faults.ParseSet(*faultPlan)
 		if err != nil {
@@ -350,7 +350,7 @@ func cmdOptimize(args []string) error {
 		}
 		checkLine = chaos.String()
 		if !chaos.Clean() {
-			chaosErr = fmt.Errorf("chaos verification: %d silent divergence(s) (first: %s)",
+			checkErr = fmt.Errorf("chaos verification: %d silent divergence(s) (first: %s)",
 				chaos.Silent, chaos.First)
 		}
 	} else {
@@ -362,14 +362,17 @@ func cmdOptimize(args []string) error {
 		checkLine = check.String()
 		// A tuned program intentionally diverges from the default-bindings
 		// original by up to the accuracy floor; label that divergence as
-		// the accepted trade rather than a bare failure.
-		if !check.Equivalent() && check.Packets > 0 {
+		// the accepted trade rather than a failure. Any other divergence
+		// fails the command once the report is out.
+		if !check.Equivalent() {
+			checkErr = fmt.Errorf("behavior check: %s", check)
 			for _, k := range res.Tunables {
 				if k.Value != k.Default {
 					note := fmt.Sprintf(" [%.2f%% divergence vs the default bindings is the tuned accuracy trade; pin -set %q to compare strictly]",
 						100*float64(check.Mismatches)/float64(check.Packets), p2go.FormatBindings(res.Bindings))
 					jr.Equivalence += note
 					checkLine += note
+					checkErr = nil
 					break
 				}
 			}
@@ -398,7 +401,7 @@ func cmdOptimize(args []string) error {
 		}
 		fmt.Println("wrote", *emitCtl)
 	}
-	return chaosErr
+	return checkErr
 }
 
 // cmdServe optimizes the workload and serves the generated controller

@@ -85,6 +85,30 @@ func TestCmdOptimizeEmits(t *testing.T) {
 	}
 }
 
+// TestCmdOptimizeFailsOnMismatch: syncookie seed 6's memory reduction
+// changes where 24 packets go. The command still prints its report, then
+// fails naming the first diverging packet; under -tune the same kind of
+// divergence is the labelled accuracy trade and the command succeeds.
+func TestCmdOptimizeFailsOnMismatch(t *testing.T) {
+	var err error
+	out := captureStdout(t, func() error {
+		err = cmdOptimize([]string{"-workload", "syncookie", "-seed", "6"})
+		return nil
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "behavior check: 24/7700 mismatches (first: packet 1008:") {
+		t.Errorf("err = %v, want the behavior check's first mismatch", err)
+	}
+	if !strings.Contains(out, "pipeline stages") || !strings.Contains(out, "behavior check: 24/7700") {
+		t.Errorf("report not printed before failing:\n%s", out)
+	}
+	out = captureStdout(t, func() error {
+		return cmdOptimize([]string{"-workload", "syncookie", "-seed", "6", "-tune", "-json"})
+	})
+	if !strings.Contains(out, "tuned accuracy trade") {
+		t.Errorf("-tune run did not label its divergence:\n%s", out)
+	}
+}
+
 func TestCmdOptimizeDisabledPhases(t *testing.T) {
 	if err := cmdOptimize([]string{"-workload", "quickstart", "-passes", "phase3"}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,6 +14,7 @@ import (
 	"p2go/internal/programs"
 	"p2go/internal/rt"
 	"p2go/internal/sim"
+	"p2go/internal/workloads"
 )
 
 // optimizeEx1WithGuards runs the pipeline with runtime violation detectors.
@@ -143,6 +148,67 @@ func TestGuardKeepsPipelineResults(t *testing.T) {
 	// The profile with guards installed shows the detector never fired.
 	if hits := guarded.FinalProfile.Hits[guarded.Guards[0].Table]; hits != 0 {
 		t.Errorf("guard hit %d times on the profiling trace, want 0", hits)
+	}
+}
+
+// guardedDigest hashes what a guarded Phase 2 run answers: the program
+// text, its rules, the observations, the guards and the final profile.
+func guardedDigest(res *Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n%+v\n", p4.Print(res.Optimized), rt.Format(res.OptimizedConfig), res.Guards)
+	for _, o := range res.Observations {
+		fmt.Fprintf(h, "%v|%s|%s|%s|%v\n", o.Accepted, o.Kind, o.Summary, o.Evidence, o.Details)
+	}
+	p := res.FinalProfile
+	fmt.Fprintf(h, "%d %d %d\n", p.TotalPackets, p.Drops, p.ToCPU)
+	for _, m := range []map[string]int{p.Hits, p.Applied, p.ActionCounts, p.Sets} {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(h, "%s=%d\n", k, m[k])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestGuardedAcceptReplaysOnce: a guarded candidate is replayed once, with
+// the mirrored detector rules installed — the detector never hits on the
+// trace, so the behavior check passes as it did without them — and that
+// replay is the profile the run keeps. The digests were recorded when an
+// accept replayed the candidate, then the program again with the rules.
+func TestGuardedAcceptReplaysOnce(t *testing.T) {
+	for _, tc := range []struct{ workload, digest string }{
+		{"stress", "a0f02cef2d1039c4"},
+		{"natgre", "9af6793334b2682b"},
+	} {
+		w, err := workloads.Get(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := w.Trace(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := New(Options{InsertDependencyGuards: true, Passes: []string{"phase2"}}).Optimize(
+			p4.MustParse(w.Source), w.Config(), trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted := 0
+		for _, o := range res.Observations {
+			if o.Phase == PhaseDependencies && o.Accepted {
+				accepted++
+			}
+		}
+		if s := res.PassStats[1]; s.ID != "phase2" || s.ProfileMisses != accepted {
+			t.Errorf("%s: %s replayed %d profiles for %d accepted edges, want one each", tc.workload, s.ID, s.ProfileMisses, accepted)
+		}
+		if got := guardedDigest(res); got != tc.digest {
+			t.Errorf("%s: guarded result digest %s, want %s", tc.workload, got, tc.digest)
+		}
 	}
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"p2go/internal/deps"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/profile"
 	"p2go/internal/rt"
 )
 
@@ -19,11 +21,7 @@ import (
 // changes tractable for the programmer); the loop re-runs until no
 // candidate improves the pipeline or MaxPhase2Removals is reached.
 func (r *run) phase2(ctx context.Context) error {
-	removed := 0
-	for {
-		if r.opts.MaxPhase2Removals > 0 && removed >= r.opts.MaxPhase2Removals {
-			return nil
-		}
+	for removed := 0; r.opts.MaxPhase2Removals <= 0 || removed < r.opts.MaxPhase2Removals; removed++ {
 		ictx, sp := obs.Start(ctx, "phase2.iteration", obs.Int("iteration", removed+1))
 		improved, err := r.phase2Once(ictx)
 		sp.SetAttr(obs.Bool("improved", improved))
@@ -32,10 +30,30 @@ func (r *run) phase2(ctx context.Context) error {
 			return err
 		}
 		if !improved {
-			return nil
+			break
 		}
-		removed++
 	}
+	return r.phase2Audit(ctx)
+}
+
+// phase2Audit replays the pass's final program if any accepted profile was
+// derived, and fails the run unless the replay equals the derived profile;
+// the replay, never a derived profile, is what is cached and read on.
+func (r *run) phase2Audit(ctx context.Context) error {
+	if r.derived == 0 {
+		return nil
+	}
+	ctx, sp := obs.Start(ctx, "phase2.audit", obs.Int("derived", r.derived))
+	defer sp.End()
+	derived := r.prof
+	r.derived = 0
+	if err := r.reprofile(ctx); err != nil {
+		return err
+	}
+	if diff := derived.Diff(r.prof); diff != "" {
+		return fmt.Errorf("core: phase2: derived profile disagrees with replay: %s", diff)
+	}
+	return nil
 }
 
 // phase2Once tries candidates in control order and applies the first
@@ -61,7 +79,7 @@ func (r *run) phase2Once(ctx context.Context) (bool, error) {
 }
 
 // phase2Try evaluates one dependency edge under its own span: profile
-// check, rewrite, candidate compile, behavior verification, and — when
+// check, rewrite, candidate compile, the candidate's profile, and — when
 // everything holds — application to the run state.
 func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (bool, error) {
 	ctx, sp := obs.Start(ctx, "phase2.candidate",
@@ -72,7 +90,8 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 		sp.SetAttr(obs.String("rejected", "manifests"))
 		return false, nil
 	}
-	if conflict := r.interveningConflict(edge); conflict != "" {
+	moved := r.movedTables(edge.To)
+	if conflict := r.interveningConflict(edge, moved); conflict != "" {
 		sp.SetAttr(obs.String("rejected", "intervening-conflict"))
 		return false, nil
 	}
@@ -111,24 +130,33 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 	// Safety check beyond the paper: the rewrite must preserve the
 	// program's observable behavior on the trace (miss markers aside
 	// — skipping a table whose outcome was a no-op miss is the
-	// intended effect of the rewrite).
-	newProf, err := r.profileCandidate(ctx, candidate)
-	if err != nil {
-		return false, err
-	}
-	if diff := r.prof.BehaviorDiff(newProf); diff != "" {
-		sp.SetAttr(obs.String("rejected", "behavior-changed"))
-		r.obs = append(r.obs, Observation{
-			Phase:        PhaseDependencies,
-			Kind:         "remove-dependency",
-			Accepted:     false,
-			Summary:      fmt.Sprintf("apply %s only if %s misses", edge.To, edge.From),
-			Evidence:     "rewrite changed the profile on the trace: " + diff,
-			Tables:       []string{edge.From, edge.To},
-			StagesBefore: baseStages,
-			StagesAfter:  baseStages,
-		})
-		return false, nil
+	// intended effect of the rewrite), as a derived profile does by
+	// construction. A guarded replay has the detector rules, never hit.
+	newProf, decline := r.phase2Derive(edge.From, moved, guard != nil)
+	if newProf != nil {
+		sp.SetAttr(obs.String("profile", "derived"))
+		r.derived++
+	} else {
+		sp.SetAttr(obs.String("profile", "replayed"), obs.String("decline", decline))
+		cfg := filterConfig(r.cfg, candidate)
+		cfg.Rules = append(cfg.Rules, guardRules...)
+		if newProf, err = r.doProfile(ctx, candidate, cfg); err != nil {
+			return false, err
+		}
+		if diff := r.prof.BehaviorDiff(newProf); diff != "" {
+			sp.SetAttr(obs.String("rejected", "behavior-changed"))
+			r.obs = append(r.obs, Observation{
+				Phase:        PhaseDependencies,
+				Kind:         "remove-dependency",
+				Accepted:     false,
+				Summary:      fmt.Sprintf("apply %s only if %s misses", edge.To, edge.From),
+				Evidence:     "rewrite changed the profile on the trace: " + diff,
+				Tables:       []string{edge.From, edge.To},
+				StagesBefore: baseStages,
+				StagesAfter:  baseStages,
+			})
+			return false, nil
+		}
 	}
 	r.cur = candidate
 	r.compile = compiled
@@ -138,12 +166,6 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 			r.cfg.Add(gr)
 		}
 		r.guards = append(r.guards, *guard)
-		// Re-profile with the detector rules installed; on the
-		// trace the detector must never hit (the dependency does
-		// not manifest), so behavior is unchanged.
-		if err := r.reprofile(ctx); err != nil {
-			return false, err
-		}
 	}
 	sp.SetAttr(obs.Bool("accepted", true), obs.Int("stages", totalStages(compiled.Mapping)))
 	r.obs = append(r.obs, Observation{
@@ -190,43 +212,58 @@ func (r *run) edgeManifests(edge *deps.Edge) (bool, string) {
 	return false, strings.Join(checked, "; ")
 }
 
+// phase2Derive answers a candidate's profile from the current one, or says
+// why not. A guard adds a table the profile has never seen; a keyless
+// table's apply may leave no marker, nor does its miss show as one.
+func (r *run) phase2Derive(from string, moved []string, guarded bool) (*profile.Profile, string) {
+	if guarded {
+		return nil, "guards"
+	}
+	for _, t := range append([]string{from}, moved...) {
+		if d := r.cur.Table(t); d == nil || len(d.Reads) == 0 {
+			return nil, "keyless"
+		}
+	}
+	return r.prof.SkipUnlessMissed(from, moved)
+}
+
+// movedTables lists the tables Phase 2's rewrite moves with `to`: its apply
+// subtree, `to` first, then the tables of its hit and miss arms.
+func (r *run) movedTables(to string) []string {
+	moved := []string{to}
+	for _, name := range []string{p4.IngressControl, p4.EgressControl} {
+		c := r.compile.AST.Control(name)
+		if c == nil {
+			continue
+		}
+		if path := findApplyPath(c.Body, to); path != nil {
+			last := path[len(path)-1]
+			if ap, ok := last.block.Stmts[last.idx].(*p4.ApplyStmt); ok {
+				moved = append(moved, p4.TablesInBlock(ap.Hit)...)
+				moved = append(moved, p4.TablesInBlock(ap.Miss)...)
+			}
+			break
+		}
+	}
+	return moved
+}
+
 // interveningConflict reports whether a table ordered between the edge's
 // endpoints conflicts with any table that the rewrite would move (the
 // moved apply subtree executes earlier after the rewrite, so reordering
 // must be safe). Returns the offending table name, or "".
-func (r *run) interveningConflict(edge *deps.Edge) string {
+func (r *run) interveningConflict(edge *deps.Edge, moved []string) string {
 	prog := r.compile.IR
 	from, to := prog.Tables[edge.From], prog.Tables[edge.To]
 	if from == nil || to == nil {
 		return "missing"
 	}
-	// Tables moving with `to`: its apply subtree (hit/miss arms).
-	moved := map[string]bool{edge.To: true}
-	var path []enclosure
-	for _, name := range []string{p4.IngressControl, p4.EgressControl} {
-		if c := r.compile.AST.Control(name); c != nil {
-			if path = findApplyPath(c.Body, edge.To); path != nil {
-				break
-			}
-		}
-	}
-	if path != nil {
-		last := path[len(path)-1]
-		if ap, ok := last.block.Stmts[last.idx].(*p4.ApplyStmt); ok {
-			for _, t := range p4.TablesInBlock(ap.Hit) {
-				moved[t] = true
-			}
-			for _, t := range p4.TablesInBlock(ap.Miss) {
-				moved[t] = true
-			}
-		}
-	}
 	g := r.compile.Deps
 	for _, t := range prog.Ordered {
-		if t.Order <= from.Order || t.Order >= to.Order || moved[t.Name] {
+		if t.Order <= from.Order || t.Order >= to.Order || slices.Contains(moved, t.Name) {
 			continue
 		}
-		for m := range moved {
+		for _, m := range moved {
 			if g.Edge(t.Name, m) != nil || g.Edge(m, t.Name) != nil {
 				return t.Name
 			}

@@ -237,6 +237,9 @@ type run struct {
 	stat    *PassStat
 	stats   []PassStat
 	reports []CandidateReport
+	// derived counts the accepted Phase 2 candidates whose profile was
+	// derived since the last audit (see phase2Audit).
+	derived int
 }
 
 // Optimize profiles the program on the trace and applies the scheduled

@@ -44,17 +44,18 @@ func TestNATGRESpanTreeGolden(t *testing.T) {
       sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
   phase2.remove-dependencies
     phase2.iteration improved=true iteration=1
-      phase2.candidate accepted=true from=nat stages=3 to=gre
+      phase2.candidate accepted=true from=nat profile=derived stages=3 to=gre
         compile stages=3
-        profile
-          profile.instrument tables=4
-            sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=trailer ops_elided=3
-          sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
     phase2.iteration improved=false iteration=2
       phase2.candidate from=nat rejected=manifests to=ipv4_fwd
       phase2.candidate from=gre rejected=manifests to=ipv4_fwd
       phase2.candidate from=ipv4_fwd rejected=no-stage-saved to=egress_acl
         compile stages=3
+    phase2.audit derived=1
+      profile
+        profile.instrument tables=4
+          sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=trailer ops_elided=3
+        sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
   phase3.reduce-memory
     phase3.iteration improved=false iteration=1
       phase3.probe stages=3 table=nat value=512

@@ -2,6 +2,8 @@ package profile
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,6 +37,72 @@ type Profile struct {
 	// (engine choice, dedup, shards). It is ignored by Equal/Diff and not
 	// propagated by MergeProfiles; RunWith sets it on the merged result.
 	Engine *EngineReport
+	// classes is Sets with every key parsed once, attached by RunWith and
+	// SkipUnlessMissed; any other profile is parsed per query.
+	classes []execClass
+}
+
+// execClass is one execution set with its key parsed. A key may span several
+// classes whose counts add up (SkipUnlessMissed merges sets).
+type execClass struct {
+	key     string
+	count   int
+	entries []classEntry
+	hitKey  string // the key of the hit entries alone
+	hits    int
+}
+
+// classEntry is one member of a set key, spelled text (miss tag included).
+type classEntry struct {
+	table, action, text string
+	miss                bool
+}
+
+// parseClasses parses every set key once; members are substrings of keys.
+func parseClasses(sets map[string]int) []execClass {
+	out := make([]execClass, 0, len(sets))
+	for key, count := range sets {
+		c := execClass{key: key, count: count, hitKey: key}
+		c.entries = make([]classEntry, 0, strings.Count(key, "|")+1)
+		for rest := key; rest != ""; {
+			var text string
+			text, rest, _ = strings.Cut(rest, "|")
+			base, miss := strings.CutSuffix(text, missTag)
+			table, action, _ := strings.Cut(base, ".")
+			c.entries = append(c.entries, classEntry{table: table, action: action, text: text, miss: miss})
+			if !miss {
+				c.hits++
+			}
+		}
+		if c.hits < len(c.entries) {
+			c.hitKey = joinEntries(c.entries, true)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// joinEntries spells the set key of sorted entries, their hits alone if asked.
+func joinEntries(entries []classEntry, hitsOnly bool) string {
+	var b strings.Builder
+	for _, e := range entries {
+		if hitsOnly && e.miss {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte('|')
+		}
+		b.WriteString(e.text)
+	}
+	return b.String()
+}
+
+// execClasses returns the parsed execution sets.
+func (p *Profile) execClasses() []execClass {
+	if p.classes == nil {
+		return parseClasses(p.Sets)
+	}
+	return p.classes
 }
 
 // HitRate returns the fraction of packets that matched the table.
@@ -65,18 +133,10 @@ type SetCount struct {
 // NonExclusiveSets lists observed hit-action sets of at least minSize.
 func (p *Profile) NonExclusiveSets(minSize int) []SetCount {
 	agg := map[string]int{}
-	for key, count := range p.Sets {
-		members := strings.Split(key, "|")
-		var hits []string
-		for _, m := range members {
-			if p.isHitEntry(m) {
-				hits = append(hits, m)
-			}
+	for _, c := range p.execClasses() {
+		if c.hits >= minSize {
+			agg[c.hitKey] += c.count
 		}
-		if len(hits) < minSize {
-			continue
-		}
-		agg[SetKey(hits)] += count
 	}
 	var out []SetCount
 	for key, count := range agg {
@@ -91,14 +151,8 @@ func (p *Profile) NonExclusiveSets(minSize int) []SetCount {
 	return out
 }
 
-// isHitEntry reports whether a set entry represents a rule hit rather than
-// a miss/default execution. Entries are tagged at collection time with a
-// "!" suffix for miss/default executions.
-func (p *Profile) isHitEntry(entry string) bool {
-	return !strings.HasSuffix(entry, missTag)
-}
-
-// missTag marks miss/default-action executions inside set keys.
+// missTag marks miss/default-action executions inside set keys; an
+// untagged member is a rule hit.
 const missTag = "!miss"
 
 // CoOccurred reports whether any packet executed both (tableA, actionA) and
@@ -120,25 +174,16 @@ func (p *Profile) CoHit(tableA, actionA, tableB string) bool {
 }
 
 func (p *Profile) coOccur(tableA, actionA, tableB, actionB string, requireHit bool) bool {
-	needleA := tableA + "." + actionA
-	for key, count := range p.Sets {
-		if count == 0 {
+	for _, c := range p.execClasses() {
+		if c.count == 0 {
 			continue
 		}
-		members := strings.Split(key, "|")
 		hasA, hasB := false, false
-		for _, m := range members {
-			isMiss := strings.HasSuffix(m, missTag)
-			base := strings.TrimSuffix(m, missTag)
-			if base == needleA {
+		for _, e := range c.entries {
+			if e.table == tableA && e.action == actionA {
 				hasA = true
 			}
-			switch {
-			case actionB == "":
-				if strings.HasPrefix(base, tableB+".") && (!requireHit || !isMiss) {
-					hasB = true
-				}
-			case base == tableB+"."+actionB:
+			if e.table == tableB && (actionB == "" && (!requireHit || !e.miss) || e.action == actionB) {
 				hasB = true
 			}
 		}
@@ -147,6 +192,76 @@ func (p *Profile) coOccur(tableA, actionA, tableB, actionB string, requireHit bo
 		}
 	}
 	return false
+}
+
+// SkipUnlessMissed derives, without a replay, the profile of Phase 2's
+// rewrite "apply the moved tables (the moved one and the tables of its hit
+// and miss arms) only if from misses". Where from did not miss (it hit, or
+// was not applied) the skip is a no-op exactly when each moved table only
+// ran its miss marker: those markers leave Sets, Applied and ActionCounts.
+// It declines, saying why, on what the profile cannot prove: from's miss is
+// a real default ("from-default": MissDefaults tags a rule installing it as
+// a miss too), or a moved table ran its real default ("moved-default") or
+// hit ("moved-hit") where from did not miss. Keyless tables, whose applies
+// may leave no marker, are the caller's to rule out.
+func (p *Profile) SkipUnlessMissed(from string, moved []string) (*Profile, string) {
+	fromMarker := missActionPrefix + from
+	classes := p.execClasses()
+	out := &Profile{
+		TotalPackets: p.TotalPackets,
+		Hits:         p.Hits, // a skipped miss marker is not a hit
+		Applied:      maps.Clone(p.Applied),
+		ActionCounts: maps.Clone(p.ActionCounts),
+		Sets:         make(map[string]int, len(classes)),
+		Drops:        p.Drops,
+		ToCPU:        p.ToCPU,
+		classes:      make([]execClass, 0, len(classes)),
+	}
+	for _, c := range classes {
+		missed, skipped := false, 0
+		for _, e := range c.entries {
+			switch {
+			case e.table == from && e.miss:
+				if e.action != fromMarker {
+					return nil, "from-default"
+				}
+				missed = true
+			case slices.Contains(moved, e.table):
+				skipped++
+			}
+		}
+		if !missed && skipped > 0 {
+			kept := make([]classEntry, 0, len(c.entries)-skipped)
+			for _, e := range c.entries {
+				switch {
+				case !slices.Contains(moved, e.table):
+					kept = append(kept, e)
+					continue
+				case !e.miss:
+					return nil, "moved-hit"
+				case e.action != missActionPrefix+e.table:
+					return nil, "moved-default"
+				}
+				decrement(out.Applied, e.table, c.count)
+				decrement(out.ActionCounts, strings.TrimSuffix(e.text, missTag), c.count)
+			}
+			if len(kept) == 0 {
+				continue // the collector records no empty set
+			}
+			// Only misses left the set, so its hit key and count stand.
+			c.key, c.entries = joinEntries(kept, false), kept
+		}
+		out.Sets[c.key] += c.count
+		out.classes = append(out.classes, c)
+	}
+	return out, ""
+}
+
+// decrement subtracts n from m[k], deleting it at zero as a replay would.
+func decrement(m map[string]int, k string, n int) {
+	if m[k] -= n; m[k] == 0 {
+		delete(m, k)
+	}
 }
 
 // Equal reports whether two profiles are identical: same totals, same hit
@@ -201,17 +316,11 @@ func unionKeys(a, b map[string]int) []string {
 	return keys
 }
 
-// BehaviorEqual reports whether two profiles describe the same observable
-// behavior: identical hit counts per table, identical per-packet hit-action
-// sets, and identical drop/redirect totals. Unlike Equal it ignores miss
-// markers — Phase 2's rewrite intentionally skips applying a table whose
-// outcome was always a no-op miss, which changes which tables are applied
-// but not what happens to any packet.
-func (p *Profile) BehaviorEqual(other *Profile) bool {
-	return p.BehaviorDiff(other) == ""
-}
-
-// BehaviorDiff describes behavioral differences between two profiles.
+// BehaviorDiff describes how two profiles' observable behavior differs, or
+// "": hit counts per table, per-packet hit-action sets and drop/redirect
+// totals. Unlike Diff it ignores miss markers — Phase 2's rewrite skips
+// applying a table whose outcome was a no-op miss, which changes which
+// tables are applied but not what happens to any packet.
 func (p *Profile) BehaviorDiff(other *Profile) string {
 	var out []string
 	if p.TotalPackets != other.TotalPackets {
@@ -240,14 +349,8 @@ func (p *Profile) BehaviorDiff(other *Profile) string {
 // hitSets aggregates the execution sets down to their hit entries.
 func (p *Profile) hitSets() map[string]int {
 	agg := map[string]int{}
-	for key, count := range p.Sets {
-		var hits []string
-		for _, m := range strings.Split(key, "|") {
-			if p.isHitEntry(m) {
-				hits = append(hits, m)
-			}
-		}
-		agg[SetKey(hits)] += count
+	for _, c := range p.execClasses() {
+		agg[c.hitKey] += c.count
 	}
 	return agg
 }

@@ -119,6 +119,36 @@ func TestACLDependencyDoesNotManifest(t *testing.T) {
 	}
 }
 
+// TestCoOccurAllocs: Phase 2 asks these questions for every pair of every
+// candidate edge, so once RunWith has parsed the execution sets a query
+// reads the index and allocates nothing. A profile built without the index
+// answers the same.
+func TestCoOccurAllocs(t *testing.T) {
+	prof := profileEx1(t)
+	bare := *prof
+	bare.classes = nil
+	query := func(p *Profile) [4]bool {
+		return [4]bool{
+			p.CoOccurred("ACL_UDP", "acl_udp_drop", "ACL_DHCP", "acl_dhcp_drop"),
+			p.CoOccurred("IPv4", "set_nhop", "ACL_UDP", "acl_udp_drop"),
+			p.CoOccurred("ACL_DHCP", "acl_dhcp_drop", "ACL_UDP", ""),
+			p.CoHit("ACL_DHCP", "acl_dhcp_drop", "ACL_UDP"),
+		}
+	}
+	if got, want := query(prof), [4]bool{false, true, true, false}; got != want || query(&bare) != want {
+		t.Errorf("indexed answers %v, unindexed %v, want %v", got, query(&bare), want)
+	}
+	if !reflect.DeepEqual(prof.NonExclusiveSets(2), bare.NonExclusiveSets(2)) || prof.BehaviorDiff(&bare) != "" {
+		t.Error("the index changed NonExclusiveSets or BehaviorDiff")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts do not apply under -race")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { query(prof) }); allocs != 0 {
+		t.Errorf("CoOccurred/CoHit made %.0f allocations per query batch, want 0", allocs)
+	}
+}
+
 // TestReducedSketchChangesProfile reproduces §3.3's discard decision:
 // shrinking Sketch_1's register to the binary-search minimum makes the CMS
 // over-count, raising DNS_Drop's hit rate; the profile comparison detects

@@ -154,7 +154,8 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 // table_set_default override, or the declared default — of a table that
 // has a reads block. A rule installing the default-named action is
 // misclassified as a miss; the standard profiling approximation,
-// irrelevant to the example programs.
+// irrelevant to the example programs; Profile.SkipUnlessMissed, which
+// needs exact misses, must not trust the tag on a real default.
 func MissDefaults(ast *p4.Program, cfg *rt.Config) map[string]bool {
 	md := map[string]bool{}
 	for _, t := range ast.Tables {
@@ -267,6 +268,7 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 		}
 		prof := col.profile()
 		prof.Engine = rep
+		prof.classes = parseClasses(prof.Sets)
 		return prof, nil
 	}
 
@@ -302,6 +304,7 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	}
 	sp.SetAttr(obs.Float("packets_per_sec", sim.Throughput(merged.TotalPackets, time.Since(start))))
 	merged.Engine = rep
+	merged.classes = parseClasses(merged.Sets)
 	return merged, nil
 }
 
