@@ -14,8 +14,8 @@ import (
 	"p2go/internal/controller"
 	"p2go/internal/core"
 	"p2go/internal/deps"
+	"p2go/internal/fleet"
 	"p2go/internal/ir"
-	"p2go/internal/network"
 	"p2go/internal/online"
 	"p2go/internal/p4"
 	"p2go/internal/p5"
@@ -426,32 +426,14 @@ func BenchmarkEquivalenceCheck(b *testing.B) {
 }
 
 // BenchmarkFleetOptimization (§6 network-wide): per-device optimization of
-// a two-switch topology fed by a network-level injection.
+// the two-switch enterprise topology fed by a network-level injection.
 func BenchmarkFleetOptimization(b *testing.B) {
-	trace := enterpriseTrace(b)
-	buildTopo := func() *network.Topology {
-		topo := network.NewTopology()
-		edge := p4.MustParse(programs.Ex1)
-		if err := p4.Check(edge); err != nil {
-			b.Fatal(err)
-		}
-		if err := topo.AddDevice("edge", edge, programs.Ex1Config()); err != nil {
-			b.Fatal(err)
-		}
-		return topo
-	}
-	injections := make([]network.Injection, len(trace.Packets))
-	for i, pkt := range trace.Packets {
-		injections[i] = network.Injection{At: network.Hop{Device: "edge", Port: pkt.Port}, Data: pkt.Data}
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		topo := buildTopo()
-		report, err := topo.OptimizeAll(injections, core.Options{})
+		res, err := fleet.Run(context.Background(), fleet.Enterprise(1), fleet.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if report.TotalStagesAfter() >= report.TotalStagesBefore() {
+		if res.StagesAfter >= res.StagesBefore {
 			b.Fatal("fleet optimization saved nothing")
 		}
 	}

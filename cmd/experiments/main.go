@@ -28,9 +28,11 @@ import (
 
 	"p2go"
 	"p2go/internal/core"
+	"p2go/internal/fleet"
 	"p2go/internal/p4"
 	"p2go/internal/p5"
 	"p2go/internal/programs"
+	"p2go/internal/report"
 	"p2go/internal/sim"
 	"p2go/internal/tofino"
 	"p2go/internal/trafficgen"
@@ -443,11 +445,22 @@ func extOnline(seed int64) error {
 }
 
 // extNetwork demonstrates §6's network-wide direction: per-device traces
-// from a two-switch topology.
+// from a two-switch topology, each device optimized with what it saw.
 func extNetwork(seed int64) error {
-	fmt.Println("Network-wide demonstrator (§6): see examples/network —")
-	fmt.Println("  edge (Ex. 1 firewall) + core router, enterprise trace injected at the edge;")
-	fmt.Println("  per-device traces collected in-network; fleet total 9 -> 4 stages.")
+	res, err := fleet.Run(context.Background(), fleet.Enterprise(seed), fleet.Options{})
+	if err != nil {
+		return err
+	}
+	fmt.Println("Network-wide demonstrator (§6): edge (Ex. 1 firewall) + core router,")
+	fmt.Println("enterprise trace injected at the edge, per-device traces collected in-network:")
+	for _, row := range res.Devices {
+		if row.Status != report.FleetOptimized {
+			return fmt.Errorf("device %s %s: %s%s", row.Device, row.Status, row.Reason, row.Error)
+		}
+		fmt.Printf("  %-8s %6d packets  %d -> %d stages\n", row.Device, row.Packets,
+			row.Result.StagesBefore, row.Result.StagesAfter)
+	}
+	fmt.Printf("  fleet total %d -> %d stages (see examples/network)\n", res.StagesBefore, res.StagesAfter)
 	return nil
 }
 

@@ -2,121 +2,44 @@
 // the Ex. 1 edge firewall and a core router — are wired into a topology;
 // the enterprise traffic is injected at the edge, each device's *observed*
 // traffic is recorded as its own representative trace, and P2GO optimizes
-// every device with the trace it actually saw.
+// every device with the trace it actually saw. The run is a fleet job, the
+// same one p2god serves on POST /fleets.
 //
 //	go run ./examples/network
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"p2go"
-	"p2go/internal/core"
-	"p2go/internal/network"
-	"p2go/internal/programs"
-	"p2go/internal/trafficgen"
+	"p2go/internal/fleet"
+	"p2go/internal/report"
 )
 
-const coreRouter = `
-header_type ethernet_t {
-    fields { dstAddr : 48; srcAddr : 48; etherType : 16; }
-}
-header_type ipv4_t {
-    fields {
-        version : 4; ihl : 4; diffserv : 8; totalLen : 16;
-        identification : 16; flags : 3; fragOffset : 13;
-        ttl : 8; protocol : 8; hdrChecksum : 16;
-        srcAddr : 32; dstAddr : 32;
-    }
-}
-header ethernet_t ethernet;
-header ipv4_t ipv4;
-parser start {
-    extract(ethernet);
-    return select(ethernet.etherType) {
-        0x0800 : parse_ipv4;
-        default : ingress;
-    }
-}
-parser parse_ipv4 { extract(ipv4); return ingress; }
-action fwd(p) { modify_field(standard_metadata.egress_spec, p); }
-action core_drop() { drop(); }
-table core_routes {
-    reads { ipv4.dstAddr : lpm; }
-    actions { fwd; core_drop; }
-    size : 64;
-    default_action : core_drop;
-}
-control ingress {
-    if (valid(ipv4)) {
-        apply(core_routes);
-    }
-}
-`
-
 func main() {
-	topo := network.NewTopology()
-	if err := topo.AddDevice("edge", p4MustParse(programs.Ex1), programs.Ex1Config()); err != nil {
-		log.Fatal(err)
-	}
-	coreCfg, err := p2go.ParseRules("table_add core_routes fwd 10.0.0.0/8 => 12")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := topo.AddDevice("corert", p4MustParse(coreRouter), coreCfg); err != nil {
-		log.Fatal(err)
-	}
-	for _, port := range []uint64{3, 4, 5} {
-		if err := topo.Link(network.Hop{Device: "edge", Port: port}, network.Hop{Device: "corert", Port: 1}); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	trace, err := trafficgen.EnterpriseTrace(trafficgen.EnterpriseSpec{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	injections := make([]network.Injection, len(trace.Packets))
-	for i, pkt := range trace.Packets {
-		injections[i] = network.Injection{At: network.Hop{Device: "edge", Port: pkt.Port}, Data: pkt.Data}
-	}
-
-	traces, err := topo.CollectDeviceTraces(injections)
+	res, err := fleet.Run(context.Background(), fleet.Enterprise(1), fleet.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("per-device observed traffic:")
-	for _, dev := range topo.Devices() {
-		fmt.Printf("  %-8s %6d packets\n", dev, len(traces[dev].Packets))
-	}
-
-	report, err := topo.OptimizeAll(injections, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, s := range report.Skipped {
-		fmt.Printf("  skipped %-8s %s\n", s.Device, s.Reason)
-	}
-	if err := report.Err(); err != nil {
-		log.Fatal(err)
+	for _, row := range res.Devices {
+		fmt.Printf("  %-8s %6d packets\n", row.Device, row.Packets)
 	}
 	fmt.Println("\nper-device optimization:")
-	for _, r := range report.Results {
-		fmt.Printf("  %-8s %d -> %d stages", r.Device, r.Result.StagesBefore(), r.Result.StagesAfter())
-		if len(r.Result.OffloadedTables) > 0 {
-			fmt.Printf("  (offloaded %v)", r.Result.OffloadedTables)
+	for _, row := range res.Devices {
+		switch row.Status {
+		case report.FleetSkipped:
+			fmt.Printf("  skipped %-8s %s\n", row.Device, row.Reason)
+		case report.FleetFailed:
+			log.Fatalf("device %s: %s", row.Device, row.Error)
+		default:
+			fmt.Printf("  %-8s %d -> %d stages", row.Device, row.Result.StagesBefore, row.Result.StagesAfter)
+			if len(row.Result.OffloadedTables) > 0 {
+				fmt.Printf("  (offloaded %v)", row.Result.OffloadedTables)
+			}
+			fmt.Println()
 		}
-		fmt.Println()
 	}
-	fmt.Printf("\nfleet total: %d -> %d stages\n",
-		report.TotalStagesBefore(), report.TotalStagesAfter())
-}
-
-func p4MustParse(src string) *p2go.Program {
-	prog, err := p2go.ParseProgram(src)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return prog
+	fmt.Printf("\nfleet total: %d -> %d stages\n", res.StagesBefore, res.StagesAfter)
 }

@@ -61,7 +61,7 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 		}
 		probes = append(probes, probe{knob: knob, order: t.Order})
 	}
-	err := forEachIndexed(ctx, len(probes), r.opts.parallelism(), func(i int) error {
+	err := ForEachIndexed(ctx, len(probes), r.opts.parallelism(), func(i int) error {
 		// Probe failures are swallowed (not a candidate); cancellation
 		// must not be.
 		if err := r.interrupted(); err != nil {

@@ -176,7 +176,7 @@ func (r *run) offloadCandidates(ctx context.Context, measureAll bool) ([]Candida
 	baseStages := totalStages(r.compile.Mapping)
 	reports := make([]CandidateReport, len(segs))
 	viable := make([]bool, len(segs))
-	err := forEachIndexed(ctx, len(segs), r.opts.parallelism(), func(i int) error {
+	err := ForEachIndexed(ctx, len(segs), r.opts.parallelism(), func(i int) error {
 		// Candidate failures below are swallowed (not viable);
 		// cancellation must not be.
 		if err := r.interrupted(); err != nil {

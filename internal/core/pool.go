@@ -7,20 +7,22 @@ import (
 	"sync/atomic"
 )
 
-// forEachIndexed runs fn(0..n-1) on up to workers goroutines and waits for
-// completion. It is the shared fan-out primitive for Phase 3's halving
-// probes and Phase 4's segment measurements: callers pre-size a results
-// slice and have fn store into results[i], so observation order is the
+// ForEachIndexed runs fn(0..n-1) on up to workers goroutines and waits for
+// completion. It is the repository's one bounded fan-out: Phase 3's halving
+// probes, Phase 4's segment measurements, and a fleet's injection
+// generation and per-device runs all go through it. Callers pre-size a
+// results slice and have fn store into results[i], so result order is the
 // index order regardless of which worker finished first.
 //
 // Error handling is deterministic too: when several fn calls fail, the
 // error with the lowest index wins — the same error a sequential loop
 // would have stopped on. A failure (or ctx cancellation) stops workers
 // from claiming further indices, but already-running calls finish.
-// workers <= 1 (or n <= 1) runs inline on the calling goroutine with no
-// goroutines at all, which keeps span creation order — and therefore the
-// exporter's span trees — identical to the historical sequential code.
-func forEachIndexed(ctx context.Context, n, workers int, fn func(i int) error) error {
+// workers <= 0 means one per CPU. workers == 1 (or n <= 1) runs inline on
+// the calling goroutine with no goroutines at all, which keeps span
+// creation order — and therefore the exporter's span trees — identical to
+// the sequential code.
+func ForEachIndexed(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -16,7 +16,7 @@ func TestForEachIndexedCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 16} {
 		const n = 100
 		var hits [n]atomic.Int32
-		err := forEachIndexed(context.Background(), n, workers, func(i int) error {
+		err := ForEachIndexed(context.Background(), n, workers, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -36,7 +36,7 @@ func TestForEachIndexedCoversAllIndices(t *testing.T) {
 // the one a sequential loop would have stopped on.
 func TestForEachIndexedLowestIndexErrorWins(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		err := forEachIndexed(context.Background(), 50, workers, func(i int) error {
+		err := ForEachIndexed(context.Background(), 50, workers, func(i int) error {
 			if i == 3 || i == 40 {
 				return fmt.Errorf("fail at %d", i)
 			}
@@ -51,7 +51,7 @@ func TestForEachIndexedLowestIndexErrorWins(t *testing.T) {
 func TestForEachIndexedStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := forEachIndexed(ctx, 1000, 4, func(i int) error {
+	err := ForEachIndexed(ctx, 1000, 4, func(i int) error {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -66,7 +66,7 @@ func TestForEachIndexedStopsOnCancel(t *testing.T) {
 }
 
 func TestForEachIndexedZeroItems(t *testing.T) {
-	if err := forEachIndexed(context.Background(), 0, 8, func(int) error {
+	if err := ForEachIndexed(context.Background(), 0, 8, func(int) error {
 		t.Fatal("fn called for n=0")
 		return nil
 	}); err != nil {

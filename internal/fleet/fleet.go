@@ -4,10 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"p2go/internal/cache"
@@ -103,7 +100,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 
 	_, collectSpan := obs.Start(ctx, "fleet.collect",
 		obs.Int("packets", len(injections)))
-	traces, devErrs := topo.CollectDeviceTracesPartial(injections)
+	traces, devErrs := topo.CollectDeviceTraces(injections)
 	collectSpan.SetAttr(obs.Int("device_errors", len(devErrs)))
 	collectSpan.End()
 
@@ -121,7 +118,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 	}
 
 	rows := make([]report.FleetDevice, len(devices))
-	runErr := forEach(ctx, len(devices), spec.DeviceParallelism, func(i int) error {
+	runErr := core.ForEachIndexed(ctx, len(devices), spec.DeviceParallelism, func(i int) error {
 		dev := devices[i]
 		trace := traces[dev.spec.Name]
 		row, err := runDevice(ctx, spec, opts, dev, trace, collectFailed[dev.spec.Name])
@@ -328,7 +325,7 @@ func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 // linked topology sees the same interleaving whatever the parallelism.
 func BuildInjections(ctx context.Context, spec Spec) ([]network.Injection, error) {
 	streams := make([][]trafficgen.Packet, len(spec.Injections))
-	err := forEach(ctx, len(spec.Injections), spec.DeviceParallelism, func(i int) error {
+	err := core.ForEachIndexed(ctx, len(spec.Injections), spec.DeviceParallelism, func(i int) error {
 		inj := spec.Injections[i]
 		w, err := workloads.Get(inj.Workload)
 		if err != nil {
@@ -377,70 +374,4 @@ func deviceKey(dev resolvedDevice, trace *trafficgen.Trace, passes []string, cop
 		strings.Join(passes, ","),
 		copts.Target.Key(),
 	)
-}
-
-// forEach runs fn(0..n-1) on up to workers goroutines — the same bounded
-// fan-out contract as the optimizer core's probe pool: deterministic
-// lowest-index error, inline execution at workers<=1 so span order
-// matches the sequential code, a failure (or cancellation) stops workers
-// from claiming further indices while in-flight calls finish.
-func forEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-		failed   atomic.Bool
-		wg       sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					record(int(next.Load()), err)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					record(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

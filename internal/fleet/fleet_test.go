@@ -422,6 +422,32 @@ func TestRunLinkedTopology(t *testing.T) {
 	}
 }
 
+// TestRunEnterpriseTopology is the §6 demonstrator as a fleet job: the
+// Ex. 1 edge firewall linked to a core router, the enterprise trace
+// injected at the edge. The core optimizes against only what the edge
+// forwarded, and the fleet goes from 8+1 to 3+1 stages.
+func TestRunEnterpriseTopology(t *testing.T) {
+	res, err := Run(context.Background(), Enterprise(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimized != 2 {
+		t.Fatalf("optimized %d devices, want 2: %+v", res.Optimized, res.Devices)
+	}
+	if res.StagesBefore != 8+1 || res.StagesAfter != 3+1 {
+		t.Errorf("fleet stages %d -> %d, want 9 -> 4", res.StagesBefore, res.StagesAfter)
+	}
+	edge, corert := res.Devices[0], res.Devices[1]
+	// The core sees everything but the firewall's drops (8% blocked UDP,
+	// 14% rogue DHCP, 1% DNS limit).
+	if edge.Packets != 20000 || corert.Packets != 20000-(1600+2800+200) {
+		t.Errorf("packets seen: edge %d, core %d; want 20000 and 15400", edge.Packets, corert.Packets)
+	}
+	if len(edge.Result.OffloadedTables) == 0 {
+		t.Error("edge device should offload the DNS branch")
+	}
+}
+
 // TestDeviceKeysStable pins device keys recorded before the hardware
 // model's spelling moved into tofino.Target.Key: a moved key orphans every
 // spilled "fleetdev:" row.

@@ -94,7 +94,7 @@ func referenceRun(t *testing.T, spec Spec, opts Options) *report.FleetResult {
 			t.Fatal(err)
 		}
 	}
-	traces, devErrs := topo.CollectDeviceTracesPartial(referenceInjections(t, spec))
+	traces, devErrs := topo.CollectDeviceTraces(referenceInjections(t, spec))
 	if len(devErrs) > 0 {
 		t.Fatal(devErrs[0])
 	}

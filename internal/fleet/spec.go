@@ -5,10 +5,10 @@
 // a fleet-level result with per-device error attribution instead of
 // fail-fast.
 //
-// The paper's §6 poses network-wide compilation as future work;
-// internal/network implements the per-device baseline (replay a network
-// trace, optimize every device with what it saw). This package promotes
-// that baseline to a production job shape: one content-addressed
+// The paper's §6 poses network-wide compilation as future work; this
+// package is the per-device baseline that question starts from (replay a
+// network trace through internal/network, optimize every device with what
+// it saw), in a production job shape: one content-addressed
 // core.AnalysisCache is threaded across every device in a fleet, so
 // fleets where most devices run the same program with different rules
 // and traffic — the common case in a real deployment — dedup compiles
@@ -22,6 +22,7 @@ import (
 
 	"p2go/internal/cache"
 	"p2go/internal/core"
+	"p2go/internal/programs"
 	"p2go/internal/workloads"
 )
 
@@ -199,6 +200,25 @@ func (s Spec) Fingerprint() string {
 	}
 	parts = append(parts, "passes", strings.Join(s.Passes, ","))
 	return cache.Digest(parts...)
+}
+
+// Enterprise builds the §6 demonstrator: the Ex. 1 edge firewall, whose
+// three routed ports all link to a core router, fed Ex. 1's enterprise
+// trace (the given seed) at the edge. The core optimizes against only what
+// the firewall forwarded; at seed 1 the fleet goes from 9 to 4 stages.
+func Enterprise(seed int64) Spec {
+	s := Spec{
+		Name: "enterprise",
+		Devices: []DeviceSpec{
+			{Name: "edge", Workload: "ex1"},
+			{Name: "corert", Program: programs.CoreRouter, Rules: programs.CoreRouterRulesText},
+		},
+		Injections: []InjectionSpec{{Device: "edge", Workload: "ex1", Seed: seed}},
+	}
+	for _, port := range []uint64{3, 4, 5} {
+		s.Links = append(s.Links, LinkSpec{From: HopSpec{Device: "edge", Port: port}, To: HopSpec{Device: "corert", Port: 1}})
+	}
+	return s
 }
 
 // Synthetic builds an n-device fleet of disconnected switches all running

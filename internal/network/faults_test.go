@@ -5,13 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"p2go/internal/core"
 	"p2go/internal/faults"
 )
 
 // TestDeviceFailureNamed: a device failing mid-collection surfaces as a
 // typed DeviceError naming the device and injection — never as a bare
-// simulator error or zero-valued traces.
+// simulator error or zero-valued traces — and costs only that injection's
+// remaining path: the healthy part of the network keeps its traces.
 func TestDeviceFailureNamed(t *testing.T) {
 	topo := buildTopology(t)
 	injections := enterpriseInjections(t)
@@ -19,28 +19,25 @@ func TestDeviceFailureNamed(t *testing.T) {
 	// event 1 pins the error there.
 	topo.SetFaults(faults.MustSet(faults.Spec{Point: faults.SimStep, From: 1, To: 2}))
 
-	traces, err := topo.CollectDeviceTraces(injections[:50])
-	if err == nil {
-		t.Fatal("injected device failure surfaced no error")
+	traces, errs := topo.CollectDeviceTraces(injections[:50])
+	if len(errs) != 1 {
+		t.Fatalf("errors = %v, want exactly the injected failure", errs)
 	}
-	if traces != nil {
-		t.Error("partial traces returned alongside the error")
-	}
-	var devErr *DeviceError
-	if !errors.As(err, &devErr) {
-		t.Fatalf("error %v is not a *DeviceError", err)
-	}
+	devErr := errs[0]
 	if devErr.Device != "corert" {
 		t.Errorf("failing device = %q, want corert (the second hop)", devErr.Device)
 	}
 	if devErr.Injection != 0 {
 		t.Errorf("failing injection = %d, want 0", devErr.Injection)
 	}
-	if !strings.Contains(err.Error(), "corert") {
-		t.Errorf("error text %q does not name the device", err)
+	if !strings.Contains(devErr.Error(), "corert") {
+		t.Errorf("error text %q does not name the device", devErr)
 	}
 	if !faults.IsInjected(errors.Unwrap(devErr)) {
 		t.Errorf("underlying error %v lost the injection marker", devErr.Err)
+	}
+	if got := len(traces["edge"].Packets); got != 50 {
+		t.Errorf("edge saw %d packets, want all 50 despite the core's failure", got)
 	}
 }
 
@@ -64,50 +61,13 @@ func TestInjectDeviceFailureNamed(t *testing.T) {
 	}
 }
 
-// TestOptimizeAllPartialOnDeviceFailure: one failing device no longer
-// aborts the fleet. The healthy device's completed result is kept, the
-// failing device is attributed via a typed *DeviceError in the report,
-// and the joined FleetReport.Err names it.
-func TestOptimizeAllPartialOnDeviceFailure(t *testing.T) {
-	topo := buildTopology(t)
-	injections := enterpriseInjections(t)
-	// Event 1 is the core router's first step (the second hop of
-	// injection 0): the failure lands on corert, not the edge.
-	topo.SetFaults(faults.MustSet(faults.Spec{Point: faults.SimStep, From: 1, To: 2}))
-
-	report, err := topo.OptimizeAll(injections[:50], core.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatalf("fleet-level error %v; device failures belong in the report", err)
-	}
-	if len(report.Results) != 1 || report.Results[0].Device != "edge" {
-		t.Fatalf("results = %+v, want the edge's completed result kept", report.Results)
-	}
-	if report.Results[0].Result == nil || report.Results[0].Result.StagesBefore() == 0 {
-		t.Error("edge result is empty")
-	}
-	if len(report.Errors) != 1 {
-		t.Fatalf("errors = %+v, want exactly the failing core router", report.Errors)
-	}
-	devErr := report.Errors[0]
-	if devErr.Device != "corert" || devErr.Injection != 0 {
-		t.Errorf("attributed to %s (injection %d), want corert (injection 0)", devErr.Device, devErr.Injection)
-	}
-	if joined := report.Err(); joined == nil || !strings.Contains(joined.Error(), "corert") {
-		t.Errorf("FleetReport.Err() = %v, want a joined error naming corert", joined)
-	}
-	var asDev *DeviceError
-	if !errors.As(report.Err(), &asDev) {
-		t.Error("joined error lost the *DeviceError type")
-	}
-}
-
 // TestNoFaultsNoError: an inert (nil) fault set leaves collection intact.
 func TestNoFaultsNoError(t *testing.T) {
 	topo := buildTopology(t)
 	topo.SetFaults(nil)
-	traces, err := topo.CollectDeviceTraces(enterpriseInjections(t)[:50])
-	if err != nil {
-		t.Fatal(err)
+	traces, errs := topo.CollectDeviceTraces(enterpriseInjections(t)[:50])
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
 	}
 	if len(traces["edge"].Packets) != 50 {
 		t.Errorf("edge saw %d packets, want 50", len(traces["edge"].Packets))

@@ -1,22 +1,19 @@
-// Package network is a demonstrator for the paper's third future-work
-// direction (§6, "Network-wide compilation"): several programmable
-// switches connected by links, a network-level traffic injection, and
-// per-device trace collection feeding per-device P2GO runs.
+// Package network simulates several programmable switches connected by
+// links — the setting of the paper's third future-work direction (§6,
+// "Network-wide compilation"). It follows injected packets across the
+// topology and records, per device, the traffic that device actually saw.
 //
 // The paper notes that "for individual devices, these inputs can be
 // recorded with relative ease" and poses network-wide optimization as an
-// open research question; this package implements the per-device baseline
-// that question starts from: replay a network trace through the topology,
-// record what each device actually sees, and optimize every device with
-// its own representative trace.
+// open research question; the per-device traces recorded here are the
+// baseline that question starts from. internal/fleet optimizes every
+// device with its own trace.
 package network
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"p2go/internal/core"
 	"p2go/internal/faults"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
@@ -52,20 +49,11 @@ type Hop struct {
 	Port   uint64
 }
 
-// Device is one programmable switch.
-type Device struct {
-	Name    string
-	Program *p4.Program
-	Config  *rt.Config
-
-	sw *sim.Switch
-}
-
 // Topology is a set of devices plus unidirectional links from a device's
 // egress port to another device's ingress port. An egress port with no
 // link leaves the network.
 type Topology struct {
-	devices map[string]*Device
+	devices map[string]*sim.Switch
 	links   map[Hop]Hop
 	faults  *faults.Set
 }
@@ -76,7 +64,7 @@ func (t *Topology) SetFaults(set *faults.Set) { t.faults = set }
 
 // NewTopology builds an empty topology.
 func NewTopology() *Topology {
-	return &Topology{devices: map[string]*Device{}, links: map[Hop]Hop{}}
+	return &Topology{devices: map[string]*sim.Switch{}, links: map[Hop]Hop{}}
 }
 
 // AddDevice boots a device's data plane and registers it.
@@ -88,7 +76,7 @@ func (t *Topology) AddDevice(name string, prog *p4.Program, cfg *rt.Config) erro
 	if err != nil {
 		return fmt.Errorf("network: device %s: %w", name, err)
 	}
-	t.devices[name] = &Device{Name: name, Program: prog, Config: cfg, sw: sw}
+	t.devices[name] = sw
 	return nil
 }
 
@@ -107,18 +95,13 @@ func (t *Topology) Link(from Hop, to Hop) error {
 	return nil
 }
 
-// Devices lists the registered device names, sorted.
-func (t *Topology) Devices() []string {
-	var out []string
-	for n := range t.devices {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // maxHops bounds forwarding loops.
 const maxHops = 16
+
+var (
+	errUnknownDevice = errors.New("unknown device")
+	errLoop          = fmt.Errorf("packet exceeded %d hops (forwarding loop?)", maxHops)
+)
 
 // Step is one device traversal of a packet's journey.
 type Step struct {
@@ -143,40 +126,55 @@ type Journey struct {
 // to a controller.
 func (t *Topology) Inject(at Hop, data []byte) (*Journey, error) {
 	j := &Journey{}
+	if err := t.walk(at, data, nil, j); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// walk is the one forwarding loop under Inject and CollectDeviceTraces. It
+// follows a packet from at across links until it exits, is dropped, or is
+// redirected to a controller. arrive, when non-nil, sees the packet as each
+// device receives it; j, when non-nil, records the journey. A failure names
+// the device it happened on.
+func (t *Topology) walk(at Hop, data []byte, arrive func(Hop, []byte), j *Journey) *DeviceError {
 	cur := at
 	payload := append([]byte(nil), data...)
 	for hop := 0; ; hop++ {
 		if hop >= maxHops {
-			return nil, fmt.Errorf("network: packet exceeded %d hops (forwarding loop?)", maxHops)
+			return &DeviceError{Device: cur.Device, Injection: -1, Err: errLoop}
 		}
-		dev, ok := t.devices[cur.Device]
+		sw, ok := t.devices[cur.Device]
 		if !ok {
-			return nil, fmt.Errorf("network: unknown device %q", cur.Device)
+			return &DeviceError{Device: cur.Device, Injection: -1, Err: errUnknownDevice}
 		}
-		if ferr := t.faults.Err(faults.SimStep); ferr != nil {
-			return nil, &DeviceError{Device: cur.Device, Injection: -1, Err: ferr}
+		if arrive != nil {
+			arrive(cur, payload)
 		}
-		out, err := dev.sw.Process(sim.Input{Port: cur.Port, Data: payload})
+		if err := t.faults.Err(faults.SimStep); err != nil {
+			return &DeviceError{Device: cur.Device, Injection: -1, Err: err}
+		}
+		out, err := sw.Process(sim.Input{Port: cur.Port, Data: payload})
 		if err != nil {
-			return nil, &DeviceError{Device: cur.Device, Injection: -1, Err: err}
+			return &DeviceError{Device: cur.Device, Injection: -1, Err: err}
 		}
-		step := Step{Device: cur.Device, Ingress: cur.Port, Egress: out.Port,
-			Dropped: out.Dropped, ToCPU: out.ToCPU}
-		j.Steps = append(j.Steps, step)
-		if out.Dropped {
-			j.Dropped = true
-			return j, nil
+		if j != nil {
+			j.Steps = append(j.Steps, Step{Device: cur.Device, Ingress: cur.Port, Egress: out.Port,
+				Dropped: out.Dropped, ToCPU: out.ToCPU})
 		}
-		if out.ToCPU {
-			j.ToCPU = true
-			return j, nil
+		if out.Dropped || out.ToCPU {
+			if j != nil {
+				j.Dropped, j.ToCPU = out.Dropped, !out.Dropped
+			}
+			return nil
 		}
 		payload = out.Data
 		next, linked := t.links[Hop{Device: cur.Device, Port: out.Port}]
 		if !linked {
-			exit := Hop{Device: cur.Device, Port: out.Port}
-			j.Exit = &exit
-			return j, nil
+			if j != nil {
+				j.Exit = &Hop{Device: cur.Device, Port: out.Port}
+			}
+			return nil
 		}
 		cur = next
 	}
@@ -188,171 +186,33 @@ type Injection struct {
 	Data []byte
 }
 
-// CollectDeviceTraces replays the injections through the topology and
-// records, per device, the traffic it actually saw — the representative
-// per-device traces P2GO needs ("the network programmer has access to the
-// device of interest"). It fails fast on the first device error; fleet
-// runs that want to keep going use CollectDeviceTracesPartial.
-func (t *Topology) CollectDeviceTraces(injections []Injection) (map[string]*trafficgen.Trace, error) {
-	traces, errs := t.CollectDeviceTracesPartial(injections)
-	if len(errs) > 0 {
-		return nil, errs[0]
-	}
-	return traces, nil
-}
-
-// CollectDeviceTracesPartial replays the injections and keeps going past
-// device failures: a step error abandons that injection's remaining path,
-// is recorded as a typed *DeviceError naming the device, and collection
-// continues with the next injection. The returned traces hold everything
-// the healthy part of the network saw; a fleet run attributes the errors
-// per device instead of throwing the whole collection away.
-func (t *Topology) CollectDeviceTracesPartial(injections []Injection) (map[string]*trafficgen.Trace, []*DeviceError) {
-	// Fresh switch state so collection is reproducible.
-	for _, d := range t.devices {
-		d.sw.Reset()
-	}
-	traces := map[string]*trafficgen.Trace{}
-	for name := range t.devices {
+// CollectDeviceTraces replays the injections through the topology, from
+// fresh switch state so collection is reproducible, and records per device
+// the traffic it actually saw — the representative per-device traces P2GO
+// needs ("the network programmer has access to the device of interest").
+// Every device gets a trace, empty if nothing reached it.
+//
+// A device failure abandons the rest of that injection's path and is
+// returned as a *DeviceError naming the device and the injection;
+// collection goes on with the next injection. The traces hold everything
+// the healthy part of the network saw, and a fleet run attributes the
+// errors per device instead of throwing the whole collection away.
+func (t *Topology) CollectDeviceTraces(injections []Injection) (map[string]*trafficgen.Trace, []*DeviceError) {
+	traces := make(map[string]*trafficgen.Trace, len(t.devices))
+	for name, sw := range t.devices {
+		sw.Reset()
 		traces[name] = &trafficgen.Trace{}
+	}
+	record := func(at Hop, payload []byte) {
+		tr := traces[at.Device]
+		tr.Packets = append(tr.Packets, trafficgen.Packet{Port: at.Port, Data: append([]byte(nil), payload...)})
 	}
 	var devErrs []*DeviceError
 	for i, inj := range injections {
-		cur := inj.At
-		payload := append([]byte(nil), inj.Data...)
-		for hop := 0; ; hop++ {
-			if hop >= maxHops {
-				devErrs = append(devErrs, &DeviceError{Device: cur.Device, Injection: i,
-					Err: fmt.Errorf("network: injection %d exceeded %d hops (forwarding loop?)", i, maxHops)})
-				break
-			}
-			dev := t.devices[cur.Device]
-			if dev == nil {
-				devErrs = append(devErrs, &DeviceError{Device: cur.Device, Injection: i,
-					Err: fmt.Errorf("network: unknown device %q", cur.Device)})
-				break
-			}
-			traces[cur.Device].Packets = append(traces[cur.Device].Packets,
-				trafficgen.Packet{Port: cur.Port, Data: append([]byte(nil), payload...)})
-			if ferr := t.faults.Err(faults.SimStep); ferr != nil {
-				devErrs = append(devErrs, &DeviceError{Device: cur.Device, Injection: i, Err: ferr})
-				break
-			}
-			out, err := dev.sw.Process(sim.Input{Port: cur.Port, Data: payload})
-			if err != nil {
-				devErrs = append(devErrs, &DeviceError{Device: cur.Device, Injection: i, Err: err})
-				break
-			}
-			if out.Dropped || out.ToCPU {
-				break
-			}
-			payload = out.Data
-			next, linked := t.links[Hop{Device: cur.Device, Port: out.Port}]
-			if !linked {
-				break
-			}
-			cur = next
+		if err := t.walk(inj.At, inj.Data, record, nil); err != nil {
+			err.Injection = i
+			devErrs = append(devErrs, err)
 		}
 	}
 	return traces, devErrs
-}
-
-// DeviceResult is one device's optimization outcome.
-type DeviceResult struct {
-	Device string
-	Result *core.Result
-}
-
-// SkippedDevice is a device the fleet run deliberately did not optimize,
-// with the reason why.
-type SkippedDevice struct {
-	Device string
-	Reason string
-}
-
-// FleetReport aggregates per-device optimizations. Every registered
-// device lands in exactly one of the three lists: Results (optimized),
-// Skipped (not optimizable, with a reason), or Errors (its collection or
-// optimization failed, attributed via *DeviceError).
-type FleetReport struct {
-	Results []DeviceResult
-	Skipped []SkippedDevice
-	Errors  []*DeviceError
-}
-
-// Err joins the per-device errors into one error, nil when every device
-// succeeded or was skipped. Callers that want the historical fail-on-any
-// behavior check this; callers that want partial results read Errors.
-func (f *FleetReport) Err() error {
-	if len(f.Errors) == 0 {
-		return nil
-	}
-	errs := make([]error, len(f.Errors))
-	for i, e := range f.Errors {
-		errs[i] = e
-	}
-	return errors.Join(errs...)
-}
-
-// TotalStagesBefore sums the fleet's initial stage counts.
-func (f *FleetReport) TotalStagesBefore() int {
-	n := 0
-	for _, r := range f.Results {
-		n += r.Result.StagesBefore()
-	}
-	return n
-}
-
-// TotalStagesAfter sums the fleet's optimized stage counts.
-func (f *FleetReport) TotalStagesAfter() int {
-	n := 0
-	for _, r := range f.Results {
-		n += r.Result.StagesAfter()
-	}
-	return n
-}
-
-// OptimizeAll runs P2GO independently on every device using its collected
-// trace — the per-device baseline the paper's network-wide research
-// question starts from. It never fails fast on a single device: devices
-// whose collection or optimization errored are attributed in
-// FleetReport.Errors (typed *DeviceError), devices whose trace is empty
-// are recorded in FleetReport.Skipped with the reason (P2GO needs a
-// representative trace), and every successfully optimized device keeps
-// its result in FleetReport.Results. The error return is reserved for
-// fleet-level problems; per-device failures live in the report (join
-// them with FleetReport.Err if failure should be fatal).
-func (t *Topology) OptimizeAll(injections []Injection, opts core.Options) (*FleetReport, error) {
-	traces, devErrs := t.CollectDeviceTracesPartial(injections)
-	report := &FleetReport{}
-	// A device whose data plane errored mid-collection saw a trace that
-	// under-represents its real traffic; attribute the error instead of
-	// optimizing against bad evidence.
-	failed := map[string]bool{}
-	for _, e := range devErrs {
-		report.Errors = append(report.Errors, e)
-		failed[e.Device] = true
-	}
-	for _, name := range t.Devices() {
-		if failed[name] {
-			continue
-		}
-		dev := t.devices[name]
-		trace := traces[name]
-		if len(trace.Packets) == 0 {
-			report.Skipped = append(report.Skipped, SkippedDevice{
-				Device: name,
-				Reason: "no packets reached the device (empty trace; P2GO needs a representative trace)",
-			})
-			continue
-		}
-		res, err := core.New(opts).Optimize(dev.Program, dev.Config, trace)
-		if err != nil {
-			report.Errors = append(report.Errors, &DeviceError{Device: name, Injection: -1,
-				Err: fmt.Errorf("optimize: %w", err)})
-			continue
-		}
-		report.Results = append(report.Results, DeviceResult{Device: name, Result: res})
-	}
-	return report, nil
 }

@@ -3,51 +3,11 @@ package network
 import (
 	"testing"
 
-	"p2go/internal/core"
 	"p2go/internal/p4"
 	"p2go/internal/programs"
 	"p2go/internal/rt"
 	"p2go/internal/trafficgen"
 )
-
-// coreRouter is a minimal second device: routes the enterprise prefix
-// onward and drops everything else.
-const coreRouter = `
-header_type ethernet_t {
-    fields { dstAddr : 48; srcAddr : 48; etherType : 16; }
-}
-header_type ipv4_t {
-    fields {
-        version : 4; ihl : 4; diffserv : 8; totalLen : 16;
-        identification : 16; flags : 3; fragOffset : 13;
-        ttl : 8; protocol : 8; hdrChecksum : 16;
-        srcAddr : 32; dstAddr : 32;
-    }
-}
-header ethernet_t ethernet;
-header ipv4_t ipv4;
-parser start {
-    extract(ethernet);
-    return select(ethernet.etherType) {
-        0x0800 : parse_ipv4;
-        default : ingress;
-    }
-}
-parser parse_ipv4 { extract(ipv4); return ingress; }
-action fwd(p) { modify_field(standard_metadata.egress_spec, p); }
-action core_drop() { drop(); }
-table core_routes {
-    reads { ipv4.dstAddr : lpm; }
-    actions { fwd; core_drop; }
-    size : 64;
-    default_action : core_drop;
-}
-control ingress {
-    if (valid(ipv4)) {
-        apply(core_routes);
-    }
-}
-`
 
 func buildTopology(t *testing.T) *Topology {
 	t.Helper()
@@ -55,11 +15,11 @@ func buildTopology(t *testing.T) *Topology {
 	if err := topo.AddDevice("edge", p4.MustParse(programs.Ex1), programs.Ex1Config()); err != nil {
 		t.Fatal(err)
 	}
-	coreCfg, err := rt.Parse("table_add core_routes fwd 10.0.0.0/8 => 12")
+	coreCfg, err := rt.Parse(programs.CoreRouterRulesText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.AddDevice("corert", p4.MustParse(coreRouter), coreCfg); err != nil {
+	if err := topo.AddDevice("corert", p4.MustParse(programs.CoreRouter), coreCfg); err != nil {
 		t.Fatal(err)
 	}
 	// The edge firewall forwards to ports 3/4/5 (its routes); all three
@@ -123,9 +83,9 @@ func TestInjectJourney(t *testing.T) {
 func TestCollectDeviceTraces(t *testing.T) {
 	topo := buildTopology(t)
 	inj := enterpriseInjections(t)
-	traces, err := topo.CollectDeviceTraces(inj)
-	if err != nil {
-		t.Fatal(err)
+	traces, errs := topo.CollectDeviceTraces(inj)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
 	}
 	if got := len(traces["edge"].Packets); got != len(inj) {
 		t.Errorf("edge sees %d packets, want all %d", got, len(inj))
@@ -136,59 +96,6 @@ func TestCollectDeviceTraces(t *testing.T) {
 	wantCore := len(inj) - (1600 + 2800 + 200)
 	if coreN != wantCore {
 		t.Errorf("core sees %d packets, want %d", coreN, wantCore)
-	}
-}
-
-func TestOptimizeFleet(t *testing.T) {
-	topo := buildTopology(t)
-	inj := enterpriseInjections(t)
-	report, err := topo.OptimizeAll(inj, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Results) != 2 {
-		t.Fatalf("results = %d devices, want 2", len(report.Results))
-	}
-	// Edge: the full Ex. 1 story (8 -> 3). Core: already minimal (1).
-	if report.TotalStagesBefore() != 8+1 {
-		t.Errorf("fleet stages before = %d, want 9", report.TotalStagesBefore())
-	}
-	if report.TotalStagesAfter() != 3+1 {
-		t.Errorf("fleet stages after = %d, want 4", report.TotalStagesAfter())
-	}
-	for _, r := range report.Results {
-		if r.Device == "edge" && len(r.Result.OffloadedTables) == 0 {
-			t.Error("edge device should offload the DNS branch")
-		}
-	}
-}
-
-// TestOptimizeAllRecordsSkippedDevices: a device no traffic reaches is
-// recorded as skipped with a reason instead of silently vanishing from
-// the report.
-func TestOptimizeAllRecordsSkippedDevices(t *testing.T) {
-	topo := buildTopology(t)
-	if err := topo.AddDevice("idle", p4.MustParse(programs.Quickstart), programs.QuickstartConfig()); err != nil {
-		t.Fatal(err)
-	}
-	report, err := topo.OptimizeAll(enterpriseInjections(t)[:50], core.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Results) != 2 {
-		t.Errorf("results = %d devices, want 2 (edge, corert)", len(report.Results))
-	}
-	if len(report.Skipped) != 1 {
-		t.Fatalf("skipped = %+v, want exactly the idle device", report.Skipped)
-	}
-	if report.Skipped[0].Device != "idle" {
-		t.Errorf("skipped device = %q, want idle", report.Skipped[0].Device)
-	}
-	if report.Skipped[0].Reason == "" {
-		t.Error("skip recorded without a reason")
-	}
-	if report.Err() != nil {
-		t.Errorf("skips are not errors, got %v", report.Err())
 	}
 }
 
