@@ -31,7 +31,8 @@ import (
 // one fill, the others wait and count a hit; an entry a neighbour evicted
 // is recomputed on the next lookup (a run holds the pointers it was
 // handed, so eviction never changes an answer). Errors, cancellation
-// included, are not stored. Stored values are immutable and shared.
+// included, are not stored. Stored values are immutable and shared; the one
+// thing that grows is a compile entry's table of derived candidates.
 //
 // A run without Options.AnalysisCache gets a fresh view over a fresh store;
 // pass one to carry results across runs.
@@ -92,10 +93,14 @@ func lookup[T any](c *AnalysisCache, n *lookupCounters, kind string, key analysi
 	return v.(T), hit, nil
 }
 
-// compile returns the compile of (ast, tgt), running fill on a miss; the
-// bool reports a result served without running this caller's fill.
-func (c *AnalysisCache) compile(ast *p4.Program, tgt tofino.Target, fill func() (*tofino.Result, error)) (*tofino.Result, bool, error) {
-	return lookup(c, &c.compiles, "compile", compileKey(ast, tgt), fill)
+// compiled is what the store holds under a "compile:" key: the result, and
+// the table of candidates derived from the compiled program (run.derive,
+// name → *child). The table holds only answers that depend on nothing but
+// this program and the target, so it serves every run that reaches the
+// program, and it is evicted with the entry.
+type compiled struct {
+	*tofino.Result
+	children sync.Map
 }
 
 // Profile returns the profile of (ast, cfg) on the trace with the given
@@ -141,10 +146,13 @@ func (c *AnalysisCache) Stats() AnalysisCacheStats {
 }
 
 // analysisKey content-addresses one analysis: the SHA-256 of its inputs.
-// Keys leave the process — the store spills entries to disk under them and a
-// later process must find them — so the byte layout below and the text
-// p4.AppendProgram emits are both pinned (TestCompileKeysStable,
-// TestPrintGolden); changing either orphans every spilled entry.
+// These keys never reach disk: lookup goes through the store's Do, which
+// keeps values in memory only (DoBytes and PutBytes spill; job artifacts and
+// fleet device rows use them). The byte layout below and the text
+// p4.AppendProgram emits are pinned all the same (TestCompileKeysStable,
+// TestPrintGolden), because the printed text is also what fleet.deviceKey
+// hashes, and "fleetdev:" rows do spill: a changed printer byte orphans
+// every one of them.
 type analysisKey [sha256.Size]byte
 
 // keyBufs recycles the buffers key material is assembled in, so a lookup of

@@ -78,7 +78,7 @@ func (m *manager) newRun(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trac
 		src:        ast,
 		original:   original,
 		bindings:   bindings,
-		cur:        p4.Clone(original),
+		cur:        original, // never edited: every rewrite clones it
 		traceDig:   trace.Digest(),
 		phaseStart: time.Now(),
 	}, nil
@@ -119,9 +119,11 @@ func (m *manager) optimize(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Tr
 		obs.Bool("fits", r.compile.Mapping.Fits),
 	)
 
+	// r.cur and r.ctlProgram may be children shared through the analysis
+	// cache (run.derive): the caller gets copies it may edit.
 	res := &Result{
 		Original:          r.original,
-		Optimized:         r.cur,
+		Optimized:         p4.Clone(r.cur),
 		OptimizedConfig:   filterConfig(r.cfg, r.cur),
 		Profile:           originalProfile,
 		FinalProfile:      r.prof,
@@ -131,6 +133,9 @@ func (m *manager) optimize(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Tr
 		Guards:            r.guards,
 		ControllerProgram: r.ctlProgram,
 		PassStats:         r.stats,
+	}
+	if r.ctlProgram != nil {
+		res.ControllerProgram = p4.Clone(r.ctlProgram)
 	}
 	if len(r.bindings) > 0 {
 		res.Bindings = r.bindings

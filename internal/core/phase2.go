@@ -98,12 +98,24 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 	// Rewrite a clone: apply `to` only when `from` misses. When
 	// requested, a runtime violation detector goes into the hit arm
 	// (§3.2's alternative approach).
-	candidate := p4.Clone(r.cur)
-	guard, err := moveIntoMissArm(candidate, edge.From, edge.To, r.opts.InsertDependencyGuards)
-	if err != nil {
-		sp.SetAttr(obs.String("rejected", "not-expressible"))
+	withGuard := r.opts.InsertDependencyGuards
+	name := "edge:" + edge.From + ">" + edge.To
+	if withGuard {
+		name += "+guard"
+	}
+	c := r.derive(name, func() *child {
+		candidate := p4.Clone(r.cur)
+		guard, err := moveIntoMissArm(candidate, edge.From, edge.To, withGuard)
+		if err != nil {
+			return &child{reject: "not-expressible", err: err}
+		}
+		return &child{prog: candidate, guard: guard}
+	})
+	if c.prog == nil {
+		sp.SetAttr(obs.String("rejected", c.reject))
 		return false, nil // not expressible (hit/miss nesting); try next
 	}
+	candidate, guard := c.prog, c.guard
 	var guardRules []rt.Rule
 	if guard != nil {
 		// Mirror `to`'s rules onto the detector so it hits exactly
@@ -118,7 +130,7 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 			})
 		}
 	}
-	compiled, err := r.doCompile(ctx, candidate)
+	compiled, err := r.compileAs(ctx, c.key, c.prog)
 	if err != nil {
 		sp.SetAttr(obs.String("rejected", "compile-failed"))
 		return false, nil // rewrite made the program invalid for the target

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"p2go/internal/obs"
 	"p2go/internal/p4"
@@ -125,7 +126,7 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 			}
 		}
 		minValue := lo
-		stages, reducedProg, err := r.stagesWithKnob(bctx, c.knob, minValue)
+		stages, reduced, err := r.stagesWithKnob(bctx, c.knob, minValue)
 		bsp.SetAttr(obs.Int("iterations", iterations), obs.Int("min_value", minValue))
 		bsp.End()
 		if err != nil {
@@ -145,7 +146,7 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 		// shrunken table) also rejects the candidate.
 		vctx, vsp := obs.Start(ctx, "phase3.verify",
 			obs.String("table", c.knob.table), obs.Int("value", minValue))
-		newProf, err := r.profileCandidate(vctx, reducedProg)
+		newProf, err := r.profileCandidate(vctx, reduced.prog)
 		if err != nil {
 			vsp.SetAttr(obs.String("rejected", "config-infeasible"))
 			vsp.End()
@@ -184,11 +185,11 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 
 		vsp.SetAttr(obs.Bool("accepted", true))
 		vsp.End()
-		compiled, err := r.doCompile(ctx, reducedProg)
+		compiled, err := r.compileAs(ctx, reduced.key, reduced.prog)
 		if err != nil {
 			return false, err
 		}
-		r.cur = reducedProg
+		r.cur = reduced.prog
 		r.compile = compiled
 		r.prof = newProf
 		r.obs = append(r.obs, Observation{
@@ -212,23 +213,29 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 }
 
 // stagesWithKnob compiles the current program with the knob set to value
-// and returns the required stages together with the rewritten program.
-// Every call is one memory probe, so it carries its own span — the
-// halving probes and each binary-search iteration show up individually.
-func (r *run) stagesWithKnob(ctx context.Context, knob memoryKnob, value int) (int, *p4.Program, error) {
+// and returns the required stages together with the derived child. Every
+// call is one memory probe, so it carries its own span — the halving probes
+// and each binary-search iteration show up individually.
+func (r *run) stagesWithKnob(ctx context.Context, knob memoryKnob, value int) (int, *child, error) {
 	ctx, sp := obs.Start(ctx, "phase3.probe",
 		obs.String("table", knob.table), obs.Int("value", value))
 	defer sp.End()
-	candidate := p4.Clone(r.cur)
-	if err := applyKnob(candidate, knob, value); err != nil {
-		sp.SetAttr(obs.String("error", "infeasible"))
-		return 0, nil, err
+	c := r.derive("knob:"+knob.table+"="+strconv.Itoa(value), func() *child {
+		candidate := p4.Clone(r.cur)
+		if err := applyKnob(candidate, knob, value); err != nil {
+			return &child{reject: "infeasible", err: err}
+		}
+		return &child{prog: candidate}
+	})
+	if c.prog == nil {
+		sp.SetAttr(obs.String("error", c.reject))
+		return 0, nil, c.err
 	}
-	compiled, err := r.doCompile(ctx, candidate)
+	compiled, err := r.compileAs(ctx, c.key, c.prog)
 	if err != nil {
 		sp.SetAttr(obs.String("error", "compile-failed"))
 		return 0, nil, err
 	}
 	sp.SetAttr(obs.Int("stages", totalStages(compiled.Mapping)))
-	return totalStages(compiled.Mapping), candidate, nil
+	return totalStages(compiled.Mapping), c, nil
 }

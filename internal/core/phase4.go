@@ -117,15 +117,19 @@ func (r *run) phase4(ctx context.Context) error {
 		obs.String("tables", strings.Join(win.Segment.Tables, ",")),
 		obs.Int("stages_saved", win.StagesSaved))
 	defer asp.End()
-	candidate, err := r.rewriteOffload(win.Segment)
-	if err != nil {
-		return err
+	offload := r.offloadChild(win.Segment)
+	if offload.prog == nil {
+		return offload.err
 	}
-	ctlProg, err := r.controllerProgram(win.Segment)
-	if err != nil {
-		return err
+	ctl := r.derive("ctl:"+win.Segment.Desc, func() *child {
+		prog, err := r.controllerProgram(win.Segment)
+		return &child{prog: prog, err: err}
+	})
+	if ctl.prog == nil {
+		return ctl.err
 	}
-	compiled, err := r.doCompile(actx, candidate)
+	candidate, ctlProg := offload.prog, ctl.prog
+	compiled, err := r.compileAs(actx, offload.key, offload.prog)
 	if err != nil {
 		return err
 	}
@@ -212,16 +216,12 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 		obs.String("segment", seg.Desc),
 		obs.String("tables", strings.Join(seg.Tables, ",")))
 	defer sp.End()
-	if !r.selfContained(seg) {
-		sp.SetAttr(obs.String("rejected", "not-self-contained"))
+	c := r.offloadChild(seg)
+	if c.prog == nil {
+		sp.SetAttr(obs.String("rejected", c.reject))
 		return CandidateReport{}, false, nil
 	}
-	candidate, err := r.rewriteOffload(seg)
-	if err != nil {
-		sp.SetAttr(obs.String("rejected", "rewrite-failed"))
-		return CandidateReport{}, false, nil
-	}
-	compiled, err := r.doCompile(ctx, candidate)
+	compiled, err := r.compileAs(ctx, c.key, c.prog)
 	if err != nil {
 		sp.SetAttr(obs.String("rejected", "compile-failed"))
 		return CandidateReport{}, false, nil
@@ -233,7 +233,7 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 			sp.SetAttr(obs.String("rejected", "no-stage-saved"), obs.Int("stages_saved", saved))
 			return CandidateReport{}, false, nil
 		}
-		prof, err := r.profileCandidate(ctx, candidate)
+		prof, err := r.profileCandidate(ctx, c.prog)
 		if err != nil {
 			sp.SetAttr(obs.String("rejected", "profile-failed"))
 			return CandidateReport{}, false, nil
@@ -252,6 +252,21 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 	sp.SetAttr(obs.Int("stages_saved", rep.StagesSaved), obs.Int("redirected", redirected),
 		obs.String("redirect_source", source))
 	return rep, true, nil
+}
+
+// offloadChild derives the candidate that offloads seg, or the rejection of
+// a segment that is not self-contained or does not rewrite.
+func (r *run) offloadChild(seg Segment) *child {
+	return r.derive("seg:"+seg.Desc, func() *child {
+		if !r.selfContained(seg) {
+			return &child{reject: "not-self-contained", err: fmt.Errorf("core: segment %s is not self-contained", seg.Desc)}
+		}
+		prog, err := r.rewriteOffload(seg)
+		if err != nil {
+			return &child{reject: "rewrite-failed", err: err}
+		}
+		return &child{prog: prog}
+	})
 }
 
 // redirectFromProfile reads a candidate's redirected-packet count off the

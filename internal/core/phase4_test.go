@@ -356,10 +356,12 @@ func BenchmarkWarmRerunEx1(b *testing.B) {
 
 // TestCompileHitDoesNotClone bounds what a warm re-run of ex1 allocates:
 // every lookup hits, so it must neither clone the AST nor materialise the
-// printed program it is keyed on. The ceilings sit between this tree and
-// the one that cloned and printed on every lookup (60 085 allocations,
-// 3.66 MB). Under -race -count=10 the same test covers the pool workers'
-// concurrent reads of r.prof.
+// printed program it is keyed on, and every candidate is answered by the
+// table on its parent's compile entry. The ceilings are half of what the tree
+// that still rebuilt and re-keyed every candidate allocated (4 573
+// allocations, 468 319 bytes; the one that cloned and printed on every lookup
+// made 60 085 and 3.66 MB). Under -race -count=10 the same test covers the
+// pool workers' concurrent reads of r.prof and of the candidate tables.
 func TestCompileHitDoesNotClone(t *testing.T) {
 	cold, rerun := warmEx1(t)
 	var warm *Result
@@ -377,19 +379,21 @@ func TestCompileHitDoesNotClone(t *testing.T) {
 	if raceEnabled {
 		return
 	}
-	if allocs > 40000 {
-		t.Errorf("warm re-run made %.0f allocations, ceiling 40000", allocs)
+	if allocs > 2286 {
+		t.Errorf("warm re-run made %.0f allocations, ceiling 2286", allocs)
 	}
-	if bytes > 2_200_000 {
-		t.Errorf("warm re-run allocated %d bytes, ceiling 2.2 MB", bytes)
+	if bytes > 234_000 {
+		t.Errorf("warm re-run allocated %d bytes, ceiling 234 KB", bytes)
 	}
 }
 
-// TestWarmRerunAllocCeiling: a warm re-run builds and keys every candidate
-// again and replays nothing, so its allocations are what a candidate costs:
-// a clone that shares the parse-time declarations, a key printed into a
-// recycled buffer, a segment located by its path. The tree before those made
-// 36 666 allocations for ex1; the ceiling is 45% of that.
+// TestWarmRerunAllocCeiling: a warm re-run replays nothing and derives no
+// candidate — each is a lookup in the table on its parent's compile entry —
+// so what is left is keying the original, the lookups themselves and the
+// result. The tree that still cloned, rewrote and keyed every candidate made
+// 4 573 allocations for ex1 (36 666 before clones shared declarations and
+// keys were printed into recycled buffers); the ceiling is half of 4 573.
+// This tree makes about 1 370.
 func TestWarmRerunAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not apply under -race")
@@ -397,8 +401,8 @@ func TestWarmRerunAllocCeiling(t *testing.T) {
 	_, rerun := warmEx1(t)
 	allocs := testing.AllocsPerRun(5, func() { rerun() })
 	t.Logf("warm ex1 re-run: %.0f allocations", allocs)
-	if allocs > 16500 {
-		t.Errorf("warm ex1 re-run made %.0f allocations, ceiling 16500", allocs)
+	if allocs > 2286 {
+		t.Errorf("warm ex1 re-run made %.0f allocations, ceiling 2286", allocs)
 	}
 }
 

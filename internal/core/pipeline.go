@@ -223,7 +223,7 @@ type run struct {
 	original   *p4.Program
 	bindings   map[string]int
 	cur        *p4.Program
-	compile    *tofino.Result
+	compile    *compiled // cur's compile entry
 	prof       *profile.Profile
 	obs        []Observation
 	history    []StageSnapshot
@@ -272,18 +272,27 @@ func (r *run) interrupted() error {
 // later rewrite can reach while a hit costs a print and a hash. A cache hit
 // emits the same "compile" span with the same stages attr as a real
 // compile, so span trees are structurally identical either way.
-func (r *run) doCompile(ctx context.Context, ast *p4.Program) (*tofino.Result, error) {
+func (r *run) doCompile(ctx context.Context, ast *p4.Program) (*compiled, error) {
+	return r.compileAs(ctx, compileKey(ast, r.tgt), ast)
+}
+
+// compileAs is doCompile under a key already computed for ast: a derived
+// child's, so looking it up again costs neither a print nor a hash.
+func (r *run) compileAs(ctx context.Context, key analysisKey, ast *p4.Program) (*compiled, error) {
 	if err := r.interrupted(); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	res, hit, err := r.mgr.cache.compile(ast, r.tgt, func() (*tofino.Result, error) {
+	c := r.mgr.cache
+	res, hit, err := lookup(c, &c.compiles, "compile", key, func() (*compiled, error) {
 		ast := p4.Clone(ast)
 		if r.opts.CompileHook != nil {
-			return r.opts.CompileHook(ctx, ast, r.tgt)
+			res, err := r.opts.CompileHook(ctx, ast, r.tgt)
+			return &compiled{Result: res}, err
 		}
-		return tofino.Compile(ast, r.tgt)
+		res, err := tofino.Compile(ast, r.tgt)
+		return &compiled{Result: res}, err
 	})
 	r.noteCompile(hit)
 	if err != nil {
@@ -291,6 +300,38 @@ func (r *run) doCompile(ctx context.Context, ast *p4.Program) (*tofino.Result, e
 	}
 	sp.SetAttr(obs.Int("stages", totalStages(res.Mapping)))
 	return res, nil
+}
+
+// child is one candidate derived from a compiled program: the frozen child
+// program with its compile key, or why the rewrite refused it. A child is
+// shared by every run that reaches its parent, so nothing may edit it.
+type child struct {
+	prog   *p4.Program
+	key    analysisKey      // prog's compile key
+	guard  *DependencyGuard // the violation detector Phase 2 inserted, if any
+	reject string           // the rejection span attr when prog is nil
+	err    error            // what the rewrite failed with when prog is nil
+}
+
+// derive is the one funnel every candidate of r.cur goes through (a Phase 2
+// edge, a Phase 3 probe, a Phase 4 segment, the winner's controller
+// program), named in the table on r.cur's compile entry by its rewrite:
+// "edge:from>to[+guard]", "knob:table=value", "seg:<Desc>", "ctl:<Desc>".
+// The first run to ask builds and keys the child (build rewrites a clone of
+// r.cur, or refuses); every later ask, by any run sharing the cache, is a
+// map lookup: no clone, rewrite, print or hash. Nothing in the table depends
+// on the trace, the profile or a verdict. Callers compile a child with
+// compileAs(ctx, c.key, c.prog): the store lookup a fresh child would make.
+func (r *run) derive(name string, build func() *child) *child {
+	if c, ok := r.compile.children.Load(name); ok {
+		return c.(*child)
+	}
+	c := build()
+	if c.prog != nil {
+		c.key = compileKey(c.prog, r.tgt)
+	}
+	shared, _ := r.compile.children.LoadOrStore(name, c) // another run may have built it first
+	return shared.(*child)
 }
 
 // doProfile is the single funnel for every trace replay. Cached replays

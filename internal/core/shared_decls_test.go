@@ -45,15 +45,15 @@ func (w *astWatch) check(t *testing.T) {
 	}
 }
 
-// watchedRun drives one optimization the way manager.optimize does and
-// watches every program it publishes: the caller's AST, Result.Original,
-// the run's current program, compiled AST and controller program after every
-// pass, every AST the analysis cache comes to hold (compile results and
-// prepared plans, seen through the hooks) and every candidate handed to a
-// replay, which is each intermediate r.cur before the run adopts it.
-func watchedRun(t *testing.T, w *astWatch, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, opts Options) {
+// watchedRun drives one optimization the way manager.optimize does, over
+// the analysis cache ac, and watches every program it publishes: the
+// caller's AST, Result.Original, the run's current program, compiled AST and
+// controller program after every pass, every AST the analysis cache comes to
+// hold (compile results and prepared plans, seen through the hooks, and every
+// child in the candidate tables) and every candidate handed to a replay,
+// which is each intermediate r.cur before the run adopts it.
+func watchedRun(t *testing.T, w *astWatch, ac *AnalysisCache, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, opts Options) {
 	t.Helper()
-	ac := NewAnalysisCache()
 	opts.AnalysisCache = ac
 	opts.Parallelism = 4
 	opts.CompileHook = func(_ context.Context, prog *p4.Program, tgt tofino.Target) (*tofino.Result, error) {
@@ -88,6 +88,11 @@ func watchedRun(t *testing.T, w *astWatch, ast *p4.Program, cfg *rt.Config, trac
 		w.add("r.cur after "+after, r.cur)
 		w.add("r.compile.AST after "+after, r.compile.AST)
 		w.add("the controller program after "+after, r.ctlProgram)
+		for _, parent := range []*p4.Program{r.original, r.cur} {
+			walkDerived(ac, r.tgt, parent, func(name string, c *child) {
+				w.add("the derived child "+name+" after "+after, c.prog)
+			})
+		}
 	}
 	if _, err := m.profilePass(ctx, r, root); err != nil {
 		t.Fatal(err)
@@ -106,8 +111,11 @@ func watchedRun(t *testing.T, w *astWatch, ast *p4.Program, cfg *rt.Config, trac
 // analysis cache is never edited — a rewrite edits only the clone it made.
 // Clones share header types, instances, parser states and the other
 // parse-time declarations, so one in-place edit would show in every program
-// watched here. Run under -race as well: Phase 3/4 workers read the shared
-// declarations concurrently.
+// watched here. Every child a candidate table holds is shared by every run
+// that reaches its parent, so each case runs twice over one cache, the second
+// time on other traffic, and the first run's children must print at the end as
+// they did when they were published. Run under -race as well: Phase 3/4
+// workers read the shared declarations and the tables concurrently.
 func TestSharedDeclsNeverEdited(t *testing.T) {
 	tuneFirst := append([]string{"tune"}, DefaultPassIDs()...)
 	for _, name := range workloads.Names() {
@@ -116,6 +124,10 @@ func TestSharedDeclsNeverEdited(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace, err := wl.Trace(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sibling, err := wl.Trace(2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +145,9 @@ func TestSharedDeclsNeverEdited(t *testing.T) {
 		for sched, opts := range schedules {
 			t.Run(name+"/"+sched, func(t *testing.T) {
 				w := &astWatch{seen: map[*p4.Program]watched{}}
-				watchedRun(t, w, p4.MustParse(wl.Source), wl.Config(), trace, opts)
+				ac := NewAnalysisCache()
+				watchedRun(t, w, ac, p4.MustParse(wl.Source), wl.Config(), trace, opts)
+				watchedRun(t, w, ac, p4.MustParse(wl.Source), wl.Config(), sibling, opts)
 				w.check(t)
 			})
 		}
@@ -156,7 +170,13 @@ func TestSharedDeclsNeverEdited(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := &astWatch{seen: map[*p4.Program]watched{}}
-			watchedRun(t, w, ast, cfg, trace, opts)
+			ac := NewAnalysisCache()
+			watchedRun(t, w, ac, ast, cfg, trace, opts)
+			reversed := &trafficgen.Trace{}
+			for i := len(trace.Packets) - 1; i >= 0; i-- {
+				reversed.Packets = append(reversed.Packets, trace.Packets[i])
+			}
+			watchedRun(t, w, ac, p4.MustParse(g.Source), cfg, reversed, opts)
 			w.check(t)
 		})
 	}

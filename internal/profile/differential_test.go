@@ -6,14 +6,64 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"p2go/internal/ir"
 	"p2go/internal/p4"
+	"p2go/internal/rt"
 	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
 	"p2go/internal/workloads"
 )
+
+// TestInterpreterPlanBuiltOnDemand: preparing a program lowers only the
+// replay plan; the interpreter's plan is built by the first replay that
+// forces it, from the rules as they stand then, and a failure to build it
+// is that replay's error.
+func TestInterpreterPlanBuiltOnDemand(t *testing.T) {
+	ctx := context.Background()
+	w, err := workloads.Get("natgre")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := w.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare := func(cfg *rt.Config) *Prepared {
+		prep, err := PrepareContext(ctx, p4.MustParse(w.Source), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+		return prep
+	}
+	prep := prepare(w.Config())
+	want, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 1, Interpret: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 1, Interpret: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || got.Engine.Engine != "interpreter" {
+		t.Errorf("second forced replay differs (engine %s): %s", got.Engine.Engine, got.Diff(want))
+	}
+
+	// A rule for a table the program lacks, added after preparing and after a
+	// compiled replay, fails the interpreter plan's build: had preparing built
+	// it, the forced replay would succeed.
+	cfg := w.Config()
+	broken := prepare(cfg)
+	cfg.Rules = append(cfg.Rules, rt.Rule{Table: "nosuch", Action: "nop"})
+	if _, err := broken.Profiler().RunWith(ctx, trace, RunOptions{Interpret: true}); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Errorf("forced replay over a plan that does not build: err = %v, want the build error", err)
+	}
+}
 
 // TestRunWithCombinationsProfileEqual is the profiling differential
 // harness: for every bundled workload, every engine/shard/dedup

@@ -98,9 +98,9 @@ func (e *EngineReport) String() string {
 type Prepared struct {
 	Ins  *Instrumented
 	plan *sim.Plan
-	// interp is the same pipeline with lowering disabled, shared by
-	// forced-interpreter replays.
-	interp      *sim.Plan
+	// interp builds, on the first forced-interpreter replay, the same
+	// pipeline with lowering disabled, and shares it with the later ones.
+	interp      func() (*sim.Plan, error)
 	stateful    []string
 	missDefault map[string]bool
 }
@@ -135,10 +135,7 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 	}
 	iopts := opts
 	iopts.Interpret = true
-	interp, err := sim.NewPlan(prog, cfg, iopts)
-	if err != nil {
-		return nil, err
-	}
+	interp := sync.OnceValues(func() (*sim.Plan, error) { return sim.NewPlan(prog, cfg, iopts) })
 	sp.SetAttr(obs.Int("tables", len(ins.AST.Tables)))
 	return &Prepared{
 		Ins:         ins,
@@ -240,7 +237,10 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	shards = max(1, min(shards, work.n))
 	pl := p.prep.plan
 	if opts.Interpret {
-		pl = p.prep.interp
+		var err error
+		if pl, err = p.prep.interp(); err != nil {
+			return nil, err
+		}
 	}
 	engine, reason := pl.Engine()
 	rep := &EngineReport{
