@@ -43,6 +43,7 @@ import (
 
 	"p2go"
 	"p2go/internal/controller"
+	"p2go/internal/core"
 	"p2go/internal/faults"
 	"p2go/internal/obs"
 	"p2go/internal/report"
@@ -304,12 +305,7 @@ func cmdOptimize(args []string) error {
 		Parallelism: *parallelism,
 		Bindings:    in.bindings,
 	}
-	if in.tune != nil {
-		opts.Tune = &p2go.TuneOptions{
-			AccuracyTable:   in.tune.AccuracyTable,
-			MaxAccuracyLoss: in.tune.MaxAccuracyLoss,
-		}
-	}
+	opts.Tune = core.WorkloadTune(in.tune)
 	if *tune {
 		if opts.Passes == nil {
 			opts.Passes = p2go.DefaultPassIDs()
@@ -323,43 +319,39 @@ func cmdOptimize(args []string) error {
 	o.logger.Debug("optimized", "stages_before", res.StagesBefore(),
 		"stages_after", res.StagesAfter(), "offloaded", len(res.OffloadedTables))
 	jr := report.FromResult(in.workload, in.seed, res)
-	var checkLine string
-	var checkErr error
-	if *faultPlan != "" || *degrade != "" {
+	// Without a fault plan or a policy the check runs on the plain
+	// deployment: one controller, no faults.
+	underFaults := *faultPlan != "" || *degrade != ""
+	vopts := p2go.ResilientOptions{Replicas: 1}
+	var policy controller.DegradationPolicy
+	if underFaults {
 		set, err := faults.ParseSet(*faultPlan)
 		if err != nil {
 			return err
 		}
-		policy, err := controller.ParsePolicy(*degrade)
-		if err != nil {
+		if policy, err = controller.ParsePolicy(*degrade); err != nil {
 			return err
 		}
-		chaos, err := p2go.VerifyChaosEquivalence(ctx, res, in.cfg, in.trace, p2go.ResilientOptions{
-			Replicas: *replicas,
-			Policy:   policy,
-			Faults:   set,
-		})
-		if err != nil {
-			return err
-		}
-		jr.Resilience = report.FromChaos(chaos, *faultPlan, policy.String())
-		if chaos.Clean() {
-			jr.Equivalence = "equivalent under faults (every divergence counted)"
-		} else {
+		vopts = p2go.ResilientOptions{Replicas: *replicas, Policy: policy, Faults: set}
+	}
+	check, err := p2go.VerifyChaosEquivalence(ctx, res, in.cfg, in.trace, vopts)
+	if err != nil {
+		return err
+	}
+	checkLine := check.String()
+	var checkErr error
+	if underFaults {
+		checkLine = fmt.Sprintf("%d packets (%d redirected): %d degraded, %d silent divergences",
+			check.Packets, check.Redirected, check.Degraded, check.Silent)
+		jr.Resilience = report.FromChaos(check, *faultPlan, policy.String())
+		jr.Equivalence = "equivalent under faults (every divergence counted)"
+		if !check.Clean() {
 			jr.Equivalence = "SILENT DIVERGENCE"
-		}
-		checkLine = chaos.String()
-		if !chaos.Clean() {
 			checkErr = fmt.Errorf("chaos verification: %d silent divergence(s) (first: %s)",
-				chaos.Silent, chaos.First)
+				check.Silent, check.First)
 		}
 	} else {
-		check, err := p2go.VerifyEquivalenceContext(ctx, res, in.cfg, in.trace)
-		if err != nil {
-			return err
-		}
-		jr.Equivalence = check.String()
-		checkLine = check.String()
+		jr.Equivalence = checkLine
 		// A tuned program intentionally diverges from the default-bindings
 		// original by up to the accuracy floor; label that divergence as
 		// the accepted trade rather than a failure. Any other divergence

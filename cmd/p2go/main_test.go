@@ -109,6 +109,26 @@ func TestCmdOptimizeFailsOnMismatch(t *testing.T) {
 	}
 }
 
+// TestCmdOptimizeUnderFaults: ex1 verified behind two controller replicas
+// through a down window and 30% redirect loss. The command exits 0 and its
+// JSON counts degraded verdicts but no silent divergence.
+func TestCmdOptimizeUnderFaults(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return cmdOptimize([]string{"-workload", "ex1", "-json",
+			"-faults", "controller.down:from=10,to=60;redirect.loss:p=0.3,seed=7"})
+	})
+	var jr report.JobResult
+	if err := json.Unmarshal([]byte(out), &jr); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, `"silent_divergences": 0`) || jr.Resilience == nil {
+		t.Fatalf("no resilience report with zero silent divergences:\n%s", out)
+	}
+	if jr.Resilience.DegradedVerdicts == 0 {
+		t.Errorf("the fault plan degraded no verdict: %+v", jr.Resilience)
+	}
+}
+
 func TestCmdOptimizeDisabledPhases(t *testing.T) {
 	if err := cmdOptimize([]string{"-workload", "quickstart", "-passes", "phase3"}); err != nil {
 		t.Fatal(err)

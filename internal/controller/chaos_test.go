@@ -13,6 +13,7 @@ import (
 	"p2go/internal/programs"
 	"p2go/internal/rt"
 	"p2go/internal/trafficgen"
+	"p2go/internal/workloads"
 )
 
 // chaosFixture is the running example optimized once and shared by the
@@ -63,7 +64,7 @@ func chaosOpts(set *faults.Set, policy DegradationPolicy) ResilientOptions {
 	}
 }
 
-func runChaos(t *testing.T, f chaosFixture, opts ResilientOptions) *ChaosReport {
+func runChaos(t *testing.T, f chaosFixture, opts ResilientOptions) *EquivalenceReport {
 	t.Helper()
 	rep, err := VerifyChaosEquivalence(context.Background(), f.res.Original, f.cfg,
 		f.res.Optimized, f.res.OptimizedConfig, f.res.ControllerProgram, f.trace, opts)
@@ -75,19 +76,55 @@ func runChaos(t *testing.T, f chaosFixture, opts ResilientOptions) *ChaosReport 
 
 // TestChaosNoFaultsExact: with no injectors the resilient deployment is
 // verdict-for-verdict identical to the original program — replication and
-// mirroring alone change nothing.
+// mirroring alone change nothing — and its report is VerifyEquivalence's,
+// at one replica and at two, for ex1 and for every registered workload.
 func TestChaosNoFaultsExact(t *testing.T) {
-	f := ex1Fixture(t)
-	rep := runChaos(t, f, chaosOpts(nil, FailOpen))
-	if !rep.Clean() || rep.Degraded != 0 {
-		t.Fatalf("fault-free run degraded: %s (first: %s)", rep, rep.First)
+	check := func(t *testing.T, f chaosFixture) {
+		want, err := VerifyEquivalence(context.Background(), f.res.Original, f.cfg,
+			f.res.Optimized, f.res.OptimizedConfig, f.res.ControllerProgram, f.trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, replicas := range []int{1, 2} {
+			opts := chaosOpts(nil, FailOpen)
+			opts.Replicas = replicas
+			rep := runChaos(t, f, opts)
+			if !rep.Clean() || rep.Degraded != 0 {
+				t.Fatalf("%d replicas: fault-free run degraded: %s (first: %s)", replicas, rep, rep.First)
+			}
+			if rep.Packets != want.Packets || rep.Redirected != want.Redirected ||
+				rep.Mismatches != want.Mismatches || rep.First != want.First {
+				t.Errorf("%d replicas: report %+v, VerifyEquivalence %+v", replicas, rep, want)
+			}
+			if (f.res.ControllerProgram != nil && rep.Redirected == 0) || rep.Stats.Delivered != rep.Redirected {
+				t.Errorf("%d replicas: redirected=%d delivered=%d, want equal and nonzero",
+					replicas, rep.Redirected, rep.Stats.Delivered)
+			}
+			if rep.Stats.Degraded() != 0 || rep.Stats.Retries != 0 {
+				t.Errorf("%d replicas: fault-free stats = %+v", replicas, rep.Stats)
+			}
+		}
 	}
-	if rep.Redirected == 0 || rep.Stats.Delivered != rep.Redirected {
-		t.Errorf("redirected=%d delivered=%d, want equal and nonzero",
-			rep.Redirected, rep.Stats.Delivered)
-	}
-	if rep.Stats.Degraded() != 0 || rep.Stats.Retries != 0 {
-		t.Errorf("fault-free stats = %+v", rep.Stats)
+	t.Run("ex1-fixture", func(t *testing.T) { check(t, ex1Fixture(t)) })
+	for _, name := range workloads.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace, err := w.Trace(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := w.Config()
+			res, err := core.New(core.Options{}).Optimize(p4.MustParse(w.Source), cfg, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, chaosFixture{res: res, cfg: cfg, trace: trace})
+		})
 	}
 }
 
@@ -221,7 +258,7 @@ func TestChaosReplicaRecovery(t *testing.T) {
 // the replay is single-threaded.
 func TestChaosDeterminism(t *testing.T) {
 	f := ex1Fixture(t)
-	run := func() *ChaosReport {
+	run := func() *EquivalenceReport {
 		set := faults.MustSet(
 			faults.Spec{Point: faults.RedirectLoss, Probability: 0.2, Seed: 11},
 			faults.Spec{Point: faults.ControllerDown, Probability: 0.1, Seed: 12},

@@ -67,23 +67,20 @@ func New(segment *p4.Program, cfg *rt.Config) (*Controller, error) {
 // an Output carries only the forwarding decision.
 var fateOnly = sim.Options{Observe: sim.ObserveFate}
 
-// replayFates drives the original program — and, in lock-step, a deployment's
-// data plane when one is given — over the trace in batches under a
-// "sim.replay" span (so the loop reports packets/sec) and hands each packet
-// and its fates to step, in trace order (dpFate is nil without a data plane).
-// The data plane may run a batch ahead of the controller step feeds, because
-// it never reads controller state. A packet a Switch fails on ends the replay
-// after step has seen every packet before it.
+// replayFates drives the original program and, in lock-step, a
+// deployment's data plane over the trace in batches under a "sim.replay"
+// span (so the loop reports packets/sec) and hands each packet and its two
+// fates to step, in trace order. The data plane may run a batch ahead of
+// the controller step feeds, because it never reads controller state. A
+// packet a Switch fails on ends the replay after step has seen every
+// packet before it.
 func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
 	step func(i int, in sim.Input, fate, dpFate *sim.Output) error) error {
 
 	n := len(trace.Packets)
 	ins := make([]sim.Input, 0, sim.ReplayBatchSize)
 	outs := make([]sim.Output, sim.ReplayBatchSize)
-	var dpOuts []sim.Output
-	if dataPlane != nil {
-		dpOuts = make([]sim.Output, sim.ReplayBatchSize)
-	}
+	dpOuts := make([]sim.Output, sim.ReplayBatchSize)
 	return sim.ReplayBatch(ctx, n, n, func(lo, hi int) error {
 		ins = ins[:0]
 		for _, pkt := range trace.Packets[lo:hi] {
@@ -93,18 +90,12 @@ func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *tr
 		if err != nil {
 			err = fmt.Errorf("controller: original, packet %d: %w", lo+k, err)
 		}
-		if dataPlane != nil {
-			// On a tie the original's error is the one reported.
-			if dk, derr := dataPlane.ProcessBatch(ins, dpOuts, sim.BatchOpts{}); dk < k {
-				k, err = dk, fmt.Errorf("controller: deployment, packet %d: %w", lo+dk, derr)
-			}
+		// On a tie the original's error is the one reported.
+		if dk, derr := dataPlane.ProcessBatch(ins, dpOuts, sim.BatchOpts{}); dk < k {
+			k, err = dk, fmt.Errorf("controller: deployment, packet %d: %w", lo+dk, derr)
 		}
 		for j := 0; j < k; j++ {
-			var dpFate *sim.Output
-			if dataPlane != nil {
-				dpFate = &dpOuts[j]
-			}
-			if err := step(lo+j, ins[j], &outs[j], dpFate); err != nil {
+			if err := step(lo+j, ins[j], &outs[j], &dpOuts[j]); err != nil {
 				return err
 			}
 		}
@@ -165,108 +156,34 @@ type Verdict struct {
 	Degraded bool
 }
 
-// Deployment composes the optimized data plane with a controller, modeling
-// the post-offload system.
-type Deployment struct {
-	dataPlane *sim.Switch
-	ctl       *Controller
-}
-
-// NewDeployment builds the composed system from a completed optimization:
-// the optimized program and its filtered configuration drive the data
-// plane; the controller program (the offloaded segment) and the full
-// original configuration drive the controller.
-func NewDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
-	segment *p4.Program, fullCfg *rt.Config) (*Deployment, error) {
-	dp, err := sim.NewFromAST(optimized, optimizedCfg, fateOnly)
-	if err != nil {
-		return nil, fmt.Errorf("controller: optimized program: %w", err)
-	}
-	ctl, err := New(segment, fullCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{dataPlane: dp, ctl: ctl}, nil
-}
-
-// Controller exposes the deployment's controller (for stats).
-func (d *Deployment) Controller() *Controller { return d.ctl }
-
-// Process runs a packet through the data plane and, when redirected,
-// through the controller. Packets the controller passes are forwarded to
-// the data plane's pre-redirect forwarding decision.
-func (d *Deployment) Process(in sim.Input) (Verdict, error) {
-	return d.ProcessContext(context.Background(), in)
-}
-
-// ProcessContext is Process under a tracer-carrying context: each
-// redirect to the controller is recorded as a "controller.redirect" span
-// with the segment's verdict. Non-redirected packets stay span-free — the
-// fast path is the common path.
-func (d *Deployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict, error) {
-	out, err := d.dataPlane.Process(in)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return d.verdict(ctx, in, &out)
-}
-
-// verdict completes a packet the data plane has decided: out is its fate
-// there, and a redirect goes through the controller.
-func (d *Deployment) verdict(ctx context.Context, in sim.Input, out *sim.Output) (Verdict, error) {
-	if !out.ToCPU {
-		return Verdict{Dropped: out.Dropped, Port: out.Port}, nil
-	}
-	_, sp := obs.Start(ctx, "controller.redirect")
-	defer sp.End()
-	ctlOut, err := d.ctl.Handle(in)
-	if err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
-		return Verdict{}, err
-	}
-	v := Verdict{ViaController: true}
-	switch {
-	case ctlOut.Dropped:
-		v.Dropped = true
-		v.Port = sim.DropPort
-		sp.SetAttr(obs.String("verdict", "drop"))
-	case ctlOut.ToCPU:
-		v.Notified = true
-		v.Port = sim.CPUPort
-		sp.SetAttr(obs.String("verdict", "notify"))
-	default:
-		v.Port = out.ForwardPort
-		v.Dropped = out.ForwardPort == sim.DropPort
-		sp.SetAttr(obs.String("verdict", "pass"))
-	}
-	return v, nil
-}
-
-// Reset clears data-plane and controller state.
-func (d *Deployment) Reset() {
-	d.dataPlane.Reset()
-	d.ctl.Reset()
-}
-
-// release ends the deployment, handing its switches' register memory back
-// for reuse (sim.Switch.Release); the verifiers call it when they are done.
-func (d *Deployment) release() {
-	d.dataPlane.Release()
-	d.ctl.sw.Release()
-}
-
-// EquivalenceReport summarizes an original-vs-deployment comparison.
+// EquivalenceReport summarizes an original-vs-deployment comparison. A
+// packet whose fate diverged is either flagged degraded (a failure-handling
+// path decided it, and Stats counts how) or silent.
 type EquivalenceReport struct {
 	Packets    int
 	Redirected int
+	// Mismatches counts every divergent verdict, flagged or not.
 	Mismatches int
-	// First describes the first mismatch, for debugging.
+	// Degraded counts divergent verdicts that were explicitly flagged.
+	Degraded int
+	// Silent counts divergent verdicts with no degradation flag.
+	Silent int
+	// First describes the first silent divergence, for debugging.
 	First string
+	// Stats are the deployment's degradation counters after the replay.
+	Stats DegradationStats
+	// Faults maps fault points to how often each fired; nil without a
+	// fault plan.
+	Faults map[string]int
 }
 
 // Equivalent is true when every packet's fate matched.
 func (r *EquivalenceReport) Equivalent() bool { return r.Mismatches == 0 }
 
+// Clean is true when every divergence was explicitly accounted for.
+func (r *EquivalenceReport) Clean() bool { return r.Silent == 0 }
+
+// String summarizes the equivalence verdict.
 func (r *EquivalenceReport) String() string {
 	if r.Equivalent() {
 		return fmt.Sprintf("equivalent over %d packets (%d via controller)", r.Packets, r.Redirected)
@@ -289,16 +206,30 @@ func sameFate(orig *sim.Output, v Verdict) bool {
 	return orig.Port == v.Port && !v.Notified
 }
 
-// VerifyEquivalence replays the trace through the original program and
-// through the optimized program + controller, comparing the fate of every
-// packet (sameFate). A nil segment is the empty pass-through controller. The
-// whole comparison runs inside a "controller.verify" span, both data planes
-// go through replayFates batch by batch (so the loop reports packets/sec),
-// and each redirect shows up as a "controller.redirect" child span.
+// VerifyEquivalence is VerifyChaosEquivalence on the plain deployment
+// (NewDeployment: one replica, no faults), where nothing is degraded and
+// every divergence is a mismatch.
 func VerifyEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, trace *trafficgen.Trace) (*EquivalenceReport, error) {
+	return VerifyChaosEquivalence(ctx, original, originalCfg, optimized, optimizedCfg, segment, trace,
+		ResilientOptions{Replicas: 1})
+}
+
+// VerifyChaosEquivalence replays the trace through the original program
+// and through the deployment under opts (including its fault plan),
+// comparing the fate of every packet (sameFate). A divergence is legal
+// only when flagged degraded; anything else is silent. A nil segment is
+// the empty pass-through controller. The whole comparison runs inside a
+// "controller.verify" span, both data planes go through replayFates batch
+// by batch (so the loop reports packets/sec), and every redirect, retry
+// and degradation decision appears as a child span.
+func VerifyChaosEquivalence(ctx context.Context,
+	original *p4.Program, originalCfg *rt.Config,
+	optimized *p4.Program, optimizedCfg *rt.Config,
+	segment *p4.Program, trace *trafficgen.Trace,
+	opts ResilientOptions) (*EquivalenceReport, error) {
 
 	ctx, sp := obs.Start(ctx, "controller.verify", obs.Int("packets", len(trace.Packets)))
 	defer sp.End()
@@ -308,7 +239,7 @@ func VerifyEquivalence(ctx context.Context,
 		return nil, err
 	}
 	defer origSwitch.Release()
-	dep, err := NewDeployment(optimized, optimizedCfg, segment, originalCfg)
+	dep, err := NewResilientDeployment(optimized, optimizedCfg, segment, originalCfg, original, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -324,20 +255,29 @@ func VerifyEquivalence(ctx context.Context,
 		if verdict.ViaController {
 			report.Redirected++
 		}
-		if !sameFate(origOut, verdict) {
-			report.Mismatches++
-			if report.First == "" {
-				report.First = fmt.Sprintf(
-					"packet %d: original(drop=%v port=%d cpu=%v) vs deployment(drop=%v port=%d via_ctl=%v notified=%v)",
-					i, origOut.Dropped, origOut.Port, origOut.ToCPU,
-					verdict.Dropped, verdict.Port, verdict.ViaController, verdict.Notified)
-			}
+		if sameFate(origOut, verdict) {
+			return nil
+		}
+		report.Mismatches++
+		if verdict.Degraded {
+			report.Degraded++
+			return nil
+		}
+		report.Silent++
+		if report.First == "" {
+			report.First = fmt.Sprintf(
+				"packet %d: original(drop=%v port=%d cpu=%v) vs deployment(drop=%v port=%d via_ctl=%v notified=%v)",
+				i, origOut.Dropped, origOut.Port, origOut.ToCPU,
+				verdict.Dropped, verdict.Port, verdict.ViaController, verdict.Notified)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sp.SetAttr(obs.Int("redirected", report.Redirected), obs.Int("mismatches", report.Mismatches))
+	report.Stats = dep.Stats()
+	report.Faults = opts.Faults.Counts()
+	sp.SetAttr(obs.Int("redirected", report.Redirected), obs.Int("mismatches", report.Mismatches),
+		obs.Int("degraded", report.Degraded), obs.Int("silent", report.Silent))
 	return report, nil
 }

@@ -241,3 +241,49 @@ control ingress { apply(t); }
 		t.Fatalf("err = %v, want prefix %q", err, want)
 	}
 }
+
+// TestDeploymentSurfacesControllerErrors: a packet the segment fails on is
+// an error naming it, on the plain deployment and on a replicated one —
+// a broken controller program is never retried or counted as degraded.
+func TestDeploymentSurfacesControllerErrors(t *testing.T) {
+	const header = `
+header_type h_t { fields { a : 8; } }
+header h_t h;
+parser start { extract(h); return ingress; }
+`
+	original := p4.MustParse(header + `
+action fwd() { modify_field(standard_metadata.egress_spec, 2); }
+table t { actions { fwd; } default_action : fwd; }
+control ingress { apply(t); }
+`)
+	optimized := p4.MustParse(header + `
+action redirect() { modify_field(standard_metadata.egress_spec, 255); modify_field(standard_metadata.egress_port, 2); }
+table t { actions { redirect; } default_action : redirect; }
+control ingress { apply(t); }
+`)
+	segment := p4.MustParse(header + `
+register r { width : 8; instance_count : 4; }
+action note() { register_write(r, h.a, 1); }
+table seg { actions { note; } default_action : note; }
+control ingress { apply(seg); }
+`)
+	const bad = 7
+	trace := &trafficgen.Trace{}
+	for i := 0; i < 20; i++ {
+		idx := byte(i % 4)
+		if i == bad {
+			idx = 9 // out of range for r[4]
+		}
+		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: []byte{idx}})
+	}
+	want := "controller: deployment, packet " + strconv.Itoa(bad) + ": "
+	_, err := VerifyEquivalence(context.Background(), original, nil, optimized, nil, segment, trace)
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("plain: err = %v, want prefix %q", err, want)
+	}
+	_, err = VerifyChaosEquivalence(context.Background(), original, nil, optimized, nil, segment, trace,
+		ResilientOptions{Replicas: 2, Retry: RetryConfig{Sleep: noSleep}})
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("two replicas: err = %v, want prefix %q", err, want)
+	}
+}

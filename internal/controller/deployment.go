@@ -12,7 +12,6 @@ import (
 	"p2go/internal/p4"
 	"p2go/internal/rt"
 	"p2go/internal/sim"
-	"p2go/internal/trafficgen"
 )
 
 // DegradationPolicy decides a redirected packet's fate when no controller
@@ -89,10 +88,10 @@ func (r RetryConfig) withDefaults() RetryConfig {
 	return r
 }
 
-// DegradationStats counts every failure-handling decision the resilient
-// deployment made. Anything that may make a verdict diverge from the
-// original program increments one of these — the chaos harness asserts
-// there is no divergence these counters do not explain.
+// DegradationStats counts every failure-handling decision a deployment
+// made. Anything that may make a verdict diverge from the original
+// program increments one of these — the verifier asserts there is no
+// divergence these counters do not explain.
 type DegradationStats struct {
 	// Redirected counts packets the data plane sent to the controller.
 	Redirected int
@@ -134,7 +133,8 @@ type ReplicaStatus struct {
 	ConsecutiveFailures int
 }
 
-// ResilientOptions configures a ResilientDeployment.
+// ResilientOptions configures a Deployment's controller side. The plain
+// deployment (NewDeployment) is Replicas 1 and no Faults.
 type ResilientOptions struct {
 	// Replicas is the controller replica count (default 2).
 	Replicas int
@@ -176,43 +176,51 @@ type replica struct {
 	handled int
 }
 
-// ResilientDeployment composes the optimized data plane with a set of
-// replicated controllers behind bounded-retry redirect delivery, passive
-// health tracking, state-sync mirroring, and a degradation policy. It is
-// the fault-tolerant counterpart of Deployment: every way a verdict can
-// deviate from the original program is counted in DegradationStats and
-// flagged on the Verdict, never silent.
-type ResilientDeployment struct {
+// Deployment composes the optimized data plane with a set of replicated
+// controllers behind bounded-retry redirect delivery, passive health
+// tracking, state-sync mirroring, and a degradation policy, modeling the
+// post-offload system. Every way a verdict can deviate from the original
+// program is counted in DegradationStats and flagged on the Verdict, never
+// silent. Only injected faults are retried, failed over or degraded: a
+// segment that fails on a packet is a bug in the controller program, and
+// that error is returned.
+type Deployment struct {
 	mu        sync.Mutex
 	dataPlane *sim.Switch
 	replicas  []*replica
 	fallback  *sim.Switch // original program; only for FallbackOriginal
 	opts      ResilientOptions
-	jitter    *rand.Rand
-	rr        int // round-robin cursor over replicas
+	jitter    *rand.Rand // backoff jitter, seeded at the first retry
+	rr        int        // round-robin cursor over replicas
 	stats     DegradationStats
 }
 
-// NewResilientDeployment builds the composed fault-tolerant system.
+// NewDeployment builds the plain composed system from a completed
+// optimization: the optimized program and its filtered configuration
+// drive the data plane; the controller program (the offloaded segment)
+// and the full original configuration drive one controller replica, with
+// no fault injection.
+func NewDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
+	segment *p4.Program, fullCfg *rt.Config) (*Deployment, error) {
+	return NewResilientDeployment(optimized, optimizedCfg, segment, fullCfg, nil, ResilientOptions{Replicas: 1})
+}
+
+// NewResilientDeployment builds the composed system under opts.
 // original may be nil unless opts.Policy is FallbackOriginal.
 func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, fullCfg *rt.Config,
-	original *p4.Program, opts ResilientOptions) (*ResilientDeployment, error) {
+	original *p4.Program, opts ResilientOptions) (*Deployment, error) {
 
 	opts = opts.withDefaults()
 	dp, err := sim.NewFromAST(optimized, optimizedCfg, fateOnly)
 	if err != nil {
 		return nil, fmt.Errorf("controller: optimized program: %w", err)
 	}
-	d := &ResilientDeployment{
-		dataPlane: dp,
-		opts:      opts,
-		jitter:    rand.New(rand.NewSource(opts.Retry.JitterSeed)),
-	}
+	d := &Deployment{dataPlane: dp, opts: opts}
 	for i := 0; i < opts.Replicas; i++ {
 		ctl, err := New(segment, fullCfg)
 		if err != nil {
-			return nil, fmt.Errorf("controller: replica %d: %w", i, err)
+			return nil, err
 		}
 		d.replicas = append(d.replicas, &replica{ctl: ctl, healthy: true})
 	}
@@ -228,22 +236,33 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 	return d, nil
 }
 
+// Controller exposes the first controller replica (for stats).
+func (d *Deployment) Controller() *Controller { return d.replicas[0].ctl }
+
 // Process runs a packet through the data plane and, when redirected,
-// through the replicated controller path.
-func (d *ResilientDeployment) Process(in sim.Input) (Verdict, error) {
+// through the replicated controller path. Packets the controller passes
+// are forwarded to the data plane's pre-redirect forwarding decision.
+func (d *Deployment) Process(in sim.Input) (Verdict, error) {
 	return d.ProcessContext(context.Background(), in)
 }
 
 // ProcessContext is Process under a tracer-carrying context: each
 // redirect is recorded as a "controller.redirect" span carrying the
-// delivery's retry/failover counts, and a delivery exhaustion adds a
-// "controller.degrade" child span with the applied policy. Packets the
-// data plane handles alone stay span-free.
-func (d *ResilientDeployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict, error) {
+// segment's verdict and the delivery's retry/failover counts, and a
+// delivery exhaustion adds a "controller.degrade" child span with the
+// applied policy. Packets the data plane handles alone stay span-free —
+// the fast path is the common path.
+func (d *Deployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict, error) {
 	out, err := d.dataPlane.Process(in)
 	if err != nil {
 		return Verdict{}, err
 	}
+	return d.verdict(ctx, in, &out)
+}
+
+// verdict completes a packet the data plane has decided: out is its fate
+// there, and a redirect goes through the controller replicas.
+func (d *Deployment) verdict(ctx context.Context, in sim.Input, out *sim.Output) (Verdict, error) {
 	if !out.ToCPU {
 		return Verdict{Dropped: out.Dropped, Port: out.Port}, nil
 	}
@@ -255,12 +274,16 @@ func (d *ResilientDeployment) ProcessContext(ctx context.Context, in sim.Input) 
 	pre := d.stats
 	d.stats.Redirected++
 
-	ctlOut, serving, ok := d.deliverLocked(in)
+	ctlOut, serving, err := d.deliverLocked(in)
+	if err != nil {
+		sp.SetAttr(obs.String("error", err.Error()))
+		return Verdict{}, err
+	}
 	sp.SetAttr(
 		obs.Int("retries", d.stats.Retries-pre.Retries),
 		obs.Int("failovers", d.stats.Failovers-pre.Failovers),
-		obs.Bool("delivered", ok))
-	if !ok {
+		obs.Bool("delivered", serving != nil))
+	if serving == nil {
 		_, dsp := obs.Start(ctx, "controller.degrade",
 			obs.String("policy", d.opts.Policy.String()))
 		v, err := d.degradeLocked(in, out)
@@ -272,7 +295,10 @@ func (d *ResilientDeployment) ProcessContext(ctx context.Context, in sim.Input) 
 		return v, err
 	}
 	d.stats.Delivered++
-	d.mirrorLocked(in, serving)
+	if err := d.mirrorLocked(in, serving); err != nil {
+		sp.SetAttr(obs.String("error", err.Error()))
+		return Verdict{}, err
+	}
 
 	v := Verdict{ViaController: true}
 	if serving.stale {
@@ -284,24 +310,32 @@ func (d *ResilientDeployment) ProcessContext(ctx context.Context, in sim.Input) 
 	case ctlOut.Dropped:
 		v.Dropped = true
 		v.Port = sim.DropPort
+		sp.SetAttr(obs.String("verdict", "drop"))
 	case ctlOut.ToCPU:
 		v.Notified = true
 		v.Port = sim.CPUPort
+		sp.SetAttr(obs.String("verdict", "notify"))
 	default:
 		v.Port = out.ForwardPort
 		v.Dropped = out.ForwardPort == sim.DropPort
+		sp.SetAttr(obs.String("verdict", "pass"))
 	}
 	return v, nil
 }
 
 // deliverLocked attempts redirect delivery with bounded retry,
-// exponential backoff with deterministic jitter, and replica failover.
-func (d *ResilientDeployment) deliverLocked(in sim.Input) (sim.Output, *replica, bool) {
+// exponential backoff with deterministic jitter, and replica failover. It
+// returns the serving replica and its verdict, or a nil replica when no
+// replica accepted the delivery. A segment error is returned, not retried.
+func (d *Deployment) deliverLocked(in sim.Input) (sim.Output, *replica, error) {
 	delay := d.opts.Retry.BaseDelay
 	first := -1
 	for attempt := 0; attempt < d.opts.Retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			d.stats.Retries++
+			if d.jitter == nil {
+				d.jitter = rand.New(rand.NewSource(d.opts.Retry.JitterSeed))
+			}
 			d.opts.Retry.Sleep(delay + time.Duration(d.jitter.Int63n(int64(delay)/2+1)))
 			if delay *= 2; delay > d.opts.Retry.MaxDelay {
 				delay = d.opts.Retry.MaxDelay
@@ -325,8 +359,7 @@ func (d *ResilientDeployment) deliverLocked(in sim.Input) (sim.Output, *replica,
 		}
 		ctlOut, err := r.ctl.Handle(in)
 		if err != nil {
-			d.failLocked(r)
-			continue
+			return sim.Output{}, nil, err
 		}
 		r.fails = 0
 		r.healthy = true
@@ -334,15 +367,15 @@ func (d *ResilientDeployment) deliverLocked(in sim.Input) (sim.Output, *replica,
 		if idx != first {
 			d.stats.Failovers++
 		}
-		return ctlOut, r, true
+		return ctlOut, r, nil
 	}
-	return sim.Output{}, nil, false
+	return sim.Output{}, nil, nil
 }
 
 // pickLocked chooses the next replica: round-robin over healthy ones,
 // falling back to round-robin over all (so a fully-down set still gets
 // half-open probes and can recover).
-func (d *ResilientDeployment) pickLocked() int {
+func (d *Deployment) pickLocked() int {
 	n := len(d.replicas)
 	for i := 0; i < n; i++ {
 		idx := (d.rr + i) % n
@@ -356,7 +389,7 @@ func (d *ResilientDeployment) pickLocked() int {
 	return idx
 }
 
-func (d *ResilientDeployment) failLocked(r *replica) {
+func (d *Deployment) failLocked(r *replica) {
 	r.fails++
 	if r.healthy && r.fails >= d.opts.HealthFailureThreshold {
 		r.healthy = false
@@ -367,8 +400,8 @@ func (d *ResilientDeployment) failLocked(r *replica) {
 // mirrorLocked syncs the delivered packet to every other replica so
 // their segment state (sketches, filters, registers) tracks the serving
 // replica's. A replica that misses a mirror is stale: its future
-// verdicts are flagged degraded.
-func (d *ResilientDeployment) mirrorLocked(in sim.Input, serving *replica) {
+// verdicts are flagged degraded. A segment error is returned.
+func (d *Deployment) mirrorLocked(in sim.Input, serving *replica) error {
 	for _, r := range d.replicas {
 		if r == serving {
 			continue
@@ -379,26 +412,23 @@ func (d *ResilientDeployment) mirrorLocked(in sim.Input, serving *replica) {
 			continue
 		}
 		if _, err := r.ctl.Handle(in); err != nil {
-			d.failLocked(r)
-			d.markStaleLocked(r)
-			continue
+			return err
 		}
 		r.fails = 0
 		r.healthy = true
 	}
+	return nil
 }
 
-func (d *ResilientDeployment) markStaleLocked(r *replica) {
-	if !r.stale {
-		r.stale = true
-	}
+func (d *Deployment) markStaleLocked(r *replica) {
+	r.stale = true
 	d.stats.MirrorMisses++
 }
 
 // degradeLocked applies the degradation policy after delivery
 // exhaustion. The packet never reached the segment, so every replica's
 // state is now behind the original program's — all become stale.
-func (d *ResilientDeployment) degradeLocked(in sim.Input, out sim.Output) (Verdict, error) {
+func (d *Deployment) degradeLocked(in sim.Input, out *sim.Output) (Verdict, error) {
 	d.stats.Lost++
 	for _, r := range d.replicas {
 		r.stale = true
@@ -434,14 +464,14 @@ func (d *ResilientDeployment) degradeLocked(in sim.Input, out sim.Output) (Verdi
 }
 
 // Stats returns a snapshot of the degradation counters.
-func (d *ResilientDeployment) Stats() DegradationStats {
+func (d *Deployment) Stats() DegradationStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
 }
 
 // Health snapshots every replica's status.
-func (d *ResilientDeployment) Health() []ReplicaStatus {
+func (d *Deployment) Health() []ReplicaStatus {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]ReplicaStatus, len(d.replicas))
@@ -453,7 +483,7 @@ func (d *ResilientDeployment) Health() []ReplicaStatus {
 }
 
 // Reset clears data-plane, replica, and degradation state.
-func (d *ResilientDeployment) Reset() {
+func (d *Deployment) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.dataPlane.Reset()
@@ -468,8 +498,9 @@ func (d *ResilientDeployment) Reset() {
 	d.rr = 0
 }
 
-// release ends the deployment the way Deployment.release does.
-func (d *ResilientDeployment) release() {
+// release ends the deployment, handing its switches' register memory back
+// for reuse (sim.Switch.Release); the verifier calls it when it is done.
+func (d *Deployment) release() {
 	d.dataPlane.Release()
 	for _, r := range d.replicas {
 		r.ctl.sw.Release()
@@ -477,93 +508,4 @@ func (d *ResilientDeployment) release() {
 	if d.fallback != nil {
 		d.fallback.Release()
 	}
-}
-
-// ChaosReport is the chaos-equivalence verdict: every packet either
-// matched the original program exactly or carried an explicit degradation
-// flag. Silent is the count of unexplained divergences — the invariant
-// the chaos suite enforces is Silent == 0 under every fault plan.
-type ChaosReport struct {
-	Packets    int
-	Redirected int
-	// Degraded counts divergent verdicts that were explicitly flagged.
-	Degraded int
-	// Silent counts divergent verdicts with no degradation flag.
-	Silent int
-	// First describes the first silent divergence, for debugging.
-	First string
-	// Stats are the deployment's degradation counters after the replay.
-	Stats DegradationStats
-	// Faults maps fault points to how often each fired.
-	Faults map[string]int
-}
-
-// Clean is true when every divergence was explicitly accounted for.
-func (r *ChaosReport) Clean() bool { return r.Silent == 0 }
-
-func (r *ChaosReport) String() string {
-	return fmt.Sprintf("%d packets (%d redirected): %d degraded, %d silent divergences",
-		r.Packets, r.Redirected, r.Degraded, r.Silent)
-}
-
-// VerifyChaosEquivalence replays the trace through the original program
-// and through the resilient deployment under opts (including its fault
-// plan), comparing every packet's fate. Divergences are legal only when
-// flagged degraded; anything else is a silent divergence. A nil segment is
-// the empty pass-through controller. The comparison runs inside a
-// "controller.verify-chaos" span, the replay goes through replayFates, and
-// every redirect, retry, and degradation decision appears as child spans.
-func VerifyChaosEquivalence(ctx context.Context,
-	original *p4.Program, originalCfg *rt.Config,
-	optimized *p4.Program, optimizedCfg *rt.Config,
-	segment *p4.Program, trace *trafficgen.Trace,
-	opts ResilientOptions) (*ChaosReport, error) {
-
-	ctx, sp := obs.Start(ctx, "controller.verify-chaos", obs.Int("packets", len(trace.Packets)))
-	defer sp.End()
-
-	origSwitch, err := sim.NewFromAST(original, originalCfg, fateOnly)
-	if err != nil {
-		return nil, err
-	}
-	defer origSwitch.Release()
-	dep, err := NewResilientDeployment(optimized, optimizedCfg, segment, originalCfg, original, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer dep.release()
-
-	report := &ChaosReport{}
-	err = replayFates(ctx, origSwitch, nil, trace, func(i int, in sim.Input, origOut, _ *sim.Output) error {
-		verdict, err := dep.ProcessContext(ctx, in)
-		if err != nil {
-			return fmt.Errorf("controller: resilient deployment, packet %d: %w", i, err)
-		}
-		report.Packets++
-		if verdict.ViaController {
-			report.Redirected++
-		}
-		if !sameFate(origOut, verdict) {
-			if verdict.Degraded {
-				report.Degraded++
-			} else {
-				report.Silent++
-				if report.First == "" {
-					report.First = fmt.Sprintf(
-						"packet %d: original(drop=%v port=%d cpu=%v) vs resilient(drop=%v port=%d via_ctl=%v notified=%v degraded=%v)",
-						i, origOut.Dropped, origOut.Port, origOut.ToCPU,
-						verdict.Dropped, verdict.Port, verdict.ViaController, verdict.Notified, verdict.Degraded)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	report.Stats = dep.Stats()
-	report.Faults = opts.Faults.Counts()
-	sp.SetAttr(obs.Int("redirected", report.Redirected),
-		obs.Int("degraded", report.Degraded), obs.Int("silent", report.Silent))
-	return report, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/workloads"
 )
 
 // TuneOptions configures the tune pass: the objective is "minimize
@@ -29,6 +30,16 @@ type TuneOptions struct {
 	// MaxRounds bounds full coordinate-descent sweeps; the search also
 	// stops at the first sweep that improves nothing. 0 means 4.
 	MaxRounds int
+}
+
+// WorkloadTune is the tune pass's configuration for a workload's tune
+// spec, or nil for a workload without one. It is the one conversion: the
+// CLI, the service's jobs and fleet devices all configure tune through it.
+func WorkloadTune(spec *workloads.TuneSpec) *TuneOptions {
+	if spec == nil {
+		return nil
+	}
+	return &TuneOptions{AccuracyTable: spec.AccuracyTable, MaxAccuracyLoss: spec.MaxAccuracyLoss}
 }
 
 const (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,6 +64,9 @@ type resolvedDevice struct {
 	cfg     *rt.Config
 	printed string // canonical program text
 	rules   string // canonical rules text
+	// tune is the device workload's tune-pass configuration (nil without
+	// one), as a single job of that workload would run it.
+	tune *core.TuneOptions
 }
 
 // Run executes the fleet job: collect each device's observed trace by
@@ -196,7 +200,18 @@ func runDevice(ctx context.Context, spec Spec, opts Options,
 		}, nil
 	}
 
-	key := deviceKey(dev, trace, spec.Passes, opts.Core)
+	devOpts := opts.Core
+	devOpts.Context = devCtx
+	if spec.Passes != nil {
+		devOpts.Passes = spec.Passes
+	}
+	if spec.Parallelism > 0 {
+		devOpts.Parallelism = spec.Parallelism
+	}
+	if dev.tune != nil {
+		devOpts.Tune = dev.tune
+	}
+	key := deviceKey(dev, trace, spec.Passes, devOpts)
 	if opts.DeviceCache != nil {
 		if data, ok := opts.DeviceCache.Get(key); ok {
 			var row report.FleetDevice
@@ -210,14 +225,6 @@ func runDevice(ctx context.Context, spec Spec, opts Options,
 		}
 	}
 
-	devOpts := opts.Core
-	devOpts.Context = devCtx
-	if spec.Passes != nil {
-		devOpts.Passes = spec.Passes
-	}
-	if spec.Parallelism > 0 {
-		devOpts.Parallelism = spec.Parallelism
-	}
 	res, err := core.New(devOpts).Optimize(dev.prog, dev.cfg, trace)
 	if err != nil {
 		// Cancellation is fleet-level: stop fanning out instead of
@@ -300,6 +307,7 @@ func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 			resolved[key] = dev
 		}
 		dev.spec = d
+		dev.tune = core.WorkloadTune(w.Tune)
 		if dev.cfg != nil {
 			dev.cfg = dev.cfg.Clone()
 		}
@@ -362,16 +370,20 @@ func BuildInjections(ctx context.Context, spec Spec) ([]network.Injection, error
 }
 
 // deviceKey content-addresses one device's optimization: the canonical
-// program text, rules, observed trace, effective pass schedule, and
-// hardware model. Two devices (or two runs) with the same key produce
-// the same row, which is what makes the DeviceCache safe to share across
-// fleets and after crashes.
+// program text, rules, observed trace, effective pass schedule, hardware
+// model and, for a schedule with the tune pass, its options. Two devices
+// (or two runs) with the same key produce the same row, which is what
+// makes the DeviceCache safe to share across fleets and after crashes.
 func deviceKey(dev resolvedDevice, trace *trafficgen.Trace, passes []string, copts core.Options) string {
-	return cache.Digest("fleet-device",
+	parts := []string{"fleet-device",
 		dev.printed,
 		dev.rules,
 		trace.Digest(),
 		strings.Join(passes, ","),
 		copts.Target.Key(),
-	)
+	}
+	if copts.Tune != nil && slices.Contains(passes, "tune") {
+		parts = append(parts, fmt.Sprintf("tune %+v", *copts.Tune))
+	}
+	return cache.Digest(parts...)
 }

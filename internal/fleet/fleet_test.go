@@ -15,6 +15,7 @@ import (
 	"p2go/internal/rt"
 	"p2go/internal/tofino"
 	"p2go/internal/trafficgen"
+	"p2go/internal/workloads"
 )
 
 // testHooks wraps the real compiler and profiler with call counters — the
@@ -445,6 +446,41 @@ func TestRunEnterpriseTopology(t *testing.T) {
 	}
 	if len(edge.Result.OffloadedTables) == 0 {
 		t.Error("edge device should offload the DNS branch")
+	}
+}
+
+// TestDeviceTunesLikeOneJob: a fleet device whose schedule has the tune
+// pass searches under its workload's accuracy table, exactly as a single
+// optimize job of that workload on the device's trace does.
+func TestDeviceTunesLikeOneJob(t *testing.T) {
+	spec := Synthetic("maglev", 1, 1, 0)
+	spec.Passes = []string{"tune", "phase2", "phase3", "phase4"}
+	res, err := Run(context.Background(), spec, Options{Core: core.Options{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := res.Devices[0]
+	if row.Status != report.FleetOptimized {
+		t.Fatalf("device row: %+v", row)
+	}
+	w, err := workloads.Get("maglev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := w.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Packets != len(trace.Packets) {
+		t.Fatalf("device saw %d packets, the workload trace has %d", row.Packets, len(trace.Packets))
+	}
+	want, err := core.New(core.Options{Parallelism: 1, Passes: spec.Passes, Tune: core.WorkloadTune(w.Tune)}).
+		Optimize(p4.MustParse(w.Source), w.Config(), trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := row.Result.Bindings; got != p4.FormatBindings(want.Bindings) {
+		t.Errorf("fleet device bindings %q, single job %q", got, p4.FormatBindings(want.Bindings))
 	}
 }
 

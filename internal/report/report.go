@@ -373,8 +373,9 @@ type ActionSet struct {
 	Count   int      `json:"count"`
 }
 
-// FromChaos serializes a chaos-equivalence run's degradation counters.
-func FromChaos(rep *controller.ChaosReport, plan, policy string) *Resilience {
+// FromChaos serializes the degradation counters of a verification run
+// under a fault plan.
+func FromChaos(rep *controller.EquivalenceReport, plan, policy string) *Resilience {
 	return &Resilience{
 		FaultPlan:         plan,
 		Policy:            policy,

@@ -1043,14 +1043,9 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 	opts.Context = ctx
 	opts.Passes = spec.Passes
 	opts.Bindings = bindings
-	if w.Tune != nil {
-		// The workload's tune spec configures the pass if the job's
-		// schedule includes "tune"; harmless otherwise.
-		opts.Tune = &core.TuneOptions{
-			AccuracyTable:   w.Tune.AccuracyTable,
-			MaxAccuracyLoss: w.Tune.MaxAccuracyLoss,
-		}
-	}
+	// The workload's tune spec configures the pass if the job's schedule
+	// includes "tune"; harmless otherwise.
+	opts.Tune = core.WorkloadTune(w.Tune)
 	res, err := core.New(opts).Optimize(prog, cfg, trace)
 	if err != nil {
 		return nil, err

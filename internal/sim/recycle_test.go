@@ -122,7 +122,7 @@ func TestRecycledRegistersStartZero(t *testing.T) {
 		if !fresh.prof.Equal(recycled.prof) {
 			t.Errorf("%s: profile differs on a recycled slab: %s", name, fresh.prof.Diff(recycled.prof))
 		}
-		if fresh.verify != recycled.verify || !recycled.verify.Equivalent() {
+		if !reflect.DeepEqual(fresh.verify, recycled.verify) || !recycled.verify.Equivalent() {
 			t.Errorf("%s: VerifyEquivalence on recycled slabs: %s; on fresh memory: %s", name, &recycled.verify, &fresh.verify)
 		}
 	}

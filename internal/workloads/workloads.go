@@ -34,8 +34,8 @@ type Workload struct {
 	Tune *TuneSpec
 }
 
-// TuneSpec is the workload-level tune-pass configuration, mirrored into
-// core.TuneOptions by the CLI and the service without importing core.
+// TuneSpec is the workload-level tune-pass configuration; core.WorkloadTune
+// turns it into core.TuneOptions (this package cannot import core).
 type TuneSpec struct {
 	// AccuracyTable is the table whose hit count is the accuracy signal.
 	AccuracyTable string

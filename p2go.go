@@ -91,17 +91,15 @@ type (
 	AnalysisCache = core.AnalysisCache
 	// Controller executes an offloaded segment on redirected packets.
 	Controller = controller.Controller
-	// Deployment composes the optimized data plane with a controller.
+	// Deployment composes the optimized data plane with controller
+	// replicas behind retrying, policy-degrading redirect delivery.
 	Deployment = controller.Deployment
-	// EquivalenceReport compares original vs optimized+controller.
+	// EquivalenceReport compares original vs optimized+controller: every
+	// divergence either explicitly degraded or counted as silent.
 	EquivalenceReport = controller.EquivalenceReport
-	// ResilientOptions tunes the replicated, fault-tolerant deployment:
-	// replica count, retry/backoff, degradation policy, fault injectors.
+	// ResilientOptions configures a deployment: replica count,
+	// retry/backoff, degradation policy, fault injectors.
 	ResilientOptions = controller.ResilientOptions
-	// ChaosReport is the chaos-equivalence verdict: every divergence
-	// either explicitly degraded or counted as silent (the invariant is
-	// that Silent stays zero).
-	ChaosReport = controller.ChaosReport
 	// OnlineMonitor is an instrumented data plane with windowed online
 	// profiling and drift detection (§6 "Dynamic compilation").
 	OnlineMonitor = online.Monitor
@@ -250,7 +248,8 @@ func NewController(segment *Program, cfg *Config) (*Controller, error) {
 	return controller.New(segment, cfg)
 }
 
-// NewDeployment composes the optimized data plane with a controller.
+// NewDeployment composes the optimized data plane with one controller,
+// without fault injection.
 func NewDeployment(optimized *Program, optimizedCfg *Config, segment *Program, fullCfg *Config) (*Deployment, error) {
 	return controller.NewDeployment(optimized, optimizedCfg, segment, fullCfg)
 }
@@ -273,14 +272,13 @@ func VerifyEquivalenceContext(ctx context.Context, res *Result, cfg *Config, tra
 		res.ControllerProgram, trace)
 }
 
-// VerifyChaosEquivalence is VerifyEquivalenceContext under fault
-// injection: the optimized program runs behind a replicated, retrying,
-// policy-degrading controller deployment, and every verdict divergence
-// must be explicitly flagged as a counted degradation — the report's
-// Clean() is false if any divergence was silent. Redirect deliveries,
-// retries, and degradation decisions all appear as spans under a
-// "controller.verify-chaos" root.
-func VerifyChaosEquivalence(ctx context.Context, res *Result, cfg *Config, trace *Trace, opts ResilientOptions) (*ChaosReport, error) {
+// VerifyChaosEquivalence is VerifyEquivalenceContext on the deployment
+// opts configures: replicated, retrying, policy-degrading, under fault
+// injection. Every verdict divergence must be explicitly flagged as a
+// counted degradation — the report's Clean() is false if any divergence
+// was silent. Redirect deliveries, retries, and degradation decisions all
+// appear as spans under the "controller.verify" root.
+func VerifyChaosEquivalence(ctx context.Context, res *Result, cfg *Config, trace *Trace, opts ResilientOptions) (*EquivalenceReport, error) {
 	return controller.VerifyChaosEquivalence(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
 		res.ControllerProgram, trace, opts)
 }
