@@ -109,6 +109,25 @@ func TestCmdOptimizeFailsOnMismatch(t *testing.T) {
 	}
 }
 
+// TestCmdOptimizeRejectsLateTune: tune binds its candidates from the source
+// program, so a schedule that runs it after another pass would throw that
+// pass's work away (failure's offload was reported applied while the final
+// program was the pristine binding). The schedule fails validation before
+// anything is replayed or reported.
+func TestCmdOptimizeRejectsLateTune(t *testing.T) {
+	var err error
+	out := captureStdout(t, func() error {
+		err = cmdOptimize([]string{"-workload", "failure", "-passes", "phase2,phase3,phase4,tune"})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), `pass "tune" must be the first entry of the schedule`) {
+		t.Errorf("err = %v, want the tune-first validation error", err)
+	}
+	if out != "" {
+		t.Errorf("a rejected schedule printed a report:\n%s", out)
+	}
+}
+
 // TestCmdOptimizeUnderFaults: ex1 verified behind two controller replicas
 // through a down window and 30% redirect loss. The command exits 0 and its
 // JSON counts degraded verdicts but no silent divergence.

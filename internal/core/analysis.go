@@ -32,13 +32,15 @@ import (
 // is recomputed on the next lookup (a run holds the pointers it was
 // handed, so eviction never changes an answer). Errors, cancellation
 // included, are not stored. Stored values are immutable and shared; the one
-// thing that grows is a compile entry's table of derived candidates.
+// thing that grows is a table of derived candidates: a compile entry's, or
+// a source's table of bound programs.
 //
 // A run without Options.AnalysisCache gets a fresh view over a fresh store;
 // pass one to carry results across runs.
 type AnalysisCache struct {
 	store                     *cache.Cache
 	compiles, profiles, plans lookupCounters
+	sources                   lookupCounters // tables of bound programs; not an analysis, so not in Stats
 }
 
 // lookupCounters counts one analysis kind's lookups through a view.
@@ -93,14 +95,31 @@ func lookup[T any](c *AnalysisCache, n *lookupCounters, kind string, key analysi
 	return v.(T), hit, nil
 }
 
+// derivations is a table of children derived from one program, name →
+// *child. It holds only answers that depend on nothing but that program and
+// the target, so it serves every run that reaches the program, and it is
+// evicted with the store entry that holds it.
+type derivations struct{ children sync.Map }
+
 // compiled is what the store holds under a "compile:" key: the result, and
-// the table of candidates derived from the compiled program (run.derive,
-// name → *child). The table holds only answers that depend on nothing but
-// this program and the target, so it serves every run that reaches the
-// program, and it is evicted with the entry.
+// the table of candidates derived from the compiled program (derivations.derive).
 type compiled struct {
 	*tofino.Result
-	children sync.Map
+	derivations
+}
+
+// source returns the table of programs bound from src (run.bind), empty when
+// first made. Its key is the printed parameterized source, tunable
+// declarations and symbol references included, and the target its
+// children's compile keys are for. Not the instantiated program: that drops
+// the declarations, and two sources that bind a symbol at different sites
+// can print the same program at their defaults. A lookup is neither an
+// analysis nor a compile: Stats and PassStats leave it out.
+func (c *AnalysisCache) source(src *p4.Program, tgt tofino.Target) *derivations {
+	d, _, _ := lookup(c, &c.sources, "source", newAnalysisKey(src, "source", tgt.Key()), func() (*derivations, error) {
+		return &derivations{}, nil
+	})
+	return d
 }
 
 // Profile returns the profile of (ast, cfg) on the trace with the given
@@ -182,7 +201,7 @@ func appendKeyPart(buf []byte, part string) []byte {
 }
 
 // compileKey content-addresses one compile: the printed program and the
-// hardware model. doCompile never mutates the AST it is handed, so the
+// hardware model. A compile never mutates the AST it is handed, so the
 // printed source is a faithful key.
 func compileKey(ast *p4.Program, tgt tofino.Target) analysisKey {
 	return newAnalysisKey(ast, "compile", tgt.Key())

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"p2go/internal/p4"
@@ -139,6 +140,13 @@ func TestDerivationMatchesFresh(t *testing.T) {
 				optimize(t, s.opts, own, trace)
 				rerun := optimize(t, s.opts, own, trace)
 				sameDecisions(t, "re-run", fresh, rerun)
+				if s.name == "tune-first" {
+					src := p4.MustParse(wl.Source)
+					n := checkBindings(t, sibling, src) + checkBindings(t, own, src)
+					if want := 2 * (1 + len(src.Tunables)); n < want {
+						t.Errorf("checked %d bind: children, want at least %d", n, want)
+					}
+				}
 				fc, fp := missCounts(fresh)
 				if rc, rp := missCounts(rerun); rc > fc || rp > fp {
 					t.Errorf("re-run missed %d compiles and %d profiles, more than the fresh run's %d and %d", rc, rp, fc, fp)
@@ -179,6 +187,141 @@ func TestDerivationMatchesFresh(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkBindings compares every bind: child in src's table on ac with a fresh
+// p4.Instantiate of src at the bindings the child is named by, and returns
+// how many it checked.
+func checkBindings(t *testing.T, ac *AnalysisCache, src *p4.Program) (n int) {
+	t.Helper()
+	ac.source(src, tofino.DefaultTarget()).children.Range(func(name, v any) bool {
+		b, err := p4.ParseBindings(strings.TrimPrefix(name.(string), "bind:"))
+		if err != nil {
+			t.Fatalf("child %q: %v", name, err)
+		}
+		want, err := p4.Instantiate(src, b)
+		if err != nil {
+			t.Fatalf("child %q: %v", name, err)
+		}
+		if got := v.(*child).prog; got == nil || p4.Print(got) != p4.Print(want) {
+			t.Errorf("child %q is not the source instantiated at its bindings", name)
+		}
+		n++
+		return true
+	})
+	return n
+}
+
+// aliasedSource declares @tunable n and binds it at one site: a register's
+// cell count (register) or a table's size (table). At the default, n = 1024,
+// both sources instantiate to the same program.
+func aliasedSource(site string) string {
+	cells, size := "1024", "1024"
+	if site == "register" {
+		cells = "n"
+	} else {
+		size = "n"
+	}
+	return `@tunable(n, 64, 4096, 1024);
+header_type ethernet_t {
+    fields {
+        dstAddr : 48;
+        srcAddr : 48;
+        etherType : 16;
+    }
+}
+header ethernet_t ethernet;
+header_type meta_t {
+    fields {
+        seen : 32;
+    }
+}
+metadata meta_t md;
+register seen {
+    width : 32;
+    instance_count : ` + cells + `;
+}
+action remember() {
+    register_read(md.seen, seen, 0);
+    add_to_field(md.seen, 1);
+    register_write(seen, 0, md.seen);
+}
+table flows {
+    reads {
+        ethernet.srcAddr : exact;
+    }
+    actions {
+        remember;
+    }
+    size : ` + size + `;
+}
+parser start {
+    extract(ethernet);
+    return ingress;
+}
+control ingress {
+    apply(flows);
+}
+`
+}
+
+// TestBindTableKeyedOnSource: the table of bound programs is keyed on the
+// parameterized source, not on the program it instantiates to. The two
+// aliased sources print the same program at their defaults but bind n at
+// different sites, so after both ran tune over one cache, each source's
+// bind: children must be its own instantiations. A table keyed on the
+// instantiated program hands the second source the first one's children.
+func TestBindTableKeyedOnSource(t *testing.T) {
+	reg, tbl := p4.MustParse(aliasedSource("register")), p4.MustParse(aliasedSource("table"))
+	a, err := p4.Instantiate(reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p4.Instantiate(tbl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p4.Print(a) != p4.Print(b) {
+		t.Fatal("the aliased sources must print the same program at their defaults")
+	}
+	cfg, err := rt.Parse("table_add flows remember 0x000000000001 =>\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := &trafficgen.Trace{}
+	for i := 0; i < 8; i++ {
+		frame := make([]byte, 14)
+		frame[11] = byte(i % 2) // srcAddr 00:00:00:00:00:0{0,1}
+		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: frame})
+	}
+	ac := NewAnalysisCache()
+	for _, src := range []*p4.Program{reg, tbl} {
+		res, err := New(Options{Passes: []string{"tune"}, AnalysisCache: ac}).Optimize(src, cfg, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p4.Instantiate(src, res.Bindings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p4.Print(res.Optimized) != p4.Print(want) {
+			t.Errorf("tuned program at %s is not the source instantiated there:\n%s", p4.FormatBindings(res.Bindings), p4.Print(res.Optimized))
+		}
+	}
+	regN, tblN := checkBindings(t, ac, reg), checkBindings(t, ac, tbl)
+	if regN < 2 || tblN < 2 {
+		t.Fatalf("tune bound %d and %d programs, want a ladder for each", regN, tblN)
+	}
+	named := func(src *p4.Program) *child {
+		c, _ := ac.source(src, tofino.DefaultTarget()).children.Load("bind:n=64")
+		if c == nil {
+			t.Fatal("no bind:n=64 child")
+		}
+		return c.(*child)
+	}
+	if p4.Print(named(reg).prog) == p4.Print(named(tbl).prog) {
+		t.Error("both sources share one bind:n=64 child")
 	}
 }
 

@@ -57,15 +57,12 @@ func newManager(opts Options) (*manager, error) {
 }
 
 // newRun builds the mutable state one optimization run evolves. The input
-// AST may be parameterized: the run instantiates it at Options.Bindings
-// (defaults for unbound tunables) and every pass operates on the concrete
-// program; the pristine AST is kept for the tune pass to re-instantiate.
+// AST may be parameterized: the run starts from its bind: child at
+// Options.Bindings (defaults for unbound tunables), bound by profilePass,
+// and every pass operates on that concrete program; the tune pass binds its
+// candidates from the pristine AST.
 func (m *manager) newRun(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*run, error) {
 	bindings, err := p4.ResolveBindings(ast, m.opts.Bindings)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	original, err := p4.Instantiate(ast, m.opts.Bindings)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -76,9 +73,8 @@ func (m *manager) newRun(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trac
 		cfg:        cfg,
 		trace:      trace,
 		src:        ast,
-		original:   original,
+		source:     m.cache.source(ast, m.tgt),
 		bindings:   bindings,
-		cur:        original, // never edited: every rewrite clones it
 		traceDig:   trace.Digest(),
 		phaseStart: time.Now(),
 	}, nil
@@ -119,10 +115,11 @@ func (m *manager) optimize(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Tr
 		obs.Bool("fits", r.compile.Mapping.Fits),
 	)
 
-	// r.cur and r.ctlProgram may be children shared through the analysis
-	// cache (run.derive): the caller gets copies it may edit.
+	// r.original, r.cur and r.ctlProgram may be children shared through
+	// the analysis cache (derivations.derive): the caller gets copies it
+	// may edit.
 	res := &Result{
-		Original:          r.original,
+		Original:          p4.Clone(r.original),
 		Optimized:         p4.Clone(r.cur),
 		OptimizedConfig:   filterConfig(r.cfg, r.cur),
 		Profile:           originalProfile,
@@ -181,18 +178,23 @@ func (m *manager) offloadReport(ast *p4.Program, cfg *rt.Config, trace *trafficg
 	return r.reports, nil
 }
 
-// profilePass is the implicit phase1 pass: the initial compile, the
-// "initial" history snapshot, the stages_before root attr, and the
-// profiling replay under the phase1.profile span.
+// profilePass is the implicit phase1 pass: the run's starting program and
+// its compile, the "initial" history snapshot, the stages_before root attr,
+// and the profiling replay under the phase1.profile span.
 func (m *manager) profilePass(ctx context.Context, r *run, root *obs.Span) (*profile.Profile, error) {
 	stat, start, before := r.beginPass("phase1")
-	if err := r.recompile(ctx); err != nil {
+	c, err := r.bind(r.bindings)
+	if err != nil {
 		return nil, err
+	}
+	r.original, r.cur = c.prog, c.prog // never edited: every rewrite clones it
+	if r.compile, err = r.compileAs(ctx, c.key, c.prog); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	r.snapshot("initial")
 	root.SetAttr(obs.Int("stages_before", totalStages(r.compile.Mapping)))
 	p1ctx, p1 := obs.Start(ctx, "phase1.profile")
-	err := r.reprofile(p1ctx)
+	err = r.reprofile(p1ctx)
 	r.endPass(p1, stat, start, before)
 	p1.End()
 	if err != nil {

@@ -40,8 +40,8 @@ var passRegistry = []*passDef{
 	{
 		id: "tune",
 		doc: "Search the program's @tunable knobs (coordinate descent over a geometric lattice): minimize stages subject to a " +
-			"profile-measured accuracy floor; every candidate instantiation flows through the analysis cache. Opt-in; schedule it " +
-			"first — it restarts from the pristine program at the winning bindings.",
+			"profile-measured accuracy floor; every candidate is a binding of the source program, derived and compiled through the " +
+			"analysis cache. Opt-in; a schedule may name it once, as its first entry — it restarts from the source at the winning bindings.",
 		span:  "tune.search",
 		label: "tuning-parameters",
 		needs: []string{"compile", "profile"},
@@ -140,15 +140,18 @@ func DefaultPassIDs() []string {
 	return out
 }
 
-// ValidatePasses rejects unknown or non-selectable pass IDs. It is the
-// shared gate for Options.Passes, the -passes CLI flag, and
-// service.JobSpec.Passes, so every layer reports the same error.
-// Duplicates are allowed: re-running a pass is a legitimate schedule.
+// ValidatePasses rejects unknown or non-selectable pass IDs, and a "tune"
+// anywhere but first: it restarts from the source, discarding every pass
+// before it. Other passes may repeat. It is the shared gate for
+// Options.Passes, -passes, service.JobSpec.Passes and fleet.Spec.
 func ValidatePasses(ids []string) error {
-	for _, id := range ids {
+	for i, id := range ids {
 		p, ok := passByID[id]
 		if !ok || p.readOnly || p.implicit {
 			return fmt.Errorf("core: unknown pass %q (selectable passes: %s)", id, strings.Join(selectablePassIDs(), ", "))
+		}
+		if id == "tune" && i > 0 {
+			return fmt.Errorf("core: pass \"tune\" must be the first entry of the schedule, and only once: %s", strings.Join(ids, ","))
 		}
 	}
 	return nil

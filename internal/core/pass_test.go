@@ -65,8 +65,9 @@ func TestPassRegistryLint(t *testing.T) {
 }
 
 // TestValidatePasses: the shared gate accepts any ordering and duplicates
-// of selectable passes, and rejects unknown, implicit, and read-only IDs —
-// surfacing the error from Optimize before any work happens.
+// of selectable passes, and rejects unknown, implicit, and read-only IDs and
+// a tune that is not the schedule's one first entry — surfacing the error
+// from Optimize before any work happens.
 func TestValidatePasses(t *testing.T) {
 	if err := ValidatePasses(nil); err != nil {
 		t.Errorf("nil schedule rejected: %v", err)
@@ -77,6 +78,16 @@ func TestValidatePasses(t *testing.T) {
 	for _, bad := range []string{"phase1", "offload-report", "phase5", ""} {
 		if ValidatePasses([]string{bad}) == nil {
 			t.Errorf("ValidatePasses accepted %q", bad)
+		}
+	}
+	for _, sched := range [][]string{{"tune"}, {"tune", "phase2", "phase3", "phase4"}} {
+		if err := ValidatePasses(sched); err != nil {
+			t.Errorf("tune-first schedule %v rejected: %v", sched, err)
+		}
+	}
+	for _, sched := range [][]string{{"phase2", "phase3", "phase4", "tune"}, {"phase2", "tune"}, {"tune", "tune"}, {"tune", "phase2", "tune"}} {
+		if err := ValidatePasses(sched); err == nil || !strings.Contains(err.Error(), `pass "tune" must be the first entry`) {
+			t.Errorf("ValidatePasses(%v) = %v, want the tune-first error", sched, err)
 		}
 	}
 	if _, err := New(Options{Passes: []string{"phase5"}}).Optimize(nil, nil, nil); err == nil || !strings.Contains(err.Error(), "unknown pass") {

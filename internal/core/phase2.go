@@ -103,7 +103,7 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 	if withGuard {
 		name += "+guard"
 	}
-	c := r.derive(name, func() *child {
+	c := r.compile.derive(r.tgt, name, func() *child {
 		candidate := p4.Clone(r.cur)
 		guard, err := moveIntoMissArm(candidate, edge.From, edge.To, withGuard)
 		if err != nil {

@@ -220,7 +220,7 @@ func (r *run) stagesWithKnob(ctx context.Context, knob memoryKnob, value int) (i
 	ctx, sp := obs.Start(ctx, "phase3.probe",
 		obs.String("table", knob.table), obs.Int("value", value))
 	defer sp.End()
-	c := r.derive("knob:"+knob.table+"="+strconv.Itoa(value), func() *child {
+	c := r.compile.derive(r.tgt, "knob:"+knob.table+"="+strconv.Itoa(value), func() *child {
 		candidate := p4.Clone(r.cur)
 		if err := applyKnob(candidate, knob, value); err != nil {
 			return &child{reject: "infeasible", err: err}

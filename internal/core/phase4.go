@@ -121,7 +121,7 @@ func (r *run) phase4(ctx context.Context) error {
 	if offload.prog == nil {
 		return offload.err
 	}
-	ctl := r.derive("ctl:"+win.Segment.Desc, func() *child {
+	ctl := r.compile.derive(r.tgt, "ctl:"+win.Segment.Desc, func() *child {
 		prog, err := r.controllerProgram(win.Segment)
 		return &child{prog: prog, err: err}
 	})
@@ -257,7 +257,7 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 // offloadChild derives the candidate that offloads seg, or the rejection of
 // a segment that is not self-contained or does not rewrite.
 func (r *run) offloadChild(seg Segment) *child {
-	return r.derive("seg:"+seg.Desc, func() *child {
+	return r.compile.derive(r.tgt, "seg:"+seg.Desc, func() *child {
 		if !r.selfContained(seg) {
 			return &child{reject: "not-self-contained", err: fmt.Errorf("core: segment %s is not self-contained", seg.Desc)}
 		}

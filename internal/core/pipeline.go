@@ -22,7 +22,8 @@ type Options struct {
 	Target tofino.Target
 	// Passes selects which optimization passes run and in what order
 	// (the §2.2 phase-ordering ablations as configuration). IDs come
-	// from the pass registry (see Passes()); duplicates are allowed.
+	// from the pass registry (see Passes()); passes may repeat, but "tune"
+	// may only be the first entry (ValidatePasses).
 	// nil means the default schedule — phase2, phase3, phase4. A non-nil
 	// empty slice means "profile only, run no optimization pass".
 	Passes []string
@@ -84,8 +85,8 @@ type Options struct {
 	// out-of-range values fail the run. Ignored (must be empty) for
 	// programs without tunables.
 	Bindings map[string]int
-	// Tune configures the "tune" pass when it is scheduled; nil means
-	// defaults (no accuracy constraint, 4 coordinate-descent rounds).
+	// Tune configures the "tune" pass when it is scheduled; nil means no
+	// accuracy constraint (the search minimizes stages alone).
 	Tune *TuneOptions
 }
 
@@ -216,10 +217,12 @@ type run struct {
 	trace    *trafficgen.Trace
 	traceDig string
 	// src is the pristine input AST, possibly parameterized (tunable
-	// declarations intact); the tune pass instantiates candidates from
-	// it. original is src instantiated at the run's starting bindings —
-	// what Result.Original reports. cur evolves under the passes.
+	// declarations intact), and source its table of bound programs
+	// (run.bind). original is the bind: child at the run's starting
+	// bindings — what Result.Original reports. cur evolves under the
+	// passes.
 	src        *p4.Program
+	source     *derivations
 	original   *p4.Program
 	bindings   map[string]int
 	cur        *p4.Program
@@ -266,18 +269,12 @@ func (r *run) interrupted() error {
 	return nil
 }
 
-// doCompile is the single funnel for every compile the pipeline issues.
-// The cache is keyed on the caller's AST as it stands; only a miss clones
-// it, so the compiler, the hook and the cached Result.AST own a copy no
-// later rewrite can reach while a hit costs a print and a hash. A cache hit
-// emits the same "compile" span with the same stages attr as a real
-// compile, so span trees are structurally identical either way.
-func (r *run) doCompile(ctx context.Context, ast *p4.Program) (*compiled, error) {
-	return r.compileAs(ctx, compileKey(ast, r.tgt), ast)
-}
-
-// compileAs is doCompile under a key already computed for ast: a derived
-// child's, so looking it up again costs neither a print nor a hash.
+// compileAs is the single funnel for every compile the pipeline issues: a
+// child (derivations.derive) under the compile key computed when it was
+// built. Only a miss clones the AST, so the compiler, the hook and the cached
+// Result.AST own a copy no later rewrite can reach. A cache hit emits the
+// same "compile" span with the same stages attr as a real compile, so span
+// trees are structurally identical either way.
 func (r *run) compileAs(ctx context.Context, key analysisKey, ast *p4.Program) (*compiled, error) {
 	if err := r.interrupted(); err != nil {
 		return nil, err
@@ -302,9 +299,9 @@ func (r *run) compileAs(ctx context.Context, key analysisKey, ast *p4.Program) (
 	return res, nil
 }
 
-// child is one candidate derived from a compiled program: the frozen child
-// program with its compile key, or why the rewrite refused it. A child is
-// shared by every run that reaches its parent, so nothing may edit it.
+// child is one program derived from another: the frozen child program with
+// its compile key, or why the derivation refused it. A child is shared by
+// every run that reaches its parent, so nothing may edit it.
 type child struct {
 	prog   *p4.Program
 	key    analysisKey      // prog's compile key
@@ -313,25 +310,41 @@ type child struct {
 	err    error            // what the rewrite failed with when prog is nil
 }
 
-// derive is the one funnel every candidate of r.cur goes through (a Phase 2
-// edge, a Phase 3 probe, a Phase 4 segment, the winner's controller
-// program), named in the table on r.cur's compile entry by its rewrite:
-// "edge:from>to[+guard]", "knob:table=value", "seg:<Desc>", "ctl:<Desc>".
-// The first run to ask builds and keys the child (build rewrites a clone of
-// r.cur, or refuses); every later ask, by any run sharing the cache, is a
-// map lookup: no clone, rewrite, print or hash. Nothing in the table depends
+// derive is the one funnel every program a run compiles goes through, named
+// by how it is made from its parent. Candidates of r.cur (a Phase 2 edge, a
+// Phase 3 probe, a Phase 4 segment, the winner's controller program) live in
+// the table on r.cur's compile entry as "edge:from>to[+guard]",
+// "knob:table=value", "seg:<Desc>" and "ctl:<Desc>"; bindings of the source
+// (the starting program, tune's candidates and winner) in the source's table
+// as "bind:<bindings>" (run.bind). The first run to ask builds and keys the
+// child (build rewrites or instantiates a copy, or refuses); every later ask,
+// by any run sharing the cache, is a map lookup. Nothing in a table depends
 // on the trace, the profile or a verdict. Callers compile a child with
 // compileAs(ctx, c.key, c.prog): the store lookup a fresh child would make.
-func (r *run) derive(name string, build func() *child) *child {
-	if c, ok := r.compile.children.Load(name); ok {
+func (d *derivations) derive(tgt tofino.Target, name string, build func() *child) *child {
+	if c, ok := d.children.Load(name); ok {
 		return c.(*child)
 	}
 	c := build()
 	if c.prog != nil {
-		c.key = compileKey(c.prog, r.tgt)
+		c.key = compileKey(c.prog, tgt)
 	}
-	shared, _ := r.compile.children.LoadOrStore(name, c) // another run may have built it first
+	shared, _ := d.children.LoadOrStore(name, c) // another run may have built it first
 	return shared.(*child)
+}
+
+// bind derives the source instantiated at resolved, a complete assignment
+// (ResolveBindings' output). It is not a compile lookup: it counts in no
+// PassStat and has no span.
+func (r *run) bind(resolved map[string]int) (*child, error) {
+	c := r.source.derive(r.tgt, "bind:"+p4.FormatBindings(resolved), func() *child {
+		prog, err := p4.Instantiate(r.src, resolved)
+		return &child{prog: prog, err: err}
+	})
+	if c.err != nil {
+		return nil, fmt.Errorf("core: %w", c.err)
+	}
+	return c, nil
 }
 
 // doProfile is the single funnel for every trace replay. Cached replays
@@ -356,16 +369,6 @@ func (r *run) doProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*
 	})
 	r.noteProfile(hit)
 	return prof, err
-}
-
-// recompile refreshes the compiler outputs for the current program.
-func (r *run) recompile(ctx context.Context) error {
-	res, err := r.doCompile(ctx, r.cur)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	r.compile = res
-	return nil
 }
 
 // reprofile refreshes the profile for the current program. Rules whose

@@ -50,8 +50,9 @@ func (w *astWatch) check(t *testing.T) {
 // caller's AST, Result.Original, the run's current program, compiled AST and
 // controller program after every pass, every AST the analysis cache comes to
 // hold (compile results and prepared plans, seen through the hooks, and every
-// child in the candidate tables) and every candidate handed to a replay,
-// which is each intermediate r.cur before the run adopts it.
+// child in the candidate tables and in the source's table of bound programs)
+// and every candidate handed to a replay, which is each intermediate r.cur
+// before the run adopts it.
 func watchedRun(t *testing.T, w *astWatch, ac *AnalysisCache, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, opts Options) {
 	t.Helper()
 	opts.AnalysisCache = ac
@@ -83,11 +84,14 @@ func watchedRun(t *testing.T, w *astWatch, ac *AnalysisCache, ast *p4.Program, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.add("Result.Original", r.original)
 	publish := func(after string) {
 		w.add("r.cur after "+after, r.cur)
 		w.add("r.compile.AST after "+after, r.compile.AST)
 		w.add("the controller program after "+after, r.ctlProgram)
+		r.source.children.Range(func(name, c any) bool {
+			w.add("the bound child "+name.(string)+" after "+after, c.(*child).prog)
+			return true
+		})
 		for _, parent := range []*p4.Program{r.original, r.cur} {
 			walkDerived(ac, r.tgt, parent, func(name string, c *child) {
 				w.add("the derived child "+name+" after "+after, c.prog)
@@ -97,6 +101,7 @@ func watchedRun(t *testing.T, w *astWatch, ac *AnalysisCache, ast *p4.Program, c
 	if _, err := m.profilePass(ctx, r, root); err != nil {
 		t.Fatal(err)
 	}
+	w.add("Result.Original", r.original)
 	publish("phase1")
 	for _, p := range m.passes {
 		if err := m.runPass(ctx, r, p); err != nil {

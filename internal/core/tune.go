@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 
 	"p2go/internal/obs"
@@ -27,9 +28,6 @@ type TuneOptions struct {
 	// so an infeasible starting point does not wedge the search. 0 means
 	// the default of 1%.
 	MaxAccuracyLoss float64
-	// MaxRounds bounds full coordinate-descent sweeps; the search also
-	// stops at the first sweep that improves nothing. 0 means 4.
-	MaxRounds int
 }
 
 // WorkloadTune is the tune pass's configuration for a workload's tune
@@ -44,7 +42,7 @@ func WorkloadTune(spec *workloads.TuneSpec) *TuneOptions {
 
 const (
 	defaultTuneMaxLoss = 0.01
-	defaultTuneRounds  = 4
+	tuneRounds         = 4 // full sweeps at most; the search stops at the first that improves nothing
 )
 
 func (o Options) tune() TuneOptions {
@@ -55,15 +53,13 @@ func (o Options) tune() TuneOptions {
 	if t.MaxAccuracyLoss == 0 {
 		t.MaxAccuracyLoss = defaultTuneMaxLoss
 	}
-	if t.MaxRounds == 0 {
-		t.MaxRounds = defaultTuneRounds
-	}
 	return t
 }
 
 // tuneEval is one measured candidate instantiation.
 type tuneEval struct {
 	bindings map[string]int
+	bound    *child // the source's bind: child at bindings
 	stages   int
 	fits     bool
 	hits     int     // accuracy-table hits
@@ -79,12 +75,12 @@ func (e *tuneEval) memCost() int {
 	return n
 }
 
-// tunePass searches the program's @tunable knobs. It instantiates every
-// candidate from the pristine source AST, so it is meant to run before
-// the rewriting passes (the -tune schedule puts it first); each candidate
-// flows through the manager's compile/profile funnels and therefore the
-// analysis cache — a repeat search over the same lattice replays from
-// cache instead of recompiling.
+// tunePass searches the program's @tunable knobs. Every candidate is a
+// bind: child of the pristine source (run.bind), so the pass must run
+// before the rewriting passes — ValidatePasses admits it only as the first
+// entry of a schedule. Each candidate flows through the compile/profile
+// funnels and therefore the analysis cache: a repeat search over the same
+// lattice is table lookups and cache hits.
 func (r *run) tunePass(ctx context.Context) error {
 	startStages := totalStages(r.compile.Mapping)
 	if len(r.src.Tunables) == 0 {
@@ -132,14 +128,14 @@ func (r *run) tunePass(ctx context.Context) error {
 	sort.Slice(knobs, func(i, j int) bool { return knobs[i].Name < knobs[j].Name })
 
 	candidates := 0
-	for round := 0; round < topts.MaxRounds; round++ {
+	for round := 0; round < tuneRounds; round++ {
 		improved := false
 		for _, knob := range knobs {
 			for _, v := range knobLadder(knob) {
 				if v == best.bindings[knob.Name] {
 					continue
 				}
-				b := cloneBindings(best.bindings)
+				b := maps.Clone(best.bindings)
 				b[knob.Name] = v
 				cand, err := r.tuneEval(ctx, b, refHits)
 				if err != nil {
@@ -197,41 +193,36 @@ func (r *run) tunePass(ctx context.Context) error {
 		return nil
 	}
 
-	// Adopt the winner: the run continues from the pristine program
-	// instantiated at the tuned bindings (recompile and reprofile are
-	// cache hits — the search already measured this point).
-	r.bindings = best.bindings
-	inst, err := p4.Instantiate(r.src, best.bindings)
-	if err != nil {
-		return fmt.Errorf("core: tune adopt: %w", err)
-	}
-	r.cur = inst
-	if err := r.recompile(ctx); err != nil {
-		return err
+	// Adopt the winner: the run continues from its bind: child, whose
+	// compile is a cache hit (the search measured this point).
+	r.bindings, r.cur = best.bindings, best.bound.prog
+	if r.compile, err = r.compileAs(ctx, best.bound.key, best.bound.prog); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return r.reprofile(ctx)
 }
 
-// tuneEval instantiates, compiles, and (when an accuracy table is
-// configured) profiles one candidate binding through the cached funnels.
+// tuneEval binds, compiles, and (when an accuracy table is configured)
+// profiles one candidate binding through the cached funnels.
 func (r *run) tuneEval(ctx context.Context, bindings map[string]int, refHits int) (*tuneEval, error) {
-	inst, err := p4.Instantiate(r.src, bindings)
+	c, err := r.bind(bindings)
 	if err != nil {
-		return nil, fmt.Errorf("core: tune candidate: %w", err)
+		return nil, err
 	}
 	ctx, sp := obs.Start(ctx, "tune.candidate", obs.String("bindings", p4.FormatBindings(bindings)))
 	defer sp.End()
-	comp, err := r.doCompile(ctx, inst)
+	comp, err := r.compileAs(ctx, c.key, c.prog)
 	if err != nil {
 		return nil, err
 	}
 	ev := &tuneEval{
-		bindings: cloneBindings(bindings),
+		bindings: bindings, // never edited once bound
+		bound:    c,
 		stages:   totalStages(comp.Mapping),
 		fits:     comp.Mapping.Fits,
 	}
 	if t := r.opts.tune(); t.AccuracyTable != "" {
-		prof, err := r.profileCandidate(ctx, inst)
+		prof, err := r.profileCandidate(ctx, c.prog)
 		if err != nil {
 			return nil, err
 		}
@@ -292,14 +283,6 @@ func knobLadder(t *p4.Tunable) []int {
 	add(t.Max)
 	add(t.Default)
 	sort.Ints(out)
-	return out
-}
-
-func cloneBindings(b map[string]int) map[string]int {
-	out := make(map[string]int, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
 	return out
 }
 

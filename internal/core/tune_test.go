@@ -8,6 +8,7 @@ import (
 	"p2go/internal/p4"
 	"p2go/internal/programs"
 	"p2go/internal/trafficgen"
+	"p2go/internal/workloads"
 )
 
 // TestTuneMaglev: the tune pass alone (no other optimization) finds
@@ -175,5 +176,58 @@ func TestTableSizeKnobChangesStages(t *testing.T) {
 	if tuned.StagesAfter() >= tuned.StagesBefore() || tuned.Bindings["tsize"] >= 131072 {
 		t.Errorf("tune left tsize at %d and stages %d -> %d; want a smaller table in fewer stages",
 			tuned.Bindings["tsize"], tuned.StagesBefore(), tuned.StagesAfter())
+	}
+}
+
+// TestWarmTuneRerun: every tune candidate is a bind: child of the source, so
+// a warm re-run of a tune-first schedule over the cache its cold run filled
+// instantiates, keys, compiles and replays nothing — zero misses in every
+// pass — and decides exactly as the cold run. The allocation ceilings are
+// half of what the tree that still instantiated and keyed every ladder point
+// and re-instantiated the winner made (failure 5 035, maglev 4 472,
+// syncookie 3 508 allocations); this tree makes about 1 680, 1 300 and
+// 1 330.
+func TestWarmTuneRerun(t *testing.T) {
+	ceilings := map[string]float64{"failure": 2517, "maglev": 2236, "syncookie": 1754}
+	for _, name := range []string{"failure", "maglev", "syncookie"} {
+		t.Run(name, func(t *testing.T) {
+			wl, err := workloads.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace, err := wl.Trace(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast, cfg := p4.MustParse(wl.Source), wl.Config()
+			opts := Options{
+				Passes:        append([]string{"tune"}, DefaultPassIDs()...),
+				Tune:          WorkloadTune(wl.Tune),
+				AnalysisCache: NewAnalysisCache(),
+				Parallelism:   2,
+			}
+			optimize := func() *Result {
+				res, err := New(opts).Optimize(ast, cfg, trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			cold, warm := optimize(), optimize()
+			for _, s := range warm.PassStats {
+				if s.CompileMisses+s.ProfileMisses != 0 {
+					t.Errorf("warm re-run missed the cache in %s: %+v", s.ID, s)
+				}
+			}
+			sameDecisions(t, "warm re-run", cold, warm)
+			if raceEnabled {
+				return
+			}
+			allocs := testing.AllocsPerRun(5, func() { optimize() })
+			t.Logf("warm %s tune re-run: %.0f allocations", name, allocs)
+			if allocs > ceilings[name] {
+				t.Errorf("warm %s tune re-run made %.0f allocations, ceiling %.0f", name, allocs, ceilings[name])
+			}
+		})
 	}
 }

@@ -1,9 +1,6 @@
 package p4
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Program is the root of a parsed P4_14 program. Declaration slices are
 // grouped by kind for convenient lookup; Decls preserves source order for
@@ -446,16 +443,6 @@ func (p *Program) Control(name string) *ControlDecl {
 		}
 	}
 	return nil
-}
-
-// TableNames returns the names of all tables in sorted order.
-func (p *Program) TableNames() []string {
-	names := make([]string, 0, len(p.Tables))
-	for _, t := range p.Tables {
-		names = append(names, t.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // addDecl appends d to the ordered declaration list and the per-kind slice.

@@ -323,8 +323,5 @@ func appendBoolExpr(b []byte, e BoolExpr) []byte {
 	return append(b, "<?>"...)
 }
 
-// ExprString renders an expression as source text.
-func ExprString(e Expr) string { return string(appendExpr(nil, e)) }
-
 // BoolExprString renders a boolean expression as source text.
 func BoolExprString(e BoolExpr) string { return string(appendBoolExpr(nil, e)) }
