@@ -111,7 +111,7 @@ func BenchmarkPipelineEx1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+		res, err = core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkNATGRE(b *testing.B) {
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.New(core.Options{}).Optimize(p4.MustParse(programs.NATGRE), cfg, trace)
+		res, err = core.Optimize(context.Background(), p4.MustParse(programs.NATGRE), cfg, trace, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkSourceguard(b *testing.B) {
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.New(core.Options{}).Optimize(p4.MustParse(programs.Sourceguard), cfg, trace)
+		res, err = core.Optimize(context.Background(), p4.MustParse(programs.Sourceguard), cfg, trace, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func BenchmarkFailureDetection(b *testing.B) {
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.New(core.Options{}).Optimize(p4.MustParse(programs.FailureDetection), cfg, trace)
+		res, err = core.Optimize(context.Background(), p4.MustParse(programs.FailureDetection), cfg, trace, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,9 +193,8 @@ func BenchmarkFailureDetection(b *testing.B) {
 func BenchmarkAblationOffloadFirst(b *testing.B) {
 	trace := enterpriseTrace(b)
 	cfg := programs.Ex1Config()
-	opt := core.New(core.Options{})
 	for i := 0; i < b.N; i++ {
-		reports, err := opt.OffloadCandidates(p4.MustParse(programs.Ex1), cfg, trace)
+		reports, err := core.OffloadCandidates(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +276,7 @@ func BenchmarkDoesNotFit(b *testing.B) {
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = core.New(core.Options{}).Optimize(p4.MustParse(src), cfg, trace)
+		res, err = core.Optimize(context.Background(), p4.MustParse(src), cfg, trace, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -385,7 +384,7 @@ func BenchmarkMultiDimALU(b *testing.B) {
 func BenchmarkOnlineMonitoring(b *testing.B) {
 	trace := enterpriseTrace(b)
 	cfg := programs.Ex1Config()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +407,7 @@ func BenchmarkOnlineMonitoring(b *testing.B) {
 func BenchmarkEquivalenceCheck(b *testing.B) {
 	trace := enterpriseTrace(b)
 	cfg := programs.Ex1Config()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

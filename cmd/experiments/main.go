@@ -301,8 +301,8 @@ func ablOffloadFirst(seed int64) error {
 	if err != nil {
 		return err
 	}
-	opt := core.New(core.Options{})
-	before, err := opt.OffloadCandidates(prog, cfg, trace)
+	ctx := context.Background()
+	before, err := core.OffloadCandidates(ctx, prog, cfg, trace, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -310,7 +310,7 @@ func ablOffloadFirst(seed int64) error {
 	if err != nil {
 		return err
 	}
-	after, err := opt.OffloadCandidates(partial.Optimized, partial.OptimizedConfig, trace)
+	after, err := core.OffloadCandidates(ctx, partial.Optimized, partial.OptimizedConfig, trace, core.Options{})
 	if err != nil {
 		return err
 	}

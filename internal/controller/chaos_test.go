@@ -37,7 +37,7 @@ func ex1Fixture(t *testing.T) chaosFixture {
 			t.Fatal(err)
 		}
 		cfg := programs.Ex1Config()
-		res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+		res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,8 +59,8 @@ func chaosOpts(set *faults.Set, policy DegradationPolicy) ResilientOptions {
 	return ResilientOptions{
 		Replicas: 2,
 		Policy:   policy,
-		Retry:    RetryConfig{MaxAttempts: 3, JitterSeed: 1, Sleep: noSleep},
 		Faults:   set,
+		sleep:    noSleep,
 	}
 }
 
@@ -119,7 +119,7 @@ func TestChaosNoFaultsExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := w.Config()
-			res, err := core.New(core.Options{}).Optimize(p4.MustParse(w.Source), cfg, trace)
+			res, err := core.Optimize(context.Background(), p4.MustParse(w.Source), cfg, trace, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,8 +59,7 @@ func TestChaosTunedWorkloads(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := tc.cfg()
-			res, err := core.New(core.Options{Bindings: tc.bindings}).
-				Optimize(p4.MustParse(tc.source), cfg, tc.trace)
+			res, err := core.Optimize(context.Background(), p4.MustParse(tc.source), cfg, tc.trace, core.Options{Bindings: tc.bindings})
 			if err != nil {
 				t.Fatal(err)
 			}

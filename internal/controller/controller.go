@@ -40,20 +40,17 @@ type Controller struct {
 
 // New builds a controller from the offloaded-segment program (e.g.
 // core.Result.ControllerProgram) and the full runtime configuration —
-// rules for tables outside the segment are filtered out. A nil segment
-// (a run that offloaded nothing) is the empty pass-through control, so the
-// deployments and equivalence checks built on New accept it too.
+// rules and defaults for tables outside the segment are filtered out. A
+// nil segment (a run that offloaded nothing) is the empty pass-through
+// control, so the deployments and equivalence checks built on New accept
+// it too.
 func New(segment *p4.Program, cfg *rt.Config) (*Controller, error) {
 	if segment == nil {
 		segment = p4.MustParse("control ingress { }")
 	}
 	filtered := &rt.Config{}
 	if cfg != nil {
-		for _, rule := range cfg.Rules {
-			if segment.Table(rule.Table) != nil {
-				filtered.Add(rule)
-			}
-		}
+		filtered = cfg.Restrict(segment)
 	}
 	sw, err := sim.NewFromAST(segment, filtered, fateOnly)
 	if err != nil {

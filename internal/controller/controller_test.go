@@ -10,6 +10,7 @@ import (
 	"p2go/internal/core"
 	"p2go/internal/p4"
 	"p2go/internal/programs"
+	"p2go/internal/rt"
 	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
 )
@@ -24,7 +25,7 @@ func TestEx1DeploymentEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := programs.Ex1Config()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestVerifyEquivalenceAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := programs.Ex1Config()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestVerifyEquivalenceByteCeiling(t *testing.T) {
 	}
 	trace := trafficgen.SourceguardTrace(trafficgen.SourceguardSpec{Seed: 1})
 	cfg := programs.SourceguardConfig()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Sourceguard), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Sourceguard), cfg, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestVerifyEquivalenceByteCeiling(t *testing.T) {
 func TestFailureDeploymentEquivalence(t *testing.T) {
 	trace := trafficgen.FailureTrace(trafficgen.FailureSpec{Seed: 1})
 	cfg := programs.FailureConfig()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.FailureDetection), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.FailureDetection), cfg, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestControllerProgramShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), programs.Ex1Config(), trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestControllerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := programs.Ex1Config()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +283,38 @@ control ingress { apply(seg); }
 		t.Fatalf("plain: err = %v, want prefix %q", err, want)
 	}
 	_, err = VerifyChaosEquivalence(context.Background(), original, nil, optimized, nil, segment, trace,
-		ResilientOptions{Replicas: 2, Retry: RetryConfig{Sleep: noSleep}})
+		ResilientOptions{Replicas: 2, sleep: noSleep})
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("two replicas: err = %v, want prefix %q", err, want)
+	}
+}
+
+// TestControllerKeepsSegmentDefaults: a table_set_default override of a
+// segment table reaches the controller; one of a table outside the segment
+// is filtered like its rules.
+func TestControllerKeepsSegmentDefaults(t *testing.T) {
+	segment := p4.MustParse(`
+header_type h_t { fields { a : 8; } }
+header h_t h;
+parser start { extract(h); return ingress; }
+action pass() { }
+action block() { drop(); }
+table seg { reads { h.a : exact; } actions { pass; block; } default_action : pass; }
+control ingress { apply(seg); }
+`)
+	cfg, err := rt.Parse("table_set_default seg block\ntable_set_default elsewhere fwd\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := New(segment, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ctl.Handle(sim.Input{Port: 1, Data: []byte{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Dropped {
+		t.Errorf("segment verdict %+v ignores the seg default override", out)
 	}
 }

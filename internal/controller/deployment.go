@@ -56,37 +56,19 @@ func ParsePolicy(s string) (DegradationPolicy, error) {
 	return 0, fmt.Errorf("controller: unknown degradation policy %q (want fail-open, fail-closed, or fallback)", s)
 }
 
-// RetryConfig shapes redirect-delivery retries.
-type RetryConfig struct {
-	// MaxAttempts is the total delivery attempts per redirect, replica
-	// failovers included (default 3).
-	MaxAttempts int
-	// BaseDelay is the first backoff; it doubles per retry up to
-	// MaxDelay (defaults 1ms and 16ms — the harness replays traces, so
-	// delays stay small).
-	BaseDelay, MaxDelay time.Duration
-	// JitterSeed drives the deterministic jitter added to each backoff
-	// (up to half the delay).
-	JitterSeed int64
-	// Sleep replaces time.Sleep; tests install a recording no-op.
-	Sleep func(time.Duration)
-}
-
-func (r RetryConfig) withDefaults() RetryConfig {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BaseDelay <= 0 {
-		r.BaseDelay = time.Millisecond
-	}
-	if r.MaxDelay <= 0 {
-		r.MaxDelay = 16 * time.Millisecond
-	}
-	if r.Sleep == nil {
-		r.Sleep = time.Sleep
-	}
-	return r
-}
+// Redirect delivery. A redirect gets deliveryAttempts attempts, replica
+// failovers included. The first retry waits retryBaseDelay, doubling per
+// retry up to retryMaxDelay, plus a deterministic jitter of up to half the
+// delay; the harness replays traces, so delays stay small. A replica is
+// unhealthy after healthFailureThreshold consecutive delivery failures, and
+// one injected RedirectDelay costs delayPenalty.
+const (
+	deliveryAttempts       = 3
+	retryBaseDelay         = time.Millisecond
+	retryMaxDelay          = 16 * time.Millisecond
+	healthFailureThreshold = 2
+	delayPenalty           = time.Millisecond
+)
 
 // DegradationStats counts every failure-handling decision a deployment
 // made. Anything that may make a verdict diverge from the original
@@ -140,30 +122,21 @@ type ResilientOptions struct {
 	Replicas int
 	// Policy applies when no replica accepts a delivery.
 	Policy DegradationPolicy
-	// Retry shapes delivery retries and backoff.
-	Retry RetryConfig
-	// HealthFailureThreshold is the consecutive delivery failures that
-	// mark a replica unhealthy (default 2). Unhealthy replicas are
-	// deprioritized; a success restores them.
-	HealthFailureThreshold int
-	// DelayPenalty is the latency one injected RedirectDelay costs
-	// (default 1ms).
-	DelayPenalty time.Duration
 	// Faults is the fault plan; nil means no injection.
 	Faults *faults.Set
+
+	// sleep is the backoff and delay clock, time.Sleep unless a test
+	// replaces it.
+	sleep func(time.Duration)
 }
 
 func (o ResilientOptions) withDefaults() ResilientOptions {
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
-	if o.HealthFailureThreshold <= 0 {
-		o.HealthFailureThreshold = 2
+	if o.sleep == nil {
+		o.sleep = time.Sleep
 	}
-	if o.DelayPenalty <= 0 {
-		o.DelayPenalty = time.Millisecond
-	}
-	o.Retry = o.Retry.withDefaults()
 	return o
 }
 
@@ -328,22 +301,22 @@ func (d *Deployment) verdict(ctx context.Context, in sim.Input, out *sim.Output)
 // returns the serving replica and its verdict, or a nil replica when no
 // replica accepted the delivery. A segment error is returned, not retried.
 func (d *Deployment) deliverLocked(in sim.Input) (sim.Output, *replica, error) {
-	delay := d.opts.Retry.BaseDelay
+	delay := retryBaseDelay
 	first := -1
-	for attempt := 0; attempt < d.opts.Retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < deliveryAttempts; attempt++ {
 		if attempt > 0 {
 			d.stats.Retries++
 			if d.jitter == nil {
-				d.jitter = rand.New(rand.NewSource(d.opts.Retry.JitterSeed))
+				d.jitter = rand.New(rand.NewSource(0))
 			}
-			d.opts.Retry.Sleep(delay + time.Duration(d.jitter.Int63n(int64(delay)/2+1)))
-			if delay *= 2; delay > d.opts.Retry.MaxDelay {
-				delay = d.opts.Retry.MaxDelay
+			d.opts.sleep(delay + time.Duration(d.jitter.Int63n(int64(delay)/2+1)))
+			if delay *= 2; delay > retryMaxDelay {
+				delay = retryMaxDelay
 			}
 		}
 		if d.opts.Faults.Fire(faults.RedirectDelay) {
 			d.stats.Delayed++
-			d.opts.Retry.Sleep(d.opts.DelayPenalty)
+			d.opts.sleep(delayPenalty)
 		}
 		if d.opts.Faults.Fire(faults.RedirectLoss) {
 			continue // lost on the link; no replica saw it
@@ -391,7 +364,7 @@ func (d *Deployment) pickLocked() int {
 
 func (d *Deployment) failLocked(r *replica) {
 	r.fails++
-	if r.healthy && r.fails >= d.opts.HealthFailureThreshold {
+	if r.healthy && r.fails >= healthFailureThreshold {
 		r.healthy = false
 		d.stats.ReplicaTrips++
 	}

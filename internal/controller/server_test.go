@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func ex1Controller(t *testing.T) (*Controller, *core.Result, *trafficgen.Trace) 
 		t.Fatal(err)
 	}
 	cfg := programs.Ex1Config()
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), cfg, trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -120,7 +121,7 @@ func TestDerivationMatchesFresh(t *testing.T) {
 		optimize := func(t *testing.T, opts Options, ac *AnalysisCache, trace *trafficgen.Trace) *Result {
 			t.Helper()
 			opts.AnalysisCache, opts.Parallelism = ac, 2
-			res, err := New(opts).Optimize(p4.MustParse(wl.Source), wl.Config(), trace)
+			res, err := Optimize(context.Background(), p4.MustParse(wl.Source), wl.Config(), trace, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +171,7 @@ func TestDerivationMatchesFresh(t *testing.T) {
 				reversed.Packets = append(reversed.Packets, trace.Packets[i])
 			}
 			report := func(ac *AnalysisCache, trace *trafficgen.Trace) []CandidateReport {
-				reps, err := New(Options{AnalysisCache: ac, Parallelism: 2}).OffloadCandidates(p4.MustParse(g.Source), cfg, trace)
+				reps, err := OffloadCandidates(context.Background(), p4.MustParse(g.Source), cfg, trace, Options{AnalysisCache: ac, Parallelism: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -297,7 +298,7 @@ func TestBindTableKeyedOnSource(t *testing.T) {
 	}
 	ac := NewAnalysisCache()
 	for _, src := range []*p4.Program{reg, tbl} {
-		res, err := New(Options{Passes: []string{"tune"}, AnalysisCache: ac}).Optimize(src, cfg, trace)
+		res, err := Optimize(context.Background(), src, cfg, trace, Options{Passes: []string{"tune"}, AnalysisCache: ac})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ table_add eg_acl_b eg_drop_b 9
 		rng.Read(data)
 		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: data})
 	}
-	res, err := New(Options{}).Optimize(ast, cfg, trace)
+	res, err := Optimize(context.Background(), ast, cfg, trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

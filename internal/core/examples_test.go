@@ -4,6 +4,7 @@ package core
 // is shortened by (at least) one stage by the phase the paper names.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // TestTable3NATGRE: Removing Dependencies, 4 -> 3 stages.
 func TestTable3NATGRE(t *testing.T) {
 	trace := trafficgen.NATGRETrace(trafficgen.NATGRESpec{Seed: 1})
-	res, err := New(Options{}).Optimize(p4.MustParse(programs.NATGRE), programs.NATGREConfig(), trace)
+	res, err := Optimize(context.Background(), p4.MustParse(programs.NATGRE), programs.NATGREConfig(), trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestTable3NATGRE(t *testing.T) {
 // shrunk by 8.4%.
 func TestTable3Sourceguard(t *testing.T) {
 	trace := trafficgen.SourceguardTrace(trafficgen.SourceguardSpec{Seed: 1})
-	res, err := New(Options{}).Optimize(p4.MustParse(programs.Sourceguard), programs.SourceguardConfig(), trace)
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Sourceguard), programs.SourceguardConfig(), trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTable3Sourceguard(t *testing.T) {
 // branch moves to the controller).
 func TestTable3FailureDetection(t *testing.T) {
 	trace := trafficgen.FailureTrace(trafficgen.FailureSpec{Seed: 1})
-	res, err := New(Options{}).Optimize(p4.MustParse(programs.FailureDetection), programs.FailureConfig(), trace)
+	res, err := Optimize(context.Background(), p4.MustParse(programs.FailureDetection), programs.FailureConfig(), trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestTable3FailureDetection(t *testing.T) {
 // nested miss arms until it fits in a single stage.
 func TestDoesNotFitStress(t *testing.T) {
 	trace := trafficgen.StressTrace(3000, 1)
-	res, err := New(Options{}).Optimize(p4.MustParse(programs.Stress()), programs.StressConfig(), trace)
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Stress()), programs.StressConfig(), trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestDoesNotFitStress(t *testing.T) {
 // P2GO to optimize — the pipeline reports no accepted observations.
 func TestQuickstartNoOpportunities(t *testing.T) {
 	trace := trafficgen.QuickstartTrace(1000, 1)
-	res, err := New(Options{}).Optimize(p4.MustParse(programs.Quickstart), programs.QuickstartConfig(), trace)
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Quickstart), programs.QuickstartConfig(), trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

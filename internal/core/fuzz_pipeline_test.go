@@ -111,7 +111,7 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 			t.Fatalf("program %d: check: %v\n%s", i, err, src)
 		}
 		trace := fuzzTrace(rng, 400)
-		res, err := New(Options{}).Optimize(ast, nil, trace)
+		res, err := Optimize(context.Background(), ast, nil, trace, Options{})
 		if err != nil {
 			t.Fatalf("program %d: optimize: %v\n%s", i, err, src)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -192,8 +193,8 @@ func TestGuardedAcceptReplaysOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Options{InsertDependencyGuards: true, Passes: []string{"phase2"}}).Optimize(
-			p4.MustParse(w.Source), w.Config(), trace)
+		res, err := Optimize(context.Background(),
+			p4.MustParse(w.Source), w.Config(), trace, Options{InsertDependencyGuards: true, Passes: []string{"phase2"}})
 		if err != nil {
 			t.Fatal(err)
 		}

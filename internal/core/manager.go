@@ -15,24 +15,17 @@ import (
 
 // manager executes a resolved pass schedule. It owns everything the
 // passes share: the hardware model, the analysis cache behind the
-// compile/profile funnels, and the resolved pass configuration (pointer
-// Options fields collapsed to concrete values). One manager is built per
-// Optimize/OffloadCandidates call; the cache it holds outlives the run
+// compile/profile funnels, and the scheduled passes. One manager is built
+// per Optimize/OffloadCandidates call; the cache it holds outlives the run
 // only when the caller supplied one via Options.AnalysisCache.
 type manager struct {
 	opts   Options
 	tgt    tofino.Target
 	passes []*passDef
 	cache  *AnalysisCache
-
-	// Resolved Phase 4 config: nil Options pointers become the defaults
-	// here, so an explicit zero survives (it used to be swallowed by
-	// core.New's `== 0` normalization).
-	minSavings  int
-	maxRedirect float64
 }
 
-// newManager validates the schedule and resolves the pass configuration.
+// newManager validates the schedule and resolves the passes.
 func newManager(opts Options) (*manager, error) {
 	ids := opts.passIDs()
 	if err := ValidatePasses(ids); err != nil {
@@ -41,14 +34,6 @@ func newManager(opts Options) (*manager, error) {
 	m := &manager{opts: opts, tgt: opts.target(), cache: opts.AnalysisCache}
 	if m.cache == nil {
 		m.cache = NewAnalysisCache()
-	}
-	m.minSavings = 1
-	if opts.Phase4MinSavings != nil {
-		m.minSavings = *opts.Phase4MinSavings
-	}
-	m.maxRedirect = defaultPhase4MaxRedirect
-	if opts.Phase4MaxRedirect != nil {
-		m.maxRedirect = *opts.Phase4MaxRedirect
 	}
 	for _, id := range ids {
 		m.passes = append(m.passes, passByID[id])
@@ -84,16 +69,12 @@ func (m *manager) newRun(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trac
 // then each scheduled pass under its span, snapshotting the stage mapping
 // after each one — byte-identical span and history structure to the
 // pre-manager pipeline.
-func (m *manager) optimize(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*Result, error) {
+func (m *manager) optimize(ctx context.Context, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*Result, error) {
 	if cfg == nil {
 		cfg = &rt.Config{}
 	}
 	if trace == nil || len(trace.Packets) == 0 {
 		return nil, fmt.Errorf("core: a traffic trace is required for profiling")
-	}
-	ctx := m.opts.Context
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	ctx, root := obs.Start(ctx, "optimize")
 	defer root.End()
@@ -121,7 +102,7 @@ func (m *manager) optimize(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Tr
 	res := &Result{
 		Original:          p4.Clone(r.original),
 		Optimized:         p4.Clone(r.cur),
-		OptimizedConfig:   filterConfig(r.cfg, r.cur),
+		OptimizedConfig:   r.cfg.Restrict(r.cur),
 		Profile:           originalProfile,
 		FinalProfile:      r.prof,
 		Observations:      r.obs,
@@ -152,16 +133,12 @@ func (m *manager) optimize(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Tr
 // offloadReport runs the read-only offload-report pass: same root span,
 // initial snapshot, and profiling prologue as optimize, so ablation runs
 // trace and cache exactly like full runs.
-func (m *manager) offloadReport(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) ([]CandidateReport, error) {
+func (m *manager) offloadReport(ctx context.Context, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) ([]CandidateReport, error) {
 	if cfg == nil {
 		cfg = &rt.Config{}
 	}
 	if trace == nil || len(trace.Packets) == 0 {
 		return nil, fmt.Errorf("core: a traffic trace is required for profiling")
-	}
-	ctx := m.opts.Context
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	ctx, root := obs.Start(ctx, "optimize", obs.String("mode", "offload-report"))
 	defer root.End()

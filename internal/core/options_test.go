@@ -1,83 +1,93 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"p2go/internal/p4"
+	"p2go/internal/packet"
 	"p2go/internal/programs"
 	"p2go/internal/tofino"
+	"p2go/internal/trafficgen"
 )
 
-// TestPhase4RedirectCapDisabled: a negative cap admits hot segments; the
-// minimum-redirect rule still picks the DNS branch on Ex. 1, so the
-// outcome matches the default — but the candidate pool is larger (covered
-// via the ablation); here we pin that disabling the cap keeps Table 2.
-func TestPhase4RedirectCapDisabled(t *testing.T) {
-	res := optimizeEx1(t, Options{Phase4MaxRedirect: Float(-1)})
+// phase4Pool is every offload candidate of the program Phases 2+3 leave on
+// the trace: the pool Phase 4 picks its winner from.
+func phase4Pool(t *testing.T, trace *trafficgen.Trace) []CandidateReport {
+	t.Helper()
+	ctx := context.Background()
+	res, err := Optimize(ctx, p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, Options{Passes: []string{"phase2", "phase3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := OffloadCandidates(ctx, res.Optimized, res.OptimizedConfig, trace, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reports
+}
+
+// TestPhase4MinSavings: on Ex. 1, DNS_Drop alone redirects half the DNS
+// branch's traffic but saves no stage, so Phase 4 must pass it over for the
+// whole branch.
+func TestPhase4MinSavings(t *testing.T) {
+	trace := enterpriseTrace(t)
+	var dropOnly *CandidateReport
+	for _, rep := range phase4Pool(t, trace) {
+		if len(rep.Segment.Tables) == 1 && rep.Segment.Tables[0] == "DNS_Drop" {
+			dropOnly = &rep
+		}
+	}
+	if dropOnly == nil || dropOnly.StagesSaved != 0 || dropOnly.Redirected != 200 {
+		t.Fatalf("DNS_Drop candidate = %+v, want 0 stages saved and 200 packets redirected", dropOnly)
+	}
+	res := optimizeEx1(t, Options{})
+	if got := res.OffloadedTables; len(got) != 4 || got[3] != "DNS_Drop" {
+		t.Errorf("offloaded %v, want the whole DNS branch", got)
+	}
 	if res.StagesAfter() != 3 {
 		t.Errorf("stages after = %d, want 3", res.StagesAfter())
 	}
 }
 
-// TestPhase4RedirectCapTight: a cap below the DNS share (2%) suppresses
-// the offload entirely.
-func TestPhase4RedirectCapTight(t *testing.T) {
-	res := optimizeEx1(t, Options{Phase4MaxRedirect: Float(0.01)})
-	if len(res.OffloadedTables) != 0 {
-		t.Errorf("offloaded %v despite the 1%% cap", res.OffloadedTables)
+// TestPhase4RedirectCap: on a trace where DNS is a sixth of the traffic,
+// the DNS branch still saves stages but is no longer rarely used, so
+// nothing is offloaded.
+func TestPhase4RedirectCap(t *testing.T) {
+	trace := &trafficgen.Trace{}
+	other := 0
+	for _, p := range enterpriseTrace(t).Packets {
+		v, err := packet.Decode(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.DNS == nil {
+			if other++; other%10 != 0 {
+				continue
+			}
+		}
+		trace.Packets = append(trace.Packets, p)
 	}
-	if res.StagesAfter() != 6 {
-		t.Errorf("stages after = %d, want 6 (phases 2+3 only)", res.StagesAfter())
+	saving := 0
+	for _, rep := range phase4Pool(t, trace) {
+		if rep.StagesSaved >= 1 {
+			saving++
+			if rep.RedirectFrac <= phase4MaxRedirect {
+				t.Errorf("candidate %v redirects only %.3f of the trace", rep.Segment.Tables, rep.RedirectFrac)
+			}
+		}
 	}
-}
-
-// TestPhase4MinSavings: requiring 4+ saved stages rejects the DNS branch
-// (which saves 3).
-func TestPhase4MinSavings(t *testing.T) {
-	res := optimizeEx1(t, Options{Phase4MinSavings: Int(4)})
-	if len(res.OffloadedTables) != 0 {
-		t.Errorf("offloaded %v despite MinSavings=4", res.OffloadedTables)
+	if saving == 0 {
+		t.Fatal("no candidate saves a stage; the cap is not what rejects them")
 	}
-}
-
-// TestOptionsResolution: nil pointer fields resolve to the documented
-// defaults, and an explicit zero is honored as zero — historically
-// Phase4MaxRedirect: 0 silently became the 10% default, which made "no
-// redirected traffic at all" inexpressible.
-func TestOptionsResolution(t *testing.T) {
-	m, err := newManager(Options{})
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.minSavings != 1 {
-		t.Errorf("default minSavings = %d, want 1", m.minSavings)
-	}
-	if m.maxRedirect != defaultPhase4MaxRedirect {
-		t.Errorf("default maxRedirect = %v, want %v", m.maxRedirect, defaultPhase4MaxRedirect)
-	}
-	m, err = newManager(Options{Phase4MinSavings: Int(0), Phase4MaxRedirect: Float(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.minSavings != 0 {
-		t.Errorf("explicit Int(0) minSavings = %d, want 0", m.minSavings)
-	}
-	if m.maxRedirect != 0 {
-		t.Errorf("explicit Float(0) maxRedirect = %v, want 0", m.maxRedirect)
-	}
-}
-
-// TestPhase4RedirectCapZero: an explicit zero cap means zero — every
-// candidate redirects at least the DNS share, so nothing is offloaded.
-func TestPhase4RedirectCapZero(t *testing.T) {
-	res := optimizeEx1(t, Options{Phase4MaxRedirect: Float(0)})
 	if len(res.OffloadedTables) != 0 {
-		t.Errorf("offloaded %v despite a zero redirect cap", res.OffloadedTables)
-	}
-	if res.StagesAfter() != 6 {
-		t.Errorf("stages after = %d, want 6 (phases 2+3 only)", res.StagesAfter())
+		t.Errorf("offloaded %v despite the 10%% cap", res.OffloadedTables)
 	}
 }
 
@@ -87,7 +97,7 @@ func TestTargetOverride(t *testing.T) {
 	tgt := tofino.DefaultTarget()
 	tgt.StageSRAMBytes *= 4
 	tgt.StageTCAMBytes *= 4
-	res, err := New(Options{Target: tgt}).Optimize(p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t))
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t), Options{Target: tgt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,14 +183,6 @@ type PassStat struct {
 	Observations  int
 }
 
-// Int returns a pointer to v, for the Options fields that distinguish
-// unset (nil → default) from an explicit zero.
-func Int(v int) *int { return &v }
-
-// Float returns a pointer to v, for the Options fields that distinguish
-// unset (nil → default) from an explicit zero.
-func Float(v float64) *float64 { return &v }
-
 // sortedPassIDs returns every registered ID sorted; used by tests and
 // error messages that want a stable full listing.
 func sortedPassIDs() []string {

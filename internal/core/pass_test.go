@@ -90,10 +90,10 @@ func TestValidatePasses(t *testing.T) {
 			t.Errorf("ValidatePasses(%v) = %v, want the tune-first error", sched, err)
 		}
 	}
-	if _, err := New(Options{Passes: []string{"phase5"}}).Optimize(nil, nil, nil); err == nil || !strings.Contains(err.Error(), "unknown pass") {
+	if _, err := Optimize(context.Background(), nil, nil, nil, Options{Passes: []string{"phase5"}}); err == nil || !strings.Contains(err.Error(), "unknown pass") {
 		t.Errorf("Optimize with a bad schedule returned %v, want unknown-pass error", err)
 	}
-	if _, err := New(Options{Passes: []string{"phase5"}}).OffloadCandidates(nil, nil, nil); err == nil {
+	if _, err := OffloadCandidates(context.Background(), nil, nil, nil, Options{Passes: []string{"phase5"}}); err == nil {
 		t.Error("OffloadCandidates ignored a bad schedule")
 	}
 }
@@ -162,7 +162,7 @@ func TestPassOrderingAblationGolden(t *testing.T) {
 		}
 	}
 
-	def, err := New(Options{Parallelism: 1}).Optimize(ast, cfg, trace)
+	def, err := Optimize(context.Background(), ast, cfg, trace, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPassOrderingAblationGolden(t *testing.T) {
 		[]step{{"initial", 5}, {"removing-dependencies", 4}, {"reducing-memory", 4}, {"offloading-code", 3}},
 		"1", []string{"phase1", "phase2", "phase3", "phase4"})
 
-	first, err := New(Options{Parallelism: 1, Passes: []string{"phase4", "phase2", "phase3"}}).Optimize(ast, cfg, trace)
+	first, err := Optimize(context.Background(), ast, cfg, trace, Options{Parallelism: 1, Passes: []string{"phase4", "phase2", "phase3"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestPassOrderingAblationGolden(t *testing.T) {
 func TestReorderedPassesParallelismInvariant(t *testing.T) {
 	ast, cfg, trace := l2l3Inputs(t)
 	optimize := func(parallelism int) *Result {
-		res, err := New(Options{
+		res, err := Optimize(context.Background(), ast, cfg, trace, Options{
 			Parallelism: parallelism,
 			Passes:      []string{"phase4", "phase2", "phase3"},
-		}).Optimize(ast, cfg, trace)
+		})
 		if err != nil {
 			t.Fatalf("optimize (parallelism %d): %v", parallelism, err)
 		}
@@ -248,14 +248,14 @@ func (h *countingHooks) options(cache *AnalysisCache, tweak func(*Options)) Opti
 // TestIncrementalRerunUsesCache is the acceptance check for the analysis
 // cache: with a shared AnalysisCache, re-running the same program and
 // trace issues strictly fewer CompileHook/ProfileHook calls than the cold
-// run — zero, for an identical re-run — and changing only a threshold
-// option replays entirely from cache while still changing the outcome.
+// run — zero, for an identical re-run — and changing only the pass
+// schedule replays entirely from cache while still changing the outcome.
 func TestIncrementalRerunUsesCache(t *testing.T) {
 	ast, cfg, trace := l2l3Inputs(t)
 	hooks := &countingHooks{}
 	cache := NewAnalysisCache()
 
-	cold, err := New(hooks.options(cache, nil)).Optimize(ast, cfg, trace)
+	cold, err := Optimize(context.Background(), ast, cfg, trace, hooks.options(cache, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestIncrementalRerunUsesCache(t *testing.T) {
 		t.Fatalf("cold run issued %d compiles / %d profiles; hooks not exercised", coldCompiles, coldProfiles)
 	}
 
-	warm, err := New(hooks.options(cache, nil)).Optimize(ast, cfg, trace)
+	warm, err := Optimize(context.Background(), ast, cfg, trace, hooks.options(cache, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,26 +288,25 @@ func TestIncrementalRerunUsesCache(t *testing.T) {
 		t.Error("warm run's PassStats record no cache hits")
 	}
 
-	// Only Options changed: a redirect cap below the workload's 5% UDP
-	// share suppresses the offload — decided entirely from cached
-	// analyses.
-	capped, err := New(hooks.options(cache, func(o *Options) {
-		o.Phase4MaxRedirect = Float(0.01)
-	})).Optimize(ast, cfg, trace)
+	// Only the schedule changed: without phase4 the run ends on the Phase 3
+	// program — decided entirely from cached analyses.
+	noOffload, err := Optimize(context.Background(), ast, cfg, trace, hooks.options(cache, func(o *Options) {
+		o.Passes = []string{"phase2", "phase3"}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := hooks.compiles.Load() - coldCompiles; n != 0 {
-		t.Errorf("options-only re-run issued %d fresh compiles, want 0", n)
+		t.Errorf("schedule-only re-run issued %d fresh compiles, want 0", n)
 	}
 	if n := hooks.profiles.Load() - coldProfiles; n != 0 {
-		t.Errorf("options-only re-run issued %d fresh profiles, want 0", n)
+		t.Errorf("schedule-only re-run issued %d fresh profiles, want 0", n)
 	}
-	if len(capped.OffloadedTables) != 0 {
-		t.Errorf("offloaded %v despite the 1%% cap", capped.OffloadedTables)
+	if len(noOffload.OffloadedTables) != 0 {
+		t.Errorf("offloaded %v without phase4 scheduled", noOffload.OffloadedTables)
 	}
-	if capped.StagesAfter() != 4 {
-		t.Errorf("capped re-run stages = %d, want 4", capped.StagesAfter())
+	if noOffload.StagesAfter() != 4 {
+		t.Errorf("schedule-only re-run stages = %d, want 4", noOffload.StagesAfter())
 	}
 }
 
@@ -318,7 +317,7 @@ func TestIncrementalRerunUsesCache(t *testing.T) {
 // profile, so its one profile lookup — a miss — is the winner's replay.
 func TestWithinRunCacheDeduplicates(t *testing.T) {
 	ast, cfg, trace := l2l3Inputs(t)
-	res, err := New(Options{Parallelism: 1}).Optimize(ast, cfg, trace)
+	res, err := Optimize(context.Background(), ast, cfg, trace, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func TestOffloadCandidatesSpanTree(t *testing.T) {
 	ast, cfg, trace := l2l3Inputs(t)
 	col := obs.NewCollector(0)
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
-	reports, err := New(Options{Context: ctx, Parallelism: 1}).OffloadCandidates(ast, cfg, trace)
+	reports, err := OffloadCandidates(ctx, ast, cfg, trace, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +403,7 @@ func TestPlanCacheServesRepeatedPrograms(t *testing.T) {
 	ast, cfg, trace := l2l3Inputs(t)
 	cache := NewAnalysisCache()
 
-	coldRes, err := New(Options{AnalysisCache: cache, Parallelism: 1}).Optimize(ast, cfg, trace)
+	coldRes, err := Optimize(context.Background(), ast, cfg, trace, Options{AnalysisCache: cache, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +420,7 @@ func TestPlanCacheServesRepeatedPrograms(t *testing.T) {
 	}
 	col := obs.NewCollector(0)
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
-	warm, err := New(Options{AnalysisCache: cache, Parallelism: 1, Context: ctx}).Optimize(ast, cfg, rev)
+	warm, err := Optimize(ctx, ast, cfg, rev, Options{AnalysisCache: cache, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ import (
 // when no set of non-exclusive actions contains the conflicting actions of
 // both tables. One dependency is removed per iteration (the paper keeps
 // changes tractable for the programmer); the loop re-runs until no
-// candidate improves the pipeline or MaxPhase2Removals is reached.
+// candidate improves the pipeline.
 func (r *run) phase2(ctx context.Context) error {
-	for removed := 0; r.opts.MaxPhase2Removals <= 0 || removed < r.opts.MaxPhase2Removals; removed++ {
-		ictx, sp := obs.Start(ctx, "phase2.iteration", obs.Int("iteration", removed+1))
+	for iteration := 1; ; iteration++ {
+		ictx, sp := obs.Start(ctx, "phase2.iteration", obs.Int("iteration", iteration))
 		improved, err := r.phase2Once(ictx)
 		sp.SetAttr(obs.Bool("improved", improved))
 		sp.End()
@@ -64,7 +64,7 @@ func (r *run) phase2Once(ctx context.Context) (bool, error) {
 	for _, edge := range g.LongestPathEdges() {
 		// Candidate failures below are swallowed (rejected candidates);
 		// cancellation must not be.
-		if err := r.interrupted(); err != nil {
+		if err := interrupted(ctx); err != nil {
 			return false, err
 		}
 		applied, err := r.phase2Try(ctx, edge, baseStages)
@@ -150,7 +150,7 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 		r.derived++
 	} else {
 		sp.SetAttr(obs.String("profile", "replayed"), obs.String("decline", decline))
-		cfg := filterConfig(r.cfg, candidate)
+		cfg := r.cfg.Restrict(candidate)
 		cfg.Rules = append(cfg.Rules, guardRules...)
 		if newProf, err = r.doProfile(ctx, candidate, cfg); err != nil {
 			return false, err

@@ -65,7 +65,7 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 	err := ForEachIndexed(ctx, len(probes), r.opts.parallelism(), func(i int) error {
 		// Probe failures are swallowed (not a candidate); cancellation
 		// must not be.
-		if err := r.interrupted(); err != nil {
+		if err := interrupted(ctx); err != nil {
 			return err
 		}
 		knob := probes[i].knob
@@ -108,7 +108,7 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 		iterations := 0
 		lo, hi := c.knob.full/2, c.knob.full // stages(lo) < base, stages(hi) == base
 		for lo+1 < hi {
-			if err := r.interrupted(); err != nil {
+			if err := interrupted(ctx); err != nil {
 				bsp.End()
 				return false, err
 			}

@@ -87,12 +87,7 @@ func (r *run) phase4(ctx context.Context) error {
 	baseStages := totalStages(r.compile.Mapping)
 	var viable []CandidateReport
 	for _, rep := range reports {
-		if rep.StagesSaved < r.mgr.minSavings {
-			continue
-		}
-		// A negative cap disables the check; an explicit zero really means
-		// zero (only candidates with no redirected traffic pass).
-		if r.mgr.maxRedirect >= 0 && rep.RedirectFrac > r.mgr.maxRedirect {
+		if rep.StagesSaved < phase4MinSavings || rep.RedirectFrac > phase4MaxRedirect {
 			continue
 		}
 		viable = append(viable, rep)
@@ -183,7 +178,7 @@ func (r *run) offloadCandidates(ctx context.Context, measureAll bool) ([]Candida
 	err := ForEachIndexed(ctx, len(segs), r.opts.parallelism(), func(i int) error {
 		// Candidate failures below are swallowed (not viable);
 		// cancellation must not be.
-		if err := r.interrupted(); err != nil {
+		if err := interrupted(ctx); err != nil {
 			return err
 		}
 		rep, ok, err := r.measureSegment(ctx, segs[i], baseStages, measureAll)
@@ -229,7 +224,7 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 	saved := baseStages - totalStages(compiled.Mapping)
 	redirected, source, ok := r.redirectFromProfile(seg)
 	if !ok {
-		if !measureAll && saved < r.mgr.minSavings {
+		if !measureAll && saved < phase4MinSavings {
 			sp.SetAttr(obs.String("rejected", "no-stage-saved"), obs.Int("stages_saved", saved))
 			return CandidateReport{}, false, nil
 		}

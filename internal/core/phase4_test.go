@@ -206,7 +206,7 @@ func ifOnlyInputs(t *testing.T) (*p4.Program, *rt.Config, *trafficgen.Trace, int
 // block, and the candidate can win and be applied like any other.
 func TestPhase4ReplayFallback(t *testing.T) {
 	ast, cfg, trace, kind1 := ifOnlyInputs(t)
-	reports, err := New(Options{}).OffloadCandidates(ast, cfg, trace)
+	reports, err := OffloadCandidates(context.Background(), ast, cfg, trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPhase4ReplayFallback(t *testing.T) {
 		}
 	}
 
-	res, err := New(Options{}).Optimize(ast, cfg, trace)
+	res, err := Optimize(context.Background(), ast, cfg, trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestPhase4SpansNameRedirectSource(t *testing.T) {
 	ast, cfg, trace := l2l3Inputs(t)
 	col := obs.NewCollector(0)
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
-	if _, err := New(Options{Context: ctx, Parallelism: 1}).Optimize(ast, cfg, trace); err != nil {
+	if _, err := Optimize(ctx, ast, cfg, trace, Options{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	tree := col.Tree("packets_per_sec")
@@ -333,7 +333,7 @@ func warmEx1(t testing.TB) (cold *Result, rerun func() *Result) {
 	trace := enterpriseTrace(t)
 	opts := Options{AnalysisCache: NewAnalysisCache(), Parallelism: 4}
 	optimize := func() *Result {
-		res, err := New(opts).Optimize(ast, cfg, trace)
+		res, err := Optimize(context.Background(), ast, cfg, trace, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,8 +415,8 @@ func TestPhase4SkipsReplayItWouldDiscard(t *testing.T) {
 	const desc = "ingress.0.then.1.then.0.miss[0:0]"
 	col := obs.NewCollector(0)
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
-	res, err := New(Options{Context: ctx, Parallelism: 1}).Optimize(
-		p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t))
+	res, err := Optimize(ctx,
+		p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,31 +27,12 @@ type Options struct {
 	// nil means the default schedule — phase2, phase3, phase4. A non-nil
 	// empty slice means "profile only, run no optimization pass".
 	Passes []string
-	// MaxPhase2Removals bounds dependency removals; 0 means "until no
-	// candidate improves the pipeline". The paper's strict
-	// one-change-at-a-time mode is MaxPhase2Removals == 1.
-	MaxPhase2Removals int
 	// InsertDependencyGuards makes Phase 2 add a runtime violation
 	// detector for every removed dependency (§3.2's alternative
 	// approach): a table in the first table's hit arm matching on the
 	// second table's fields; a hit increments a violation register,
 	// reporting that the removed dependency manifested at runtime.
 	InsertDependencyGuards bool
-	// Phase4MinSavings is the minimum stage savings an offload must
-	// achieve. nil means the default of 1; use Int(v) to set a value
-	// (an explicit Int(0) accepts zero-saving offloads).
-	Phase4MinSavings *int
-	// Phase4MaxRedirect caps the fraction of traffic that may be
-	// redirected to the controller — the paper's premise is that offload
-	// candidates are "rarely used", so hot segments (e.g. the forwarding
-	// path itself) are never offloaded. nil means the default of 10%;
-	// use Float(v) to set a value: an explicit Float(0) means "no
-	// redirected traffic at all", and a negative value disables the cap.
-	Phase4MaxRedirect *float64
-	// Context, when non-nil, cancels an in-flight run: the pipeline
-	// checks it before every compile and profile (the operations that
-	// dominate cost) and aborts with the context's error.
-	Context context.Context
 	// CompileHook, when non-nil, replaces tofino.Compile for every compile
 	// the analysis cache does not answer — including the candidate probes
 	// inside Phase 3's binary search and Phase 4's enumeration — so a
@@ -72,10 +53,10 @@ type Options struct {
 	Parallelism int
 	// AnalysisCache, when non-nil, carries compiled mappings, profiles and
 	// prepared plans across runs: a re-run of the same program and trace
-	// with only the pass schedule or thresholds changed replays mostly from
-	// cache. nil means a fresh cache per run (which still deduplicates the
-	// repeated programs inside one run, e.g. Phase 3 re-compiling the
-	// winning probe it already measured).
+	// with only the pass schedule changed replays mostly from cache. nil
+	// means a fresh cache per run (which still deduplicates the repeated
+	// programs inside one run, e.g. Phase 3 re-compiling the winning probe
+	// it already measured).
 	AnalysisCache *AnalysisCache
 	// Bindings assigns values to the program's @tunable symbols before
 	// anything runs; missing names take their declared defaults. The run
@@ -90,8 +71,15 @@ type Options struct {
 	Tune *TuneOptions
 }
 
-// defaultPhase4MaxRedirect is the "rarely used" threshold.
-const defaultPhase4MaxRedirect = 0.10
+// Phase 4's thresholds (§3.4): an offload must save at least
+// phase4MinSavings stages and redirect at most phase4MaxRedirect of the
+// trace to the controller. The paper's premise is that offload candidates
+// are "rarely used", so hot segments (e.g. the forwarding path itself) are
+// never offloaded.
+const (
+	phase4MinSavings  = 1
+	phase4MaxRedirect = 0.10
+)
 
 func (o Options) target() tofino.Target {
 	if o.Target.Stages == 0 {
@@ -127,8 +115,8 @@ type Result struct {
 	// Optimized is the rewritten program.
 	Optimized *p4.Program
 	// OptimizedConfig is the runtime configuration for the optimized
-	// program (rules of offloaded tables removed — they move to the
-	// controller).
+	// program (rules and default overrides of offloaded tables removed —
+	// they move to the controller).
 	OptimizedConfig *rt.Config
 	// Profile is the original program's profile (Phase 1 output).
 	Profile *profile.Profile
@@ -195,19 +183,6 @@ func (r *Result) StagesAfter() int {
 	return r.History[len(r.History)-1].Stages
 }
 
-// Optimizer runs the P2GO pipeline.
-type Optimizer struct {
-	opts Options
-}
-
-// New creates an Optimizer. Options with pointer fields left nil get
-// their defaults resolved by the pass manager at run time, so a zero
-// Options value still means "the paper's pipeline with default
-// thresholds".
-func New(opts Options) *Optimizer {
-	return &Optimizer{opts: opts}
-}
-
 // run carries the evolving state across passes.
 type run struct {
 	opts     Options
@@ -248,22 +223,21 @@ type run struct {
 // Optimize profiles the program on the trace and applies the scheduled
 // optimization passes — by default the paper's order (offloading
 // deliberately last, §2.2: earlier phases may shrink segments enough that
-// offloading them has no benefit), or exactly Options.Passes when set.
-func (o *Optimizer) Optimize(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*Result, error) {
-	m, err := newManager(o.opts)
+// offloading them has no benefit), or exactly opts.Passes when set. ctx
+// cancels an in-flight run: the pipeline checks it before every compile and
+// profile (the operations that dominate cost) and aborts with its error.
+func Optimize(ctx context.Context, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, opts Options) (*Result, error) {
+	m, err := newManager(opts)
 	if err != nil {
 		return nil, err
 	}
-	return m.optimize(ast, cfg, trace)
+	return m.optimize(ctx, ast, cfg, trace)
 }
 
-// interrupted reports the run's context error, if a context was set and
-// has been canceled (or timed out).
-func (r *run) interrupted() error {
-	if r.opts.Context == nil {
-		return nil
-	}
-	if err := r.opts.Context.Err(); err != nil {
+// interrupted reports the run's context error once it has been canceled
+// (or timed out).
+func interrupted(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: run canceled: %w", err)
 	}
 	return nil
@@ -276,7 +250,7 @@ func (r *run) interrupted() error {
 // same "compile" span with the same stages attr as a real compile, so span
 // trees are structurally identical either way.
 func (r *run) compileAs(ctx context.Context, key analysisKey, ast *p4.Program) (*compiled, error) {
-	if err := r.interrupted(); err != nil {
+	if err := interrupted(ctx); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.Start(ctx, "compile")
@@ -352,7 +326,7 @@ func (r *run) bind(resolved map[string]int) (*child, error) {
 // nothing was replayed). A replay looks its prepared plan up under a key of
 // its own, so the fill never waits on the key it is filling.
 func (r *run) doProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*profile.Profile, error) {
-	if err := r.interrupted(); err != nil {
+	if err := interrupted(ctx); err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.Start(ctx, "profile")
@@ -371,10 +345,10 @@ func (r *run) doProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*
 	return prof, err
 }
 
-// reprofile refreshes the profile for the current program. Rules whose
-// tables were optimized away are filtered first.
+// reprofile refreshes the profile for the current program. Rules and
+// defaults whose tables were optimized away are filtered first.
 func (r *run) reprofile(ctx context.Context) error {
-	prof, err := r.doProfile(ctx, r.cur, filterConfig(r.cfg, r.cur))
+	prof, err := r.doProfile(ctx, r.cur, r.cfg.Restrict(r.cur))
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -410,18 +384,6 @@ func egressSummary(m *tofino.Mapping) string {
 	return out
 }
 
-// filterConfig drops rules for tables that no longer exist in the program
-// (they belong to the controller after offloading).
-func filterConfig(cfg *rt.Config, ast *p4.Program) *rt.Config {
-	out := &rt.Config{}
-	for _, rule := range cfg.Rules {
-		if ast.Table(rule.Table) != nil {
-			out.Add(rule)
-		}
-	}
-	return out.Clone()
-}
-
 // OffloadCandidates profiles the program and reports the metrics of every
 // self-contained offload segment, without applying anything. Used by the
 // phase-ordering ablation (§2.2: offloading first would have offloaded both
@@ -429,12 +391,12 @@ func filterConfig(cfg *rt.Config, ast *p4.Program) *rt.Config {
 // manager as Optimize, so its compiles and profiles nest under a proper
 // "optimize" root span (mode=offload-report), record stage snapshots, and
 // share the analysis cache — ablation traces are no longer truncated.
-func (o *Optimizer) OffloadCandidates(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) ([]CandidateReport, error) {
-	m, err := newManager(o.opts)
+func OffloadCandidates(ctx context.Context, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, opts Options) ([]CandidateReport, error) {
+	m, err := newManager(opts)
 	if err != nil {
 		return nil, err
 	}
-	return m.offloadReport(ast, cfg, trace)
+	return m.offloadReport(ctx, ast, cfg, trace)
 }
 
 // totalStages is the optimization objective: ingress plus egress stages
@@ -445,5 +407,5 @@ func totalStages(m *tofino.Mapping) int { return m.StagesUsed + m.EgressStagesUs
 // profileCandidate profiles a rewritten program without touching the run
 // state.
 func (r *run) profileCandidate(ctx context.Context, ast *p4.Program) (*profile.Profile, error) {
-	return r.doProfile(ctx, ast, filterConfig(r.cfg, ast))
+	return r.doProfile(ctx, ast, r.cfg.Restrict(ast))
 }

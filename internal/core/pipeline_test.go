@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func enterpriseTrace(t testing.TB) *trafficgen.Trace {
 
 func optimizeEx1(t testing.TB, opts Options) *Result {
 	t.Helper()
-	res, err := New(opts).Optimize(p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t))
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Ex1), programs.Ex1Config(), enterpriseTrace(t), opts)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
@@ -217,28 +218,14 @@ func TestPhaseDisabling(t *testing.T) {
 	}
 }
 
-// TestMaxPhase2Removals: the strict one-change-at-a-time mode.
-func TestMaxPhase2Removals(t *testing.T) {
-	res := optimizeEx1(t, Options{MaxPhase2Removals: 1, Passes: []string{"phase2"}})
-	accepted := 0
-	for _, o := range res.Observations {
-		if o.Phase == PhaseDependencies && o.Accepted {
-			accepted++
-		}
-	}
-	if accepted != 1 {
-		t.Errorf("accepted removals = %d, want 1", accepted)
-	}
-}
-
 // TestOffloadFirstAblation reproduces §2.2's phase-ordering argument:
 // before dependency removal, offloading the two ACLs saves two stages;
 // after Phases 2+3 they share one stage and offloading them saves at most
 // one — while the DNS branch stays the minimum-redirect winner throughout.
 func TestOffloadFirstAblation(t *testing.T) {
 	trace := enterpriseTrace(t)
-	opt := New(Options{})
-	before, err := opt.OffloadCandidates(p4.MustParse(programs.Ex1), programs.Ex1Config(), trace)
+	ctx := context.Background()
+	before, err := OffloadCandidates(ctx, p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +248,7 @@ func TestOffloadFirstAblation(t *testing.T) {
 
 	// Run phases 2+3, then measure again.
 	res := optimizeEx1(t, Options{Passes: []string{"phase2", "phase3"}})
-	after, err := opt.OffloadCandidates(res.Optimized, res.OptimizedConfig, trace)
+	after, err := OffloadCandidates(ctx, res.Optimized, res.OptimizedConfig, trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +282,7 @@ func TestObservationStrings(t *testing.T) {
 }
 
 func TestOptimizeRequiresTrace(t *testing.T) {
-	_, err := New(Options{}).Optimize(p4.MustParse(programs.Ex1), programs.Ex1Config(), nil)
+	_, err := Optimize(context.Background(), p4.MustParse(programs.Ex1), programs.Ex1Config(), nil, Options{})
 	if err == nil {
 		t.Error("expected error without a trace")
 	}

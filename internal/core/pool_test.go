@@ -91,8 +91,8 @@ func TestOptimizeParallelismInvariant(t *testing.T) {
 				t.Fatalf("trace: %v", err)
 			}
 			optimize := func(parallelism int) *Result {
-				res, err := New(Options{Parallelism: parallelism}).Optimize(
-					p4.MustParse(w.Source), w.Config(), trace)
+				res, err := Optimize(context.Background(),
+					p4.MustParse(w.Source), w.Config(), trace, Options{Parallelism: parallelism})
 				if err != nil {
 					t.Fatalf("optimize (parallelism %d): %v", parallelism, err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -101,7 +102,7 @@ func TestPrintGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := New(Options{}).Optimize(p4.MustParse(w.Source), w.Config(), trace)
+		res, err := Optimize(context.Background(), p4.MustParse(w.Source), w.Config(), trace, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -21,8 +21,8 @@ func collectNATGRE(t *testing.T) string {
 	// Parallelism 1 pins span creation (and therefore tree) order; the
 	// optimization result itself is parallelism-independent, which
 	// TestOptimizeParallelismInvariant checks.
-	_, err := New(Options{Context: ctx, Parallelism: 1}).Optimize(
-		p4.MustParse(programs.NATGRE), programs.NATGREConfig(), trace)
+	_, err := Optimize(ctx,
+		p4.MustParse(programs.NATGRE), programs.NATGREConfig(), trace, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
@@ -104,8 +104,7 @@ func TestEx1SpanTreeCoversAllPhases(t *testing.T) {
 	col := obs.NewCollector(0)
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
 	trace := enterpriseTrace(t)
-	_, err := New(Options{Context: ctx}).Optimize(
-		p4.MustParse(programs.Ex1), programs.Ex1Config(), trace)
+	_, err := Optimize(ctx, p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, Options{})
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}

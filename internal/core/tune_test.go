@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,10 +20,10 @@ import (
 // for losing too much accuracy).
 func TestTuneMaglev(t *testing.T) {
 	trace := trafficgen.MaglevTrace(trafficgen.MaglevSpec{Seed: 1})
-	res, err := New(Options{
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Maglev), programs.MaglevConfig(), trace, Options{
 		Passes: []string{"tune"},
 		Tune:   &TuneOptions{AccuracyTable: "maglev_rehash"},
-	}).Optimize(p4.MustParse(programs.Maglev), programs.MaglevConfig(), trace)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestTuneSharedCacheFewerMisses(t *testing.T) {
 	trace := trafficgen.SynCookieTrace(trafficgen.SynCookieSpec{Seed: 1})
 	cache := NewAnalysisCache()
 	run := func() *Result {
-		res, err := New(Options{
+		res, err := Optimize(context.Background(), p4.MustParse(programs.SynCookie), programs.SynCookieConfig(), trace, Options{
 			Passes:        []string{"tune"},
 			Tune:          &TuneOptions{AccuracyTable: "cookie_check"},
 			AnalysisCache: cache,
-		}).Optimize(p4.MustParse(programs.SynCookie), programs.SynCookieConfig(), trace)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +128,7 @@ func TestTuneSharedCacheFewerMisses(t *testing.T) {
 // harmless and says so.
 func TestTuneNoopWithoutTunables(t *testing.T) {
 	trace := trafficgen.QuickstartTrace(200, 1)
-	res, err := New(Options{Passes: []string{"tune"}}).
-		Optimize(p4.MustParse(programs.Quickstart), programs.QuickstartConfig(), trace)
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Quickstart), programs.QuickstartConfig(), trace, Options{Passes: []string{"tune"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestTableSizeKnobChangesStages(t *testing.T) {
 	trace := trafficgen.QuickstartTrace(200, 1)
 	optimize := func(opts Options) *Result {
 		t.Helper()
-		res, err := New(opts).Optimize(p4.MustParse(src), programs.QuickstartConfig(), trace)
+		res, err := Optimize(context.Background(), p4.MustParse(src), programs.QuickstartConfig(), trace, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestWarmTuneRerun(t *testing.T) {
 				Parallelism:   2,
 			}
 			optimize := func() *Result {
-				res, err := New(opts).Optimize(ast, cfg, trace)
+				res, err := Optimize(context.Background(), ast, cfg, trace, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

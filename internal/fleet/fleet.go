@@ -201,7 +201,6 @@ func runDevice(ctx context.Context, spec Spec, opts Options,
 	}
 
 	devOpts := opts.Core
-	devOpts.Context = devCtx
 	if spec.Passes != nil {
 		devOpts.Passes = spec.Passes
 	}
@@ -225,7 +224,7 @@ func runDevice(ctx context.Context, spec Spec, opts Options,
 		}
 	}
 
-	res, err := core.New(devOpts).Optimize(dev.prog, dev.cfg, trace)
+	res, err := core.Optimize(devCtx, dev.prog, dev.cfg, trace, devOpts)
 	if err != nil {
 		// Cancellation is fleet-level: stop fanning out instead of
 		// recording every remaining device as failed.

@@ -474,8 +474,7 @@ func TestDeviceTunesLikeOneJob(t *testing.T) {
 	if row.Packets != len(trace.Packets) {
 		t.Fatalf("device saw %d packets, the workload trace has %d", row.Packets, len(trace.Packets))
 	}
-	want, err := core.New(core.Options{Parallelism: 1, Passes: spec.Passes, Tune: core.WorkloadTune(w.Tune)}).
-		Optimize(p4.MustParse(w.Source), w.Config(), trace)
+	want, err := core.Optimize(context.Background(), p4.MustParse(w.Source), w.Config(), trace, core.Options{Parallelism: 1, Passes: spec.Passes, Tune: core.WorkloadTune(w.Tune)})
 	if err != nil {
 		t.Fatal(err)
 	}

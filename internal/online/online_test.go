@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func optimizedEx1(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.New(core.Options{}).Optimize(p4.MustParse(programs.Ex1), programs.Ex1Config(), trace)
+	res, err := core.Optimize(context.Background(), p4.MustParse(programs.Ex1), programs.Ex1Config(), trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestReoptimizeOnFreshTrace(t *testing.T) {
 	if len(fresh.Packets) != 4000 {
 		t.Fatalf("recorded trace = %d packets, want 4000", len(fresh.Packets))
 	}
-	res2, err := core.New(core.Options{}).Optimize(res.Original, programs.Ex1Config(), fresh)
+	res2, err := core.Optimize(context.Background(), res.Original, programs.Ex1Config(), fresh, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,20 +51,17 @@ func TestMeterMeasuresWork(t *testing.T) {
 func TestStoreCaptureListOpen(t *testing.T) {
 	dir := t.TempDir()
 	var observed []string
-	s, err := NewStore(StoreConfig{
-		Dir:         dir,
-		CPUDuration: 50 * time.Millisecond,
-		OnCapture: func(kind string, err error) {
-			if err == nil {
-				observed = append(observed, kind)
-			} else {
-				observed = append(observed, kind+":err")
-			}
-		},
-	})
+	s, err := NewStore(StoreConfig{Dir: dir, CPUDuration: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetOnCapture(func(kind string, err error) {
+		if err == nil {
+			observed = append(observed, kind)
+		} else {
+			observed = append(observed, kind+":err")
+		}
+	})
 	infos, err := s.Capture(context.Background())
 	if err != nil {
 		t.Fatalf("Capture: %v", err)

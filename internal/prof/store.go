@@ -69,8 +69,6 @@ type StoreConfig struct {
 	Dir         string
 	Keep        int
 	CPUDuration time.Duration
-	// OnCapture observes capture attempts (kind, error or nil).
-	OnCapture func(kind string, err error)
 }
 
 // NewStore opens (creating if needed) a profile store rooted at
@@ -82,7 +80,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("profile store: %w", err)
 	}
-	s := &Store{dir: cfg.Dir, keep: cfg.Keep, cpuDur: cfg.CPUDuration, onCapture: cfg.OnCapture}
+	s := &Store{dir: cfg.Dir, keep: cfg.Keep, cpuDur: cfg.CPUDuration}
 	if s.keep <= 0 {
 		s.keep = DefaultKeep
 	}
@@ -276,7 +274,7 @@ func parseID(name string) (Info, bool) {
 // capture happens one period in, not at startup — the daemon's first
 // seconds profile its own initialization, which is rarely the workload
 // anyone wants to feed back into PGO. Errors are reported through
-// OnCapture and do not stop the loop.
+// the SetOnCapture observer and do not stop the loop.
 func (s *Store) Run(ctx context.Context, every time.Duration) {
 	if every <= 0 {
 		return

@@ -85,7 +85,7 @@ func TestEveryProgramRunsCompiled(t *testing.T) {
 			}
 			requireCompiled(t, "original", ast, cfg)
 
-			res, err := core.New(core.Options{Parallelism: 1}).Optimize(ast, cfg, trace)
+			res, err := core.Optimize(context.Background(), ast, cfg, trace, core.Options{Parallelism: 1})
 			if err != nil {
 				t.Fatalf("optimize: %v", err)
 			}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func runQuickstart(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.New(core.Options{}).Optimize(prog, w.Config(), trace)
+	res, err := core.Optimize(context.Background(), prog, w.Config(), trace, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,6 +109,24 @@ func (c *Config) Clone() *Config {
 		out.Defaults = append(out.Defaults, cp)
 	}
 	return out
+}
+
+// Restrict returns a deep copy of the rules and default overrides of the
+// tables prog declares, dropping those of every other table (e.g. tables
+// offloaded to the controller, or outside an offloaded segment).
+func (c *Config) Restrict(prog *p4.Program) *Config {
+	out := &Config{}
+	for _, r := range c.Rules {
+		if prog.Table(r.Table) != nil {
+			out.Add(r)
+		}
+	}
+	for _, d := range c.Defaults {
+		if prog.Table(d.Table) != nil {
+			out.Defaults = append(out.Defaults, d)
+		}
+	}
+	return out.Clone()
 }
 
 // Tables lists the tables with at least one rule, sorted.
@@ -270,6 +289,9 @@ func Parse(text string) (*Config, error) {
 		// Trailing "priority <n>".
 		if len(argParts) >= 2 && argParts[len(argParts)-2] == "priority" {
 			p, err := parseValue(argParts[len(argParts)-1])
+			if err == nil && p > math.MaxInt {
+				err = fmt.Errorf("%d overflows int", p)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("rt: line %d: bad priority: %v", lineNo+1, err)
 			}
@@ -342,11 +364,15 @@ func parseMatch(s string) (FieldMatch, error) {
 // parseValue accepts decimal, 0x-hex, and dotted IPv4.
 func parseValue(s string) (uint64, error) {
 	if strings.Count(s, ".") == 3 {
-		var a, b, c, d uint64
-		if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err == nil &&
-			a < 256 && b < 256 && c < 256 && d < 256 {
-			return a<<24 | b<<16 | c<<8 | d, nil
+		var v uint64
+		for _, octet := range strings.Split(s, ".") {
+			b, err := strconv.ParseUint(octet, 10, 8)
+			if err != nil {
+				return 0, fmt.Errorf("bad IPv4 address %q", s)
+			}
+			v = v<<8 | b
 		}
+		return v, nil
 	}
 	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
 		return strconv.ParseUint(s[2:], 16, 64)

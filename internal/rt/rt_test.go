@@ -77,6 +77,9 @@ func TestParseErrors(t *testing.T) {
 		"table_add t a xyz",
 		"table_add t a 1 => zz",
 		"table_add t a 1 => 2 priority abc",
+		// Stored as Priority -1, which Format prints and Parse rejects.
+		"table_add t a 1 => 1 priority 18446744073709551615",
+		"table_add t a 1.2.3.4x",
 	}
 	for _, src := range bad {
 		if _, err := rt.Parse(src); err == nil {

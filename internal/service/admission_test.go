@@ -329,7 +329,7 @@ func TestAdmissionHitTraceGolden(t *testing.T) {
 // TestAdmissionRefusalsComeFirst: draining and an open circuit refuse a
 // submission whether or not the cache could have answered it.
 func TestAdmissionRefusalsComeFirst(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, BreakerThreshold: 1})
+	m := NewManager(ManagerConfig{Workers: 1})
 	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) { return []byte(`{}`), nil }
 	m.Start()
 	spec := JobSpec{Workload: "quickstart", Seed: 4}
@@ -340,7 +340,7 @@ func TestAdmissionRefusalsComeFirst(t *testing.T) {
 	waitState(t, m, first.ID, StateDone)
 
 	m.mu.Lock()
-	m.breakers[first.Digest] = &breakerState{fails: 1, openUntil: time.Now().Add(time.Hour)}
+	m.breakers[first.Digest] = &breakerState{fails: breakerThreshold, openUntil: time.Now().Add(time.Hour)}
 	m.mu.Unlock()
 	if _, err := m.Submit(spec); !errors.Is(err, ErrCircuitOpen) {
 		t.Errorf("submit under an open circuit = %v, want ErrCircuitOpen", err)

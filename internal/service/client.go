@@ -34,20 +34,23 @@ type Client struct {
 	http    *http.Client
 
 	// MaxAttempts bounds request attempts across the replica set
-	// (default 4). Backoff starts at Backoff (default 100ms), doubles per
-	// attempt with jitter, and is capped at MaxBackoff (default 2s); a
-	// server-sent Retry-After overrides the computed wait, capped at
-	// RetryAfterCap (default 5s) so an open circuit's 30s hint cannot
-	// wedge an interactive CLI.
-	MaxAttempts   int
-	Backoff       time.Duration
-	MaxBackoff    time.Duration
-	RetryAfterCap time.Duration
+	// (default 4).
+	MaxAttempts int
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 	sleep func(time.Duration) // replaced in tests
 }
+
+// Request backoff starts at clientBackoff, doubles per attempt with jitter,
+// and is capped at clientMaxBackoff; a server-sent Retry-After overrides the
+// computed wait, capped at retryAfterCap so an open circuit's 30s hint
+// cannot wedge an interactive CLI.
+const (
+	clientBackoff    = 100 * time.Millisecond
+	clientMaxBackoff = 2 * time.Second
+	retryAfterCap    = 5 * time.Second
+)
 
 // NewClient builds a client over the replica set (one or more base URLs,
 // e.g. "http://127.0.0.1:9095") with the given per-request timeout.
@@ -62,14 +65,11 @@ func NewClient(servers []string, timeout time.Duration) *Client {
 		cleaned = []string{"http://127.0.0.1:9095"}
 	}
 	return &Client{
-		servers:       cleaned,
-		http:          &http.Client{Timeout: timeout},
-		MaxAttempts:   4,
-		Backoff:       100 * time.Millisecond,
-		MaxBackoff:    2 * time.Second,
-		RetryAfterCap: 5 * time.Second,
-		rng:           rand.New(rand.NewSource(time.Now().UnixNano())),
-		sleep:         time.Sleep,
+		servers:     cleaned,
+		http:        &http.Client{Timeout: timeout},
+		MaxAttempts: 4,
+		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
+		sleep:       time.Sleep,
 	}
 }
 
@@ -308,7 +308,7 @@ func (c *Client) await(path string, poll, timeout time.Duration) (JobStatus, err
 // 429, 5xx) and honoring Retry-After. Non-retryable statuses fail fast.
 func (c *Client) do(method, path string, body []byte, route string) ([]byte, error) {
 	servers := c.ranked(route)
-	backoff := c.Backoff
+	backoff := clientBackoff
 	var lastErr error
 	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
 		srv := servers[attempt%len(servers)]
@@ -327,16 +327,16 @@ func (c *Client) do(method, path string, body []byte, route string) ([]byte, err
 		wait := c.jitter(backoff)
 		if errors.As(err, &he) && he.RetryAfter > 0 {
 			ra := he.RetryAfter
-			if ra > c.RetryAfterCap {
-				ra = c.RetryAfterCap
+			if ra > retryAfterCap {
+				ra = retryAfterCap
 			}
 			if ra > wait {
 				wait = ra
 			}
 		}
 		c.sleep(wait)
-		if backoff *= 2; backoff > c.MaxBackoff {
-			backoff = c.MaxBackoff
+		if backoff *= 2; backoff > clientMaxBackoff {
+			backoff = clientMaxBackoff
 		}
 	}
 	return nil, fmt.Errorf("%s %s failed after %d attempt(s) across %d replica(s): %w",
@@ -348,7 +348,7 @@ func (c *Client) do(method, path string, body []byte, route string) ([]byte, err
 // job lives elsewhere. All-replicas-404 fails fast (retrying will not
 // conjure the job); connection errors and 5xx retry with backoff.
 func (c *Client) getAny(path string) ([]byte, error) {
-	backoff := c.Backoff
+	backoff := clientBackoff
 	var lastErr error
 	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
 		notFound := 0
@@ -376,8 +376,8 @@ func (c *Client) getAny(path string) ([]byte, error) {
 			break
 		}
 		c.sleep(c.jitter(backoff))
-		if backoff *= 2; backoff > c.MaxBackoff {
-			backoff = c.MaxBackoff
+		if backoff *= 2; backoff > clientMaxBackoff {
+			backoff = clientMaxBackoff
 		}
 	}
 	return nil, fmt.Errorf("GET %s failed after %d attempt(s) across %d replica(s): %w",

@@ -102,8 +102,8 @@ func TestClientRetryAfterCapped(t *testing.T) {
 	if _, err := c.submit("/jobs", []byte(`{}`), ""); err != nil {
 		t.Fatalf("submit after circuit-open: %v", err)
 	}
-	if len(*slept) != 1 || (*slept)[0] != c.RetryAfterCap {
-		t.Errorf("slept %v, want the %s cap", *slept, c.RetryAfterCap)
+	if len(*slept) != 1 || (*slept)[0] != retryAfterCap {
+		t.Errorf("slept %v, want the %s cap", *slept, retryAfterCap)
 	}
 }
 
@@ -251,13 +251,13 @@ func TestClientExhaustsAttempts(t *testing.T) {
 		t.Fatalf("slept %d time(s), want 3 (between 4 attempts)", len(*slept))
 	}
 	// Jittered doubling: each wait lands in [base/2, base), base doubling.
-	base := c.Backoff
+	base := clientBackoff
 	for i, d := range *slept {
 		if d < base/2 || d > base {
 			t.Errorf("backoff %d = %v, want within [%v, %v]", i, d, base/2, base)
 		}
-		if base *= 2; base > c.MaxBackoff {
-			base = c.MaxBackoff
+		if base *= 2; base > clientMaxBackoff {
+			base = clientMaxBackoff
 		}
 	}
 }

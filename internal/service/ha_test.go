@@ -63,10 +63,10 @@ func newHAReplica(t *testing.T, dir, id string, clk *haClock, workers int) *haRe
 		Journal: jrnl,
 		Cache:   NewCache(0, filepath.Join(dir, "spill")),
 		Cluster: node,
-		// Negative: no background loop; the test drives renewal and
-		// takeover deterministically under the synthetic clock.
-		ClusterRenewEvery: -1,
 	})
+	// No background loop: the test drives renewal and takeover
+	// deterministically under the synthetic clock.
+	m.renewEvery = 0
 	return &haReplica{node: node, jrnl: jrnl, m: m}
 }
 

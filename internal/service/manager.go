@@ -79,23 +79,9 @@ type ManagerConfig struct {
 	JobTimeout time.Duration
 	// Cache is the artifact cache; nil means a fresh memory-only cache.
 	Cache *Cache
-	// Metrics is the registry; nil means a fresh one.
-	Metrics *Metrics
 	// Journal, when set, records accepted and finished jobs so that
 	// queued/running work survives a crash or drain. nil disables it.
 	Journal *Journal
-	// MaxJobRetries bounds how many times a transiently-failing job is
-	// re-run before failing for good; 0 means 2, negative disables retry.
-	MaxJobRetries int
-	// RetryBackoff is the first retry's delay (doubling per attempt);
-	// <=0 means 10ms.
-	RetryBackoff time.Duration
-	// BreakerThreshold opens a spec's circuit after this many consecutive
-	// failures; 0 means 3, negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects re-submissions
-	// before allowing one trial job; <=0 means 30s.
-	BreakerCooldown time.Duration
 	// Faults is the fault-injection set for chaos tests; nil is inert.
 	Faults *faults.Set
 	// TraceDir, when set, persists each job's span tree as
@@ -116,11 +102,6 @@ type ManagerConfig struct {
 	// accepted-but-unfinished work from dead peers' journals. nil means
 	// standalone (all lease machinery is skipped).
 	Cluster *cluster.Node
-	// ClusterRenewEvery is the period of the background cluster loop
-	// (membership + job-lease renewal, then a takeover scan). 0 means
-	// TTL/3. Negative disables the loop so tests can drive renewal and
-	// takeover manually with RenewJobLeases/TakeoverScan.
-	ClusterRenewEvery time.Duration
 	// Peers is the replica set's advertised HTTP addresses, served at
 	// GET /cluster so clients can discover the set for digest routing and
 	// failover. Informational only — coordination runs over the shared
@@ -136,6 +117,18 @@ type ManagerConfig struct {
 	// discards them.
 	Logger *slog.Logger
 }
+
+// Job retry and circuit-breaker policy. A transiently failing job is re-run
+// up to maxJobRetries times, the first retry after retryBackoff, doubling
+// per attempt. A spec's circuit opens after breakerThreshold consecutive
+// failures and rejects re-submissions for breakerCooldown before admitting
+// one trial job.
+const (
+	maxJobRetries    = 2
+	retryBackoff     = 10 * time.Millisecond
+	breakerThreshold = 3
+	breakerCooldown  = 30 * time.Second
+)
 
 // jobTraceSpanCap bounds the spans retained per job; past it the
 // collector counts drops instead of growing. A full optimize run on the
@@ -190,6 +183,11 @@ type Manager struct {
 	sleep func(time.Duration)
 	// now is the breaker clock; replaced in tests.
 	now func() time.Time
+	// renewEvery is the period of the background cluster loop (membership
+	// and job-lease renewal, then a takeover scan): the lease TTL/3. Tests
+	// zero it before Start to drive renewal and takeover by hand with
+	// RenewJobLeases/TakeoverScan.
+	renewEvery time.Duration
 }
 
 // NewManager creates a manager; call Start to launch the workers.
@@ -203,27 +201,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if cfg.Cache == nil {
 		cfg.Cache = NewCache(0, "")
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics()
-	}
-	switch {
-	case cfg.MaxJobRetries == 0:
-		cfg.MaxJobRetries = 2
-	case cfg.MaxJobRetries < 0:
-		cfg.MaxJobRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 10 * time.Millisecond
-	}
-	switch {
-	case cfg.BreakerThreshold == 0:
-		cfg.BreakerThreshold = 3
-	case cfg.BreakerThreshold < 0:
-		cfg.BreakerThreshold = 0 // disabled
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 30 * time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -231,7 +208,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 	m := &Manager{
 		cfg:        cfg,
 		cache:      cfg.Cache,
-		metrics:    cfg.Metrics,
+		metrics:    NewMetrics(),
 		logger:     cfg.Logger,
 		analysis:   core.NewAnalysisCacheOver(cfg.Cache),
 		baseCtx:    ctx,
@@ -250,6 +227,9 @@ func NewManager(cfg ManagerConfig) *Manager {
 	m.execFn = m.execute
 	m.sleep = time.Sleep
 	m.now = time.Now
+	if cfg.Cluster != nil {
+		m.renewEvery = cfg.Cluster.TTL() / 3
+	}
 	return m
 }
 
@@ -278,13 +258,9 @@ func (m *Manager) Start() {
 		m.wg.Add(1)
 		go m.worker()
 	}
-	if m.cfg.Cluster != nil && m.cfg.ClusterRenewEvery >= 0 {
-		every := m.cfg.ClusterRenewEvery
-		if every == 0 {
-			every = m.cfg.Cluster.TTL() / 3
-		}
+	if m.renewEvery > 0 {
 		m.clusterWG.Add(1)
-		go m.clusterLoop(every)
+		go m.clusterLoop(m.renewEvery)
 	}
 }
 
@@ -354,14 +330,14 @@ func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus,
 	if m.draining {
 		return JobStatus{}, ErrDraining
 	}
-	if b, ok := m.breakers[job.Digest]; ok && b.fails >= m.cfg.BreakerThreshold {
+	if b, ok := m.breakers[job.Digest]; ok && b.fails >= breakerThreshold {
 		if m.now().Before(b.openUntil) {
 			m.metrics.CircuitRejected()
 			return JobStatus{}, ErrCircuitOpen
 		}
 		// Half-open: admit one trial and push the window out so a
 		// burst of re-submissions cannot stampede a failing spec.
-		b.openUntil = m.now().Add(m.cfg.BreakerCooldown)
+		b.openUntil = m.now().Add(breakerCooldown)
 	}
 	job.ID = presetID
 	if presetID == "" {
@@ -871,9 +847,6 @@ func (m *Manager) Trace(id string) ([]obs.SpanData, bool) {
 // circuit breaker. Cancellations are neutral: they say nothing about
 // whether the spec can succeed.
 func (m *Manager) breakerUpdateLocked(digest string, outcome JobState) {
-	if m.cfg.BreakerThreshold <= 0 {
-		return
-	}
 	switch outcome {
 	case StateDone:
 		delete(m.breakers, digest)
@@ -884,19 +857,19 @@ func (m *Manager) breakerUpdateLocked(digest string, outcome JobState) {
 			m.breakers[digest] = b
 		}
 		b.fails++
-		if b.fails >= m.cfg.BreakerThreshold {
-			if b.fails == m.cfg.BreakerThreshold {
+		if b.fails >= breakerThreshold {
+			if b.fails == breakerThreshold {
 				m.metrics.CircuitOpened()
 			}
 			// Escalating backoff: each failure past the threshold — i.e.
 			// each half-open probe that fails again — doubles the cooldown,
 			// capped at 64x, so a persistently broken spec is probed ever
 			// more rarely instead of once per fixed cooldown forever.
-			shift := b.fails - m.cfg.BreakerThreshold
+			shift := b.fails - breakerThreshold
 			if shift > 6 {
 				shift = 6
 			}
-			b.openUntil = m.now().Add(m.cfg.BreakerCooldown << shift)
+			b.openUntil = m.now().Add(breakerCooldown << shift)
 		}
 	}
 }
@@ -906,13 +879,13 @@ func (m *Manager) breakerUpdateLocked(digest string, outcome JobState) {
 // fill, so a recovered panic surfaces as a plain fill error and cannot
 // leak an inflight entry.
 func (m *Manager) runExec(ctx context.Context, job *Job) ([]byte, error) {
-	backoff := m.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		out, err := m.execOnce(ctx, job)
 		if err == nil || ctx.Err() != nil {
 			return out, err
 		}
-		if !IsTransient(err) || attempt >= m.cfg.MaxJobRetries {
+		if !IsTransient(err) || attempt >= maxJobRetries {
 			return nil, err
 		}
 		m.metrics.JobRetried()
@@ -1040,13 +1013,12 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 		return json.Marshal(rep)
 	}
 
-	opts.Context = ctx
 	opts.Passes = spec.Passes
 	opts.Bindings = bindings
 	// The workload's tune spec configures the pass if the job's schedule
 	// includes "tune"; harmless otherwise.
 	opts.Tune = core.WorkloadTune(w.Tune)
-	res, err := core.New(opts).Optimize(prog, cfg, trace)
+	res, err := core.Optimize(ctx, prog, cfg, trace, opts)
 	if err != nil {
 		return nil, err
 	}

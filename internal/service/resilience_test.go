@@ -18,7 +18,7 @@ func noBackoff(time.Duration) {}
 // TestWorkerPanicRecovered: a panicking job fails alone; the worker (and
 // the daemon) survive to run the next job.
 func TestWorkerPanicRecovered(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, MaxJobRetries: -1})
+	m := NewManager(ManagerConfig{Workers: 1})
 	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
 		if job.Spec.Seed == 666 {
 			panic("boom")
@@ -50,7 +50,7 @@ func TestWorkerPanicRecovered(t *testing.T) {
 // same recovery path without a cooperating execFn.
 func TestInjectedWorkerPanic(t *testing.T) {
 	set := faults.MustSet(faults.Spec{Point: faults.WorkerPanic, From: 0, To: 1})
-	m := NewManager(ManagerConfig{Workers: 1, MaxJobRetries: -1, Faults: set})
+	m := NewManager(ManagerConfig{Workers: 1, Faults: set})
 	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) { return []byte(`{}`), nil }
 	m.Start()
 	defer m.Drain(time.Second)
@@ -69,7 +69,7 @@ func TestInjectedWorkerPanic(t *testing.T) {
 // and the retry count is visible in the job status.
 func TestTransientRetrySucceeds(t *testing.T) {
 	var calls atomic.Int64
-	m := NewManager(ManagerConfig{Workers: 1, MaxJobRetries: 2})
+	m := NewManager(ManagerConfig{Workers: 1})
 	m.sleep = noBackoff
 	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
 		if calls.Add(1) < 3 {
@@ -97,7 +97,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 // good once the retry budget is spent; non-transient errors never retry.
 func TestTransientRetryExhausted(t *testing.T) {
 	var calls atomic.Int64
-	m := NewManager(ManagerConfig{Workers: 1, MaxJobRetries: 2})
+	m := NewManager(ManagerConfig{Workers: 1})
 	m.sleep = noBackoff
 	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
 		calls.Add(1)
@@ -153,10 +153,7 @@ func TestCircuitBreaker(t *testing.T) {
 	var clock atomic.Int64 // nanoseconds of synthetic offset
 	base := time.Now()
 
-	m := NewManager(ManagerConfig{
-		Workers: 1, MaxJobRetries: -1,
-		BreakerThreshold: 2, BreakerCooldown: time.Minute,
-	})
+	m := NewManager(ManagerConfig{Workers: 1})
 	m.now = func() time.Time { return base.Add(time.Duration(clock.Load())) }
 	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
 		if fail.Load() {
@@ -168,7 +165,7 @@ func TestCircuitBreaker(t *testing.T) {
 	defer m.Drain(time.Second)
 
 	spec := JobSpec{Workload: "quickstart", Seed: 42}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		st, err := m.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -176,7 +173,7 @@ func TestCircuitBreaker(t *testing.T) {
 		waitTerminal(t, m, st.ID)
 	}
 	if _, err := m.Submit(spec); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("third submit after 2 failures: err = %v, want ErrCircuitOpen", err)
+		t.Fatalf("submit after %d failures: err = %v, want ErrCircuitOpen", breakerThreshold, err)
 	}
 	// A different spec is unaffected.
 	failover, err := m.Submit(JobSpec{Workload: "quickstart", Seed: 43})
@@ -186,7 +183,7 @@ func TestCircuitBreaker(t *testing.T) {
 	waitTerminal(t, m, failover.ID)
 
 	// Cooldown elapses; the half-open trial fails and re-opens the circuit.
-	clock.Store(int64(2 * time.Minute))
+	clock.Store(int64(2 * breakerCooldown))
 	trial, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("half-open trial rejected: %v", err)
@@ -198,7 +195,7 @@ func TestCircuitBreaker(t *testing.T) {
 
 	// Next cooldown: the trial succeeds and the breaker resets.
 	fail.Store(false)
-	clock.Store(int64(4 * time.Minute))
+	clock.Store(int64(4 * breakerCooldown))
 	ok, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("second trial rejected: %v", err)
@@ -220,10 +217,7 @@ func TestCircuitBreakerEscalation(t *testing.T) {
 	var clock atomic.Int64
 	base := time.Now()
 
-	m := NewManager(ManagerConfig{
-		Workers: 1, MaxJobRetries: -1,
-		BreakerThreshold: 2, BreakerCooldown: time.Minute,
-	})
+	m := NewManager(ManagerConfig{Workers: 1})
 	m.now = func() time.Time { return base.Add(time.Duration(clock.Load())) }
 	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
 		if fail.Load() {
@@ -235,42 +229,42 @@ func TestCircuitBreakerEscalation(t *testing.T) {
 	defer m.Drain(time.Second)
 
 	spec := JobSpec{Workload: "quickstart", Seed: 99}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		st, err := m.Submit(spec)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		waitTerminal(t, m, st.ID)
 	}
-	// Open at cooldown 1m (shift 0). Run the half-open probe at t=2m; its
-	// failure re-opens at 2x: openUntil = 2m + 2m.
-	clock.Store(int64(2 * time.Minute))
+	// Open for one cooldown c (shift 0). Run the half-open probe at t=2c;
+	// its failure re-opens at 2x: openUntil = 2c + 2c.
+	clock.Store(int64(2 * breakerCooldown))
 	trial, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("first probe rejected: %v", err)
 	}
 	waitTerminal(t, m, trial.ID)
-	// At t=3m30s the original 1m cooldown has long passed — only the
-	// escalated 2m one explains a bounce.
-	clock.Store(int64(3*time.Minute + 30*time.Second))
+	// At t=3.5c the original cooldown has long passed — only the
+	// escalated 2c one explains a bounce.
+	clock.Store(int64(7 * breakerCooldown / 2))
 	if _, err := m.Submit(spec); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("cooldown did not escalate after failed probe: err = %v", err)
 	}
-	// Second failed probe at t=4m30s: re-opens at 4x → openUntil = 8m30s.
-	clock.Store(int64(4*time.Minute + 30*time.Second))
+	// Second failed probe at t=4.5c: re-opens at 4x → openUntil = 8.5c.
+	clock.Store(int64(9 * breakerCooldown / 2))
 	trial2, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("second probe rejected: %v", err)
 	}
 	waitTerminal(t, m, trial2.ID)
-	clock.Store(int64(7 * time.Minute))
+	clock.Store(int64(7 * breakerCooldown))
 	if _, err := m.Submit(spec); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("cooldown did not double again: err = %v", err)
 	}
 	// A probe that finally succeeds closes the breaker and clears the
 	// escalation — the next submission sails through.
 	fail.Store(false)
-	clock.Store(int64(9 * time.Minute))
+	clock.Store(int64(9 * breakerCooldown))
 	ok, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("succeeding probe rejected: %v", err)

@@ -76,7 +76,7 @@ func TestRecycledRegistersStartZero(t *testing.T) {
 	}
 	for _, name := range []string{"sourceguard", "ex1"} {
 		l := load(t, name)
-		res, err := core.New(core.Options{}).Optimize(l.ast, l.w.Config(), l.trace)
+		res, err := core.Optimize(context.Background(), l.ast, l.w.Config(), l.trace, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@
 //	res, _ := p2go.OptimizeContext(ctx, prog, cfg, trace, p2go.Options{})
 //	fmt.Println(p2go.RenderHistory(res.History)) // Table 2-style report
 //	fmt.Println(p2go.PrintProgram(res.Optimized))
-//	eq, _ := p2go.VerifyEquivalenceContext(ctx, res, cfg, trace)
+//	eq, _ := p2go.VerifyEquivalence(res, cfg, trace)
 package p2go
 
 import (
@@ -185,13 +185,13 @@ func RunProfile(ctx context.Context, prog *Program, cfg *Config, trace *Trace, s
 // the observations with their evidence, the per-phase stage history, and —
 // when something was offloaded — the controller program.
 func Optimize(prog *Program, cfg *Config, trace *Trace, opts Options) (*Result, error) {
-	return core.New(opts).Optimize(prog, cfg, trace)
+	return OptimizeContext(context.Background(), prog, cfg, trace, opts)
 }
 
-// OptimizeContext is Optimize with Options.Context set to ctx, which buys
-// cancellation and tracing: the pipeline checks ctx before every compile
-// and trace replay (the operations that dominate cost) and aborts with
-// ctx's error once it is done. Long-running callers — the p2god service in particular — use
+// OptimizeContext is Optimize under ctx, which buys cancellation and
+// tracing: the pipeline checks ctx before every compile and trace replay
+// (the operations that dominate cost) and aborts with ctx's error once it
+// is done. Long-running callers — the p2god service in particular — use
 // this to enforce per-job timeouts and user-requested cancellation.
 //
 // Tracing: when ctx carries a tracer (obs.WithTracer), every pipeline
@@ -201,8 +201,7 @@ func Optimize(prog *Program, cfg *Config, trace *Trace, opts Options) (*Result, 
 // proceeds. The `p2go optimize -trace` flag and the p2god daemon both
 // build on this.
 func OptimizeContext(ctx context.Context, prog *Program, cfg *Config, trace *Trace, opts Options) (*Result, error) {
-	opts.Context = ctx
-	return Optimize(prog, cfg, trace, opts)
+	return core.Optimize(ctx, prog, cfg, trace, opts)
 }
 
 // RenderHistory formats per-phase stage snapshots as a Table 2-style
@@ -226,12 +225,6 @@ func ValidatePasses(ids []string) error { return core.ValidatePasses(ids) }
 // NewAnalysisCache builds an empty analysis cache for Options.AnalysisCache.
 func NewAnalysisCache() *AnalysisCache { return core.NewAnalysisCache() }
 
-// Int returns a pointer to v, for the optional int Options fields.
-func Int(v int) *int { return core.Int(v) }
-
-// Float returns a pointer to v, for the optional float Options fields.
-func Float(v float64) *float64 { return core.Float(v) }
-
 // NewOnlineMonitor instruments the optimized program for online profiling
 // against the baseline profile (typically Result.FinalProfile): the
 // monitor detects when live traffic drifts from the profile the
@@ -254,25 +247,16 @@ func NewDeployment(optimized *Program, optimizedCfg *Config, segment *Program, f
 	return controller.NewDeployment(optimized, optimizedCfg, segment, fullCfg)
 }
 
-// VerifyEquivalence is VerifyEquivalenceContext under
-// context.Background().
+// VerifyEquivalence replays the trace through the original program and the
+// optimized program + controller, comparing every packet's fate. When the
+// run offloaded nothing, the controller side is an empty pass-through and
+// the check compares the two programs directly.
 func VerifyEquivalence(res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
-	return VerifyEquivalenceContext(context.Background(), res, cfg, trace)
-}
-
-// VerifyEquivalenceContext replays the trace through the original program
-// and the optimized program + controller, comparing every packet's fate.
-// When the run offloaded nothing, the controller side is an empty
-// pass-through and the check compares the two programs directly. Under a
-// tracer-carrying context the comparison runs inside a "controller.verify"
-// span with a "controller.redirect" child for every packet the data plane
-// sends to the controller.
-func VerifyEquivalenceContext(ctx context.Context, res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
-	return controller.VerifyEquivalence(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
+	return controller.VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
 		res.ControllerProgram, trace)
 }
 
-// VerifyChaosEquivalence is VerifyEquivalenceContext on the deployment
+// VerifyChaosEquivalence is VerifyEquivalence on the deployment
 // opts configures: replicated, retrying, policy-degrading, under fault
 // injection. Every verdict divergence must be explicitly flagged as a
 // counted degradation — the report's Clean() is false if any divergence

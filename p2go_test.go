@@ -101,3 +101,39 @@ func TestParseProgramRejectsBadSource(t *testing.T) {
 		t.Error("expected check error (no ingress)")
 	}
 }
+
+// TestTableSetDefaultSurvivesOptimize: a table_set_default override is part
+// of the configuration every step runs under — the Phase 1 profile, the
+// optimized program's configuration, and the behaviour check.
+func TestTableSetDefaultSurvivesOptimize(t *testing.T) {
+	prog, err := ParseProgram(programs.Quickstart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ParseRules(programs.QuickstartRulesText + "table_set_default routes route 3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := trafficgen.QuickstartTrace(2000, 1)
+	want, err := RunProfile(context.Background(), prog, cfg, trace, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Optimize(prog, cfg, trace, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Profile.Drops != want.Drops {
+		t.Errorf("Phase 1 profile drops %d packets, the full configuration drops %d", res.Profile.Drops, want.Drops)
+	}
+	if d := res.OptimizedConfig.DefaultFor("routes"); d == nil || d.Action != "route" || len(d.Args) != 1 || d.Args[0] != 3 {
+		t.Errorf("optimized configuration's routes default = %+v, want route 3", d)
+	}
+	eq, err := VerifyEquivalence(res, cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq.Mismatches != 0 {
+		t.Errorf("behaviour check: %s", eq)
+	}
+}
