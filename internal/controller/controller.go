@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"p2go/internal/obs"
 	"p2go/internal/p4"
@@ -64,40 +65,107 @@ func New(segment *p4.Program, cfg *rt.Config) (*Controller, error) {
 // an Output carries only the forwarding decision.
 var fateOnly = sim.Options{Observe: sim.ObserveFate}
 
-// replayFates drives the original program and, in lock-step, a
-// deployment's data plane over the trace in batches under a "sim.replay"
-// span (so the loop reports packets/sec) and hands each packet and its two
-// fates to step, in trace order. The data plane may run a batch ahead of
-// the controller step feeds, because it never reads controller state. A
-// packet a Switch fails on ends the replay after step has seen every
-// packet before it.
-func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
-	step func(i int, in sim.Input, fate, dpFate *sim.Output) error) error {
+// fateRing is how many batches of fates the original program may run ahead
+// of the deployment loop in replayFates.
+const fateRing = 4
 
+// origBatch is one batch of the original program's fates: one per packet up
+// to the first the program failed on, whose error err carries.
+type origBatch struct {
+	fates []sim.Fate
+	err   error
+}
+
+// replayFates drives a deployment's data plane over the trace in batches
+// under a "sim.replay" span (so the loop reports packets/sec) and hands each
+// packet, the original program's fate and the data plane's output to step,
+// in trace order. The original runs on a goroutine of its own
+// (replayOriginal), up to fateRing batches ahead, and shares nothing with
+// the data plane or step but the fates it hands over. The data plane may run
+// a batch ahead of the controller step feeds, because it never reads
+// controller state. A packet a Switch fails on ends the replay after step
+// has seen every packet before it; on a tie the original's error is the one
+// reported. A canceled ctx ends the replay between batches. replayFates
+// returns once the original's goroutine has exited, with how long the
+// deployment loop waited on it.
+func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
+	step func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error) (time.Duration, error) {
+
+	free := make(chan []sim.Fate, fateRing)
+	for range fateRing {
+		free <- make([]sim.Fate, 0, sim.ReplayBatchSize)
+	}
+	full := make(chan origBatch, fateRing) // never blocks: fateRing buffers exist
+	done := make(chan struct{})
+	go replayOriginal(original, trace, free, full, done)
+	defer func() {
+		close(done)
+		for range full { // until replayOriginal returns
+		}
+	}()
+
+	var wait time.Duration
 	n := len(trace.Packets)
 	ins := make([]sim.Input, 0, sim.ReplayBatchSize)
-	outs := make([]sim.Output, sim.ReplayBatchSize)
 	dpOuts := make([]sim.Output, sim.ReplayBatchSize)
-	return sim.ReplayBatch(ctx, n, n, func(lo, hi int) error {
+	err := sim.ReplayBatch(ctx, n, n, func(lo, hi int) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("controller: verify canceled: %w", err)
+		}
 		ins = ins[:0]
 		for _, pkt := range trace.Packets[lo:hi] {
 			ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
 		}
-		k, err := original.ProcessBatch(ins, outs, sim.BatchOpts{})
-		if err != nil {
-			err = fmt.Errorf("controller: original, packet %d: %w", lo+k, err)
-		}
-		// On a tie the original's error is the one reported.
-		if dk, derr := dataPlane.ProcessBatch(ins, dpOuts, sim.BatchOpts{}); dk < k {
+		dk, derr := dataPlane.ProcessBatch(ins, dpOuts, sim.BatchOpts{})
+		start := time.Now()
+		b := <-full
+		wait += time.Since(start)
+		k, err := len(b.fates), b.err
+		if dk < k {
 			k, err = dk, fmt.Errorf("controller: deployment, packet %d: %w", lo+dk, derr)
 		}
 		for j := 0; j < k; j++ {
-			if err := step(lo+j, ins[j], &outs[j], &dpOuts[j]); err != nil {
+			if err := step(lo+j, ins[j], b.fates[j], &dpOuts[j]); err != nil {
 				return err
 			}
 		}
+		free <- b.fates
 		return err
 	})
+	return wait, err
+}
+
+// replayOriginal is replayFates' original side: it replays the trace through
+// the original program in sim.ReplayBatchSize batches, each into a buffer
+// taken from free and sent on full, and stops after a batch the program
+// failed in. It closes full when it returns: at the end of the trace, after
+// a failure, or once done is closed.
+func replayOriginal(original *sim.Switch, trace *trafficgen.Trace,
+	free <-chan []sim.Fate, full chan<- origBatch, done <-chan struct{}) {
+
+	defer close(full)
+	n := len(trace.Packets)
+	for lo := 0; lo < n; lo += sim.ReplayBatchSize {
+		var b origBatch
+		select {
+		case b.fates = <-free:
+		case <-done:
+			return
+		}
+		b.fates = b.fates[:0]
+		for i, pkt := range trace.Packets[lo:min(lo+sim.ReplayBatchSize, n)] {
+			out, err := original.Process(sim.Input{Port: pkt.Port, Data: pkt.Data})
+			if err != nil {
+				b.err = fmt.Errorf("controller: original, packet %d: %w", lo+i, err)
+				break
+			}
+			b.fates = append(b.fates, out.Fate())
+		}
+		full <- b
+		if b.err != nil {
+			return
+		}
+	}
 }
 
 // Handle processes one redirected packet through the segment and returns
@@ -191,7 +259,7 @@ func (r *EquivalenceReport) String() string {
 // sameFate is the equivalence both verifiers hold every packet to: drops
 // must match, a controller notification must correspond to the original's
 // CPU-port redirect, and forwarded packets must leave on the same port.
-func sameFate(orig *sim.Output, v Verdict) bool {
+func sameFate(orig sim.Fate, v Verdict) bool {
 	switch {
 	case orig.Dropped != v.Dropped:
 		return false
@@ -219,10 +287,24 @@ func VerifyEquivalence(ctx context.Context,
 // comparing the fate of every packet (sameFate). A divergence is legal
 // only when flagged degraded; anything else is silent. A nil segment is
 // the empty pass-through controller. The whole comparison runs inside a
-// "controller.verify" span, both data planes go through replayFates batch
-// by batch (so the loop reports packets/sec), and every redirect, retry
-// and degradation decision appears as a child span.
+// "controller.verify" span, which records how long the deployment waited on
+// the original (original_wait_us); both data planes go through replayFates
+// batch by batch (so the loop reports packets/sec), and every redirect,
+// retry and degradation decision appears as a child span.
 func VerifyChaosEquivalence(ctx context.Context,
+	original *p4.Program, originalCfg *rt.Config,
+	optimized *p4.Program, optimizedCfg *rt.Config,
+	segment *p4.Program, trace *trafficgen.Trace,
+	opts ResilientOptions) (*EquivalenceReport, error) {
+	return verify(ctx, replayFates, original, originalCfg, optimized, optimizedCfg, segment, trace, opts)
+}
+
+// replayFunc is replayFates' signature.
+type replayFunc func(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
+	step func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error) (time.Duration, error)
+
+// verify is VerifyChaosEquivalence over the given replay loop.
+func verify(ctx context.Context, replay replayFunc,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, trace *trafficgen.Trace,
@@ -231,19 +313,33 @@ func VerifyChaosEquivalence(ctx context.Context,
 	ctx, sp := obs.Start(ctx, "controller.verify", obs.Int("packets", len(trace.Packets)))
 	defer sp.End()
 
-	origSwitch, err := sim.NewFromAST(original, originalCfg, fateOnly)
-	if err != nil {
-		return nil, err
+	// The original is lowered beside the deployment; its error, if any, is
+	// still the one reported.
+	type built struct {
+		sw  *sim.Switch
+		err error
 	}
-	defer origSwitch.Release()
+	origc := make(chan built, 1)
+	go func() {
+		sw, err := sim.NewFromAST(original, originalCfg, fateOnly)
+		origc <- built{sw, err}
+	}()
 	dep, err := NewResilientDeployment(optimized, optimizedCfg, segment, originalCfg, original, opts)
+	orig := <-origc
+	if orig.err != nil {
+		if err == nil {
+			dep.release()
+		}
+		return nil, orig.err
+	}
+	defer orig.sw.Release()
 	if err != nil {
 		return nil, err
 	}
 	defer dep.release()
 
 	report := &EquivalenceReport{}
-	err = replayFates(ctx, origSwitch, dep.dataPlane, trace, func(i int, in sim.Input, origOut, dpOut *sim.Output) error {
+	wait, err := replay(ctx, orig.sw, dep.dataPlane, trace, func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error {
 		verdict, err := dep.verdict(ctx, in, dpOut)
 		if err != nil {
 			return fmt.Errorf("controller: deployment, packet %d: %w", i, err)
@@ -252,7 +348,7 @@ func VerifyChaosEquivalence(ctx context.Context,
 		if verdict.ViaController {
 			report.Redirected++
 		}
-		if sameFate(origOut, verdict) {
+		if sameFate(fate, verdict) {
 			return nil
 		}
 		report.Mismatches++
@@ -264,11 +360,12 @@ func VerifyChaosEquivalence(ctx context.Context,
 		if report.First == "" {
 			report.First = fmt.Sprintf(
 				"packet %d: original(drop=%v port=%d cpu=%v) vs deployment(drop=%v port=%d via_ctl=%v notified=%v)",
-				i, origOut.Dropped, origOut.Port, origOut.ToCPU,
+				i, fate.Dropped, fate.Port, fate.ToCPU,
 				verdict.Dropped, verdict.Port, verdict.ViaController, verdict.Notified)
 		}
 		return nil
 	})
+	sp.SetAttr(obs.Int64("original_wait_us", wait.Microseconds()))
 	if err != nil {
 		return nil, err
 	}

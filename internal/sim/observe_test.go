@@ -26,7 +26,7 @@ var generatorSeeds = flag.Int("generator-seeds", 64, "seed count for the generat
 
 // instrumentedIR instruments a program the way profile.PrepareContext does
 // and builds its IR: the program every observation level is lowered from.
-func instrumentedIR(t *testing.T, source string) (*ir.Program, *profile.Instrumented) {
+func instrumentedIR(t testing.TB, source string) (*ir.Program, *profile.Instrumented) {
 	t.Helper()
 	ast, err := p4.Parse(source)
 	if err != nil {

@@ -289,6 +289,16 @@ type Output struct {
 	Exec []Executed
 }
 
+// Fate is the part of an Output that decides where a packet goes: what an
+// equivalence check compares, in under a quarter of an Output's bytes.
+type Fate struct {
+	Port           uint64
+	Dropped, ToCPU bool
+}
+
+// Fate returns the output's forwarding outcome.
+func (o *Output) Fate() Fate { return Fate{Port: o.Port, Dropped: o.Dropped, ToCPU: o.ToCPU} }
+
 // state is the per-packet evaluation state.
 type state struct {
 	fields    map[ir.FieldKey]uint64
