@@ -139,13 +139,19 @@ func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *tr
 // the original program in sim.ReplayBatchSize batches, each into a buffer
 // taken from free and sent on full, and stops after a batch the program
 // failed in. It closes full when it returns: at the end of the trace, after
-// a failure, or once done is closed.
+// a failure, or at the first batch boundary after done is closed, even with
+// buffers left in free.
 func replayOriginal(original *sim.Switch, trace *trafficgen.Trace,
 	free <-chan []sim.Fate, full chan<- origBatch, done <-chan struct{}) {
 
 	defer close(full)
 	n := len(trace.Packets)
 	for lo := 0; lo < n; lo += sim.ReplayBatchSize {
+		select { // a select picks among ready cases at random: done first
+		case <-done:
+			return
+		default:
+		}
 		var b origBatch
 		select {
 		case b.fates = <-free:
@@ -313,33 +319,19 @@ func verify(ctx context.Context, replay replayFunc,
 	ctx, sp := obs.Start(ctx, "controller.verify", obs.Int("packets", len(trace.Packets)))
 	defer sp.End()
 
-	// The original is lowered beside the deployment; its error, if any, is
-	// still the one reported.
-	type built struct {
-		sw  *sim.Switch
-		err error
+	origSwitch, err := sim.NewFromAST(original, originalCfg, fateOnly)
+	if err != nil {
+		return nil, err
 	}
-	origc := make(chan built, 1)
-	go func() {
-		sw, err := sim.NewFromAST(original, originalCfg, fateOnly)
-		origc <- built{sw, err}
-	}()
+	defer origSwitch.Release()
 	dep, err := NewResilientDeployment(optimized, optimizedCfg, segment, originalCfg, original, opts)
-	orig := <-origc
-	if orig.err != nil {
-		if err == nil {
-			dep.release()
-		}
-		return nil, orig.err
-	}
-	defer orig.sw.Release()
 	if err != nil {
 		return nil, err
 	}
 	defer dep.release()
 
 	report := &EquivalenceReport{}
-	wait, err := replay(ctx, orig.sw, dep.dataPlane, trace, func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error {
+	wait, err := replay(ctx, origSwitch, dep.dataPlane, trace, func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error {
 		verdict, err := dep.verdict(ctx, in, dpOut)
 		if err != nil {
 			return fmt.Errorf("controller: deployment, packet %d: %w", i, err)

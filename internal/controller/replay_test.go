@@ -187,18 +187,20 @@ control ingress { apply(t); }
 }
 
 // TestReplayFatesCanceled: a context canceled mid-verify ends the replay at
-// the next batch with its error, and leaves no goroutine behind.
+// the next batch with its error, leaves no goroutine behind, and the
+// original begins no batch once the replay has returned.
 func TestReplayFatesCanceled(t *testing.T) {
 	prog := p4.MustParse(`
 header_type h_t { fields { a : 8; } }
 header h_t h;
+counter seen { type : packets; instance_count : 1; }
 parser start { extract(h); return ingress; }
-action fwd() { modify_field(standard_metadata.egress_spec, 2); }
+action fwd() { modify_field(standard_metadata.egress_spec, 2); count(seen, 0); }
 table t { actions { fwd; } default_action : fwd; }
 control ingress { apply(t); }
 `)
 	tr := &trafficgen.Trace{}
-	for i := 0; i < 8*sim.ReplayBatchSize; i++ {
+	for i := 0; i < 16*sim.ReplayBatchSize; i++ {
 		tr.Packets = append(tr.Packets, trafficgen.Packet{Port: 1, Data: []byte{byte(i)}})
 	}
 	before := runtime.NumGoroutine()
@@ -209,10 +211,12 @@ control ingress { apply(t); }
 		}
 		return s
 	}
+	replayed := func(s *sim.Switch) int { return int(s.Counter("seen")[0].Packets) }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	_, err := replayFates(ctx, sw(), sw(), tr, func(i int, _ sim.Input, _ sim.Fate, _ *sim.Output) error {
+	original := sw()
+	_, err := replayFates(ctx, original, sw(), tr, func(i int, _ sim.Input, _ sim.Fate, _ *sim.Output) error {
 		if seen++; i == sim.ReplayBatchSize+10 {
 			cancel()
 		}
@@ -224,7 +228,29 @@ control ingress { apply(t); }
 	if seen != 2*sim.ReplayBatchSize {
 		t.Errorf("step saw %d packets, want the %d of the batches begun before the cancel", seen, 2*sim.ReplayBatchSize)
 	}
+	// Batch 1 was held when the cancel came: fateRing-1 more may have been
+	// full, one more may have begun once batch 1's buffer came back.
+	if n, most := replayed(original), (2+fateRing)*sim.ReplayBatchSize; n > most {
+		t.Errorf("original replayed %d packets, at most %d were begun before the replay returned", n, most)
+	}
 	if n := settledGoroutines(before); n > before {
 		t.Errorf("%d goroutines after the replay returned, %d before", n, before)
+	}
+
+	// With done closed and every buffer free, the original begins nothing,
+	// however a select would pick.
+	done := make(chan struct{})
+	close(done)
+	for range 32 {
+		free := make(chan []sim.Fate, fateRing)
+		for range fateRing {
+			free <- make([]sim.Fate, 0, sim.ReplayBatchSize)
+		}
+		full := make(chan origBatch, fateRing)
+		original = sw()
+		replayOriginal(original, tr, free, full, done)
+		if n := replayed(original); n != 0 || len(full) != 0 {
+			t.Fatalf("after done closed the original replayed %d packets in %d batches, want none", n, len(full))
+		}
 	}
 }

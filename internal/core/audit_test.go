@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +11,6 @@ import (
 	"p2go/internal/profile"
 	"p2go/internal/programs"
 	"p2go/internal/rt"
-	"p2go/internal/tofino"
 	"p2go/internal/trafficgen"
 )
 
@@ -35,19 +32,15 @@ func auditFixture(t *testing.T) (*trafficgen.Trace, string) {
 
 // tamperingHook replays like the pipeline does, but adds a drop to the
 // profile of the program printed as audited, so the audit's replay disagrees
-// with the derived profile. before runs ahead of that replay.
-func tamperingHook(audited string, before func()) func(context.Context, *p4.Program, *rt.Config, *trafficgen.Trace) (*profile.Profile, error) {
+// with the derived profile.
+func tamperingHook(audited string) func(context.Context, *p4.Program, *rt.Config, *trafficgen.Trace) (*profile.Profile, error) {
 	return func(ctx context.Context, prog *p4.Program, cfg *rt.Config, trace *trafficgen.Trace) (*profile.Profile, error) {
-		tampered := p4.Print(prog) == audited
-		if tampered {
-			before()
-		}
 		prep, err := profile.PrepareContext(ctx, prog, cfg)
 		if err != nil {
 			return nil, err
 		}
 		prof, err := prep.Profiler().RunWith(ctx, trace, profile.RunOptions{Shards: 1})
-		if err == nil && tampered {
+		if err == nil && p4.Print(prog) == audited {
 			prof.Drops++
 		}
 		return prof, err
@@ -67,68 +60,19 @@ func settledGoroutines(want int) int {
 const auditErr = "core: phase2: derived profile disagrees with replay: drops "
 
 // TestAuditDisagreementFailsTheRun: a replay that disagrees with the derived
-// profile fails the run, whether the audit ran inline or off the critical
-// path, and no audit goroutine outlives Optimize.
+// profile fails the run at every parallelism, and no goroutine outlives
+// Optimize.
 func TestAuditDisagreementFailsTheRun(t *testing.T) {
 	trace, audited := auditFixture(t)
 	for _, parallelism := range []int{1, 4} {
 		before := runtime.NumGoroutine()
 		_, err := Optimize(context.Background(), p4.MustParse(programs.NATGRE), programs.NATGREConfig(), trace,
-			Options{Parallelism: parallelism, ProfileHook: tamperingHook(audited, func() {})})
+			Options{Parallelism: parallelism, ProfileHook: tamperingHook(audited)})
 		if err == nil || !strings.HasPrefix(err.Error(), auditErr) {
 			t.Errorf("parallelism %d: err = %v, want prefix %q", parallelism, err, auditErr)
 		}
 		if n := settledGoroutines(before); n > before {
 			t.Errorf("parallelism %d: %d goroutines after Optimize returned, %d before", parallelism, n, before)
 		}
-	}
-}
-
-// TestAuditErrorWinsOverLaterPass: while an overlapped audit's replay is
-// under way, the run is canceled under Phase 3. The audit's failure, not
-// the cancellation, is the run's error.
-func TestAuditErrorWinsOverLaterPass(t *testing.T) {
-	trace, audited := auditFixture(t)
-	opts := Options{Passes: []string{"phase2", "phase3", "phase4"}, Parallelism: 4}
-	plain, err := Optimize(context.Background(), p4.MustParse(programs.NATGRE), programs.NATGREConfig(), trace, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every compile after Phase 1's and Phase 2's belongs to a later pass.
-	early := plain.PassStats[0].CompileMisses + plain.PassStats[1].CompileMisses
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	auditing, canceled := make(chan struct{}), make(chan struct{})
-	var auditOnce, cancelOnce sync.Once
-	var mu sync.Mutex
-	compiles := 0
-	opts.ProfileHook = tamperingHook(audited, func() {
-		auditOnce.Do(func() { close(auditing) })
-		<-canceled
-	})
-	opts.CompileHook = func(ctx context.Context, prog *p4.Program, tgt tofino.Target) (*tofino.Result, error) {
-		mu.Lock()
-		compiles++
-		later := compiles > early
-		mu.Unlock()
-		if later {
-			<-auditing
-			cancelOnce.Do(func() { cancel(); close(canceled) })
-		}
-		return tofino.Compile(prog, tgt)
-	}
-	before := runtime.NumGoroutine()
-	_, err = Optimize(ctx, p4.MustParse(programs.NATGRE), programs.NATGREConfig(), trace, opts)
-	if err == nil || !strings.HasPrefix(err.Error(), auditErr) || errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want prefix %q", err, auditErr)
-	}
-	select {
-	case <-canceled:
-	default:
-		t.Error("no later pass compiled while the audit was under way")
-	}
-	if n := settledGoroutines(before); n > before {
-		t.Errorf("%d goroutines after Optimize returned, %d before", n, before)
 	}
 }

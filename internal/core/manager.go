@@ -88,14 +88,8 @@ func (m *manager) optimize(ctx context.Context, ast *p4.Program, cfg *rt.Config,
 	}
 	for _, p := range m.passes {
 		if err := m.runPass(ctx, r, p); err != nil {
-			if aerr := r.joinAudit(); aerr != nil {
-				return nil, aerr // a failed audit is the first thing that went wrong
-			}
 			return nil, err
 		}
-	}
-	if err := r.joinAudit(); err != nil {
-		return nil, err
 	}
 	root.SetAttr(
 		obs.Int("stages_after", totalStages(r.compile.Mapping)),
@@ -116,9 +110,7 @@ func (m *manager) optimize(ctx context.Context, ast *p4.Program, cfg *rt.Config,
 		OffloadedTables:   r.offloaded,
 		Guards:            r.guards,
 		ControllerProgram: r.ctlProgram,
-	}
-	for _, ps := range r.stats {
-		res.PassStats = append(res.PassStats, *ps)
+		PassStats:         r.stats,
 	}
 	if r.ctlProgram != nil {
 		res.ControllerProgram = p4.Clone(r.ctlProgram)
@@ -232,7 +224,7 @@ func (r *run) endPass(sp *obs.Span, stat *PassStat, start time.Time, obsBefore i
 			obs.Int("cache_misses", stat.CompileMisses+stat.ProfileMisses),
 		)
 	}
-	r.stats = append(r.stats, stat)
+	r.stats = append(r.stats, *stat)
 }
 
 // noteCompile records one compile lookup against the current pass. Called

@@ -37,89 +37,21 @@ func (r *run) phase2(ctx context.Context) error {
 }
 
 // phase2Audit replays the pass's final program if any accepted profile was
-// derived, and fails the run unless the replay equals the derived profile.
-// Under Options.Parallelism 1 it runs inline. Otherwise the replay runs off
-// the critical path (overlapped=true on the span) and the later passes read
-// the derived profile speculatively; run.joinAudit settles it before the
-// Result is built, before the next audit and on every error return. Either
-// way a derived profile is never returned or cached unconfirmed: the replay
-// replaces it if it is still the run's profile when the audit settles.
+// derived, and fails the run unless the replay equals the derived profile;
+// the replay, never a derived profile, is what is cached and read on.
 func (r *run) phase2Audit(ctx context.Context) error {
 	if r.derived == 0 {
 		return nil
 	}
-	if err := r.joinAudit(); err != nil {
+	ctx, sp := obs.Start(ctx, "phase2.audit", obs.Int("derived", r.derived))
+	defer sp.End()
+	derived := r.prof
+	r.derived = 0
+	if err := r.reprofile(ctx); err != nil {
 		return err
 	}
-	ctx, sp := obs.Start(ctx, "phase2.audit", obs.Int("derived", r.derived))
-	r.derived = 0
-	// The replay's inputs are taken now: r.cur and r.cfg move on under the
-	// later passes, and its lookup counts in this pass's PassStat.
-	a := &audit{derived: r.prof, stat: r.stat, sp: sp}
-	prog, cfg := r.cur, r.cfg.Restrict(r.cur)
-	replay := func() {
-		if a.err = interrupted(ctx); a.err == nil {
-			a.prof, a.hit, a.err = r.lookupProfile(ctx, prog, cfg)
-		}
-	}
-	if r.opts.parallelism() == 1 {
-		replay()
-		return r.settleAudit(a)
-	}
-	sp.SetAttr(obs.Bool("overlapped", true))
-	a.done = make(chan struct{})
-	go func() {
-		defer close(a.done)
-		replay()
-	}()
-	r.audit = a
-	return nil
-}
-
-// audit is one phase2Audit replay and what settling it needs.
-type audit struct {
-	derived *profile.Profile // what the replay must equal
-	stat    *PassStat        // the Phase 2 pass's, where the lookup counts
-	sp      *obs.Span        // "phase2.audit", ended when the audit settles
-	done    chan struct{}    // closed when an overlapped replay returns
-
-	prof *profile.Profile
-	hit  bool
-	err  error
-}
-
-// joinAudit waits for the audit replay phase2Audit left running, if any, and
-// settles it.
-func (r *run) joinAudit() error {
-	a := r.audit
-	if a == nil {
-		return nil
-	}
-	r.audit = nil
-	<-a.done
-	return r.settleAudit(a)
-}
-
-// settleAudit counts an audit's lookup, ends its span and fails the run
-// unless the replay equals the derived profile, which it then replaces if
-// no later pass has.
-func (r *run) settleAudit(a *audit) error {
-	defer a.sp.End()
-	r.statMu.Lock()
-	if a.hit {
-		a.stat.ProfileHits++
-	} else {
-		a.stat.ProfileMisses++
-	}
-	r.statMu.Unlock()
-	if a.err != nil {
-		return fmt.Errorf("core: %w", a.err)
-	}
-	if diff := a.derived.Diff(a.prof); diff != "" {
+	if diff := derived.Diff(r.prof); diff != "" {
 		return fmt.Errorf("core: phase2: derived profile disagrees with replay: %s", diff)
-	}
-	if r.prof == a.derived {
-		r.prof = a.prof
 	}
 	return nil
 }

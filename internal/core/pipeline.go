@@ -213,13 +213,11 @@ type run struct {
 	// record cache hits/misses into it under statMu.
 	statMu  sync.Mutex
 	stat    *PassStat
-	stats   []*PassStat
+	stats   []PassStat
 	reports []CandidateReport
 	// derived counts the accepted Phase 2 candidates whose profile was
-	// derived since the last audit; audit is the audit replay running off
-	// the critical path, if any (see phase2Audit).
+	// derived since the last audit (see phase2Audit).
 	derived int
-	audit   *audit
 }
 
 // Optimize profiles the program on the trace and applies the scheduled
@@ -323,25 +321,17 @@ func (r *run) bind(resolved map[string]int) (*child, error) {
 	return c, nil
 }
 
-// doProfile is the single funnel for every trace replay: lookupProfile,
-// counted against the current pass.
+// doProfile is the single funnel for every trace replay. Cached replays
+// are returned under the usual "profile" span (with no replay children —
+// nothing was replayed). A replay looks its prepared plan up under a key of
+// its own, so the fill never waits on the key it is filling.
 func (r *run) doProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*profile.Profile, error) {
 	if err := interrupted(ctx); err != nil {
 		return nil, err
 	}
-	prof, hit, err := r.lookupProfile(ctx, ast, cfg)
-	r.noteProfile(hit)
-	return prof, err
-}
-
-// lookupProfile serves one replay from the analysis cache. Cached replays
-// are returned under the usual "profile" span (with no replay children —
-// nothing was replayed). A replay looks its prepared plan up under a key of
-// its own, so the fill never waits on the key it is filling.
-func (r *run) lookupProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*profile.Profile, bool, error) {
 	ctx, sp := obs.Start(ctx, "profile")
 	defer sp.End()
-	return r.mgr.cache.Profile(ast, cfg, r.traceDig, func() (*profile.Profile, error) {
+	prof, hit, err := r.mgr.cache.Profile(ast, cfg, r.traceDig, func() (*profile.Profile, error) {
 		if r.opts.ProfileHook != nil {
 			return r.opts.ProfileHook(ctx, ast, cfg, r.trace)
 		}
@@ -351,6 +341,8 @@ func (r *run) lookupProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config
 		}
 		return prep.Profiler().RunWith(ctx, r.trace, profile.RunOptions{Shards: r.opts.parallelism()})
 	})
+	r.noteProfile(hit)
+	return prof, err
 }
 
 // reprofile refreshes the profile for the current program. Rules and
