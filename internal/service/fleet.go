@@ -27,7 +27,7 @@ func (m *Manager) executeFleet(ctx context.Context, job *Job) ([]byte, error) {
 		DeviceCache: deviceCache{m: m},
 		OnDevice: func(row report.FleetDevice) {
 			m.cfg.Journal.Device(job.ID, row.Device, row.Status)
-			m.metrics.FleetDevice(row.Status)
+			m.metrics.add(fleetDevices, row.Status, 1)
 			m.logger.Info("fleet device finished",
 				"job_id", job.ID, "digest", job.Digest, "replica_id", job.replica,
 				"device", row.Device, "status", row.Status, "packets", row.Packets,
@@ -59,7 +59,7 @@ type deviceCache struct{ m *Manager }
 
 func (d deviceCache) Get(key string) ([]byte, bool) {
 	data, ok := d.m.cache.GetBytes("fleetdev:" + key)
-	d.m.metrics.Cache("fleetdev", ok)
+	d.m.metrics.add(either(ok, cacheHits, cacheMisses), "fleetdev", 1)
 	return data, ok
 }
 

@@ -45,7 +45,7 @@ func (m *Manager) ClusterTick() {
 	if dead {
 		return
 	}
-	m.metrics.LeaseRenewed(node.Renew() == nil)
+	m.metrics.add(either(node.Renew() == nil, leaseRenewals, leaseRenewFailures), "", 1)
 	m.RenewJobLeases()
 	m.TakeoverScan()
 }
@@ -68,7 +68,7 @@ func (m *Manager) RenewJobLeases() {
 	}
 	m.mu.Unlock()
 	for _, l := range leases {
-		m.metrics.LeaseRenewed(node.RenewJob(l) == nil)
+		m.metrics.add(either(node.RenewJob(l) == nil, leaseRenewals, leaseRenewFailures), "", 1)
 	}
 }
 
@@ -120,7 +120,7 @@ func (m *Manager) TakeoverScan() int {
 			if err != nil {
 				// Held: either the peer is alive after all (membership
 				// lease lagging) or another survivor beat us to it.
-				m.metrics.LeaseAcquireFailed()
+				m.metrics.add(leaseAcquireFailures, "", 1)
 				continue
 			}
 			if _, err := m.submit(spec, p.ID, mem.ID, lease); err != nil {
@@ -133,7 +133,7 @@ func (m *Manager) TakeoverScan() int {
 			// (accepted record in our journal): a crash between the two
 			// leaves the job claimable, never lost.
 			_ = AppendTakeover(peerJournal, p.ID, node.ID())
-			m.metrics.TakeoverJob()
+			m.metrics.add(takeoverJobs, "", 1)
 			reclaimed++
 		}
 	}

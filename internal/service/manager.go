@@ -313,7 +313,7 @@ func (m *Manager) submit(spec JobSpec, presetID, takenOverFrom string, lease *cl
 		// After the lock: nobody else waits for this request's file writes.
 		m.persistTrace(job.ID, job.trace)
 		m.cfg.Journal.answered(job.ID)
-		m.metrics.Cache("job", true)
+		m.metrics.add(cacheHits, "job", 1)
 		m.metrics.JobFinished(string(StateDone), 0)
 		m.logger.Info("job finished",
 			"job_id", job.ID, "kind", spec.Kind, "digest", job.Digest,
@@ -332,7 +332,7 @@ func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus,
 	}
 	if b, ok := m.breakers[job.Digest]; ok && b.fails >= breakerThreshold {
 		if m.now().Before(b.openUntil) {
-			m.metrics.CircuitRejected()
+			m.metrics.add(circuitRejected, "", 1)
 			return JobStatus{}, ErrCircuitOpen
 		}
 		// Half-open: admit one trial and push the window out so a
@@ -358,7 +358,7 @@ func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus,
 			if presetID == "" {
 				m.seq-- // not admitted; reuse the ID
 			}
-			m.metrics.QueueRejected()
+			m.metrics.add(queueRejected, "", 1)
 			return JobStatus{}, ErrQueueFull
 		}
 		m.queued++
@@ -366,7 +366,7 @@ func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus,
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
 	m.pruneLocked()
-	m.metrics.JobSubmitted()
+	m.metrics.add(jobsSubmitted, "", 1)
 	attrs := []any{"job_id", job.ID, "kind", job.Spec.Kind, "workload", job.Spec.Workload,
 		"digest", job.Digest, "replica_id", job.replica}
 	if job.takenOverFrom != "" {
@@ -391,7 +391,7 @@ func (m *Manager) validHit(key string, out []byte) bool {
 	if !m.cfg.Faults.Fire(faults.CacheCorrupt) && json.Valid(out) {
 		return true
 	}
-	m.metrics.CacheCorruptionDetected()
+	m.metrics.add(cacheCorruptions, "", 1)
 	m.cache.Delete(key)
 	return false
 }
@@ -453,7 +453,7 @@ func (m *Manager) Requeue(pending []PendingJob) (accepted, dropped int) {
 			continue
 		}
 		accepted++
-		m.metrics.JournalRecovered()
+		m.metrics.add(journalRecovered, "", 1)
 	}
 	return accepted, dropped
 }
@@ -570,7 +570,7 @@ func (m *Manager) Drain(timeout time.Duration) DrainReport {
 			// job requeued (not finished) when the worker pops it.
 			job.requeue = true
 			m.cfg.Journal.Requeued(job.ID)
-			m.metrics.JournalRequeued()
+			m.metrics.add(journalRequeued, "", 1)
 			rep.Requeued = append(rep.Requeued, job.ID)
 		} else {
 			rep.Canceled = append(rep.Canceled, job.ID)
@@ -651,15 +651,15 @@ func (m *Manager) runJob(job *Job) {
 	job.meter = prof.Begin(0)
 	job.state = StateRunning
 	job.startedAt = time.Now()
-	queueWait := job.startedAt.Sub(job.createdAt)
+	waited := job.startedAt.Sub(job.createdAt)
 	m.running++
 	m.mu.Unlock()
 	defer cancel()
-	m.metrics.QueueWaited(queueWait.Seconds())
+	m.metrics.observe(queueWait, "", waited.Seconds())
 	m.logger.Info("job started",
 		"job_id", job.ID, "kind", job.Spec.Kind, "workload", job.Spec.Workload,
 		"digest", job.Digest, "replica_id", job.replica,
-		"queue_wait_seconds", queueWait.Seconds())
+		"queue_wait_seconds", waited.Seconds())
 
 	ctx = obs.WithTracer(ctx, tracer)
 	ctx, root := obs.Start(ctx, "job", jobSpanAttrs(job)...)
@@ -673,8 +673,8 @@ func (m *Manager) runJob(job *Job) {
 	}
 	// The queue wait happened before the root span started; emit it as an
 	// already-measured child so the trace shows wait vs. run time.
-	tracer.Emit(root, "job.queue-wait", job.createdAt, queueWait,
-		obs.Float("seconds", queueWait.Seconds()))
+	tracer.Emit(root, "job.queue-wait", job.createdAt, waited,
+		obs.Float("seconds", waited.Seconds()))
 
 	key := "job:" + job.Digest
 	var (
@@ -697,7 +697,7 @@ func (m *Manager) runJob(job *Job) {
 			job.lease = lease
 			m.mu.Unlock()
 		default:
-			m.metrics.LeaseAcquireFailed()
+			m.metrics.add(leaseAcquireFailures, "", 1)
 			if b, ok := m.cache.GetBytes(key); ok && json.Valid(b) {
 				out, hit, served = b, true, true
 			} else {
@@ -712,7 +712,7 @@ func (m *Manager) runJob(job *Job) {
 		// Purged; recompute instead of serving it.
 		out, hit, err = m.lookupJob(ctx, key, job)
 	}
-	m.metrics.Cache("job", hit)
+	m.metrics.add(either(hit, cacheHits, cacheMisses), "job", 1)
 
 	m.mu.Lock()
 	m.running--
@@ -802,7 +802,7 @@ func (m *Manager) fenceCheck(job *Job) error {
 	}
 	if err := m.cfg.Cluster.CheckJob(lease); err != nil {
 		if errors.Is(err, cluster.ErrFenced) {
-			m.metrics.FencedCommit()
+			m.metrics.add(fencedCommits, "", 1)
 		}
 		return err
 	}
@@ -817,12 +817,12 @@ func (m *Manager) persistTrace(jobID string, col *obs.Collector) {
 	}
 	f, err := os.Create(filepath.Join(m.cfg.TraceDir, jobID+".trace.json"))
 	if err != nil {
-		m.metrics.TraceWriteFailed()
+		m.metrics.add(traceWriteErrors, "", 1)
 		return
 	}
 	defer f.Close()
 	if err := obs.WriteChromeTrace(f, col.Spans()); err != nil {
-		m.metrics.TraceWriteFailed()
+		m.metrics.add(traceWriteErrors, "", 1)
 	}
 }
 
@@ -859,7 +859,7 @@ func (m *Manager) breakerUpdateLocked(digest string, outcome JobState) {
 		b.fails++
 		if b.fails >= breakerThreshold {
 			if b.fails == breakerThreshold {
-				m.metrics.CircuitOpened()
+				m.metrics.add(circuitOpened, "", 1)
 			}
 			// Escalating backoff: each failure past the threshold — i.e.
 			// each half-open probe that fails again — doubles the cooldown,
@@ -888,7 +888,7 @@ func (m *Manager) runExec(ctx context.Context, job *Job) ([]byte, error) {
 		if !IsTransient(err) || attempt >= maxJobRetries {
 			return nil, err
 		}
-		m.metrics.JobRetried()
+		m.metrics.add(jobRetries, "", 1)
 		m.mu.Lock()
 		job.retries++
 		m.mu.Unlock()
@@ -902,7 +902,7 @@ func (m *Manager) runExec(ctx context.Context, job *Job) ([]byte, error) {
 func (m *Manager) execOnce(ctx context.Context, job *Job) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.metrics.WorkerPanicked()
+			m.metrics.add(workerPanics, "", 1)
 			out, err = nil, fmt.Errorf("service: worker panic: %v", r)
 		}
 	}()
@@ -1023,7 +1023,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 		return nil, err
 	}
 	for _, h := range res.History {
-		m.metrics.PhaseObserved(h.Label, h.Duration.Seconds())
+		m.metrics.observe(phaseDuration, h.Label, h.Duration.Seconds())
 	}
 	rep := report.FromResult(spec.Workload, spec.Seed, res)
 	rep.Resources = m.jobResources(job)

@@ -62,44 +62,44 @@ func TestMetricsExpositionGolden(t *testing.T) {
 // kind and every histogram, with label values that need escaping.
 func recordEveryEvent(met *Metrics) {
 	for range 3 {
-		met.JobSubmitted()
+		met.add(jobsSubmitted, "", 1)
 	}
-	met.QueueRejected()
+	met.add(queueRejected, "", 1)
 	met.JobFinished(string(StateDone), 0.012)
 	met.JobFinished(string(StateDone), 0)
 	met.JobFinished(string(StateFailed), 1.5)
 	met.JobFinished(string(StateCanceled), 40)
-	met.QueueWaited(0.0007)
-	met.QueueWaited(3)
-	met.Cache("job", true)
-	met.Cache("job", false)
-	met.Cache("fleetdev", false)
-	met.PhaseObserved("baseline", 0.004)
-	met.PhaseObserved("phase2: merge \"t1\" \\ t2", 0.03)
-	met.PhaseObserved("phase4", 0.2)
+	met.observe(queueWait, "", 0.0007)
+	met.observe(queueWait, "", 3)
+	met.add(cacheHits, "job", 1)
+	met.add(cacheMisses, "job", 1)
+	met.add(cacheMisses, "fleetdev", 1)
+	met.observe(phaseDuration, "baseline", 0.004)
+	met.observe(phaseDuration, "phase2: merge \"t1\" \\ t2", 0.03)
+	met.observe(phaseDuration, "phase4", 0.2)
 	met.Replayed(20000, 0.004)
 	met.Replayed(7, 0)
-	met.FleetDevice("optimized")
-	met.FleetDevice("optimized")
-	met.FleetDevice("skipped")
-	met.FleetDevice("failed")
+	met.add(fleetDevices, "optimized", 1)
+	met.add(fleetDevices, "optimized", 1)
+	met.add(fleetDevices, "skipped", 1)
+	met.add(fleetDevices, "failed", 1)
 	met.FleetJobCompleted(64, 2.25)
 	met.FleetJobCompleted(3, 0.05)
-	met.JobRetried()
-	met.WorkerPanicked()
-	met.CircuitOpened()
-	met.CircuitRejected()
-	met.CircuitRejected()
-	met.JournalRecovered()
-	met.JournalRequeued()
-	met.CacheCorruptionDetected()
-	met.TraceWriteFailed()
-	met.TakeoverJob()
-	met.FencedCommit()
-	met.LeaseRenewed(true)
-	met.LeaseRenewed(true)
-	met.LeaseRenewed(false)
-	met.LeaseAcquireFailed()
+	met.add(jobRetries, "", 1)
+	met.add(workerPanics, "", 1)
+	met.add(circuitOpened, "", 1)
+	met.add(circuitRejected, "", 1)
+	met.add(circuitRejected, "", 1)
+	met.add(journalRecovered, "", 1)
+	met.add(journalRequeued, "", 1)
+	met.add(cacheCorruptions, "", 1)
+	met.add(traceWriteErrors, "", 1)
+	met.add(takeoverJobs, "", 1)
+	met.add(fencedCommits, "", 1)
+	met.add(leaseRenewals, "", 1)
+	met.add(leaseRenewals, "", 1)
+	met.add(leaseRenewFailures, "", 1)
+	met.add(leaseAcquireFailures, "", 1)
 	met.JobResources("optimize", prof.Usage{CPUSeconds: 0.75, HeapPeakBytes: 3 << 20, AllocObjects: 12345, AllocBytes: 9 << 20, GCCycles: 4})
 	met.JobResources("fleet", prof.Usage{CPUSeconds: 0.125, HeapPeakBytes: 1 << 30, AllocObjects: 10, AllocBytes: 4096, GCCycles: 1})
 	met.ProfileCaptured(prof.KindCPU, nil)

@@ -327,13 +327,13 @@ func TestCacheCorruptionDetected(t *testing.T) {
 // Prometheus exposition.
 func TestResilienceMetricsRendered(t *testing.T) {
 	met := NewMetrics()
-	met.JobRetried()
-	met.WorkerPanicked()
-	met.CircuitOpened()
-	met.CircuitRejected()
-	met.JournalRecovered()
-	met.JournalRequeued()
-	met.CacheCorruptionDetected()
+	met.add(jobRetries, "", 1)
+	met.add(workerPanics, "", 1)
+	met.add(circuitOpened, "", 1)
+	met.add(circuitRejected, "", 1)
+	met.add(journalRecovered, "", 1)
+	met.add(journalRequeued, "", 1)
+	met.add(cacheCorruptions, "", 1)
 	var buf bytes.Buffer
 	met.WritePrometheus(&buf, nil)
 	for _, want := range []string{
