@@ -183,43 +183,17 @@ func (c *Cache) storeLocked(key string, v any) {
 	}
 }
 
-// writeSpill persists a byte artifact crash-atomically: a uniquely named
-// temp file is written and fsynced, then renamed over the target, and
-// the directory is fsynced so the rename itself is durable. kill -9 at
-// any point leaves either no entry or the complete entry — never a torn
-// file (the read-side detect-and-purge stays as a second line of defense
-// for media corruption). The unique temp name also makes concurrent
-// writers safe — including two replica processes spilling the same
-// content-addressed key into a shared directory; whichever rename lands
-// last wins with identical bytes. Failures are deliberately ignored: the
-// spill is an optimization, not a durability guarantee.
+// writeSpill persists a byte artifact crash-atomically (WriteAtomic with
+// a rename): kill -9 at any point leaves either no entry or the complete
+// entry — never a torn file (the read-side detect-and-purge stays as a
+// second line of defense for media corruption). Two replica processes
+// spilling the same content-addressed key into a shared directory are
+// safe too: whichever rename lands last wins with identical bytes.
+// Failures are deliberately ignored: the spill is an optimization, not a
+// durability guarantee.
 func (c *Cache) writeSpill(key string, data []byte) {
 	c.slowDisk()
-	path := c.spillPath(key)
-	tmp, err := os.CreateTemp(c.dir, ".spill-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	defer os.Remove(name) // no-op once renamed
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		return
-	}
-	if err := os.Rename(name, path); err != nil {
-		return
-	}
-	if d, err := os.Open(c.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	_ = WriteAtomic(c.spillPath(key), data, os.Rename)
 }
 
 func (c *Cache) spillPath(key string) string {

@@ -303,3 +303,39 @@ func TestSpillProbeOutsideLockKeepsSingleFlight(t *testing.T) {
 		t.Errorf("fills = %d, want 1", fills.Load())
 	}
 }
+
+// TestWriteAtomicPublish: a rename replaces the target, a link to an
+// existing target fails with os.ErrExist and leaves it untouched, and no
+// temp file survives either path.
+func TestWriteAtomicPublish(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rec")
+	for _, data := range []string{"one", "two"} {
+		if err := WriteAtomic(path, []byte(data), os.Rename); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != data {
+			t.Fatalf("after rename: %q, want %q", got, data)
+		}
+	}
+	if err := WriteAtomic(path, []byte("three"), os.Link); !errors.Is(err, os.ErrExist) {
+		t.Fatalf("link over an existing file: %v, want os.ErrExist", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "two" {
+		t.Errorf("lost link race changed the target to %q", got)
+	}
+	if err := WriteAtomic(filepath.Join(dir, "fresh"), []byte("four"), os.Link); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("directory holds %v, want only rec and fresh", names)
+	}
+}

@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/faults"
 )
 
@@ -180,7 +181,7 @@ func (n *Node) Renew() error {
 		Expires: now.Add(n.cfg.TTL).UnixNano(),
 		Renewed: now.UnixNano(),
 	}
-	return n.writeAtomic(filepath.Join(n.memberDir(), n.cfg.ID+".lease"), rec)
+	return n.writeAtomic(filepath.Join(n.memberDir(), n.cfg.ID+".lease"), rec, os.Rename)
 }
 
 // Leave removes this replica's membership lease (a graceful goodbye;
@@ -265,7 +266,7 @@ func (n *Node) AcquireJob(key string) (*JobLease, error) {
 	}
 	rec := jobRecord{Key: key, Holder: n.cfg.ID, Epoch: epoch, Expires: now.Add(n.cfg.TTL).UnixNano()}
 	target := n.jobPath(key, epoch)
-	if err := n.linkAtomic(target, rec); err != nil {
+	if err := n.writeAtomic(target, rec, os.Link); err != nil {
 		if errors.Is(err, os.ErrExist) {
 			return nil, fmt.Errorf("%w: lost the epoch-%d race for %s", ErrHeld, epoch, key)
 		}
@@ -294,7 +295,7 @@ func (n *Node) RenewJob(l *JobLease) error {
 		return n.fenceErr(l, cur)
 	}
 	rec := jobRecord{Key: l.Key, Holder: l.Holder, Epoch: l.Epoch, Expires: n.now().Add(n.cfg.TTL).UnixNano()}
-	if err := n.writeAtomic(n.jobPath(l.Key, l.Epoch), rec); err != nil {
+	if err := n.writeAtomic(n.jobPath(l.Key, l.Epoch), rec, os.Rename); err != nil {
 		return err
 	}
 	l.Expires = time.Unix(0, rec.Expires)
@@ -421,45 +422,12 @@ func (n *Node) removeEpochsBelow(key string, epoch int64) {
 	}
 }
 
-// writeAtomic writes a lease record with the crash-atomic discipline:
-// unique temp file, fsync, rename over the target, fsync the directory.
-// A kill -9 at any point leaves either the old record or the new one,
-// never a torn file.
-func (n *Node) writeAtomic(path string, v any) error {
-	if n.cfg.Faults.Fire(faults.SlowDisk) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".lease-*")
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-// linkAtomic publishes a fully written, fsynced record at target via
-// link(2), which fails with EEXIST if target already exists — the atomic
+// writeAtomic writes a lease record crash-atomically (cache.WriteAtomic):
+// a kill -9 at any point leaves either the old record or the new one,
+// never a torn file. publish is os.Rename to replace a record, or
+// os.Link to create one only if absent: link's os.ErrExist is the
 // compare-and-swap that decides each epoch's single winner.
-func (n *Node) linkAtomic(target string, v any) error {
+func (n *Node) writeAtomic(path string, v any, publish func(oldpath, newpath string) error) error {
 	if n.cfg.Faults.Fire(faults.SlowDisk) {
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -467,39 +435,10 @@ func (n *Node) linkAtomic(target string, v any) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(target), ".lease-*")
-	if err != nil {
+	if err := cache.WriteAtomic(path, data, publish); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	name := tmp.Name()
-	defer os.Remove(name)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := os.Link(name, target); err != nil {
-		return err // may wrap os.ErrExist: the CAS lost
-	}
-	syncDir(filepath.Dir(target))
 	return nil
-}
-
-// syncDir fsyncs a directory so renames and links within it are durable;
-// best effort (some filesystems reject directory fsync).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
 }
 
 // sanitize maps a lease key to a safe file-name stem.

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"p2go/internal/cache"
 )
 
 // Capture kinds stored by the Store.
@@ -163,33 +165,12 @@ func (s *Store) captureCPU(ctx context.Context) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// write persists one capture crash-atomically (temp+fsync+rename, then
-// directory fsync — the artifact cache's spill discipline).
+// write persists one capture crash-atomically (cache.WriteAtomic with a
+// rename, the artifact cache's spill discipline).
 func (s *Store) write(kind string, at time.Time, data []byte) (Info, error) {
 	id := fmt.Sprintf("%s-%s.pprof", at.Format(stampLayout), kind)
-	tmp, err := os.CreateTemp(s.dir, ".capture-*")
-	if err != nil {
+	if err := cache.WriteAtomic(filepath.Join(s.dir, id), data, os.Rename); err != nil {
 		return Info{}, fmt.Errorf("%s capture: %w", kind, err)
-	}
-	name := tmp.Name()
-	defer os.Remove(name) // no-op once renamed
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return Info{}, fmt.Errorf("%s capture: %w", kind, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return Info{}, fmt.Errorf("%s capture: %w", kind, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return Info{}, fmt.Errorf("%s capture: %w", kind, err)
-	}
-	if err := os.Rename(name, filepath.Join(s.dir, id)); err != nil {
-		return Info{}, fmt.Errorf("%s capture: %w", kind, err)
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
 	}
 	return Info{ID: id, Kind: kind, Bytes: int64(len(data)), CapturedAt: at.Format(time.RFC3339Nano)}, nil
 }
