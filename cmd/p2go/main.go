@@ -43,7 +43,6 @@ import (
 
 	"p2go"
 	"p2go/internal/controller"
-	"p2go/internal/core"
 	"p2go/internal/faults"
 	"p2go/internal/obs"
 	"p2go/internal/report"
@@ -123,9 +122,9 @@ type loaded struct {
 	seed     int64
 	// bindings are the -set tunable assignments (nil when unset).
 	bindings map[string]int
-	// tune is the workload's tune-pass configuration, nil when the
+	// tuneTable is the workload's tune-pass accuracy table, "" when the
 	// workload declares none.
-	tune *workloads.TuneSpec
+	tuneTable string
 }
 
 // observability is the CLI's tracing/logging surface: the -trace and
@@ -228,7 +227,7 @@ func load(fs *flag.FlagSet, args []string) (*loaded, error) {
 		}
 	}
 	return &loaded{prog: prog, cfg: cfg, trace: trace, workload: *workload, seed: *seed,
-		bindings: bindings, tune: w.Tune}, nil
+		bindings: bindings, tuneTable: w.TuneAccuracyTable}, nil
 }
 
 // printJSON emits the shared machine-readable job-result schema.
@@ -301,11 +300,11 @@ func cmdOptimize(args []string) error {
 	o.logger.Debug("optimizing", "workload", in.workload, "seed", in.seed,
 		"packets", len(in.trace.Packets), "parallelism", *parallelism)
 	opts := p2go.Options{
-		Passes:      splitPasses(*passes),
-		Parallelism: *parallelism,
-		Bindings:    in.bindings,
+		Passes:            splitPasses(*passes),
+		Parallelism:       *parallelism,
+		Bindings:          in.bindings,
+		TuneAccuracyTable: in.tuneTable,
 	}
-	opts.Tune = core.WorkloadTune(in.tune)
 	if *tune {
 		if opts.Passes == nil {
 			opts.Passes = p2go.DefaultPassIDs()

@@ -70,8 +70,8 @@ func TestGeneratedDifferential(t *testing.T) {
 				return
 			}
 			tuned, err := Optimize(prog, cfg, trace, Options{
-				Passes: append([]string{"tune"}, DefaultPassIDs()...),
-				Tune:   &TuneOptions{AccuracyTable: "gen_limit"},
+				Passes:            append([]string{"tune"}, DefaultPassIDs()...),
+				TuneAccuracyTable: "gen_limit",
 			})
 			if err != nil {
 				t.Fatalf("optimize with tune: %v", err)

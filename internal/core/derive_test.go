@@ -24,10 +24,7 @@ func derivationSchedules(wl workloads.Workload) []struct {
 	name string
 	opts Options
 } {
-	tune := Options{Passes: append([]string{"tune"}, DefaultPassIDs()...)}
-	if wl.Tune != nil {
-		tune.Tune = &TuneOptions{AccuracyTable: wl.Tune.AccuracyTable, MaxAccuracyLoss: wl.Tune.MaxAccuracyLoss}
-	}
+	tune := Options{Passes: append([]string{"tune"}, DefaultPassIDs()...), TuneAccuracyTable: wl.TuneAccuracyTable}
 	return []struct {
 		name string
 		opts Options

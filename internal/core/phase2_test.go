@@ -84,9 +84,9 @@ func TestPhase2DerivationMatchesReplay(t *testing.T) {
 		}
 		scheds := before
 		opts := Options{}
-		if w.Tune != nil {
+		if w.TuneAccuracyTable != "" {
 			scheds = append(scheds[:len(scheds):len(scheds)], []string{"tune"})
-			opts.Tune = &TuneOptions{AccuracyTable: w.Tune.AccuracyTable, MaxAccuracyLoss: w.Tune.MaxAccuracyLoss}
+			opts.TuneAccuracyTable = w.TuneAccuracyTable
 		}
 		derived := 0
 		for _, passes := range scheds {

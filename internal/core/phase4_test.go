@@ -105,9 +105,9 @@ func TestRedirectDerivationMatchesReplay(t *testing.T) {
 		}
 		scheds := schedules
 		opts := Options{}
-		if w.Tune != nil {
+		if w.TuneAccuracyTable != "" {
 			scheds = append(scheds[:len(scheds):len(scheds)], []string{"tune", "phase2", "phase3"})
-			opts.Tune = &TuneOptions{AccuracyTable: w.Tune.AccuracyTable, MaxAccuracyLoss: w.Tune.MaxAccuracyLoss}
+			opts.TuneAccuracyTable = w.TuneAccuracyTable
 		}
 		for _, passes := range scheds {
 			opts.Passes = passes

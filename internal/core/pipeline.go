@@ -66,9 +66,13 @@ type Options struct {
 	// out-of-range values fail the run. Ignored (must be empty) for
 	// programs without tunables.
 	Bindings map[string]int
-	// Tune configures the "tune" pass when it is scheduled; nil means no
-	// accuracy constraint (the search minimizes stages alone).
-	Tune *TuneOptions
+	// TuneAccuracyTable names the table whose hit count is the "tune"
+	// pass's accuracy signal when the pass is scheduled — for sketch
+	// programs, the table applied when the sketch fires (alarms, rehash
+	// fixups, cookie checks), whose hits move when hash collisions or false
+	// positives change. "" means no accuracy constraint: the search
+	// minimizes stages alone.
+	TuneAccuracyTable string
 }
 
 // Phase 4's thresholds (§3.4): an offload must save at least

@@ -140,11 +140,11 @@ func TestSharedDeclsNeverEdited(t *testing.T) {
 			"default": {},
 			"guards":  {InsertDependencyGuards: true},
 		}
-		if wl.Tune != nil {
+		if wl.TuneAccuracyTable != "" {
 			schedules["tune"] = Options{
 				Passes:                 tuneFirst,
 				InsertDependencyGuards: true,
-				Tune:                   &TuneOptions{AccuracyTable: wl.Tune.AccuracyTable, MaxAccuracyLoss: wl.Tune.MaxAccuracyLoss},
+				TuneAccuracyTable:      wl.TuneAccuracyTable,
 			}
 		}
 		for sched, opts := range schedules {
@@ -168,7 +168,7 @@ func TestSharedDeclsNeverEdited(t *testing.T) {
 			opts := Options{InsertDependencyGuards: true}
 			if len(ast.Tunables) > 0 {
 				opts.Passes = tuneFirst
-				opts.Tune = &TuneOptions{AccuracyTable: "gen_limit"}
+				opts.TuneAccuracyTable = "gen_limit"
 			}
 			cfg, err := rt.Parse(g.Rules)
 			if err != nil {

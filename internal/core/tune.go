@@ -8,53 +8,18 @@ import (
 
 	"p2go/internal/obs"
 	"p2go/internal/p4"
-	"p2go/internal/workloads"
 )
-
-// TuneOptions configures the tune pass: the objective is "minimize
-// pipeline stages subject to a profile-measured accuracy floor", searched
-// by coordinate descent over each tunable's geometric lattice.
-type TuneOptions struct {
-	// AccuracyTable names the table whose hit count is the accuracy
-	// signal — for sketch programs, the table applied when the sketch
-	// fires (alarms, rehash fixups, cookie checks), whose hits move when
-	// hash collisions or false positives change. "" disables the
-	// accuracy constraint: the search minimizes stages alone.
-	AccuracyTable string
-	// MaxAccuracyLoss is the largest tolerated |hits(candidate) -
-	// hits(reference)| / total_packets, where the reference point binds
-	// every tunable to its maximum (the most accurate configuration).
-	// Candidates may never be less accurate than the starting bindings,
-	// so an infeasible starting point does not wedge the search. 0 means
-	// the default of 1%.
-	MaxAccuracyLoss float64
-}
-
-// WorkloadTune is the tune pass's configuration for a workload's tune
-// spec, or nil for a workload without one. It is the one conversion: the
-// CLI, the service's jobs and fleet devices all configure tune through it.
-func WorkloadTune(spec *workloads.TuneSpec) *TuneOptions {
-	if spec == nil {
-		return nil
-	}
-	return &TuneOptions{AccuracyTable: spec.AccuracyTable, MaxAccuracyLoss: spec.MaxAccuracyLoss}
-}
 
 const (
-	defaultTuneMaxLoss = 0.01
-	tuneRounds         = 4 // full sweeps at most; the search stops at the first that improves nothing
+	// tuneMaxLoss is the largest tolerated |hits(candidate) -
+	// hits(reference)| / total_packets on the accuracy table, where the
+	// reference point binds every tunable to its maximum (the most
+	// accurate configuration). Candidates may never be less accurate than
+	// the starting bindings, so an infeasible starting point does not
+	// wedge the search.
+	tuneMaxLoss = 0.01
+	tuneRounds  = 4 // full sweeps at most; the search stops at the first that improves nothing
 )
-
-func (o Options) tune() TuneOptions {
-	t := TuneOptions{}
-	if o.Tune != nil {
-		t = *o.Tune
-	}
-	if t.MaxAccuracyLoss == 0 {
-		t.MaxAccuracyLoss = defaultTuneMaxLoss
-	}
-	return t
-}
 
 // tuneEval is one measured candidate instantiation.
 type tuneEval struct {
@@ -75,7 +40,10 @@ func (e *tuneEval) memCost() int {
 	return n
 }
 
-// tunePass searches the program's @tunable knobs. Every candidate is a
+// tunePass searches the program's @tunable knobs: it minimizes pipeline
+// stages subject to a profile-measured accuracy floor (tuneMaxLoss on
+// Options.TuneAccuracyTable), by coordinate descent over each tunable's
+// geometric lattice. Every candidate is a
 // bind: child of the pristine source (run.bind), so the pass must run
 // before the rewriting passes — ValidatePasses admits it only as the first
 // entry of a schedule. Each candidate flows through the compile/profile
@@ -94,12 +62,12 @@ func (r *run) tunePass(ctx context.Context) error {
 		})
 		return nil
 	}
-	topts := r.opts.tune()
+	table := r.opts.TuneAccuracyTable
 
 	// Reference point: every knob at its maximum — the most accurate
 	// configuration, against which candidate accuracy loss is measured.
 	var refHits int
-	if topts.AccuracyTable != "" {
+	if table != "" {
 		refBindings := map[string]int{}
 		for _, t := range r.src.Tunables {
 			refBindings[t.Name] = t.Max
@@ -117,7 +85,7 @@ func (r *run) tunePass(ctx context.Context) error {
 	}
 	// The floor never demands more accuracy than the starting bindings
 	// deliver, so a search from an already-lossy default can still move.
-	floor := topts.MaxAccuracyLoss
+	floor := tuneMaxLoss
 	if start.loss > floor {
 		floor = start.loss
 	}
@@ -142,15 +110,15 @@ func (r *run) tunePass(ctx context.Context) error {
 					return err
 				}
 				candidates++
-				adopt := tuneBetter(cand, best, floor, topts.AccuracyTable != "")
+				adopt := tuneBetter(cand, best, floor, table != "")
 				r.obs = append(r.obs, Observation{
 					Phase:    PhaseTune,
 					Kind:     "tune-candidate",
 					Accepted: adopt,
 					Summary:  fmt.Sprintf("bindings %s", p4.FormatBindings(cand.bindings)),
 					Evidence: fmt.Sprintf("stages %d (fits %v), accuracy loss %.4f vs floor %.4f on table %q",
-						cand.stages, cand.fits, cand.loss, floor, topts.AccuracyTable),
-					Tables:       accuracyTables(topts),
+						cand.stages, cand.fits, cand.loss, floor, table),
+					Tables:       accuracyTables(table),
 					StagesBefore: best.stages,
 					StagesAfter:  cand.stages,
 					Details: map[string]string{
@@ -180,7 +148,7 @@ func (r *run) tunePass(ctx context.Context) error {
 			p4.FormatBindings(best.bindings), p4.FormatBindings(r.bindings)),
 		Evidence: fmt.Sprintf("%d candidates searched; stages %d -> %d, accuracy loss %.4f (floor %.4f)",
 			candidates, start.stages, best.stages, best.loss, floor),
-		Tables:       accuracyTables(topts),
+		Tables:       accuracyTables(table),
 		StagesBefore: start.stages,
 		StagesAfter:  best.stages,
 		Details: map[string]string{
@@ -221,12 +189,12 @@ func (r *run) tuneEval(ctx context.Context, bindings map[string]int, refHits int
 		stages:   totalStages(comp.Mapping),
 		fits:     comp.Mapping.Fits,
 	}
-	if t := r.opts.tune(); t.AccuracyTable != "" {
+	if table := r.opts.TuneAccuracyTable; table != "" {
 		prof, err := r.profileCandidate(ctx, c.prog)
 		if err != nil {
 			return nil, err
 		}
-		ev.hits = prof.Hits[t.AccuracyTable]
+		ev.hits = prof.Hits[table]
 		if prof.TotalPackets > 0 {
 			diff := ev.hits - refHits
 			if diff < 0 {
@@ -286,9 +254,9 @@ func knobLadder(t *p4.Tunable) []int {
 	return out
 }
 
-func accuracyTables(t TuneOptions) []string {
-	if t.AccuracyTable == "" {
+func accuracyTables(table string) []string {
+	if table == "" {
 		return nil
 	}
-	return []string{t.AccuracyTable}
+	return []string{table}
 }

@@ -21,8 +21,8 @@ import (
 func TestTuneMaglev(t *testing.T) {
 	trace := trafficgen.MaglevTrace(trafficgen.MaglevSpec{Seed: 1})
 	res, err := Optimize(context.Background(), p4.MustParse(programs.Maglev), programs.MaglevConfig(), trace, Options{
-		Passes: []string{"tune"},
-		Tune:   &TuneOptions{AccuracyTable: "maglev_rehash"},
+		Passes:            []string{"tune"},
+		TuneAccuracyTable: "maglev_rehash",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +84,9 @@ func TestTuneSharedCacheFewerMisses(t *testing.T) {
 	cache := NewAnalysisCache()
 	run := func() *Result {
 		res, err := Optimize(context.Background(), p4.MustParse(programs.SynCookie), programs.SynCookieConfig(), trace, Options{
-			Passes:        []string{"tune"},
-			Tune:          &TuneOptions{AccuracyTable: "cookie_check"},
-			AnalysisCache: cache,
+			Passes:            []string{"tune"},
+			TuneAccuracyTable: "cookie_check",
+			AnalysisCache:     cache,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -201,10 +201,10 @@ func TestWarmTuneRerun(t *testing.T) {
 			}
 			ast, cfg := p4.MustParse(wl.Source), wl.Config()
 			opts := Options{
-				Passes:        append([]string{"tune"}, DefaultPassIDs()...),
-				Tune:          WorkloadTune(wl.Tune),
-				AnalysisCache: NewAnalysisCache(),
-				Parallelism:   2,
+				Passes:            append([]string{"tune"}, DefaultPassIDs()...),
+				TuneAccuracyTable: wl.TuneAccuracyTable,
+				AnalysisCache:     NewAnalysisCache(),
+				Parallelism:       2,
 			}
 			optimize := func() *Result {
 				res, err := Optimize(context.Background(), ast, cfg, trace, opts)

@@ -64,9 +64,9 @@ type resolvedDevice struct {
 	cfg     *rt.Config
 	printed string // canonical program text
 	rules   string // canonical rules text
-	// tune is the device workload's tune-pass configuration (nil without
+	// tuneTable is the device workload's tune-pass accuracy table ("" without
 	// one), as a single job of that workload would run it.
-	tune *core.TuneOptions
+	tuneTable string
 }
 
 // Run executes the fleet job: collect each device's observed trace by
@@ -207,8 +207,8 @@ func runDevice(ctx context.Context, spec Spec, opts Options,
 	if spec.Parallelism > 0 {
 		devOpts.Parallelism = spec.Parallelism
 	}
-	if dev.tune != nil {
-		devOpts.Tune = dev.tune
+	if dev.tuneTable != "" {
+		devOpts.TuneAccuracyTable = dev.tuneTable
 	}
 	key := deviceKey(dev, trace, spec.Passes, devOpts)
 	if opts.DeviceCache != nil {
@@ -306,7 +306,7 @@ func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 			resolved[key] = dev
 		}
 		dev.spec = d
-		dev.tune = core.WorkloadTune(w.Tune)
+		dev.tuneTable = w.TuneAccuracyTable
 		if dev.cfg != nil {
 			dev.cfg = dev.cfg.Clone()
 		}
@@ -370,7 +370,7 @@ func BuildInjections(ctx context.Context, spec Spec) ([]network.Injection, error
 
 // deviceKey content-addresses one device's optimization: the canonical
 // program text, rules, observed trace, effective pass schedule, hardware
-// model and, for a schedule with the tune pass, its options. Two devices
+// model and, for a schedule with the tune pass, its accuracy table. Two devices
 // (or two runs) with the same key produce the same row, which is what
 // makes the DeviceCache safe to share across fleets and after crashes.
 func deviceKey(dev resolvedDevice, trace *trafficgen.Trace, passes []string, copts core.Options) string {
@@ -381,8 +381,8 @@ func deviceKey(dev resolvedDevice, trace *trafficgen.Trace, passes []string, cop
 		strings.Join(passes, ","),
 		copts.Target.Key(),
 	}
-	if copts.Tune != nil && slices.Contains(passes, "tune") {
-		parts = append(parts, fmt.Sprintf("tune %+v", *copts.Tune))
+	if copts.TuneAccuracyTable != "" && slices.Contains(passes, "tune") {
+		parts = append(parts, "tune "+copts.TuneAccuracyTable)
 	}
 	return cache.Digest(parts...)
 }

@@ -474,7 +474,7 @@ func TestDeviceTunesLikeOneJob(t *testing.T) {
 	if row.Packets != len(trace.Packets) {
 		t.Fatalf("device saw %d packets, the workload trace has %d", row.Packets, len(trace.Packets))
 	}
-	want, err := core.Optimize(context.Background(), p4.MustParse(w.Source), w.Config(), trace, core.Options{Parallelism: 1, Passes: spec.Passes, Tune: core.WorkloadTune(w.Tune)})
+	want, err := core.Optimize(context.Background(), p4.MustParse(w.Source), w.Config(), trace, core.Options{Parallelism: 1, Passes: spec.Passes, TuneAccuracyTable: w.TuneAccuracyTable})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1015,9 +1015,9 @@ func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
 
 	opts.Passes = spec.Passes
 	opts.Bindings = bindings
-	// The workload's tune spec configures the pass if the job's schedule
-	// includes "tune"; harmless otherwise.
-	opts.Tune = core.WorkloadTune(w.Tune)
+	// The workload's accuracy table configures the pass if the job's
+	// schedule includes "tune"; harmless otherwise.
+	opts.TuneAccuracyTable = w.TuneAccuracyTable
 	res, err := core.Optimize(ctx, prog, cfg, trace, opts)
 	if err != nil {
 		return nil, err

@@ -29,18 +29,10 @@ type Workload struct {
 	prefix func(seed int64, n int) (*trafficgen.Trace, error)
 	// Paper documents the expected stage reduction, for reports.
 	Paper string
-	// Tune configures the tune pass for workloads whose programs declare
-	// @tunable knobs; nil means the workload has no tuning story.
-	Tune *TuneSpec
-}
-
-// TuneSpec is the workload-level tune-pass configuration; core.WorkloadTune
-// turns it into core.TuneOptions (this package cannot import core).
-type TuneSpec struct {
-	// AccuracyTable is the table whose hit count is the accuracy signal.
-	AccuracyTable string
-	// MaxAccuracyLoss overrides the tune pass's default floor; 0 keeps it.
-	MaxAccuracyLoss float64
+	// TuneAccuracyTable is the tune pass's accuracy signal
+	// (core.Options.TuneAccuracyTable) for workloads whose programs declare
+	// @tunable knobs; "" means the workload has no tuning story.
+	TuneAccuracyTable string
 }
 
 var registry = map[string]Workload{
@@ -86,8 +78,8 @@ var registry = map[string]Workload{
 		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
 			return trafficgen.SourceguardPrefix(trafficgen.SourceguardSpec{Seed: seed}, n), nil
 		},
-		Paper: "Table 3: 5 -> 4 stages (Reducing Memory, one register -8.4%)",
-		Tune:  &TuneSpec{AccuracyTable: "sg_drop"},
+		Paper:             "Table 3: 5 -> 4 stages (Reducing Memory, one register -8.4%)",
+		TuneAccuracyTable: "sg_drop",
 	},
 	"failure": {
 		Name:        "failure",
@@ -98,8 +90,8 @@ var registry = map[string]Workload{
 		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
 			return trafficgen.FailurePrefix(trafficgen.FailureSpec{Seed: seed}, n), nil
 		},
-		Paper: "Table 3: 4 -> 2 stages (Offloading Code)",
-		Tune:  &TuneSpec{AccuracyTable: "FailureAlarm"},
+		Paper:             "Table 3: 4 -> 2 stages (Offloading Code)",
+		TuneAccuracyTable: "FailureAlarm",
 	},
 	"maglev": {
 		Name:        "maglev",
@@ -110,8 +102,8 @@ var registry = map[string]Workload{
 		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
 			return trafficgen.MaglevPrefix(trafficgen.MaglevSpec{Seed: seed}, n), nil
 		},
-		Paper: "tune: 5 -> 4 stages (conn_cells shrunk until both connection registers share a stage)",
-		Tune:  &TuneSpec{AccuracyTable: "maglev_rehash"},
+		Paper:             "tune: 5 -> 4 stages (conn_cells shrunk until both connection registers share a stage)",
+		TuneAccuracyTable: "maglev_rehash",
 	},
 	"syncookie": {
 		Name:        "syncookie",
@@ -122,8 +114,8 @@ var registry = map[string]Workload{
 		prefix: func(seed int64, n int) (*trafficgen.Trace, error) {
 			return trafficgen.SynCookiePrefix(trafficgen.SynCookieSpec{Seed: seed}, n), nil
 		},
-		Paper: "tune: 4 -> 3 stages (sc_bf_cells shrunk until the proven-clients filter shares a stage)",
-		Tune:  &TuneSpec{AccuracyTable: "cookie_check"},
+		Paper:             "tune: 4 -> 3 stages (sc_bf_cells shrunk until the proven-clients filter shares a stage)",
+		TuneAccuracyTable: "cookie_check",
 	},
 	"stress": {
 		Name:        "stress",

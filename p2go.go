@@ -79,9 +79,6 @@ type (
 	PassInfo = core.PassInfo
 	// PassStat is one executed pass's runtime and analysis-cache counters.
 	PassStat = core.PassStat
-	// TuneOptions configures the opt-in "tune" pass: the accuracy signal
-	// table and the tolerated accuracy loss for the knob search.
-	TuneOptions = core.TuneOptions
 	// TunedKnob is one @tunable symbol's declared range and final value,
 	// reported in Result.Tunables.
 	TunedKnob = core.TunedKnob
