@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -9,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"p2go/internal/core"
 	"p2go/internal/report"
 	"p2go/internal/service"
+	"p2go/internal/workloads"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns
@@ -366,4 +369,91 @@ control ingress { apply(t); }
 	if err := cmdProfile([]string{"-workload", "quickstart", "-program", prog, "-rules", rules}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCLIMatchesDaemon: `p2go optimize -json` and `p2go profile -json` print
+// the report an in-process p2god job of the same spec stores, for every
+// workload (and maglev under -tune), once what only one side fills is
+// masked: timings, the daemon's resource block, and the CLI's behavior
+// check. Each job gets a fresh manager, so its cache counters start where a
+// CLI run's do.
+func TestCLIMatchesDaemon(t *testing.T) {
+	type run struct {
+		args []string
+		spec service.JobSpec
+	}
+	var runs []run
+	for _, w := range workloads.Names() {
+		runs = append(runs,
+			run{[]string{"optimize", "-workload", w, "-json"}, service.JobSpec{Kind: "optimize", Workload: w}},
+			run{[]string{"profile", "-workload", w, "-json"}, service.JobSpec{Kind: "profile", Workload: w}})
+	}
+	runs = append(runs, run{[]string{"optimize", "-workload", "maglev", "-tune", "-json"},
+		service.JobSpec{Kind: "optimize", Workload: "maglev", Passes: append([]string{"tune"}, core.DefaultPassIDs()...)}})
+	for _, r := range runs {
+		t.Run(strings.Join(r.args[:len(r.args)-1], "_"), func(t *testing.T) {
+			cmd := cmdOptimize
+			if r.args[0] == "profile" {
+				cmd = cmdProfile
+			}
+			cli := captureStdout(t, func() error { return cmd(r.args[1:]) })
+			daemon := daemonResult(t, r.spec)
+			if got, want := maskedReport(t, cli), maskedReport(t, string(daemon)); got != want {
+				t.Errorf("CLI and daemon reports differ\nCLI:    %s\ndaemon: %s", got, want)
+			}
+		})
+	}
+}
+
+// daemonResult runs spec as a job of a fresh in-process manager and returns
+// its stored report.
+func daemonResult(t *testing.T, spec service.JobSpec) []byte {
+	t.Helper()
+	m := service.NewManager(service.ManagerConfig{Workers: 1, QueueDepth: 1})
+	m.Start()
+	defer m.Drain(5 * time.Second)
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !st.State.Terminal() {
+		st, _ = m.Wait(context.Background(), st.ID, time.Minute, true)
+	}
+	if st.State != service.StateDone {
+		t.Fatalf("job %s: %s", st.State, st.Error)
+	}
+	return st.Result
+}
+
+// maskedReport re-encodes a job report without its duration_seconds fields
+// (at any depth) and its resources, equivalence and resilience blocks.
+func maskedReport(t *testing.T, report string) string {
+	t.Helper()
+	var v map[string]any
+	if err := json.Unmarshal([]byte(report), &v); err != nil {
+		t.Fatalf("report is not JSON: %v\n%s", err, report)
+	}
+	for _, k := range []string{"resources", "equivalence", "resilience"} {
+		delete(v, k)
+	}
+	var mask func(any)
+	mask = func(x any) {
+		switch x := x.(type) {
+		case map[string]any:
+			delete(x, "duration_seconds")
+			for _, e := range x {
+				mask(e)
+			}
+		case []any:
+			for _, e := range x {
+				mask(e)
+			}
+		}
+	}
+	mask(v)
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
