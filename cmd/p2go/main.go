@@ -43,9 +43,11 @@ import (
 
 	"p2go"
 	"p2go/internal/controller"
+	"p2go/internal/core"
 	"p2go/internal/faults"
 	"p2go/internal/obs"
 	"p2go/internal/report"
+	"p2go/internal/service"
 	"p2go/internal/workloads"
 )
 
@@ -113,20 +115,6 @@ func usage() {
   p2go list`)
 }
 
-// loaded is the resolved input set for a run.
-type loaded struct {
-	prog     *p2go.Program
-	cfg      *p2go.Config
-	trace    *p2go.Trace
-	workload string
-	seed     int64
-	// bindings are the -set tunable assignments (nil when unset).
-	bindings map[string]int
-	// tuneTable is the workload's tune-pass accuracy table, "" when the
-	// workload declares none.
-	tuneTable string
-}
-
 // observability is the CLI's tracing/logging surface: the -trace and
 // -log-level flags shared by the profile and optimize subcommands.
 type observability struct {
@@ -179,55 +167,33 @@ func (o *observability) finish() error {
 	return nil
 }
 
-// load resolves the program, rules, and trace from flags.
-func load(fs *flag.FlagSet, args []string) (*loaded, error) {
+// jobFlags registers the flags that are JobSpec fields of every job kind
+// and returns the function that parses the arguments and builds the spec,
+// with -program and -rules read into the spec's text fields.
+func jobFlags(fs *flag.FlagSet, kind string) func(args []string) (service.JobSpec, error) {
 	workload := fs.String("workload", "ex1", "named workload (see 'p2go list')")
 	programFile := fs.String("program", "", "P4_14 program file (overrides the workload's program)")
 	rulesFile := fs.String("rules", "", "rules file (overrides the workload's rules)")
 	seed := fs.Int64("seed", 1, "trace generator seed")
 	set := fs.String("set", "", `tunable bindings, e.g. "sc_bf_cells=32768,other=10" (default: the @tunable declarations' defaults)`)
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	w, err := workloads.Get(*workload)
-	if err != nil {
-		return nil, err
-	}
-	src := w.Source
-	if *programFile != "" {
-		data, err := os.ReadFile(*programFile)
-		if err != nil {
-			return nil, err
+	return func(args []string) (service.JobSpec, error) {
+		if err := fs.Parse(args); err != nil {
+			return service.JobSpec{}, err
 		}
-		src = string(data)
-	}
-	prog, err := p2go.ParseProgram(src)
-	if err != nil {
-		return nil, fmt.Errorf("parse program: %w", err)
-	}
-	cfg := w.Config()
-	if *rulesFile != "" {
-		data, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			return nil, err
+		spec := service.JobSpec{Kind: kind, Workload: *workload, Seed: *seed, Bindings: *set}
+		// Each file flag, when set, fills its text field.
+		for _, f := range [][2]*string{{programFile, &spec.Program}, {rulesFile, &spec.Rules}} {
+			if *f[0] == "" {
+				continue
+			}
+			data, err := os.ReadFile(*f[0])
+			if err != nil {
+				return spec, err
+			}
+			*f[1] = string(data)
 		}
-		cfg, err = p2go.ParseRules(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("parse rules: %w", err)
-		}
+		return spec, nil
 	}
-	trace, err := w.Trace(*seed)
-	if err != nil {
-		return nil, err
-	}
-	var bindings map[string]int
-	if *set != "" {
-		if bindings, err = p2go.ParseBindings(*set); err != nil {
-			return nil, err
-		}
-	}
-	return &loaded{prog: prog, cfg: cfg, trace: trace, workload: *workload, seed: *seed,
-		bindings: bindings, tuneTable: w.TuneAccuracyTable}, nil
 }
 
 // printJSON emits the shared machine-readable job-result schema.
@@ -242,27 +208,22 @@ func printJSON(r *report.JobResult) error {
 
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
+	parse := jobFlags(fs, "profile")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable job-result schema")
 	parallelism := fs.Int("parallelism", 0, "replay shards (0 = all CPUs, 1 = sequential; stateful programs always replay sequentially)")
 	var o observability
 	o.flags(fs)
-	in, err := load(fs, args)
+	spec, err := parse(args)
 	if err != nil {
 		return err
 	}
+	spec.Parallelism = *parallelism
 	ctx, err := o.context()
 	if err != nil {
 		return err
 	}
-	o.logger.Debug("profiling", "workload", in.workload, "seed", in.seed,
-		"packets", len(in.trace.Packets), "parallelism", *parallelism)
-	// Profiling runs on the concrete program: bind the @tunable symbols
-	// (-set values, declared defaults for the rest).
-	concrete, err := p2go.InstantiateProgram(in.prog, in.bindings)
-	if err != nil {
-		return err
-	}
-	prof, err := p2go.RunProfile(ctx, concrete, in.cfg, in.trace, *parallelism)
+	o.logger.Debug("profiling", "workload", spec.Workload, "seed", spec.Seed, "parallelism", *parallelism)
+	out, err := service.Run(ctx, spec, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -270,14 +231,15 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return printJSON(report.FromProfile(in.workload, in.seed, prof))
+		return printJSON(out.Report)
 	}
-	fmt.Print(prof.Render())
+	fmt.Print(out.Profile.Render())
 	return nil
 }
 
 func cmdOptimize(args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
+	parse := jobFlags(fs, "optimize")
 	passes := fs.String("passes", "", "comma-separated pass schedule, e.g. phase4,phase2,phase3 (see 'p2go passes'; empty = default order)")
 	emit := fs.String("emit", "", "write the optimized program to this file")
 	emitCtl := fs.String("emit-controller", "", "write the controller program to this file")
@@ -289,35 +251,29 @@ func cmdOptimize(args []string) error {
 	parallelism := fs.Int("parallelism", 0, "workers for replay shards and candidate probes (0 = all CPUs, 1 = sequential)")
 	var o observability
 	o.flags(fs)
-	in, err := load(fs, args)
+	spec, err := parse(args)
 	if err != nil {
 		return err
+	}
+	spec.Passes, spec.Parallelism = splitPasses(*passes), *parallelism
+	if *tune {
+		if spec.Passes == nil {
+			spec.Passes = core.DefaultPassIDs()
+		}
+		spec.Passes = append([]string{"tune"}, spec.Passes...)
 	}
 	ctx, err := o.context()
 	if err != nil {
 		return err
 	}
-	o.logger.Debug("optimizing", "workload", in.workload, "seed", in.seed,
-		"packets", len(in.trace.Packets), "parallelism", *parallelism)
-	opts := p2go.Options{
-		Passes:            splitPasses(*passes),
-		Parallelism:       *parallelism,
-		Bindings:          in.bindings,
-		TuneAccuracyTable: in.tuneTable,
-	}
-	if *tune {
-		if opts.Passes == nil {
-			opts.Passes = p2go.DefaultPassIDs()
-		}
-		opts.Passes = append([]string{"tune"}, opts.Passes...)
-	}
-	res, err := p2go.OptimizeContext(ctx, in.prog, in.cfg, in.trace, opts)
+	o.logger.Debug("optimizing", "workload", spec.Workload, "seed", spec.Seed, "parallelism", *parallelism)
+	out, err := service.Run(ctx, spec, core.Options{})
 	if err != nil {
 		return err
 	}
+	res, jr := out.Result, out.Report
 	o.logger.Debug("optimized", "stages_before", res.StagesBefore(),
 		"stages_after", res.StagesAfter(), "offloaded", len(res.OffloadedTables))
-	jr := report.FromResult(in.workload, in.seed, res)
 	// Without a fault plan or a policy the check runs on the plain
 	// deployment: one controller, no faults.
 	underFaults := *faultPlan != "" || *degrade != ""
@@ -333,7 +289,7 @@ func cmdOptimize(args []string) error {
 		}
 		vopts = p2go.ResilientOptions{Replicas: *replicas, Policy: policy, Faults: set}
 	}
-	check, err := p2go.VerifyChaosEquivalence(ctx, res, in.cfg, in.trace, vopts)
+	check, err := p2go.VerifyChaosEquivalence(ctx, res, out.Config, out.Trace, vopts)
 	if err != nil {
 		return err
 	}
@@ -401,21 +357,23 @@ func cmdOptimize(args []string) error {
 // connections).
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	parse := jobFlags(fs, "optimize")
 	listen := fs.String("listen", "127.0.0.1:9099", "packet-in listen address")
-	in, err := load(fs, args)
+	spec, err := parse(args)
 	if err != nil {
 		return err
 	}
-	res, err := p2go.Optimize(in.prog, in.cfg, in.trace, p2go.Options{Bindings: in.bindings})
+	out, err := service.Run(context.Background(), spec, core.Options{})
 	if err != nil {
 		return err
 	}
+	res := out.Result
 	if res.ControllerProgram == nil {
 		return fmt.Errorf("nothing was offloaded; no controller to serve")
 	}
 	fmt.Printf("optimized %d -> %d stages; offloaded %v\n",
 		res.StagesBefore(), res.StagesAfter(), res.OffloadedTables)
-	ctl, err := p2go.NewController(res.ControllerProgram, in.cfg)
+	ctl, err := p2go.NewController(res.ControllerProgram, out.Config)
 	if err != nil {
 		return err
 	}

@@ -349,6 +349,20 @@ func (r *run) doProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*
 	return prof, err
 }
 
+// Profile replays the trace over the program through doProfile, the funnel
+// every replay of Optimize takes: opts.AnalysisCache answers a replay it
+// has seen (nil means a fresh cache), and opts.ProfileHook, when set,
+// replaces the replay it has not. The program is profiled as given: no
+// pass runs and no binding is applied.
+func Profile(ctx context.Context, ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trace, opts Options) (*profile.Profile, error) {
+	m, err := newManager(opts)
+	if err != nil {
+		return nil, err
+	}
+	r := &run{opts: opts, mgr: m, trace: trace, traceDig: trace.Digest()}
+	return r.doProfile(ctx, ast, cfg)
+}
+
 // reprofile refreshes the profile for the current program. Rules and
 // defaults whose tables were optimized away are filtered first.
 func (r *run) reprofile(ctx context.Context) error {

@@ -46,9 +46,7 @@ func (m *Manager) executeFleet(ctx context.Context, job *Job) ([]byte, error) {
 	}
 	// Resource attribution rides the same rule: FleetEquivalent ignores
 	// it, like timings and cache counters.
-	if job.meter != nil {
-		res.Resources = report.FromUsage(job.meter.Sample())
-	}
+	res.Resources = m.jobResources(job)
 	return json.Marshal(res)
 }
 

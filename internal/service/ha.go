@@ -112,18 +112,18 @@ func (m *Manager) TakeoverScan() int {
 			if known {
 				continue // already ours (e.g. reclaimed on a prior scan)
 			}
-			spec := p.Spec
-			if err := spec.normalize(); err != nil {
-				continue
+			key := p.Spec.RouteKey()
+			if key == "" {
+				continue // does not normalize
 			}
-			lease, err := node.AcquireJob("job:" + spec.digest())
+			lease, err := node.AcquireJob("job:" + key)
 			if err != nil {
 				// Held: either the peer is alive after all (membership
 				// lease lagging) or another survivor beat us to it.
 				m.metrics.add(leaseAcquireFailures, "", 1)
 				continue
 			}
-			if _, err := m.submit(spec, p.ID, mem.ID, lease); err != nil {
+			if _, err := m.submit(p.Spec, p.ID, mem.ID, lease); err != nil {
 				// Queue full or draining; give the lease back so another
 				// replica (or a later scan) can claim the job.
 				_ = node.ReleaseJob(lease)

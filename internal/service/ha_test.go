@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"p2go/internal/cluster"
+	"p2go/internal/faults"
 )
 
 // haClock is a shared synthetic clock for every node in a test replica
@@ -292,5 +293,47 @@ func TestDuplicateDigestServedFromPeerCache(t *testing.T) {
 	}
 	if !bytes.Equal(fin.Result, []byte(`{"who":"r2"}`)) {
 		t.Errorf("result = %q, want the peer's cached artifact", fin.Result)
+	}
+}
+
+// TestLeaseLostHitNeverComputes: a worker that cannot acquire its job's
+// lease may only serve the peer's published result. When that result fails
+// validation (here an injected cache.corrupt), the worker must not compute
+// it itself — it holds no lease, so nothing would fence its publish — but
+// fail the job with the lease error, as it does when the peer's result has
+// not landed yet.
+func TestLeaseLostHitNeverComputes(t *testing.T) {
+	dir := t.TempDir()
+	clk := newHAClock()
+
+	r1 := newHAReplica(t, dir, "r1", clk, 1)
+	r1.m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
+		t.Error("execFn ran without the job's lease")
+		return []byte(`{"who":"r1"}`), nil
+	}
+	spec := JobSpec{Workload: "quickstart", Seed: 11}
+	// Submitted before Start: queued, not answered at admission.
+	st, err := r1.m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2 := newHAReplica(t, dir, "r2", clk, 1)
+	key := "job:" + spec.RouteKey()
+	if _, err := r2.node.AcquireJob(key); err != nil {
+		t.Fatal(err)
+	}
+	r2.m.Cache().PutBytes(key, []byte(`{"who":"r2"}`))
+	r1.m.cfg.Faults = faults.MustSet(faults.Spec{Point: faults.CacheCorrupt, From: 0, To: 1})
+
+	r1.m.Start()
+	defer r1.m.Drain(time.Second)
+	fin := waitTerminal(t, r1.m, st.ID)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, cluster.ErrHeld.Error()) {
+		t.Fatalf("job = %s (%q), want failed with the lease error", fin.State, fin.Error)
+	}
+	var buf bytes.Buffer
+	r1.m.Metrics().WritePrometheus(&buf, nil)
+	if !strings.Contains(buf.String(), "p2god_cache_corruption_total 1\n") {
+		t.Errorf("corruption not counted:\n%s", grepLines(buf.String(), "corruption"))
 	}
 }

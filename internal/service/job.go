@@ -14,13 +14,18 @@ import (
 	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/prof"
+	"p2go/internal/profile"
+	"p2go/internal/report"
+	"p2go/internal/rt"
+	"p2go/internal/trafficgen"
 	"p2go/internal/workloads"
 )
 
-// JobSpec is a submitted unit of work: profile or optimize one workload
-// (optionally with an uploaded program and/or rules standing in for the
-// workload's own), exactly mirroring the `p2go profile` / `p2go optimize`
-// CLI inputs.
+// JobSpec is a unit of work: profile or optimize one workload (optionally
+// with an uploaded program and/or rules standing in for the workload's
+// own), or optimize a fleet. It is the only description of a profile or
+// optimize job: p2god runs a submitted one, and `p2go profile` / `p2go
+// optimize` build one from their flags and run it through the same Run.
 type JobSpec struct {
 	// Kind is "profile", "optimize", or "fleet". Empty defaults to
 	// "optimize".
@@ -69,18 +74,18 @@ func (s *JobSpec) normalize() error {
 	if s.Kind == "" {
 		s.Kind = "optimize"
 	}
+	if s.TimeoutSeconds < 0 {
+		return fmt.Errorf("negative timeout_seconds")
+	}
+	if s.Parallelism < 0 {
+		return fmt.Errorf("negative parallelism")
+	}
 	if s.Kind == "fleet" {
 		if s.Fleet == nil {
 			return fmt.Errorf("fleet job without a fleet spec")
 		}
 		if err := s.Fleet.Validate(); err != nil {
 			return err
-		}
-		if s.TimeoutSeconds < 0 {
-			return fmt.Errorf("negative timeout_seconds")
-		}
-		if s.Parallelism < 0 {
-			return fmt.Errorf("negative parallelism")
 		}
 		// The single-workload fields don't apply; Workload doubles as the
 		// fleet's display name in job listings.
@@ -101,12 +106,6 @@ func (s *JobSpec) normalize() error {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if s.TimeoutSeconds < 0 {
-		return fmt.Errorf("negative timeout_seconds")
-	}
-	if s.Parallelism < 0 {
-		return fmt.Errorf("negative parallelism")
 	}
 	if len(s.Passes) == 0 {
 		s.Passes = nil // JSON cannot distinguish [] from absent; treat both as default
@@ -132,6 +131,84 @@ func (s JobSpec) digest() string {
 	}
 	return cache.Digest(s.Kind, s.Workload, fmt.Sprintf("%d", s.Seed), s.Program, s.Rules,
 		strings.Join(s.Passes, ","), s.Bindings)
+}
+
+// Output is what Run produced: the report every surface prints or stores,
+// built from Result (optimize) or Profile (profile), and the rules and trace
+// the job resolved, which a caller's own verification replays.
+type Output struct {
+	Report  *report.JobResult
+	Result  *core.Result
+	Profile *profile.Profile
+	Config  *rt.Config
+	Trace   *trafficgen.Trace
+}
+
+// Run executes a profile or optimize job: it normalizes the spec, resolves
+// its workload, program, rules, trace and bindings, and runs core.Profile or
+// core.Optimize under opts, whose Passes, Bindings and TuneAccuracyTable it
+// sets from the spec (and Parallelism when the spec sets one). Fleet jobs
+// run through fleet.Run instead.
+func Run(ctx context.Context, spec JobSpec, opts core.Options) (*Output, error) {
+	if err := spec.normalize(); err != nil {
+		return nil, err
+	}
+	if spec.Kind == "fleet" {
+		return nil, fmt.Errorf("service: a fleet job runs through fleet.Run")
+	}
+	w, err := workloads.Get(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	src := w.Source
+	if spec.Program != "" {
+		src = spec.Program
+	}
+	prog, err := p4.Parse(src)
+	if err == nil {
+		err = p4.Check(prog)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("parse program: %w", err)
+	}
+	out := &Output{Config: w.Config()}
+	if spec.Rules != "" {
+		if out.Config, err = rt.Parse(spec.Rules); err != nil {
+			return nil, fmt.Errorf("parse rules: %w", err)
+		}
+	}
+	if out.Trace, err = w.Trace(spec.Seed); err != nil {
+		return nil, err
+	}
+	bindings, err := p4.ParseBindings(spec.Bindings)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Parallelism > 0 {
+		opts.Parallelism = spec.Parallelism
+	}
+
+	if spec.Kind == "profile" {
+		// Profiling runs on the concrete program: bind the @tunable
+		// symbols (the spec's values, declared defaults for the rest).
+		concrete, err := p4.Instantiate(prog, bindings)
+		if err != nil {
+			return nil, err
+		}
+		if out.Profile, err = core.Profile(ctx, concrete, out.Config, out.Trace, opts); err != nil {
+			return nil, err
+		}
+		out.Report = report.FromProfile(spec.Workload, spec.Seed, out.Profile)
+		return out, nil
+	}
+	// The workload's accuracy table configures the pass if the schedule
+	// includes "tune"; harmless otherwise.
+	opts.Passes, opts.Bindings, opts.TuneAccuracyTable = spec.Passes, bindings, w.TuneAccuracyTable
+	if out.Result, err = core.Optimize(ctx, prog, out.Config, out.Trace, opts); err != nil {
+		return nil, err
+	}
+	out.Report = report.FromResult(spec.Workload, spec.Seed, out.Result)
+	return out, nil
 }
 
 // JobState is a job's lifecycle position.

@@ -22,7 +22,6 @@ import (
 	"p2go/internal/report"
 	"p2go/internal/rt"
 	"p2go/internal/trafficgen"
-	"p2go/internal/workloads"
 )
 
 // Submission errors the HTTP layer maps to status codes.
@@ -307,26 +306,22 @@ func (m *Manager) submit(spec JobSpec, presetID, takenOverFrom string, lease *cl
 		}
 	}
 	m.mu.Lock()
-	st, err := m.admitLocked(job, presetID, hit)
+	st, err := m.admitLocked(job, presetID, hit != nil)
 	m.mu.Unlock()
-	if err == nil && hit != nil {
-		// After the lock: nobody else waits for this request's file writes.
-		m.persistTrace(job.ID, job.trace)
-		m.cfg.Journal.answered(job.ID)
-		m.metrics.add(cacheHits, "job", 1)
-		m.metrics.JobFinished(string(StateDone), 0)
-		m.logger.Info("job finished",
-			"job_id", job.ID, "kind", spec.Kind, "digest", job.Digest,
-			"replica_id", job.replica, "outcome", string(StateDone),
-			"cached", true, "admission", true, "seconds", 0.0)
+	if err != nil || hit == nil {
+		return st, err
 	}
-	return st, err
+	m.metrics.add(cacheHits, "job", 1)
+	m.finish(job, hit, true, nil, nil)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return job.statusLocked(false), nil
 }
 
 // admitLocked refuses the job (draining, open breaker, full queue) or
-// registers it: terminal already when hit is its cached result, queued and
-// journaled otherwise.
-func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus, error) {
+// registers it: answered when hit (its cached result is served, and finish
+// makes it terminal), queued and journaled otherwise.
+func (m *Manager) admitLocked(job *Job, presetID string, hit bool) (JobStatus, error) {
 	if m.draining {
 		return JobStatus{}, ErrDraining
 	}
@@ -345,12 +340,10 @@ func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus,
 	} else if _, taken := m.jobs[presetID]; taken {
 		return JobStatus{}, fmt.Errorf("service: job %q already tracked", presetID)
 	}
-	if hit != nil {
-		job.cached, job.result = true, hit
-		job.startedAt = job.createdAt
-		m.finishLocked(job, StateDone, "")
+	if hit {
+		// Running until finish, so a drain never takes it for a queued job.
+		job.state, job.startedAt = StateRunning, job.createdAt
 		job.trace = admissionTrace(job)
-		m.breakerUpdateLocked(job.Digest, StateDone)
 	} else {
 		select {
 		case m.queue <- job:
@@ -365,14 +358,13 @@ func (m *Manager) admitLocked(job *Job, presetID string, hit []byte) (JobStatus,
 	}
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
-	m.pruneLocked()
 	m.metrics.add(jobsSubmitted, "", 1)
 	attrs := []any{"job_id", job.ID, "kind", job.Spec.Kind, "workload", job.Spec.Workload,
 		"digest", job.Digest, "replica_id", job.replica}
 	if job.takenOverFrom != "" {
 		attrs = append(attrs, "taken_over_from", job.takenOverFrom)
 	}
-	if hit == nil {
+	if !hit {
 		// Journal while still holding the lock: a worker that pops this job
 		// cannot record "finished" before "accepted" is durable. (A job
 		// answered from the cache was never pending: no record.)
@@ -415,7 +407,7 @@ func jobSpanAttrs(job *Job) []obs.Attr {
 // shape a worker-run cache hit has — a job root over one cache.lookup, which
 // is all the job was — so GET /jobs/{id}/trace explains it like any other.
 func admissionTrace(job *Job) *obs.Collector {
-	took := job.finishedAt.Sub(job.createdAt)
+	took := time.Since(job.createdAt)
 	col := obs.NewCollector(2)
 	col.Export(obs.SpanData{ID: 2, ParentID: 1, Name: "cache.lookup", Start: job.createdAt, Duration: took,
 		Attrs: []obs.Attr{obs.String("kind", "job"), obs.String("key", "job:"+job.Digest), obs.Bool("hit", true)}})
@@ -619,22 +611,8 @@ func (m *Manager) runJob(job *Job) {
 	m.mu.Lock()
 	m.queued--
 	if job.canceled {
-		if job.requeue {
-			// Drained with a journal: the accepted record stays
-			// pending, so the job is recovered on the next start.
-			m.finishLocked(job, StateRequeued, "requeued at drain; recovered on next start")
-		} else {
-			m.finishLocked(job, StateCanceled, "canceled before start")
-		}
-		outcome := job.state
 		m.mu.Unlock()
-		if outcome == StateCanceled {
-			m.cfg.Journal.Finished(job.ID, StateCanceled)
-		}
-		m.metrics.JobFinished(string(outcome), 0)
-		m.logger.Info("job finished",
-			"job_id", job.ID, "kind", job.Spec.Kind, "digest", job.Digest,
-			"replica_id", job.replica, "outcome", string(outcome))
+		m.finish(job, nil, false, errors.New("canceled before start"), nil)
 		return
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
@@ -647,7 +625,7 @@ func (m *Manager) runJob(job *Job) {
 	job.trace = collector
 	// Meter the job's resource consumption from here to terminal state;
 	// execute samples it mid-flight to embed the resources block in the
-	// report, runJob takes the final reading for span attrs and metrics.
+	// report, finish takes the final reading for span attrs and metrics.
 	job.meter = prof.Begin(0)
 	job.state = StateRunning
 	job.startedAt = time.Now()
@@ -676,93 +654,121 @@ func (m *Manager) runJob(job *Job) {
 	tracer.Emit(root, "job.queue-wait", job.createdAt, waited,
 		obs.Float("seconds", waited.Seconds()))
 
+	out, hit, err := m.serve(ctx, job)
+	m.metrics.add(either(hit, cacheHits, cacheMisses), "job", 1)
+	m.finish(job, out, hit, err, root)
+}
+
+// serve answers a job that reached a worker: from the artifact cache, or by
+// computing it. In cluster mode the worker owns the job's digest lease
+// before computing. A takeover job arrives with the lease pre-acquired by
+// the scan; everything else acquires here. Losing the acquisition means a
+// peer is computing the same digest: serve its result from the shared
+// cache if it landed and validates, otherwise fail with the lease error —
+// the client's failover retry will find it. Without the lease nothing would
+// fence a publish, so a worker that lost it never computes.
+func (m *Manager) serve(ctx context.Context, job *Job) ([]byte, bool, error) {
 	key := "job:" + job.Digest
-	var (
-		out    []byte
-		hit    bool
-		err    error
-		served bool
-	)
-	// In cluster mode the worker owns the job's digest lease before
-	// computing. A takeover job arrives with the lease pre-acquired by the
-	// scan; everything else acquires here. Losing the acquisition means a
-	// peer is computing the same digest: serve its result from the shared
-	// cache if it already landed, otherwise fail — the client's failover
-	// retry will find it.
 	if m.cfg.Cluster != nil && job.lease == nil {
-		lease, lerr := m.cfg.Cluster.AcquireJob(key)
-		switch {
-		case lerr == nil:
-			m.mu.Lock()
-			job.lease = lease
-			m.mu.Unlock()
-		default:
+		lease, err := m.cfg.Cluster.AcquireJob(key)
+		if err != nil {
 			m.metrics.add(leaseAcquireFailures, "", 1)
-			if b, ok := m.cache.GetBytes(key); ok && json.Valid(b) {
-				out, hit, served = b, true, true
-			} else {
-				err, served = lerr, true
+			if out, ok := m.cache.GetBytes(key); ok && m.validHit(key, out) {
+				return out, true, nil
 			}
+			return nil, false, err
 		}
+		m.mu.Lock()
+		job.lease = lease
+		m.mu.Unlock()
 	}
-	if !served {
-		out, hit, err = m.lookupJob(ctx, key, job)
-	}
+	out, hit, err := m.lookupJob(ctx, key, job)
 	if err == nil && hit && !m.validHit(key, out) {
 		// Purged; recompute instead of serving it.
 		out, hit, err = m.lookupJob(ctx, key, job)
 	}
-	m.metrics.add(either(hit, cacheHits, cacheMisses), "job", 1)
+	return out, hit, err
+}
 
+// finish is the one place a job ends: answered at admission (cached, root
+// nil), dropped before a worker started it (root nil) or run by a worker
+// (root is its span). Under the lock it turns err into the terminal state —
+// done, requeued for a job a drain left pending, canceled when the user or
+// the context stopped it, failed otherwise — stores a done job's result,
+// wakes every Wait and feeds the breaker. Then it records the end: root
+// with the job's resource reading, the trace file, the journal record, the
+// lease release, the metrics and the log line. After Kill it ends root
+// only: a dead process writes nothing.
+func (m *Manager) finish(job *Job, out []byte, cached bool, err error, root *obs.Span) {
 	m.mu.Lock()
-	m.running--
+	var outcome JobState
+	errText := ""
 	switch {
 	case err == nil:
-		job.cached = hit
-		job.result = out
-		m.finishLocked(job, StateDone, "")
+		outcome = StateDone
+		job.cached, job.result = cached, out
+	case job.requeue:
+		outcome, errText = StateRequeued, "requeued at drain; recovered on next start"
 	case job.canceled || errors.Is(err, context.Canceled):
-		m.finishLocked(job, StateCanceled, err.Error())
+		outcome, errText = StateCanceled, err.Error()
 	default:
-		m.finishLocked(job, StateFailed, err.Error())
+		outcome, errText = StateFailed, err.Error()
 	}
-	seconds := job.finishedAt.Sub(job.startedAt).Seconds()
-	outcome := job.state
-	lease := job.lease
-	killed := m.killed
+	if root != nil {
+		m.running--
+	}
+	m.finishLocked(job, outcome, errText)
 	m.breakerUpdateLocked(job.Digest, outcome)
+	lease, killed := job.lease, m.killed
 	m.mu.Unlock()
-	// Final resource reading: stop the sampler (even when "killed" — the
-	// goroutine must not leak), attribute the consumption to the root
-	// span and the per-kind metrics.
-	usage := job.meter.End()
-	root.SetAttr(obs.String("outcome", string(outcome)), obs.Bool("cache_hit", hit),
-		obs.Float("cpu_seconds", usage.CPUSeconds),
-		obs.Int64("alloc_bytes", usage.AllocBytes),
-		obs.Int64("alloc_objects", usage.AllocObjects),
-		obs.Int64("gc_cycles", usage.GCCycles),
-		obs.Int64("heap_peak_bytes", usage.HeapPeakBytes),
-		obs.Int64("goroutine_peak", int64(usage.GoroutinePeak)))
-	root.End()
+
+	var usage prof.Usage
+	seconds := 0.0
+	if root != nil {
+		// Final resource reading: stop the sampler (even when "killed" — the
+		// goroutine must not leak), attribute the consumption to the root
+		// span and the per-kind metrics.
+		usage = job.meter.End()
+		seconds = job.finishedAt.Sub(job.startedAt).Seconds()
+		root.SetAttr(obs.String("outcome", string(outcome)), obs.Bool("cache_hit", cached),
+			obs.Float("cpu_seconds", usage.CPUSeconds),
+			obs.Int64("alloc_bytes", usage.AllocBytes),
+			obs.Int64("alloc_objects", usage.AllocObjects),
+			obs.Int64("gc_cycles", usage.GCCycles),
+			obs.Int64("heap_peak_bytes", usage.HeapPeakBytes),
+			obs.Int64("goroutine_peak", int64(usage.GoroutinePeak)))
+		root.End()
+	}
 	if killed {
 		// The process is "dead": no terminal journal record, no trace
 		// file, and the lease is left to age out — exactly the debris a
 		// real kill -9 leaves for the survivors to reclaim.
 		return
 	}
-	m.persistTrace(job.ID, collector)
-	m.cfg.Journal.Finished(job.ID, outcome)
+	m.persistTrace(job.ID, job.trace)
+	answered := root == nil && cached
+	switch {
+	case outcome == StateRequeued:
+		// The accepted record stays pending: the job is recovered on the
+		// next start.
+	case answered:
+		m.cfg.Journal.answered(job.ID)
+	default:
+		m.cfg.Journal.Finished(job.ID, outcome)
+	}
 	if lease != nil && m.cfg.Cluster != nil {
 		// The outcome is durable; drop the lease. For a fenced job this is
 		// a no-op (the superseding epoch survives).
 		_ = m.cfg.Cluster.ReleaseJob(lease)
 	}
 	m.metrics.JobFinished(string(outcome), seconds)
-	m.metrics.JobResources(job.Spec.Kind, usage)
+	if root != nil {
+		m.metrics.JobResources(job.Spec.Kind, usage)
+	}
 	m.logger.Info("job finished",
 		"job_id", job.ID, "kind", job.Spec.Kind, "digest", job.Digest,
-		"replica_id", job.replica, "outcome", string(outcome),
-		"cached", hit, "seconds", seconds, "cpu_seconds", usage.CPUSeconds)
+		"replica_id", job.replica, "outcome", string(outcome), "cached", cached,
+		"admission", answered, "seconds", seconds, "cpu_seconds", usage.CPUSeconds)
 }
 
 // lookupJob serves the job artifact through the cache under a
@@ -809,10 +815,11 @@ func (m *Manager) fenceCheck(job *Job) error {
 	return nil
 }
 
-// persistTrace writes the job's Chrome trace to TraceDir, when set.
-// Failures are counted, not fatal: the trace stays readable in memory.
+// persistTrace writes the job's Chrome trace, if it has one, to TraceDir,
+// when set. Failures are counted, not fatal: the trace stays readable in
+// memory.
 func (m *Manager) persistTrace(jobID string, col *obs.Collector) {
-	if m.cfg.TraceDir == "" {
+	if m.cfg.TraceDir == "" || col == nil {
 		return
 	}
 	f, err := os.Create(filepath.Join(m.cfg.TraceDir, jobID+".trace.json"))
@@ -922,18 +929,21 @@ func (m *Manager) jobTimeout(job *Job) time.Duration {
 	return m.cfg.JobTimeout
 }
 
-// finishLocked makes the job terminal and wakes everyone waiting on it.
+// finishLocked makes the job terminal, wakes everyone waiting on it, and
+// prunes the terminal backlog it grew.
 func (m *Manager) finishLocked(job *Job, state JobState, errText string) {
 	job.state = state
 	job.errText = errText
 	job.finishedAt = time.Now()
 	close(job.done)
 	m.terminal++
+	m.pruneLocked()
 }
 
 // pruneLocked caps the terminal-job backlog, dropping the oldest first. It
-// runs on every submission, so it costs what it drops: nothing while under
-// the cap, and otherwise a walk that ends at the last job it removes.
+// runs on every terminal transition, so it costs what it drops: nothing
+// while under the cap, and otherwise a walk that ends at the last job it
+// removes.
 func (m *Manager) pruneLocked() {
 	if m.terminal <= maxFinishedJobs {
 		return
@@ -954,80 +964,24 @@ func (m *Manager) pruneLocked() {
 	m.order = kept
 }
 
-// execute runs one job for real: resolve the inputs, run the pipeline
-// over the daemon's analysis cache, and serialize the shared report schema.
+// execute runs one job for real: a fleet through fleet.Run, anything else
+// through Run over the daemon's analysis cache, and serializes the report
+// with the job's phase metrics recorded and its resources block attached.
 func (m *Manager) execute(ctx context.Context, job *Job) ([]byte, error) {
-	spec := job.Spec
-	if spec.Kind == "fleet" {
+	if job.Spec.Kind == "fleet" {
 		return m.executeFleet(ctx, job)
 	}
-	w, err := workloads.Get(spec.Workload)
+	out, err := Run(ctx, job.Spec, m.coreOptions(job))
 	if err != nil {
 		return nil, err
 	}
-	src := w.Source
-	if spec.Program != "" {
-		src = spec.Program
-	}
-	prog, err := p4.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("parse program: %w", err)
-	}
-	if err := p4.Check(prog); err != nil {
-		return nil, fmt.Errorf("check program: %w", err)
-	}
-	cfg := w.Config()
-	if spec.Rules != "" {
-		cfg, err = rt.Parse(spec.Rules)
-		if err != nil {
-			return nil, fmt.Errorf("parse rules: %w", err)
+	if out.Result != nil {
+		for _, h := range out.Result.History {
+			m.metrics.observe(phaseDuration, h.Label, h.Duration.Seconds())
 		}
 	}
-	trace, err := w.Trace(spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	var bindings map[string]int
-	if spec.Bindings != "" {
-		if bindings, err = p4.ParseBindings(spec.Bindings); err != nil {
-			return nil, err
-		}
-	}
-	opts := m.coreOptions(job)
-
-	if spec.Kind == "profile" {
-		// Profiling runs on the concrete program: bind the @tunable
-		// symbols (submitted values, declared defaults for the rest).
-		concrete, err := p4.Instantiate(prog, bindings)
-		if err != nil {
-			return nil, err
-		}
-		pf, _, err := m.analysis.Profile(concrete, cfg, trace.Digest(), func() (*profile.Profile, error) {
-			return opts.ProfileHook(ctx, concrete, cfg, trace)
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := report.FromProfile(spec.Workload, spec.Seed, pf)
-		rep.Resources = m.jobResources(job)
-		return json.Marshal(rep)
-	}
-
-	opts.Passes = spec.Passes
-	opts.Bindings = bindings
-	// The workload's accuracy table configures the pass if the job's
-	// schedule includes "tune"; harmless otherwise.
-	opts.TuneAccuracyTable = w.TuneAccuracyTable
-	res, err := core.Optimize(ctx, prog, cfg, trace, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range res.History {
-		m.metrics.observe(phaseDuration, h.Label, h.Duration.Seconds())
-	}
-	rep := report.FromResult(spec.Workload, spec.Seed, res)
-	rep.Resources = m.jobResources(job)
-	return json.Marshal(rep)
+	out.Report.Resources = m.jobResources(job)
+	return json.Marshal(out.Report)
 }
 
 // coreOptions is what every job's pipeline runs with, whatever its kind:
