@@ -62,13 +62,11 @@ func printStatus(st service.JobStatus) error {
 func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	sf := addServerFlags(fs)
-	kind := fs.String("kind", "optimize", `job kind: "profile" or "optimize"`)
-	workload := fs.String("workload", "ex1", "named workload")
-	seed := fs.Int64("seed", 1, "trace generator seed")
+	spec := jobFlags(fs, "")
+	fs.StringVar(&spec.Kind, "kind", "optimize", `job kind: "profile" or "optimize"`)
 	passes := fs.String("passes", "", "comma-separated pass schedule, e.g. phase4,phase2,phase3 (see 'p2go passes'; empty = default order)")
-	set := fs.String("set", "", `tunable bindings, e.g. "sc_bf_cells=32768" (default: the @tunable declarations' defaults)`)
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job timeout on the server (0 = server default)")
-	parallelism := fs.Int("parallelism", 0, "job workers for replay shards and candidate probes (0 = server default)")
+	fs.IntVar(&spec.Parallelism, "parallelism", 0, "job workers for replay shards and candidate probes (0 = server default)")
 	wait := fs.Bool("wait", false, "wait until the job finishes and print the result")
 	poll := fs.Duration("poll", 200*time.Millisecond, "with -wait: pause before re-asking a server that answered early (draining, mid-takeover, or too old to hold the request)")
 	waitTimeout := fs.Duration("wait-timeout", 10*time.Minute, "give up on -wait after this long (0 = wait forever)")
@@ -76,16 +74,8 @@ func cmdSubmit(args []string) error {
 		return err
 	}
 	client := sf.client()
-	spec := service.JobSpec{
-		Kind:           *kind,
-		Workload:       *workload,
-		Seed:           *seed,
-		Passes:         splitPasses(*passes),
-		Bindings:       *set,
-		TimeoutSeconds: jobTimeout.Seconds(),
-		Parallelism:    *parallelism,
-	}
-	st, err := client.SubmitJob(spec)
+	spec.Passes, spec.TimeoutSeconds = splitPasses(*passes), jobTimeout.Seconds()
+	st, err := client.SubmitJob(*spec)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,7 @@
 //	p2go profile  -workload ex1 [-seed N] [-json] [-trace out.json] [-log-level debug]
 //	p2go optimize -workload ex1 [-seed N] [-passes phase4,phase2,phase3] [-emit out.p4] [-json]
 //	p2go optimize -workload ex1 -trace trace.json   (span timeline; load in Perfetto)
-//	p2go optimize -program prog.p4 -rules rules.txt -workload-trace ex1
+//	p2go optimize -program prog.p4 -rules rules.txt -workload ex1
 //	p2go optimize -workload ex1 -faults "controller.down:from=10,to=60" -degrade fail-open
 //	p2go submit   -server http://127.0.0.1:9095 -workload ex1 [-wait]
 //	p2go status   -server http://127.0.0.1:9095 -id j-000001
@@ -167,32 +167,38 @@ func (o *observability) finish() error {
 	return nil
 }
 
-// jobFlags registers the flags that are JobSpec fields of every job kind
-// and returns the function that parses the arguments and builds the spec,
-// with -program and -rules read into the spec's text fields.
-func jobFlags(fs *flag.FlagSet, kind string) func(args []string) (service.JobSpec, error) {
-	workload := fs.String("workload", "ex1", "named workload (see 'p2go list')")
+// jobFlags registers the flags that are JobSpec fields of every job verb
+// (-workload, -seed, -set), bound to the returned spec of the given kind.
+func jobFlags(fs *flag.FlagSet, kind string) *service.JobSpec {
+	spec := &service.JobSpec{Kind: kind}
+	fs.StringVar(&spec.Workload, "workload", "ex1", "named workload (see 'p2go list')")
+	fs.Int64Var(&spec.Seed, "seed", 1, "trace generator seed")
+	fs.StringVar(&spec.Bindings, "set", "", `tunable bindings, e.g. "sc_bf_cells=32768,other=10" (default: the @tunable declarations' defaults)`)
+	return spec
+}
+
+// localJobFlags is jobFlags plus -program and -rules, for the verbs that
+// run the job here. The returned function parses the arguments and reads
+// the two files into the spec's text fields.
+func localJobFlags(fs *flag.FlagSet, kind string) (*service.JobSpec, func(args []string) error) {
+	spec := jobFlags(fs, kind)
 	programFile := fs.String("program", "", "P4_14 program file (overrides the workload's program)")
 	rulesFile := fs.String("rules", "", "rules file (overrides the workload's rules)")
-	seed := fs.Int64("seed", 1, "trace generator seed")
-	set := fs.String("set", "", `tunable bindings, e.g. "sc_bf_cells=32768,other=10" (default: the @tunable declarations' defaults)`)
-	return func(args []string) (service.JobSpec, error) {
+	return spec, func(args []string) error {
 		if err := fs.Parse(args); err != nil {
-			return service.JobSpec{}, err
+			return err
 		}
-		spec := service.JobSpec{Kind: kind, Workload: *workload, Seed: *seed, Bindings: *set}
-		// Each file flag, when set, fills its text field.
 		for _, f := range [][2]*string{{programFile, &spec.Program}, {rulesFile, &spec.Rules}} {
 			if *f[0] == "" {
 				continue
 			}
 			data, err := os.ReadFile(*f[0])
 			if err != nil {
-				return spec, err
+				return err
 			}
 			*f[1] = string(data)
 		}
-		return spec, nil
+		return nil
 	}
 }
 
@@ -208,22 +214,20 @@ func printJSON(r *report.JobResult) error {
 
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
-	parse := jobFlags(fs, "profile")
+	spec, parse := localJobFlags(fs, "profile")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable job-result schema")
-	parallelism := fs.Int("parallelism", 0, "replay shards (0 = all CPUs, 1 = sequential; stateful programs always replay sequentially)")
+	fs.IntVar(&spec.Parallelism, "parallelism", 0, "replay shards (0 = all CPUs, 1 = sequential; stateful programs always replay sequentially)")
 	var o observability
 	o.flags(fs)
-	spec, err := parse(args)
-	if err != nil {
+	if err := parse(args); err != nil {
 		return err
 	}
-	spec.Parallelism = *parallelism
 	ctx, err := o.context()
 	if err != nil {
 		return err
 	}
-	o.logger.Debug("profiling", "workload", spec.Workload, "seed", spec.Seed, "parallelism", *parallelism)
-	out, err := service.Run(ctx, spec, core.Options{})
+	o.logger.Debug("profiling", "workload", spec.Workload, "seed", spec.Seed, "parallelism", spec.Parallelism)
+	out, err := service.Run(ctx, *spec, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -239,7 +243,7 @@ func cmdProfile(args []string) error {
 
 func cmdOptimize(args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
-	parse := jobFlags(fs, "optimize")
+	spec, parse := localJobFlags(fs, "optimize")
 	passes := fs.String("passes", "", "comma-separated pass schedule, e.g. phase4,phase2,phase3 (see 'p2go passes'; empty = default order)")
 	emit := fs.String("emit", "", "write the optimized program to this file")
 	emitCtl := fs.String("emit-controller", "", "write the controller program to this file")
@@ -248,14 +252,13 @@ func cmdOptimize(args []string) error {
 	degrade := fs.String("degrade", "", `degradation policy under faults: "fail-open" (default), "fail-closed", or "fallback"`)
 	replicas := fs.Int("replicas", 2, "controller replicas for chaos verification")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable job-result schema")
-	parallelism := fs.Int("parallelism", 0, "workers for replay shards and candidate probes (0 = all CPUs, 1 = sequential)")
+	fs.IntVar(&spec.Parallelism, "parallelism", 0, "workers for replay shards and candidate probes (0 = all CPUs, 1 = sequential)")
 	var o observability
 	o.flags(fs)
-	spec, err := parse(args)
-	if err != nil {
+	if err := parse(args); err != nil {
 		return err
 	}
-	spec.Passes, spec.Parallelism = splitPasses(*passes), *parallelism
+	spec.Passes = splitPasses(*passes)
 	if *tune {
 		if spec.Passes == nil {
 			spec.Passes = core.DefaultPassIDs()
@@ -266,8 +269,8 @@ func cmdOptimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	o.logger.Debug("optimizing", "workload", spec.Workload, "seed", spec.Seed, "parallelism", *parallelism)
-	out, err := service.Run(ctx, spec, core.Options{})
+	o.logger.Debug("optimizing", "workload", spec.Workload, "seed", spec.Seed, "parallelism", spec.Parallelism)
+	out, err := service.Run(ctx, *spec, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -357,13 +360,12 @@ func cmdOptimize(args []string) error {
 // connections).
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	parse := jobFlags(fs, "optimize")
+	spec, parse := localJobFlags(fs, "optimize")
 	listen := fs.String("listen", "127.0.0.1:9099", "packet-in listen address")
-	spec, err := parse(args)
-	if err != nil {
+	if err := parse(args); err != nil {
 		return err
 	}
-	out, err := service.Run(context.Background(), spec, core.Options{})
+	out, err := service.Run(context.Background(), *spec, core.Options{})
 	if err != nil {
 		return err
 	}

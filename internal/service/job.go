@@ -57,7 +57,8 @@ type JobSpec struct {
 	// produce the same artifact however long they were allowed to take.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
 	// Parallelism is the job's worker count for sharded trace replay and
-	// the Phase 3/4 candidate fan-out; 0 uses the server default.
+	// the Phase 3/4 candidate fan-out; 0 uses the server default (the
+	// CLI's: one worker per CPU).
 	// Like the timeout it is not part of the artifact digest: the result
 	// is parallelism-independent.
 	Parallelism int `json:"parallelism,omitempty"`

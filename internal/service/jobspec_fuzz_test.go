@@ -3,18 +3,22 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 )
 
-// decodeJobSpec decodes data as decodeSpec decodes a request body: one
-// JobSpec, unknown fields refused.
+// decodeJobSpec decodes data through decodeSpec, the request-body decoder
+// (unknown fields refused, bodies over maxSpecBytes refused).
 func decodeJobSpec(data []byte) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	return spec, err
+	rec := httptest.NewRecorder()
+	if !decodeSpec(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(data)), "job spec", &spec) {
+		return spec, errors.New(rec.Body.String())
+	}
+	return spec, nil
 }
 
 // FuzzJobSpec holds normalize — the one step every job description passes
