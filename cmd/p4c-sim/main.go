@@ -90,7 +90,7 @@ func run(workload, programFile string, dot, paths bool, stages int) error {
 		}
 	}
 	// The numbers on a job trace's "sim.plan" span: a replay reads only the
-	// profiling header and the fate off each packet, and computes only that.
+	// execution marks and the fate off each packet, and computes only that.
 	fmt.Println("\n== replay lowering ==")
 	if prep, err := profile.PrepareContext(context.Background(), prog, cfg); err != nil {
 		fmt.Println("   not lowered:", err)

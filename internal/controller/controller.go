@@ -62,7 +62,7 @@ func New(segment *p4.Program, cfg *rt.Config) (*Controller, error) {
 
 // fateOnly lowers every Switch of this package: its verdict loops never read
 // the execution trace or the outgoing bytes, so the plans compute neither and
-// an Output carries only the forwarding decision.
+// an Output carries the forwarding decision and the execution marks.
 var fateOnly = sim.Options{Observe: sim.ObserveFate}
 
 // fateRing is how many batches of fates the original program may run ahead
@@ -175,7 +175,8 @@ func replayOriginal(original *sim.Switch, trace *trafficgen.Trace,
 }
 
 // Handle processes one redirected packet through the segment and returns
-// the segment's verdict (an Output without Data or Exec).
+// the segment's verdict (an Output without Exec, whose Data is the
+// segment's execution marks).
 func (c *Controller) Handle(in sim.Input) (sim.Output, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -84,8 +84,9 @@ func TestVerifyEquivalenceAllocCeiling(t *testing.T) {
 // runs on recycled register memory. sourceguard's two switches declare
 // 524 160 cells (4.2 MB) each: a second VerifyEquivalence measured
 // 8 475 032 bytes when every switch allocated them afresh, 248 472 with
-// recycling, and 179 968 on fate plans, whose arenas stay empty (what is left
-// is three lowerings and two 512-packet batches of Outputs).
+// recycling, 179 968 on fate plans while their arenas stayed empty, and
+// 203 576 now that they hold a batch of execution marks (the rest is three
+// lowerings and two 512-packet batches of Outputs).
 func TestVerifyEquivalenceByteCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply to -race builds")

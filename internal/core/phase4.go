@@ -269,9 +269,10 @@ func (r *run) offloadChild(seg Segment) *child {
 // apply(To_Ctl), which hits on every packet entering that block — and the
 // current program already counts those packets: a table applied directly
 // as a statement of the same block sees each of them exactly once (P4_14
-// control blocks have no early exit, profiling neutralises drops, and
-// p4.Check rejects a second apply of a table), so its Applied count is the
-// block's entry count; the root ingress block is entered by every packet.
+// control blocks have no early exit, a drop only marks the packet for the
+// rest of ingress, and p4.Check rejects a second apply of a table), so its
+// Applied count is the block's entry count; the root ingress block is
+// entered by every packet.
 // The rewrite cannot change that count: everything deciding whether a
 // packet reaches the block runs before the segment, registers are
 // table-local, and selfContained forbids any field the segment writes

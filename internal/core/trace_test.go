@@ -40,7 +40,7 @@ func TestNATGRESpanTreeGolden(t *testing.T) {
   phase1.profile
     profile
       profile.instrument tables=4
-        sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=trailer ops_elided=3
+        sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=fate ops_elided=3
       sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
   phase2.remove-dependencies
     phase2.iteration improved=true iteration=1
@@ -54,7 +54,7 @@ func TestNATGRESpanTreeGolden(t *testing.T) {
     phase2.audit derived=1
       profile
         profile.instrument tables=4
-          sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=trailer ops_elided=3
+          sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=fate ops_elided=3
         sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
   phase3.reduce-memory
     phase3.iteration improved=false iteration=1

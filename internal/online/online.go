@@ -1,8 +1,8 @@
 // Package online implements the paper's first future-work direction (§6,
 // "Dynamic compilation"): online profiling. P2GO's offline optimizations
 // are only valid while the computed profile stays representative; this
-// package instruments the running program with the same per-action markers
-// the offline profiler uses, maintains a sliding-window profile at a
+// package classifies each forwarded packet's table applications the way
+// the offline profiler does, maintains a sliding-window profile at a
 // configurable sampling rate (the paper's accuracy-vs-overhead trade-off),
 // detects when the live profile drifts from the baseline, and records
 // recent traffic so the operator can re-run P2GO with a fresh,
@@ -12,7 +12,6 @@ package online
 import (
 	"fmt"
 
-	"p2go/internal/ir"
 	"p2go/internal/p4"
 	"p2go/internal/profile"
 	"p2go/internal/rt"
@@ -65,10 +64,9 @@ func (d Drift) String() string {
 		d.Window, d.Table, d.Observed, d.Baseline)
 }
 
-// Monitor is an instrumented data plane with windowed online profiling.
+// Monitor is a data plane with windowed online profiling.
 type Monitor struct {
 	cfg      Config
-	ins      *profile.Instrumented
 	sw       *sim.Switch
 	baseline *profile.Profile
 	// missDefault classifies default-action executions as misses exactly
@@ -87,42 +85,29 @@ type Monitor struct {
 	full   bool
 }
 
-// NewMonitor instruments the (optimized) program and wires it against the
+// NewMonitor boots the (optimized) program and wires it against the
 // baseline profile the offline run produced.
 func NewMonitor(ast *p4.Program, rules *rt.Config, baseline *profile.Profile, cfg Config) (*Monitor, error) {
 	if baseline == nil {
 		return nil, fmt.Errorf("online: a baseline profile is required")
 	}
-	ins, err := profile.Instrument(ast)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := ir.Build(ins.AST)
-	if err != nil {
-		return nil, err
-	}
-	// Unlike offline profiling, drops are NOT neutralized: the monitor
-	// taps a production data plane. Hit markers still reach us via the
-	// simulator's output trailer regardless of the drop verdict.
-	sw, err := sim.New(prog, rules, sim.Options{Trailer: profile.TrailerName})
+	sw, err := sim.NewFromAST(ast, rules, sim.Options{})
 	if err != nil {
 		return nil, err
 	}
 	c := cfg.withDefaults()
 	return &Monitor{
 		cfg:         c,
-		ins:         ins,
 		sw:          sw,
 		baseline:    baseline,
-		missDefault: profile.MissDefaults(ins.AST, rules),
+		missDefault: profile.MissDefaults(ast, rules),
 		winHits:     map[string]int{},
 		recent:      make([]trafficgen.Packet, c.RecordLast),
 	}, nil
 }
 
-// Process forwards one packet through the monitored data plane. The
-// returned output is the production verdict (the profiling trailer is
-// stripped from Data).
+// Process forwards one packet through the monitored data plane and returns
+// its output.
 func (m *Monitor) Process(in sim.Input) (sim.Output, error) {
 	out, err := m.sw.Process(in)
 	if err != nil {
@@ -132,24 +117,14 @@ func (m *Monitor) Process(in sim.Input) (sim.Output, error) {
 	m.processed++
 	m.winCount++
 	if m.processed%m.cfg.SampleEvery == 0 {
-		executed, err := m.ins.ParseTrailer(out.Data)
-		if err != nil {
-			return sim.Output{}, err
-		}
 		m.winSample++
-		seen := map[string]bool{}
-		for _, info := range executed {
-			if info.Miss || m.missDefault[info.Table+"."+info.Action] {
-				continue
-			}
-			if !seen[info.Table] {
-				seen[info.Table] = true
-				m.winHits[info.Table]++
+		// A table is applied at most once per packet (p4.Check). A miss
+		// runs the default action, or none.
+		for _, e := range out.Exec {
+			if e.Action != "" && !m.missDefault[e.Table+"."+e.Action] {
+				m.winHits[e.Table]++
 			}
 		}
-	}
-	if n := m.ins.TrailerBytes(); len(out.Data) >= n {
-		out.Data = out.Data[:len(out.Data)-n]
 	}
 	if m.winCount >= m.cfg.WindowSize {
 		m.closeWindow()

@@ -13,11 +13,11 @@ import (
 	"p2go/internal/workloads"
 )
 
-// perPacketFold is the collector as it was before it counted trailer
+// perPacketFold is the collector as it was before it counted marker
 // patterns, kept here as the reference: one Process call per packet, the
-// executed markers parsed from that packet's trailer, and every Profile map
-// updated packet by packet with freshly built keys. It shares nothing with
-// the collector but the instrumented plan.
+// executed markers parsed from that packet's execution marks, and every
+// Profile map updated packet by packet with freshly built keys. It shares
+// nothing with the collector but the replay plan.
 func perPacketFold(t *testing.T, prep *Prepared, trace *trafficgen.Trace) *Profile {
 	t.Helper()
 	sw := sim.NewFromPlan(prep.plan)
@@ -114,9 +114,9 @@ func TestCollectorMatchesPerPacketFold(t *testing.T) {
 
 // TestReplayAllocCeiling pins the collector's point: a sequential,
 // dedup-free replay of natgre's 10 000 packets allocates per distinct
-// execution set, not per packet. Measured 75 allocations per RunWith (108
-// before the batch scratch was sized once for trailer-only output); the
-// per-packet fold the collector replaced measured 65 042.
+// execution set, not per packet. Measured 95 allocations per RunWith (84
+// while the arena was sized once for a batch of trailers, 108 before that);
+// the per-packet fold the collector replaced measured 65 042.
 func TestReplayAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply to -race builds")
@@ -155,8 +155,8 @@ func TestReplayAllocCeiling(t *testing.T) {
 // registers. failure declares 368 000 register cells (2.9 MB): a second
 // prep.Profiler().RunWith measured 3 200 312 bytes when every replay
 // allocated them afresh, 237 776 with the first replay's slab reused, and
-// 67 504 now that the arena holds a batch of trailers
-// instead of a batch of packets.
+// about 70 000 now that the arena holds a batch of execution marks instead
+// of a batch of packets.
 func TestReplayByteCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply to -race builds")

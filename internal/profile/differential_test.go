@@ -93,9 +93,10 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 				t.Fatalf("workload did not lower: engine=%s reason=%q", engine, reason)
 			}
 			// Every compiled replay below runs the plan lowered for the
-			// collector; the interpreter's hands it whole packets.
-			if got := prep.Lowering().Observe; got != sim.ObserveTrailer {
-				t.Fatalf("replay plan observes the %s, want the trailer", got)
+			// collector, the program's own at the fate level; the
+			// interpreter's hands it whole packets of the instrumented clone.
+			if got := prep.Lowering().Observe; got != sim.ObserveFate {
+				t.Fatalf("replay plan observes the %s, want the fate", got)
 			}
 			stateful := len(prep.stateful) > 0
 

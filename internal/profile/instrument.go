@@ -6,9 +6,9 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"p2go/internal/p4"
+	"p2go/internal/sim"
 )
 
 // TrailerName is the header instance the instrumentation appends to every
@@ -31,22 +31,15 @@ type FieldInfo struct {
 	Miss bool
 }
 
-// Instrumented is an instrumented program plus the marker mapping.
+// Instrumented is an instrumented program plus the marker mapping: Fields
+// in sim.Marks order, one byte each.
 type Instrumented struct {
 	AST    *p4.Program
 	Fields []FieldInfo
-	// byTableAction maps (table, action) to the marker field name.
-	byTableAction map[[2]string]string
-	trailerBytes  int
 }
 
 // TrailerBytes returns the byte length of the profiling header.
-func (ins *Instrumented) TrailerBytes() int { return ins.trailerBytes }
-
-// Field returns the marker field for (table, action), or "".
-func (ins *Instrumented) Field(table, action string) string {
-	return ins.byTableAction[[2]string{table, action}]
-}
+func (ins *Instrumented) TrailerBytes() int { return len(ins.Fields) }
 
 // Instrument clones the program and rewrites it so each executed action
 // sets a dedicated 8-bit field of a profiling header appended to the
@@ -60,7 +53,8 @@ func (ins *Instrumented) Field(table, action string) string {
 //
 // Each marker is a distinct field written by a single action, so the
 // instrumentation adds no dependencies and cannot increase the program's
-// required stages (§3.1).
+// required stages (§3.1). The markers follow sim.Marks, so a fate-level plan
+// of the source program returns the header's bytes as its execution marks.
 func Instrument(src *p4.Program) (*Instrumented, error) {
 	ast := p4.Clone(src)
 	p4.EnsureBuiltins(ast)
@@ -103,39 +97,29 @@ func Instrument(src *p4.Program) (*Instrumented, error) {
 		}
 	}
 
-	ins := &Instrumented{AST: ast, byTableAction: map[[2]string]string{}}
-	ht := &p4.HeaderType{Name: trailerType}
-	fieldIdx := 0
-	addMarker := func(table, action string, miss bool) string {
-		name := fmt.Sprintf("m%d", fieldIdx)
-		fieldIdx++
-		ht.Fields = append(ht.Fields, &p4.FieldDecl{Name: name, Width: 8})
-		ins.Fields = append(ins.Fields, FieldInfo{Field: name, Table: table, Action: action, Miss: miss})
-		ins.byTableAction[[2]string{table, action}] = name
-		return name
-	}
-
 	// One marker per (table, action); synthesized miss markers for tables
 	// that would otherwise execute nothing on a miss.
-	for _, t := range ast.Tables {
-		for _, an := range t.ActionNames {
-			addMarker(t.Name, an, false)
-		}
-		if len(t.Reads) > 0 && t.DefaultAction == "" {
-			missName := missActionPrefix + t.Name
-			field := addMarker(t.Name, missName, true)
+	ins := &Instrumented{AST: ast}
+	ht := &p4.HeaderType{Name: trailerType}
+	for i, m := range sim.Marks(ast) {
+		info := FieldInfo{Field: fmt.Sprintf("m%d", i), Table: m.Table, Action: m.Action, Miss: m.Miss}
+		ht.Fields = append(ht.Fields, &p4.FieldDecl{Name: info.Field, Width: 8})
+		if m.Miss {
+			info.Action = missActionPrefix + m.Table
 			act := &p4.ActionDecl{
-				Name: missName,
+				Name: info.Action,
 				Body: []*p4.PrimitiveCall{{
 					Name: p4.PrimModifyField,
-					Args: []p4.Expr{p4.FieldRef{Instance: TrailerName, Field: field}, p4.IntLit{Value: 1}},
+					Args: []p4.Expr{p4.FieldRef{Instance: TrailerName, Field: info.Field}, p4.IntLit{Value: 1}},
 				}},
 			}
 			ast.Actions = append(ast.Actions, act)
 			ast.Decls = append(ast.Decls, act)
-			t.ActionNames = append(t.ActionNames, missName)
-			t.DefaultAction = missName
+			t := ast.Table(m.Table)
+			t.ActionNames = append(t.ActionNames, info.Action)
+			t.DefaultAction = info.Action
 		}
+		ins.Fields = append(ins.Fields, info)
 	}
 
 	// Append the marker write to each instrumented action body.
@@ -156,7 +140,6 @@ func Instrument(src *p4.Program) (*Instrumented, error) {
 	if len(ht.Fields) == 0 {
 		return nil, fmt.Errorf("profile: program has no table actions to instrument")
 	}
-	ins.trailerBytes = (ht.Bits() + 7) / 8
 	inst := &p4.Instance{TypeName: trailerType, Name: TrailerName}
 	ast.HeaderTypes = append(ast.HeaderTypes, ht)
 	ast.Instances = append(ast.Instances, inst)
@@ -170,36 +153,9 @@ func Instrument(src *p4.Program) (*Instrumented, error) {
 
 // CountsEveryApply reports whether a profile's Applied count for the table
 // is the number of packets it was applied to: every apply must leave a
-// marker, hit or miss. A table with a match key always does (Instrument
-// synthesizes the miss action when no default is declared); a read-less
-// table only when it declares a default action.
+// marker, hit or miss. A table with a match key always does (sim.Marks
+// gives it a miss slot when no default is declared); a read-less table only
+// when it declares a default action.
 func CountsEveryApply(t *p4.TableDecl) bool {
 	return len(t.Reads) > 0 || t.DefaultAction != ""
-}
-
-// ParseTrailer extracts the marker values from an outgoing packet and
-// returns the executed (table, action) pairs, in marker order.
-func (ins *Instrumented) ParseTrailer(data []byte) ([]FieldInfo, error) {
-	n := ins.TrailerBytes()
-	if len(data) < n {
-		return nil, fmt.Errorf("profile: packet shorter (%d bytes) than trailer (%d)", len(data), n)
-	}
-	trailer := data[len(data)-n:]
-	var executed []FieldInfo
-	for i, info := range ins.Fields {
-		if trailer[i] != 0 {
-			executed = append(executed, info)
-		}
-	}
-	return executed, nil
-}
-
-// sortedFieldNames is a test helper listing marker fields in order.
-func (ins *Instrumented) sortedFieldNames() []string {
-	var out []string
-	for _, f := range ins.Fields {
-		out = append(out, f.Field)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -390,15 +390,15 @@ type Profiler struct {
 
 // collector accumulates one replay slice: each worker of a sharded replay
 // owns one (with its own Switch), and the sequential path uses a single
-// one. Per packet it only counts — the raw trailer
-// byte pattern, drops, redirects — because a trace exercises few distinct
-// execution sets; profile expands each distinct pattern into the Profile's
-// string-keyed maps once, when the slice is done.
+// one. Per packet it only counts — the raw marker byte pattern, drops,
+// redirects — because a trace exercises few distinct execution sets;
+// profile expands each distinct pattern into the Profile's string-keyed
+// maps once, when the slice is done.
 type collector struct {
 	p  *Profiler
 	sw *sim.Switch
-	// patterns maps a trailer byte pattern to its index in counts. Probing
-	// with string(trailer) allocates only when the pattern is new.
+	// patterns maps a marker byte pattern to its index in counts. Probing
+	// with string(marks) allocates only when the pattern is new.
 	patterns map[string]int
 	counts   []int
 
@@ -426,10 +426,10 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 		ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
 	}
 	outs := c.outs[:len(ins)]
-	// The plan was lowered for this loop (sim.ObserveTrailer): executions are
-	// read from the trailer, which is all Data holds and lives in the
-	// Switch's arena until the next batch. The interpreter hands back whole
-	// packets that end with the same bytes.
+	// The plan was lowered for this loop (sim.ObserveFate): Data is the
+	// execution marks, in the Switch's arena until the next batch. The
+	// interpreter replays the instrumented program and hands back whole
+	// packets whose profiling header ends them with the same bytes.
 	k, err := c.sw.ProcessBatch(ins, outs, sim.BatchOpts{})
 	if err != nil {
 		return fmt.Errorf("profile: packet %d: %w", work.index(lo+k), err)
@@ -445,11 +445,11 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 			return fmt.Errorf("profile: packet %d: shorter (%d bytes) than trailer (%d)",
 				work.index(lo+j), len(out.Data), n)
 		}
-		trailer := out.Data[len(out.Data)-n:]
-		idx, ok := c.patterns[string(trailer)]
+		marks := out.Data[len(out.Data)-n:]
+		idx, ok := c.patterns[string(marks)]
 		if !ok {
 			idx = len(c.counts)
-			c.patterns[string(trailer)] = idx
+			c.patterns[string(marks)] = idx
 			c.counts = append(c.counts, 0)
 		}
 		c.counts[idx] += w
@@ -464,7 +464,7 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 }
 
 // profile expands the counted patterns into the slice's Profile: every
-// packet that left with a given trailer executed the same (table, action)
+// packet that left with a given pattern executed the same (table, action)
 // set, so each distinct pattern is folded once with its packet count.
 func (c *collector) profile() *Profile {
 	prof := &Profile{

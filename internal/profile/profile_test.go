@@ -2,8 +2,10 @@ package profile
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -265,6 +267,44 @@ control ingress { apply(t1); apply(t2); }
 	}
 }
 
+// ParseTrailer extracts the marker values from an outgoing packet of the
+// instrumented program and returns the executed (table, action) pairs, in
+// marker order.
+func (ins *Instrumented) ParseTrailer(data []byte) ([]FieldInfo, error) {
+	n := ins.TrailerBytes()
+	if len(data) < n {
+		return nil, fmt.Errorf("profile: packet shorter (%d bytes) than trailer (%d)", len(data), n)
+	}
+	trailer := data[len(data)-n:]
+	var executed []FieldInfo
+	for i, info := range ins.Fields {
+		if trailer[i] != 0 {
+			executed = append(executed, info)
+		}
+	}
+	return executed, nil
+}
+
+// Field returns the marker field for (table, action), or "".
+func (ins *Instrumented) Field(table, action string) string {
+	for _, f := range ins.Fields {
+		if f.Table == table && f.Action == action {
+			return f.Field
+		}
+	}
+	return ""
+}
+
+// sortedFieldNames lists the marker fields, sorted.
+func (ins *Instrumented) sortedFieldNames() []string {
+	var out []string
+	for _, f := range ins.Fields {
+		out = append(out, f.Field)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestParseTrailerErrors(t *testing.T) {
 	ast := p4.MustParse(programs.Ex1)
 	ins, err := Instrument(ast)
@@ -282,6 +322,47 @@ func TestProfileRender(t *testing.T) {
 	for _, want := range []string{"IPv4", "100.00%", "ACL_UDP", "8.00%", "non-exclusive"} {
 		if !strings.Contains(r, want) {
 			t.Errorf("Render missing %q:\n%s", want, r)
+		}
+	}
+}
+
+// TestDroppedPacketsSkipEgress: a packet dropped in ingress never reaches
+// egress, so its profile counts no egress apply, and Drops counts it — on
+// the compiled replay of the program and on the interpreter's of its
+// instrumented clone alike.
+func TestDroppedPacketsSkipEgress(t *testing.T) {
+	ast := p4.MustParse(`
+header_type h_t { fields { a : 8; } }
+header h_t h;
+parser start { extract(h); return ingress; }
+action fwd() { modify_field(standard_metadata.egress_spec, 1); }
+action do_drop() { drop(); }
+action tag() { modify_field(h.a, 7); }
+table filter { reads { h.a : exact; } actions { fwd; do_drop; } default_action : fwd; }
+table rewrite { actions { tag; } default_action : tag; }
+control ingress { apply(filter); }
+control egress { apply(rewrite); }
+`)
+	cfg, err := rt.Parse("table_add filter do_drop 1 =>\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := &trafficgen.Trace{}
+	for i := 0; i < 8; i++ {
+		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: []byte{byte(1 + i%3)}})
+	}
+	prep, err := PrepareContext(context.Background(), ast, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, interpret := range []bool{false, true} {
+		prof, err := prep.Profiler().RunWith(context.Background(), trace, RunOptions{Shards: 1, Interpret: interpret})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prof.Drops != 3 || prof.Hits["filter"] != 3 || prof.Applied["rewrite"] != 5 {
+			t.Errorf("interpret=%v: drops %d, filter hits %d, rewrite applied %d times; want 3, 3, 5",
+				interpret, prof.Drops, prof.Hits["filter"], prof.Applied["rewrite"])
 		}
 	}
 }

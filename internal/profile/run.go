@@ -91,27 +91,30 @@ func (e *EngineReport) String() string {
 }
 
 // Prepared is the immutable, reusable part of a profiler: the
-// instrumented program, its IR, and the lowered execution plan. One
+// instrumented program and the program's lowered execution plan. One
 // Prepared serves any number of replays and any number of concurrent
 // Profilers, so repeated optimizer phases (and the daemon's analysis
 // cache) pay instrumentation and lowering once per (program, config).
 type Prepared struct {
 	Ins  *Instrumented
 	plan *sim.Plan
-	// interp builds, on the first forced-interpreter replay, the same
-	// pipeline with lowering disabled, and shares it with the later ones.
+	// interp builds, on the first forced-interpreter replay, the
+	// instrumented program's pipeline with lowering disabled, and shares it
+	// with the later ones.
 	interp      func() (*sim.Plan, error)
 	stateful    []string
 	missDefault map[string]bool
 }
 
-// PrepareContext instruments the program, builds its IR, and lowers the
-// execution plan under a "profile.instrument" span. Drops are neutralized
-// so the collector observes every packet (the instrumented program is only
-// used for profiling and never deployed, §3.1), and the plan computes no more
-// than the collector reads off a packet: the profiling header and the fate
-// (sim.ObserveTrailer; a "sim.plan" child span records what that left of the
-// program). A program the lowerer does not cover is an error here.
+// PrepareContext instruments the program and lowers the program itself
+// under a "profile.instrument" span. The replay plan observes the fate
+// (sim.ObserveFate; a "sim.plan" child span records what that left of the
+// program): the collector reads the program's own apply records as
+// execution marks, in the order of the instrumented program's marker
+// fields, so drops and egress behave as on the target. The instrumented
+// clone (§3.1) names the markers, and it is what a forced-interpreter
+// replay runs: its profiling header ends every packet, dropped or not. A
+// program the lowerer does not cover is an error here.
 func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prepared, error) {
 	ctx, sp := obs.Start(ctx, "profile.instrument")
 	defer sp.End()
@@ -119,13 +122,14 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 	if err != nil {
 		return nil, err
 	}
-	prog, err := ir.Build(ins.AST)
+	ast = p4.Clone(ast)
+	p4.EnsureBuiltins(ast)
+	prog, err := ir.Build(ast)
 	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	opts := sim.Options{Trailer: TrailerName, NeutralizeDrops: true, Observe: sim.ObserveTrailer}
 	_, psp := obs.Start(ctx, "sim.plan")
-	plan, err := sim.NewPlan(prog, cfg, opts)
+	plan, err := sim.NewPlan(prog, cfg, sim.Options{Observe: sim.ObserveFate})
 	if err == nil {
 		psp.SetAttr(plan.Lowering().Attrs()...)
 	}
@@ -133,9 +137,13 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 	if err != nil {
 		return nil, err
 	}
-	iopts := opts
-	iopts.Interpret = true
-	interp := sync.OnceValues(func() (*sim.Plan, error) { return sim.NewPlan(prog, cfg, iopts) })
+	interp := sync.OnceValues(func() (*sim.Plan, error) {
+		iprog, err := ir.Build(ins.AST)
+		if err != nil {
+			return nil, fmt.Errorf("profile: %w", err)
+		}
+		return sim.NewPlan(iprog, cfg, sim.Options{Trailer: TrailerName, Interpret: true})
+	})
 	sp.SetAttr(obs.Int("tables", len(ins.AST.Tables)))
 	return &Prepared{
 		Ins:         ins,

@@ -3,7 +3,6 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"p2go/internal/hashes"
 	"p2go/internal/p4"
@@ -34,9 +33,12 @@ type cstate struct {
 	hit         bool
 
 	// arena backs Output.Data for ProcessBatch with ReuseData, and for every
-	// call on a plan that does not observe the packet: one growing buffer
-	// per batch instead of one allocation per packet.
+	// call on a fate plan: one growing buffer per batch instead of one
+	// allocation per packet.
 	arena []byte
+	// marks is the current packet's execution marks, in the arena (fate
+	// plans only).
+	marks []byte
 }
 
 func (st *cstate) init(c *compiled) {
@@ -58,19 +60,23 @@ func (st *cstate) reset(c *compiled, skipExec bool) {
 	st.hit = false
 }
 
-// record appends one table application to the packet's execution trace.
-// The trace escapes into Output.Exec, so it is allocated per packet — once,
-// on the first application, with room for every table of the plan (each is
-// applied at most once).
-func (s *Switch) record(e *Executed) {
+// record sets one table application's execution mark (fate plans) or
+// appends it to the packet's execution trace. The trace escapes into
+// Output.Exec, so it is allocated per packet — once, on the first
+// application, with room for every table of the plan (each is applied at
+// most once).
+func (s *Switch) record(r *cRecord) {
 	st := &s.cst
+	if r.mark >= 0 {
+		st.marks[r.mark] = 1
+	}
 	if st.skipExec {
 		return
 	}
 	if st.exec == nil {
 		st.exec = make([]Executed, 0, len(s.plan.c.tables))
 	}
-	st.exec = append(st.exec, *e)
+	st.exec = append(st.exec, r.exec)
 }
 
 // useCompiled reports whether this Switch runs the compiled engine.
@@ -80,13 +86,13 @@ func (s *Switch) useCompiled() bool { return s.plan.c != nil }
 // or ("interpreter", "forced") under Options.Interpret.
 func (s *Switch) Engine() (engine, reason string) { return s.plan.Engine() }
 
-// BatchOpts tunes ProcessBatch. A Switch whose plan was built with an
-// Options.Observe other than ObservePacket behaves as if both fields were set
-// on every call, Process included.
+// BatchOpts tunes ProcessBatch. A Switch whose plan was built with
+// ObserveFate behaves as if both fields were set on every call, Process
+// included.
 type BatchOpts struct {
 	// SkipExec leaves Output.Exec nil, avoiding the one per-packet
 	// allocation the execution trace costs. The profiler reads executions
-	// from the instrumentation trailer, not Output.Exec.
+	// from a fate plan's marks, not Output.Exec.
 	SkipExec bool
 	// ReuseData serializes outgoing packets into a per-Switch arena:
 	// Output.Data slices remain valid only until the next ProcessBatch
@@ -110,10 +116,6 @@ func (s *Switch) ProcessBatch(ins []Input, outs []Output, opts BatchOpts) (int, 
 		return len(ins), nil
 	}
 	s.cst.arena = s.cst.arena[:0]
-	if c := s.plan.c; c.observe == ObserveTrailer && cap(s.cst.arena) == 0 {
-		// The whole batch's output, known in advance: no growth by doubling.
-		s.cst.arena = make([]byte, 0, len(ins)*(len(c.trailerBytes)+len(c.trailerZero)))
-	}
 	for i := range ins {
 		if err := s.processCompiled(&ins[i], &outs[i], opts.SkipExec, opts.ReuseData); err != nil {
 			return i, err
@@ -128,8 +130,14 @@ func (s *Switch) ProcessBatch(ins []Input, outs []Output, opts BatchOpts) (int, 
 func (s *Switch) processCompiled(in *Input, out *Output, skipExec, reuseData bool) error {
 	c := s.plan.c
 	st := &s.cst
-	if c.observe != ObservePacket {
-		skipExec, reuseData = true, true
+	fate := c.observe == ObserveFate
+	if fate {
+		// The marks are the packet's Data: zeroed in the arena up front, set
+		// by record.
+		skipExec = true
+		start := len(st.arena)
+		st.arena = append(st.arena, make([]byte, c.nMarks)...)
+		st.marks = st.arena[start:len(st.arena):len(st.arena)]
 	}
 	st.reset(c, skipExec)
 	// Intrinsic inputs are stored raw (unmasked), as the interpreter does.
@@ -162,11 +170,14 @@ func (s *Switch) processCompiled(in *Input, out *Output, skipExec, reuseData boo
 	out.ToCPU = port == CPUPort
 	out.ForwardPort = st.forwardPort
 	out.Exec = st.exec
-	if reuseData {
+	switch {
+	case fate:
+		out.Data = st.marks
+	case reuseData:
 		start := len(st.arena)
 		st.arena = s.serializeC(in.Data, st.arena)
 		out.Data = st.arena[start:len(st.arena):len(st.arena)]
-	} else {
+	default:
 		out.Data = s.serializeC(in.Data, nil)
 	}
 	return nil
@@ -260,7 +271,7 @@ func (s *Switch) applyCompiled(ti int32) error {
 				return err
 			}
 		}
-		s.record(&t.defExec)
+		s.record(&t.defRec)
 		st.hit = true
 		return nil
 	}
@@ -304,7 +315,7 @@ func (s *Switch) applyCompiled(ti int32) error {
 		if err := s.execBody(&r.body); err != nil {
 			return err
 		}
-		s.record(&r.exec)
+		s.record(&r.rec)
 		st.hit = true
 		return nil
 	}
@@ -313,7 +324,7 @@ func (s *Switch) applyCompiled(ti int32) error {
 			return err
 		}
 	}
-	s.record(&t.missExec)
+	s.record(&t.missRec)
 	st.hit = false
 	return nil
 }
@@ -505,18 +516,14 @@ func (s *Switch) runParserC(data []byte) error {
 	}
 }
 
-// serializeC is the compiled serialize: calculated-field updates, write-back
-// of the fields the program may have changed into a copy of the packet
-// appended to dst, and the trailer. A plan that does not observe the packet
-// has no calculated fields and no write-back lowered and appends no copy:
-// what is left is the trailer, or nothing. Passing dst nil yields a fresh
-// allocation per packet (Process); the batch path passes the arena.
+// serializeC is the compiled serialize of a plan that observes the packet:
+// calculated-field updates, write-back of the fields the program may have
+// changed into a copy of the packet appended to dst, and the trailer.
+// Passing dst nil yields a fresh allocation per packet (Process); the batch
+// path passes the arena.
 func (s *Switch) serializeC(original, dst []byte) []byte {
 	c := s.plan.c
 	st := &s.cst
-	if c.observe != ObservePacket {
-		original = nil
-	}
 	for i := range c.calcs {
 		cf := &c.calcs[i]
 		if !st.valid[cf.inst] {
@@ -536,14 +543,6 @@ func (s *Switch) serializeC(original, dst []byte) []byte {
 		for _, f := range e.fields {
 			writeBitsFast(data, bit+f.off, f.width, st.fields[f.slot])
 		}
-	}
-	if n := len(c.trailerBytes); n > 0 {
-		dst = slices.Grow(dst, n)
-		tail := dst[len(dst) : len(dst)+n]
-		for i, slot := range c.trailerBytes {
-			tail[i] = byte(st.fields[slot])
-		}
-		dst = dst[:len(dst)+n]
 	}
 	if c.trailer != nil {
 		bit := (len(dst) - base) * 8

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"testing"
 
 	"p2go/internal/p4"
@@ -9,18 +10,21 @@ import (
 	"p2go/internal/workloads"
 )
 
-// levelPair is one program lowered at two observation levels: what one
-// caller reads and what another reads less of. Every packet goes through
-// both from the same state.
+// levelPair is two Switches every packet goes through from the same state:
+// one program lowered at two observation levels, or the instrumented clone
+// beside the program's fate plan. marks, when set, is the profiling
+// header's length: the second Switch's execution marks must be the header
+// ending the first one's packet.
 type levelPair struct {
-	name   string
-	levels [2]sim.Observation
-	sws    [2]*sim.Switch
+	name  string
+	plans [2]string
+	sws   [2]*sim.Switch
+	marks int
 }
 
 // fuzzPairs lowers every workload's plain program at ObservePacket and
-// ObserveFate (the verifier's), and its instrumented program at
-// ObservePacket and ObserveTrailer (the profiler's, drops neutralized).
+// ObserveFate (the verifier's and the profiler's), and pairs the fate plan
+// with the instrumented program at ObservePacket, drops as they are.
 func fuzzPairs(f *testing.F) []levelPair {
 	var pairs []levelPair
 	for _, name := range workloads.Names() {
@@ -32,19 +36,19 @@ func fuzzPairs(f *testing.F) []levelPair {
 		if err != nil {
 			f.Fatal(err)
 		}
-		plain := levelPair{name: name, levels: [2]sim.Observation{sim.ObservePacket, sim.ObserveFate}}
-		for i, level := range plain.levels {
+		plain := levelPair{name: name, plans: [2]string{"packet", "fate"}}
+		for i, level := range []sim.Observation{sim.ObservePacket, sim.ObserveFate} {
 			if plain.sws[i], err = sim.NewFromAST(ast, w.Config(), sim.Options{Observe: level}); err != nil {
 				f.Fatal(err)
 			}
 		}
-		prog, _ := instrumentedIR(f, w.Source)
-		inst := levelPair{name: name + "/instrumented", levels: [2]sim.Observation{sim.ObservePacket, sim.ObserveTrailer}}
-		for i, level := range inst.levels {
-			opts := sim.Options{Trailer: profile.TrailerName, NeutralizeDrops: true, Observe: level}
-			if inst.sws[i], err = sim.New(prog, w.Config(), opts); err != nil {
-				f.Fatal(err)
-			}
+		_, prog, ins := instrumentedIR(f, w.Source)
+		inst := levelPair{name: name + "/instrumented", plans: [2]string{"instrumented packet", "fate"}, marks: ins.TrailerBytes()}
+		if inst.sws[0], err = sim.New(prog, w.Config(), sim.Options{Trailer: profile.TrailerName}); err != nil {
+			f.Fatal(err)
+		}
+		if inst.sws[1], err = sim.NewFromAST(ast, w.Config(), sim.Options{Observe: sim.ObserveFate}); err != nil {
+			f.Fatal(err)
 		}
 		pairs = append(pairs, plain, inst)
 	}
@@ -53,9 +57,11 @@ func fuzzPairs(f *testing.F) []levelPair {
 
 // FuzzObserveLevels: a packet of any bytes on any port, truncated ones
 // above all, goes through every workload lowered at each observation level
-// its callers use. Nothing may panic; the levels must accept or reject it
-// alike, with the same error; and where they accept, they must agree on
-// everything a fate reads: Port, Dropped, ToCPU and ForwardPort. The
+// its callers use, and through its instrumented clone. Nothing may panic;
+// the plans must accept or reject it alike, with the same error; and where
+// they accept, they must agree on everything a fate reads: Port, Dropped,
+// ToCPU and ForwardPort, and the fate plan's execution marks must be the
+// clone's profiling header. The
 // committed corpus (testdata/fuzz/FuzzObserveLevels: the first packet of
 // every workload's trace and truncations of it) also runs as plain subtests
 // in every `go test`.
@@ -75,7 +81,7 @@ func FuzzObserveLevels(f *testing.F) {
 				outs[i] = out
 			}
 			if errs[0] != errs[1] {
-				t.Fatalf("%s: %s plan: %q, %s plan: %q", p.name, p.levels[0], errs[0], p.levels[1], errs[1])
+				t.Fatalf("%s: %s plan: %q, %s plan: %q", p.name, p.plans[0], errs[0], p.plans[1], errs[1])
 			}
 			if errs[0] != "" {
 				continue
@@ -83,7 +89,10 @@ func FuzzObserveLevels(f *testing.F) {
 			a, b := &outs[0], &outs[1]
 			if a.Port != b.Port || a.Dropped != b.Dropped || a.ToCPU != b.ToCPU || a.ForwardPort != b.ForwardPort {
 				t.Fatalf("%s: %s plan %+v forward %d, %s plan %+v forward %d",
-					p.name, p.levels[0], a.Fate(), a.ForwardPort, p.levels[1], b.Fate(), b.ForwardPort)
+					p.name, p.plans[0], a.Fate(), a.ForwardPort, p.plans[1], b.Fate(), b.ForwardPort)
+			}
+			if p.marks > 0 && !bytes.Equal(a.Data[len(a.Data)-p.marks:], b.Data) {
+				t.Fatalf("%s: profiling header % x, execution marks % x", p.name, a.Data[len(a.Data)-p.marks:], b.Data)
 			}
 		}
 	})

@@ -34,10 +34,11 @@ type liveOp struct {
 //     sources of kept ops, register and counter indexes, the values written
 //     to registers, and the inputs of a hash whose size may be zero. Header
 //     validity needs no field;
-//   - unless ObserveFate: every field of the trailer instance;
-//   - under ObservePacket only: every header field something may store to
-//     (the deparser writes it back whenever its header is valid) and the
-//     field list of every calculated-field update.
+//   - under ObservePacket only: every field of the trailer instance, every
+//     header field something may store to (the deparser writes it back
+//     whenever its header is valid) and the field list of every
+//     calculated-field update. A fate plan's execution marks are set from
+//     the apply records, not from fields.
 //
 // A field outside live is read by nothing that is lowered, so the parser need
 // not extract it and a pure op storing to it need not run; a field outside
@@ -178,12 +179,12 @@ func (cc *compiler) fieldLiveness() (live, written []bool, elided int) {
 			return true
 		})
 	}
-	if inst := ast.Instance(cc.pl.opts.Trailer); inst != nil && observe != ObserveFate {
-		for _, f := range ast.HeaderType(inst.TypeName).Fields {
-			root(p4.FieldRef{Instance: inst.Name, Field: f.Name})
-		}
-	}
 	if observe == ObservePacket {
+		if inst := ast.Instance(cc.pl.opts.Trailer); inst != nil {
+			for _, f := range ast.HeaderType(inst.TypeName).Fields {
+				root(p4.FieldRef{Instance: inst.Name, Field: f.Name})
+			}
+		}
 		for _, cf := range ast.CalcFields {
 			if cf.Update == "" {
 				continue

@@ -25,22 +25,26 @@ import (
 var generatorSeeds = flag.Int("generator-seeds", 64, "seed count for the generated programs of TestObservePlansAgree")
 
 // instrumentedIR instruments a program the way profile.PrepareContext does
-// and builds its IR: the program every observation level is lowered from.
-func instrumentedIR(t testing.TB, source string) (*ir.Program, *profile.Instrumented) {
+// and builds the IR of the program and of its instrumented clone.
+func instrumentedIR(t testing.TB, source string) (plain, prog *ir.Program, ins *profile.Instrumented) {
 	t.Helper()
 	ast, err := p4.Parse(source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := profile.Instrument(ast)
-	if err != nil {
+	if ins, err = profile.Instrument(ast); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ir.Build(ins.AST)
-	if err != nil {
+	if prog, err = ir.Build(ins.AST); err != nil {
 		t.Fatal(err)
 	}
-	return prog, ins
+	if err := p4.Check(ast); err != nil {
+		t.Fatal(err)
+	}
+	if plain, err = ir.Build(ast); err != nil {
+		t.Fatal(err)
+	}
+	return plain, prog, ins
 }
 
 // observed is one engine's run over a trace: the Outputs of the packets it
@@ -75,14 +79,15 @@ func runObserved(t *testing.T, prog *ir.Program, cfg *rt.Config, opts sim.Option
 }
 
 // observePlansAgree runs the instrumented program over the inputs on the
-// interpreter and on a compiled plan of each observation level, and holds
-// every level to what it promises: the same fate fields per packet, the same
-// trailer bytes (the packet plan's whole Data equal to the interpreter's,
-// the trailer plan's Data the trailer alone, the fate plan's empty), the same
-// register and counter end state, and the same failing packet and error.
+// interpreter and on a compiled plan of each observation level, and the
+// program itself on a fate plan (the profiler's), and holds every plan to
+// what it promises: the same fate fields per packet, the same profiling
+// header (the packet plan's whole Data equal to the interpreter's, a fate
+// plan's execution marks equal to the header's bytes), the same register
+// and counter end state, and the same failing packet and error.
 func observePlansAgree(t *testing.T, source string, cfg *rt.Config, ins []sim.Input, neutralize bool) *observed {
 	t.Helper()
-	prog, inst := instrumentedIR(t, source)
+	plain, prog, inst := instrumentedIR(t, source)
 	base := sim.Options{Trailer: profile.TrailerName, NeutralizeDrops: neutralize}
 	with := func(o sim.Observation, interpret bool) sim.Options {
 		opts := base
@@ -92,47 +97,53 @@ func observePlansAgree(t *testing.T, source string, cfg *rt.Config, ins []sim.In
 	// The interpreter ignores the level; give it one, so that is checked too.
 	ref := runObserved(t, prog, cfg, with(sim.ObserveFate, true), ins)
 	n := inst.TrailerBytes()
-	for _, level := range []sim.Observation{sim.ObservePacket, sim.ObserveTrailer, sim.ObserveFate} {
-		got := runObserved(t, prog, cfg, with(level, false), ins)
+	plans := []struct {
+		name string
+		prog *ir.Program
+		opts sim.Options
+	}{
+		{"packet", prog, with(sim.ObservePacket, false)},
+		{"fate", prog, with(sim.ObserveFate, false)},
+		{"uninstrumented fate", plain, sim.Options{NeutralizeDrops: neutralize, Observe: sim.ObserveFate}},
+	}
+	for _, p := range plans {
+		got := runObserved(t, p.prog, cfg, p.opts, ins)
 		if engine, _ := got.sw.Engine(); engine != "compiled" {
-			t.Fatalf("%s plan runs on the %s", level, engine)
+			t.Fatalf("%s plan runs on the %s", p.name, engine)
 		}
 		if got.failed != ref.failed || got.err != ref.err {
 			t.Fatalf("%s plan stopped at packet %d (%q), the interpreter at %d (%q)",
-				level, got.failed, got.err, ref.failed, ref.err)
+				p.name, got.failed, got.err, ref.failed, ref.err)
 		}
 		for i := range ref.outs {
 			g, w := &got.outs[i], &ref.outs[i]
 			if g.Port != w.Port || g.Dropped != w.Dropped || g.WouldDrop != w.WouldDrop ||
 				g.ToCPU != w.ToCPU || g.ForwardPort != w.ForwardPort {
-				t.Fatalf("%s plan, packet %d: fate %+v, interpreter %+v", level, i, *g, *w)
+				t.Fatalf("%s plan, packet %d: fate %+v, interpreter %+v", p.name, i, *g, *w)
 			}
 			want := w.Data
-			switch level {
-			case sim.ObserveTrailer:
+			if p.opts.Observe == sim.ObserveFate {
 				want = w.Data[len(w.Data)-n:]
-			case sim.ObserveFate:
-				want = nil
 			}
 			if !bytes.Equal(g.Data, want) {
-				t.Fatalf("%s plan, packet %d: data % x, want % x", level, i, g.Data, want)
+				t.Fatalf("%s plan, packet %d: data % x, want % x", p.name, i, g.Data, want)
 			}
-			if level == sim.ObservePacket {
+			if p.opts.Observe == sim.ObservePacket {
 				if !slices.Equal(g.Exec, w.Exec) {
 					t.Fatalf("packet plan, packet %d: exec %v, interpreter %v", i, g.Exec, w.Exec)
 				}
 			} else if g.Exec != nil {
-				t.Fatalf("%s plan, packet %d: carries an execution trace", level, i)
+				t.Fatalf("%s plan, packet %d: carries an execution trace", p.name, i)
 			}
 		}
 		for _, r := range prog.AST.Registers {
 			if !slices.Equal(got.sw.Register(r.Name), ref.sw.Register(r.Name)) {
-				t.Fatalf("%s plan: register %s ends differently from the interpreter's", level, r.Name)
+				t.Fatalf("%s plan: register %s ends differently from the interpreter's", p.name, r.Name)
 			}
 		}
 		for _, c := range prog.AST.Counters {
 			if !slices.Equal(got.sw.Counter(c.Name), ref.sw.Counter(c.Name)) {
-				t.Fatalf("%s plan: counter %s ends differently from the interpreter's", level, c.Name)
+				t.Fatalf("%s plan: counter %s ends differently from the interpreter's", p.name, c.Name)
 			}
 		}
 	}
@@ -279,14 +290,16 @@ control ingress { apply(first); apply(t); }
 }
 
 // TestObservationElidesWhatNobodyReads pins what each level leaves of two
-// instrumented programs, so the analysis cannot quietly stop finding dead
-// work — or start finding live work dead. natgre is the case the levels were
-// built for: its ipv4_checksum_list names 11 IPv4 fields, and with no
-// checksum to emit the profiler needs etherType (the parser's select) and
-// dstAddr (ipv4_fwd's key) — which nat_translate therefore still stores,
-// while its srcAddr store goes. ex1 is the other kind: every store its
-// sketch makes feeds a register or a match key, so only the fate level, with
-// no markers to set, finds anything to drop.
+// programs — instrumented at the packet level, as bench and the
+// byte-exactness tests lower them, and as they are at the fate level, the
+// profiler's and the verifier's plan — so the analysis cannot quietly stop
+// finding dead work, or start finding live work dead. natgre is the case
+// the levels were built for: its ipv4_checksum_list names 11 IPv4 fields,
+// and with no checksum to emit the fate plan needs etherType (the parser's
+// select) and dstAddr (ipv4_fwd's key) — which nat_translate therefore
+// still stores, while its srcAddr store goes. ex1 is the other kind: every
+// store its sketch makes feeds a register or a match key, so no level finds
+// anything to drop.
 func TestObservationElidesWhatNobodyReads(t *testing.T) {
 	cases := []struct {
 		workload string
@@ -299,20 +312,14 @@ func TestObservationElidesWhatNobodyReads(t *testing.T) {
 		{workload: "natgre", observe: sim.ObservePacket, calcs: 1,
 			want:   sim.Lowering{FieldsExtracted: 13, FieldsTotal: 15},
 			action: "nat_translate", stores: []string{"ipv4.srcAddr", "ipv4.dstAddr", "p2go_prof.m0"}},
-		{workload: "natgre", observe: sim.ObserveTrailer,
-			want:   sim.Lowering{FieldsExtracted: 2, FieldsTotal: 15, OpsElided: 3, CalcsElided: 1},
-			action: "nat_translate", stores: []string{"ipv4.dstAddr", "p2go_prof.m0"}},
 		{workload: "natgre", observe: sim.ObserveFate,
-			want:   sim.Lowering{FieldsExtracted: 2, FieldsTotal: 15, OpsElided: 11, CalcsElided: 1},
+			want:   sim.Lowering{FieldsExtracted: 2, FieldsTotal: 15, OpsElided: 3, CalcsElided: 1},
 			action: "nat_translate", stores: []string{"ipv4.dstAddr"}},
 		{workload: "ex1", observe: sim.ObservePacket,
 			want:   sim.Lowering{FieldsExtracted: 5, FieldsTotal: 30},
 			action: "sketch1_count", stores: []string{"fw_meta.idx1", "fw_meta.count1", "fw_meta.count1", "", "p2go_prof.m6"}},
-		{workload: "ex1", observe: sim.ObserveTrailer,
-			want:   sim.Lowering{FieldsExtracted: 5, FieldsTotal: 30},
-			action: "sketch1_count", stores: []string{"fw_meta.idx1", "fw_meta.count1", "fw_meta.count1", "", "p2go_prof.m6"}},
 		{workload: "ex1", observe: sim.ObserveFate,
-			want:   sim.Lowering{FieldsExtracted: 5, FieldsTotal: 30, OpsElided: 10},
+			want:   sim.Lowering{FieldsExtracted: 5, FieldsTotal: 30},
 			action: "sketch1_count", stores: []string{"fw_meta.idx1", "fw_meta.count1", "fw_meta.count1", ""}},
 	}
 	for _, tc := range cases {
@@ -322,9 +329,11 @@ func TestObservationElidesWhatNobodyReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, _ := instrumentedIR(t, w.Source)
+			plain, prog, _ := instrumentedIR(t, w.Source)
 			opts := sim.Options{Trailer: profile.TrailerName, NeutralizeDrops: true}
-			opts.Observe = tc.observe
+			if tc.observe == sim.ObserveFate {
+				prog, opts = plain, sim.Options{Observe: sim.ObserveFate}
+			}
 			pl, err := sim.NewPlan(prog, w.Config(), opts)
 			if err != nil {
 				t.Fatal(err)

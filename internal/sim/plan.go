@@ -62,9 +62,6 @@ func NewPlan(prog *ir.Program, cfg *rt.Config, opts Options) (*Plan, error) {
 	if opts.Trailer != "" && prog.AST.Instance(opts.Trailer) == nil {
 		return nil, fmt.Errorf("sim: trailer instance %q not declared", opts.Trailer)
 	}
-	if opts.Observe == ObserveTrailer && opts.Trailer == "" {
-		return nil, fmt.Errorf("sim: ObserveTrailer without a trailer instance")
-	}
 	pl := &Plan{
 		prog:       prog,
 		cfg:        cfg,
@@ -210,15 +207,22 @@ const (
 	mRange
 )
 
+// cRecord is one apply's precomputed record: the Executed entry, and the
+// execution-mark slot it sets in a fate plan (-1: none, or not a fate plan).
+type cRecord struct {
+	exec Executed
+	mark int32
+}
+
 // cRule is one installed rule, lowered: matches pre-shifted/pre-masked,
-// the LPM prefix sum and the Executed record precomputed, the action body
+// the LPM prefix sum and the apply record precomputed, the action body
 // constant-folded over the rule's arguments.
 type cRule struct {
 	matches  []cMatch
 	prefix   int
 	priority int
 	body     cBody
-	exec     Executed
+	rec      cRecord
 }
 
 // cKey is one component of a table's lookup key.
@@ -235,10 +239,10 @@ type cTable struct {
 	rules []cRule
 	// def is the effective default action body (runtime override or
 	// declared default); hasDef is false when the table has no default.
-	hasDef   bool
-	def      cBody
-	defExec  Executed // read-less apply record (Hit true)
-	missExec Executed // keyed-table miss record (Hit false)
+	hasDef  bool
+	def     cBody
+	defRec  cRecord // read-less apply record (Hit true)
+	missRec cRecord // keyed-table miss record (Hit false)
 }
 
 // cPField is a (slot, width) pair used by parser extracts, select keys,
@@ -367,12 +371,12 @@ type compiled struct {
 	calcs  []cCalc
 
 	emits []cEmit // ObservePacket: instances with at least one may-written field
-	// The trailer is appended one byte per slot of trailerBytes when every
-	// field is 8 bits wide (what profile.Instrument declares); any other
-	// layout appends trailerZero and writes trailer's fields over it.
-	trailerBytes []int32
-	trailer      *cEmit
-	trailerZero  []byte
+	// ObservePacket with Options.Trailer: the trailer is appended as
+	// trailerZero with trailer's fields written over it.
+	trailer     *cEmit
+	trailerZero []byte
+	// nMarks is the length of a fate plan's execution marks (Marks).
+	nMarks int
 
 	neutralizeDrops bool
 
@@ -394,6 +398,9 @@ type compiler struct {
 	regOf   map[string]int32
 	ctrOf   map[string]int32
 	hashOf  map[string]int32
+	// markOf maps (table, action) to its execution-mark slot, the miss slot
+	// under an empty action; nil unless the plan observes the fate.
+	markOf map[[2]string]int32
 
 	// written is fieldLiveness's per-slot answer; its other one, live, is
 	// slot < nLive once the slots are renumbered.
@@ -453,6 +460,14 @@ func compilePlan(pl *Plan) (*compiled, error) {
 		hashOf:  map[string]int32{},
 	}
 	c := cc.c
+	if c.observe == ObserveFate {
+		marks := Marks(ast)
+		cc.markOf = make(map[[2]string]int32, len(marks))
+		for i, m := range marks {
+			cc.markOf[[2]string{m.Table, m.Action}] = int32(i)
+		}
+		c.nMarks = len(marks)
+	}
 
 	// Field slots and instance ids, in declaration order.
 	for _, inst := range ast.Instances {
@@ -562,8 +577,8 @@ func compilePlan(pl *Plan) (*compiled, error) {
 		}
 	}
 
-	// Deparser: calculated fields and header write-back when the caller
-	// observes the packet, the trailer unless it observes only the fate.
+	// Deparser: calculated fields, header write-back and the trailer when
+	// the caller observes the packet.
 	for _, cf := range ast.CalcFields {
 		if cf.Update == "" {
 			continue
@@ -594,21 +609,10 @@ func compilePlan(pl *Plan) (*compiled, error) {
 			c.emits = append(c.emits, cEmit{inst: cc.instOf[inst.Name], fields: fields})
 		}
 	}
-	if pl.opts.Trailer != "" && c.observe != ObserveFate {
+	if pl.opts.Trailer != "" && c.observe == ObservePacket {
 		inst := ast.Instance(pl.opts.Trailer)
-		fields := cc.instFields(inst, nil)
-		bytewise := true
-		for _, f := range fields {
-			bytewise = bytewise && f.width == 8
-		}
-		if bytewise {
-			for _, f := range fields {
-				c.trailerBytes = append(c.trailerBytes, f.slot)
-			}
-		} else {
-			c.trailer = &cEmit{inst: cc.instOf[inst.Name], fields: fields}
-			c.trailerZero = make([]byte, (ast.HeaderType(inst.TypeName).Bits()+7)/8)
-		}
+		c.trailer = &cEmit{inst: cc.instOf[inst.Name], fields: cc.instFields(inst, nil)}
+		c.trailerZero = make([]byte, (ast.HeaderType(inst.TypeName).Bits()+7)/8)
 	}
 	c.lower = cc
 	return c, nil
@@ -838,9 +842,18 @@ func (cc *compiler) lowerTable(t *p4.TableDecl) (cTable, error) {
 		ct.hasDef = true
 		ct.def = body
 	}
-	ct.defExec = Executed{Table: t.Name, Action: action, Hit: true}
-	ct.missExec = Executed{Table: t.Name, Action: action, Hit: false}
+	ct.defRec = cc.record(t.Name, action, true)
+	ct.missRec = cc.record(t.Name, action, false)
 	return ct, nil
+}
+
+// record precomputes one apply record.
+func (cc *compiler) record(table, action string, hit bool) cRecord {
+	mark, ok := cc.markOf[[2]string{table, action}]
+	if !ok {
+		mark = -1
+	}
+	return cRecord{exec: Executed{Table: table, Action: action, Hit: hit}, mark: mark}
 }
 
 // lowerRule lowers one installed rule against its table's key layout.
@@ -848,10 +861,7 @@ func (cc *compiler) lowerRule(t *p4.TableDecl, ct *cTable, r rt.Rule) (cRule, er
 	if len(r.Matches) != len(ct.keys) {
 		return cRule{}, fmt.Errorf("sim: rule on %s has %d matches for %d reads", t.Name, len(r.Matches), len(ct.keys))
 	}
-	cr := cRule{
-		priority: r.Priority,
-		exec:     Executed{Table: t.Name, Action: r.Action, Hit: true},
-	}
+	cr := cRule{priority: r.Priority, rec: cc.record(t.Name, r.Action, true)}
 	for i, m := range r.Matches {
 		var cm cMatch
 		switch m.Kind {

@@ -24,11 +24,14 @@ const (
 // Options tunes a Switch.
 type Options struct {
 	// Trailer names a header instance that is appended to every outgoing
-	// packet (the profiler's instrumentation header). Empty means none.
+	// packet (by a compiled plan only under ObservePacket). Empty means
+	// none. Its callers are the forced-interpreter replay of
+	// profile.Instrument's clone, the reference the differential tests and
+	// bench rows compare against, and bench's own plans.
 	Trailer string
 	// NeutralizeDrops rewrites drop semantics so marked packets still
-	// egress; the profiler uses this so the collector sees every packet.
-	// The drop is still recorded in Output.WouldDrop.
+	// egress; the drop is still recorded in Output.WouldDrop. Only tests
+	// and bench set it.
 	NeutralizeDrops bool
 	// Interpret forces the tree-walking interpreter — the reference engine
 	// for differential tests and the bench harness's before/after rows.
@@ -52,17 +55,13 @@ type Observation uint8
 const (
 	// ObservePacket: all of Output. Data is the whole outgoing packet.
 	ObservePacket Observation = iota
-	// ObserveTrailer: Data is the Options.Trailer bytes alone, Exec is nil.
-	ObserveTrailer
-	// ObserveFate: Data is empty and Exec nil.
+	// ObserveFate: Data is the packet's execution marks (see Marks), Exec
+	// is nil.
 	ObserveFate
 )
 
 func (o Observation) String() string {
-	switch o {
-	case ObserveTrailer:
-		return "trailer"
-	case ObserveFate:
+	if o == ObserveFate {
 		return "fate"
 	}
 	return "packet"
@@ -269,7 +268,8 @@ type Output struct {
 	// Port is the final egress_spec.
 	Port uint64
 	// Data is the serialized outgoing packet (with field modifications
-	// written back and the trailer appended, when configured).
+	// written back and the trailer appended, when configured), or under
+	// ObserveFate the execution marks.
 	Data []byte
 	// Dropped is true when the packet was dropped (egress_spec ==
 	// DropPort and drops are not neutralized).

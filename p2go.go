@@ -97,8 +97,8 @@ type (
 	// ResilientOptions configures a deployment: replica count,
 	// retry/backoff, degradation policy, fault injectors.
 	ResilientOptions = controller.ResilientOptions
-	// OnlineMonitor is an instrumented data plane with windowed online
-	// profiling and drift detection (§6 "Dynamic compilation").
+	// OnlineMonitor is a data plane with windowed online profiling and
+	// drift detection (§6 "Dynamic compilation").
 	OnlineMonitor = online.Monitor
 	// OnlineConfig tunes the monitor's window size, sampling rate, and
 	// drift threshold.
@@ -155,10 +155,10 @@ func Compile(prog *Program, tgt Target) (*CompileResult, error) {
 	return tofino.Compile(prog, tgt)
 }
 
-// RunProfile profiles the program on the trace: it instruments the program
-// so every packet records the actions applied to it, replays the trace in
-// the behavioral simulator, and derives hit rates and non-exclusive action
-// sets (the paper's Phase 1). The trace is sharded across up to shards
+// RunProfile profiles the program on the trace: it replays the trace through
+// the program in the behavioral simulator, records the actions applied to
+// each packet, and derives hit rates and non-exclusive action sets (the
+// paper's Phase 1). The trace is sharded across up to shards
 // workers (0 means one per CPU), each replaying against its own simulator;
 // the per-shard profiles merge deterministically, so the result equals the
 // one-shard profile. Programs whose replay behavior depends on cross-packet
@@ -222,7 +222,7 @@ func ValidatePasses(ids []string) error { return core.ValidatePasses(ids) }
 // NewAnalysisCache builds an empty analysis cache for Options.AnalysisCache.
 func NewAnalysisCache() *AnalysisCache { return core.NewAnalysisCache() }
 
-// NewOnlineMonitor instruments the optimized program for online profiling
+// NewOnlineMonitor boots the optimized program for online profiling
 // against the baseline profile (typically Result.FinalProfile): the
 // monitor detects when live traffic drifts from the profile the
 // optimizations were derived from, and records recent packets as the fresh
