@@ -96,6 +96,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 		return nil, err
 	}
 	topo.SetFaults(opts.Faults)
+	topo.SetParallelism(spec.DeviceParallelism)
 
 	injections, err := BuildInjections(ctx, spec)
 	if err != nil {
@@ -256,12 +257,13 @@ func runDevice(ctx context.Context, spec Spec, opts Options,
 	return row, nil
 }
 
-// resolve parses every device's program, loads its rules, and boots the
+// resolve parses every device's program, loads its rules, and builds the
 // topology. Returned devices are in spec order (the row order of the
-// result). Parsing, printing and rule formatting happen once per distinct
-// (source, rules) pair, not once per device: devices that share a pair
-// share its read-only AST, while every device still gets a config (an
-// optimize run installs guard rules into its own) and a switch of its own.
+// result). Parsing, printing, rule formatting and lowering happen once per
+// distinct (source, rules) pair, not once per device: devices that share a
+// pair share its read-only AST and the topology's execution plans for it,
+// while every device still gets a config of its own (an optimize run
+// installs guard rules into its own).
 func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 	topo := network.NewTopology()
 	devices := make([]resolvedDevice, 0, len(spec.Devices))
@@ -305,13 +307,13 @@ func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 			}
 			resolved[key] = dev
 		}
+		if err := topo.AddDevice(d.Name, dev.prog, dev.cfg); err != nil {
+			return nil, nil, fmt.Errorf("fleet: %w", err)
+		}
 		dev.spec = d
 		dev.tuneTable = w.TuneAccuracyTable
 		if dev.cfg != nil {
 			dev.cfg = dev.cfg.Clone()
-		}
-		if err := topo.AddDevice(d.Name, dev.prog, dev.cfg); err != nil {
-			return nil, nil, fmt.Errorf("fleet: %w", err)
 		}
 		devices = append(devices, dev)
 	}

@@ -13,6 +13,7 @@ import (
 	"p2go/internal/p4"
 	"p2go/internal/report"
 	"p2go/internal/rt"
+	"p2go/internal/sim"
 	"p2go/internal/workloads"
 )
 
@@ -206,11 +207,12 @@ func TestBuildInjectionsOrder(t *testing.T) {
 }
 
 // TestResolveSharesDistinctPrograms: devices with the same (source, rules)
-// pair share one parsed program; devices with different rules do not; every
-// device has a config of its own.
+// pair share one parsed program and one execution plan per observation
+// level; devices with different rules do not; every device has a config of
+// its own.
 func TestResolveSharesDistinctPrograms(t *testing.T) {
 	spec := frontEndSpecs()[4] // sw-0: workload rules; sw-1, sw-2: the same inline rules; sw-3: inline program
-	devs, _, err := resolve(spec)
+	devs, topo, err := resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +221,38 @@ func TestResolveSharesDistinctPrograms(t *testing.T) {
 	}
 	if devs[0].prog == devs[1].prog {
 		t.Error("devices with different rules share a resolved entry")
+	}
+	plan := topo.Plan
+	if plan("sw-0000") != plan("sw-0003") || plan("sw-0001") != plan("sw-0002") || plan("sw-0000") == plan("sw-0001") {
+		t.Error("plans are not one per distinct (source, rules) pair")
+	}
+	for _, d := range devs {
+		if level := plan(d.spec.Name).Lowering().Observe; level != sim.ObserveFate {
+			t.Errorf("unlinked device %s runs at the %s level, want fate", d.spec.Name, level)
+		}
+	}
+
+	// One pair at two levels: the edge forwards whole packets, while the
+	// downstream device, which no link leaves, observes fates.
+	_, linked, err := resolve(frontEndSpecs()[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, down := linked.Plan("edge"), linked.Plan("downstream")
+	if edge.Lowering().Observe != sim.ObservePacket || down.Lowering().Observe != sim.ObserveFate {
+		t.Errorf("edge at %s, downstream at %s; want packet and fate", edge.Lowering().Observe, down.Lowering().Observe)
+	}
+	// 64 devices of two workloads lower two plans.
+	_, wide, err := resolve(fleet64Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	distinct := map[*sim.Plan]bool{}
+	for i := 0; i < 64; i++ {
+		distinct[wide.Plan(fmt.Sprintf("sw-%02d", i))] = true
+	}
+	if len(distinct) != 2 || distinct[nil] {
+		t.Errorf("fleet-64 shape: %d distinct plans, want 2", len(distinct))
 	}
 	for i, a := range devs {
 		for _, b := range devs[i+1:] {

@@ -82,9 +82,11 @@ type Spec struct {
 	// Passes schedules the optimization passes for every device (IDs from
 	// core.Passes()); empty means the default schedule.
 	Passes []string `json:"passes,omitempty"`
-	// DeviceParallelism bounds how many devices optimize concurrently;
-	// 0 means one worker per CPU. Not part of any digest: results are
-	// fan-out independent.
+	// DeviceParallelism bounds the run's one pool: how many injection
+	// streams generate, how many connected components collect their
+	// devices' traces, and how many devices optimize at once; 0 means one
+	// worker per CPU. Not part of any digest: results are fan-out
+	// independent.
 	DeviceParallelism int `json:"device_parallelism,omitempty"`
 	// Parallelism is each device run's inner worker count (replay shards,
 	// candidate probes); 0 means the runner's default. Not part of any

@@ -11,9 +11,12 @@
 package network
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 
+	"p2go/internal/core"
 	"p2go/internal/faults"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
@@ -53,36 +56,70 @@ type Hop struct {
 // egress port to another device's ingress port. An egress port with no
 // link leaves the network.
 type Topology struct {
-	devices map[string]*sim.Switch
+	// devices names each device's plan. Its level is fate until a link
+	// leaves the device: nobody reads the bytes of a packet that exits.
+	devices map[string]planKey
+	plans   map[planKey]*sim.Plan // one per distinct (program, rules, level)
 	links   map[Hop]Hop
 	faults  *faults.Set
+	workers int
+}
+
+type planKey struct {
+	prog  *p4.Program
+	cfg   *rt.Config
+	level sim.Observation
 }
 
 // SetFaults installs a fault-injection set; firing faults.SimStep fails a
 // device step as if its data plane errored. nil (the default) is inert.
 func (t *Topology) SetFaults(set *faults.Set) { t.faults = set }
 
+// SetParallelism bounds how many connected components CollectDeviceTraces
+// replays at once; 0 (the default) means one per CPU.
+func (t *Topology) SetParallelism(workers int) { t.workers = workers }
+
 // NewTopology builds an empty topology.
 func NewTopology() *Topology {
-	return &Topology{devices: map[string]*sim.Switch{}, links: map[Hop]Hop{}}
+	return &Topology{devices: map[string]planKey{}, plans: map[planKey]*sim.Plan{}, links: map[Hop]Hop{}}
 }
 
-// AddDevice boots a device's data plane and registers it.
+// AddDevice validates a device's program and rules and registers it.
+// Devices added with the same program and config share their execution
+// plans: a fleet of one program lowers it once, not once per device.
 func (t *Topology) AddDevice(name string, prog *p4.Program, cfg *rt.Config) error {
 	if _, ok := t.devices[name]; ok {
 		return fmt.Errorf("network: duplicate device %q", name)
 	}
-	sw, err := sim.NewFromAST(prog, cfg, sim.Options{})
-	if err != nil {
+	key := planKey{prog, cfg, sim.ObserveFate}
+	if err := t.lower(key); err != nil {
 		return fmt.Errorf("network: device %s: %w", name, err)
 	}
-	t.devices[name] = sw
+	t.devices[name] = key
 	return nil
 }
 
+// lower builds the plan under key unless the topology has it already.
+func (t *Topology) lower(key planKey) error {
+	if t.plans[key] != nil {
+		return nil
+	}
+	pl, err := sim.NewPlanFromAST(key.prog, key.cfg, sim.Options{Observe: key.level})
+	if err == nil {
+		t.plans[key] = pl
+	}
+	return err
+}
+
+// Plan returns the plan the named device's switches boot from (nil if
+// there is no such device).
+func (t *Topology) Plan(name string) *sim.Plan { return t.plans[t.devices[name]] }
+
 // Link wires an egress port of one device to an ingress port of another.
+// The upstream device's switches now boot from its packet plan.
 func (t *Topology) Link(from Hop, to Hop) error {
-	if _, ok := t.devices[from.Device]; !ok {
+	key, ok := t.devices[from.Device]
+	if !ok {
 		return fmt.Errorf("network: unknown device %q", from.Device)
 	}
 	if _, ok := t.devices[to.Device]; !ok {
@@ -91,6 +128,11 @@ func (t *Topology) Link(from Hop, to Hop) error {
 	if _, dup := t.links[from]; dup {
 		return fmt.Errorf("network: port %d of %s already linked", from.Port, from.Device)
 	}
+	key.level = sim.ObservePacket
+	if err := t.lower(key); err != nil {
+		return fmt.Errorf("network: device %s: %w", from.Device, err)
+	}
+	t.devices[from.Device] = key
 	t.links[from] = to
 	return nil
 }
@@ -123,30 +165,45 @@ type Journey struct {
 
 // Inject sends one packet into the network at the given attachment point
 // and follows it across links until it exits, is dropped, or is redirected
-// to a controller.
+// to a controller. Like a collection, it runs on switches booted for it, so
+// no register or counter state carries over from one Inject to the next.
 func (t *Topology) Inject(at Hop, data []byte) (*Journey, error) {
 	j := &Journey{}
-	if err := t.walk(at, data, nil, j); err != nil {
+	sws := map[string]*sim.Switch{}
+	defer release(sws)
+	if err := t.walk(at, data, sws, nil, j); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
+// release hands booted switches' register memory back for reuse.
+func release(sws map[string]*sim.Switch) {
+	for _, sw := range sws {
+		sw.Release()
+	}
+}
+
 // walk is the one forwarding loop under Inject and CollectDeviceTraces. It
 // follows a packet from at across links until it exits, is dropped, or is
-// redirected to a controller. arrive, when non-nil, sees the packet as each
-// device receives it; j, when non-nil, records the journey. A failure names
-// the device it happened on.
-func (t *Topology) walk(at Hop, data []byte, arrive func(Hop, []byte), j *Journey) *DeviceError {
+// redirected to a controller, running each device's switch in sws and
+// booting the ones not there yet. arrive, when non-nil, sees the packet as
+// each device receives it; j, when non-nil, records the journey. A failure
+// names the device it happened on.
+func (t *Topology) walk(at Hop, payload []byte, sws map[string]*sim.Switch, arrive func(Hop, []byte), j *Journey) *DeviceError {
 	cur := at
-	payload := append([]byte(nil), data...)
 	for hop := 0; ; hop++ {
 		if hop >= maxHops {
 			return &DeviceError{Device: cur.Device, Injection: -1, Err: errLoop}
 		}
-		sw, ok := t.devices[cur.Device]
+		key, ok := t.devices[cur.Device]
 		if !ok {
 			return &DeviceError{Device: cur.Device, Injection: -1, Err: errUnknownDevice}
+		}
+		sw := sws[cur.Device]
+		if sw == nil {
+			sw = sim.NewFromPlan(t.plans[key])
+			sws[cur.Device] = sw
 		}
 		if arrive != nil {
 			arrive(cur, payload)
@@ -192,27 +249,70 @@ type Injection struct {
 // needs ("the network programmer has access to the device of interest").
 // Every device gets a trace, empty if nothing reached it.
 //
+// No packet crosses between connected components, so each replays its own
+// injections in injection order, on switches it boots and releases, and
+// components run concurrently (see SetParallelism). Under a fault set, whose
+// events count in global order, the topology is one component.
+//
 // A device failure abandons the rest of that injection's path and is
-// returned as a *DeviceError naming the device and the injection;
-// collection goes on with the next injection. The traces hold everything
-// the healthy part of the network saw, and a fleet run attributes the
-// errors per device instead of throwing the whole collection away.
+// returned, in injection order, as a *DeviceError naming the device and the
+// injection; collection goes on with the next injection. The traces hold
+// everything the healthy part of the network saw, and a fleet run attributes
+// the errors per device instead of throwing the whole collection away.
 func (t *Topology) CollectDeviceTraces(injections []Injection) (map[string]*trafficgen.Trace, []*DeviceError) {
 	traces := make(map[string]*trafficgen.Trace, len(t.devices))
-	for name, sw := range t.devices {
-		sw.Reset()
+	for name := range t.devices {
 		traces[name] = &trafficgen.Trace{}
 	}
+	// Process never writes its input, so the one copy is the trace's own.
 	record := func(at Hop, payload []byte) {
 		tr := traces[at.Device]
 		tr.Packets = append(tr.Packets, trafficgen.Packet{Port: at.Port, Data: append([]byte(nil), payload...)})
 	}
-	var devErrs []*DeviceError
-	for i, inj := range injections {
-		if err := t.walk(inj.At, inj.Data, record, nil); err != nil {
-			err.Injection = i
-			devErrs = append(devErrs, err)
+	groups := t.components(injections)
+	failed := make([]*DeviceError, len(injections))
+	// Nothing cancels a collection and no component fails it: the pool
+	// cannot return an error.
+	_ = core.ForEachIndexed(context.TODO(), len(groups), t.workers, func(g int) error {
+		sws := map[string]*sim.Switch{}
+		for _, i := range groups[g] {
+			if err := t.walk(injections[i].At, injections[i].Data, sws, record, nil); err != nil {
+				err.Injection = i
+				failed[i] = err
+			}
+		}
+		release(sws)
+		return nil
+	})
+	return traces, slices.DeleteFunc(failed, func(err *DeviceError) bool { return err == nil })
+}
+
+// components groups the injection indexes by the connected component of the
+// device they enter at, in injection order; under a fault set, all in one.
+func (t *Topology) components(injections []Injection) [][]int {
+	parent := map[string]string{}
+	root := func(d string) string {
+		for p, ok := parent[d]; ok; p, ok = parent[d] {
+			d = p
+		}
+		return d
+	}
+	for from, to := range t.links {
+		if a, b := root(from.Device), root(to.Device); a != b {
+			parent[a] = b
 		}
 	}
-	return traces, devErrs
+	groups := map[string][]int{}
+	for i, inj := range injections {
+		key := ""
+		if t.faults == nil {
+			key = root(inj.At.Device)
+		}
+		groups[key] = append(groups[key], i)
+	}
+	out := make([][]int, 0, len(groups))
+	for _, g := range groups {
+		out = append(out, g)
+	}
+	return out
 }

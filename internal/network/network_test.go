@@ -1,11 +1,13 @@
 package network
 
 import (
+	"bytes"
 	"testing"
 
 	"p2go/internal/p4"
 	"p2go/internal/programs"
 	"p2go/internal/rt"
+	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
 )
 
@@ -134,5 +136,86 @@ control ingress { apply(t); }
 	}
 	if _, err := topo.Inject(Hop{"loop", 1}, []byte{1}); err == nil {
 		t.Error("forwarding loop should be detected")
+	}
+}
+
+// TestLinkAfterBoot: a device no link leaves runs a fate plan, whose output
+// is the packet's execution marks, not its bytes. A link added after the
+// device's switches have booted and run unlinked — by an Inject and by a
+// whole collection — still forwards byte-for-byte what a packet-level switch
+// emits: every walk boots its switches from the device's current plan.
+func TestLinkAfterBoot(t *testing.T) {
+	prog, cfg := p4.MustParse(programs.Quickstart), programs.QuickstartConfig()
+	topo := NewTopology()
+	for _, name := range []string{"up", "down"} {
+		if err := topo.AddDevice(name, prog, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var inj []Injection
+	for _, pkt := range trafficgen.QuickstartTrace(300, 7).Packets {
+		inj = append(inj, Injection{At: Hop{"up", pkt.Port}, Data: pkt.Data})
+	}
+	if got := topo.Plan("up").Lowering().Observe; got != sim.ObserveFate {
+		t.Fatalf("unlinked device observes %s, want fate", got)
+	}
+	if _, err := topo.Inject(inj[0].At, inj[0].Data); err != nil {
+		t.Fatal(err)
+	}
+	if _, errs := topo.CollectDeviceTraces(inj); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+
+	if err := topo.Link(Hop{"up", 1}, Hop{"down", 1}); err != nil {
+		t.Fatal(err)
+	}
+	traces, errs := topo.CollectDeviceTraces(inj)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	ref, err := sim.NewFromAST(prog, cfg, sim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for _, in := range inj {
+		out, err := ref.Process(sim.Input{Port: in.At.Port, Data: in.Data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Dropped && !out.ToCPU && out.Port == 1 {
+			want = append(want, out.Data)
+		}
+	}
+	got := traces["down"].Packets
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("downstream saw %d packets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i].Data, want[i]) {
+			t.Fatalf("downstream packet %d is not the upstream's output bytes", i)
+		}
+	}
+	j, err := topo.Inject(inj[0].At, inj[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.Steps) != 2 {
+		t.Errorf("journey after the link: %+v, want two steps", j.Steps)
+	}
+}
+
+// TestCollectUnknownEntry: an injection at an unknown device fails alone,
+// named and numbered, and collection goes on around it.
+func TestCollectUnknownEntry(t *testing.T) {
+	topo := buildTopology(t)
+	inj := enterpriseInjections(t)[:3]
+	inj[1].At.Device = "ghost"
+	traces, errs := topo.CollectDeviceTraces(inj)
+	if len(errs) != 1 || errs[0].Device != "ghost" || errs[0].Injection != 1 {
+		t.Fatalf("errors = %v, want one naming ghost at injection 1", errs)
+	}
+	if got := len(traces["edge"].Packets); got != 2 {
+		t.Errorf("edge saw %d packets, want the other 2", got)
 	}
 }

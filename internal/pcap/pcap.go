@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Magic numbers.
@@ -131,16 +132,25 @@ func (r *Reader) Next() (Record, error) {
 		TimestampSec:  bo.Uint32(hdr[0:4]),
 		TimestampFrac: bo.Uint32(hdr[4:8]),
 	}
-	capLen := bo.Uint32(hdr[8:12])
+	capLen := int(bo.Uint32(hdr[8:12]))
 	if capLen > 256*1024*1024 {
 		return Record{}, fmt.Errorf("pcap: implausible capture length %d", capLen)
 	}
-	rec.Data = make([]byte, capLen)
-	if _, err := io.ReadFull(r.r, rec.Data); err != nil {
-		return Record{}, fmt.Errorf("pcap: read record data: %w", err)
+	// The length is the file's claim: the record grows a chunk at a time as
+	// its bytes arrive, so a corrupt header costs what the file holds.
+	rec.Data = make([]byte, 0, min(capLen, readChunk))
+	for have := 0; have < capLen; have = len(rec.Data) {
+		n := min(capLen-have, readChunk)
+		rec.Data = slices.Grow(rec.Data, n)[:have+n]
+		if _, err := io.ReadFull(r.r, rec.Data[have:]); err != nil {
+			return Record{}, fmt.Errorf("pcap: read record data: %w", err)
+		}
 	}
 	return rec, nil
 }
+
+// readChunk bounds what Next allocates ahead of the bytes it has read.
+const readChunk = 64 << 10
 
 // ReadAll reads every record.
 func ReadAll(r io.Reader) ([]Record, error) {

@@ -3,7 +3,9 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -155,4 +157,58 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestClaimedLengthAllocatesAsBytesArrive: a record header may claim up to
+// 256 MiB; a file that then ends after a few bytes fails having allocated
+// for about what it held, not for the claim.
+func TestClaimedLengthAllocatesAsBytesArrive(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, 0)
+	_ = w.Write(Record{Data: bytes.Repeat([]byte{7}, 100)})
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint32(raw[24+8:24+12], 200<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadAll(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated record: err = %v, want an unexpected EOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("reading a 100-byte record claimed at 200 MiB allocated %d bytes", got)
+	}
+}
+
+// FuzzPcapReader: whatever bytes a capture file holds, ReadAll never
+// panics, and what it accepts writes back out (WriteAll) to a file that
+// reads to the same records, each cut to the writer's snap length. The
+// committed corpus (testdata/fuzz/FuzzPcapReader: files in both byte
+// orders and resolutions, an empty one, truncated and over-claimed records)
+// also runs as plain subtests in every `go test`.
+func FuzzPcapReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("written file does not read back: %v", err)
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("%d records read back, want %d", len(again), len(recs))
+		}
+		for i, rec := range recs {
+			want := rec.Data[:min(len(rec.Data), 65535)]
+			if again[i].TimestampSec != rec.TimestampSec || again[i].TimestampFrac != rec.TimestampFrac ||
+				!bytes.Equal(again[i].Data, want) {
+				t.Fatalf("record %d did not round-trip", i)
+			}
+		}
+	})
 }

@@ -140,11 +140,21 @@ func New(prog *ir.Program, cfg *rt.Config, opts Options) (*Switch, error) {
 	return NewFromPlan(pl), nil
 }
 
-// NewFromAST boots a Switch from a parsed program: it type-checks a clone
+// NewFromAST boots a Switch from a parsed program: NewPlanFromAST followed
+// by NewFromPlan.
+func NewFromAST(ast *p4.Program, cfg *rt.Config, opts Options) (*Switch, error) {
+	pl, err := NewPlanFromAST(ast, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromPlan(pl), nil
+}
+
+// NewPlanFromAST builds a Plan from a parsed program: it type-checks a clone
 // (p4.Check declares the intrinsic standard_metadata the pipeline reads, so
 // an AST that never went through it would not lower), builds the IR, and
-// calls New. The caller's AST is left untouched.
-func NewFromAST(ast *p4.Program, cfg *rt.Config, opts Options) (*Switch, error) {
+// calls NewPlan. The caller's AST is left untouched.
+func NewPlanFromAST(ast *p4.Program, cfg *rt.Config, opts Options) (*Plan, error) {
 	ast = p4.Clone(ast)
 	if err := p4.Check(ast); err != nil {
 		return nil, err
@@ -153,7 +163,7 @@ func NewFromAST(ast *p4.Program, cfg *rt.Config, opts Options) (*Switch, error) 
 	if err != nil {
 		return nil, err
 	}
-	return New(prog, cfg, opts)
+	return NewPlan(prog, cfg, opts)
 }
 
 // NewFromPlan instantiates a Switch over a shared execution plan. Only
