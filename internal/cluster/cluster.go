@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -264,6 +265,9 @@ func (n *Node) AcquireJob(key string) (*JobLease, error) {
 	if cur != nil {
 		epoch = cur.Epoch + 1
 	}
+	if !validEpoch(epoch) {
+		return nil, fmt.Errorf("cluster: acquire %s: no epoch after %d", key, cur.Epoch)
+	}
 	rec := jobRecord{Key: key, Holder: n.cfg.ID, Epoch: epoch, Expires: now.Add(n.cfg.TTL).UnixNano()}
 	target := n.jobPath(key, epoch)
 	if err := n.writeAtomic(target, rec, os.Link); err != nil {
@@ -361,7 +365,8 @@ func (n *Node) fenceErr(l *JobLease, cur *jobRecord) error {
 // readJob returns the highest-epoch lease record for key, or nil when
 // the job has none. Unparseable files (a reader racing a writer on a
 // filesystem without atomic rename semantics would see them; ours has
-// them, so in practice only corruption does) are ignored.
+// them, so in practice only corruption does) are ignored, and so are
+// files whose epoch is not valid (validEpoch).
 func (n *Node) readJob(key string) (*jobRecord, error) {
 	if err := n.cfg.Faults.Err(faults.Partition); err != nil {
 		return nil, fmt.Errorf("cluster: read lease %s: %w", key, err)
@@ -378,7 +383,7 @@ func (n *Node) readJob(key string) (*jobRecord, error) {
 			continue
 		}
 		epoch, err := strconv.ParseInt(name[len(prefix):], 10, 64)
-		if err != nil {
+		if err != nil || !validEpoch(epoch) {
 			continue
 		}
 		if best != nil && epoch <= best.Epoch {
@@ -398,6 +403,13 @@ func (n *Node) readJob(key string) (*jobRecord, error) {
 	}
 	return best, nil
 }
+
+// validEpoch reports whether a lease file may hold epoch: epochs start
+// at 1, and a takeover must be able to win epoch+1. A file at 0, below it,
+// or at math.MaxInt64 is corrupt: taking one over would wrap to a negative
+// epoch that every later reader ranks below the lease it superseded,
+// fencing the new holder at once and wedging the job.
+func validEpoch(epoch int64) bool { return epoch >= 1 && epoch < math.MaxInt64 }
 
 func (n *Node) jobPath(key string, epoch int64) string {
 	return filepath.Join(n.jobDir(), fmt.Sprintf("%s.ep%d", sanitize(key), epoch))
