@@ -227,31 +227,20 @@ func (r *run) endPass(sp *obs.Span, stat *PassStat, start time.Time, obsBefore i
 	r.stats = append(r.stats, *stat)
 }
 
-// noteCompile records one compile lookup against the current pass. Called
-// from pool workers, hence the lock.
-func (r *run) noteCompile(hit bool) {
+// note records one compile (or else profile) lookup against the current
+// pass. Called from pool workers, hence the lock.
+func (r *run) note(compile, hit bool) {
 	r.statMu.Lock()
 	defer r.statMu.Unlock()
-	if r.stat == nil {
-		return
-	}
-	if hit {
-		r.stat.CompileHits++
-	} else {
-		r.stat.CompileMisses++
-	}
-}
-
-// noteProfile records one profile lookup against the current pass.
-func (r *run) noteProfile(hit bool) {
-	r.statMu.Lock()
-	defer r.statMu.Unlock()
-	if r.stat == nil {
-		return
-	}
-	if hit {
-		r.stat.ProfileHits++
-	} else {
-		r.stat.ProfileMisses++
+	switch s := r.stat; {
+	case s == nil:
+	case compile && hit:
+		s.CompileHits++
+	case compile:
+		s.CompileMisses++
+	case hit:
+		s.ProfileHits++
+	default:
+		s.ProfileMisses++
 	}
 }

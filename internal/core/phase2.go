@@ -21,17 +21,8 @@ import (
 // changes tractable for the programmer); the loop re-runs until no
 // candidate improves the pipeline.
 func (r *run) phase2(ctx context.Context) error {
-	for iteration := 1; ; iteration++ {
-		ictx, sp := obs.Start(ctx, "phase2.iteration", obs.Int("iteration", iteration))
-		improved, err := r.phase2Once(ictx)
-		sp.SetAttr(obs.Bool("improved", improved))
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if !improved {
-			break
-		}
+	if err := iterate(ctx, "phase2.iteration", r.phase2Once); err != nil {
+		return err
 	}
 	return r.phase2Audit(ctx)
 }
@@ -45,13 +36,15 @@ func (r *run) phase2Audit(ctx context.Context) error {
 	}
 	ctx, sp := obs.Start(ctx, "phase2.audit", obs.Int("derived", r.derived))
 	defer sp.End()
-	derived := r.prof
 	r.derived = 0
-	if err := r.reprofile(ctx); err != nil {
-		return err
+	v, err := r.judge(ctx, &child{prog: r.cur}, nil,
+		contract{check: profileEqual, audit: true, ref: r.prof, compiled: r.compile})
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	if diff := derived.Diff(r.prof); diff != "" {
-		return fmt.Errorf("core: phase2: derived profile disagrees with replay: %s", diff)
+	r.prof = v.prof
+	if !v.accepted {
+		return fmt.Errorf("core: phase2: derived profile disagrees with replay: %s", v.details["diff"])
 	}
 	return nil
 }
@@ -79,8 +72,8 @@ func (r *run) phase2Once(ctx context.Context) (bool, error) {
 }
 
 // phase2Try evaluates one dependency edge under its own span: profile
-// check, rewrite, candidate compile, the candidate's profile, and — when
-// everything holds — application to the run state.
+// check, rewrite, the judge's verdict on the candidate, and — when it
+// lands — application to the run state.
 func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (bool, error) {
 	ctx, sp := obs.Start(ctx, "phase2.candidate",
 		obs.String("from", edge.From), obs.String("to", edge.To))
@@ -115,12 +108,13 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 		sp.SetAttr(obs.String("rejected", c.reject))
 		return false, nil // not expressible (hit/miss nesting); try next
 	}
-	candidate, guard := c.prog, c.guard
+	guard := c.guard
+	var cfg *rt.Config // nil: the judge replays under r.cfg restricted to the candidate
 	var guardRules []rt.Rule
 	if guard != nil {
 		// Mirror `to`'s rules onto the detector so it hits exactly
-		// when `to` would have. Installed only if the candidate is
-		// accepted.
+		// when `to` would have. The candidate replays with them (they
+		// never hit on the trace); installed only if it is accepted.
 		for _, rule := range r.cfg.ForTable(edge.To) {
 			guardRules = append(guardRules, rt.Rule{
 				Table:    guard.Table,
@@ -129,71 +123,39 @@ func (r *run) phase2Try(ctx context.Context, edge *deps.Edge, baseStages int) (b
 				Priority: rule.Priority,
 			})
 		}
-	}
-	compiled, err := r.compileAs(ctx, c.key, c.prog)
-	if err != nil {
-		sp.SetAttr(obs.String("rejected", "compile-failed"))
-		return false, nil // rewrite made the program invalid for the target
-	}
-	if totalStages(compiled.Mapping) >= baseStages {
-		sp.SetAttr(obs.String("rejected", "no-stage-saved"))
-		return false, nil // no stage saved; keep looking
-	}
-	// Safety check beyond the paper: the rewrite must preserve the
-	// program's observable behavior on the trace (miss markers aside
-	// — skipping a table whose outcome was a no-op miss is the
-	// intended effect of the rewrite), as a derived profile does by
-	// construction. A guarded replay has the detector rules, never hit.
-	newProf, decline := r.phase2Derive(edge.From, moved, guard != nil)
-	if newProf != nil {
-		sp.SetAttr(obs.String("profile", "derived"))
-		r.derived++
-	} else {
-		sp.SetAttr(obs.String("profile", "replayed"), obs.String("decline", decline))
-		cfg := r.cfg.Restrict(candidate)
+		cfg = r.cfg.Restrict(c.prog)
 		cfg.Rules = append(cfg.Rules, guardRules...)
-		if newProf, err = r.doProfile(ctx, candidate, cfg); err != nil {
-			return false, err
-		}
-		if diff := r.prof.BehaviorDiff(newProf); diff != "" {
-			sp.SetAttr(obs.String("rejected", "behavior-changed"))
-			r.obs = append(r.obs, Observation{
-				Phase:        PhaseDependencies,
-				Kind:         "remove-dependency",
-				Accepted:     false,
-				Summary:      fmt.Sprintf("apply %s only if %s misses", edge.To, edge.From),
-				Evidence:     "rewrite changed the profile on the trace: " + diff,
-				Tables:       []string{edge.From, edge.To},
-				StagesBefore: baseStages,
-				StagesAfter:  baseStages,
-			})
-			return false, nil
-		}
 	}
-	r.cur = candidate
-	r.compile = compiled
-	r.prof = newProf
+	// The rewrite must save a stage and — a safety check beyond the paper
+	// — preserve the program's observable behavior on the trace (miss
+	// markers aside: skipping a table whose outcome was a no-op miss is
+	// the intended effect of the rewrite), as a derived profile does by
+	// construction.
+	v, err := r.judge(ctx, c, cfg, contract{
+		check: behaviorEqual,
+		ref:   r.prof,
+		derive: func() (*profile.Profile, string) {
+			return r.phase2Derive(edge.From, moved, guard != nil)
+		},
+		base: baseStages,
+		why:  fmt.Sprintf("no set of non-exclusive actions contains the dependent actions of both tables (%s)", witness),
+	})
+	if err != nil {
+		return false, err
+	}
+	tables := []string{edge.From, edge.To}
+	summary := fmt.Sprintf("apply %s only if %s misses", edge.To, edge.From)
+	if !v.accepted {
+		r.observe(v, PhaseDependencies, "remove-dependency", summary, tables)
+		return false, nil
+	}
+	r.cur, r.compile, r.prof = c.prog, v.compiled, v.prof
 	if guard != nil {
-		for _, gr := range guardRules {
-			r.cfg.Add(gr)
-		}
+		r.cfg.Rules = append(r.cfg.Rules, guardRules...)
 		r.guards = append(r.guards, *guard)
 	}
-	sp.SetAttr(obs.Bool("accepted", true), obs.Int("stages", totalStages(compiled.Mapping)))
-	r.obs = append(r.obs, Observation{
-		Phase:        PhaseDependencies,
-		Kind:         "remove-dependency",
-		Accepted:     true,
-		Summary:      fmt.Sprintf("%s and %s are not dependent: apply %s only if %s misses", edge.From, edge.To, edge.To, edge.From),
-		Evidence:     fmt.Sprintf("no set of non-exclusive actions contains the dependent actions of both tables (%s)", witness),
-		Tables:       []string{edge.From, edge.To},
-		StagesBefore: baseStages,
-		StagesAfter:  totalStages(compiled.Mapping),
-		Details: map[string]string{
-			"from": edge.From,
-			"to":   edge.To,
-		},
-	})
+	r.observe(v, PhaseDependencies, "remove-dependency", fmt.Sprintf("%s and %s are not dependent: %s", edge.From, edge.To, summary),
+		tables, "from", edge.From, "to", edge.To)
 	return true, nil
 }
 

@@ -42,7 +42,7 @@ func checkPhase2Derivation(t *testing.T, label string, r *run) (derived int, dec
 				continue
 			}
 			derived++
-			want, err := r.profileCandidate(ctx, candidate)
+			want, err := r.doProfile(ctx, candidate, r.cfg.Restrict(candidate))
 			if err != nil {
 				t.Fatalf("%s: %s -> %s: %v", label, edge.From, edge.To, err)
 			}
@@ -231,7 +231,7 @@ control ingress { if (h.kind == 1) { apply(from_t); } apply(to_t); }`,
 	if _, err := moveIntoMissArm(candidate, "from_t", "to_t", false); err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.profileCandidate(context.Background(), candidate)
+	want, err := r.doProfile(context.Background(), candidate, r.cfg.Restrict(candidate))
 	if err != nil {
 		t.Fatal(err)
 	}

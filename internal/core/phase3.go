@@ -20,18 +20,9 @@ import (
 // the next one is tried.
 func (r *run) phase3(ctx context.Context) error {
 	rejected := map[string]bool{}
-	for iter := 1; ; iter++ {
-		ictx, sp := obs.Start(ctx, "phase3.iteration", obs.Int("iteration", iter))
-		applied, err := r.phase3Once(ictx, rejected)
-		sp.SetAttr(obs.Bool("improved", applied))
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if !applied {
-			return nil
-		}
-	}
+	return iterate(ctx, "phase3.iteration", func(ctx context.Context) (bool, error) {
+		return r.phase3Once(ctx, rejected)
+	})
 }
 
 func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, error) {
@@ -41,15 +32,11 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 	// an independent compile of its own clone, so they fan out over the
 	// worker pool; results land in probe order, keeping the candidate
 	// list (and everything downstream) identical to a sequential run.
-	type candidate struct {
-		knob    memoryKnob
-		hitRate float64
-		order   int
-	}
 	type probe struct {
-		knob  memoryKnob
-		order int
-		saves bool
+		knob    memoryKnob
+		order   int
+		saves   bool
+		hitRate float64
 	}
 	var probes []probe
 	for _, t := range r.compile.IR.Ordered {
@@ -69,28 +56,22 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 			return err
 		}
 		knob := probes[i].knob
-		stages, _, err := r.stagesWithKnob(ctx, knob, knob.full/2)
+		compiled, _, err := r.probeKnob(ctx, knob, knob.full/2)
 		if err != nil {
 			return nil // halving made the program infeasible; not a candidate
 		}
-		probes[i].saves = stages < baseStages
+		probes[i].saves = totalStages(compiled.Mapping) < baseStages
 		return nil
 	})
 	if err != nil {
 		return false, err
 	}
-	var candidates []candidate
+	var candidates []probe
 	for _, p := range probes {
 		if p.saves {
-			candidates = append(candidates, candidate{
-				knob:    p.knob,
-				hitRate: r.prof.HitRate(p.knob.table),
-				order:   p.order,
-			})
+			p.hitRate = r.prof.HitRate(p.knob.table)
+			candidates = append(candidates, p)
 		}
-	}
-	if len(candidates) == 0 {
-		return false, nil
 	}
 	// Lowest hit rate first: least risk of impacting behavior.
 	sort.Slice(candidates, func(i, j int) bool {
@@ -114,19 +95,19 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 			}
 			iterations++
 			mid := (lo + hi) / 2
-			stages, _, err := r.stagesWithKnob(bctx, c.knob, mid)
+			compiled, _, err := r.probeKnob(bctx, c.knob, mid)
 			if err != nil {
 				hi = mid
 				continue
 			}
-			if stages < baseStages {
+			if totalStages(compiled.Mapping) < baseStages {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
 		minValue := lo
-		stages, reduced, err := r.stagesWithKnob(bctx, c.knob, minValue)
+		probed, reduced, err := r.probeKnob(bctx, c.knob, minValue)
 		bsp.SetAttr(obs.Int("iterations", iterations), obs.Int("min_value", minValue))
 		bsp.End()
 		if err != nil {
@@ -146,77 +127,37 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 		// shrunken table) also rejects the candidate.
 		vctx, vsp := obs.Start(ctx, "phase3.verify",
 			obs.String("table", c.knob.table), obs.Int("value", minValue))
-		newProf, err := r.profileCandidate(vctx, reduced.prog)
-		if err != nil {
-			vsp.SetAttr(obs.String("rejected", "config-infeasible"))
-			vsp.End()
-			rejected[c.knob.table] = true
-			r.obs = append(r.obs, Observation{
-				Phase:        PhaseMemory,
-				Kind:         kind,
-				Accepted:     false,
-				Summary:      what + fmt.Sprintf(" (-%.1f%%)", reduction),
-				Evidence:     "reduced program cannot run the provided configuration: " + err.Error(),
-				Tables:       []string{c.knob.table},
-				StagesBefore: baseStages,
-				StagesAfter:  baseStages,
-			})
-			continue
-		}
-		if diff := r.prof.Diff(newProf); diff != "" {
-			vsp.SetAttr(obs.String("rejected", "behavior-changed"))
-			vsp.End()
-			rejected[c.knob.table] = true
-			r.obs = append(r.obs, Observation{
-				Phase:        PhaseMemory,
-				Kind:         kind,
-				Accepted:     false,
-				Summary:      what + fmt.Sprintf(" (-%.1f%%)", reduction),
-				Evidence:     "reduction changed the program's behavior on the trace: " + diff,
-				Tables:       []string{c.knob.table},
-				StagesBefore: baseStages,
-				StagesAfter:  baseStages,
-				Details: map[string]string{
-					"diff": diff,
-				},
-			})
-			continue
-		}
-
-		vsp.SetAttr(obs.Bool("accepted", true))
+		v, err := r.judge(vctx, reduced, nil,
+			contract{check: profileEqual, ref: r.prof, compiled: probed, base: baseStages})
 		vsp.End()
+		if err != nil {
+			return false, err
+		}
+		tables := []string{c.knob.table}
+		if !v.accepted {
+			rejected[c.knob.table] = true
+			r.observe(v, PhaseMemory, kind, what+fmt.Sprintf(" (-%.1f%%)", reduction), tables)
+			continue
+		}
 		compiled, err := r.compileAs(ctx, reduced.key, reduced.prog)
 		if err != nil {
 			return false, err
 		}
-		r.cur = reduced.prog
-		r.compile = compiled
-		r.prof = newProf
-		r.obs = append(r.obs, Observation{
-			Phase:        PhaseMemory,
-			Kind:         kind,
-			Accepted:     true,
-			Summary:      what + fmt.Sprintf(" (-%.1f%%, minimum reduction found by binary search)", reduction),
-			Evidence:     "profile unchanged on the trace after the reduction",
-			Tables:       []string{c.knob.table},
-			StagesBefore: baseStages,
-			StagesAfter:  stages,
-			Details: map[string]string{
-				"full":      fmt.Sprintf("%d", c.knob.full),
-				"reduced":   fmt.Sprintf("%d", minValue),
-				"reduction": fmt.Sprintf("%.4f", reduction/100),
-			},
-		})
+		r.cur, r.compile, r.prof = reduced.prog, compiled, v.prof
+		r.observe(v, PhaseMemory, kind, what+fmt.Sprintf(" (-%.1f%%, minimum reduction found by binary search)", reduction), tables,
+			"full", fmt.Sprintf("%d", c.knob.full),
+			"reduced", fmt.Sprintf("%d", minValue),
+			"reduction", fmt.Sprintf("%.4f", reduction/100))
 		return true, nil
 	}
 	return false, nil
 }
 
-// stagesWithKnob compiles the current program with the knob set to value
-// and returns the required stages together with the derived child. Every
-// call is one memory probe, so it carries its own span — the halving probes
-// and each binary-search iteration show up individually.
-func (r *run) stagesWithKnob(ctx context.Context, knob memoryKnob, value int) (int, *child, error) {
+// probeKnob compiles the current program with the knob set to value and
+// returns the compile together with the derived child. Every call is
+// one memory probe, so it carries its own span — the halving probes and
+// each binary-search iteration show up individually.
+func (r *run) probeKnob(ctx context.Context, knob memoryKnob, value int) (*compiled, *child, error) {
 	ctx, sp := obs.Start(ctx, "phase3.probe",
 		obs.String("table", knob.table), obs.Int("value", value))
 	defer sp.End()
@@ -229,13 +170,13 @@ func (r *run) stagesWithKnob(ctx context.Context, knob memoryKnob, value int) (i
 	})
 	if c.prog == nil {
 		sp.SetAttr(obs.String("error", c.reject))
-		return 0, nil, c.err
+		return nil, nil, c.err
 	}
 	compiled, err := r.compileAs(ctx, c.key, c.prog)
 	if err != nil {
 		sp.SetAttr(obs.String("error", "compile-failed"))
-		return 0, nil, err
+		return nil, nil, err
 	}
 	sp.SetAttr(obs.Int("stages", totalStages(compiled.Mapping)))
-	return totalStages(compiled.Mapping), c, nil
+	return compiled, c, nil
 }

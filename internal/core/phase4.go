@@ -85,13 +85,9 @@ func (r *run) phase4(ctx context.Context) error {
 		return err
 	}
 	baseStages := totalStages(r.compile.Mapping)
-	var viable []CandidateReport
-	for _, rep := range reports {
-		if rep.StagesSaved < phase4MinSavings || rep.RedirectFrac > phase4MaxRedirect {
-			continue
-		}
-		viable = append(viable, rep)
-	}
+	viable := slices.DeleteFunc(reports, func(rep CandidateReport) bool {
+		return rep.StagesSaved < phase4MinSavings || rep.RedirectFrac > phase4MaxRedirect
+	})
 	if len(viable) == 0 {
 		return nil
 	}
@@ -123,42 +119,30 @@ func (r *run) phase4(ctx context.Context) error {
 	if ctl.prog == nil {
 		return ctl.err
 	}
-	candidate, ctlProg := offload.prog, ctl.prog
-	compiled, err := r.compileAs(actx, offload.key, offload.prog)
-	if err != nil {
-		return err
-	}
-	newProf, err := r.profileCandidate(actx, candidate)
-	if err != nil {
-		return err
-	}
-	if got := newProf.Hits[ToCtlTable]; got != win.Redirected {
-		return fmt.Errorf("core: phase4: segment %s redirects %d packets when replayed, but %s gave %d",
-			win.Segment.Desc, got, win.RedirectSource, win.Redirected)
-	}
-	r.cur = candidate
-	r.compile = compiled
-	r.prof = newProf
-	r.offloaded = append(r.offloaded, win.Segment.Tables...)
-	r.ctlProgram = ctlProg
-	r.obs = append(r.obs, Observation{
-		Phase:    PhaseOffload,
-		Kind:     "offload-segment",
-		Accepted: true,
-		Summary: fmt.Sprintf("offload {%s} to the controller via %s",
-			strings.Join(win.Segment.Tables, ", "), ToCtlTable),
-		Evidence: fmt.Sprintf("segment is self-contained and redirects only %.2f%% of the trace (%d packets) while saving %d stage(s); implement the removed tables in the controller",
+	v, err := r.judge(actx, offload, nil, contract{
+		check: redirects,
+		audit: true,
+		base:  baseStages,
+		want:  win.Redirected,
+		why: fmt.Sprintf("segment is self-contained and redirects only %.2f%% of the trace (%d packets) while saving %d stage(s); implement the removed tables in the controller",
 			100*win.RedirectFrac, win.Redirected, win.StagesSaved),
-		Tables:       win.Segment.Tables,
-		StagesBefore: baseStages,
-		StagesAfter:  totalStages(compiled.Mapping),
-		Details: map[string]string{
-			"redirected_fraction": fmt.Sprintf("%.6f", win.RedirectFrac),
-			"stages_saved":        fmt.Sprintf("%d", win.StagesSaved),
-			"redirect_source":     win.RedirectSource,
-			"redirect_audit":      fmt.Sprintf("replayed winner: %d == %d", newProf.Hits[ToCtlTable], win.Redirected),
-		},
 	})
+	if err != nil {
+		return err
+	}
+	if !v.accepted {
+		return fmt.Errorf("core: phase4: segment %s redirects %d packets when replayed, but %s gave %d",
+			win.Segment.Desc, v.prof.Hits[ToCtlTable], win.RedirectSource, win.Redirected)
+	}
+	r.cur, r.compile, r.prof = offload.prog, v.compiled, v.prof
+	r.offloaded = append(r.offloaded, win.Segment.Tables...)
+	r.ctlProgram = ctl.prog
+	r.observe(v, PhaseOffload, "offload-segment",
+		fmt.Sprintf("offload {%s} to the controller via %s", strings.Join(win.Segment.Tables, ", "), ToCtlTable),
+		win.Segment.Tables,
+		"redirected_fraction", fmt.Sprintf("%.6f", win.RedirectFrac),
+		"stages_saved", fmt.Sprintf("%d", win.StagesSaved),
+		"redirect_source", win.RedirectSource)
 	return nil
 }
 
@@ -181,11 +165,7 @@ func (r *run) offloadCandidates(ctx context.Context, measureAll bool) ([]Candida
 		if err := interrupted(ctx); err != nil {
 			return err
 		}
-		rep, ok, err := r.measureSegment(ctx, segs[i], baseStages, measureAll)
-		if err != nil {
-			return err
-		}
-		reports[i], viable[i] = rep, ok
+		reports[i], viable[i] = r.measureSegment(ctx, segs[i], baseStages, measureAll)
 		return nil
 	})
 	if err != nil {
@@ -206,7 +186,7 @@ func (r *run) offloadCandidates(ctx context.Context, measureAll bool) ([]Candida
 // otherwise. The stage saving is known after the compile, so unless
 // measureAll is set a candidate that saves too little is rejected before it
 // costs a replay of the whole trace.
-func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, measureAll bool) (CandidateReport, bool, error) {
+func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, measureAll bool) (CandidateReport, bool) {
 	ctx, sp := obs.Start(ctx, "phase4.candidate",
 		obs.String("segment", seg.Desc),
 		obs.String("tables", strings.Join(seg.Tables, ",")))
@@ -214,24 +194,24 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 	c := r.offloadChild(seg)
 	if c.prog == nil {
 		sp.SetAttr(obs.String("rejected", c.reject))
-		return CandidateReport{}, false, nil
+		return CandidateReport{}, false
 	}
 	compiled, err := r.compileAs(ctx, c.key, c.prog)
 	if err != nil {
 		sp.SetAttr(obs.String("rejected", "compile-failed"))
-		return CandidateReport{}, false, nil
+		return CandidateReport{}, false
 	}
 	saved := baseStages - totalStages(compiled.Mapping)
 	redirected, source, ok := r.redirectFromProfile(seg)
 	if !ok {
 		if !measureAll && saved < phase4MinSavings {
 			sp.SetAttr(obs.String("rejected", "no-stage-saved"), obs.Int("stages_saved", saved))
-			return CandidateReport{}, false, nil
+			return CandidateReport{}, false
 		}
-		prof, err := r.profileCandidate(ctx, c.prog)
+		prof, err := r.doProfile(ctx, c.prog, r.cfg.Restrict(c.prog))
 		if err != nil {
 			sp.SetAttr(obs.String("rejected", "profile-failed"))
-			return CandidateReport{}, false, nil
+			return CandidateReport{}, false
 		}
 		redirected, source = prof.Hits[ToCtlTable], redirectReplay
 	}
@@ -246,7 +226,7 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 	}
 	sp.SetAttr(obs.Int("stages_saved", rep.StagesSaved), obs.Int("redirected", redirected),
 		obs.String("redirect_source", source))
-	return rep, true, nil
+	return rep, true
 }
 
 // offloadChild derives the candidate that offloads seg, or the rejection of

@@ -52,7 +52,7 @@ func replayRedirect(r *run, seg Segment) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	prof, err := r.profileCandidate(context.Background(), candidate)
+	prof, err := r.doProfile(context.Background(), candidate, r.cfg.Restrict(candidate))
 	if err != nil {
 		return 0, err
 	}

@@ -247,6 +247,20 @@ func interrupted(ctx context.Context) error {
 	return nil
 }
 
+// iterate runs once under one span per round, numbered from 1, until a
+// round improves nothing or fails.
+func iterate(ctx context.Context, span string, once func(context.Context) (bool, error)) error {
+	for i := 1; ; i++ {
+		ictx, sp := obs.Start(ctx, span, obs.Int("iteration", i))
+		improved, err := once(ictx)
+		sp.SetAttr(obs.Bool("improved", improved))
+		sp.End()
+		if err != nil || !improved {
+			return err
+		}
+	}
+}
+
 // compileAs is the single funnel for every compile the pipeline issues: a
 // child (derivations.derive) under the compile key computed when it was
 // built. Only a miss clones the AST, so the compiler, the hook and the cached
@@ -269,7 +283,7 @@ func (r *run) compileAs(ctx context.Context, key analysisKey, ast *p4.Program) (
 		res, err := tofino.Compile(ast, r.tgt)
 		return &compiled{Result: res}, err
 	})
-	r.noteCompile(hit)
+	r.note(true, hit)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +359,7 @@ func (r *run) doProfile(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*
 		}
 		return prep.Profiler().RunWith(ctx, r.trace, profile.RunOptions{Shards: r.opts.parallelism()})
 	})
-	r.noteProfile(hit)
+	r.note(false, hit)
 	return prof, err
 }
 
@@ -421,9 +435,3 @@ func OffloadCandidates(ctx context.Context, ast *p4.Program, cfg *rt.Config, tra
 // (egress is zero for ingress-only programs, so Table 2 semantics are
 // unchanged).
 func totalStages(m *tofino.Mapping) int { return m.StagesUsed + m.EgressStagesUsed }
-
-// profileCandidate profiles a rewritten program without touching the run
-// state.
-func (r *run) profileCandidate(ctx context.Context, ast *p4.Program) (*profile.Profile, error) {
-	return r.doProfile(ctx, ast, r.cfg.Restrict(ast))
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"p2go/internal/obs"
@@ -21,14 +22,12 @@ const (
 	tuneRounds  = 4 // full sweeps at most; the search stops at the first that improves nothing
 )
 
-// tuneEval is one measured candidate instantiation.
+// tuneEval is one measured candidate instantiation: the source's bind:
+// child at bindings and the judge's verdict on it.
 type tuneEval struct {
 	bindings map[string]int
-	bound    *child // the source's bind: child at bindings
-	stages   int
-	fits     bool
-	hits     int     // accuracy-table hits
-	loss     float64 // |hits - reference hits| / total packets
+	bound    *child
+	*verdict
 }
 
 // memCost is the tie-breaker: total bound cells across knobs.
@@ -72,14 +71,14 @@ func (r *run) tunePass(ctx context.Context) error {
 		for _, t := range r.src.Tunables {
 			refBindings[t.Name] = t.Max
 		}
-		ref, err := r.tuneEval(ctx, refBindings, 0)
+		ref, err := r.tuneEval(ctx, refBindings, contract{check: tuneLoss, table: table})
 		if err != nil {
 			return err
 		}
 		refHits = ref.hits
 	}
 
-	start, err := r.tuneEval(ctx, r.bindings, refHits)
+	start, err := r.tuneEval(ctx, r.bindings, contract{check: tuneLoss, table: table, want: refHits})
 	if err != nil {
 		return err
 	}
@@ -91,8 +90,7 @@ func (r *run) tunePass(ctx context.Context) error {
 	}
 	best := start
 
-	knobs := make([]*p4.Tunable, len(r.src.Tunables))
-	copy(knobs, r.src.Tunables)
+	knobs := slices.Clone(r.src.Tunables)
 	sort.Slice(knobs, func(i, j int) bool { return knobs[i].Name < knobs[j].Name })
 
 	candidates := 0
@@ -105,30 +103,17 @@ func (r *run) tunePass(ctx context.Context) error {
 				}
 				b := maps.Clone(best.bindings)
 				b[knob.Name] = v
-				cand, err := r.tuneEval(ctx, b, refHits)
+				cand, err := r.tuneEval(ctx, b, contract{check: tuneLoss, table: table, want: refHits, floor: floor, base: best.stages})
 				if err != nil {
 					return err
 				}
 				candidates++
-				adopt := tuneBetter(cand, best, floor, table != "")
-				r.obs = append(r.obs, Observation{
-					Phase:    PhaseTune,
-					Kind:     "tune-candidate",
-					Accepted: adopt,
-					Summary:  fmt.Sprintf("bindings %s", p4.FormatBindings(cand.bindings)),
-					Evidence: fmt.Sprintf("stages %d (fits %v), accuracy loss %.4f vs floor %.4f on table %q",
-						cand.stages, cand.fits, cand.loss, floor, table),
-					Tables:       accuracyTables(table),
-					StagesBefore: best.stages,
-					StagesAfter:  cand.stages,
-					Details: map[string]string{
-						"bindings": p4.FormatBindings(cand.bindings),
-						"stages":   fmt.Sprintf("%d", cand.stages),
-						"loss":     fmt.Sprintf("%.6f", cand.loss),
-						"hits":     fmt.Sprintf("%d", cand.hits),
-					},
-				})
-				if adopt {
+				// The judge refuses no tune candidate; the report's verdict
+				// is the search's pick.
+				cand.accepted = tuneBetter(cand, best, floor, table != "")
+				r.observe(cand.verdict, PhaseTune, "tune-candidate", fmt.Sprintf("bindings %s", p4.FormatBindings(cand.bindings)),
+					accuracyTables(table), "bindings", p4.FormatBindings(cand.bindings))
+				if cand.accepted {
 					best = cand
 					improved = true
 				}
@@ -170,41 +155,21 @@ func (r *run) tunePass(ctx context.Context) error {
 	return r.reprofile(ctx)
 }
 
-// tuneEval binds, compiles, and (when an accuracy table is configured)
-// profiles one candidate binding through the cached funnels.
-func (r *run) tuneEval(ctx context.Context, bindings map[string]int, refHits int) (*tuneEval, error) {
+// tuneEval binds one candidate and has the judge measure it: a compile,
+// and a replay when an accuracy table is configured.
+func (r *run) tuneEval(ctx context.Context, bindings map[string]int, k contract) (*tuneEval, error) {
 	c, err := r.bind(bindings)
 	if err != nil {
 		return nil, err
 	}
 	ctx, sp := obs.Start(ctx, "tune.candidate", obs.String("bindings", p4.FormatBindings(bindings)))
 	defer sp.End()
-	comp, err := r.compileAs(ctx, c.key, c.prog)
+	v, err := r.judge(ctx, c, nil, k)
 	if err != nil {
 		return nil, err
 	}
-	ev := &tuneEval{
-		bindings: bindings, // never edited once bound
-		bound:    c,
-		stages:   totalStages(comp.Mapping),
-		fits:     comp.Mapping.Fits,
-	}
-	if table := r.opts.TuneAccuracyTable; table != "" {
-		prof, err := r.profileCandidate(ctx, c.prog)
-		if err != nil {
-			return nil, err
-		}
-		ev.hits = prof.Hits[table]
-		if prof.TotalPackets > 0 {
-			diff := ev.hits - refHits
-			if diff < 0 {
-				diff = -diff
-			}
-			ev.loss = float64(diff) / float64(prof.TotalPackets)
-		}
-	}
-	sp.SetAttr(obs.Int("stages", ev.stages))
-	return ev, nil
+	// bindings is never edited once bound.
+	return &tuneEval{bindings: bindings, bound: c, verdict: v}, nil
 }
 
 // tuneBetter reports whether cand beats best under the objective:
@@ -216,11 +181,8 @@ func tuneBetter(cand, best *tuneEval, floor float64, haveAccuracy bool) bool {
 	if haveAccuracy && cand.loss > floor {
 		return false
 	}
-	if best.fits && !cand.fits {
-		return false
-	}
-	if cand.fits && !best.fits {
-		return true
+	if candFits, bestFits := cand.compiled.Mapping.Fits, best.compiled.Mapping.Fits; candFits != bestFits {
+		return candFits
 	}
 	if cand.stages != best.stages {
 		return cand.stages < best.stages

@@ -186,6 +186,12 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 	return context.WithValue(ctx, spanKey, s), s
 }
 
+// SpanFrom returns the span ctx was started under, or nil.
+func SpanFrom(ctx context.Context) *Span {
+	s, _ := ctx.Value(spanKey).(*Span)
+	return s
+}
+
 // Emit records an already-measured span — one whose start and duration
 // were observed outside the Start/End pattern (e.g. a job's queue wait,
 // reconstructed from enqueue and dequeue timestamps). parent may be nil.
