@@ -366,7 +366,8 @@ func (n *Node) fenceErr(l *JobLease, cur *jobRecord) error {
 // the job has none. Unparseable files (a reader racing a writer on a
 // filesystem without atomic rename semantics would see them; ours has
 // them, so in practice only corruption does) are ignored, and so are
-// files whose epoch is not valid (validEpoch).
+// files whose epoch is not valid (validEpoch) or not spelled the way
+// jobPath spells it: ReleaseJob could never remove "ep+7" or "ep07".
 func (n *Node) readJob(key string) (*jobRecord, error) {
 	if err := n.cfg.Faults.Err(faults.Partition); err != nil {
 		return nil, fmt.Errorf("cluster: read lease %s: %w", key, err)
@@ -382,8 +383,9 @@ func (n *Node) readJob(key string) (*jobRecord, error) {
 		if !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		epoch, err := strconv.ParseInt(name[len(prefix):], 10, 64)
-		if err != nil || !validEpoch(epoch) {
+		suffix := name[len(prefix):]
+		epoch, err := strconv.ParseInt(suffix, 10, 64)
+		if err != nil || !validEpoch(epoch) || strconv.FormatInt(epoch, 10) != suffix {
 			continue
 		}
 		if best != nil && epoch <= best.Epoch {

@@ -68,6 +68,29 @@ func TestLastEpochRefusesTakeover(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalEpochIgnored: "job.ep+7" parses as epoch 7, but
+// ReleaseJob removes "job.ep7", so a lease read from it outlived its
+// release and blocked every other replica until its expiry.
+func TestNonCanonicalEpochIgnored(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	a := testNode(t, dir, "a", clk, nil)
+	held := `{"holder":"a","expires_unix_nano":9223372036854775807}`
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "job.ep+7"), []byte(held), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := a.AcquireJob("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReleaseJob(lease); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok, err := a.JobLeaseState("job"); ok || err != nil {
+		t.Errorf("after release: %+v held=%v err=%v, want no lease", st, ok, err)
+	}
+}
+
 // leaseFileName reports whether name can be created as one file in a lease
 // directory.
 func leaseFileName(name string) bool {
@@ -77,9 +100,9 @@ func leaseFileName(name string) bool {
 
 // FuzzLeaseFiles writes arbitrary bytes under arbitrary names as a member
 // and a job lease file, then drives the readers and the acquisition over
-// them: nothing may panic, and every AcquireJob that succeeds — the first
+// them: nothing may panic, every AcquireJob that succeeds — the first
 // claim and the takeover after it expires — returns a lease CheckJob
-// accepts.
+// accepts, and the holder's release leaves no lease at its epoch.
 func FuzzLeaseFiles(f *testing.F) {
 	// testdata/fuzz/FuzzLeaseFiles holds the epoch edge cases, the
 	// MaxInt64 reproducer among them.
@@ -109,13 +132,19 @@ func FuzzLeaseFiles(f *testing.F) {
 		if err := a.CheckJob(lease); err != nil {
 			t.Fatalf("acquired %+v, then fenced: %v", lease, err)
 		}
+		held, by := lease, a
 		clk.Advance(24 * time.Hour)
-		stolen, err := b.AcquireJob("job")
-		if err != nil {
-			return
+		if stolen, err := b.AcquireJob("job"); err == nil {
+			if err := b.CheckJob(stolen); err != nil {
+				t.Fatalf("took over %+v, then fenced: %v", stolen, err)
+			}
+			held, by = stolen, b
 		}
-		if err := b.CheckJob(stolen); err != nil {
-			t.Fatalf("took over %+v, then fenced: %v", stolen, err)
+		if err := by.ReleaseJob(held); err != nil {
+			t.Fatalf("release %+v: %v", held, err)
+		}
+		if st, ok, _ := by.JobLeaseState("job"); ok && st.Holder == held.Holder && st.Epoch == held.Epoch {
+			t.Fatalf("released %+v, still held: %+v", held, st)
 		}
 	})
 }
