@@ -85,9 +85,13 @@ func (r *run) phase4(ctx context.Context) error {
 		return err
 	}
 	baseStages := totalStages(r.compile.Mapping)
-	viable := slices.DeleteFunc(reports, func(rep CandidateReport) bool {
-		return rep.StagesSaved < phase4MinSavings || rep.RedirectFrac > phase4MaxRedirect
-	})
+	var viable []CandidateReport
+	for _, rep := range reports {
+		if rep.StagesSaved < phase4MinSavings || rep.RedirectFrac > phase4MaxRedirect {
+			continue
+		}
+		viable = append(viable, rep)
+	}
 	if len(viable) == 0 {
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"slices"
 	"sort"
 
 	"p2go/internal/obs"
@@ -90,7 +89,8 @@ func (r *run) tunePass(ctx context.Context) error {
 	}
 	best := start
 
-	knobs := slices.Clone(r.src.Tunables)
+	knobs := make([]*p4.Tunable, len(r.src.Tunables))
+	copy(knobs, r.src.Tunables)
 	sort.Slice(knobs, func(i, j int) bool { return knobs[i].Name < knobs[j].Name })
 
 	candidates := 0
