@@ -18,7 +18,6 @@ import (
 	"p2go/internal/ir"
 	"p2go/internal/online"
 	"p2go/internal/p4"
-	"p2go/internal/p5"
 	"p2go/internal/packet"
 	"p2go/internal/programs"
 	"p2go/internal/sim"
@@ -241,30 +240,6 @@ func BenchmarkAblationCMSShrink(b *testing.B) {
 			b.Fatal("reduced sketch should over-count")
 		}
 	}
-}
-
-// BenchmarkP5Baseline (ABL3): the policy-driven baseline saves nothing on
-// Ex. 1 while P2GO takes it from 8 to 3 stages.
-func BenchmarkP5Baseline(b *testing.B) {
-	policy := p5.NewPolicy(map[string][]string{
-		"routing":    {"IPv4"},
-		"udp-acl":    {"ACL_UDP"},
-		"dhcp-guard": {"ACL_DHCP"},
-		"dns-limit":  {"Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop"},
-	})
-	var res *p5.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = p5.Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.StagesAfter != res.StagesBefore {
-			b.Fatalf("P5 changed the pipeline: %d -> %d", res.StagesBefore, res.StagesAfter)
-		}
-	}
-	b.ReportMetric(float64(res.StagesBefore), "p5_stages_before")
-	b.ReportMetric(float64(res.StagesAfter), "p5_stages_after")
 }
 
 // BenchmarkDoesNotFit (ABL4): the oversized 14-stage chain compiles in

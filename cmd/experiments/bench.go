@@ -10,6 +10,7 @@ import (
 	"p2go"
 	"p2go/internal/fleet"
 	"p2go/internal/p4"
+	"p2go/internal/pool"
 	"p2go/internal/profile"
 	"p2go/internal/trafficgen"
 	"p2go/internal/workloads"
@@ -183,7 +184,7 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 		}
 
 		var before, after int
-		defaultPar := profile.DefaultShards()
+		defaultPar := pool.Workers(0)
 		r = testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := p2go.Optimize(prog, cfg, trace, p2go.Options{})

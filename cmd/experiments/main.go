@@ -30,7 +30,6 @@ import (
 	"p2go/internal/core"
 	"p2go/internal/fleet"
 	"p2go/internal/p4"
-	"p2go/internal/p5"
 	"p2go/internal/programs"
 	"p2go/internal/report"
 	"p2go/internal/sim"
@@ -368,13 +367,7 @@ func ablP5Baseline(seed int64) error {
 	if err != nil {
 		return err
 	}
-	policy := p5.NewPolicy(map[string][]string{
-		"routing":    {"IPv4"},
-		"udp-acl":    {"ACL_UDP"},
-		"dhcp-guard": {"ACL_DHCP"},
-		"dns-limit":  {"Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop"},
-	})
-	p5Res, err := p5.Optimize(prog, policy, tofino.DefaultTarget())
+	p5Res, err := p5Optimize(prog, newP5Policy(ex1Features()), tofino.DefaultTarget())
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
-// Package p5 implements a baseline in the spirit of P5 (Abhashkumar et
-// al., SOSR '17), the closest prior work the paper compares against: a
-// policy-driven optimizer that deactivates entire feature blocks the
-// operator's high-level policy declares unused, without any profiling.
+// The ABL3 baseline, in the spirit of P5 (Abhashkumar et al., SOSR '17),
+// the closest prior work the paper compares against: a policy-driven
+// optimizer that deactivates entire feature blocks the operator's
+// high-level policy declares unused, without any profiling.
 //
 // The contrast with P2GO (§1, §2.2, §5):
 //
@@ -13,7 +13,8 @@
 //   - P5 never removes code that the policy says is used, even when
 //     profiling shows it is almost never exercised ("P5 would not remove
 //     this segment as it is used").
-package p5
+
+package main
 
 import (
 	"fmt"
@@ -23,26 +24,37 @@ import (
 	"p2go/internal/tofino"
 )
 
-// Policy declares which features the operator needs. A feature is a named
+// p5Policy declares which features the operator needs. A feature is a named
 // group of tables.
-type Policy struct {
+type p5Policy struct {
 	// Features maps feature name -> tables implementing it.
 	Features map[string][]string
 	// Used lists the features the operator's policy requires.
 	Used map[string]bool
 }
 
-// NewPolicy builds a policy where every listed feature is used.
-func NewPolicy(features map[string][]string) *Policy {
+// newP5Policy builds a policy where every listed feature is used.
+func newP5Policy(features map[string][]string) *p5Policy {
 	used := map[string]bool{}
 	for f := range features {
 		used[f] = true
 	}
-	return &Policy{Features: features, Used: used}
+	return &p5Policy{Features: features, Used: used}
+}
+
+// ex1Features groups the Example 1 tables into the features a P5-style
+// policy would speak about.
+func ex1Features() map[string][]string {
+	return map[string][]string{
+		"routing":    {"IPv4"},
+		"udp-acl":    {"ACL_UDP"},
+		"dhcp-guard": {"ACL_DHCP"},
+		"dns-limit":  {"Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop"},
+	}
 }
 
 // SetUsed toggles a feature.
-func (p *Policy) SetUsed(feature string, used bool) error {
+func (p *p5Policy) SetUsed(feature string, used bool) error {
 	if _, ok := p.Features[feature]; !ok {
 		return fmt.Errorf("p5: unknown feature %q", feature)
 	}
@@ -51,7 +63,7 @@ func (p *Policy) SetUsed(feature string, used bool) error {
 }
 
 // unusedTables returns the tables of all unused features, sorted.
-func (p *Policy) unusedTables() map[string]bool {
+func (p *p5Policy) unusedTables() map[string]bool {
 	out := map[string]bool{}
 	for f, tables := range p.Features {
 		if p.Used[f] {
@@ -64,18 +76,18 @@ func (p *Policy) unusedTables() map[string]bool {
 	return out
 }
 
-// Result reports a P5 optimization run.
-type Result struct {
+// p5Result reports a P5 optimization run.
+type p5Result struct {
 	Optimized     *p4.Program
 	StagesBefore  int
 	StagesAfter   int
 	RemovedTables []string
 }
 
-// Optimize deactivates the unused features' tables: their apply statements
+// p5Optimize deactivates the unused features' tables: their apply statements
 // are removed from the control flow (with any statements they guard) and
 // unreachable declarations are pruned, then the program is recompiled.
-func Optimize(ast *p4.Program, policy *Policy, tgt tofino.Target) (*Result, error) {
+func p5Optimize(ast *p4.Program, policy *p5Policy, tgt tofino.Target) (*p5Result, error) {
 	before, err := tofino.Compile(p4.Clone(ast), tgt)
 	if err != nil {
 		return nil, fmt.Errorf("p5: %w", err)
@@ -96,7 +108,7 @@ func Optimize(ast *p4.Program, policy *Policy, tgt tofino.Target) (*Result, erro
 		removed = append(removed, t)
 	}
 	sort.Strings(removed)
-	return &Result{
+	return &p5Result{
 		Optimized:     optimized,
 		StagesBefore:  before.Mapping.StagesUsed,
 		StagesAfter:   after.Mapping.StagesUsed,

@@ -1,4 +1,4 @@
-package p5
+package main
 
 import (
 	"strings"
@@ -9,24 +9,13 @@ import (
 	"p2go/internal/tofino"
 )
 
-// ex1Features groups the Example 1 tables into the features a P5-style
-// policy would speak about.
-func ex1Features() map[string][]string {
-	return map[string][]string{
-		"routing":    {"IPv4"},
-		"udp-acl":    {"ACL_UDP"},
-		"dhcp-guard": {"ACL_DHCP"},
-		"dns-limit":  {"Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop"},
-	}
-}
-
 // TestP5AllFeaturesUsedSavesNothing pins the paper's comparison: when the
 // operator needs every feature (the Ex. 1 situation), P5 cannot shorten
 // the pipeline at all — while P2GO takes the same program from 8 to 3
 // stages by profiling.
 func TestP5AllFeaturesUsedSavesNothing(t *testing.T) {
-	policy := NewPolicy(ex1Features())
-	res, err := Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
+	policy := newP5Policy(ex1Features())
+	res, err := p5Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +34,11 @@ func TestP5AllFeaturesUsedSavesNothing(t *testing.T) {
 // unused, P5 deactivates the whole block — the coarse-grained case it does
 // handle.
 func TestP5RemovesUnusedFeature(t *testing.T) {
-	policy := NewPolicy(ex1Features())
+	policy := newP5Policy(ex1Features())
 	if err := policy.SetUsed("dns-limit", false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
+	res, err := p5Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +69,12 @@ func TestP5RemovesUnusedFeature(t *testing.T) {
 // ACL dependency in place — P5 has no mechanism to reorder or predicate
 // tables, which is exactly P2GO's Phase 2 advantage.
 func TestP5CannotRemoveManifestFreeDependency(t *testing.T) {
-	policy := NewPolicy(map[string][]string{
+	policy := newP5Policy(map[string][]string{
 		"nat": {"nat"},
 		"gre": {"gre"},
 		"fwd": {"ipv4_fwd", "egress_acl"},
 	})
-	res, err := Optimize(p4.MustParse(programs.NATGRE), policy, tofino.DefaultTarget())
+	res, err := p5Optimize(p4.MustParse(programs.NATGRE), policy, tofino.DefaultTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +84,7 @@ func TestP5CannotRemoveManifestFreeDependency(t *testing.T) {
 }
 
 func TestPolicyUnknownFeature(t *testing.T) {
-	policy := NewPolicy(ex1Features())
+	policy := newP5Policy(ex1Features())
 	if err := policy.SetUsed("nonexistent", false); err == nil {
 		t.Error("expected error for unknown feature")
 	}
@@ -104,11 +93,11 @@ func TestPolicyUnknownFeature(t *testing.T) {
 // TestP5GuardedBlockRemoval: deactivating a feature nested under an if
 // removes the now-empty condition too.
 func TestP5GuardedBlockRemoval(t *testing.T) {
-	policy := NewPolicy(ex1Features())
+	policy := newP5Policy(ex1Features())
 	if err := policy.SetUsed("dns-limit", false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
+	res, err := p5Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,4 +105,23 @@ func TestP5GuardedBlockRemoval(t *testing.T) {
 	if strings.Contains(src, "valid(dns)") {
 		t.Errorf("empty valid(dns) guard should have been removed:\n%s", src)
 	}
+}
+
+// BenchmarkP5Baseline (ABL3): the policy-driven baseline saves nothing on
+// Ex. 1 while P2GO takes it from 8 to 3 stages.
+func BenchmarkP5Baseline(b *testing.B) {
+	policy := newP5Policy(ex1Features())
+	var res *p5Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = p5Optimize(p4.MustParse(programs.Ex1), policy, tofino.DefaultTarget())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.StagesAfter != res.StagesBefore {
+			b.Fatalf("P5 changed the pipeline: %d -> %d", res.StagesBefore, res.StagesAfter)
+		}
+	}
+	b.ReportMetric(float64(res.StagesBefore), "p5_stages_before")
+	b.ReportMetric(float64(res.StagesAfter), "p5_stages_after")
 }

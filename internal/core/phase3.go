@@ -8,6 +8,7 @@ import (
 
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/pool"
 )
 
 // phase3 reduces table/register memory (§3.3). For each table it probes a
@@ -49,7 +50,7 @@ func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, e
 		}
 		probes = append(probes, probe{knob: knob, order: t.Order})
 	}
-	err := ForEachIndexed(ctx, len(probes), r.opts.parallelism(), func(i int) error {
+	err := pool.ForEachIndexed(ctx, len(probes), r.opts.parallelism(), func(i int) error {
 		// Probe failures are swallowed (not a candidate); cancellation
 		// must not be.
 		if err := interrupted(ctx); err != nil {

@@ -11,6 +11,7 @@ import (
 	"p2go/internal/ir"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/pool"
 	"p2go/internal/profile"
 )
 
@@ -163,7 +164,7 @@ func (r *run) offloadCandidates(ctx context.Context, measureAll bool) ([]Candida
 	baseStages := totalStages(r.compile.Mapping)
 	reports := make([]CandidateReport, len(segs))
 	viable := make([]bool, len(segs))
-	err := ForEachIndexed(ctx, len(segs), r.opts.parallelism(), func(i int) error {
+	err := pool.ForEachIndexed(ctx, len(segs), r.opts.parallelism(), func(i int) error {
 		// Candidate failures below are swallowed (not viable);
 		// cancellation must not be.
 		if err := interrupted(ctx); err != nil {

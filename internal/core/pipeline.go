@@ -9,6 +9,7 @@ import (
 
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/pool"
 	"p2go/internal/profile"
 	"p2go/internal/rt"
 	"p2go/internal/tofino"
@@ -94,10 +95,7 @@ func (o Options) target() tofino.Target {
 
 // parallelism resolves Options.Parallelism to an effective worker count.
 func (o Options) parallelism() int {
-	if o.Parallelism <= 0 {
-		return profile.DefaultShards()
-	}
-	return o.Parallelism
+	return pool.Workers(o.Parallelism)
 }
 
 // passIDs resolves the pass schedule: an explicit Passes list, or the

@@ -14,6 +14,7 @@ import (
 	"p2go/internal/network"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/pool"
 	"p2go/internal/report"
 	"p2go/internal/rt"
 	"p2go/internal/trafficgen"
@@ -123,7 +124,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*report.FleetResult, err
 	}
 
 	rows := make([]report.FleetDevice, len(devices))
-	runErr := core.ForEachIndexed(ctx, len(devices), spec.DeviceParallelism, func(i int) error {
+	runErr := pool.ForEachIndexed(ctx, len(devices), spec.DeviceParallelism, func(i int) error {
 		dev := devices[i]
 		trace := traces[dev.spec.Name]
 		row, err := runDevice(ctx, spec, opts, dev, trace, collectFailed[dev.spec.Name])
@@ -334,7 +335,7 @@ func resolve(spec Spec) ([]resolvedDevice, *network.Topology, error) {
 // linked topology sees the same interleaving whatever the parallelism.
 func BuildInjections(ctx context.Context, spec Spec) ([]network.Injection, error) {
 	streams := make([][]trafficgen.Packet, len(spec.Injections))
-	err := core.ForEachIndexed(ctx, len(spec.Injections), spec.DeviceParallelism, func(i int) error {
+	err := pool.ForEachIndexed(ctx, len(spec.Injections), spec.DeviceParallelism, func(i int) error {
 		inj := spec.Injections[i]
 		w, err := workloads.Get(inj.Workload)
 		if err != nil {

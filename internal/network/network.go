@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"slices"
 
-	"p2go/internal/core"
 	"p2go/internal/faults"
 	"p2go/internal/p4"
+	"p2go/internal/pool"
 	"p2go/internal/rt"
 	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
@@ -273,7 +273,7 @@ func (t *Topology) CollectDeviceTraces(injections []Injection) (map[string]*traf
 	failed := make([]*DeviceError, len(injections))
 	// Nothing cancels a collection and no component fails it: the pool
 	// cannot return an error.
-	_ = core.ForEachIndexed(context.TODO(), len(groups), t.workers, func(g int) error {
+	_ = pool.ForEachIndexed(context.TODO(), len(groups), t.workers, func(g int) error {
 		sws := map[string]*sim.Switch{}
 		for _, i := range groups[g] {
 			if err := t.walk(injections[i].At, injections[i].Data, sws, record, nil); err != nil {

@@ -1,15 +1,11 @@
-package core
+package pool
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync/atomic"
 	"testing"
-
-	"p2go/internal/p4"
-	"p2go/internal/workloads"
 )
 
 func TestForEachIndexedCoversAllIndices(t *testing.T) {
@@ -71,54 +67,5 @@ func TestForEachIndexedZeroItems(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("n=0: %v", err)
-	}
-}
-
-// TestOptimizeParallelismInvariant is the end-to-end determinism check
-// behind the golden span-tree tests pinning Parallelism to 1: the
-// optimization outcome — rewritten program, observations, stage history —
-// must be identical whatever the worker count, because probe results are
-// collected by index and sharded profiles merge to the sequential profile.
-func TestOptimizeParallelismInvariant(t *testing.T) {
-	for _, name := range workloads.Names() {
-		t.Run(name, func(t *testing.T) {
-			w, err := workloads.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trace, err := w.Trace(1)
-			if err != nil {
-				t.Fatalf("trace: %v", err)
-			}
-			optimize := func(parallelism int) *Result {
-				res, err := Optimize(context.Background(),
-					p4.MustParse(w.Source), w.Config(), trace, Options{Parallelism: parallelism})
-				if err != nil {
-					t.Fatalf("optimize (parallelism %d): %v", parallelism, err)
-				}
-				return res
-			}
-			seq := optimize(1)
-			par := optimize(4)
-			if a, b := p4.Print(seq.Optimized), p4.Print(par.Optimized); a != b {
-				t.Errorf("optimized program differs:\n--- sequential ---\n%s--- parallel ---\n%s", a, b)
-			}
-			if !reflect.DeepEqual(seq.Observations, par.Observations) {
-				t.Errorf("observations differ:\nsequential: %+v\nparallel: %+v", seq.Observations, par.Observations)
-			}
-			var sa, sb []int
-			for _, h := range seq.History {
-				sa = append(sa, h.Stages)
-			}
-			for _, h := range par.History {
-				sb = append(sb, h.Stages)
-			}
-			if !reflect.DeepEqual(sa, sb) {
-				t.Errorf("stage history differs: %v vs %v", sa, sb)
-			}
-			if d := seq.FinalProfile.Diff(par.FinalProfile); d != "" {
-				t.Errorf("final profiles differ: %s", d)
-			}
-		})
 	}
 }

@@ -12,15 +12,10 @@
 package profile
 
 import (
-	"runtime"
 	"sort"
 
 	"p2go/internal/ir"
 )
-
-// DefaultShards is the replay parallelism used when the caller passes a
-// non-positive shard count: one worker per available CPU.
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
 
 // MergeProfiles folds per-shard profiles into one. Every field is a
 // commutative sum, so the result does not depend on shard order — but the

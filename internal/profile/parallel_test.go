@@ -2,6 +2,7 @@ package profile
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -129,6 +130,38 @@ func TestShardedReplaySpans(t *testing.T) {
 	}
 	if got := replaySpans("ex1", 4); got["sim.replay-fallback"] != 1 || got["sim.replay"] != 1 {
 		t.Errorf("ex1 at 4 shards: spans %v, want sim.replay-fallback plus a sequential sim.replay", got)
+	}
+}
+
+// TestRunWithCanceled: a replay under an already-canceled context returns
+// context.Canceled at every shard count, including one shard and a
+// stateful program, which is always replayed on one shard.
+func TestRunWithCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"natgre", 1}, {"natgre", 2}, {"syncookie", 1}} {
+		w, err := workloads.Get(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := w.Trace(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		prof, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: c.shards})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s at %d shards: err = %v, want context.Canceled", c.name, c.shards, err)
+		}
+		if prof != nil {
+			t.Errorf("%s at %d shards: returned a profile of %d packets", c.name, c.shards, prof.TotalPackets)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"p2go/internal/ir"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/pool"
 	"p2go/internal/rt"
 	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
@@ -210,11 +211,7 @@ func (pr *Prepared) Profiler() *Profiler {
 // workloads).
 func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts RunOptions) (*Profile, error) {
 	n := len(trace.Packets)
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = DefaultShards()
-	}
-	shards = min(shards, n)
+	shards := min(pool.Workers(opts.Shards), n)
 	dedup := !opts.NoDedup
 	dedupReason := ""
 	if opts.NoDedup {
@@ -259,61 +256,55 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 		UniquePackets:  work.n,
 		Shards:         shards,
 	}
-	attrs := []obs.Attr{obs.String("engine", engine), obs.Bool("dedup", dedup)}
-
-	if shards == 1 {
-		if dedup {
-			attrs = append(attrs, obs.Int("unique_packets", work.n))
-		}
+	// One loop for every shard count: the pool runs one shard inline and
+	// fans more out, each shard replaying its contiguous slice of the work
+	// on a Switch of its own, built from the shared plan.
+	name := "sim.replay"
+	attrs := []obs.Attr{obs.Int("packets", n), obs.String("engine", engine), obs.Bool("dedup", dedup)}
+	if shards > 1 {
+		name = "sim.replay-sharded"
+		attrs = append(attrs, obs.Int("shards", shards))
+	}
+	if dedup {
+		attrs = append(attrs, obs.Int("unique_packets", work.n))
+	}
+	_, sp := obs.Start(ctx, name, attrs...)
+	defer sp.End()
+	start := time.Now()
+	parts := make([]*Profile, shards)
+	// The pool reports the lowest shard's error, so a bad packet reports
+	// the same failure whatever the worker scheduling was.
+	err := pool.ForEachIndexed(ctx, shards, shards, func(w int) error {
 		sw := sim.NewFromPlan(pl)
 		defer sw.Release()
 		col := newCollector(p, sw)
-		err := sim.ReplayBatch(ctx, n, work.n, func(lo, hi int) error {
-			return col.observeBatch(work, lo, hi)
-		}, attrs...)
-		if err != nil {
-			return nil, err
+		// Check cancellation between batches: a canceled profile should
+		// stop burning CPU on a large shard.
+		for lo, hi := w*work.n/shards, (w+1)*work.n/shards; lo < hi; lo += sim.ReplayBatchSize {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := col.observeBatch(work, lo, min(lo+sim.ReplayBatchSize, hi)); err != nil {
+				return err
+			}
 		}
-		prof := col.profile()
-		prof.Engine = rep
-		prof.classes = parseClasses(prof.Sets)
-		return prof, nil
+		parts[w] = col.profile()
+		return nil
+	})
+	if err != nil {
+		sp.SetAttr(obs.String("error", err.Error()))
+		return nil, err
 	}
-
-	spanAttrs := append([]obs.Attr{obs.Int("packets", n), obs.Int("shards", shards)}, attrs...)
-	ctx, sp := obs.Start(ctx, "sim.replay-sharded", spanAttrs...)
-	defer sp.End()
-	start := time.Now()
-
-	parts := make([]*Profile, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		lo := w * work.n / shards
-		hi := (w + 1) * work.n / shards
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w], errs[w] = p.replayShard(ctx, pl, work, lo, hi)
-		}(w, lo, hi)
+	prof := parts[0]
+	if shards > 1 {
+		prof = MergeProfiles(parts...)
 	}
-	wg.Wait()
-	// First error in shard (trace) order, so a bad packet reports the
-	// same failure whatever the worker scheduling was.
-	for _, err := range errs {
-		if err != nil {
-			sp.SetAttr(obs.String("error", err.Error()))
-			return nil, err
-		}
+	if n > 0 {
+		sp.SetAttr(obs.Float("packets_per_sec", sim.Throughput(n, time.Since(start))))
 	}
-	merged := MergeProfiles(parts...)
-	if dedup {
-		sp.SetAttr(obs.Int("unique_packets", work.n))
-	}
-	sp.SetAttr(obs.Float("packets_per_sec", sim.Throughput(merged.TotalPackets, time.Since(start))))
-	merged.Engine = rep
-	merged.classes = parseClasses(merged.Sets)
-	return merged, nil
+	prof.Engine = rep
+	prof.classes = parseClasses(prof.Sets)
+	return prof, nil
 }
 
 // replayWork is the packet sequence one RunWith replays: positions [0, n)
@@ -331,23 +322,4 @@ func (w *replayWork) index(i int) int {
 		return w.first[i]
 	}
 	return i
-}
-
-// replayShard replays positions [lo, hi) of the work on a Switch of its
-// own, built from the shared plan, and returns the shard's profile.
-func (p *Profiler) replayShard(ctx context.Context, pl *sim.Plan, work replayWork, lo, hi int) (*Profile, error) {
-	sw := sim.NewFromPlan(pl)
-	defer sw.Release()
-	col := newCollector(p, sw)
-	// Check cancellation between batches: a canceled profile should stop
-	// burning CPU on a large shard.
-	for b := lo; b < hi; b += sim.ReplayBatchSize {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := col.observeBatch(work, b, min(b+sim.ReplayBatchSize, hi)); err != nil {
-			return nil, err
-		}
-	}
-	return col.profile(), nil
 }
