@@ -470,7 +470,7 @@ var reportGolden = map[string]string{
 	"ex1":               "9d09ecbf5df8dd1656e8a533f3bee5730d776fb34eca2e719099fc9bb06b1dbb",
 	"failure":           "6f178e46a946e0b9ae854f18d0ebfeaa3237f3a30cc0e96a6019322d46bfcdd2",
 	"l2l3_acl":          "d308c524f392254730d91b19202084a882b84c54176db9e817c5f64e7fcde613",
-	"maglev":            "0d729651711dcf7fff4071a46ee450ef32ca4169fa3ae86027442de185a2e744",
+	"maglev":            "c9cc3845b3a1bee2b3532ed3dc771a3e6b8be947cbe27ab7521e15efd2deb998",
 	"natgre":            "8013f8d103d19af62c90939520ab7a7d03f62df1281e02ec913bced7de1a2d56",
 	"quickstart":        "5a6f1b5a0de09b588c12981a099fb7fb18c4a800a5f15021b5206d4ea50b68e2",
 	"sourceguard":       "02cce46776a344d2f9c7d754b90eafa0df1c4bd8ac25eb1c72e9116863241618",
@@ -478,7 +478,7 @@ var reportGolden = map[string]string{
 	"syncookie":         "9df3fd498c609e6b593cce3af3bcc8f9698e42c0a61453d3fb6d52db51f6b9ae",
 	"sourceguard_-tune": "38954b99192ef64939892e259c80b6d4b00f9b39b5ab7efc9c0d872b327b8d65",
 	"failure_-tune":     "3e18258d6ed800d5d4f2ffeb7d34198b768b56f1bc8e87da348e78711b6a0435",
-	"maglev_-tune":      "3419d43481223a8d5c7dbda3de92a53ed94ad6e5d3efef3b08bad7d91780ad5d",
+	"maglev_-tune":      "78e7d4c19f3eb0b4b8db9d02515fcf2e3dba8c5db0f6be7a3d1797af61fce66a",
 	"syncookie_-tune":   "221e6f3c3dd2d0ae489852cae973ec83ae64bcd9a77f248097bf8534926f0707",
 }
 

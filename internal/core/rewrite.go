@@ -379,6 +379,9 @@ func applyKnob(ast *p4.Program, knob memoryKnob, value int) error {
 	regs := tableRegisters(ast, knob.table)
 	scaleNum, scaleDen := value, knob.full
 	for _, rName := range regs {
+		if err := sharedHashIndex(ast, knob.table, rName); err != nil {
+			return err
+		}
 		reg := ast.Register(rName)
 		oldCells := reg.InstanceCount
 		newCells := oldCells * scaleNum / scaleDen
@@ -404,24 +407,8 @@ func fixHashModulus(ast *p4.Program, table, register string, oldCells, newCells 
 		if act == nil {
 			continue
 		}
-		// Index fields used to access the register in this action.
 		idxFields := map[string]bool{}
-		for _, call := range act.Body {
-			switch call.Name {
-			case p4.PrimRegisterRead:
-				if call.Args[1].(p4.FieldRef).Instance == register {
-					if ref, ok := call.Args[2].(p4.FieldRef); ok {
-						idxFields[ref.String()] = true
-					}
-				}
-			case p4.PrimRegisterWrite:
-				if call.Args[0].(p4.FieldRef).Instance == register {
-					if ref, ok := call.Args[1].(p4.FieldRef); ok {
-						idxFields[ref.String()] = true
-					}
-				}
-			}
-		}
+		indexFields(act, register, idxFields)
 		if len(idxFields) == 0 {
 			continue
 		}
@@ -442,6 +429,57 @@ func fixHashModulus(ast *p4.Program, table, register string, oldCells, newCells 
 					lit.Value, register, oldCells)
 			}
 			call.Args[3] = p4.IntLit{Value: uint64(newCells)}
+		}
+	}
+	return nil
+}
+
+// indexFields adds to out the fields the action uses to index the register.
+func indexFields(act *p4.ActionDecl, register string, out map[string]bool) {
+	for _, call := range act.Body {
+		switch call.Name {
+		case p4.PrimRegisterRead:
+			if call.Args[1].(p4.FieldRef).Instance == register {
+				if ref, ok := call.Args[2].(p4.FieldRef); ok {
+					out[ref.String()] = true
+				}
+			}
+		case p4.PrimRegisterWrite:
+			if call.Args[0].(p4.FieldRef).Instance == register {
+				if ref, ok := call.Args[1].(p4.FieldRef); ok {
+					out[ref.String()] = true
+				}
+			}
+		}
+	}
+}
+
+// sharedHashIndex refuses a register whose index field is hashed by an
+// action outside the table: fixHashModulus rewrites only the table's own
+// actions, so resizing the register alone would leave that modulus behind
+// and the index out of range. maglev's lb_meta.idx, hashed in lb_hash and
+// indexing registers of two other tables, is such a field; resizing it is
+// one parameter bound across the program (@tunable), tune's job.
+func sharedHashIndex(ast *p4.Program, table, register string) error {
+	own := map[string]bool{}
+	idx := map[string]bool{}
+	for _, an := range ast.Table(table).ActionNames {
+		own[an] = true
+		if act := ast.Action(an); act != nil {
+			indexFields(act, register, idx)
+		}
+	}
+	for _, act := range ast.Actions {
+		if own[act.Name] {
+			continue
+		}
+		for _, call := range act.Body {
+			if call.Name != p4.PrimHashOffset {
+				continue
+			}
+			if dst, ok := call.Args[0].(p4.FieldRef); ok && idx[dst.String()] {
+				return fmt.Errorf("core: index %s of register %s is hashed in action %s, outside table %s", dst, register, act.Name, table)
+			}
 		}
 	}
 	return nil

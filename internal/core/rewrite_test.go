@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/programs"
+	"p2go/internal/workloads"
 )
 
 const rewriteFixture = `
@@ -218,6 +221,39 @@ func TestFixHashModulusMismatch(t *testing.T) {
 	knob, _ := knobFor(ast, "t_reg")
 	if err := applyKnob(ast, knob, 50); err == nil {
 		t.Error("mismatched hash modulus must be rejected")
+	}
+}
+
+// TestMaglevSharedHashIndexIsNotAKnob: maglev hashes one index,
+// lb_meta.idx, in lb_hash's action and uses it for conn_sig and
+// conn_backend in two other tables. Halving either register alone would
+// leave that modulus behind and the replay out of range, so neither is a
+// Phase 3 knob: no candidate reaches a verify replay, and no evidence
+// blames the installed rules.
+func TestMaglevSharedHashIndexIsNotAKnob(t *testing.T) {
+	w, err := workloads.Get("maglev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := w.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector(0)
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
+	res, err := Optimize(ctx, p4.MustParse(w.Source), w.Config(), trace, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range col.Spans() {
+		if s.Name == "phase3.verify" {
+			t.Errorf("phase3.verify replayed a candidate: %v", s.Attrs)
+		}
+	}
+	for _, o := range res.Observations {
+		if strings.Contains(o.Evidence, "cannot run the provided configuration") {
+			t.Errorf("observation %q: %s", o.Summary, o.Evidence)
+		}
 	}
 }
 
