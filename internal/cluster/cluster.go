@@ -348,12 +348,6 @@ func (n *Node) JobLeaseState(key string) (JobLease, bool, error) {
 	return JobLease{Key: key, Holder: cur.Holder, Epoch: cur.Epoch, Expires: time.Unix(0, cur.Expires)}, true, nil
 }
 
-// Expired reports whether a lease observed via JobLeaseState is past its
-// expiry on this node's clock.
-func (n *Node) Expired(l JobLease) bool {
-	return !n.now().Before(l.Expires)
-}
-
 func (n *Node) fenceErr(l *JobLease, cur *jobRecord) error {
 	if cur == nil {
 		return fmt.Errorf("%w: lease for %s (epoch %d) no longer exists", ErrFenced, l.Key, l.Epoch)

@@ -174,49 +174,3 @@ func NewChromeExporter() *ChromeExporter { return &ChromeExporter{} }
 func (e *ChromeExporter) Flush(w io.Writer) error {
 	return WriteChromeTrace(w, e.Spans())
 }
-
-// jsonlSpan is the JSONL event-log schema: one object per line, append
-// only, written as each span ends.
-type jsonlSpan struct {
-	Name   string            `json:"name"`
-	ID     int64             `json:"id"`
-	Parent int64             `json:"parent,omitempty"`
-	Start  string            `json:"start"`
-	DurUS  int64             `json:"dur_us"`
-	Attrs  map[string]string `json:"attrs,omitempty"`
-}
-
-// JSONLExporter streams finished spans to w as JSON Lines. Safe for
-// concurrent use; the caller owns w's lifetime (close the file after the
-// tracer is done).
-type JSONLExporter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewJSONLExporter builds a JSONL exporter writing to w.
-func NewJSONLExporter(w io.Writer) *JSONLExporter { return &JSONLExporter{w: w} }
-
-// Export implements Exporter.
-func (e *JSONLExporter) Export(d SpanData) {
-	rec := jsonlSpan{
-		Name:   d.Name,
-		ID:     d.ID,
-		Parent: d.ParentID,
-		Start:  d.Start.UTC().Format(time.RFC3339Nano),
-		DurUS:  d.Duration.Microseconds(),
-	}
-	if len(d.Attrs) > 0 {
-		rec.Attrs = make(map[string]string, len(d.Attrs))
-		for _, a := range d.Attrs {
-			rec.Attrs[a.Key] = a.Value
-		}
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.w.Write(append(line, '\n'))
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -88,37 +87,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 	if len(probeTracks) != 1 {
 		t.Errorf("spans of one tree landed on %d tracks, want 1", len(probeTracks))
-	}
-}
-
-func TestJSONLExporter(t *testing.T) {
-	var buf bytes.Buffer
-	ctx := WithTracer(context.Background(), NewTracer(NewJSONLExporter(&buf)))
-	ctx, root := Start(ctx, "a")
-	_, child := Start(ctx, "b", Int("n", 7))
-	child.End()
-	root.End()
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	var first struct {
-		Name   string            `json:"name"`
-		ID     int64             `json:"id"`
-		Parent int64             `json:"parent"`
-		Start  string            `json:"start"`
-		DurUS  int64             `json:"dur_us"`
-		Attrs  map[string]string `json:"attrs"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatalf("line 1 is not valid JSON: %v", err)
-	}
-	if first.Name != "b" || first.Attrs["n"] != "7" || first.Parent == 0 {
-		t.Errorf("unexpected first record: %+v", first)
-	}
-	if _, err := time.Parse(time.RFC3339Nano, first.Start); err != nil {
-		t.Errorf("start %q not RFC3339Nano: %v", first.Start, err)
 	}
 }
 

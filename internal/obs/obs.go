@@ -1,7 +1,7 @@
 // Package obs is p2go's stdlib-only observability layer: hierarchical
 // spans carried through context.Context, pluggable trace exporters
-// (Chrome trace-event JSON, append-only JSONL, an in-memory collector for
-// tests), Prometheus-style histograms, and a small slog front end.
+// (Chrome trace-event JSON, an in-memory collector for tests),
+// Prometheus-style histograms, and a small slog front end.
 //
 // The design center is zero cost when disabled: every entry point is
 // nil-safe, so instrumented code calls obs.Start / span.SetAttr / span.End

@@ -73,9 +73,6 @@ func NewClient(servers []string, timeout time.Duration) *Client {
 	}
 }
 
-// Servers returns the configured replica set.
-func (c *Client) Servers() []string { return append([]string(nil), c.servers...) }
-
 // HTTPError is a non-2xx response, carrying the status code and any
 // Retry-After hint so the retry helper can classify and pace.
 type HTTPError struct {
