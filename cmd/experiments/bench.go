@@ -155,9 +155,11 @@ func runBench(path string, seed int64, only, baselinePath string) error {
 				name, shards, r.N, float64(r.NsPerOp()), rate)
 		}
 
-		// Interpreter reference row: the tree-walking engine, sequential, no
-		// dedup — the before side of the compiled-engine speedup, measured
-		// in the same run so the comparison is machine-independent.
+		// Interpreter reference row: the tree-walking engine replaying the
+		// program itself at the fate level (execution marks, no
+		// serialization), sequential, no dedup — the before side of the
+		// compiled-engine speedup, measured in the same run so the
+		// comparison is machine-independent.
 		interpOpts := profile.RunOptions{Shards: 1, Interpret: true, NoDedup: true}
 		r = testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -3,9 +3,10 @@
 // counts measured around a unit of work) and a crash-safe on-disk store
 // of periodic pprof snapshots the daemon takes of itself. Together they
 // close the P2GO feedback loop on the optimizer's own process: the same
-// daemon that profiles P4 programs records where its own cycles go, and
-// the stored CPU profiles feed `go build -pgo` (see cmd/experiments
-// -pgo).
+// daemon that profiles P4 programs records where its own cycles go. The
+// stored captures are for reading (GET /debug/profiles); nothing builds
+// from them. The committed default.pgo comes from cmd/experiments -pgo,
+// which profiles the bundled workloads in its own process.
 package prof
 
 import (

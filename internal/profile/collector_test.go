@@ -14,13 +14,18 @@ import (
 )
 
 // perPacketFold is the collector as it was before it counted marker
-// patterns, kept here as the reference: one Process call per packet, the
-// executed markers parsed from that packet's execution marks, and every
-// Profile map updated packet by packet with freshly built keys. It shares
-// nothing with the collector but the replay plan.
+// patterns, kept here as the reference: one Process call per packet on the
+// interpreter's plan, the executed markers read from that packet's
+// execution marks, and every Profile map updated packet by packet with
+// freshly built keys. It shares nothing with the collector but the
+// prepared program.
 func perPacketFold(t *testing.T, prep *Prepared, trace *trafficgen.Trace) *Profile {
 	t.Helper()
-	sw := sim.NewFromPlan(prep.plan)
+	pl, err := prep.interp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := sim.NewFromPlan(pl)
 	prof := &Profile{
 		Hits:         map[string]int{},
 		Applied:      map[string]int{},
@@ -32,9 +37,8 @@ func perPacketFold(t *testing.T, prep *Prepared, trace *trafficgen.Trace) *Profi
 		if err != nil {
 			t.Fatalf("reference: packet %d: %v", i, err)
 		}
-		executed, err := prep.Ins.ParseTrailer(out.Data)
-		if err != nil {
-			t.Fatalf("reference: packet %d: %v", i, err)
+		if len(out.Data) != len(prep.Ins.Fields) {
+			t.Fatalf("reference: packet %d: %d execution marks, want %d", i, len(out.Data), len(prep.Ins.Fields))
 		}
 		prof.TotalPackets++
 		if out.WouldDrop {
@@ -45,10 +49,13 @@ func perPacketFold(t *testing.T, prep *Prepared, trace *trafficgen.Trace) *Profi
 		}
 		var entries []string
 		seen := map[string]bool{}
-		for _, info := range executed {
+		for j, info := range prep.Ins.Fields {
+			if out.Data[j] == 0 {
+				continue
+			}
 			base := info.Table + "." + info.Action
 			entry := base
-			if info.Miss || prep.missDefault[base] {
+			if prep.missSlot[j] {
 				entry = base + missTag
 			} else {
 				prof.Hits[info.Table]++

@@ -92,9 +92,8 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 			if engine, reason := prep.Engine(); engine != "compiled" {
 				t.Fatalf("workload did not lower: engine=%s reason=%q", engine, reason)
 			}
-			// Every compiled replay below runs the plan lowered for the
-			// collector, the program's own at the fate level; the
-			// interpreter's hands it whole packets of the instrumented clone.
+			// Every replay below runs the program itself at the fate level,
+			// lowered for the collector or on the interpreter.
 			if got := prep.Lowering().Observe; got != sim.ObserveFate {
 				t.Fatalf("replay plan observes the %s, want the fate", got)
 			}
@@ -217,12 +216,13 @@ func TestDedupCollapsesRepeatedFlows(t *testing.T) {
 }
 
 // TestInstrumentedPacketPlanByteExact holds a compiled plan that observes the
-// packet to the interpreter's bytes on the programs the profiler actually
-// lowers — instrumented, trailer appended, drops neutralized — where natgre
-// rewrites addresses and recomputes an IPv4 checksum. The replay plan of the same
-// program skips write-back and checksum because its caller reads neither;
-// online, network and the bench probe forward or time real bytes and build
-// this plan, which must not inherit those shortcuts.
+// packet to the interpreter's bytes on the instrumented clone, trailer
+// appended and drops neutralized, as bench's sim.exec probe lowers it —
+// where natgre rewrites addresses and recomputes an IPv4 checksum. The
+// replay plan of the program skips write-back and checksum because its
+// caller reads neither; online, network and the bench probe forward or
+// time real bytes and build a packet plan, which must not inherit those
+// shortcuts.
 func TestInstrumentedPacketPlanByteExact(t *testing.T) {
 	for _, name := range []string{"natgre", "l2l3_acl", "ex1"} {
 		name := name
@@ -235,11 +235,11 @@ func TestInstrumentedPacketPlanByteExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
+			inst, err := Instrument(p4.MustParse(w.Source))
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := ir.Build(prep.Ins.AST)
+			prog, err := ir.Build(inst.AST)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,9 @@
-// Package profile implements P2GO's Phase 1: it instruments a program so
-// every packet carries a profiling header recording the actions applied to
-// it, replays a traffic trace through the behavioral simulator, and builds
-// the profile — per-table hit rates and the sets of non-exclusive actions.
+// Package profile implements P2GO's Phase 1: it instruments a program with
+// a profiling header of action markers (§3.1: the printable artifact, and
+// the names of the markers), replays a traffic trace through the program
+// itself on the behavioral simulator, which returns each packet's
+// execution marks in the header's order, and builds the profile —
+// per-table hit rates and the sets of non-exclusive actions.
 package profile
 
 import (
@@ -37,9 +39,6 @@ type Instrumented struct {
 	AST    *p4.Program
 	Fields []FieldInfo
 }
-
-// TrailerBytes returns the byte length of the profiling header.
-func (ins *Instrumented) TrailerBytes() int { return len(ins.Fields) }
 
 // Instrument clones the program and rewrites it so each executed action
 // sets a dedicated 8-bit field of a profiling header appended to the

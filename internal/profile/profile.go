@@ -379,12 +379,12 @@ func (p *Profile) Render() string {
 	return b.String()
 }
 
-// Profiler replays traces through an instrumented program. It is built by
+// Profiler replays traces through a prepared program. It is built by
 // Prepared.Profiler and driven by RunWith.
 type Profiler struct {
 	Ins *Instrumented
 	// prep is the shared immutable state this profiler was built from
-	// (plans, stateful-table list, miss-default lookup).
+	// (plans, stateful-table list, miss slots).
 	prep *Prepared
 }
 
@@ -426,30 +426,22 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 		ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
 	}
 	outs := c.outs[:len(ins)]
-	// The plan was lowered for this loop (sim.ObserveFate): Data is the
-	// execution marks, in the Switch's arena until the next batch. The
-	// interpreter replays the instrumented program and hands back whole
-	// packets whose profiling header ends them with the same bytes.
+	// Either engine's plan observes the fate (sim.ObserveFate): Data is the
+	// execution marks, in the Switch's arena until the next batch.
 	k, err := c.sw.ProcessBatch(ins, outs, sim.BatchOpts{})
 	if err != nil {
 		return fmt.Errorf("profile: packet %d: %w", work.index(lo+k), err)
 	}
-	n := c.p.Ins.TrailerBytes()
 	for j := range outs {
 		out := &outs[j]
 		w := 1
 		if work.weights != nil {
 			w = work.weights[lo+j]
 		}
-		if len(out.Data) < n {
-			return fmt.Errorf("profile: packet %d: shorter (%d bytes) than trailer (%d)",
-				work.index(lo+j), len(out.Data), n)
-		}
-		marks := out.Data[len(out.Data)-n:]
-		idx, ok := c.patterns[string(marks)]
+		idx, ok := c.patterns[string(out.Data)]
 		if !ok {
 			idx = len(c.counts)
-			c.patterns[string(marks)] = idx
+			c.patterns[string(out.Data)] = idx
 			c.counts = append(c.counts, 0)
 		}
 		c.counts[idx] += w
@@ -487,7 +479,7 @@ func (c *collector) profile() *Profile {
 			}
 			base := info.Table + "." + info.Action
 			entry := base
-			if info.Miss || c.p.prep.missDefault[base] {
+			if c.p.prep.missSlot[i] {
 				entry = base + missTag
 			} else {
 				prof.Hits[info.Table] += weight

@@ -2,9 +2,9 @@ package profile
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -223,8 +223,8 @@ func TestInstrumentMarkers(t *testing.T) {
 	if ins.Field("IPv4", "set_nhop") == "" {
 		t.Error("missing marker for IPv4.set_nhop")
 	}
-	if ins.TrailerBytes() != wantMarkers {
-		t.Errorf("trailer bytes = %d, want %d", ins.TrailerBytes(), wantMarkers)
+	if got := len(ins.AST.HeaderType(trailerType).Fields); got != wantMarkers {
+		t.Errorf("profiling header has %d fields, want %d", got, wantMarkers)
 	}
 	// The original program is untouched.
 	if ast.Instance(TrailerName) != nil {
@@ -267,24 +267,6 @@ control ingress { apply(t1); apply(t2); }
 	}
 }
 
-// ParseTrailer extracts the marker values from an outgoing packet of the
-// instrumented program and returns the executed (table, action) pairs, in
-// marker order.
-func (ins *Instrumented) ParseTrailer(data []byte) ([]FieldInfo, error) {
-	n := ins.TrailerBytes()
-	if len(data) < n {
-		return nil, fmt.Errorf("profile: packet shorter (%d bytes) than trailer (%d)", len(data), n)
-	}
-	trailer := data[len(data)-n:]
-	var executed []FieldInfo
-	for i, info := range ins.Fields {
-		if trailer[i] != 0 {
-			executed = append(executed, info)
-		}
-	}
-	return executed, nil
-}
-
 // Field returns the marker field for (table, action), or "".
 func (ins *Instrumented) Field(table, action string) string {
 	for _, f := range ins.Fields {
@@ -305,14 +287,49 @@ func (ins *Instrumented) sortedFieldNames() []string {
 	return out
 }
 
-func TestParseTrailerErrors(t *testing.T) {
-	ast := p4.MustParse(programs.Ex1)
-	ins, err := Instrument(ast)
+// TestRuntimeDefaultOnSharedAction: t2 shares fwd with t1, so the clone
+// names t2's marker fwd__t2, while the rules set t2's default by the
+// program's own name. Every packet misses t2 and runs that default: on
+// both engines t2 has no hit, and every execution set holds its miss. (The
+// miss classification once keyed the override by the program's name and
+// looked it up by the clone's, counting all 8 misses as hits; and the
+// interpreter, replaying the clone, refused the rules.)
+func TestRuntimeDefaultOnSharedAction(t *testing.T) {
+	ast := p4.MustParse(`
+header_type h_t { fields { a : 8; } }
+header h_t h;
+parser start { extract(h); return ingress; }
+action fwd(port) { modify_field(standard_metadata.egress_spec, port); }
+table t1 { reads { h.a : exact; } actions { fwd; } }
+table t2 { reads { h.a : exact; } actions { fwd; } }
+control ingress { apply(t1); apply(t2); }
+`)
+	cfg, err := rt.Parse("table_add t1 fwd 1 => 2\ntable_set_default t2 fwd 3\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins.ParseTrailer([]byte{1}); err == nil {
-		t.Error("short packet should fail trailer parsing")
+	trace := &trafficgen.Trace{}
+	for i := 0; i < 8; i++ {
+		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: []byte{byte(1 + i%2)}})
+	}
+	prep, err := PrepareContext(context.Background(), ast, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, interpret := range []bool{false, true} {
+		prof, err := prep.Profiler().RunWith(context.Background(), trace, RunOptions{Shards: 1, Interpret: interpret})
+		if err != nil {
+			t.Fatalf("interpret=%v: %v", interpret, err)
+		}
+		if prof.Hits["t2"] != 0 || prof.Applied["t2"] != 8 || prof.Hits["t1"] != 4 {
+			t.Errorf("interpret=%v: t2 hit %d of %d applies, t1 hit %d times; want 0 of 8, and 4",
+				interpret, prof.Hits["t2"], prof.Applied["t2"], prof.Hits["t1"])
+		}
+		for key := range prof.Sets {
+			if !slices.Contains(strings.Split(key, "|"), "t2.fwd__t2"+missTag) {
+				t.Errorf("interpret=%v: set {%s} lacks t2's miss", interpret, key)
+			}
+		}
 	}
 }
 
@@ -328,8 +345,7 @@ func TestProfileRender(t *testing.T) {
 
 // TestDroppedPacketsSkipEgress: a packet dropped in ingress never reaches
 // egress, so its profile counts no egress apply, and Drops counts it — on
-// the compiled replay of the program and on the interpreter's of its
-// instrumented clone alike.
+// the compiled replay of the program and on the interpreter's alike.
 func TestDroppedPacketsSkipEgress(t *testing.T) {
 	ast := p4.MustParse(`
 header_type h_t { fields { a : 8; } }

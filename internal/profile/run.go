@@ -99,23 +99,26 @@ func (e *EngineReport) String() string {
 type Prepared struct {
 	Ins  *Instrumented
 	plan *sim.Plan
-	// interp builds, on the first forced-interpreter replay, the
-	// instrumented program's pipeline with lowering disabled, and shares it
-	// with the later ones.
-	interp      func() (*sim.Plan, error)
-	stateful    []string
-	missDefault map[string]bool
+	// interp builds, on the first forced-interpreter replay, the program's
+	// fate-level interpreter plan, and shares it with the later ones.
+	interp   func() (*sim.Plan, error)
+	stateful []string
+	// missSlot says, per execution-mark slot, whether executing it counts as
+	// a (probable) miss: a miss slot, or a table's effective default.
+	missSlot []bool
+	tables   int
 }
 
 // PrepareContext instruments the program and lowers the program itself
-// under a "profile.instrument" span. The replay plan observes the fate
-// (sim.ObserveFate; a "sim.plan" child span records what that left of the
-// program): the collector reads the program's own apply records as
-// execution marks, in the order of the instrumented program's marker
-// fields, so drops and egress behave as on the target. The instrumented
-// clone (§3.1) names the markers, and it is what a forced-interpreter
-// replay runs: its profiling header ends every packet, dropped or not. A
-// program the lowerer does not cover is an error here.
+// under a "profile.instrument" span. Both engines replay the program
+// itself at the fate level (sim.ObserveFate): each packet's Data is its
+// execution marks, read off the program's own apply records in the order
+// of the instrumented program's marker fields, so drops and egress behave
+// as on the target. The compiled plan is lowered here (a "sim.plan" child
+// span records what that left of the program; a program the lowerer does
+// not cover is an error); the interpreter's is built from the rules at the
+// first replay that forces it. The instrumented clone (§3.1) is the
+// printable artifact and names the markers; nothing replays it.
 func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prepared, error) {
 	ctx, sp := obs.Start(ctx, "profile.instrument")
 	defer sp.End()
@@ -138,20 +141,22 @@ func PrepareContext(ctx context.Context, ast *p4.Program, cfg *rt.Config) (*Prep
 	if err != nil {
 		return nil, err
 	}
-	interp := sync.OnceValues(func() (*sim.Plan, error) {
-		iprog, err := ir.Build(ins.AST)
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
-		return sim.NewPlan(iprog, cfg, sim.Options{Trailer: TrailerName, Interpret: true})
-	})
-	sp.SetAttr(obs.Int("tables", len(ins.AST.Tables)))
+	md := MissDefaults(ast, cfg)
+	marks := sim.Marks(ast)
+	missSlot := make([]bool, len(marks))
+	for i, m := range marks {
+		missSlot[i] = m.Miss || md[m.Table+"."+m.Action]
+	}
+	sp.SetAttr(obs.Int("tables", len(ast.Tables)))
 	return &Prepared{
-		Ins:         ins,
-		plan:        plan,
-		interp:      interp,
-		stateful:    StatefulTables(prog),
-		missDefault: MissDefaults(ins.AST, cfg),
+		Ins:  ins,
+		plan: plan,
+		interp: sync.OnceValues(func() (*sim.Plan, error) {
+			return sim.NewPlan(prog, cfg, sim.Options{Interpret: true, Observe: sim.ObserveFate})
+		}),
+		stateful: StatefulTables(prog),
+		missSlot: missSlot,
+		tables:   len(ast.Tables),
 	}, nil
 }
 
@@ -181,9 +186,9 @@ func MissDefaults(ast *p4.Program, cfg *rt.Config) map[string]bool {
 	return md
 }
 
-// Tables returns the instrumented program's table count (the
-// "profile.instrument" span attribute, re-emitted on plan-cache hits).
-func (pr *Prepared) Tables() int { return len(pr.Ins.AST.Tables) }
+// Tables returns the program's table count (the "profile.instrument" span
+// attribute, re-emitted on plan-cache hits).
+func (pr *Prepared) Tables() int { return pr.tables }
 
 // Lowering reports what the replay plan's lowering kept of the program (the
 // "sim.plan" span's attributes, re-emitted on plan-cache hits).

@@ -238,7 +238,7 @@ type deviceRowKey struct {
 	OptimizedP4                   string
 }
 
-func rowKeys(t *testing.T, res *report.FleetResult) []deviceRowKey {
+func rowKeys(t testing.TB, res *report.FleetResult) []deviceRowKey {
 	t.Helper()
 	out := make([]deviceRowKey, 0, len(res.Devices))
 	for _, d := range res.Devices {

@@ -106,8 +106,9 @@ type BatchOpts struct {
 // safe for concurrent use on one Switch.
 func (s *Switch) ProcessBatch(ins []Input, outs []Output, opts BatchOpts) (int, error) {
 	if !s.useCompiled() {
+		s.scratch.arena = s.scratch.arena[:0]
 		for i := range ins {
-			out, err := s.Process(ins[i])
+			out, err := s.processInterp(ins[i])
 			if err != nil {
 				return i, err
 			}
@@ -135,9 +136,7 @@ func (s *Switch) processCompiled(in *Input, out *Output, skipExec, reuseData boo
 		// The marks are the packet's Data: zeroed in the arena up front, set
 		// by record.
 		skipExec = true
-		start := len(st.arena)
-		st.arena = append(st.arena, make([]byte, c.nMarks)...)
-		st.marks = st.arena[start:len(st.arena):len(st.arena)]
+		st.marks = s.plan.takeMarks(&st.arena)
 	}
 	st.reset(c, skipExec)
 	// Intrinsic inputs are stored raw (unmasked), as the interpreter does.

@@ -11,10 +11,11 @@ import (
 )
 
 // levelPair is two Switches every packet goes through from the same state:
-// one program lowered at two observation levels, or the instrumented clone
-// beside the program's fate plan. marks, when set, is the profiling
-// header's length: the second Switch's execution marks must be the header
-// ending the first one's packet.
+// one program lowered at two observation levels, the instrumented clone
+// beside the program's fate plan, or the program's fate plans on both
+// engines. marks, when set, is the execution marks' length: the second
+// Switch's marks must be the bytes ending the first one's Data — the
+// clone's profiling header, or the interpreter's marks.
 type levelPair struct {
 	name  string
 	plans [2]string
@@ -24,7 +25,8 @@ type levelPair struct {
 
 // fuzzPairs lowers every workload's plain program at ObservePacket and
 // ObserveFate (the verifier's and the profiler's), and pairs the fate plan
-// with the instrumented program at ObservePacket, drops as they are.
+// with the instrumented program at ObservePacket and with the interpreter's
+// fate plan of the plain program, drops as they are.
 func fuzzPairs(f *testing.F) []levelPair {
 	var pairs []levelPair
 	for _, name := range workloads.Names() {
@@ -43,25 +45,33 @@ func fuzzPairs(f *testing.F) []levelPair {
 			}
 		}
 		_, prog, ins := instrumentedIR(f, w.Source)
-		inst := levelPair{name: name + "/instrumented", plans: [2]string{"instrumented packet", "fate"}, marks: ins.TrailerBytes()}
+		inst := levelPair{name: name + "/instrumented", plans: [2]string{"instrumented packet", "fate"}, marks: len(ins.Fields)}
 		if inst.sws[0], err = sim.New(prog, w.Config(), sim.Options{Trailer: profile.TrailerName}); err != nil {
 			f.Fatal(err)
 		}
 		if inst.sws[1], err = sim.NewFromAST(ast, w.Config(), sim.Options{Observe: sim.ObserveFate}); err != nil {
 			f.Fatal(err)
 		}
-		pairs = append(pairs, plain, inst)
+		interp := levelPair{name: name + "/interpreter", plans: [2]string{"interpreter fate", "fate"}, marks: len(ins.Fields)}
+		if interp.sws[0], err = sim.NewFromAST(ast, w.Config(), sim.Options{Observe: sim.ObserveFate, Interpret: true}); err != nil {
+			f.Fatal(err)
+		}
+		if interp.sws[1], err = sim.NewFromAST(ast, w.Config(), sim.Options{Observe: sim.ObserveFate}); err != nil {
+			f.Fatal(err)
+		}
+		pairs = append(pairs, plain, inst, interp)
 	}
 	return pairs
 }
 
 // FuzzObserveLevels: a packet of any bytes on any port, truncated ones
 // above all, goes through every workload lowered at each observation level
-// its callers use, and through its instrumented clone. Nothing may panic;
-// the plans must accept or reject it alike, with the same error; and where
-// they accept, they must agree on everything a fate reads: Port, Dropped,
-// ToCPU and ForwardPort, and the fate plan's execution marks must be the
-// clone's profiling header. The
+// its callers use, through its instrumented clone, and through the
+// interpreter at the fate level. Nothing may panic; the plans must accept
+// or reject it alike, with the same error; and where they accept, they must
+// agree on everything a fate reads: Port, Dropped, ToCPU and ForwardPort,
+// and the fate plan's execution marks must be the clone's profiling header
+// and the interpreter's marks. The
 // committed corpus (testdata/fuzz/FuzzObserveLevels: the first packet of
 // every workload's trace and truncations of it) also runs as plain subtests
 // in every `go test`.
@@ -92,7 +102,7 @@ func FuzzObserveLevels(f *testing.F) {
 					p.name, p.plans[0], a.Fate(), a.ForwardPort, p.plans[1], b.Fate(), b.ForwardPort)
 			}
 			if p.marks > 0 && !bytes.Equal(a.Data[len(a.Data)-p.marks:], b.Data) {
-				t.Fatalf("%s: profiling header % x, execution marks % x", p.name, a.Data[len(a.Data)-p.marks:], b.Data)
+				t.Fatalf("%s: %s plan's marks % x, %s plan's % x", p.name, p.plans[0], a.Data[len(a.Data)-p.marks:], p.plans[1], b.Data)
 			}
 		}
 	})

@@ -35,3 +35,12 @@ func Marks(ast *p4.Program) []Mark {
 	}
 	return out
 }
+
+// takeMarks appends one packet's execution marks, zeroed, to the arena and
+// returns them: the Data of a fate plan's Output, valid until the arena is
+// reset by the next Process or ProcessBatch call.
+func (pl *Plan) takeMarks(arena *[]byte) []byte {
+	start := len(*arena)
+	*arena = append(*arena, make([]byte, len(pl.markOf))...)
+	return (*arena)[start:len(*arena):len(*arena)]
+}

@@ -79,36 +79,42 @@ func runObserved(t *testing.T, prog *ir.Program, cfg *rt.Config, opts sim.Option
 }
 
 // observePlansAgree runs the instrumented program over the inputs on the
-// interpreter and on a compiled plan of each observation level, and the
-// program itself on a fate plan (the profiler's), and holds every plan to
-// what it promises: the same fate fields per packet, the same profiling
-// header (the packet plan's whole Data equal to the interpreter's, a fate
+// packet-level interpreter — the byte-exact reference — and on a compiled
+// plan of each observation level, and the program itself at the fate level
+// on both engines (the profiler's plans), and holds every plan to what it
+// promises: the same fate fields per packet, the same profiling header (the
+// packet plan's whole Data and Exec equal to the interpreter's, a fate
 // plan's execution marks equal to the header's bytes), the same register
-// and counter end state, and the same failing packet and error.
+// and counter end state, and the same failing packet and error. The two
+// fate plans of the program itself are so held to each other, too.
 func observePlansAgree(t *testing.T, source string, cfg *rt.Config, ins []sim.Input, neutralize bool) *observed {
 	t.Helper()
 	plain, prog, inst := instrumentedIR(t, source)
-	base := sim.Options{Trailer: profile.TrailerName, NeutralizeDrops: neutralize}
-	with := func(o sim.Observation, interpret bool) sim.Options {
-		opts := base
+	with := func(opts sim.Options, o sim.Observation, interpret bool) sim.Options {
 		opts.Observe, opts.Interpret = o, interpret
 		return opts
 	}
-	// The interpreter ignores the level; give it one, so that is checked too.
-	ref := runObserved(t, prog, cfg, with(sim.ObserveFate, true), ins)
-	n := inst.TrailerBytes()
+	trailer := sim.Options{Trailer: profile.TrailerName, NeutralizeDrops: neutralize}
+	bare := sim.Options{NeutralizeDrops: neutralize}
+	ref := runObserved(t, prog, cfg, with(trailer, sim.ObservePacket, true), ins)
+	n := len(inst.Fields)
 	plans := []struct {
 		name string
 		prog *ir.Program
 		opts sim.Options
 	}{
-		{"packet", prog, with(sim.ObservePacket, false)},
-		{"fate", prog, with(sim.ObserveFate, false)},
-		{"uninstrumented fate", plain, sim.Options{NeutralizeDrops: neutralize, Observe: sim.ObserveFate}},
+		{"packet", prog, with(trailer, sim.ObservePacket, false)},
+		{"fate", prog, with(trailer, sim.ObserveFate, false)},
+		{"uninstrumented fate", plain, with(bare, sim.ObserveFate, false)},
+		{"interpreter fate", plain, with(bare, sim.ObserveFate, true)},
 	}
 	for _, p := range plans {
 		got := runObserved(t, p.prog, cfg, p.opts, ins)
-		if engine, _ := got.sw.Engine(); engine != "compiled" {
+		want := "compiled"
+		if p.opts.Interpret {
+			want = "interpreter"
+		}
+		if engine, _ := got.sw.Engine(); engine != want {
 			t.Fatalf("%s plan runs on the %s", p.name, engine)
 		}
 		if got.failed != ref.failed || got.err != ref.err {

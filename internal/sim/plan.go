@@ -34,6 +34,10 @@ type Plan struct {
 	// sees the same rule set.
 	tableRules map[string][]rt.Rule
 	defaults   map[string]*rt.DefaultEntry
+	// markOf maps (table, action) to its execution-mark slot (Marks), the
+	// miss slot under an empty action; nil unless the plan observes the
+	// fate. Both engines number a packet's marks by it.
+	markOf map[[2]string]int32
 
 	c *compiled // nil: Options.Interpret
 }
@@ -79,6 +83,13 @@ func NewPlan(prog *ir.Program, cfg *rt.Config, opts Options) (*Plan, error) {
 	for _, t := range prog.AST.Tables {
 		pl.tableRules[t.Name] = cfg.ForTable(t.Name)
 		pl.defaults[t.Name] = cfg.DefaultFor(t.Name)
+	}
+	if opts.Observe == ObserveFate {
+		marks := Marks(prog.AST)
+		pl.markOf = make(map[[2]string]int32, len(marks))
+		for i, m := range marks {
+			pl.markOf[[2]string{m.Table, m.Action}] = int32(i)
+		}
 	}
 	if opts.Interpret {
 		return pl, nil
@@ -375,8 +386,6 @@ type compiled struct {
 	// trailerZero with trailer's fields written over it.
 	trailer     *cEmit
 	trailerZero []byte
-	// nMarks is the length of a fate plan's execution marks (Marks).
-	nMarks int
 
 	neutralizeDrops bool
 
@@ -398,9 +407,6 @@ type compiler struct {
 	regOf   map[string]int32
 	ctrOf   map[string]int32
 	hashOf  map[string]int32
-	// markOf maps (table, action) to its execution-mark slot, the miss slot
-	// under an empty action; nil unless the plan observes the fate.
-	markOf map[[2]string]int32
 
 	// written is fieldLiveness's per-slot answer; its other one, live, is
 	// slot < nLive once the slots are renumbered.
@@ -460,14 +466,6 @@ func compilePlan(pl *Plan) (*compiled, error) {
 		hashOf:  map[string]int32{},
 	}
 	c := cc.c
-	if c.observe == ObserveFate {
-		marks := Marks(ast)
-		cc.markOf = make(map[[2]string]int32, len(marks))
-		for i, m := range marks {
-			cc.markOf[[2]string{m.Table, m.Action}] = int32(i)
-		}
-		c.nMarks = len(marks)
-	}
 
 	// Field slots and instance ids, in declaration order.
 	for _, inst := range ast.Instances {
@@ -849,7 +847,7 @@ func (cc *compiler) lowerTable(t *p4.TableDecl) (cTable, error) {
 
 // record precomputes one apply record.
 func (cc *compiler) record(table, action string, hit bool) cRecord {
-	mark, ok := cc.markOf[[2]string{table, action}]
+	mark, ok := cc.pl.markOf[[2]string{table, action}]
 	if !ok {
 		mark = -1
 	}

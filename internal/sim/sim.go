@@ -24,14 +24,12 @@ const (
 // Options tunes a Switch.
 type Options struct {
 	// Trailer names a header instance that is appended to every outgoing
-	// packet (by a compiled plan only under ObservePacket). Empty means
-	// none. Its callers are the forced-interpreter replay of
-	// profile.Instrument's clone, the reference the differential tests and
-	// bench rows compare against, and bench's own plans.
+	// packet (under ObservePacket only). Empty means none. Only bench's
+	// plans of profile.Instrument's clone and tests set it.
 	Trailer string
 	// NeutralizeDrops rewrites drop semantics so marked packets still
-	// egress; the drop is still recorded in Output.WouldDrop. Only tests
-	// and bench set it.
+	// egress; the drop is still recorded in Output.WouldDrop. Only bench
+	// and tests set it.
 	NeutralizeDrops bool
 	// Interpret forces the tree-walking interpreter — the reference engine
 	// for differential tests and the bench harness's before/after rows.
@@ -39,11 +37,12 @@ type Options struct {
 	// not lower is a construction error.
 	Interpret bool
 	// Observe says how much of a processed packet the plan's only caller
-	// reads, and the compiled engine computes no more than that (the
-	// interpreter ignores it and stays the byte-exact reference). It is set
-	// in code by the two replay loops that read less than the packet — the
-	// profile collector and the controller's verdict loops — and by nothing a
-	// user can reach.
+	// reads, and neither engine computes more than that: at ObserveFate the
+	// interpreter, too, returns execution marks and skips serialization (at
+	// ObservePacket it stays the byte-exact reference). It is set in code by
+	// the two replay loops that read less than the packet — the profile
+	// collector and the controller's verdict loops — and by nothing a user
+	// can reach.
 	Observe Observation
 }
 
@@ -311,10 +310,13 @@ func (o *Output) Fate() Fate { return Fate{Port: o.Port, Dropped: o.Dropped, ToC
 
 // state is the per-packet evaluation state.
 type state struct {
-	fields    map[ir.FieldKey]uint64
-	valid     map[string]bool
-	extents   map[string]headerExtent
-	exec      []Executed
+	fields  map[ir.FieldKey]uint64
+	valid   map[string]bool
+	extents map[string]headerExtent
+	exec    []Executed
+	// arena backs a fate plan's execution marks, like the compiled
+	// engine's.
+	arena     []byte
 	wouldDrop bool
 	// forwardPort tracks the last non-CPU egress_spec write.
 	forwardPort uint64
@@ -330,6 +332,7 @@ type headerExtent struct {
 // state); run one Switch per goroutine instead.
 func (s *Switch) Process(in Input) (Output, error) {
 	if !s.useCompiled() {
+		s.scratch.arena = s.scratch.arena[:0]
 		return s.processInterp(in)
 	}
 	var out Output
@@ -338,9 +341,13 @@ func (s *Switch) Process(in Input) (Output, error) {
 	return out, err
 }
 
-// processInterp is the tree-walking reference engine.
+// processInterp is the tree-walking reference engine. On a fate plan it
+// reads the packet's execution marks off its exec list and serializes
+// nothing: no packet copy, write-back or calculated-field update changes a
+// fate.
 func (s *Switch) processInterp(in Input) (Output, error) {
 	st := &s.scratch
+	fate := s.plan.markOf != nil
 	if st.fields == nil {
 		st.fields = make(map[ir.FieldKey]uint64, 32)
 		st.valid = make(map[string]bool, 8)
@@ -350,8 +357,13 @@ func (s *Switch) processInterp(in Input) (Output, error) {
 		clear(st.valid)
 		clear(st.extents)
 	}
-	// Exec escapes into Output, so it alone is allocated per packet.
-	st.exec = nil
+	// Exec escapes into a packet-level Output, so there it alone is
+	// allocated per packet; a fate plan keeps it.
+	if fate {
+		st.exec = st.exec[:0]
+	} else {
+		st.exec = nil
+	}
 	st.wouldDrop = false
 	st.forwardPort = 0
 	st.fields[ir.FieldKey(p4.StandardMetadataName+"."+p4.FieldIngressPort)] = in.Port
@@ -379,7 +391,7 @@ func (s *Switch) processInterp(in Input) (Output, error) {
 		}
 	}
 
-	out := Output{Exec: st.exec, WouldDrop: st.wouldDrop, ForwardPort: st.forwardPort}
+	out := Output{WouldDrop: st.wouldDrop, ForwardPort: st.forwardPort}
 	out.Port = st.fields[ir.FieldKey(p4.StandardMetadataName+"."+p4.FieldEgressSpec)]
 	if out.Port == DropPort && !s.opts.NeutralizeDrops {
 		out.Dropped = true
@@ -387,6 +399,16 @@ func (s *Switch) processInterp(in Input) (Output, error) {
 	if out.Port == CPUPort {
 		out.ToCPU = true
 	}
+	if fate {
+		out.Data = s.plan.takeMarks(&st.arena)
+		for _, e := range st.exec {
+			if m, ok := s.plan.markOf[[2]string{e.Table, e.Action}]; ok {
+				out.Data[m] = 1
+			}
+		}
+		return out, nil
+	}
+	out.Exec = st.exec
 	out.Data = s.serialize(st, in.Data)
 	return out, nil
 }
