@@ -2,6 +2,7 @@ package profile
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -9,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"p2go/internal/ir"
 	"p2go/internal/p4"
 	"p2go/internal/programs"
 	"p2go/internal/rt"
+	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
 )
 
@@ -285,6 +288,91 @@ func (ins *Instrumented) sortedFieldNames() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ParseTrailer extracts the marker values from an outgoing packet of the
+// instrumented program and returns the executed (table, action) pairs, in
+// marker order.
+func (ins *Instrumented) ParseTrailer(data []byte) ([]FieldInfo, error) {
+	n := len(ins.Fields)
+	if len(data) < n {
+		return nil, fmt.Errorf("profile: packet shorter (%d bytes) than trailer (%d)", len(data), n)
+	}
+	trailer := data[len(data)-n:]
+	var executed []FieldInfo
+	for i, info := range ins.Fields {
+		if trailer[i] != 0 {
+			executed = append(executed, info)
+		}
+	}
+	return executed, nil
+}
+
+// TestParseTrailerErrors: a packet shorter than the profiling header does
+// not parse, and the header the instrumented clone appends to a packet it
+// forwards holds, byte for byte, the execution marks that a fate-level plan
+// of the source program returns for it — the header follows sim.Marks.
+func TestParseTrailerErrors(t *testing.T) {
+	ast := p4.MustParse(programs.Ex1)
+	ins, err := Instrument(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ins.ParseTrailer([]byte{1}); err == nil {
+		t.Error("short packet should fail trailer parsing")
+	}
+
+	cfg := programs.Ex1Config()
+	instProg, err := ir.Build(ins.AST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sim.New(instProg, cfg, sim.Options{Trailer: TrailerName, NeutralizeDrops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p4.EnsureBuiltins(ast)
+	prog, err := ir.Build(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fate, err := sim.New(prog, cfg, sim.Options{Observe: sim.ObserveFate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for i, pkt := range enterpriseTrace(t).Packets[:500] {
+		in := sim.Input{Port: pkt.Port, Data: pkt.Data}
+		out, err := inst.Process(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.WouldDrop {
+			// The clone egresses the packet the source drops.
+			continue
+		}
+		executed, err := ins.ParseTrailer(out.Data)
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		marks, err := fate.Process(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []FieldInfo
+		for j, m := range marks.Data {
+			if m != 0 {
+				want = append(want, ins.Fields[j])
+			}
+		}
+		if !reflect.DeepEqual(executed, want) {
+			t.Fatalf("packet %d: trailer says %v, fate marks say %v", i, executed, want)
+		}
+		compared++
+	}
+	if compared == 0 {
+		t.Error("every packet was dropped: no trailer was compared")
+	}
 }
 
 // TestRuntimeDefaultOnSharedAction: t2 shares fwd with t1, so the clone
