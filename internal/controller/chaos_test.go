@@ -66,8 +66,10 @@ func chaosOpts(set *faults.Set, policy DegradationPolicy) ResilientOptions {
 
 func runChaos(t *testing.T, f chaosFixture, opts ResilientOptions) *EquivalenceReport {
 	t.Helper()
+	var rec Recorded
+	rec.Original, rec.DataPlane = core.RecordedFates(f.res, f.cfg, f.trace)
 	rep, err := VerifyChaosEquivalence(context.Background(), f.res.Original, f.cfg,
-		f.res.Optimized, f.res.OptimizedConfig, f.res.ControllerProgram, f.trace, opts)
+		f.res.Optimized, f.res.OptimizedConfig, f.res.ControllerProgram, f.trace, opts, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

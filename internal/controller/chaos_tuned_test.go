@@ -63,9 +63,11 @@ func TestChaosTunedWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var rec Recorded
+			rec.Original, rec.DataPlane = core.RecordedFates(res, cfg, tc.trace)
 			rep, err := VerifyChaosEquivalence(context.Background(), res.Original, cfg,
 				res.Optimized, res.OptimizedConfig, res.ControllerProgram, tc.trace,
-				chaosOpts(set, FailOpen))
+				chaosOpts(set, FailOpen), rec)
 			if err != nil {
 				t.Fatal(err)
 			}

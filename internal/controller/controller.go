@@ -76,38 +76,63 @@ type origBatch struct {
 	err   error
 }
 
-// replayFates drives a deployment's data plane over the trace in batches
-// under a "sim.replay" span (so the loop reports packets/sec) and hands each
-// packet, the original program's fate and the data plane's output to step,
-// in trace order. The original runs on a goroutine of its own
-// (replayOriginal), up to fateRing batches ahead, and shares nothing with
-// the data plane or step but the fates it hands over. The data plane may run
-// a batch ahead of the controller step feeds, because it never reads
-// controller state. A packet a Switch fails on ends the replay after step
-// has seen every packet before it; on a tie the original's error is the one
-// reported. A canceled ctx ends the replay between batches. replayFates
-// returns once the original's goroutine has exited, with how long the
-// deployment loop waited on it.
-func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
+// Recorded holds the fates a verifier reads instead of replaying a side:
+// one sim.Outcome per trace packet, as a replay of exactly that side's
+// program, rules and trace recorded them (core.RecordedFates binds them to
+// that key). A nil side, or one whose length is not the trace's, is
+// replayed.
+type Recorded struct {
+	Original, DataPlane []sim.Outcome
+}
+
+// source names where a side's fates come from, for the verify span.
+func source(fates []sim.Outcome) string {
+	if fates != nil {
+		return "recorded"
+	}
+	return "replayed"
+}
+
+// replayFates hands each packet, the original program's fate and the data
+// plane's output to step, in trace order and in sim.ReplayBatchSize batches
+// (so the loop reports packets/sec). A side with recorded fates in rec is
+// read from them, and its Switch is nil; a side without is replayed. The
+// original replays on a goroutine of its own (replayOriginal), up to
+// fateRing batches ahead, and shares nothing with the data plane or step but
+// the fates it hands over. The data plane may run a batch ahead of the
+// controller step feeds, because it never reads controller state. A packet a
+// Switch fails on ends the replay after step has seen every packet before
+// it; on a tie the original's error is the one reported. A canceled ctx ends
+// the replay between batches. replayFates returns once the original's
+// goroutine, if any, has exited, with how long the loop waited on it.
+func replayFates(ctx context.Context, original, dataPlane *sim.Switch, rec Recorded, trace *trafficgen.Trace,
 	step func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error) (time.Duration, error) {
 
-	free := make(chan []sim.Fate, fateRing)
-	for range fateRing {
-		free <- make([]sim.Fate, 0, sim.ReplayBatchSize)
-	}
-	full := make(chan origBatch, fateRing) // never blocks: fateRing buffers exist
-	done := make(chan struct{})
-	go replayOriginal(original, trace, free, full, done)
-	defer func() {
-		close(done)
-		for range full { // until replayOriginal returns
+	var free chan []sim.Fate
+	var full chan origBatch
+	if original != nil {
+		free = make(chan []sim.Fate, fateRing)
+		for range fateRing {
+			free <- make([]sim.Fate, 0, sim.ReplayBatchSize)
 		}
-	}()
+		full = make(chan origBatch, fateRing) // never blocks: fateRing buffers exist
+		done := make(chan struct{})
+		go replayOriginal(original, trace, free, full, done)
+		defer func() {
+			close(done)
+			for range full { // until replayOriginal returns
+			}
+		}()
+	}
 
 	var wait time.Duration
 	n := len(trace.Packets)
 	ins := make([]sim.Input, 0, sim.ReplayBatchSize)
 	dpOuts := make([]sim.Output, sim.ReplayBatchSize)
+	var recorded []sim.Fate
+	if original == nil {
+		recorded = make([]sim.Fate, 0, sim.ReplayBatchSize)
+	}
 	err := sim.ReplayBatch(ctx, n, n, func(lo, hi int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("controller: verify canceled: %w", err)
@@ -116,10 +141,25 @@ func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *tr
 		for _, pkt := range trace.Packets[lo:hi] {
 			ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
 		}
-		dk, derr := dataPlane.ProcessBatch(ins, dpOuts, sim.BatchOpts{})
-		start := time.Now()
-		b := <-full
-		wait += time.Since(start)
+		dk, derr := hi-lo, error(nil)
+		if dataPlane != nil {
+			dk, derr = dataPlane.ProcessBatch(ins, dpOuts, sim.BatchOpts{})
+		} else {
+			for j, c := range rec.DataPlane[lo:hi] {
+				dpOuts[j] = c.Output()
+			}
+		}
+		var b origBatch
+		if full != nil {
+			start := time.Now()
+			b = <-full
+			wait += time.Since(start)
+		} else {
+			b.fates = recorded[:0]
+			for _, c := range rec.Original[lo:hi] {
+				b.fates = append(b.fates, c.Fate())
+			}
+		}
 		k, err := len(b.fates), b.err
 		if dk < k {
 			k, err = dk, fmt.Errorf("controller: deployment, packet %d: %w", lo+dk, derr)
@@ -129,7 +169,9 @@ func replayFates(ctx context.Context, original, dataPlane *sim.Switch, trace *tr
 				return err
 			}
 		}
-		free <- b.fates
+		if full != nil {
+			free <- b.fates
+		}
 		return err
 	})
 	return wait, err
@@ -280,59 +322,81 @@ func sameFate(orig sim.Fate, v Verdict) bool {
 
 // VerifyEquivalence is VerifyChaosEquivalence on the plain deployment
 // (NewDeployment: one replica, no faults), where nothing is degraded and
-// every divergence is a mismatch.
+// every divergence is a mismatch, with both sides replayed.
 func VerifyEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, trace *trafficgen.Trace) (*EquivalenceReport, error) {
 	return VerifyChaosEquivalence(ctx, original, originalCfg, optimized, optimizedCfg, segment, trace,
-		ResilientOptions{Replicas: 1})
+		ResilientOptions{Replicas: 1}, Recorded{})
 }
 
-// VerifyChaosEquivalence replays the trace through the original program
-// and through the deployment under opts (including its fault plan),
-// comparing the fate of every packet (sameFate). A divergence is legal
-// only when flagged degraded; anything else is silent. A nil segment is
-// the empty pass-through controller. The whole comparison runs inside a
-// "controller.verify" span, which records how long the deployment waited on
-// the original (original_wait_us); both data planes go through replayFates
-// batch by batch (so the loop reports packets/sec), and every redirect,
-// retry and degradation decision appears as a child span.
+// VerifyChaosEquivalence holds every packet of the trace to sameFate: its
+// fate under the original program against its fate through the deployment
+// opts configures, fault plan included. A divergence is legal only when
+// flagged degraded; anything else is silent. A nil segment is the empty
+// pass-through controller. A side with fates in rec is read from them, not
+// replayed: the original's fates, or the data plane's output before the
+// controller. The controller segment, the fault draws and the degradation
+// policy always run live, in trace order, on every redirected packet, so
+// the report is the one two replays give. The whole comparison runs inside
+// a "controller.verify" span whose original and data_plane attributes say
+// which side was "recorded" or "replayed", and which records how long the
+// loop waited on a replayed original (original_wait_us); the loop goes
+// batch by batch (so it reports packets/sec), and every redirect, retry
+// and degradation decision appears as a child span.
 func VerifyChaosEquivalence(ctx context.Context,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, trace *trafficgen.Trace,
-	opts ResilientOptions) (*EquivalenceReport, error) {
-	return verify(ctx, replayFates, original, originalCfg, optimized, optimizedCfg, segment, trace, opts)
+	opts ResilientOptions, rec Recorded) (*EquivalenceReport, error) {
+	return verify(ctx, replayFates, original, originalCfg, optimized, optimizedCfg, segment, trace, opts, rec)
 }
 
 // replayFunc is replayFates' signature.
-type replayFunc func(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
+type replayFunc func(ctx context.Context, original, dataPlane *sim.Switch, rec Recorded, trace *trafficgen.Trace,
 	step func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error) (time.Duration, error)
 
-// verify is VerifyChaosEquivalence over the given replay loop.
+// verify is VerifyChaosEquivalence over the given replay loop. It builds a
+// Switch only for a side it replays.
 func verify(ctx context.Context, replay replayFunc,
 	original *p4.Program, originalCfg *rt.Config,
 	optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, trace *trafficgen.Trace,
-	opts ResilientOptions) (*EquivalenceReport, error) {
+	opts ResilientOptions, rec Recorded) (*EquivalenceReport, error) {
 
-	ctx, sp := obs.Start(ctx, "controller.verify", obs.Int("packets", len(trace.Packets)))
+	n := len(trace.Packets)
+	if len(rec.Original) != n {
+		rec.Original = nil
+	}
+	if len(rec.DataPlane) != n {
+		rec.DataPlane = nil
+	}
+	ctx, sp := obs.Start(ctx, "controller.verify", obs.Int("packets", n),
+		obs.String("original", source(rec.Original)), obs.String("data_plane", source(rec.DataPlane)))
 	defer sp.End()
 
-	origSwitch, err := sim.NewFromAST(original, originalCfg, fateOnly)
-	if err != nil {
-		return nil, err
+	var origSwitch, dataPlane *sim.Switch
+	var err error
+	if rec.Original == nil {
+		if origSwitch, err = sim.NewFromAST(original, originalCfg, fateOnly); err != nil {
+			return nil, err
+		}
+		defer origSwitch.Release()
 	}
-	defer origSwitch.Release()
-	dep, err := NewResilientDeployment(optimized, optimizedCfg, segment, originalCfg, original, opts)
+	if rec.DataPlane == nil {
+		if dataPlane, err = sim.NewFromAST(optimized, optimizedCfg, fateOnly); err != nil {
+			return nil, fmt.Errorf("controller: optimized program: %w", err)
+		}
+	}
+	dep, err := newDeployment(dataPlane, segment, originalCfg, original, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer dep.release()
 
 	report := &EquivalenceReport{}
-	wait, err := replay(ctx, origSwitch, dep.dataPlane, trace, func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error {
+	wait, err := replay(ctx, origSwitch, dataPlane, rec, trace, func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error {
 		verdict, err := dep.verdict(ctx, in, dpOut)
 		if err != nil {
 			return fmt.Errorf("controller: deployment, packet %d: %w", i, err)
@@ -358,7 +422,9 @@ func verify(ctx context.Context, replay replayFunc,
 		}
 		return nil
 	})
-	sp.SetAttr(obs.Int64("original_wait_us", wait.Microseconds()))
+	if origSwitch != nil {
+		sp.SetAttr(obs.Int64("original_wait_us", wait.Microseconds()))
+	}
 	if err != nil {
 		return nil, err
 	}

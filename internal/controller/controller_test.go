@@ -284,7 +284,7 @@ control ingress { apply(seg); }
 		t.Fatalf("plain: err = %v, want prefix %q", err, want)
 	}
 	_, err = VerifyChaosEquivalence(context.Background(), original, nil, optimized, nil, segment, trace,
-		ResilientOptions{Replicas: 2, sleep: noSleep})
+		ResilientOptions{Replicas: 2, sleep: noSleep}, Recorded{})
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("two replicas: err = %v, want prefix %q", err, want)
 	}

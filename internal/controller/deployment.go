@@ -184,11 +184,20 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 	segment *p4.Program, fullCfg *rt.Config,
 	original *p4.Program, opts ResilientOptions) (*Deployment, error) {
 
-	opts = opts.withDefaults()
 	dp, err := sim.NewFromAST(optimized, optimizedCfg, fateOnly)
 	if err != nil {
 		return nil, fmt.Errorf("controller: optimized program: %w", err)
 	}
+	return newDeployment(dp, segment, fullCfg, original, opts)
+}
+
+// newDeployment builds the composed system over a data plane already built.
+// The verifier passes a nil data plane when it reads the data plane's
+// outputs from recorded fates; such a deployment only decides verdicts.
+func newDeployment(dp *sim.Switch, segment *p4.Program, fullCfg *rt.Config,
+	original *p4.Program, opts ResilientOptions) (*Deployment, error) {
+
+	opts = opts.withDefaults()
 	d := &Deployment{dataPlane: dp, opts: opts}
 	for i := 0; i < opts.Replicas; i++ {
 		ctl, err := New(segment, fullCfg)
@@ -201,8 +210,8 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 		if original == nil {
 			return nil, fmt.Errorf("controller: fallback policy requires the original program")
 		}
-		d.fallback, err = sim.NewFromAST(original, fullCfg, fateOnly)
-		if err != nil {
+		var err error
+		if d.fallback, err = sim.NewFromAST(original, fullCfg, fateOnly); err != nil {
 			return nil, fmt.Errorf("controller: original program: %w", err)
 		}
 	}
@@ -474,7 +483,9 @@ func (d *Deployment) Reset() {
 // release ends the deployment, handing its switches' register memory back
 // for reuse (sim.Switch.Release); the verifier calls it when it is done.
 func (d *Deployment) release() {
-	d.dataPlane.Release()
+	if d.dataPlane != nil {
+		d.dataPlane.Release()
+	}
 	for _, r := range d.replicas {
 		r.ctl.sw.Release()
 	}

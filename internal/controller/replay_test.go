@@ -21,8 +21,8 @@ import (
 
 // lockstepReplay is the reference replayFates is held to: the original and
 // the data plane replayed in lock-step, batch by batch, on the calling
-// goroutine.
-func lockstepReplay(ctx context.Context, original, dataPlane *sim.Switch, trace *trafficgen.Trace,
+// goroutine. It reads no recorded fates: verify must hand it both Switches.
+func lockstepReplay(ctx context.Context, original, dataPlane *sim.Switch, _ Recorded, trace *trafficgen.Trace,
 	step func(i int, in sim.Input, fate sim.Fate, dpOut *sim.Output) error) (time.Duration, error) {
 
 	n := len(trace.Packets)
@@ -60,6 +60,9 @@ const chaosPlan = "controller.down:from=10,to=60;redirect.loss:p=0.3,seed=7"
 // field, on every workload at seeds 1-16: plainly, and under a fault plan at
 // one replica and at two. The data plane, the controller and every fault
 // draw stay on the calling goroutine in trace order, so nothing may move.
+// So does the verifier that reads either side, or both, from the fates the
+// optimizer's replays recorded (core.RecordedFates), which every run here
+// has for both sides.
 func TestReplayFatesMatchesLockstep(t *testing.T) {
 	degraded := 0
 	for _, name := range workloads.Names() {
@@ -78,12 +81,21 @@ func TestReplayFatesMatchesLockstep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				orig, dp := core.RecordedFates(res, cfg, trace)
+				if orig == nil || dp == nil {
+					t.Fatalf("seed %d: recorded fates original=%v data plane=%v, want both", seed, orig != nil, dp != nil)
+				}
+				sides := map[string]Recorded{
+					"recorded":            {Original: orig, DataPlane: dp},
+					"original-recorded":   {Original: orig},
+					"data-plane-recorded": {DataPlane: dp},
+				}
 				for _, mode := range []struct {
 					name     string
 					replicas int
 					plan     string
 				}{{"plain", 1, ""}, {"chaos-1", 1, chaosPlan}, {"chaos-2", 2, chaosPlan}} {
-					run := func(replay replayFunc) *EquivalenceReport {
+					run := func(replay replayFunc, rec Recorded) *EquivalenceReport {
 						opts := ResilientOptions{Replicas: mode.replicas, sleep: noSleep}
 						if mode.plan != "" {
 							if opts.Faults, err = faults.ParseSet(mode.plan); err != nil {
@@ -91,16 +103,21 @@ func TestReplayFatesMatchesLockstep(t *testing.T) {
 							}
 						}
 						rep, err := verify(context.Background(), replay, res.Original, cfg,
-							res.Optimized, res.OptimizedConfig, res.ControllerProgram, trace, opts)
+							res.Optimized, res.OptimizedConfig, res.ControllerProgram, trace, opts, rec)
 						if err != nil {
 							t.Fatalf("seed %d, %s: %v", seed, mode.name, err)
 						}
 						return rep
 					}
-					want, got := run(lockstepReplay), run(replayFates)
+					want, got := run(lockstepReplay, Recorded{}), run(replayFates, Recorded{})
 					degraded += got.Degraded
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("seed %d, %s:\nconcurrent %+v\nlock-step  %+v", seed, mode.name, got, want)
+					}
+					for side, rec := range sides {
+						if got := run(replayFates, rec); !reflect.DeepEqual(got, want) {
+							t.Errorf("seed %d, %s, %s:\nvector    %+v\nlock-step %+v", seed, mode.name, side, got, want)
+						}
 					}
 					if name == "syncookie" && seed == 6 && mode.name == "plain" &&
 						(got.Mismatches != 24 || got.Packets != 7700 || !strings.HasPrefix(got.First, "packet 1008: ")) {
@@ -128,7 +145,8 @@ func settledGoroutines(want int) int {
 
 // TestReplayFatesErrors: when the original and the data plane fail on
 // different packets, the earlier one is reported; on a tie, the original's,
-// in the lock-step loop's words. The original's goroutine, which may have
+// in the lock-step loop's words; a side read from recorded fates never
+// fails, and the replayed side's failure reads the same. The original's goroutine, which may have
 // run batches ahead, is gone when the verifier returns.
 func TestReplayFatesErrors(t *testing.T) {
 	const header = `
@@ -158,6 +176,23 @@ control ingress { apply(t); }
 		}
 		return tr
 	}
+	// record packs a side's fates as a replay that did not fail records them.
+	record := func(prog *p4.Program, tr *trafficgen.Trace) []sim.Outcome {
+		sw, err := sim.NewFromAST(prog, nil, fateOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fates []sim.Outcome
+		for _, pkt := range tr.Packets {
+			out, err := sw.Process(sim.Input{Port: pkt.Port, Data: pkt.Data})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, _ := out.Outcome()
+			fates = append(fates, c)
+		}
+		return fates
+	}
 	const msg = ": sim: action note: register_write: index 9 out of range for r[4]"
 	for _, c := range []struct {
 		name           string
@@ -168,15 +203,33 @@ control ingress { apply(t); }
 		{"original-first", 600, 1100, "controller: original, packet 600" + msg},
 		{"same-batch", 700, 650, "controller: deployment, packet 650" + msg},
 		{"tie", 700, 700, "controller: original, packet 700" + msg},
+		// A side that fails nowhere may be read from its recorded fates; the
+		// other side's failure is reported the same way.
+		{"deployment-only", -1, 600, "controller: deployment, packet 600" + msg},
+		{"original-only", 600, -1, "controller: original, packet 600" + msg},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			tr := trace(c.badOrig, c.badDP)
+			var rec Recorded
+			if c.badOrig < 0 {
+				rec.Original = record(original, tr)
+			}
+			if c.badDP < 0 {
+				rec.DataPlane = record(optimized, tr)
+			}
 			for _, replay := range []replayFunc{replayFates, lockstepReplay} {
 				_, err := verify(context.Background(), replay, original, nil, optimized, nil, nil, tr,
-					ResilientOptions{Replicas: 1})
+					ResilientOptions{Replicas: 1}, Recorded{})
 				if err == nil || err.Error() != c.want {
 					t.Errorf("err = %v, want %q", err, c.want)
+				}
+			}
+			if rec.Original != nil || rec.DataPlane != nil {
+				_, err := verify(context.Background(), replayFates, original, nil, optimized, nil, nil, tr,
+					ResilientOptions{Replicas: 1}, rec)
+				if err == nil || err.Error() != c.want {
+					t.Errorf("recorded: err = %v, want %q", err, c.want)
 				}
 			}
 			if n := settledGoroutines(before); n > before {
@@ -216,7 +269,7 @@ control ingress { apply(t); }
 	defer cancel()
 	seen := 0
 	original := sw()
-	_, err := replayFates(ctx, original, sw(), tr, func(i int, _ sim.Input, _ sim.Fate, _ *sim.Output) error {
+	_, err := replayFates(ctx, original, sw(), Recorded{}, tr, func(i int, _ sim.Input, _ sim.Fate, _ *sim.Output) error {
 		if seen++; i == sim.ReplayBatchSize+10 {
 			cancel()
 		}

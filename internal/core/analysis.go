@@ -13,7 +13,9 @@ import (
 	"p2go/internal/p4"
 	"p2go/internal/profile"
 	"p2go/internal/rt"
+	"p2go/internal/sim"
 	"p2go/internal/tofino"
+	"p2go/internal/trafficgen"
 )
 
 // AnalysisCache is the pipeline's typed view of the content-addressed store
@@ -123,9 +125,19 @@ func (c *AnalysisCache) source(src *p4.Program, tgt tofino.Target) *derivations 
 }
 
 // Profile returns the profile of (ast, cfg) on the trace with the given
-// digest (trafficgen.Trace.Digest), running fill on a miss.
+// digest (trafficgen.Trace.Digest), running fill on a miss. A filled
+// profile's outcome vector is bound to the lookup's key before it is
+// stored (profile.Profile.BindFates), so the vector answers only a reader
+// that asks under the same program, rules and trace (RecordedFates).
 func (c *AnalysisCache) Profile(ast *p4.Program, cfg *rt.Config, traceDigest string, fill func() (*profile.Profile, error)) (*profile.Profile, bool, error) {
-	return lookup(c, &c.profiles, "profile", profileKey(ast, cfg, traceDigest), fill)
+	key := profileKey(ast, cfg, traceDigest)
+	return lookup(c, &c.profiles, "profile", key, func() (*profile.Profile, error) {
+		prof, err := fill()
+		if err == nil && prof != nil {
+			prof.BindFates(key)
+		}
+		return prof, err
+	})
 }
 
 // Prepare returns the instrumented program and lowered execution plan for
@@ -211,6 +223,29 @@ func compileKey(ast *p4.Program, tgt tofino.Target) analysisKey {
 // installed rules, and the trace digest (computed once per run).
 func profileKey(ast *p4.Program, cfg *rt.Config, traceDigest string) analysisKey {
 	return newAnalysisKey(ast, "profile", rt.Format(cfg), traceDigest)
+}
+
+// RecordedFates returns the fates the run that produced res recorded for
+// the two sides an equivalence check of res replays (controller.Recorded):
+// the original program under cfg, from res.Profile, and the optimized
+// program under res.OptimizedConfig, from res.FinalProfile, each on trace.
+// A side is nil unless its profile's replay had exactly that key: the
+// printed program, the formatted rules the check installs, and the trace
+// digest. So an edited program, any other rules (a rule for a table the
+// program lacks included, which the check refuses) or any other trace is
+// replayed, never read.
+func RecordedFates(res *Result, cfg *rt.Config, trace *trafficgen.Trace) (original, optimized []sim.Outcome) {
+	if cfg == nil {
+		cfg = &rt.Config{}
+	}
+	dig := trace.Digest()
+	if res.Profile != nil {
+		original = res.Profile.Fates(profileKey(res.Original, cfg, dig))
+	}
+	if res.FinalProfile != nil && res.OptimizedConfig != nil {
+		optimized = res.FinalProfile.Fates(profileKey(res.Optimized, res.OptimizedConfig, dig))
+	}
+	return original, optimized
 }
 
 // planKey content-addresses one preparation (instrumentation + plan

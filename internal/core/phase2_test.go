@@ -17,7 +17,8 @@ import (
 // iteration it derives the profile of each candidate the pass would weigh
 // (edge not manifested, no intervening conflict, rewrite expressible —
 // whether or not it saves a stage), replays every one the profile answers
-// and holds the two equal; then it takes the pass's own step. It ends with
+// and holds the two equal, and holds the fates the candidate's key yields to
+// the replay's alone; then it takes the pass's own step. It ends with
 // the pass's audit, and returns the derived count and the declines.
 func checkPhase2Derivation(t *testing.T, label string, r *run) (derived int, declined map[string]int) {
 	t.Helper()
@@ -42,9 +43,16 @@ func checkPhase2Derivation(t *testing.T, label string, r *run) (derived int, dec
 				continue
 			}
 			derived++
-			want, err := r.doProfile(ctx, candidate, r.cfg.Restrict(candidate))
+			cfg := r.cfg.Restrict(candidate)
+			want, err := r.doProfile(ctx, candidate, cfg)
 			if err != nil {
 				t.Fatalf("%s: %s -> %s: %v", label, edge.From, edge.To, err)
+			}
+			// Only the replay recorded fates: the derived profile has none to
+			// give under the candidate's key.
+			if key := profileKey(candidate, cfg, r.traceDig); got.Fates(key) != nil || want.Fates(key) == nil {
+				t.Errorf("%s: %s -> %s: derived profile yields fates %v, replay %v, under the candidate's key",
+					label, edge.From, edge.To, got.Fates(key) != nil, want.Fates(key) != nil)
 			}
 			if diff := want.Diff(got); diff != "" || !maps.Equal(want.ActionCounts, got.ActionCounts) || want.ToCPU != got.ToCPU {
 				t.Errorf("%s: apply %s only if %s misses: replay vs derived: %s\naction counts %v vs %v, to-cpu %d vs %d",

@@ -121,9 +121,10 @@ func TestCollectorMatchesPerPacketFold(t *testing.T) {
 
 // TestReplayAllocCeiling pins the collector's point: a sequential,
 // dedup-free replay of natgre's 10 000 packets allocates per distinct
-// execution set, not per packet. Measured 95 allocations per RunWith (84
-// while the arena was sized once for a batch of trailers, 108 before that);
-// the per-packet fold the collector replaced measured 65 042.
+// execution set, not per packet. Measured 96 allocations per RunWith since
+// the replay records its outcome vector (95 before, 84 while the arena was
+// sized once for a batch of trailers, 108 before that); the per-packet fold
+// the collector replaced measured 65 042.
 func TestReplayAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply to -race builds")
@@ -161,9 +162,10 @@ func TestReplayAllocCeiling(t *testing.T) {
 // repeated RunWith allocates is its batch scratch, not the program's
 // registers. failure declares 368 000 register cells (2.9 MB): a second
 // prep.Profiler().RunWith measured 3 200 312 bytes when every replay
-// allocated them afresh, 237 776 with the first replay's slab reused, and
-// about 70 000 now that the arena holds a batch of execution marks instead
-// of a batch of packets.
+// allocated them afresh, 237 776 with the first replay's slab reused, about
+// 70 000 once the arena held a batch of execution marks instead of a batch
+// of packets, and about 115 000 now that the replay records a 2-byte outcome
+// per packet (40 000 bytes of failure's 20 000-packet vector).
 func TestReplayByteCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply to -race builds")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,13 +66,25 @@ func TestInterpreterPlanBuiltOnDemand(t *testing.T) {
 	}
 }
 
+// fatesKey is the key the differential harness binds outcome vectors to; a
+// replay's own key is the pipeline's business (core.RecordedFates).
+var fatesKey = [32]byte{'f', 'a', 't', 'e', 's'}
+
+// recordedFates binds the replay's vector to fatesKey and reads it back.
+func recordedFates(p *Profile) []sim.Outcome {
+	p.BindFates(fatesKey)
+	return p.Fates(fatesKey)
+}
+
 // TestRunWithCombinationsProfileEqual is the profiling differential
 // harness: for every bundled workload, every engine/shard/dedup
 // combination of RunWith must produce a profile Equal to the reference
 // replay (interpreter, one shard, no dedup) — the guarantee the compiled
-// engine and flow deduplication are allowed to exist under. It also pins
-// the EngineReport: stateful programs must report the dedup and sharding
-// fallback instead of silently taking them.
+// engine and flow deduplication are allowed to exist under — and the same
+// outcome at every trace index, which the reference holds to each packet's
+// own Output. It also pins the EngineReport: stateful programs must report
+// the dedup and sharding fallback instead of silently taking them. A
+// profile derived from a replayed one records no vector: it answers no key.
 func TestRunWithCombinationsProfileEqual(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range workloads.Names() {
@@ -106,6 +119,28 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 			if ref.Engine == nil || ref.Engine.Engine != "interpreter" || ref.Engine.FallbackReason != "forced" {
 				t.Fatalf("reference EngineReport = %+v", ref.Engine)
 			}
+			refFates := recordedFates(ref)
+			if len(refFates) != len(trace.Packets) {
+				t.Fatalf("reference replay recorded %d outcomes for %d packets", len(refFates), len(trace.Packets))
+			}
+			sw, err := sim.NewFromAST(p4.MustParse(w.Source), w.Config(), sim.Options{Observe: sim.ObserveFate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pkt := range trace.Packets {
+				out, err := sw.Process(sim.Input{Port: pkt.Port, Data: pkt.Data})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, ok := out.Outcome(); !ok || refFates[i] != want {
+					t.Fatalf("packet %d: reference recorded %#x, the packet's own output packs as %#x (%v)", i, refFates[i], want, ok)
+				}
+			}
+			if derived, _ := ref.SkipUnlessMissed("nosuch", nil); derived == nil || derived.Fates(fatesKey) != nil {
+				t.Errorf("a derived profile answers the key of the profile it was derived from")
+			} else if derived.BindFates(fatesKey); derived.Fates(fatesKey) != nil {
+				t.Errorf("a derived profile bound to a key yields a vector")
+			}
 
 			for _, shards := range []int{1, 2, 4} {
 				for _, noDedup := range []bool{false, true} {
@@ -121,6 +156,15 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 						}
 						if !got.Equal(ref) {
 							t.Fatalf("%s: profile diverges from reference:\n%s", label, got.Diff(ref))
+						}
+						if got.Fates(fatesKey) != nil {
+							t.Fatalf("%s: an unbound vector answers a key", label)
+						}
+						if fates := recordedFates(got); !slices.Equal(fates, refFates) {
+							t.Fatalf("%s: outcome vector (%d entries) differs from the reference's", label, len(fates))
+						}
+						if got.Fates([32]byte{}) != nil {
+							t.Fatalf("%s: a vector answers a key it was not bound to", label)
 						}
 						rep := got.Engine
 						if rep == nil {
@@ -166,9 +210,10 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 
 // TestDedupCollapsesRepeatedFlows drives dedup with a trace it can
 // actually collapse — a handful of distinct packets repeated thousands of
-// times — and checks both the counters (weighted exactly like the full
-// replay) and the replay volume (UniquePackets equals the distinct flow
-// count, which is the 10x-class win the engine exists for).
+// times — and checks the counters (weighted exactly like the full replay),
+// the replay volume (UniquePackets equals the distinct flow count, which is
+// the 10x-class win the engine exists for) and the outcome vector of the
+// flows, expanded per packet, against the full replay's.
 func TestDedupCollapsesRepeatedFlows(t *testing.T) {
 	w, err := workloads.Get("natgre")
 	if err != nil {
@@ -202,6 +247,9 @@ func TestDedupCollapsesRepeatedFlows(t *testing.T) {
 		}
 		if !got.Equal(ref) {
 			t.Fatalf("shards=%d: deduplicated profile diverges:\n%s", shards, got.Diff(ref))
+		}
+		if !slices.Equal(recordedFates(got), recordedFates(ref)) {
+			t.Fatalf("shards=%d: the vector expanded through the flow index differs from the packet-by-packet one", shards)
 		}
 		if got.Engine.UniquePackets != distinct {
 			t.Errorf("shards=%d: replayed %d unique packets, want %d", shards, got.Engine.UniquePackets, distinct)

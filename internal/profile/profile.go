@@ -40,6 +40,50 @@ type Profile struct {
 	// classes is Sets with every key parsed once, attached by RunWith and
 	// SkipUnlessMissed; any other profile is parsed per query.
 	classes []execClass
+	// fates is the replay's outcome vector, set by RunWith alone; like
+	// Engine it is no part of what the profile counts.
+	fates fateVector
+}
+
+// fateVector is one replay's outcome at every replay position: a trace
+// packet or, with dedup, a flow, in which case flow gives each trace
+// packet's position. It answers only under the key it was bound to.
+type fateVector struct {
+	out   []sim.Outcome
+	flow  []int32
+	key   [32]byte
+	bound bool
+}
+
+// BindFates binds the outcome vector of the replay that produced p to key,
+// the content key of that replay: the program, its rules and the trace.
+// Call it once, on the profile RunWith returned, before anything else reads
+// it. A profile with no vector (a derived one, or a replay whose ports did
+// not pack), or one bound already, is left as it is.
+func (p *Profile) BindFates(key [32]byte) {
+	if p.fates.out != nil && !p.fates.bound {
+		p.fates.key, p.fates.bound = key, true
+	}
+}
+
+// Fates returns the fate of every trace packet, in trace order, as the
+// replay that produced p recorded it, when that replay's vector was bound
+// to key; nil otherwise. With dedup the vector is expanded through the
+// trace's flow index here, into a new slice; without, the recorded vector
+// itself is returned, and the caller must not write to it.
+func (p *Profile) Fates(key [32]byte) []sim.Outcome {
+	v := &p.fates
+	if !v.bound || v.key != key {
+		return nil
+	}
+	if v.flow == nil {
+		return v.out
+	}
+	out := make([]sim.Outcome, len(v.flow))
+	for i, f := range v.flow {
+		out[i] = v.out[f]
+	}
+	return out
 }
 
 // execClass is one execution set with its key parsed. A key may span several
@@ -403,18 +447,22 @@ type collector struct {
 	counts   []int
 
 	drops, toCPU int
+	// fates receives the outcome of every position the collector replays;
+	// lost is set when one does not pack.
+	fates []sim.Outcome
+	lost  bool
 	// ins/outs are per-batch scratch for the ProcessBatch path.
 	ins  []sim.Input
 	outs []sim.Output
 }
 
-func newCollector(p *Profiler, sw *sim.Switch) *collector {
-	return &collector{p: p, sw: sw, patterns: map[string]int{}}
+func newCollector(p *Profiler, sw *sim.Switch, fates []sim.Outcome) *collector {
+	return &collector{p: p, sw: sw, patterns: map[string]int{}, fates: fates}
 }
 
 // observeBatch replays positions [lo, hi) of the work through the Switch in
-// one ProcessBatch call and counts each result with its position's weight;
-// errors name the original trace index.
+// one ProcessBatch call, counts each result with its position's weight and
+// records its outcome; errors name the original trace index.
 func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 	if cap(c.ins) < hi-lo {
 		c.ins = make([]sim.Input, 0, hi-lo)
@@ -432,6 +480,7 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 	if err != nil {
 		return fmt.Errorf("profile: packet %d: %w", work.index(lo+k), err)
 	}
+	fates := c.fates[lo : lo+len(outs)]
 	for j := range outs {
 		out := &outs[j]
 		w := 1
@@ -450,6 +499,10 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 		}
 		if out.ToCPU {
 			c.toCPU += w
+		}
+		var packed bool
+		if fates[j], packed = out.Outcome(); !packed {
+			c.lost = true
 		}
 	}
 	return nil

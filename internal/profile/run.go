@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2go/internal/ir"
@@ -213,7 +214,9 @@ func (pr *Prepared) Profiler() *Profiler {
 // reproducible. The resulting profile carries an EngineReport describing
 // how the replay executed, and is Profile.Equal across every option
 // combination (asserted by the differential harness on all bundled
-// workloads).
+// workloads). It also carries the replay's outcome vector, one sim.Outcome
+// per replayed position, the same at every trace index across those
+// combinations, which answers only once bound to a key (BindFates).
 func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts RunOptions) (*Profile, error) {
 	n := len(trace.Packets)
 	shards := min(pool.Workers(opts.Shards), n)
@@ -242,7 +245,7 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	work := replayWork{packets: trace.Packets, n: n}
 	if dedup {
 		flows := trace.Flows()
-		work.weights, work.first, work.n = flows.Weights, flows.First, len(flows.First)
+		work.weights, work.first, work.flow, work.n = flows.Weights, flows.First, flows.ID, len(flows.First)
 	}
 	shards = max(1, min(shards, work.n))
 	pl := p.prep.plan
@@ -277,12 +280,15 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	defer sp.End()
 	start := time.Now()
 	parts := make([]*Profile, shards)
+	// Every shard records the outcomes of its own range of positions.
+	fates := make([]sim.Outcome, work.n)
+	var lost atomic.Bool
 	// The pool reports the lowest shard's error, so a bad packet reports
 	// the same failure whatever the worker scheduling was.
 	err := pool.ForEachIndexed(ctx, shards, shards, func(w int) error {
 		sw := sim.NewFromPlan(pl)
 		defer sw.Release()
-		col := newCollector(p, sw)
+		col := newCollector(p, sw, fates)
 		// Check cancellation between batches: a canceled profile should
 		// stop burning CPU on a large shard.
 		for lo, hi := w*work.n/shards, (w+1)*work.n/shards; lo < hi; lo += sim.ReplayBatchSize {
@@ -294,6 +300,9 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 			}
 		}
 		parts[w] = col.profile()
+		if col.lost {
+			lost.Store(true)
+		}
 		return nil
 	})
 	if err != nil {
@@ -309,15 +318,20 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	}
 	prof.Engine = rep
 	prof.classes = parseClasses(prof.Sets)
+	if !lost.Load() {
+		prof.fates = fateVector{out: fates, flow: work.flow}
+	}
 	return prof, nil
 }
 
 // replayWork is the packet sequence one RunWith replays: positions [0, n)
 // are the trace's packets themselves or, when weights and first are set,
-// its flows — position i standing for packets[first[i]] weights[i] times.
+// its flows — position i standing for packets[first[i]] weights[i] times,
+// and packet j for position flow[j].
 type replayWork struct {
 	packets        []trafficgen.Packet
 	weights, first []int
+	flow           []int32
 	n              int
 }
 

@@ -356,7 +356,9 @@ func TestFleetJournalRecovery(t *testing.T) {
 	}
 
 	// The journal is clean again: the recovered job finished, so a second
-	// recovery finds nothing pending.
+	// recovery finds nothing pending. Read it as a restart would, once m2
+	// has drained: a waiter wakes before the finished record is appended.
+	m2.Drain(5 * time.Second)
 	pending2, _, err := j2.Recover()
 	if err != nil {
 		t.Fatal(err)

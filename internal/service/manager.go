@@ -706,13 +706,35 @@ func (m *Manager) finish(job *Job, out []byte, cached bool, err error, root *obs
 	switch {
 	case err == nil:
 		outcome = StateDone
-		job.cached, job.result = cached, out
 	case job.requeue:
 		outcome, errText = StateRequeued, "requeued at drain; recovered on next start"
 	case job.canceled || errors.Is(err, context.Canceled):
 		outcome, errText = StateCanceled, err.Error()
 	default:
 		outcome, errText = StateFailed, err.Error()
+	}
+	m.mu.Unlock()
+
+	var usage prof.Usage
+	if root != nil {
+		// Final resource reading, before the job turns terminal, so a waiter
+		// woken by it finds the root span ended: stop the sampler (even when
+		// "killed" — the goroutine must not leak), attribute the consumption
+		// to the root span and the per-kind metrics.
+		usage = job.meter.End()
+		root.SetAttr(obs.String("outcome", string(outcome)), obs.Bool("cache_hit", cached),
+			obs.Float("cpu_seconds", usage.CPUSeconds),
+			obs.Int64("alloc_bytes", usage.AllocBytes),
+			obs.Int64("alloc_objects", usage.AllocObjects),
+			obs.Int64("gc_cycles", usage.GCCycles),
+			obs.Int64("heap_peak_bytes", usage.HeapPeakBytes),
+			obs.Int64("goroutine_peak", int64(usage.GoroutinePeak)))
+		root.End()
+	}
+
+	m.mu.Lock()
+	if err == nil {
+		job.cached, job.result = cached, out
 	}
 	if root != nil {
 		m.running--
@@ -722,22 +744,9 @@ func (m *Manager) finish(job *Job, out []byte, cached bool, err error, root *obs
 	lease, killed := job.lease, m.killed
 	m.mu.Unlock()
 
-	var usage prof.Usage
 	seconds := 0.0
 	if root != nil {
-		// Final resource reading: stop the sampler (even when "killed" — the
-		// goroutine must not leak), attribute the consumption to the root
-		// span and the per-kind metrics.
-		usage = job.meter.End()
 		seconds = job.finishedAt.Sub(job.startedAt).Seconds()
-		root.SetAttr(obs.String("outcome", string(outcome)), obs.Bool("cache_hit", cached),
-			obs.Float("cpu_seconds", usage.CPUSeconds),
-			obs.Int64("alloc_bytes", usage.AllocBytes),
-			obs.Int64("alloc_objects", usage.AllocObjects),
-			obs.Int64("gc_cycles", usage.GCCycles),
-			obs.Int64("heap_peak_bytes", usage.HeapPeakBytes),
-			obs.Int64("goroutine_peak", int64(usage.GoroutinePeak)))
-		root.End()
 	}
 	if killed {
 		// The process is "dead": no terminal journal record, no trace

@@ -41,10 +41,12 @@ func (m *memo[T]) get(packets []Packet, fill func([]Packet) T) T {
 // Flows is a trace's flow index: its distinct (ingress port, frame) pairs.
 // Flow i is represented by packet First[i], the first of Weights[i]
 // identical packets; flows are in first-occurrence order, so First is
-// ascending. It is shared by every caller of Trace.Flows and read-only.
+// ascending. ID maps each packet back to its flow: packet i is flow ID[i].
+// It is shared by every caller of Trace.Flows and read-only.
 type Flows struct {
 	First   []int
 	Weights []int
+	ID      []int32
 }
 
 // Flows returns the trace's flow index, built on first use. Replaying one
@@ -69,6 +71,7 @@ func buildFlows(packets []Packet, hash func(*Packet) uint64) *Flows {
 	if len(packets) == 0 {
 		return f
 	}
+	f.ID = make([]int32, len(packets))
 	// At most half full, so probe chains stay short; 0 marks an empty slot
 	// and flow i is stored as i+1.
 	mask := uint64(1)<<bits.Len(uint(2*len(packets)-1)) - 1
@@ -82,10 +85,12 @@ func buildFlows(packets []Packet, hash func(*Packet) uint64) *Flows {
 				f.First = append(f.First, i)
 				f.Weights = append(f.Weights, 1)
 				table[slot] = int32(len(f.First))
+				f.ID[i] = int32(len(f.First) - 1)
 				break
 			}
 			if rep := &packets[f.First[j-1]]; rep.Port == pkt.Port && bytes.Equal(rep.Data, pkt.Data) {
 				f.Weights[j-1]++
+				f.ID[i] = j - 1
 				break
 			}
 			slot = (slot + 1) & mask

@@ -12,8 +12,8 @@ import (
 // stringKeyedDedup is the string-keyed map dedup the flow index replaced
 // (internal/profile's dedupPackets), kept as the reference: first trace
 // index and multiplicity of every distinct (port, frame), in
-// first-occurrence order.
-func stringKeyedDedup(packets []trafficgen.Packet) (first, weights []int) {
+// first-occurrence order, and every packet's flow.
+func stringKeyedDedup(packets []trafficgen.Packet) (first, weights []int, id []int32) {
 	idx := map[string]int{}
 	var buf []byte
 	for i := range packets {
@@ -24,23 +24,28 @@ func stringKeyedDedup(packets []trafficgen.Packet) (first, weights []int) {
 		buf = append(buf, pkt.Data...)
 		if j, ok := idx[string(buf)]; ok {
 			weights[j]++
+			id = append(id, int32(j))
 			continue
 		}
 		idx[string(buf)] = len(first)
+		id = append(id, int32(len(first)))
 		first = append(first, i)
 		weights = append(weights, 1)
 	}
-	return first, weights
+	return first, weights, id
 }
 
 func sameFlows(t *testing.T, label string, got *trafficgen.Flows, packets []trafficgen.Packet) {
 	t.Helper()
-	first, weights := stringKeyedDedup(packets)
+	first, weights, id := stringKeyedDedup(packets)
 	if !reflect.DeepEqual(got.First, first) {
 		t.Errorf("%s: first indices differ from the string-keyed reference (%d flows vs %d)", label, len(got.First), len(first))
 	}
 	if !reflect.DeepEqual(got.Weights, weights) {
 		t.Errorf("%s: weights differ from the string-keyed reference", label)
+	}
+	if !reflect.DeepEqual(got.ID, id) {
+		t.Errorf("%s: per-packet flow ids differ from the string-keyed reference", label)
 	}
 }
 

@@ -244,13 +244,17 @@ func NewDeployment(optimized *Program, optimizedCfg *Config, segment *Program, f
 	return controller.NewDeployment(optimized, optimizedCfg, segment, fullCfg)
 }
 
-// VerifyEquivalence replays the trace through the original program and the
-// optimized program + controller, comparing every packet's fate. When the
-// run offloaded nothing, the controller side is an empty pass-through and
-// the check compares the two programs directly.
+// VerifyEquivalence compares every packet's fate through the original
+// program with its fate through the optimized program + controller. When
+// the run offloaded nothing, the controller side is an empty pass-through
+// and the check compares the two programs directly. A side whose replay
+// the optimizer already ran is read from the fates that replay recorded
+// (res.Profile for the original, res.FinalProfile for the optimized
+// program), but only when that replay's program, rules and trace are
+// exactly the ones given here; anything else is replayed. The report is the
+// one replaying both sides gives.
 func VerifyEquivalence(res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
-	return controller.VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		res.ControllerProgram, trace)
+	return VerifyChaosEquivalence(context.Background(), res, cfg, trace, ResilientOptions{Replicas: 1})
 }
 
 // VerifyChaosEquivalence is VerifyEquivalence on the deployment
@@ -258,8 +262,11 @@ func VerifyEquivalence(res *Result, cfg *Config, trace *Trace) (*EquivalenceRepo
 // injection. Every verdict divergence must be explicitly flagged as a
 // counted degradation — the report's Clean() is false if any divergence
 // was silent. Redirect deliveries, retries, and degradation decisions all
-// appear as spans under the "controller.verify" root.
+// appear as spans under the "controller.verify" root, whose original and
+// data_plane attributes say whether each side was recorded or replayed.
 func VerifyChaosEquivalence(ctx context.Context, res *Result, cfg *Config, trace *Trace, opts ResilientOptions) (*EquivalenceReport, error) {
+	var rec controller.Recorded
+	rec.Original, rec.DataPlane = core.RecordedFates(res, cfg, trace)
 	return controller.VerifyChaosEquivalence(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		res.ControllerProgram, trace, opts)
+		res.ControllerProgram, trace, opts, rec)
 }
