@@ -216,7 +216,7 @@ func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	spec, parse := localJobFlags(fs, "profile")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable job-result schema")
-	fs.IntVar(&spec.Parallelism, "parallelism", 0, "replay shards (0 = all CPUs, 1 = sequential; stateful programs always replay sequentially)")
+	fs.IntVar(&spec.Parallelism, "parallelism", 0, "replay shards (0 = all CPUs, 1 = sequential; a stateful program replays on one simulator, pipelined over two workers when given them)")
 	var o observability
 	o.flags(fs)
 	if err := parse(args); err != nil {

@@ -238,3 +238,26 @@ func TestGuardsOnFullPipeline(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardRulesStayInTheRun: the rules of an accepted detector reach the
+// optimized configuration, not the caller's, so the same configuration
+// optimizes again and still validates against the original program.
+func TestGuardRulesStayInTheRun(t *testing.T) {
+	cfg := programs.Ex1Config()
+	before := rt.Format(cfg)
+	trace := enterpriseTrace(t)
+	opts := Options{InsertDependencyGuards: true, Passes: []string{"phase2"}}
+	res, err := Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Guards) == 0 || len(res.OptimizedConfig.ForTable(res.Guards[0].Table)) == 0 {
+		t.Fatalf("no detector rules in the optimized configuration (guards %v)", res.Guards)
+	}
+	if after := rt.Format(cfg); after != before {
+		t.Errorf("the caller's configuration changed:\n%s\nwas:\n%s", after, before)
+	}
+	if _, err := Optimize(context.Background(), p4.MustParse(programs.Ex1), cfg, trace, opts); err != nil {
+		t.Errorf("the configuration no longer optimizes: %v", err)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"p2go/internal/obs"
@@ -51,11 +52,15 @@ func (m *manager) newRun(ast *p4.Program, cfg *rt.Config, trace *trafficgen.Trac
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// The run appends the rules of the detectors it inserts to its own
+	// configuration; the caller's stays as it was given.
+	own := *cfg
+	own.Rules = slices.Clip(own.Rules)
 	return &run{
 		opts:       m.opts,
 		mgr:        m,
 		tgt:        m.tgt,
-		cfg:        cfg,
+		cfg:        &own,
 		trace:      trace,
 		src:        ast,
 		source:     m.cache.source(ast, m.tgt),
@@ -156,8 +161,16 @@ func (m *manager) offloadReport(ctx context.Context, ast *p4.Program, cfg *rt.Co
 }
 
 // profilePass is the implicit phase1 pass: the run's starting program and
-// its compile, the "initial" history snapshot, the stages_before root attr,
-// and the profiling replay under the phase1.profile span.
+// its compile, the rules checked against it, the "initial" history
+// snapshot, the stages_before root attr, and the profiling replay under the
+// phase1.profile span.
+//
+// Every replay of a run installs the rules restricted to the program it
+// replays, but a check of the result (VerifyEquivalence) and a profile of
+// the original (RunProfile) install them as given. So the rules as given
+// are validated against the original first, the same rt.Validate those
+// two run: a rule for a table the program lacks is refused here, with the
+// error they would report, rather than optimized around.
 func (m *manager) profilePass(ctx context.Context, r *run, root *obs.Span) (*profile.Profile, error) {
 	stat, start, before := r.beginPass("phase1")
 	c, err := r.bind(r.bindings)
@@ -167,6 +180,10 @@ func (m *manager) profilePass(ctx context.Context, r *run, root *obs.Span) (*pro
 	r.original, r.cur = c.prog, c.prog // never edited: every rewrite clones it
 	if r.compile, err = r.compileAs(ctx, c.key, c.prog); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	// Validate coerces match kinds in place: it gets a copy.
+	if err := rt.Validate(r.cfg.Clone(), r.compile.IR); err != nil {
+		return nil, err
 	}
 	r.snapshot("initial")
 	root.SetAttr(obs.Int("stages_before", totalStages(r.compile.Mapping)))

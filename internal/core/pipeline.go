@@ -45,12 +45,14 @@ type Options struct {
 	// does not answer. The returned profile is treated as immutable.
 	ProfileHook func(context.Context, *p4.Program, *rt.Config, *trafficgen.Trace) (*profile.Profile, error)
 	// Parallelism bounds the worker count of the parallel paths: trace
-	// replay shards (stateless programs only — see profile.StatefulTables)
-	// and the Phase 3 halving probes / Phase 4 segment measurements, which
-	// are independent compile+profile jobs. 0 means one worker per CPU;
-	// 1 forces the historical sequential behavior, including span
-	// creation order. Results are collected by index either way, so the
-	// observations, history, and final program never depend on it.
+	// replay shards (stateless programs; a stateful one — see
+	// profile.StatefulTables — replays on one Switch, pipelined over two
+	// workers when it has them) and the Phase 3 halving probes / Phase 4
+	// segment measurements, which are independent compile+profile jobs.
+	// 0 means one worker per CPU; 1 forces the historical sequential
+	// behavior, including span creation order. Results are collected by
+	// index either way, so the observations, history, and final program
+	// never depend on it.
 	Parallelism int
 	// AnalysisCache, when non-nil, carries compiled mappings, profiles and
 	// prepared plans across runs: a re-run of the same program and trace

@@ -31,45 +31,48 @@ type enclosure struct {
 // findApplyPath locates the apply statement of a table: the returned chain
 // runs from the root block to the block holding the statement, and the last
 // element's (block, idx) addresses the apply statement itself. Returns nil
-// when the table is not applied.
+// when the table is not applied. The search keeps one stack of enclosures
+// and hands it out only on a match.
 func findApplyPath(root *p4.BlockStmt, table string) []enclosure {
-	var search func(b *p4.BlockStmt, entry enclosure, chain []enclosure) []enclosure
-	search = func(b *p4.BlockStmt, entry enclosure, chain []enclosure) []enclosure {
+	var stack []enclosure
+	var search func(b *p4.BlockStmt, entry enclosure) bool
+	search = func(b *p4.BlockStmt, entry enclosure) bool {
 		if b == nil {
-			return nil
+			return false
 		}
+		depth := len(stack)
 		for i, s := range b.Stmts {
 			cur := entry
 			cur.block = b
 			cur.idx = i
-			here := append(append([]enclosure(nil), chain...), cur)
+			stack = append(stack[:depth], cur)
 			switch v := s.(type) {
 			case *p4.ApplyStmt:
-				if v.Table == table {
-					return here
-				}
-				if f := search(v.Hit, enclosure{viaApply: v.Table, onHit: true}, here); f != nil {
-					return f
-				}
-				if f := search(v.Miss, enclosure{viaApply: v.Table, onHit: false}, here); f != nil {
-					return f
+				if v.Table == table ||
+					search(v.Hit, enclosure{viaApply: v.Table, onHit: true}) ||
+					search(v.Miss, enclosure{viaApply: v.Table, onHit: false}) {
+					return true
 				}
 			case *p4.IfStmt:
-				if f := search(v.Then, enclosure{ifCond: v.Cond}, here); f != nil {
-					return f
-				}
-				if f := search(v.Else, enclosure{ifCond: v.Cond, negated: true}, here); f != nil {
-					return f
+				if search(v.Then, enclosure{ifCond: v.Cond}) ||
+					search(v.Else, enclosure{ifCond: v.Cond, negated: true}) {
+					return true
 				}
 			case *p4.BlockStmt:
-				if f := search(v, entry, chain); f != nil {
-					return f
+				// A nested block continues the enclosing one's path.
+				stack = stack[:depth]
+				if search(v, entry) {
+					return true
 				}
 			}
 		}
+		stack = stack[:depth]
+		return false
+	}
+	if !search(root, enclosure{}) {
 		return nil
 	}
-	return search(root, enclosure{}, nil)
+	return slices.Clip(stack)
 }
 
 // commonPrefixLen returns how many leading enclosures the two paths share

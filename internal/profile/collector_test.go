@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/sim"
 	"p2go/internal/trafficgen"
@@ -197,5 +198,51 @@ func TestReplayByteCeiling(t *testing.T) {
 	t.Logf("failure, %d packets: %d bytes allocated by a second RunWith", len(trace.Packets), bytes)
 	if bytes >= 128<<10 {
 		t.Errorf("a second RunWith allocated %d bytes, want < 128 KiB: register state is allocated per replay again, or the arena holds whole packets", bytes)
+	}
+}
+
+// TestPipelinedReplayByteCeiling: a pipelined replay recycles its batch
+// records, their marks arenas and the parse stage's state like a Switch
+// recycles its registers, so a second RunWith of failure at two shards
+// allocates its outcome vector (40 000 bytes), the collector, the profile
+// and the pipeline's channels: about 50 000 bytes, less than the
+// one-goroutine replay's 115 000, whose collector takes a batch of inputs
+// and outputs per RunWith. Taking fresh records every replay costs about
+// 700 000.
+func TestPipelinedReplayByteCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not apply to -race builds")
+	}
+	ctx := context.Background()
+	w, err := workloads.Get("failure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := w.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := PrepareContext(ctx, p4.MustParse(w.Source), w.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		spans := obs.NewCollector(0)
+		if _, err := prep.Profiler().RunWith(obs.WithTracer(ctx, obs.NewTracer(spans)), trace, RunOptions{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if !ranPipelined(spans) {
+			t.Fatal("failure at two shards did not replay pipelined")
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("failure, %d packets, pipelined: %d bytes allocated by a second RunWith", len(trace.Packets), bytes)
+	if bytes >= 96<<10 {
+		t.Errorf("a second pipelined RunWith allocated %d bytes, want < 96 KiB: the batch records or their arenas are allocated per replay again", bytes)
 	}
 }

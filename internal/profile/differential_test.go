@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"p2go/internal/ir"
+	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
 	"p2go/internal/sim"
@@ -83,7 +84,8 @@ func recordedFates(p *Profile) []sim.Outcome {
 // engine and flow deduplication are allowed to exist under — and the same
 // outcome at every trace index, which the reference holds to each packet's
 // own Output. It also pins the EngineReport: stateful programs must report
-// the dedup and sharding fallback instead of silently taking them. A
+// the dedup and sharding fallback instead of silently taking them, and
+// their compiled replays at two shards or more must have run pipelined. A
 // profile derived from a replayed one records no vector: it answers no key.
 func TestRunWithCombinationsProfileEqual(t *testing.T) {
 	ctx := context.Background()
@@ -150,9 +152,13 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 					for _, interp := range []bool{false, true} {
 						opts := RunOptions{Shards: shards, Interpret: interp, NoDedup: noDedup}
 						label := fmt.Sprintf("shards=%d noDedup=%v interp=%v", shards, noDedup, interp)
-						got, err := prep.Profiler().RunWith(ctx, trace, opts)
+						spans := obs.NewCollector(0)
+						got, err := prep.Profiler().RunWith(obs.WithTracer(ctx, obs.NewTracer(spans)), trace, opts)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
+						}
+						if want := stateful && shards > 1 && !interp; ranPipelined(spans) != want {
+							t.Errorf("%s: sim.replay pipelined = %v, want %v", label, !want, want)
 						}
 						if !got.Equal(ref) {
 							t.Fatalf("%s: profile diverges from reference:\n%s", label, got.Diff(ref))
@@ -206,6 +212,17 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ranPipelined reports whether a recorded replay's sim.replay span says it
+// ran pipelined.
+func ranPipelined(spans *obs.Collector) bool {
+	for _, s := range spans.Spans() {
+		if s.Name == "sim.replay" && slices.Contains(s.Attrs, obs.Bool("pipeline", true)) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestDedupCollapsesRepeatedFlows drives dedup with a trace it can

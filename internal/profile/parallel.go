@@ -6,7 +6,8 @@
 // merged profile is identical to a sequential replay regardless of worker
 // scheduling. Programs with cross-packet state (registers that are both
 // read and written, e.g. Count-Min sketches and Bloom filters) are
-// detected statically from the IR and fall back to sequential replay:
+// detected statically from the IR and fall back to one Switch replaying in
+// trace order (pipelined when there are workers to spare, see RunWith):
 // their per-packet behavior depends on replay order, which sharding would
 // change.
 package profile

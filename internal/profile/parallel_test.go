@@ -5,11 +5,15 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"p2go/internal/obs"
 	"p2go/internal/p4"
+	"p2go/internal/sim"
+	"p2go/internal/trafficgen"
 	"p2go/internal/workloads"
 )
 
@@ -135,14 +139,15 @@ func TestShardedReplaySpans(t *testing.T) {
 
 // TestRunWithCanceled: a replay under an already-canceled context returns
 // context.Canceled at every shard count, including one shard and a
-// stateful program, which is always replayed on one shard.
+// stateful program, which is always replayed on one shard (pipelined at
+// two).
 func TestRunWithCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, c := range []struct {
 		name   string
 		shards int
-	}{{"natgre", 1}, {"natgre", 2}, {"syncookie", 1}} {
+	}{{"natgre", 1}, {"natgre", 2}, {"syncookie", 1}, {"syncookie", 2}} {
 		w, err := workloads.Get(c.name)
 		if err != nil {
 			t.Fatal(err)
@@ -161,6 +166,141 @@ func TestRunWithCanceled(t *testing.T) {
 		}
 		if prof != nil {
 			t.Errorf("%s at %d shards: returned a profile of %d packets", c.name, c.shards, prof.TotalPackets)
+		}
+	}
+}
+
+// cancelAfter is a context canceled by the n-th call of its Err: the
+// replay's own check between batches cancels it, in the middle of the
+// trace.
+type cancelAfter struct {
+	context.Context
+	cancel context.CancelFunc
+	n      atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestPipelinedReplayCanceledMidway: canceling a pipelined replay part way
+// through stops all three stages; RunWith returns context.Canceled and
+// leaves no goroutine behind.
+func TestPipelinedReplayCanceledMidway(t *testing.T) {
+	w, err := workloads.Get("failure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := w.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := PrepareContext(context.Background(), p4.MustParse(w.Source), w.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches := len(trace.Packets) / sim.ReplayBatchSize; batches < 20 {
+		t.Fatalf("failure's trace has %d batches; the cancel needs more to land midway", batches)
+	}
+	before := runtime.NumGoroutine()
+	for _, calls := range []int32{2, 5, 10, 20} {
+		inner, cancel := context.WithCancel(context.Background())
+		ctx := &cancelAfter{Context: inner, cancel: cancel}
+		ctx.n.Store(calls)
+		prof, err := prep.Profiler().RunWith(ctx, trace, RunOptions{Shards: 2})
+		cancel()
+		if !errors.Is(err, context.Canceled) || prof != nil {
+			t.Errorf("canceled at check %d: profile %v, err = %v, want context.Canceled", calls, prof != nil, err)
+		}
+		if after := settledGoroutines(before); after != before {
+			t.Errorf("canceled at check %d: %d goroutines after the replay, %d before", calls, after, before)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is back to want, or
+// after ten seconds: a goroutine that has signalled its caller still takes
+// a moment to exit, but one blocked for good never does.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(10 * time.Second)
+	n := runtime.NumGoroutine()
+	for n != want && time.Now().Before(deadline) {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestPipelinedErrorIsTheSequentialOne: a pipelined replay reports the
+// failure the one-goroutine loop reports — the first packet that fails in
+// trace order, with the same text — even when the parser runs ahead into a
+// later packet that fails to parse, in the same batch or a later one.
+func TestPipelinedErrorIsTheSequentialOne(t *testing.T) {
+	const source = `
+header_type h_t { fields { a : 8; b : 8; } }
+header_type m_t { fields { v : 16; } }
+header h_t h;
+metadata m_t m;
+register r { width : 16; instance_count : 4; }
+parser start { extract(h); return select(h.a) { 255 : spin; default : ingress; } }
+parser spin { return select(h.a) { 255 : spin; default : ingress; } }
+action bump() { register_read(m.v, r, h.b); add_to_field(m.v, 1); register_write(r, h.b, m.v); }
+table t { actions { bump; } default_action : bump; }
+control ingress { apply(t); }
+`
+	const parseErr, execErr = "sim: parser exceeded", "sim: action bump: register_read: index 9 out of range for r[4]"
+	prep, err := PrepareContext(context.Background(), p4.MustParse(source), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prep.stateful) == 0 {
+		t.Fatal("the test program is not stateful: its replays would not pipeline")
+	}
+	// trace is 3000 packets (six batches) that replay cleanly but for the
+	// ones at badExec (a register index out of range) and badParse (a
+	// parser loop).
+	trace := func(badExec, badParse int) *trafficgen.Trace {
+		tr := &trafficgen.Trace{}
+		for i := range 3000 {
+			data := []byte{1, byte(i % 4)}
+			switch i {
+			case badExec:
+				data[1] = 9
+			case badParse:
+				data[0] = 255
+			}
+			tr.Packets = append(tr.Packets, trafficgen.Packet{Port: 1, Data: data})
+		}
+		return tr
+	}
+	for _, c := range []struct {
+		name              string
+		badExec, badParse int
+		want              string
+	}{
+		{"parse error later in the batch", 1100, 1300, "profile: packet 1100: " + execErr},
+		{"parse error in the next batch", 1100, 1600, "profile: packet 1100: " + execErr},
+		{"parse error two batches on", 1100, 2100, "profile: packet 1100: " + execErr},
+		{"parse error first", 1300, 1100, "profile: packet 1100: " + parseErr},
+		{"parse error alone", -1, 2100, "profile: packet 2100: " + parseErr},
+	} {
+		tr := trace(c.badExec, c.badParse)
+		var got [2]string
+		for i, shards := range []int{1, 2} {
+			_, err := prep.Profiler().RunWith(context.Background(), tr, RunOptions{Shards: shards})
+			if err == nil {
+				t.Fatalf("%s at %d shards: the replay succeeded", c.name, shards)
+			}
+			got[i] = err.Error()
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: sequential error %q, pipelined %q", c.name, got[0], got[1])
+		}
+		if !strings.HasPrefix(got[1], c.want) {
+			t.Errorf("%s: error %q, want %q", c.name, got[1], c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -460,19 +461,31 @@ func newCollector(p *Profiler, sw *sim.Switch, fates []sim.Outcome) *collector {
 	return &collector{p: p, sw: sw, patterns: map[string]int{}, fates: fates}
 }
 
+// observeRange replays positions [lo, hi) of the work batch by batch.
+func (c *collector) observeRange(ctx context.Context, work replayWork, lo, hi int) error {
+	// Check cancellation between batches: a canceled profile should stop
+	// burning CPU on a large shard.
+	for ; lo < hi; lo += sim.ReplayBatchSize {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := c.observeBatch(work, lo, min(lo+sim.ReplayBatchSize, hi)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // observeBatch replays positions [lo, hi) of the work through the Switch in
-// one ProcessBatch call, counts each result with its position's weight and
-// records its outcome; errors name the original trace index.
+// one ProcessBatch call and folds the outputs; errors name the original
+// trace index.
 func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 	if cap(c.ins) < hi-lo {
-		c.ins = make([]sim.Input, 0, hi-lo)
+		c.ins = make([]sim.Input, hi-lo)
 		c.outs = make([]sim.Output, hi-lo)
 	}
-	ins := c.ins[:0]
-	for i := lo; i < hi; i++ {
-		pkt := &work.packets[work.index(i)]
-		ins = append(ins, sim.Input{Port: pkt.Port, Data: pkt.Data})
-	}
+	ins := c.ins[:hi-lo]
+	work.inputs(lo, ins)
 	outs := c.outs[:len(ins)]
 	// Either engine's plan observes the fate (sim.ObserveFate): Data is the
 	// execution marks, in the Switch's arena until the next batch.
@@ -480,6 +493,26 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 	if err != nil {
 		return fmt.Errorf("profile: packet %d: %w", work.index(lo+k), err)
 	}
+	c.fold(work, lo, outs)
+	return nil
+}
+
+// observePipelined is observeRange on sim.ProcessPipelined: the same
+// batches and the same folds, but parsed on a second goroutine, and folded
+// on whichever goroutine is idle, while the Switch executes.
+func (c *collector) observePipelined(ctx context.Context, work replayWork, lo, hi int) error {
+	k, err := c.sw.ProcessPipelined(ctx, lo, hi, work.inputs, func(from int, outs []sim.Output) {
+		c.fold(work, from, outs)
+	})
+	if err != nil && err != ctx.Err() {
+		return fmt.Errorf("profile: packet %d: %w", work.index(k), err)
+	}
+	return err
+}
+
+// fold counts each output of the positions from lo with its position's
+// weight and records its outcome.
+func (c *collector) fold(work replayWork, lo int, outs []sim.Output) {
 	fates := c.fates[lo : lo+len(outs)]
 	for j := range outs {
 		out := &outs[j]
@@ -505,7 +538,6 @@ func (c *collector) observeBatch(work replayWork, lo, hi int) error {
 			c.lost = true
 		}
 	}
-	return nil
 }
 
 // profile expands the counted patterns into the slice's Profile: every

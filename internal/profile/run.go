@@ -4,7 +4,10 @@
 // interpreter when RunOptions.Interpret forces it), decides whether
 // flow-level deduplication applies, shards the trace when asked, and
 // reports all of it through span attributes and the profile's
-// EngineReport.
+// EngineReport. A stateful program replays on one Switch in trace order;
+// given two workers or more, that one shard is pipelined instead
+// (sim.Switch.ProcessPipelined): a second goroutine parses the next batch
+// and folds the last one while the Switch executes, with the same result.
 //
 // Flow deduplication replays one weighted representative per distinct
 // (ingress port, payload) pair — the trace's flow index, trafficgen's
@@ -36,7 +39,9 @@ import (
 // RunOptions tunes RunWith.
 type RunOptions struct {
 	// Shards is the replay worker count; <= 0 means one per CPU. Stateful
-	// programs always run on one worker.
+	// programs always replay on one Switch: at two workers or more that
+	// one shard is pipelined over two goroutines (parse and fold beside
+	// execution), at one it runs on the caller's alone.
 	Shards int
 	// Interpret forces the tree-walking interpreter — the reference engine
 	// the differential tests and bench rows compare against.
@@ -219,7 +224,8 @@ func (pr *Prepared) Profiler() *Profiler {
 // combinations, which answers only once bound to a key (BindFates).
 func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts RunOptions) (*Profile, error) {
 	n := len(trace.Packets)
-	shards := min(pool.Workers(opts.Shards), n)
+	budget := pool.Workers(opts.Shards)
+	shards := min(budget, n)
 	dedup := !opts.NoDedup
 	dedupReason := ""
 	if opts.NoDedup {
@@ -228,8 +234,12 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	// Stateful programs (registers both read and written: sketches, Bloom
 	// filters) depend on replay order and multiplicity, so they get
 	// neither sharding nor dedup. The fallback is recorded on a span so
-	// the slow path is visible.
-	if stateful := p.prep.stateful; len(stateful) > 0 && (shards > 1 || dedup) {
+	// the slow path is visible. With a budget of two workers or more the
+	// one compiled Switch is pipelined instead: a second goroutine parses
+	// and folds while it executes, in the same order.
+	stateful := p.prep.stateful
+	pipelined := len(stateful) > 0 && budget > 1 && !opts.Interpret
+	if len(stateful) > 0 && (shards > 1 || dedup) {
 		_, fsp := obs.Start(ctx, "sim.replay-fallback",
 			obs.String("reason", "stateful-tables"),
 			obs.String("tables", strings.Join(stateful, ",")))
@@ -276,6 +286,9 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	if dedup {
 		attrs = append(attrs, obs.Int("unique_packets", work.n))
 	}
+	if pipelined {
+		attrs = append(attrs, obs.Bool("pipeline", true))
+	}
 	_, sp := obs.Start(ctx, name, attrs...)
 	defer sp.End()
 	start := time.Now()
@@ -289,15 +302,15 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 		sw := sim.NewFromPlan(pl)
 		defer sw.Release()
 		col := newCollector(p, sw, fates)
-		// Check cancellation between batches: a canceled profile should
-		// stop burning CPU on a large shard.
-		for lo, hi := w*work.n/shards, (w+1)*work.n/shards; lo < hi; lo += sim.ReplayBatchSize {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := col.observeBatch(work, lo, min(lo+sim.ReplayBatchSize, hi)); err != nil {
-				return err
-			}
+		lo, hi := w*work.n/shards, (w+1)*work.n/shards
+		var err error
+		if pipelined {
+			err = col.observePipelined(ctx, work, lo, hi)
+		} else {
+			err = col.observeRange(ctx, work, lo, hi)
+		}
+		if err != nil {
+			return err
 		}
 		parts[w] = col.profile()
 		if col.lost {
@@ -333,6 +346,14 @@ type replayWork struct {
 	weights, first []int
 	flow           []int32
 	n              int
+}
+
+// inputs fills ins with the packets of positions lo, lo+1, ...
+func (w *replayWork) inputs(lo int, ins []sim.Input) {
+	for j := range ins {
+		pkt := &w.packets[w.index(lo+j)]
+		ins[j] = sim.Input{Port: pkt.Port, Data: pkt.Data}
+	}
 }
 
 // index maps a replay position to its trace index.

@@ -39,6 +39,9 @@ type cstate struct {
 	// marks is the current packet's execution marks, in the arena (fate
 	// plans only).
 	marks []byte
+	// pre holds the current packet's hashes computed at parse time, by
+	// chash.pre, when a pipelined replay computed them; nil otherwise.
+	pre []uint64
 }
 
 func (st *cstate) init(c *compiled) {
@@ -46,18 +49,6 @@ func (st *cstate) init(c *compiled) {
 	st.valid = make([]bool, c.nInsts)
 	st.extent = make([]int32, c.nInsts)
 	st.key = make([]uint64, c.maxKeys)
-}
-
-// reset readies the state for the next packet. Only the live slots need
-// zeroing: nothing lowered reads any other before storing to it.
-func (st *cstate) reset(c *compiled, skipExec bool) {
-	clear(st.fields[:c.nLive])
-	clear(st.valid)
-	st.exec = nil
-	st.skipExec = skipExec
-	st.wouldDrop = false
-	st.forwardPort = 0
-	st.hit = false
 }
 
 // record sets one table application's execution mark (fate plans) or
@@ -125,10 +116,38 @@ func (s *Switch) ProcessBatch(ins []Input, outs []Output, opts BatchOpts) (int, 
 	return len(ins), nil
 }
 
-// processCompiled is the compiled Process: parser, ingress, optional
-// egress, serialization — all over dense state, no AST in sight. It fills
-// out only when the packet ran to the end.
+// processCompiled is the compiled Process: parse, then exec, on the
+// Switch's own state. It fills out only when the packet ran to the end.
 func (s *Switch) processCompiled(in *Input, out *Output, skipExec, reuseData bool) error {
+	if err := s.cst.parse(s.plan.c, in); err != nil {
+		return err
+	}
+	return s.exec(in, out, skipExec, reuseData)
+}
+
+// parse readies st for the next packet and runs the lowered parser over it:
+// the first half of a compiled Process. It reads the packet and the plan
+// and writes st alone (no register, counter or rule), so a pipelined replay
+// runs it ahead of the Switch on a state of its own. Only the live slots
+// need zeroing: nothing lowered reads any other before storing to it, and
+// the parser stores only to live slots.
+func (st *cstate) parse(c *compiled, in *Input) error {
+	clear(st.fields[:c.nLive])
+	clear(st.valid)
+	st.forwardPort = 0
+	// Intrinsic inputs are stored raw (unmasked), as the interpreter does.
+	st.fields[c.slotIngressPort] = in.Port
+	st.fields[c.slotPacketLen] = uint64(len(in.Data))
+	if c.hasParser {
+		return st.runParser(c, in.Data)
+	}
+	return nil
+}
+
+// exec is the second half of a compiled Process: ingress, optional egress
+// and serialization over the parsed state in s.cst. It fills out only when
+// the packet ran to the end.
+func (s *Switch) exec(in *Input, out *Output, skipExec, reuseData bool) error {
 	c := s.plan.c
 	st := &s.cst
 	fate := c.observe == ObserveFate
@@ -138,16 +157,10 @@ func (s *Switch) processCompiled(in *Input, out *Output, skipExec, reuseData boo
 		skipExec = true
 		st.marks = s.plan.takeMarks(&st.arena)
 	}
-	st.reset(c, skipExec)
-	// Intrinsic inputs are stored raw (unmasked), as the interpreter does.
-	st.fields[c.slotIngressPort] = in.Port
-	st.fields[c.slotPacketLen] = uint64(len(in.Data))
-
-	if c.hasParser {
-		if err := s.runParserC(in.Data); err != nil {
-			return err
-		}
-	}
+	st.exec = nil
+	st.skipExec = skipExec
+	st.wouldDrop = false
+	st.hit = false
 	if err := s.runCode(c.ingress); err != nil {
 		return err
 	}
@@ -184,12 +197,14 @@ func (s *Switch) processCompiled(in *Input, out *Output, skipExec, reuseData boo
 
 // cstore stores a field value masked to its declared width, tracking the
 // forwarding decision exactly like the interpreter's setField.
-func (s *Switch) cstore(slot int32, v uint64) {
-	c := s.plan.c
+func (s *Switch) cstore(slot int32, v uint64) { s.cst.store(s.plan.c, slot, v) }
+
+// store is cstore on any state, the parser's included.
+func (st *cstate) store(c *compiled, slot int32, v uint64) {
 	v &= c.mask[slot]
-	s.cst.fields[slot] = v
+	st.fields[slot] = v
 	if slot == c.slotEgressSpec && v != CPUPort {
-		s.cst.forwardPort = v
+		st.forwardPort = v
 	}
 }
 
@@ -432,12 +447,21 @@ func (s *Switch) execBody(b *cBody) error {
 	return nil
 }
 
-// computeHashC packs the calculation's field values into the reusable
-// hash buffer and computes the digest — PackBits + Compute without the
-// per-call allocations.
+// computeHashC is the calculation's digest: computed at parse time, when a
+// pipelined replay loaded it with the packet, else computed now.
 func (s *Switch) computeHashC(hi int32) uint64 {
 	c := s.plan.c
 	st := &s.cst
+	if p := c.hashes[hi].pre; p >= 0 && st.pre != nil {
+		return st.pre[p]
+	}
+	return st.hash(c, hi)
+}
+
+// hash packs the calculation's field values into the reusable hash buffer
+// and computes the digest — PackBits + Compute without the per-call
+// allocations.
+func (st *cstate) hash(c *compiled, hi int32) uint64 {
 	h := &c.hashes[hi]
 	vals := st.hashVals[:0]
 	for _, f := range h.fields {
@@ -449,12 +473,10 @@ func (s *Switch) computeHashC(hi int32) uint64 {
 	return hashes.Compute(h.alg, buf, h.outWidth)
 }
 
-// runParserC executes the lowered parser graph. Truncated packets end
+// runParser executes the lowered parser graph. Truncated packets end
 // parsing early with headers parsed so far left valid, exactly like the
 // interpreter.
-func (s *Switch) runParserC(data []byte) error {
-	c := s.plan.c
-	st := &s.cst
+func (st *cstate) runParser(c *compiled, data []byte) error {
 	stateIdx := c.start
 	bitPos := 0
 	totalBits := len(data) * 8
@@ -478,7 +500,7 @@ func (s *Switch) runParserC(data []byte) error {
 				bitPos += op.bits
 				st.valid[op.inst] = true
 			} else {
-				s.cstore(op.dst, op.val.eval(st))
+				st.store(c, op.dst, op.val.eval(st))
 			}
 		}
 		if truncated {

@@ -44,8 +44,9 @@ type liveOp struct {
 // not extract it and a pure op storing to it need not run; a field outside
 // written still holds the value it was parsed with when the deparser runs, so
 // writing it back would store the bits already there (fields are 1..64 bits
-// wide, so a uint64 slot holds them whole). elided counts the declared ops no
-// lowering of this plan will emit.
+// wide, so a uint64 slot holds them whole), and a hash over fields outside
+// written has its value once the packet is parsed (finalHashes). elided
+// counts the declared ops no lowering of this plan will emit.
 func (cc *compiler) fieldLiveness() (live, written []bool, elided int) {
 	prog, ast, observe := cc.pl.prog, cc.pl.prog.AST, cc.pl.opts.Observe
 	live = make([]bool, cc.c.nSlots)

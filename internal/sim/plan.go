@@ -312,6 +312,10 @@ type chash struct {
 	outWidth int
 	fields   []cPField
 	widths   []int // same order as fields, for bit packing
+	// pre indexes the hash among those a pipelined replay may compute
+	// ahead, at parse time: -1 unless every input is a field nothing
+	// stores to after the parser (see finalHashes).
+	pre int32
 }
 
 // cCalc is one deparser-side calculated-field update.
@@ -379,7 +383,9 @@ type compiled struct {
 	ctrs []cCtrDecl
 
 	hashes []chash
-	calcs  []cCalc
+	// nPre counts the hashes a pipelined replay may compute at parse time.
+	nPre  int
+	calcs []cCalc
 
 	emits []cEmit // ObservePacket: instances with at least one may-written field
 	// ObservePacket with Options.Trailer: the trailer is appended as
@@ -612,8 +618,29 @@ func compilePlan(pl *Plan) (*compiled, error) {
 		c.trailer = &cEmit{inst: cc.instOf[inst.Name], fields: cc.instFields(inst, nil)}
 		c.trailerZero = make([]byte, (ast.HeaderType(inst.TypeName).Bits()+7)/8)
 	}
+	cc.finalHashes()
 	c.lower = cc
 	return c, nil
+}
+
+// finalHashes numbers the hashes whose value is known once the packet is
+// parsed: every input is a field no action primitive or parser statement
+// stores to, and not one the pipeline itself sets after parsing
+// (egress_spec, egress_port). Such a hash reads the same values wherever
+// the packet's execution computes it.
+func (cc *compiler) finalHashes() {
+	c := cc.c
+	for i := range c.hashes {
+		h := &c.hashes[i]
+		final := true
+		for _, f := range h.fields {
+			final = final && !cc.written[f.slot] && f.slot != c.slotEgressSpec && f.slot != c.slotEgressPort
+		}
+		if final {
+			h.pre = int32(c.nPre)
+			c.nPre++
+		}
+	}
 }
 
 // slot resolves a field reference to its slot.
@@ -1130,7 +1157,7 @@ func (cc *compiler) hash(calcName string) (int32, error) {
 	if fl == nil {
 		return 0, fmt.Errorf("sim: unknown field list %q", calc.Input)
 	}
-	h := chash{alg: alg, outWidth: calc.OutputWidth}
+	h := chash{alg: alg, outWidth: calc.OutputWidth, pre: -1}
 	for _, f := range fl.Fields {
 		s, err := cc.slot(f)
 		if err != nil {

@@ -163,7 +163,8 @@ func Compile(prog *Program, tgt Target) (*CompileResult, error) {
 // the per-shard profiles merge deterministically, so the result equals the
 // one-shard profile. Programs whose replay behavior depends on cross-packet
 // register state (Count-Min sketches, Bloom filters) are detected
-// statically and replay on one worker.
+// statically and replay on one simulator, in trace order; given two
+// workers or more, a second one parses and counts beside it.
 //
 // Under a tracer-carrying context (obs.WithTracer) instrumentation is
 // recorded as a "profile.instrument" span and the replay as "sim.replay",

@@ -137,3 +137,37 @@ func TestTableSetDefaultSurvivesOptimize(t *testing.T) {
 		t.Errorf("behaviour check: %s", eq)
 	}
 }
+
+// TestForeignTableRuleRefusedEverywhere: a rule for a table the program does
+// not declare is refused by every surface that takes the rules as given,
+// with one error: Optimize validates them against the original program
+// before it profiles, as the profile and the behaviour check do.
+func TestForeignTableRuleRefusedEverywhere(t *testing.T) {
+	const want = `rt: rule 3: unknown table "nosuch"`
+	prog, err := ParseProgram(programs.Quickstart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := ParseRules(programs.QuickstartRulesText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := ParseRules(programs.QuickstartRulesText + "table_add nosuch nop\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := trafficgen.QuickstartTrace(500, 1)
+	if _, err := Optimize(prog, bad, trace, Options{}); err == nil || err.Error() != want {
+		t.Errorf("Optimize: err = %v, want %s", err, want)
+	}
+	if _, err := RunProfile(context.Background(), prog, bad, trace, 1); err == nil || err.Error() != want {
+		t.Errorf("RunProfile: err = %v, want %s", err, want)
+	}
+	res, err := Optimize(prog, good, trace, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyEquivalence(res, bad, trace); err == nil || err.Error() != want {
+		t.Errorf("VerifyEquivalence: err = %v, want %s", err, want)
+	}
+}
