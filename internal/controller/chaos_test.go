@@ -66,10 +66,7 @@ func chaosOpts(set *faults.Set, policy DegradationPolicy) ResilientOptions {
 
 func runChaos(t *testing.T, f chaosFixture, opts ResilientOptions) *EquivalenceReport {
 	t.Helper()
-	var rec Recorded
-	rec.Original, rec.DataPlane = core.RecordedFates(f.res, f.cfg, f.trace)
-	rep, err := VerifyChaosEquivalence(context.Background(), f.res.Original, f.cfg,
-		f.res.Optimized, f.res.OptimizedConfig, f.res.ControllerProgram, f.trace, opts, rec)
+	rep, err := check(context.Background(), f.res, f.cfg, f.trace, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +75,11 @@ func runChaos(t *testing.T, f chaosFixture, opts ResilientOptions) *EquivalenceR
 
 // TestChaosNoFaultsExact: with no injectors the resilient deployment is
 // verdict-for-verdict identical to the original program — replication and
-// mirroring alone change nothing — and its report is VerifyEquivalence's,
+// mirroring alone change nothing — and its report is the lock-step one's,
 // at one replica and at two, for ex1 and for every registered workload.
 func TestChaosNoFaultsExact(t *testing.T) {
 	check := func(t *testing.T, f chaosFixture) {
-		want, err := VerifyEquivalence(context.Background(), f.res.Original, f.cfg,
-			f.res.Optimized, f.res.OptimizedConfig, f.res.ControllerProgram, f.trace)
+		want, err := lockstep(context.Background(), f.res, f.cfg, f.trace, ResilientOptions{Replicas: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +92,7 @@ func TestChaosNoFaultsExact(t *testing.T) {
 			}
 			if rep.Packets != want.Packets || rep.Redirected != want.Redirected ||
 				rep.Mismatches != want.Mismatches || rep.First != want.First {
-				t.Errorf("%d replicas: report %+v, VerifyEquivalence %+v", replicas, rep, want)
+				t.Errorf("%d replicas: report %+v, lock-step %+v", replicas, rep, want)
 			}
 			if (f.res.ControllerProgram != nil && rep.Redirected == 0) || rep.Stats.Delivered != rep.Redirected {
 				t.Errorf("%d replicas: redirected=%d delivered=%d, want equal and nonzero",

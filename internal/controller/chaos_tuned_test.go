@@ -63,11 +63,7 @@ func TestChaosTunedWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rec Recorded
-			rec.Original, rec.DataPlane = core.RecordedFates(res, cfg, tc.trace)
-			rep, err := VerifyChaosEquivalence(context.Background(), res.Original, cfg,
-				res.Optimized, res.OptimizedConfig, res.ControllerProgram, tc.trace,
-				chaosOpts(set, FailOpen), rec)
+			rep, err := check(context.Background(), res, cfg, tc.trace, chaosOpts(set, FailOpen))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,8 +32,7 @@ func TestEx1DeploymentEquivalence(t *testing.T) {
 	if res.ControllerProgram == nil {
 		t.Fatal("no controller program produced")
 	}
-	report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		res.ControllerProgram, trace)
+	report, err := check(context.Background(), res, cfg, trace, ResilientOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +45,16 @@ func TestEx1DeploymentEquivalence(t *testing.T) {
 	}
 }
 
-// TestVerifyEquivalenceAllocCeiling: the verify loop reads fates only, so
-// it must not allocate per packet. Over ex1's 20 000 packets one
-// VerifyEquivalence measured 1 796 allocations (three switches built from
-// ASTs, 400 redirects) when the fate was read off a packet-observing plan,
-// 1 280 on fate plans; with an Exec slice and a Data copy per packet per
-// switch it measured 99 800. The ceiling leaves no room for one allocation
-// per packet on any of the three switches.
+// TestVerifyEquivalenceAllocCeiling: the check reads fates only, so it must
+// not allocate per packet, not even when it replays both sides (a result
+// without its profiles), which is what it measures. Over ex1's 20 000
+// packets it measured 1 796 allocations (three switches built from ASTs,
+// 400 redirects) when the fate was read off a packet-observing plan, 1 280
+// on fate plans, and about 1 850 since both sides replay through the
+// profiler (two preparations, two replays, the vector loop); with an Exec
+// slice and a Data copy per packet per switch it measured 99 800. Reading
+// the recorded outcomes instead takes about 450. The ceiling leaves no room
+// for one allocation per packet.
 func TestVerifyEquivalenceAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply to -race builds")
@@ -66,27 +68,28 @@ func TestVerifyEquivalenceAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res.Profile, res.FinalProfile = nil, nil // both sides replay
 	allocs := testing.AllocsPerRun(3, func() {
-		report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
-			res.ControllerProgram, trace)
+		report, err := check(context.Background(), res, cfg, trace, ResilientOptions{Replicas: 1})
 		if err != nil || !report.Equivalent() {
 			t.Fatalf("verify: %v, %v", err, report)
 		}
 	})
-	t.Logf("ex1, %d packets: %.0f allocations per VerifyEquivalence", len(trace.Packets), allocs)
+	t.Logf("ex1, %d packets: %.0f allocations per check", len(trace.Packets), allocs)
 	if allocs > 4000 {
-		t.Errorf("%.0f allocations per VerifyEquivalence, want <= 4000", allocs)
+		t.Errorf("%.0f allocations per check, want <= 4000", allocs)
 	}
 }
 
-// TestVerifyEquivalenceByteCeiling: the verifier releases the original,
-// data-plane and controller switches when it is done, so a repeated check
-// runs on recycled register memory. sourceguard's two switches declare
-// 524 160 cells (4.2 MB) each: a second VerifyEquivalence measured
-// 8 475 032 bytes when every switch allocated them afresh, 248 472 with
-// recycling, 179 968 on fate plans while their arenas stayed empty, and
-// 203 576 now that they hold a batch of execution marks (the rest is three
-// lowerings and two 512-packet batches of Outputs).
+// TestVerifyEquivalenceByteCeiling: the replays and the verifier release
+// the original, data-plane and controller switches when they are done, so a
+// repeated check that replays both sides runs on recycled register memory.
+// sourceguard's two switches declare 524 160 cells (4.2 MB) each: a second
+// check measured 8 475 032 bytes when every switch allocated them afresh,
+// 248 472 with recycling, 179 968 on fate plans while their arenas stayed
+// empty, 203 576 once they held a batch of execution marks, and about
+// 201 000 since both sides replay through the profiler (the rest is two
+// preparations, two 20 000-byte outcome vectors and batch buffers).
 func TestVerifyEquivalenceByteCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings do not apply to -race builds")
@@ -97,9 +100,9 @@ func TestVerifyEquivalenceByteCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res.Profile, res.FinalProfile = nil, nil // both sides replay
 	run := func() {
-		report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
-			res.ControllerProgram, trace)
+		report, err := check(context.Background(), res, cfg, trace, ResilientOptions{Replicas: 1})
 		if err != nil || !report.Equivalent() {
 			t.Fatalf("verify: %v, %v", err, report)
 		}
@@ -110,9 +113,9 @@ func TestVerifyEquivalenceByteCeiling(t *testing.T) {
 	run()
 	runtime.ReadMemStats(&after)
 	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("sourceguard, %d packets: %d bytes allocated by a second VerifyEquivalence", len(trace.Packets), bytes)
+	t.Logf("sourceguard, %d packets: %d bytes allocated by a second check", len(trace.Packets), bytes)
 	if bytes >= 224<<10 {
-		t.Errorf("a second VerifyEquivalence allocated %d bytes, want < 224 KiB: its switches are not recycled, or they serialize packets again", bytes)
+		t.Errorf("a second check allocated %d bytes, want < 224 KiB: its switches are not recycled, or they serialize packets again", bytes)
 	}
 }
 
@@ -129,8 +132,7 @@ func TestFailureDeploymentEquivalence(t *testing.T) {
 	if res.ControllerProgram == nil {
 		t.Fatal("no controller program produced")
 	}
-	report, err := VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		res.ControllerProgram, trace)
+	report, err := check(context.Background(), res, cfg, trace, ResilientOptions{Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +217,11 @@ func simInput(p trafficgen.Packet) (in sim.Input) {
 	return sim.Input{Port: p.Port, Data: p.Data}
 }
 
-// TestVerifyEquivalenceNamesTheFailingPacket: the original switch runs a
-// batch ahead of the deployment, and a packet it fails on must still be
-// reported by its trace index — here one in the second batch.
+// TestVerifyEquivalenceNamesTheFailingPacket: a packet the original fails
+// on while core.Fates replays it is reported with the side and its trace
+// index — here one in the second batch, however the profiler splits the
+// replay (the program never reads its register, so it may shard and
+// deduplicate).
 func TestVerifyEquivalenceNamesTheFailingPacket(t *testing.T) {
 	prog := p4.MustParse(`
 header_type h_t { fields { a : 8; } }
@@ -237,8 +241,8 @@ control ingress { apply(t); }
 		}
 		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: []byte{idx}})
 	}
-	_, err := VerifyEquivalence(context.Background(), prog, nil, prog, nil, nil, trace)
-	want := "controller: original, packet " + strconv.Itoa(bad) + ": "
+	_, _, err := core.Fates(context.Background(), &core.Result{Original: prog, Optimized: prog}, nil, trace)
+	want := "core: original program: profile: packet " + strconv.Itoa(bad) + ": "
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("err = %v, want prefix %q", err, want)
 	}
@@ -279,12 +283,12 @@ control ingress { apply(seg); }
 		trace.Packets = append(trace.Packets, trafficgen.Packet{Port: 1, Data: []byte{idx}})
 	}
 	want := "controller: deployment, packet " + strconv.Itoa(bad) + ": "
-	_, err := VerifyEquivalence(context.Background(), original, nil, optimized, nil, segment, trace)
+	res := &core.Result{Original: original, Optimized: optimized, ControllerProgram: segment}
+	_, err := check(context.Background(), res, nil, trace, ResilientOptions{Replicas: 1})
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("plain: err = %v, want prefix %q", err, want)
 	}
-	_, err = VerifyChaosEquivalence(context.Background(), original, nil, optimized, nil, segment, trace,
-		ResilientOptions{Replicas: 2, sleep: noSleep}, Recorded{})
+	_, err = check(context.Background(), res, nil, trace, ResilientOptions{Replicas: 2, sleep: noSleep})
 	if err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Fatalf("two replicas: err = %v, want prefix %q", err, want)
 	}

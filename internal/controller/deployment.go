@@ -160,6 +160,7 @@ type replica struct {
 type Deployment struct {
 	mu        sync.Mutex
 	dataPlane *sim.Switch
+	offloaded bool // a segment was given
 	replicas  []*replica
 	fallback  *sim.Switch // original program; only for FallbackOriginal
 	opts      ResilientOptions
@@ -192,13 +193,15 @@ func NewResilientDeployment(optimized *p4.Program, optimizedCfg *rt.Config,
 }
 
 // newDeployment builds the composed system over a data plane already built.
-// The verifier passes a nil data plane when it reads the data plane's
-// outputs from recorded fates; such a deployment only decides verdicts.
+// The verifier passes a nil data plane: it reads the data plane's outputs
+// from outcome vectors, so its deployment only decides verdicts. With a nil
+// segment nothing was offloaded, and a packet the data plane sends to the
+// CPU is the program's own notification: it reaches no replica.
 func newDeployment(dp *sim.Switch, segment *p4.Program, fullCfg *rt.Config,
 	original *p4.Program, opts ResilientOptions) (*Deployment, error) {
 
 	opts = opts.withDefaults()
-	d := &Deployment{dataPlane: dp, opts: opts}
+	d := &Deployment{dataPlane: dp, offloaded: segment != nil, opts: opts}
 	for i := 0; i < opts.Replicas; i++ {
 		ctl, err := New(segment, fullCfg)
 		if err != nil {
@@ -247,6 +250,9 @@ func (d *Deployment) ProcessContext(ctx context.Context, in sim.Input) (Verdict,
 func (d *Deployment) verdict(ctx context.Context, in sim.Input, out *sim.Output) (Verdict, error) {
 	if !out.ToCPU {
 		return Verdict{Dropped: out.Dropped, Port: out.Port}, nil
+	}
+	if !d.offloaded {
+		return Verdict{Notified: true, Port: sim.CPUPort}, nil
 	}
 	ctx, sp := obs.Start(ctx, "controller.redirect")
 	defer sp.End()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -128,7 +129,7 @@ func (c *AnalysisCache) source(src *p4.Program, tgt tofino.Target) *derivations 
 // digest (trafficgen.Trace.Digest), running fill on a miss. A filled
 // profile's outcome vector is bound to the lookup's key before it is
 // stored (profile.Profile.BindFates), so the vector answers only a reader
-// that asks under the same program, rules and trace (RecordedFates).
+// that asks under the same program, rules and trace (Fates).
 func (c *AnalysisCache) Profile(ast *p4.Program, cfg *rt.Config, traceDigest string, fill func() (*profile.Profile, error)) (*profile.Profile, bool, error) {
 	key := profileKey(ast, cfg, traceDigest)
 	return lookup(c, &c.profiles, "profile", key, func() (*profile.Profile, error) {
@@ -225,27 +226,51 @@ func profileKey(ast *p4.Program, cfg *rt.Config, traceDigest string) analysisKey
 	return newAnalysisKey(ast, "profile", rt.Format(cfg), traceDigest)
 }
 
-// RecordedFates returns the fates the run that produced res recorded for
-// the two sides an equivalence check of res replays (controller.Recorded):
-// the original program under cfg, from res.Profile, and the optimized
-// program under res.OptimizedConfig, from res.FinalProfile, each on trace.
-// A side is nil unless its profile's replay had exactly that key: the
-// printed program, the formatted rules the check installs, and the trace
-// digest. So an edited program, any other rules (a rule for a table the
-// program lacks included, which the check refuses) or any other trace is
-// replayed, never read.
-func RecordedFates(res *Result, cfg *rt.Config, trace *trafficgen.Trace) (original, optimized []sim.Outcome) {
+// Fates returns the outcome of every trace packet under the two sides an
+// equivalence check of res compares (controller.VerifyChaosEquivalence):
+// the original program under cfg and the optimized program under
+// res.OptimizedConfig. A side is read from the vector its run recorded
+// (res.Profile for the original, res.FinalProfile for the optimized
+// program) when that replay had exactly the key the check asks under: the
+// printed program, the formatted rules and the trace digest. Any other side
+// (an edited program, other rules, another trace) is replayed through the
+// profiler, the original first. A program or rules the profiler refuses
+// fail the check with its error; a packet a side fails on, with an error
+// naming the side and the packet's trace index.
+func Fates(ctx context.Context, res *Result, cfg *rt.Config, trace *trafficgen.Trace) (original, optimized []sim.Outcome, err error) {
+	if original, err = sideFates(ctx, "original", res.Profile, res.Original, cfg, trace); err != nil {
+		return nil, nil, err
+	}
+	if optimized, err = sideFates(ctx, "optimized", res.FinalProfile, res.Optimized, res.OptimizedConfig, trace); err != nil {
+		return nil, nil, err
+	}
+	return original, optimized, nil
+}
+
+// sideFates is one side of Fates: recorded's vector when it is bound to the
+// side's key, else a replay's.
+func sideFates(ctx context.Context, side string, recorded *profile.Profile, ast *p4.Program, cfg *rt.Config,
+	trace *trafficgen.Trace) ([]sim.Outcome, error) {
+
 	if cfg == nil {
 		cfg = &rt.Config{}
 	}
-	dig := trace.Digest()
-	if res.Profile != nil {
-		original = res.Profile.Fates(profileKey(res.Original, cfg, dig))
+	key := profileKey(ast, cfg, trace.Digest())
+	if recorded != nil {
+		if fates := recorded.Fates(key); fates != nil {
+			return fates, nil
+		}
 	}
-	if res.FinalProfile != nil && res.OptimizedConfig != nil {
-		optimized = res.FinalProfile.Fates(profileKey(res.Optimized, res.OptimizedConfig, dig))
+	prep, err := profile.PrepareContext(ctx, ast, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return original, optimized
+	prof, err := prep.Profiler().RunWith(ctx, trace, profile.RunOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("core: %s program: %w", side, err)
+	}
+	prof.BindFates(key)
+	return prof.Fates(key), nil
 }
 
 // planKey content-addresses one preparation (instrumentation + plan

@@ -127,8 +127,12 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 		if err := p4.Check(reparsed); err != nil {
 			t.Fatalf("program %d: optimized does not recheck: %v\n%s", i, err, printed)
 		}
-		report, err := controller.VerifyEquivalence(context.Background(), res.Original, res.OptimizedConfig,
-			res.Optimized, res.OptimizedConfig, res.ControllerProgram, trace)
+		original, optimized, err := Fates(context.Background(), res, res.OptimizedConfig, trace)
+		if err != nil {
+			t.Fatalf("program %d: equivalence: %v\n%s", i, err, src)
+		}
+		report, err := controller.VerifyChaosEquivalence(context.Background(), res.Original, res.OptimizedConfig,
+			res.ControllerProgram, trace, controller.ResilientOptions{Replicas: 1}, original, optimized)
 		if err != nil {
 			t.Fatalf("program %d: equivalence: %v\n%s", i, err, src)
 		}

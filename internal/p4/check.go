@@ -105,6 +105,9 @@ func EnsureBuiltins(p *Program) {
 func Check(p *Program) error {
 	EnsureBuiltins(p)
 
+	if err := checkStandardMetadata(p); err != nil {
+		return err
+	}
 	if err := checkTunables(p); err != nil {
 		return err
 	}
@@ -172,6 +175,29 @@ func Check(p *Program) error {
 		return err
 	}
 	return checkControls(p, resolveField)
+}
+
+// checkStandardMetadata refuses a program that declares standard_metadata
+// other than as the builtin: the simulator reads egress_spec as nine bits
+// (the drop port is 511, a replay keeps each packet's port in a nine-bit
+// sim.Outcome), so a narrower field turns drops into CPU sends and a wider
+// one routes to ports no fate can hold.
+func checkStandardMetadata(p *Program) error {
+	ht, want := p.HeaderType(StandardMetadataType), standardMetadataType()
+	for i, f := range want.Fields {
+		if i >= len(ht.Fields) || *ht.Fields[i] != *f {
+			return fmt.Errorf("header_type %s: field %d must be the builtin %s : %d",
+				StandardMetadataType, i, f.Name, f.Width)
+		}
+	}
+	if len(ht.Fields) > len(want.Fields) {
+		return fmt.Errorf("header_type %s: %d fields, the builtin has %d",
+			StandardMetadataType, len(ht.Fields), len(want.Fields))
+	}
+	if inst := p.Instance(StandardMetadataName); inst.TypeName != StandardMetadataType || !inst.Metadata {
+		return fmt.Errorf("instance %s: must be metadata of type %s", StandardMetadataName, StandardMetadataType)
+	}
+	return nil
 }
 
 // checkTunables validates tunable ranges and rejects name collisions with

@@ -68,7 +68,7 @@ func TestInterpreterPlanBuiltOnDemand(t *testing.T) {
 }
 
 // fatesKey is the key the differential harness binds outcome vectors to; a
-// replay's own key is the pipeline's business (core.RecordedFates).
+// replay's own key is the pipeline's business (core.Fates).
 var fatesKey = [32]byte{'f', 'a', 't', 'e', 's'}
 
 // recordedFates binds the replay's vector to fatesKey and reads it back.
@@ -134,8 +134,8 @@ func TestRunWithCombinationsProfileEqual(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want, ok := out.Outcome(); !ok || refFates[i] != want {
-					t.Fatalf("packet %d: reference recorded %#x, the packet's own output packs as %#x (%v)", i, refFates[i], want, ok)
+				if want := out.Outcome(); refFates[i] != want {
+					t.Fatalf("packet %d: reference recorded %#x, the packet's own output packs as %#x", i, refFates[i], want)
 				}
 			}
 			if derived, _ := ref.SkipUnlessMissed("nosuch", nil); derived == nil || derived.Fates(fatesKey) != nil {

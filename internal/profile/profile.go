@@ -59,8 +59,8 @@ type fateVector struct {
 // BindFates binds the outcome vector of the replay that produced p to key,
 // the content key of that replay: the program, its rules and the trace.
 // Call it once, on the profile RunWith returned, before anything else reads
-// it. A profile with no vector (a derived one, or a replay whose ports did
-// not pack), or one bound already, is left as it is.
+// it. A profile with no vector (a derived one), or one bound already, is
+// left as it is.
 func (p *Profile) BindFates(key [32]byte) {
 	if p.fates.out != nil && !p.fates.bound {
 		p.fates.key, p.fates.bound = key, true
@@ -448,10 +448,8 @@ type collector struct {
 	counts   []int
 
 	drops, toCPU int
-	// fates receives the outcome of every position the collector replays;
-	// lost is set when one does not pack.
+	// fates receives the outcome of every position the collector replays.
 	fates []sim.Outcome
-	lost  bool
 	// ins/outs are per-batch scratch for the ProcessBatch path.
 	ins  []sim.Input
 	outs []sim.Output
@@ -533,10 +531,7 @@ func (c *collector) fold(work replayWork, lo int, outs []sim.Output) {
 		if out.ToCPU {
 			c.toCPU += w
 		}
-		var packed bool
-		if fates[j], packed = out.Outcome(); !packed {
-			c.lost = true
-		}
+		fates[j] = out.Outcome()
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p2go/internal/ir"
@@ -295,7 +294,6 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	parts := make([]*Profile, shards)
 	// Every shard records the outcomes of its own range of positions.
 	fates := make([]sim.Outcome, work.n)
-	var lost atomic.Bool
 	// The pool reports the lowest shard's error, so a bad packet reports
 	// the same failure whatever the worker scheduling was.
 	err := pool.ForEachIndexed(ctx, shards, shards, func(w int) error {
@@ -313,9 +311,6 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 			return err
 		}
 		parts[w] = col.profile()
-		if col.lost {
-			lost.Store(true)
-		}
 		return nil
 	})
 	if err != nil {
@@ -331,9 +326,7 @@ func (p *Profiler) RunWith(ctx context.Context, trace *trafficgen.Trace, opts Ru
 	}
 	prof.Engine = rep
 	prof.classes = parseClasses(prof.Sets)
-	if !lost.Load() {
-		prof.fates = fateVector{out: fates, flow: work.flow}
-	}
+	prof.fates = fateVector{out: fates, flow: work.flow}
 	return prof, nil
 }
 

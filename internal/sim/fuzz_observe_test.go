@@ -69,7 +69,7 @@ func fuzzPairs(f *testing.F) []levelPair {
 // its callers use, through its instrumented clone, and through the
 // interpreter at the fate level. Nothing may panic; the plans must accept
 // or reject it alike, with the same error; and where they accept, they must
-// agree on everything a fate reads: Port, Dropped, ToCPU and ForwardPort,
+// agree on everything a fate reads: their sim.Outcome and ForwardPort,
 // and the fate plan's execution marks must be the clone's profiling header
 // and the interpreter's marks. The
 // committed corpus (testdata/fuzz/FuzzObserveLevels: the first packet of
@@ -97,9 +97,9 @@ func FuzzObserveLevels(f *testing.F) {
 				continue
 			}
 			a, b := &outs[0], &outs[1]
-			if a.Port != b.Port || a.Dropped != b.Dropped || a.ToCPU != b.ToCPU || a.ForwardPort != b.ForwardPort {
-				t.Fatalf("%s: %s plan %+v forward %d, %s plan %+v forward %d",
-					p.name, p.plans[0], a.Fate(), a.ForwardPort, p.plans[1], b.Fate(), b.ForwardPort)
+			if a.Outcome() != b.Outcome() || a.ForwardPort != b.ForwardPort {
+				t.Fatalf("%s: %s plan outcome %#x forward %d, %s plan outcome %#x forward %d",
+					p.name, p.plans[0], a.Outcome(), a.ForwardPort, p.plans[1], b.Outcome(), b.ForwardPort)
 			}
 			if p.marks > 0 && !bytes.Equal(a.Data[len(a.Data)-p.marks:], b.Data) {
 				t.Fatalf("%s: %s plan's marks % x, %s plan's % x", p.name, p.plans[0], a.Data[len(a.Data)-p.marks:], p.plans[1], b.Data)

@@ -17,7 +17,24 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"time"
 )
+
+// ReplayBatchSize is the batch a replay loop hands the Switch at a time:
+// large enough to amortize the per-call accounting, small enough to keep
+// cancellation checks responsive.
+const ReplayBatchSize = 512
+
+// Throughput converts a packet count and elapsed time into packets/sec.
+// Elapsed is clamped to a minimum of one nanosecond so a replay fast
+// enough (or a clock coarse enough) to measure zero elapsed time still
+// reports a rate instead of silently dropping the attribute.
+func Throughput(packets int, elapsed time.Duration) float64 {
+	if elapsed < time.Nanosecond {
+		elapsed = time.Nanosecond
+	}
+	return float64(packets) / elapsed.Seconds()
+}
 
 // pipeDepth is the number of batch records one pipelined replay cycles
 // through: one being executed, one being folded, and up to two parsed

@@ -59,7 +59,8 @@ func replayRegisters(t *testing.T, l loaded, opts sim.Options) (fates []uint64, 
 // TestRecycledRegistersStartZero: a Switch built on a recycled slab is
 // indistinguishable from one built on fresh memory. Each program is run
 // three ways — a bare Switch (fates and final register contents), the
-// profiler, and VerifyEquivalence over its optimization — first with the
+// profiler, and the equivalence check of its optimization with both sides
+// replayed — first with the
 // free list emptied before every step, then with the free list holding what
 // replays of failure and sourceguard left in their registers.
 func TestRecycledRegistersStartZero(t *testing.T) {
@@ -80,6 +81,7 @@ func TestRecycledRegistersStartZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		res.Profile, res.FinalProfile = nil, nil // the check replays both sides
 		prep, err := profile.PrepareContext(context.Background(), l.ast, l.w.Config())
 		if err != nil {
 			t.Fatal(err)
@@ -100,8 +102,12 @@ func TestRecycledRegistersStartZero(t *testing.T) {
 				t.Fatal(err)
 			}
 			before()
-			rep, err := controller.VerifyEquivalence(context.Background(), res.Original, l.w.Config(),
-				res.Optimized, res.OptimizedConfig, res.ControllerProgram, l.trace)
+			original, optimized, err := core.Fates(context.Background(), res, l.w.Config(), l.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := controller.VerifyChaosEquivalence(context.Background(), res.Original, l.w.Config(),
+				res.ControllerProgram, l.trace, controller.ResilientOptions{Replicas: 1}, original, optimized)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +129,7 @@ func TestRecycledRegistersStartZero(t *testing.T) {
 			t.Errorf("%s: profile differs on a recycled slab: %s", name, fresh.prof.Diff(recycled.prof))
 		}
 		if !reflect.DeepEqual(fresh.verify, recycled.verify) || !recycled.verify.Equivalent() {
-			t.Errorf("%s: VerifyEquivalence on recycled slabs: %s; on fresh memory: %s", name, &recycled.verify, &fresh.verify)
+			t.Errorf("%s: equivalence check on recycled slabs: %s; on fresh memory: %s", name, &recycled.verify, &fresh.verify)
 		}
 	}
 	sim.DropFreeSlabs()

@@ -298,21 +298,13 @@ type Output struct {
 	Exec []Executed
 }
 
-// Fate is the part of an Output that decides where a packet goes: what an
-// equivalence check compares, in under a quarter of an Output's bytes.
-type Fate struct {
-	Port           uint64
-	Dropped, ToCPU bool
-}
-
-// Fate returns the output's forwarding outcome.
-func (o *Output) Fate() Fate { return Fate{Port: o.Port, Dropped: o.Dropped, ToCPU: o.ToCPU} }
-
 // Outcome is what a verdict reads of an Output, in two bytes: the dropped
 // and to-CPU flags and a nine-bit port, Port or, for a packet redirected to
 // the controller, ForwardPort (ToCPU means Port is CPUPort, so it need not
-// be kept). A replay records one per packet, so a later check of the same
-// program on the same trace reads the fates instead of replaying them.
+// be kept). Both ports are egress_spec values, which p4.Check holds to the
+// builtin nine bits. A replay records one per packet, so a later check of
+// the same program on the same trace reads the fates instead of replaying
+// them.
 type Outcome uint16
 
 const (
@@ -321,20 +313,17 @@ const (
 	outcomePort    Outcome = 1<<9 - 1
 )
 
-// Outcome packs the output; ok is false when the port it keeps needs more
-// than nine bits.
-func (o *Output) Outcome() (c Outcome, ok bool) {
+// Outcome packs the output.
+func (o *Output) Outcome() Outcome {
+	var c Outcome
 	port := o.Port
 	if o.ToCPU {
 		port, c = o.ForwardPort, outcomeToCPU
 	}
-	if port > uint64(outcomePort) {
-		return 0, false
-	}
 	if o.Dropped {
 		c |= outcomeDropped
 	}
-	return c | Outcome(port), true
+	return c | Outcome(port)&outcomePort
 }
 
 // Output unpacks the outcome into the fields a verdict reads: Port, Dropped,
@@ -345,16 +334,6 @@ func (c Outcome) Output() Output {
 		out.Port, out.ForwardPort = CPUPort, out.Port
 	}
 	return out
-}
-
-// Fate unpacks the outcome's forwarding outcome, equal to the packed
-// Output's Fate.
-func (c Outcome) Fate() Fate {
-	f := Fate{Port: uint64(c & outcomePort), Dropped: c&outcomeDropped != 0, ToCPU: c&outcomeToCPU != 0}
-	if f.ToCPU {
-		f.Port = CPUPort
-	}
-	return f
 }
 
 // state is the per-packet evaluation state.

@@ -247,13 +247,14 @@ func NewDeployment(optimized *Program, optimizedCfg *Config, segment *Program, f
 
 // VerifyEquivalence compares every packet's fate through the original
 // program with its fate through the optimized program + controller. When
-// the run offloaded nothing, the controller side is an empty pass-through
-// and the check compares the two programs directly. A side whose replay
-// the optimizer already ran is read from the fates that replay recorded
-// (res.Profile for the original, res.FinalProfile for the optimized
-// program), but only when that replay's program, rules and trace are
-// exactly the ones given here; anything else is replayed. The report is the
-// one replaying both sides gives.
+// the run offloaded nothing, no packet reaches a controller (a CPU send is
+// the program's own notification) and the check compares the two programs
+// directly. A side whose replay the optimizer already ran is read from the
+// outcomes that replay recorded (res.Profile for the original,
+// res.FinalProfile for the optimized program), but only when that replay's
+// program, rules and trace are exactly the ones given here; anything else
+// is replayed through the profiler. The report is the one replaying both
+// sides gives.
 func VerifyEquivalence(res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
 	return VerifyChaosEquivalence(context.Background(), res, cfg, trace, ResilientOptions{Replicas: 1})
 }
@@ -263,11 +264,13 @@ func VerifyEquivalence(res *Result, cfg *Config, trace *Trace) (*EquivalenceRepo
 // injection. Every verdict divergence must be explicitly flagged as a
 // counted degradation — the report's Clean() is false if any divergence
 // was silent. Redirect deliveries, retries, and degradation decisions all
-// appear as spans under the "controller.verify" root, whose original and
-// data_plane attributes say whether each side was recorded or replayed.
+// appear as spans under the "controller.verify" root; a side that had to
+// be replayed appears as its own replay span before it.
 func VerifyChaosEquivalence(ctx context.Context, res *Result, cfg *Config, trace *Trace, opts ResilientOptions) (*EquivalenceReport, error) {
-	var rec controller.Recorded
-	rec.Original, rec.DataPlane = core.RecordedFates(res, cfg, trace)
-	return controller.VerifyChaosEquivalence(ctx, res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		res.ControllerProgram, trace, opts, rec)
+	original, optimized, err := core.Fates(ctx, res, cfg, trace)
+	if err != nil {
+		return nil, err
+	}
+	return controller.VerifyChaosEquivalence(ctx, res.Original, cfg, res.ControllerProgram, trace, opts,
+		original, optimized)
 }

@@ -2,11 +2,14 @@ package p2go
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"p2go/internal/p4"
 	"p2go/internal/programs"
 	"p2go/internal/trafficgen"
+	"p2go/internal/workloads"
 )
 
 // TestFacadeQuickstart exercises the whole public API surface the way the
@@ -169,5 +172,68 @@ func TestForeignTableRuleRefusedEverywhere(t *testing.T) {
 	}
 	if _, err := VerifyEquivalence(res, bad, trace); err == nil || err.Error() != want {
 		t.Errorf("VerifyEquivalence: err = %v, want %s", err, want)
+	}
+}
+
+// TestOffloadFreeRunChecksEquivalent: a schedule that offloads nothing
+// leaves the program's own CPU sends to the data plane: the check counts
+// them as the notifications they are and hands them to no controller, so
+// failure under phase2 alone (its alarms are CPU sends) is equivalent.
+func TestOffloadFreeRunChecksEquivalent(t *testing.T) {
+	w, err := workloads.Get("failure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := w.Trace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := w.Config()
+	res, err := Optimize(p4.MustParse(w.Source), cfg, trace, Options{Passes: []string{"phase2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ControllerProgram != nil {
+		t.Fatal("phase2 alone offloaded a segment")
+	}
+	if res.Profile.ToCPU == 0 {
+		t.Fatal("failure sent nothing to the CPU: the check below shows nothing")
+	}
+	eq, err := VerifyEquivalence(res, cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eq.Equivalent() || eq.Redirected != 0 {
+		t.Errorf("behavior check: %s, want equivalent with 0 via controller", eq)
+	}
+}
+
+// TestOwnStandardMetadataRefused: a program that declares standard_metadata
+// unlike the builtin is refused when it is checked. An 8-bit egress_spec
+// would mask drop()'s 511 to the CPU port, and a 16-bit one would route to
+// ports no outcome holds. The builtin declaration itself is accepted.
+func TestOwnStandardMetadataRefused(t *testing.T) {
+	declare := func(egressSpec int) string {
+		return fmt.Sprintf(`
+header_type standard_metadata_t {
+    fields {
+        ingress_port : 9;
+        egress_spec : %d;
+        egress_port : 9;
+        packet_length : 16;
+        instance_type : 8;
+    }
+}
+metadata standard_metadata_t standard_metadata;
+`, egressSpec)
+	}
+	const want = "header_type standard_metadata_t: field 1 must be the builtin egress_spec : 9"
+	for _, width := range []int{8, 16} {
+		if _, err := ParseProgram(declare(width) + programs.Quickstart); err == nil || err.Error() != want {
+			t.Errorf("%d-bit egress_spec: err = %v, want %s", width, err, want)
+		}
+	}
+	if _, err := ParseProgram(declare(9) + programs.Quickstart); err != nil {
+		t.Errorf("the builtin declaration: %v", err)
 	}
 }

@@ -12,42 +12,79 @@ import (
 	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
+	"p2go/internal/sim"
 	"p2go/internal/workloads"
 )
 
 // The vector sweep's seed count per workload and schedule; CI raises it:
 //
 //	go test -run TestVerifierVectorsAgreeWithReplay -verify-seeds 64 .
-var verifySeeds = flag.Int("verify-seeds", 8, "seeds per workload for the verifier's recorded-fates sweep")
+var verifySeeds = flag.Int("verify-seeds", 8, "seeds per workload for the verifier's recorded-outcomes sweep")
 
-// verifySources runs the facade's check under a collector and returns the
-// report (or error) with where each side's fates came from, as the
-// controller.verify span says.
-func verifySources(res *Result, cfg *Config, trace *Trace) (rep *EquivalenceReport, original, dataPlane string, err error) {
+// verifySpans runs the facade's check under a collector and returns the
+// report (or error) with how many sides it sent to the profiler and how many
+// it replayed there: the "profile.instrument" and "sim.replay" (or
+// "sim.replay-sharded") spans in its trace. A check that reads both sides
+// from recorded outcomes has neither.
+func verifySpans(res *Result, cfg *Config, trace *Trace) (rep *EquivalenceReport, profiled, replayed int, err error) {
 	col := obs.NewCollector(0)
 	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
 	rep, err = VerifyChaosEquivalence(ctx, res, cfg, trace, ResilientOptions{Replicas: 1})
 	for _, s := range col.Spans() {
-		if s.Name != "controller.verify" {
-			continue
-		}
-		for _, a := range s.Attrs {
-			switch a.Key {
-			case "original":
-				original = a.Value
-			case "data_plane":
-				dataPlane = a.Value
-			}
+		switch s.Name {
+		case "profile.instrument":
+			profiled++
+		case "sim.replay", "sim.replay-sharded":
+			replayed++
 		}
 	}
-	return rep, original, dataPlane, err
+	return rep, profiled, replayed, err
 }
 
-// replayedReport is the reference: controller's check with no recorded
-// fates, both sides replayed.
-func replayedReport(res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
-	return controller.VerifyEquivalence(context.Background(), res.Original, cfg, res.Optimized, res.OptimizedConfig,
-		res.ControllerProgram, trace)
+// lockstepReport is the reference the check is held to: the original
+// program's Switch and the plain deployment (the optimized data plane and
+// one controller) take every packet in trace order, and each pair of fates
+// is compared on its own terms: drops alike, a CPU send answered by a
+// controller notification, any other packet on the same port.
+func lockstepReport(res *Result, cfg *Config, trace *Trace) (*EquivalenceReport, error) {
+	original, err := sim.NewFromAST(res.Original, cfg, sim.Options{Observe: sim.ObserveFate})
+	if err != nil {
+		return nil, err
+	}
+	dep, err := controller.NewDeployment(res.Optimized, res.OptimizedConfig, res.ControllerProgram, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rep := &EquivalenceReport{}
+	for i, pkt := range trace.Packets {
+		in := sim.Input{Port: pkt.Port, Data: pkt.Data}
+		want, err := original.Process(in)
+		if err != nil {
+			return nil, fmt.Errorf("original, packet %d: %w", i, err)
+		}
+		v, err := dep.Process(in)
+		if err != nil {
+			return nil, fmt.Errorf("deployment, packet %d: %w", i, err)
+		}
+		rep.Packets++
+		if v.ViaController {
+			rep.Redirected++
+		}
+		same := want.Dropped == v.Dropped && (want.Dropped ||
+			(want.ToCPU && v.Notified) || (!want.ToCPU && !v.Notified && want.Port == v.Port))
+		if same {
+			continue
+		}
+		rep.Mismatches++
+		rep.Silent++
+		if rep.First == "" {
+			rep.First = fmt.Sprintf(
+				"packet %d: original(drop=%v port=%d cpu=%v) vs deployment(drop=%v port=%d via_ctl=%v notified=%v)",
+				i, want.Dropped, want.Port, want.ToCPU, v.Dropped, v.Port, v.ViaController, v.Notified)
+		}
+	}
+	rep.Stats = dep.Stats()
+	return rep, nil
 }
 
 // sameOutcome holds two checks of one comparison to the same report, field
@@ -55,18 +92,18 @@ func replayedReport(res *Result, cfg *Config, trace *Trace) (*EquivalenceReport,
 func sameOutcome(t *testing.T, label string, got *EquivalenceReport, gotErr error, want *EquivalenceReport, wantErr error) {
 	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Errorf("%s: error %v, replayed %v", label, gotErr, wantErr)
+		t.Errorf("%s: error %v, lock-step %v", label, gotErr, wantErr)
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s:\nrecorded %+v\nreplayed %+v", label, got, want)
+		t.Errorf("%s:\ncheck     %+v\nlock-step %+v", label, got, want)
 	}
 }
 
 // TestVerifierVectorsAgreeWithReplay: for every workload, seed and schedule
 // (default, and tune first), the facade's check, which reads both sides from
-// the fates the optimizer's replays recorded, reports field for field what
-// replaying both sides reports, and never has to replay.
+// the outcomes the optimizer's replays recorded, reports field for field
+// what the lock-step reference reports, and never has to replay.
 func TestVerifierVectorsAgreeWithReplay(t *testing.T) {
 	runs, fellBack := 0, 0
 	for _, name := range workloads.Names() {
@@ -92,15 +129,15 @@ func TestVerifierVectorsAgreeWithReplay(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				want, wantErr := replayedReport(res, cfg, trace)
-				got, original, dataPlane, gotErr := verifySources(res, cfg, trace)
+				want, wantErr := lockstepReport(res, cfg, trace)
+				got, _, replayed, gotErr := verifySpans(res, cfg, trace)
 				sameOutcome(t, label, got, gotErr, want, wantErr)
 				plain, plainErr := VerifyEquivalence(res, cfg, trace)
 				sameOutcome(t, label+" (VerifyEquivalence)", plain, plainErr, want, wantErr)
 				runs++
-				if original != "recorded" || dataPlane != "recorded" {
+				if replayed > 0 {
 					fellBack++
-					t.Errorf("%s: original %s, data plane %s, want both recorded", label, original, dataPlane)
+					t.Errorf("%s: the check replayed %d side(s), want both read from recorded outcomes", label, replayed)
 				}
 			}
 		}
@@ -109,8 +146,8 @@ func TestVerifierVectorsAgreeWithReplay(t *testing.T) {
 }
 
 // TestVerifierVectorsRefuseOtherInputs: a check whose program, rules or
-// trace is not the one a recorded replay ran replays that side, and still
-// reports what replaying both sides reports.
+// trace is not the one a recorded replay ran sends that side through the
+// profiler, and still reports what the lock-step reference reports.
 func TestVerifierVectorsRefuseOtherInputs(t *testing.T) {
 	w, err := workloads.Get("ex1")
 	if err != nil {
@@ -145,23 +182,25 @@ func TestVerifierVectorsRefuseOtherInputs(t *testing.T) {
 	slices.Reverse(reversed.Packets)
 
 	for _, c := range []struct {
-		name                        string
-		res                         *Result
-		cfg                         *Config
-		trace                       *Trace
-		wantOriginal, wantDataPlane string
+		name               string
+		res                *Result
+		cfg                *Config
+		trace              *Trace
+		profiled, replayed int
 	}{
-		{"as-optimized", res, cfg, trace, "recorded", "recorded"},
-		{"edited-optimized", &edited, cfg, trace, "recorded", "replayed"},
-		{"one-rule-changed", res, changed, trace, "replayed", "recorded"},
-		{"rule-for-a-missing-table", res, extra, trace, "replayed", "recorded"},
-		{"other-trace", res, cfg, reversed, "replayed", "replayed"},
+		{"as-optimized", res, cfg, trace, 0, 0},
+		{"edited-optimized", &edited, cfg, trace, 1, 1},
+		{"one-rule-changed", res, changed, trace, 1, 1},
+		// The profiler refuses the rules before it replays anything.
+		{"rule-for-a-missing-table", res, extra, trace, 1, 0},
+		{"other-trace", res, cfg, reversed, 2, 2},
 	} {
-		want, wantErr := replayedReport(c.res, c.cfg, c.trace)
-		got, original, dataPlane, gotErr := verifySources(c.res, c.cfg, c.trace)
+		want, wantErr := lockstepReport(c.res, c.cfg, c.trace)
+		got, profiled, replayed, gotErr := verifySpans(c.res, c.cfg, c.trace)
 		sameOutcome(t, c.name, got, gotErr, want, wantErr)
-		if original != c.wantOriginal || dataPlane != c.wantDataPlane {
-			t.Errorf("%s: original %s, data plane %s; want %s, %s", c.name, original, dataPlane, c.wantOriginal, c.wantDataPlane)
+		if profiled != c.profiled || replayed != c.replayed {
+			t.Errorf("%s: %d side(s) sent to the profiler, %d replayed; want %d, %d",
+				c.name, profiled, replayed, c.profiled, c.replayed)
 		}
 		if c.name == "rule-for-a-missing-table" && gotErr == nil {
 			t.Errorf("%s: the check accepted a rule for a table the original lacks", c.name)
