@@ -470,16 +470,16 @@ var reportGolden = map[string]string{
 	"ex1":               "9d09ecbf5df8dd1656e8a533f3bee5730d776fb34eca2e719099fc9bb06b1dbb",
 	"failure":           "6f178e46a946e0b9ae854f18d0ebfeaa3237f3a30cc0e96a6019322d46bfcdd2",
 	"l2l3_acl":          "d308c524f392254730d91b19202084a882b84c54176db9e817c5f64e7fcde613",
-	"maglev":            "c9cc3845b3a1bee2b3532ed3dc771a3e6b8be947cbe27ab7521e15efd2deb998",
-	"natgre":            "8013f8d103d19af62c90939520ab7a7d03f62df1281e02ec913bced7de1a2d56",
-	"quickstart":        "5a6f1b5a0de09b588c12981a099fb7fb18c4a800a5f15021b5206d4ea50b68e2",
+	"maglev":            "ebad63f6bb6c862f73a81dbbb3f9c6958d896d7204f541b007d76c9a031f34a5",
+	"natgre":            "cdd117cebd7d96f6c1c0b2bc66463d19c5644d282f96d67d8b81e860bb733a5b",
+	"quickstart":        "9ed9a87ac6f2afd506ed91cc3d28e751e5810abd0b839411dbb69145232c41f4",
 	"sourceguard":       "02cce46776a344d2f9c7d754b90eafa0df1c4bd8ac25eb1c72e9116863241618",
-	"stress":            "1ee2525177dcbb406e9891d8f216a5107728967da23a76db99ed91d9c48bd340",
-	"syncookie":         "9df3fd498c609e6b593cce3af3bcc8f9698e42c0a61453d3fb6d52db51f6b9ae",
-	"sourceguard_-tune": "38954b99192ef64939892e259c80b6d4b00f9b39b5ab7efc9c0d872b327b8d65",
-	"failure_-tune":     "3e18258d6ed800d5d4f2ffeb7d34198b768b56f1bc8e87da348e78711b6a0435",
-	"maglev_-tune":      "78e7d4c19f3eb0b4b8db9d02515fcf2e3dba8c5db0f6be7a3d1797af61fce66a",
-	"syncookie_-tune":   "221e6f3c3dd2d0ae489852cae973ec83ae64bcd9a77f248097bf8534926f0707",
+	"stress":            "7c48ecad26fe4993c8cc12d245d5b003b363cc74e210b6ecb5e3b5dc37d29d63",
+	"syncookie":         "bc7548a448b43667f6fe72276dbc1d249579d734f5a25a574f96412ebeeb0a08",
+	"sourceguard_-tune": "8f4c4ffefd04e49439b2f0c8e60292fd9291c8a26a417d3006e2c43d3f3bc067",
+	"failure_-tune":     "fe1ad324fd385b45baca687706a2ae1e271ec9b046d3d9dcdd730af1255b7bca",
+	"maglev_-tune":      "8cc298a442766fdc837abb3bfb3534c34fc78afcf2e2434c41ef4d126f13af40",
+	"syncookie_-tune":   "432aa8552047ea57c692485ef57f239eaa6021e18888eeefd9f660c44446899f",
 }
 
 // TestOptimizeReportGolden pins the whole optimize report, which the

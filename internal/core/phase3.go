@@ -20,14 +20,23 @@ import (
 // shrunken Count-Min Sketch over-counts), the candidate is discarded and
 // the next one is tried.
 func (r *run) phase3(ctx context.Context) error {
+	pass := obs.SpanFrom(ctx)
 	rejected := map[string]bool{}
 	return iterate(ctx, "phase3.iteration", func(ctx context.Context) (bool, error) {
-		return r.phase3Once(ctx, rejected)
+		return r.phase3Once(ctx, pass, rejected)
 	})
 }
 
-func (r *run) phase3Once(ctx context.Context, rejected map[string]bool) (bool, error) {
+func (r *run) phase3Once(ctx context.Context, pass *obs.Span, rejected map[string]bool) (bool, error) {
 	baseStages := totalStages(r.compile.Mapping)
+	// A knob changes only sizes and a hash modulus, never field sets,
+	// order or primitive counts, so every probe keeps the current
+	// program's memory-free depth, and a compile never needs fewer stages
+	// than its depth: at that floor no probe can save a stage.
+	if depth := r.compile.Mapping.Depth; baseStages <= depth {
+		pass.SetAttr(obs.String("skipped", "depth-bound"), obs.Int("stages", baseStages), obs.Int("depth", depth))
+		return false, nil
+	}
 
 	// Probe: halve each table's memory knob and recompile. Each probe is
 	// an independent compile of its own clone, so they fan out over the

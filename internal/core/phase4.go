@@ -81,6 +81,13 @@ const redirectReplay = "replay"
 // profile (see redirectFromProfile). Only the winner is replayed — the run
 // needs its profile anyway — and that replay audits the derived count.
 func (r *run) phase4(ctx context.Context) error {
+	// Every candidate keeps apply(To_Ctl) in ingress, and offloading leaves
+	// egress as it is (deps builds no edge between the pipelines), so a
+	// candidate saves at most all but one ingress stage.
+	if r.compile.Mapping.StagesUsed-1 < phase4MinSavings {
+		obs.SpanFrom(ctx).SetAttr(obs.String("skipped", "one-stage"))
+		return nil
+	}
 	reports, err := r.offloadCandidates(ctx, false)
 	if err != nil {
 		return err
@@ -189,8 +196,9 @@ func (r *run) offloadCandidates(ctx context.Context, measureAll bool) ([]Candida
 // self-containedness, rewrite, compile, and the redirected traffic — from
 // the profile when it holds the count, from a replay of the candidate
 // otherwise. The stage saving is known after the compile, so unless
-// measureAll is set a candidate that saves too little is rejected before it
-// costs a replay of the whole trace.
+// measureAll is set a candidate that saves too little, or whose
+// redirectBound already sends too much of the trace to the controller, is
+// rejected before it costs a replay of the whole trace.
 func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, measureAll bool) (CandidateReport, bool) {
 	ctx, sp := obs.Start(ctx, "phase4.candidate",
 		obs.String("segment", seg.Desc),
@@ -209,9 +217,16 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 	saved := baseStages - totalStages(compiled.Mapping)
 	redirected, source, ok := r.redirectFromProfile(seg)
 	if !ok {
-		if !measureAll && saved < phase4MinSavings {
-			sp.SetAttr(obs.String("rejected", "no-stage-saved"), obs.Int("stages_saved", saved))
-			return CandidateReport{}, false
+		if !measureAll {
+			if saved < phase4MinSavings {
+				sp.SetAttr(obs.String("rejected", "no-stage-saved"), obs.Int("stages_saved", saved))
+				return CandidateReport{}, false
+			}
+			if bound := r.redirectBound(seg); r.redirectFrac(bound) > phase4MaxRedirect {
+				sp.SetAttr(obs.String("rejected", "redirect-bound"), obs.Int("stages_saved", saved),
+					obs.Int("redirect_bound", bound))
+				return CandidateReport{}, false
+			}
 		}
 		prof, err := r.doProfile(ctx, c.prog, r.cfg.Restrict(c.prog))
 		if err != nil {
@@ -225,9 +240,7 @@ func (r *run) measureSegment(ctx context.Context, seg Segment, baseStages int, m
 		StagesSaved:    saved,
 		Redirected:     redirected,
 		RedirectSource: source,
-	}
-	if total := r.prof.TotalPackets; total > 0 {
-		rep.RedirectFrac = float64(redirected) / float64(total)
+		RedirectFrac:   r.redirectFrac(redirected),
 	}
 	sp.SetAttr(obs.Int("stages_saved", rep.StagesSaved), obs.Int("redirected", redirected),
 		obs.String("redirect_source", source))
@@ -284,6 +297,36 @@ func (r *run) redirectFromProfile(seg Segment) (int, string, bool) {
 		return r.prof.TotalPackets, "profile:total", true
 	}
 	return 0, "", false
+}
+
+// redirectBound is a floor under the count a replay of seg's candidate
+// measures, read off the current profile: the largest Applied count among
+// the tables of the segment's block, nested ones included (every packet,
+// at the root). A table is applied at most once per packet entering the
+// block, and every such packet hits To_Ctl, so the bound never exceeds the
+// replayed count; where redirectFromProfile answers, it equals it.
+func (r *run) redirectBound(seg Segment) int {
+	block, err := seg.locate(r.cur)
+	if err != nil {
+		return 0
+	}
+	if len(seg.path) == 0 {
+		return r.prof.TotalPackets
+	}
+	bound := 0
+	for _, t := range p4.TablesInBlock(block) {
+		bound = max(bound, r.prof.Applied[t])
+	}
+	return bound
+}
+
+// redirectFrac is the share of the trace that redirecting n packets sends
+// to the controller.
+func (r *run) redirectFrac(n int) float64 {
+	if total := r.prof.TotalPackets; total > 0 {
+		return float64(n) / float64(total)
+	}
+	return 0
 }
 
 // enumerateSegments lists every contiguous statement run containing at

@@ -61,7 +61,9 @@ func replayRedirect(r *run, seg Segment) (int, error) {
 
 // checkDerivation asserts derived == replayed for every self-contained
 // candidate of the run's current program, and returns how many candidates
-// the profile answered and how many fell back to a replay.
+// the profile answered and how many fell back to a replay. It also holds
+// redirectBound to the replay: never above it, and equal to it wherever
+// the profile answers.
 func checkDerivation(t *testing.T, r *run) (derived, fallback int) {
 	t.Helper()
 	for _, seg := range enumerateSegments(r.cur) {
@@ -71,6 +73,11 @@ func checkDerivation(t *testing.T, r *run) (derived, fallback int) {
 		want, err := replayRedirect(r, seg)
 		if err != nil {
 			continue // not a candidate either way
+		}
+		bound := r.redirectBound(seg)
+		if bound > want {
+			t.Errorf("segment %s {%s}: redirectBound %d exceeds the %d packets a replay of the rewrite redirects\n%s",
+				seg.Desc, strings.Join(seg.Tables, ","), bound, want, p4.Print(r.cur))
 		}
 		got, source, ok := r.redirectFromProfile(seg)
 		if !ok {
@@ -82,18 +89,20 @@ func checkDerivation(t *testing.T, r *run) (derived, fallback int) {
 			t.Errorf("segment %s {%s}: %s gives %d redirected packets, replaying the rewrite gives %d\n%s",
 				seg.Desc, strings.Join(seg.Tables, ","), source, got, want, p4.Print(r.cur))
 		}
+		if bound != got {
+			t.Errorf("segment %s {%s}: redirectBound %d, but %s gives %d", seg.Desc, strings.Join(seg.Tables, ","), bound, source, got)
+		}
 	}
 	return derived, fallback
 }
 
-// TestRedirectDerivationMatchesReplay is the exactness property Phase 4
-// rests on: for every bundled workload and every generated program, at
-// every point a pass schedule can reach Phase 4 from, the redirect count
-// read off the profile equals the count a replay of the rewritten
-// candidate measures.
-func TestRedirectDerivationMatchesReplay(t *testing.T) {
+// sweepRuns runs every bundled workload (seed 1) and the generated programs
+// of seeds [0, -generator-seeds) through each schedule Phase 4 can be
+// reached from, and hands every finished run to visit. opts supplies the
+// hooks; the schedule and the accuracy table are set per run.
+func sweepRuns(t *testing.T, opts Options, visit func(r *run, bundled bool)) {
+	t.Helper()
 	schedules := [][]string{{}, {"phase2", "phase3"}}
-	var derived, fallback int
 	for _, name := range workloads.Names() {
 		w, err := workloads.Get(name)
 		if err != nil {
@@ -104,23 +113,16 @@ func TestRedirectDerivationMatchesReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		scheds := schedules
-		opts := Options{}
+		opts.TuneAccuracyTable = w.TuneAccuracyTable
 		if w.TuneAccuracyTable != "" {
 			scheds = append(scheds[:len(scheds):len(scheds)], []string{"tune", "phase2", "phase3"})
-			opts.TuneAccuracyTable = w.TuneAccuracyTable
 		}
 		for _, passes := range scheds {
 			opts.Passes = passes
-			d, f := checkDerivation(t, runThrough(t, p4.MustParse(w.Source), w.Config(), trace, opts))
-			derived, fallback = derived+d, fallback+f
+			visit(runThrough(t, p4.MustParse(w.Source), w.Config(), trace, opts), true)
 		}
 	}
-	if derived == 0 {
-		t.Fatal("no bundled workload has a candidate the profile answers")
-	}
-	t.Logf("bundled workloads: %d candidates derived, %d replayed", derived, fallback)
-
-	derived, fallback = 0, 0
+	opts.TuneAccuracyTable = ""
 	for seed := int64(0); seed < int64(*generatorSeeds); seed++ {
 		g := programs.Generate(seed)
 		cfg, err := rt.Parse(g.Rules)
@@ -132,14 +134,35 @@ func TestRedirectDerivationMatchesReplay(t *testing.T) {
 			trace.Packets = append(trace.Packets, trafficgen.Packet{Port: p.Port, Data: p.Data})
 		}
 		for _, passes := range schedules {
-			d, f := checkDerivation(t, runThrough(t, p4.MustParse(g.Source), cfg, trace, Options{Passes: passes}))
-			derived, fallback = derived+d, fallback+f
+			opts.Passes = passes
+			visit(runThrough(t, p4.MustParse(g.Source), cfg, trace, opts), false)
 		}
 	}
-	if derived == 0 {
+}
+
+// TestRedirectDerivationMatchesReplay is the exactness property Phase 4
+// rests on: for every bundled workload and every generated program, at
+// every point a pass schedule can reach Phase 4 from, the redirect count
+// read off the profile equals the count a replay of the rewritten
+// candidate measures, and redirectBound never exceeds it.
+func TestRedirectDerivationMatchesReplay(t *testing.T) {
+	var derived, fallback [2]int // generated, bundled
+	sweepRuns(t, Options{}, func(r *run, bundled bool) {
+		i := 0
+		if bundled {
+			i = 1
+		}
+		d, f := checkDerivation(t, r)
+		derived[i], fallback[i] = derived[i]+d, fallback[i]+f
+	})
+	if derived[1] == 0 {
+		t.Fatal("no bundled workload has a candidate the profile answers")
+	}
+	if derived[0] == 0 {
 		t.Fatal("no generated program has a candidate the profile answers")
 	}
-	t.Logf("%d generated programs: %d candidates derived, %d replayed", *generatorSeeds, derived, fallback)
+	t.Logf("bundled workloads: %d candidates derived, %d replayed", derived[1], fallback[1])
+	t.Logf("%d generated programs: %d candidates derived, %d replayed", *generatorSeeds, derived[0], fallback[0])
 }
 
 // ifOnlyProgram nests two mark-then-filter chains under a block that holds

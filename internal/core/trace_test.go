@@ -56,16 +56,8 @@ func TestNATGRESpanTreeGolden(t *testing.T) {
         profile.instrument tables=4
           sim.plan calcs_elided=1 fields_extracted=2 fields_total=15 observe=fate ops_elided=3
         sim.replay dedup=true engine=compiled packets=10000 unique_packets=10000
-  phase3.reduce-memory
+  phase3.reduce-memory depth=3 skipped=depth-bound stages=3
     phase3.iteration improved=false iteration=1
-      phase3.probe stages=3 table=nat value=512
-        compile stages=3
-      phase3.probe stages=3 table=gre value=512
-        compile stages=3
-      phase3.probe stages=3 table=ipv4_fwd value=1024
-        compile stages=3
-      phase3.probe stages=3 table=egress_acl value=32
-        compile stages=3
   phase4.offload
     phase4.candidate rejected=compile-failed segment=ingress[0:0] tables=nat,gre,ipv4_fwd,egress_acl
       compile

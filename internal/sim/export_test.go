@@ -8,17 +8,35 @@ func DropFreeSlabs() {
 	freeSlabs.slabs, freeSlabs.cells = nil, 0
 }
 
-// FreeSlabs reports how many slabs the free list retains and their cells.
+// FreeSlabs reports how many slabs the free list retains and their cells,
+// those still being cleared included.
 func FreeSlabs() (slabs, cells int) {
 	freeSlabs.mu.Lock()
 	defer freeSlabs.mu.Unlock()
 	for _, s := range freeSlabs.slabs {
-		cells += cap(s)
+		cells += cap(s.cells)
 	}
 	if cells != freeSlabs.cells {
 		panic("sim: the free list's cell count disagrees with its slabs")
 	}
 	return len(freeSlabs.slabs), cells
+}
+
+// WaitSlabClears waits until every slab the free list retains is clean.
+func WaitSlabClears() {
+	f := &freeSlabs
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for {
+		pending := false
+		for _, s := range f.slabs {
+			pending = pending || !s.clean
+		}
+		if !pending {
+			return
+		}
+		f.ready.Wait()
+	}
 }
 
 // LoweredStores lists the destination fields of the field-storing ops the

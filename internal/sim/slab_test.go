@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -59,8 +60,8 @@ func TestRegisterFreeListBounded(t *testing.T) {
 	}
 	freeSlabs.mu.Lock()
 	for _, s := range freeSlabs.slabs {
-		if cap(s) > maxFreeSlabCells {
-			t.Errorf("retained a slab of %d cells, over the per-slab limit %d", cap(s), maxFreeSlabCells)
+		if cap(s.cells) > maxFreeSlabCells {
+			t.Errorf("retained a slab of %d cells, over the per-slab limit %d", cap(s.cells), maxFreeSlabCells)
 		}
 	}
 	freeSlabs.mu.Unlock()
@@ -91,24 +92,45 @@ func TestRegisterFreeListBounded(t *testing.T) {
 }
 
 // TestTakeSlabZeroes: a recycled slab comes back zeroed over the cells
-// asked for, whatever the last owner left in it.
+// asked for, whatever the last owner left in it. The clearer zeroes it
+// before it is taken — a taker only waits for a clear still running — and
+// a taker arriving at once gets zeroes too.
 func TestTakeSlabZeroes(t *testing.T) {
 	DropFreeSlabs()
 	defer DropFreeSlabs()
-	dirty := make([]uint64, 1000)
-	for i := range dirty {
-		dirty[i] = ^uint64(0)
+	dirty := func() []uint64 {
+		d := make([]uint64, 1000)
+		for i := range d {
+			d[i] = ^uint64(0)
+		}
+		return d
 	}
-	putSlab(dirty[:10]) // a short length does not hide the capacity
-	got := takeSlab(1000)
-	if &got[0] != &dirty[0] {
-		t.Fatal("the retained slab was not reused")
-	}
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("cell %d of a recycled slab is %#x", i, v)
+	zero := func(what string, cells []uint64) {
+		t.Helper()
+		for i, v := range cells {
+			if v != 0 {
+				t.Fatalf("%s: cell %d is %#x", what, i, v)
+			}
 		}
 	}
+
+	d := dirty()
+	putSlab(d[:10]) // a short length does not hide the capacity
+	WaitSlabClears()
+	zero("a retained slab once its clear is done", d)
+	got := takeSlab(1000)
+	if &got[0] != &d[0] {
+		t.Fatal("the retained slab was not reused")
+	}
+	zero("a recycled slab", got)
+
+	d = dirty()
+	putSlab(d[:10])
+	got = takeSlab(1000)
+	if &got[0] != &d[0] {
+		t.Fatal("the retained slab was not reused")
+	}
+	zero("a slab taken right after its release", got)
 }
 
 // TestReleaseIsIdempotentAndFinal: Release twice retains the slab once, and
@@ -148,4 +170,35 @@ func TestReleaseIsIdempotentAndFinal(t *testing.T) {
 		next.Release()
 	}
 	DropFreeSlabs()
+}
+
+// TestSlabRecyclingConcurrent: takers and releasers on several goroutines,
+// racing the clearer, still get only zeroed slabs, and the list's count of
+// cells stays consistent (run it under -race).
+func TestSlabRecyclingConcurrent(t *testing.T) {
+	DropFreeSlabs()
+	defer DropFreeSlabs()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				slab := takeSlab(512 + 256*((g+i)%4))
+				for j, v := range slab {
+					if v != 0 {
+						t.Errorf("goroutine %d, take %d: cell %d is %#x", g, i, j, v)
+						return
+					}
+					slab[j] = ^uint64(0)
+				}
+				putSlab(slab)
+			}
+		}(g)
+	}
+	wg.Wait()
+	WaitSlabClears()
+	if slabs, cells := FreeSlabs(); slabs > maxFreeSlabs || cells > maxFreeCells {
+		t.Errorf("free list holds %d slabs, %d cells; bounds are %d and %d", slabs, cells, maxFreeSlabs, maxFreeCells)
+	}
 }

@@ -194,6 +194,15 @@ type Mapping struct {
 	// program has no egress control).
 	EgressStagesUsed int
 	Fits             bool
+	// Depth is the memory-free depth: the stages the same dependency edges
+	// and control order would need if no table held memory and no stage ran
+	// out of table slots or ALUs, per pipeline and summed like
+	// StagesUsed + EgressStagesUsed. Each table's memory-free stage is at
+	// most its First stage (induction over control order: its lower bound
+	// comes from stages that are themselves no later), so Depth never
+	// exceeds the stage total for any memory sizes. Changing only sizes
+	// leaves it unchanged.
+	Depth int
 
 	byTable map[string]*Placement
 }
@@ -273,8 +282,12 @@ func Allocate(prog *ir.Program, g DependencyEdges, tgt Target) (*Mapping, error)
 		p4.EgressControl:  newStates(),
 	}
 	m := &Mapping{Target: tgt, byTable: map[string]*Placement{}}
-	lastStage := map[string]int{}
-	prevLast := map[string]int{}
+	// Per table and per pipeline (its latest table): the last stage, and
+	// the stage the table would take if no table held memory and no stage
+	// ran out of slots or ALUs. Both only grow in control order.
+	type reach struct{ last, depth int }
+	at := map[string]reach{}
+	prev := map[string]reach{}
 	for _, t := range prog.Ordered {
 		cost := TableCost(prog, t)
 		atomicBytes := cost.RegisterBytes
@@ -285,13 +298,11 @@ func Allocate(prog *ir.Program, g DependencyEdges, tgt Target) (*Mapping, error)
 		if atomicBytes > tgt.StageSRAMBytes {
 			return nil, &ErrRegisterTooLarge{Table: t.Name, Bytes: atomicBytes, Limit: tgt.StageSRAMBytes}
 		}
-		minStage := 1
-		if prevLast[t.Pipeline] > minStage {
-			minStage = prevLast[t.Pipeline]
-		}
+		minStage, depth := max(1, prev[t.Pipeline].last), max(1, prev[t.Pipeline].depth)
 		for _, pred := range g.Predecessors(t.Name) {
-			if s, ok := lastStage[pred]; ok && s+1 > minStage {
-				minStage = s + 1
+			if p, ok := at[pred]; ok {
+				minStage = max(minStage, p.last+1)
+				depth = max(depth, p.depth+1)
 			}
 		}
 		pl, err := place(t.Name, cost, atomicBytes > 0, pipelineStates[t.Pipeline], minStage, maxStages)
@@ -301,7 +312,8 @@ func Allocate(prog *ir.Program, g DependencyEdges, tgt Target) (*Mapping, error)
 		pl.Pipeline = t.Pipeline
 		m.Placements = append(m.Placements, pl)
 		m.byTable[t.Name] = pl
-		lastStage[t.Name] = pl.Last
+		at[t.Name] = reach{pl.Last, depth}
+		prev[t.Pipeline] = at[t.Name]
 		switch t.Pipeline {
 		case p4.EgressControl:
 			if pl.Last > m.EgressStagesUsed {
@@ -312,9 +324,11 @@ func Allocate(prog *ir.Program, g DependencyEdges, tgt Target) (*Mapping, error)
 				m.StagesUsed = pl.Last
 			}
 		}
-		prevLast[t.Pipeline] = pl.Last
 	}
 	m.Fits = m.StagesUsed <= tgt.Stages && m.EgressStagesUsed <= tgt.Stages
+	for _, p := range prev {
+		m.Depth += p.depth
+	}
 	return m, nil
 }
 

@@ -2,6 +2,9 @@ package trafficgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"p2go/internal/packet"
@@ -322,5 +325,54 @@ func TestPrefixHonoursSpec(t *testing.T) {
 	sc := SynCookieSpec{Seed: 3, Clients: 20, AttackSyns: 50, AttackAcks: 30}
 	for _, n := range []int{1, 80, 159} {
 		equal("syncookie", SynCookiePrefix(sc, n), SynCookieTrace(sc), n)
+	}
+}
+
+// TestDigestMatchesPerPacketStream holds the chunked digest to the stream
+// it hashes, written one field at a time: port, frame length, frame. The
+// cases put frames on both sides of every chunk boundary, fill a chunk
+// exactly, and include empty frames and frames larger than a chunk.
+func TestDigestMatchesPerPacketStream(t *testing.T) {
+	reference := func(packets []Packet) string {
+		h := sha256.New()
+		var n [8]byte
+		for _, pkt := range packets {
+			binary.BigEndian.PutUint64(n[:], pkt.Port)
+			h.Write(n[:])
+			binary.BigEndian.PutUint64(n[:], uint64(len(pkt.Data)))
+			h.Write(n[:])
+			h.Write(pkt.Data)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	frame := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + n)
+		}
+		return b
+	}
+	cases := map[string][]int{
+		"none":         nil,
+		"empty frames": {0, 0, 0},
+		"exact chunk":  {digestChunk - 16, 0, 60},
+		"straddle":     {digestChunk - 20, 8, digestChunk - 16, 1},
+		"jumbo":        {60, digestChunk, 3 * digestChunk, 0, digestChunk - 15},
+		"many small":   nil,
+	}
+	for i := 0; i < 5000; i++ {
+		cases["many small"] = append(cases["many small"], 40+i%90)
+	}
+	for name, sizes := range cases {
+		var packets []Packet
+		for i, n := range sizes {
+			packets = append(packets, Packet{Port: uint64(i % 5), Data: frame(n)})
+		}
+		// Twice: the second call reuses the first one's buffer.
+		for round := 0; round < 2; round++ {
+			if got, want := digestPackets(packets), reference(packets); got != want {
+				t.Errorf("%s, round %d: digest %s, per-packet stream %s", name, round, got, want)
+			}
+		}
 	}
 }
