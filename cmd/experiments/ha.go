@@ -1,8 +1,9 @@
 // The -ha chaos proof: a fleet workload against an in-process replica
 // group, with one replica kill -9'd mid-run. The surviving replicas must
 // detect the death via lease expiry, reclaim the journaled job, finish
-// the remaining device rows (completed rows come back from the shared
-// spill), and produce a final report equivalent to an uninterrupted run.
+// the remaining device rows (completed rows come back from the job's
+// checkpoint in the shared directory — at least every row journaled before
+// the kill), and produce a final report equivalent to an uninterrupted run.
 package main
 
 import (
@@ -112,8 +113,14 @@ func runHAChaos(short bool, seed int64) error {
 	}
 	killedAt := time.Now()
 	victim.m.Kill()
-	fmt.Printf("kill -9 %s mid-run (job %s, %d-device fleet, lease TTL %s)\n",
-		victim.id, st.ID, devices, ttl)
+	// Kill closes the victim's journal before anything else, so these are
+	// the device lines it wrote; each row reached the checkpoint first.
+	journaled, err := journaledRows(victim.node.JournalPath(victim.id), st.ID)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("kill -9 %s mid-run (job %s, %d-device fleet, %d device rows journaled, lease TTL %s)\n",
+		victim.id, st.ID, devices, journaled, ttl)
 
 	// A survivor's cluster loop must notice the expired membership lease,
 	// reclaim the job from the victim's journal, and finish it under the
@@ -167,10 +174,30 @@ func runHAChaos(short bool, seed int64) error {
 			cached++
 		}
 	}
-	fmt.Printf("equivalence: report matches the baseline (%d devices; %d rows re-served from the shared spill, %d recomputed)\n",
+	if cached < journaled {
+		return fmt.Errorf("%d rows re-served after the kill, but %d were journaled before it, each checkpointed before its line",
+			cached, journaled)
+	}
+	fmt.Printf("equivalence: report matches the baseline (%d devices; %d rows re-served from the checkpoint, %d recomputed)\n",
 		haRes.DeviceCount, cached, haRes.DeviceCount-cached)
 	fmt.Printf("metrics: %d takeover(s) counted across %d survivor(s)\n", takeovers, len(survivors))
 	return nil
+}
+
+// journaledRows counts the optimized device rows of a job in a journal.
+func journaledRows(path, jobID string) (int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		var e struct{ Op, ID, State string }
+		if json.Unmarshal(line, &e) == nil && e.Op == "device" && e.ID == jobID && e.State == report.FleetOptimized {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // metricValue digs one counter out of a manager's Prometheus exposition.

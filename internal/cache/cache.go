@@ -68,6 +68,11 @@ func NewCache(maxEntries int, dir string) *Cache {
 	}
 }
 
+// Dir is the spill directory, "" for a memory-only cache. Callers that keep
+// files of their own beside the spill (p2god's fleet checkpoints) put them
+// here.
+func (c *Cache) Dir() string { return c.dir }
+
 // SetFaults wires a fault-injection set into the spill layer: SlowDisk
 // events delay spill reads and writes, modeling a degraded shared disk.
 // Call before the cache sees traffic.

@@ -11,6 +11,7 @@ import (
 	"p2go/internal/p4"
 	"p2go/internal/programs"
 	"p2go/internal/rt"
+	"p2go/internal/tofino"
 	"p2go/internal/trafficgen"
 	"p2go/internal/workloads"
 )
@@ -491,6 +492,43 @@ func TestPhase4SkipsReplayItWouldDiscard(t *testing.T) {
 			t.Errorf("offload-report did not replay the candidate that saves no stage: %+v", rep)
 		case !measureAll && rep != nil:
 			t.Errorf("phase4 still reports the candidate it would discard: %+v", rep)
+		}
+	}
+}
+
+// TestOffloadProgramsKeepCalculations: pruning keeps the calculations a
+// calculated_field names, so no Phase 4 child or controller program of a
+// bundled workload fails to compile for want of one. natgre's four
+// self-contained candidates all did: the pruner dropped ipv4_checksum,
+// which only the checksum's calculated_field names.
+func TestOffloadProgramsKeepCalculations(t *testing.T) {
+	for _, name := range workloads.Names() {
+		w, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := w.Trace(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, passes := range [][]string{{}, {"phase2", "phase3"}} {
+			r := runThrough(t, p4.MustParse(w.Source), w.Config(), trace, Options{Passes: passes})
+			for _, seg := range enumerateSegments(r.cur) {
+				c := r.offloadChild(seg)
+				if c.prog == nil {
+					continue
+				}
+				ctl, err := r.controllerProgram(seg)
+				if err != nil {
+					t.Fatalf("%s %v: segment %s: controller program: %v", name, passes, seg.Desc, err)
+				}
+				for kind, prog := range map[string]*p4.Program{"phase 4 child": c.prog, "controller program": ctl} {
+					_, err := tofino.Compile(p4.Clone(prog), r.tgt)
+					if err != nil && strings.Contains(err.Error(), "unknown calculation") {
+						t.Errorf("%s %v: segment %s: %s does not compile: %v", name, passes, seg.Desc, kind, err)
+					}
+				}
+			}
 		}
 	}
 }

@@ -505,6 +505,15 @@ func pruneUnused(ast *p4.Program) {
 	usedCounters := map[string]bool{}
 	usedCalcs := map[string]bool{}
 	usedFieldLists := map[string]bool{}
+	// A calculated_field names its calculations outside any action: the
+	// deparser updates (and the parser verifies) the field whatever runs.
+	for _, cf := range ast.CalcFields {
+		for _, calc := range []string{cf.Update, cf.Verify} {
+			if calc != "" {
+				usedCalcs[calc] = true
+			}
+		}
+	}
 	for _, t := range ast.Tables {
 		if !applied[t.Name] {
 			continue

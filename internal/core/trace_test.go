@@ -59,17 +59,17 @@ func TestNATGRESpanTreeGolden(t *testing.T) {
   phase3.reduce-memory depth=3 skipped=depth-bound stages=3
     phase3.iteration improved=false iteration=1
   phase4.offload
-    phase4.candidate rejected=compile-failed segment=ingress[0:0] tables=nat,gre,ipv4_fwd,egress_acl
-      compile
+    phase4.candidate redirect_source=profile:total redirected=10000 segment=ingress[0:0] stages_saved=2 tables=nat,gre,ipv4_fwd,egress_acl
+      compile stages=1
     phase4.candidate rejected=not-self-contained segment=ingress.0.then[0:0] tables=nat,gre
     phase4.candidate rejected=not-self-contained segment=ingress.0.then[0:1] tables=nat,gre,ipv4_fwd
-    phase4.candidate rejected=compile-failed segment=ingress.0.then[0:2] tables=nat,gre,ipv4_fwd,egress_acl
-      compile
+    phase4.candidate redirect_source=profile:nat redirected=10000 segment=ingress.0.then[0:2] stages_saved=2 tables=nat,gre,ipv4_fwd,egress_acl
+      compile stages=1
     phase4.candidate rejected=not-self-contained segment=ingress.0.then[1:1] tables=ipv4_fwd
-    phase4.candidate rejected=compile-failed segment=ingress.0.then[1:2] tables=ipv4_fwd,egress_acl
-      compile
-    phase4.candidate rejected=compile-failed segment=ingress.0.then[2:2] tables=egress_acl
-      compile
+    phase4.candidate redirect_source=profile:nat redirected=10000 segment=ingress.0.then[1:2] stages_saved=2 tables=ipv4_fwd,egress_acl
+      compile stages=1
+    phase4.candidate redirect_source=profile:nat redirected=10000 segment=ingress.0.then[2:2] stages_saved=0 tables=egress_acl
+      compile stages=3
     phase4.candidate rejected=not-self-contained segment=ingress.0.then.0.miss[0:0] tables=gre
 `
 	got := collectNATGRE(t)

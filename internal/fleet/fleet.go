@@ -26,10 +26,10 @@ const skipEmptyTrace = "no packets reached the device (empty trace; P2GO needs a
 
 // DeviceCache stores finished per-device rows across fleet runs, keyed by
 // a content digest of the device's inputs (program, rules, observed
-// trace, pass schedule, target). p2god plugs its LRU + disk-spill cache
-// in here, which is what lets a fleet job killed mid-run recompute only
-// the devices that had not finished. Implementations must be safe for
-// concurrent use; Get returning false means "compute it".
+// trace, pass schedule, target). p2god plugs in its memory LRU and a
+// per-job checkpoint file, which is what lets a fleet job killed mid-run
+// recompute only the devices that had not finished. Implementations must
+// be safe for concurrent use; Get returning false means "compute it".
 type DeviceCache interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, data []byte)

@@ -2,9 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"log/slog"
 	"net/http"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -229,6 +234,25 @@ func TestFleetCrossJobAnalysisCache(t *testing.T) {
 
 func specPtr(s fleet.Spec) *fleet.Spec { return &s }
 
+// writeCheckpoint runs the fleet through the checkpoint writer of a manager
+// over the spill directory dir, filing its rows under digest, and returns
+// the checkpoint it wrote.
+func writeCheckpoint(tb testing.TB, dir string, spec fleet.Spec, digest string) []byte {
+	tb.Helper()
+	m := NewManager(ManagerConfig{Cache: NewCache(0, dir)})
+	rows := m.openDeviceCache(digest)
+	_, err := fleet.Run(context.Background(), spec, fleet.Options{DeviceCache: rows})
+	rows.close()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(m.checkpointPath(digest))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // deviceRowKey extracts the fields of a device row that are deterministic
 // across runs (timings and cache provenance are not).
 type deviceRowKey struct {
@@ -257,7 +281,7 @@ func rowKeys(t testing.TB, res *report.FleetResult) []deviceRowKey {
 // TestFleetJournalRecovery is the crash-recovery satellite: a fleet job
 // accepted but unfinished when the process dies (kill -9 leaves an
 // accepted record with no terminal record) is recovered on restart, and
-// — because finished device rows spilled through the artifact cache —
+// — because finished device rows were appended to the job's checkpoint —
 // only the devices that had not finished are recomputed. The recovered
 // result equals an uninterrupted run.
 func TestFleetJournalRecovery(t *testing.T) {
@@ -277,18 +301,13 @@ func TestFleetJournalRecovery(t *testing.T) {
 	base.Drain(5 * time.Second)
 
 	// "First boot": the daemon finishes two of the three devices before
-	// dying. A partial fleet over the same device inputs produces exactly
-	// the spilled device rows a killed 3-device fleet would have left —
+	// dying. A partial fleet over the same device inputs, run through the
+	// manager's own checkpoint writer under the full fleet's digest, leaves
+	// exactly the checkpoint a killed 3-device fleet would have left —
 	// device keys depend on program, rules, trace, passes, and target,
 	// not on the enclosing fleet.
-	m1 := NewManager(ManagerConfig{Workers: 1, QueueDepth: 4, Cache: NewCache(0, cacheDir)})
-	m1.Start()
-	partSt, err := m1.Submit(JobSpec{Kind: "fleet", Fleet: specPtr(fleet.Synthetic("quickstart", 2, 1, 30))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitFleet(t, m1, partSt.ID)
-	m1.Drain(5 * time.Second)
+	writeCheckpoint(t, cacheDir, fleet.Synthetic("quickstart", 2, 1, 30),
+		JobSpec{Kind: "fleet", Fleet: specPtr(fullSpec)}.RouteKey())
 
 	// The kill -9 journal: the full fleet was accepted (and two device
 	// rows recorded mid-flight) but never finished.
@@ -330,7 +349,7 @@ func TestFleetJournalRecovery(t *testing.T) {
 	recovered := awaitFleet(t, m2, m2.List()[0].ID)
 
 	// Only the unfinished device recomputed: the two finished before the
-	// crash come back from the spilled device cache.
+	// crash come back from the checkpoint.
 	cachedByDevice := map[string]bool{}
 	for _, row := range recovered.Devices {
 		cachedByDevice[row.Device] = row.Cached
@@ -365,5 +384,214 @@ func TestFleetJournalRecovery(t *testing.T) {
 	}
 	if len(pending2) != 0 {
 		t.Errorf("journal still pending after recovery: %+v", pending2)
+	}
+}
+
+// fleetRowFiles lists the files in a spill directory that hold fleet device
+// rows: checkpoints, and the per-row spill files an older p2god wrote.
+func fleetRowFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	for _, pattern := range []string{"fleetckpt_*", "fleetdev_*"} {
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, files...)
+	}
+	return out
+}
+
+// TestDoneFleetsLeaveNoRowFiles: a fleet that ends done removes its
+// checkpoint once its report is stored, so N cold fleets leave their N
+// reports in the spill directory and no row file. Spilling each row to a
+// file of its own left one per optimized device, and nothing removed them.
+func TestDoneFleetsLeaveNoRowFiles(t *testing.T) {
+	dir := t.TempDir()
+	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 4, Cache: NewCache(0, dir)})
+	m.Start()
+	t.Cleanup(func() { m.Drain(5 * time.Second) })
+	const fleets, devices = 3, 4
+	for i := int64(0); i < fleets; i++ {
+		st, err := m.Submit(JobSpec{Kind: "fleet", Fleet: specPtr(fleet.Synthetic("quickstart", devices, 100*i+1, 30))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := awaitFleet(t, m, st.ID); res.Optimized != devices {
+			t.Fatalf("fleet %d optimized %d of %d devices", i, res.Optimized, devices)
+		}
+	}
+	if files := fleetRowFiles(t, dir); len(files) != 0 {
+		t.Errorf("%d done fleets left row files: %v", fleets, files)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != fleets {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("spill directory holds %v, want the %d fleet reports alone", names, fleets)
+	}
+}
+
+// logHook is a slog handler that hands every record to a function.
+type logHook func(slog.Record)
+
+func (h logHook) Enabled(context.Context, slog.Level) bool      { return true }
+func (h logHook) Handle(_ context.Context, r slog.Record) error { h(r); return nil }
+func (h logHook) WithAttrs([]slog.Attr) slog.Handler            { return h }
+func (h logHook) WithGroup(string) slog.Handler                 { return h }
+
+// TestCanceledFleetCheckpointServesResubmission: a fleet canceled after its
+// first device keeps its checkpoint, and the same spec submitted to a
+// restarted daemon over the same directory is served that row from it,
+// computes the rest, and ends with the rows an uninterrupted run gives.
+func TestCanceledFleetCheckpointServesResubmission(t *testing.T) {
+	dir := t.TempDir()
+	spec := fleet.Synthetic("quickstart", 3, 7, 30)
+	spec.DeviceParallelism = 1 // one device at a time: the cancel lands between rows
+	job := JobSpec{Kind: "fleet", Fleet: &spec}
+
+	base := NewManager(ManagerConfig{Workers: 1, QueueDepth: 4})
+	base.Start()
+	baseSt, err := base.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := awaitFleet(t, base, baseSt.ID)
+	base.Drain(5 * time.Second)
+
+	// Cancel the job from inside its first device's log line.
+	var m1 *Manager
+	m1 = NewManager(ManagerConfig{Workers: 1, QueueDepth: 4, Cache: NewCache(0, dir),
+		Logger: slog.New(logHook(func(r slog.Record) {
+			if r.Message != "fleet device finished" {
+				return
+			}
+			r.Attrs(func(a slog.Attr) bool {
+				if a.Key == "job_id" {
+					m1.Cancel(a.Value.String())
+				}
+				return true
+			})
+		}))})
+	m1.Start()
+	st, err := m1.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ = m1.Wait(context.Background(), st.ID, time.Minute, false); st.State != StateCanceled {
+		t.Fatalf("fleet ended %s (%s), want canceled", st.State, st.Error)
+	}
+	m1.Drain(5 * time.Second)
+	if files := fleetRowFiles(t, dir); len(files) != 1 {
+		t.Fatalf("canceled fleet left row files %v, want its checkpoint", files)
+	}
+
+	m2 := NewManager(ManagerConfig{Workers: 1, QueueDepth: 4, Cache: NewCache(0, dir)})
+	m2.Start()
+	t.Cleanup(func() { m2.Drain(5 * time.Second) })
+	st2, err := m2.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := awaitFleet(t, m2, st2.ID)
+	for i, row := range res.Devices {
+		if row.Cached != (i == 0) {
+			t.Errorf("row %s cached=%v; want only the device finished before the cancel served", row.Device, row.Cached)
+		}
+	}
+	gotJSON, _ := json.Marshal(rowKeys(t, res))
+	wantJSON, _ := json.Marshal(rowKeys(t, baseline))
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("resumed fleet diverged from the uninterrupted run:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+	if files := fleetRowFiles(t, dir); len(files) != 0 {
+		t.Errorf("the resumed fleet ended done and left %v", files)
+	}
+}
+
+// TestDamagedCheckpointRecordsRecomputed: a checkpoint record with a flipped
+// byte, or cut short, is never served, and neither is anything after it;
+// those devices are recomputed to the rows a fresh run gives, and appended
+// where the bad record began.
+func TestDamagedCheckpointRecordsRecomputed(t *testing.T) {
+	spec := fleet.Synthetic("quickstart", 2, 11, 30)
+	spec.DeviceParallelism = 1 // records in device order
+	job := JobSpec{Kind: "fleet", Fleet: &spec}
+	digest := job.RouteKey()
+
+	base := NewManager(ManagerConfig{Workers: 1, QueueDepth: 4})
+	base.Start()
+	baseSt, err := base.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rowKeys(t, awaitFleet(t, base, baseSt.ID))
+	base.Drain(5 * time.Second)
+
+	whole := writeCheckpoint(t, t.TempDir(), spec, digest)
+	rows, n := parseCheckpoint(whole)
+	if len(rows) != 2 || n != len(whole) {
+		t.Fatalf("checkpoint of a 2-device fleet: %d rows in %d of %d bytes", len(rows), n, len(whole))
+	}
+	// The first record ends where its lengths say.
+	first := checkpointHeader + checkpointTrailer +
+		int(binary.BigEndian.Uint32(whole)) + int(binary.BigEndian.Uint32(whole[4:]))
+	flipped := func(at int) []byte {
+		b := bytes.Clone(whole)
+		b[at] ^= 0x40
+		return b
+	}
+	for _, tc := range []struct {
+		name   string
+		ckpt   []byte
+		served int // leading devices served from the checkpoint
+	}{
+		{"whole", whole, 2},
+		{"second record's row flipped", flipped(len(whole) - 20), 1},
+		{"second record's length flipped", flipped(first + 6), 1},
+		{"second record's CRC flipped", flipped(len(whole) - 1), 1},
+		{"first record's row flipped", flipped(first / 2), 0},
+		{"torn at the last byte", whole[:len(whole)-1], 1},
+		{"torn in the second header", whole[:first+5], 1},
+		{"torn in the first record", whole[:first-1], 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "fleetckpt_"+digest), tc.ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 4, Cache: NewCache(0, dir)})
+			m.Start()
+			defer m.Drain(5 * time.Second)
+			st, err := m.Submit(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := awaitFleet(t, m, st.ID)
+			for i, row := range res.Devices {
+				if row.Cached != (i < tc.served) {
+					t.Errorf("row %s cached=%v, want the first %d served", row.Device, row.Cached, tc.served)
+				}
+			}
+			if got := rowKeys(t, res); !slices.Equal(got, want) {
+				t.Errorf("rows %+v, want %+v", got, want)
+			}
+		})
+	}
+
+	// A run's first append cuts a torn tail off, so the rows it appends are
+	// served after it.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fleetckpt_"+digest), whole[:len(whole)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed := writeCheckpoint(t, dir, spec, digest)
+	if rows, n := parseCheckpoint(resumed); len(rows) != 2 || n != len(resumed) {
+		t.Errorf("checkpoint resumed after a torn tail: %d rows in %d of %d bytes, want 2 in all", len(rows), n, len(resumed))
 	}
 }

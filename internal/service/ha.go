@@ -83,7 +83,7 @@ func (m *Manager) RenewJobLeases() {
 // Re-running a reclaimed job is cheap in proportion to how far the dead
 // replica got: single jobs re-serve straight from the shared artifact
 // cache if the result landed, and fleet jobs recompute only the device
-// rows that never spilled.
+// rows their checkpoint in the shared directory does not hold.
 //
 // It returns how many jobs were reclaimed.
 func (m *Manager) TakeoverScan() int {

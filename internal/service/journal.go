@@ -166,7 +166,7 @@ func replayJournal(data []byte, path string) ([]PendingJob, []string, error) {
 		case "device":
 			// mid-fleet progress; the fleet job itself is re-run on
 			// recovery and its finished device rows come back from the
-			// spilled device cache, so the entry is informational
+			// job's checkpoint, so the entry is informational
 		}
 	}
 	order := make([]pendingAt, 0, len(pending))
@@ -210,8 +210,9 @@ func (j *Journal) answered(id string) {
 // Device records one finished device row of a running fleet job, so an
 // operator reading the journal after a crash can see how far the fleet
 // got. Recovery does not replay these — the re-run fleet job recovers
-// finished rows from the spilled device cache instead — so they are not
-// flushed one by one: the fleet's finished record syncs them.
+// finished rows from its checkpoint instead, each fsynced there before its
+// line — so they are not flushed one by one: the fleet's finished record
+// syncs them.
 func (j *Journal) Device(id, device, status string) {
 	if j == nil {
 		return

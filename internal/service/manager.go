@@ -801,6 +801,11 @@ func (m *Manager) lookupJob(ctx context.Context, key string, job *Job) ([]byte, 
 		return b, nil
 	})
 	sp.SetAttr(obs.Bool("hit", hit))
+	if err == nil && job.Spec.Kind == "fleet" {
+		// The report is stored (and spilled): the fleet is done with its
+		// checkpoint. A fleet that did not finish keeps it to resume from.
+		m.removeCheckpoint(job.Digest)
+	}
 	return out, hit, err
 }
 

@@ -17,7 +17,7 @@ import (
 
 // The two jobs FuzzSpillFiles runs over a damaged spill directory: a
 // quickstart profile, whose "job:" artifact is fuzzed, and a one-device
-// quickstart fleet, whose "fleetdev:" row is.
+// quickstart fleet, whose checkpoint is.
 var (
 	spillProfileSpec = JobSpec{Kind: "profile", Workload: "quickstart", Seed: 1}
 	spillFleetSpec   = JobSpec{Kind: "fleet", Fleet: specPtr(fleet.Synthetic("quickstart", 1, 1, 30))}
@@ -85,7 +85,7 @@ func fleetResult(tb testing.TB, st JobStatus) *report.FleetResult {
 }
 
 // FuzzSpillFiles writes arbitrary bytes as the spill file of the profile
-// job's "job:" artifact and of the fleet device's "fleetdev:" row — what a
+// job's "job:" artifact and as the fleet job's checkpoint — what a
 // restarted or peer p2god reads back from a shared cache directory — and
 // runs both jobs through a Manager over it:
 //
@@ -95,11 +95,14 @@ func fleetResult(tb testing.TB, st JobStatus) *report.FleetResult {
 //   - one that is not is purged, counted once in
 //     p2god_cache_corruption_total, and recomputed to the report a fresh
 //     run gives (its resources block aside), which is spilled in its place;
-//   - a device row that does not decode as an optimized row is recomputed
-//     to the fresh run's row; one that does is served as cached.
+//   - a device whose checkpoint record is missing, bad or does not decode as
+//     an optimized row is recomputed to the fresh run's row; one whose
+//     record is valid is served as cached;
+//   - the done fleet leaves no checkpoint behind.
 //
-// The corpus under testdata/fuzz/FuzzSpillFiles holds real spill files of
-// both kinds and torn prefixes of them.
+// The corpus under testdata/fuzz/FuzzSpillFiles holds a real job spill file
+// and a real checkpoint, torn prefixes of both and a checkpoint with one
+// byte flipped.
 func FuzzSpillFiles(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte(`{"kind":"profile"}`), []byte(`{"status":"optimized"}`))
@@ -111,20 +114,28 @@ func FuzzSpillFiles(f *testing.F) {
 		f.Fatalf("a fresh run counted %d corruptions", n)
 	}
 	jobFile := "job_" + spillProfileSpec.RouteKey()
-	rows, err := filepath.Glob(filepath.Join(fresh, "fleetdev_*"))
-	if err != nil || len(rows) != 1 {
-		f.Fatalf("fresh run spilled device rows %v (%v), want one", rows, err)
+	ckptFile := "fleetckpt_" + spillFleetSpec.RouteKey()
+	if _, err := os.Stat(filepath.Join(fresh, ckptFile)); !os.IsNotExist(err) {
+		f.Fatalf("the done fleet left its checkpoint %s (%v)", ckptFile, err)
 	}
-	rowFile := filepath.Base(rows[0])
 	wantProf := withoutResources(f, freshProf.Result)
 	wantRow := rowKeys(f, fleetResult(f, freshFleet))
+	// The device's key, from a checkpoint the manager's writer fills.
+	rows, _ := parseCheckpoint(writeCheckpoint(f, f.TempDir(), *spillFleetSpec.Fleet, spillFleetSpec.RouteKey()))
+	if len(rows) != 1 {
+		f.Fatalf("a one-device fleet checkpointed %d rows", len(rows))
+	}
+	var deviceKey string
+	for k := range rows {
+		deviceKey = k
+	}
 
-	f.Fuzz(func(t *testing.T, job, row []byte) {
+	f.Fuzz(func(t *testing.T, job, ckpt []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, jobFile), job, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, rowFile), row, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, ckptFile), ckpt, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		prof, fl, corruptions := spillRun(t, dir)
@@ -145,16 +156,24 @@ func FuzzSpillFiles(f *testing.F) {
 			}
 		}
 
+		rows, _ := parseCheckpoint(ckpt)
+		row, present := rows[deviceKey]
+		if present && !bytes.Contains(ckpt, appendRecord(nil, deviceKey, row)) {
+			t.Fatalf("the reader accepted a record the writer would not have written")
+		}
 		var decoded report.FleetDevice
-		optimized := json.Unmarshal(row, &decoded) == nil && decoded.Status == report.FleetOptimized
+		optimized := present && json.Unmarshal(row, &decoded) == nil && decoded.Status == report.FleetOptimized
 		res := fleetResult(t, fl)
 		if got := res.Devices[0].Cached; got != optimized {
-			t.Fatalf("device row served cached=%v, but it decodes as an optimized row: %v", got, optimized)
+			t.Fatalf("device row served cached=%v, but the checkpoint holds a valid optimized row for it: %v", got, optimized)
 		}
 		if !optimized {
 			if got := rowKeys(t, res); got[0] != wantRow[0] {
 				t.Fatalf("recomputed device row %+v, want %+v", got[0], wantRow[0])
 			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, ckptFile)); !os.IsNotExist(err) {
+			t.Fatalf("the done fleet left its checkpoint (%v)", err)
 		}
 	})
 }
