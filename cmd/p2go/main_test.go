@@ -90,16 +90,19 @@ func TestCmdOptimizeEmits(t *testing.T) {
 	}
 }
 
-// TestCmdOptimizeFailsOnMismatch: syncookie seed 6's memory reduction
-// changes where 24 packets go. The command still prints its report, then
-// fails naming the first diverging packet; under -tune the same kind of
-// divergence is the labelled accuracy trade and the command succeeds.
+// TestCmdOptimizeFailsOnMismatch: under the seeded count-only gate,
+// syncookie seed 6's memory reduction lands and changes where 24 packets
+// go. The command still prints its report, then fails naming the first
+// diverging packet; under -tune the same kind of divergence is the
+// labelled accuracy trade and the command succeeds.
 func TestCmdOptimizeFailsOnMismatch(t *testing.T) {
 	var err error
+	restore := core.SeedCountOnlyGate()
 	out := captureStdout(t, func() error {
 		err = cmdOptimize([]string{"-workload", "syncookie", "-seed", "6"})
 		return nil
 	})
+	restore()
 	if err == nil || !strings.HasPrefix(err.Error(), "behavior check: 24/7700 mismatches (first: packet 1008:") {
 		t.Errorf("err = %v, want the behavior check's first mismatch", err)
 	}

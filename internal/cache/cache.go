@@ -33,6 +33,8 @@ type Cache struct {
 	// faults injects disk degradation (faults.SlowDisk) into spill reads
 	// and writes; nil is inert. Set via SetFaults.
 	faults *faults.Set
+	// onCorrupt hears of damaged spill files; see SetOnCorrupt.
+	onCorrupt func()
 
 	hits, misses int64
 }
@@ -77,6 +79,11 @@ func (c *Cache) Dir() string { return c.dir }
 // events delay spill reads and writes, modeling a degraded shared disk.
 // Call before the cache sees traffic.
 func (c *Cache) SetFaults(fs *faults.Set) { c.faults = fs }
+
+// SetOnCorrupt sets the function told of each spill file a lookup found
+// damaged and treated as a miss (p2god counts them). Call before the cache
+// sees traffic.
+func (c *Cache) SetOnCorrupt(f func()) { c.onCorrupt = f }
 
 // slowDisk pays the injected latency of one degraded disk operation.
 func (c *Cache) slowDisk() {
@@ -138,7 +145,7 @@ func (c *Cache) do(key string, fill func() (any, error), spill bool) (any, bool,
 			spilled bool
 		)
 		if spill {
-			v, spilled = c.readSpill(key)
+			v, spilled = c.readSpill(key, true)
 		}
 		if !spilled {
 			v, err = fill()
@@ -167,11 +174,23 @@ func (c *Cache) do(key string, fill func() (any, error), spill bool) (any, bool,
 }
 
 // readSpill reads key's spilled artifact, paying any injected disk latency.
-// Call it without holding c.mu.
-func (c *Cache) readSpill(key string) ([]byte, bool) {
+// The file is served only when it is exactly one valid record under key;
+// anything else (damage, a torn or foreign file, another key's record) is a
+// miss, reported to onCorrupt when count is set, and the fill that follows
+// the miss replaces the file. Call it without holding c.mu.
+func (c *Cache) readSpill(key string, count bool) ([]byte, bool) {
 	c.slowDisk()
 	data, err := os.ReadFile(c.spillPath(key))
-	return data, err == nil
+	if err != nil {
+		return nil, false
+	}
+	if recs, end := ReadRecords(data); len(recs) == 1 && end == len(data) && recs[0].Key == key {
+		return recs[0].Val, true
+	}
+	if count && c.onCorrupt != nil {
+		c.onCorrupt()
+	}
+	return nil, false
 }
 
 func (c *Cache) storeLocked(key string, v any) {
@@ -188,17 +207,16 @@ func (c *Cache) storeLocked(key string, v any) {
 	}
 }
 
-// writeSpill persists a byte artifact crash-atomically (WriteAtomic with
-// a rename): kill -9 at any point leaves either no entry or the complete
-// entry — never a torn file (the read-side detect-and-purge stays as a
-// second line of defense for media corruption). Two replica processes
-// spilling the same content-addressed key into a shared directory are
-// safe too: whichever rename lands last wins with identical bytes.
-// Failures are deliberately ignored: the spill is an optimization, not a
-// durability guarantee.
+// writeSpill persists a byte artifact as one record under its key,
+// crash-atomically (WriteAtomic with a rename): kill -9 at any point leaves
+// either no entry or the complete entry — never a torn file (readSpill's
+// record check guards against media corruption and misplaced files). Two
+// replicas spilling one content-addressed key into a shared directory are
+// safe too: whichever rename lands last wins with identical bytes. Failures
+// are ignored: the spill is an optimization, not a durability guarantee.
 func (c *Cache) writeSpill(key string, data []byte) {
 	c.slowDisk()
-	_ = WriteAtomic(c.spillPath(key), data, os.Rename)
+	_ = WriteAtomic(c.spillPath(key), AppendRecord(nil, key, data), os.Rename)
 }
 
 func (c *Cache) spillPath(key string) string {
@@ -217,7 +235,8 @@ func (c *Cache) GetBytes(key string) ([]byte, bool) {
 // ProbeBytes is GetBytes for a caller that follows a miss with a Do on
 // the same key (p2god's admission probe, then the worker's DoBytes): a
 // hit counts as one, a miss counts nothing, so the one lookup the request
-// amounts to is counted once, by whichever call answered it.
+// amounts to is counted once, by whichever call answered it. A damaged
+// spill file is likewise left for the Do to report.
 func (c *Cache) ProbeBytes(key string) ([]byte, bool) {
 	return c.getBytes(key, false)
 }
@@ -234,7 +253,7 @@ func (c *Cache) getBytes(key string, countMiss bool) ([]byte, bool) {
 		spilled bool
 	)
 	if c.dir != "" {
-		data, spilled = c.readSpill(key)
+		data, spilled = c.readSpill(key, countMiss)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,8 +303,8 @@ func (c *Cache) PutBytes(key string, data []byte) {
 }
 
 // Delete purges an entry from both the in-memory LRU and the on-disk
-// spill. Used when a cached artifact is detected to be corrupted so the
-// next lookup recomputes it.
+// spill. p2god uses it when a served artifact fails its own check (a job
+// report that is not JSON), so the next lookup recomputes it.
 func (c *Cache) Delete(key string) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"p2go/internal/obs"
 	"p2go/internal/profile"
@@ -14,7 +15,9 @@ import (
 type check int
 
 const (
-	// profileEqual: the replay equals ref (Phase 3's gate, Phase 2's audit).
+	// profileEqual: the replay equals ref, and every trace packet keeps the
+	// outcome the fates replay (ref's, unless set) recorded for it (Phase 3's
+	// gate, Phase 2's audit).
 	profileEqual check = iota
 	// behaviorEqual: the candidate saves a stage and keeps ref's behavior,
 	// miss markers aside (Phase 2's gate). A derived profile lands as is;
@@ -36,6 +39,10 @@ type contract struct {
 	// turns a rejection into the run's error, and the span gets no attrs.
 	audit bool
 	ref   *profile.Profile
+	// fates is the replay whose per-packet outcomes a profileEqual candidate
+	// must keep; nil means ref, which Phase 2's audit cannot use: its ref is
+	// derived and recorded none.
+	fates *profile.Profile
 	// derive answers a behaviorEqual candidate's profile without a replay,
 	// or says why it cannot (phase2Derive).
 	derive func() (*profile.Profile, string)
@@ -47,6 +54,22 @@ type contract struct {
 	want     int     // tuneLoss: the reference hits; redirects: the predicted count
 	floor    float64 // tuneLoss: the loss the search tolerates, for the evidence
 	why      string  // an accepted candidate's evidence when its check states none
+}
+
+// countOnly is the seeded bug of the fate gate: set, profileEqual judges by
+// the aggregate profile alone, as it did before it read outcome vectors.
+var countOnly atomic.Bool
+
+// SeedCountOnlyGate switches on the seeded bug that restores the count-only
+// gate — Phase 3 then accepts a reduction whose profile stays equal while
+// packets change fates — and returns the function that switches it off. It
+// is for tests alone: a sweep that must catch unsound runs has to turn red
+// under it, and a test that needs a divergent run gets one from it. No flag,
+// environment variable, option or job field reaches it. Callers must not
+// run other optimizations concurrently while it is on.
+func SeedCountOnlyGate() (restore func()) {
+	countOnly.Store(true)
+	return func() { countOnly.Store(false) }
 }
 
 // verdict is the judge's decision on one candidate.
@@ -118,6 +141,14 @@ func (r *run) judge(ctx context.Context, c *child, cfg *rt.Config, k contract) (
 		if diff := k.ref.Diff(v.prof); diff != "" {
 			v.details = map[string]string{"diff": diff}
 			return v.reject(sp, "behavior-changed", "reduction changed the program's behavior on the trace: "+diff), nil
+		}
+		fates := k.fates
+		if fates == nil {
+			fates = k.ref
+		}
+		if diff := fates.FateDiff(v.prof); diff != "" && !countOnly.Load() {
+			v.details = map[string]string{"diff": diff}
+			return v.reject(sp, "fate-changed", "reduction changed a packet's fate on the trace: "+diff), nil
 		}
 		v.evidence = "profile unchanged on the trace after the reduction"
 		sp.SetAttr(obs.Bool("accepted", true))

@@ -21,16 +21,19 @@ import (
 // changes tractable for the programmer); the loop re-runs until no
 // candidate improves the pipeline.
 func (r *run) phase2(ctx context.Context) error {
+	from := r.prof
 	if err := iterate(ctx, "phase2.iteration", r.phase2Once); err != nil {
 		return err
 	}
-	return r.phase2Audit(ctx)
+	return r.phase2Audit(ctx, from)
 }
 
 // phase2Audit replays the pass's final program if any accepted profile was
-// derived, and fails the run unless the replay equals the derived profile;
-// the replay, never a derived profile, is what is cached and read on.
-func (r *run) phase2Audit(ctx context.Context) error {
+// derived, and fails the run unless the replay equals the derived profile
+// and every trace packet keeps the outcome it had in from, the replay the
+// pass started from; the replay, never a derived profile, is what is cached
+// and read on.
+func (r *run) phase2Audit(ctx context.Context, from *profile.Profile) error {
 	if r.derived == 0 {
 		return nil
 	}
@@ -38,7 +41,7 @@ func (r *run) phase2Audit(ctx context.Context) error {
 	defer sp.End()
 	r.derived = 0
 	v, err := r.judge(ctx, &child{prog: r.cur}, nil,
-		contract{check: profileEqual, audit: true, ref: r.prof, compiled: r.compile})
+		contract{check: profileEqual, audit: true, ref: r.prof, fates: from, compiled: r.compile})
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}

@@ -24,6 +24,7 @@ func checkPhase2Derivation(t *testing.T, label string, r *run) (derived int, dec
 	t.Helper()
 	ctx := context.Background()
 	declined = map[string]int{}
+	from := r.prof
 	for {
 		for _, edge := range r.compile.Deps.LongestPathEdges() {
 			if manifested, _ := r.edgeManifests(edge); manifested {
@@ -67,7 +68,7 @@ func checkPhase2Derivation(t *testing.T, label string, r *run) (derived int, dec
 			break
 		}
 	}
-	if err := r.phase2Audit(ctx); err != nil {
+	if err := r.phase2Audit(ctx, from); err != nil {
 		t.Errorf("%s: %v", label, err)
 	}
 	return derived, declined

@@ -38,9 +38,6 @@ const (
 	CacheCorrupt = "cache.corrupt"
 	// WorkerPanic crashes a p2god worker mid-job.
 	WorkerPanic = "worker.panic"
-	// JobTransient injects a transient (retryable) pipeline error into a
-	// p2god job.
-	JobTransient = "job.transient"
 	// LeaseLost makes a replica-group lease acquisition or renewal attempt
 	// fail (the replica believes it lost contact with the lease store for
 	// that attempt; its lease keeps aging toward expiry).

@@ -151,9 +151,9 @@ func TestParseRoundTrip(t *testing.T) {
 // TestZeroSpecNeverFires: a spec with no probability and no window is a
 // configured-but-inert stream (useful as a CLI placeholder).
 func TestZeroSpecNeverFires(t *testing.T) {
-	s := MustSet(Spec{Point: JobTransient})
+	s := MustSet(Spec{Point: WorkerPanic})
 	for i := 0; i < 50; i++ {
-		if s.Fire(JobTransient) {
+		if s.Fire(WorkerPanic) {
 			t.Fatal("zero spec fired")
 		}
 	}

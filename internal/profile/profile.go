@@ -87,6 +87,70 @@ func (p *Profile) Fates(key [32]byte) []sim.Outcome {
 	return out
 }
 
+// FateDiff names the first trace packet whose outcome differs between the
+// replays that produced p and other, "" when every packet's is the same or
+// when either recorded no vector (a derived profile) or they cover different
+// packet counts. Vectors over the same flow index compare flow by flow, with
+// no expansion: flows are numbered in order of first occurrence, so the
+// first differing flow's first packet is the first differing packet.
+func (p *Profile) FateDiff(other *Profile) string {
+	a, b := &p.fates, &other.fates
+	if a.out == nil || b.out == nil || a.len() != b.len() {
+		return ""
+	}
+	packet := -1
+	if len(a.flow) == 0 && len(b.flow) == 0 || len(a.flow) > 0 && len(b.flow) > 0 && &a.flow[0] == &b.flow[0] {
+		for i := range a.out {
+			if a.out[i] != b.out[i] {
+				packet = i
+				break
+			}
+		}
+		if packet >= 0 && len(a.flow) > 0 {
+			packet = slices.Index(a.flow, int32(packet))
+		}
+	} else {
+		for j := 0; j < a.len(); j++ {
+			if a.at(j) != b.at(j) {
+				packet = j
+				break
+			}
+		}
+	}
+	if packet < 0 {
+		return ""
+	}
+	return fmt.Sprintf("packet %d: %s instead of %s", packet, fateText(b.at(packet)), fateText(a.at(packet)))
+}
+
+// len is the number of trace packets the vector covers.
+func (v *fateVector) len() int {
+	if v.flow != nil {
+		return len(v.flow)
+	}
+	return len(v.out)
+}
+
+// at is trace packet j's outcome.
+func (v *fateVector) at(j int) sim.Outcome {
+	if v.flow != nil {
+		return v.out[v.flow[j]]
+	}
+	return v.out[j]
+}
+
+// fateText spells an outcome as a verdict reads it.
+func fateText(o sim.Outcome) string {
+	switch out := o.Output(); {
+	case out.Dropped:
+		return "dropped"
+	case out.ToCPU:
+		return fmt.Sprintf("to the controller (forward port %d)", out.ForwardPort)
+	default:
+		return fmt.Sprintf("port %d", out.Port)
+	}
+}
+
 // execClass is one execution set with its key parsed. A key may span several
 // classes whose counts add up (SkipUnlessMissed merges sets).
 type execClass struct {

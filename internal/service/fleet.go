@@ -2,15 +2,14 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/fleet"
 	"p2go/internal/report"
 )
@@ -83,9 +82,10 @@ func (m *Manager) removeCheckpoint(digest string) {
 // one bound). Put appends the row to the checkpoint and fsyncs it before it
 // returns, so a row is durable before OnDevice journals its device line.
 //
-// The checkpoint is one append-only file per fleet job, named by the job's
-// digest: a restarted daemon, a peer taking the job over and a resubmission
-// of a canceled or failed fleet all resume from it. A done fleet removes it
+// The checkpoint is one append-only file of cache records (key = device
+// key, value = the row) per fleet job, named by the job's digest: a
+// restarted daemon, a peer taking the job over and a resubmission of a
+// canceled or failed fleet all resume from it. A done fleet removes it
 // (Manager.lookupJob). Rows are never read back from the spill: after a
 // restart a fleet of another spec recomputes them.
 type deviceCache struct {
@@ -116,8 +116,11 @@ func (m *Manager) openDeviceCache(digest string) *deviceCache {
 	if err != nil {
 		return d
 	}
-	var n int
-	d.rows, n = parseCheckpoint(data)
+	recs, n := cache.ReadRecords(data)
+	d.rows = make(map[string][]byte, len(recs))
+	for _, r := range recs {
+		d.rows[r.Key] = r.Val
+	}
 	d.valid, d.torn = int64(n), n < len(data)
 	return d
 }
@@ -144,7 +147,7 @@ func (d *deviceCache) Put(key string, data []byte) {
 	// peer still finishing the same digest, never interleave.
 	// A failed write or sync costs a recompute after a crash and nothing
 	// else: the row is in memory and in this run's report.
-	if _, err := f.Write(appendRecord(nil, key, data)); err == nil {
+	if _, err := f.Write(cache.AppendRecord(nil, key, data)); err == nil {
 		_ = f.Sync()
 	}
 }
@@ -190,49 +193,4 @@ func (d *deviceCache) close() {
 		_ = d.f.Close()
 		d.f = nil
 	}
-}
-
-// castagnoli is the CRC-32C table checkpoint records are summed with.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// checkpointHeader is a record's two big-endian uint32 lengths, of its key
-// and of its row; checkpointTrailer is the CRC-32C of everything before it.
-const (
-	checkpointHeader  = 8
-	checkpointTrailer = 4
-)
-
-// appendRecord appends one checkpoint record for the device row.
-func appendRecord(dst []byte, key string, row []byte) []byte {
-	start := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(key)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(row)))
-	dst = append(dst, key...)
-	dst = append(dst, row...)
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
-}
-
-// parseCheckpoint returns the rows of a checkpoint's records by device key,
-// and the length of the prefix they fill. It stops at the first short or
-// bad record: a torn tail, a peer's append in flight, or damage, after
-// which nothing is trusted.
-func parseCheckpoint(data []byte) (map[string][]byte, int) {
-	rows := map[string][]byte{}
-	off := 0
-	for len(data)-off >= checkpointHeader+checkpointTrailer {
-		rec := data[off:]
-		keyLen := uint64(binary.BigEndian.Uint32(rec))
-		rowLen := uint64(binary.BigEndian.Uint32(rec[4:]))
-		if checkpointHeader+keyLen+rowLen+checkpointTrailer > uint64(len(rec)) {
-			break
-		}
-		body := int(checkpointHeader + keyLen + rowLen)
-		if crc32.Checksum(rec[:body], castagnoli) != binary.BigEndian.Uint32(rec[body:]) {
-			break
-		}
-		key := string(rec[checkpointHeader : checkpointHeader+keyLen])
-		rows[key] = rec[checkpointHeader+keyLen : body : body]
-		off += body + checkpointTrailer
-	}
-	return rows, off
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/faults"
 	"p2go/internal/fleet"
 	"p2go/internal/report"
@@ -514,6 +514,46 @@ func TestCanceledFleetCheckpointServesResubmission(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesUnchanged: testdata/checkpoint-quickstart-2 is the
+// checkpoint of a two-device quickstart fleet as the checkpoint writer laid
+// records out before every file p2god reads back shared the record codec.
+// The shared reader takes every byte of it, the shared writer lays the same
+// records out byte for byte, and a fleet resumed over it serves both rows.
+func TestCheckpointBytesUnchanged(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint-quickstart-2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, n := cache.ReadRecords(old)
+	var again []byte
+	for _, r := range rows {
+		again = cache.AppendRecord(again, r.Key, r.Val)
+	}
+	if len(rows) != 2 || n != len(old) || !bytes.Equal(again, old) {
+		t.Fatalf("%d rows in %d of %d bytes, re-encoded equal: %v", len(rows), n, len(old), bytes.Equal(again, old))
+	}
+
+	spec := fleet.Synthetic("quickstart", 2, 11, 30)
+	spec.DeviceParallelism = 1
+	job := JobSpec{Kind: "fleet", Fleet: &spec}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fleetckpt_"+job.RouteKey()), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 4, Cache: NewCache(0, dir)})
+	m.Start()
+	defer m.Drain(5 * time.Second)
+	st, err := m.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range awaitFleet(t, m, st.ID).Devices {
+		if !row.Cached {
+			t.Errorf("row %s recomputed, want it served from the checkpoint", row.Device)
+		}
+	}
+}
+
 // TestDamagedCheckpointRecordsRecomputed: a checkpoint record with a flipped
 // byte, or cut short, is never served, and neither is anything after it;
 // those devices are recomputed to the rows a fresh run gives, and appended
@@ -534,13 +574,12 @@ func TestDamagedCheckpointRecordsRecomputed(t *testing.T) {
 	base.Drain(5 * time.Second)
 
 	whole := writeCheckpoint(t, t.TempDir(), spec, digest)
-	rows, n := parseCheckpoint(whole)
+	rows, n := cache.ReadRecords(whole)
 	if len(rows) != 2 || n != len(whole) {
 		t.Fatalf("checkpoint of a 2-device fleet: %d rows in %d of %d bytes", len(rows), n, len(whole))
 	}
-	// The first record ends where its lengths say.
-	first := checkpointHeader + checkpointTrailer +
-		int(binary.BigEndian.Uint32(whole)) + int(binary.BigEndian.Uint32(whole[4:]))
+	// The first record ends where its encoding does.
+	first := len(cache.AppendRecord(nil, rows[0].Key, rows[0].Val))
 	flipped := func(at int) []byte {
 		b := bytes.Clone(whole)
 		b[at] ^= 0x40
@@ -591,7 +630,7 @@ func TestDamagedCheckpointRecordsRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := writeCheckpoint(t, dir, spec, digest)
-	if rows, n := parseCheckpoint(resumed); len(rows) != 2 || n != len(resumed) {
+	if rows, n := cache.ReadRecords(resumed); len(rows) != 2 || n != len(resumed) {
 		t.Errorf("checkpoint resumed after a torn tail: %d rows in %d of %d bytes, want 2 in all", len(rows), n, len(resumed))
 	}
 }

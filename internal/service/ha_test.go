@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/cluster"
 	"p2go/internal/faults"
 )
@@ -205,7 +206,7 @@ func TestStaleLeaseFencing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shared spill missing the job artifact: %v", err)
 	}
-	if string(data) != `{"who":"r2"}` {
+	if want := cache.AppendRecord(nil, key, []byte(`{"who":"r2"}`)); !bytes.Equal(data, want) {
 		t.Errorf("shared spill holds %q, want r2's result only", data)
 	}
 

@@ -254,7 +254,6 @@ type Job struct {
 	cancel     context.CancelFunc
 	canceled   bool // user requested cancellation
 	requeue    bool // drain persisted the job for recovery on restart
-	retries    int  // transient-failure re-runs this job consumed
 	// lease is the cluster ownership lease the worker holds while the job
 	// runs; nil outside replica groups or before the worker acquired it.
 	lease *cluster.JobLease
@@ -287,8 +286,6 @@ type JobStatus struct {
 	// rather than computed by this job.
 	Cached bool   `json:"cached,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Retries counts transient-failure re-runs this job consumed.
-	Retries int `json:"retries,omitempty"`
 	// Replica names the replica serving the job (cluster mode only);
 	// TakenOverFrom names the dead replica it was reclaimed from, when the
 	// job arrived by lease takeover instead of a client submission.
@@ -313,7 +310,6 @@ func (j *Job) statusLocked(includeResult bool) JobStatus {
 		Digest:        j.Digest,
 		Cached:        j.cached,
 		Error:         j.errText,
-		Retries:       j.retries,
 		Replica:       j.replica,
 		TakenOverFrom: j.takenOverFrom,
 		CreatedAt:     j.createdAt.UTC().Format(time.RFC3339Nano),

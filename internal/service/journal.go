@@ -1,13 +1,14 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
+
+	"p2go/internal/cache"
 )
 
 // Journal is p2god's crash-safe, append-only job journal. Every accepted
@@ -24,23 +25,21 @@ import (
 // so a second scan — or the dead replica restarting — sees the job as
 // already re-owned.
 //
-// The format is one JSON object per line. Records that protect pending
-// work — accepted, finished, requeued, takeover of a job that was queued —
-// are fsynced per append. Lines replay ignores — a fleet's device progress,
-// the finished line of a job answered at admission — are written without a
-// flush of their own and become durable with the next synced record: the
-// bytes survive the process dying, and a power loss can only drop lines
-// recovery would have skipped. A torn final line (the crash happened
-// mid-write) is tolerated and reported as a warning; corruption anywhere
-// before the final record is an error, because a journal that lies in the
-// middle cannot be trusted at all.
+// The format is one cache record per entry: key the job ID, value the
+// entry's JSON. Records that protect pending work — accepted, finished,
+// requeued, takeover of a job that was queued — are fsynced per append.
+// Records replay ignores — a fleet's device progress, the finished record
+// of a job answered at admission — get no flush of their own and become
+// durable with the next synced record, so a power loss can only drop (or
+// zero) records recovery would have skipped. replayJournal says which
+// damage recovery tolerates.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
 }
 
-// journalEntry is one journal line.
+// journalEntry is the value of one journal record.
 type journalEntry struct {
 	// Op is "accepted", "finished", "requeued", "device", or "takeover".
 	Op string `json:"op"`
@@ -84,9 +83,6 @@ func OpenJournal(path string) (*Journal, error) {
 func (j *Journal) Recover() ([]PendingJob, []string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Seek(0, 0); err != nil {
-		return nil, nil, err
-	}
 	data, err := os.ReadFile(j.path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: read journal: %w", err)
@@ -95,10 +91,8 @@ func (j *Journal) Recover() ([]PendingJob, []string, error) {
 	if err != nil {
 		return nil, warnings, err
 	}
+	// Appends go to the end of the file whatever its offset (O_APPEND).
 	if err := j.f.Truncate(0); err != nil {
-		return nil, warnings, err
-	}
-	if _, err := j.f.Seek(0, 0); err != nil {
 		return nil, warnings, err
 	}
 	return pending, warnings, nil
@@ -119,64 +113,59 @@ func ReadPending(path string) ([]PendingJob, []string, error) {
 	return replayJournal(data, path)
 }
 
-// replayJournal folds journal bytes into the pending set. A final line
-// that fails to parse is a torn tail from a crash mid-append: it is
-// skipped with a warning, because appends are whole lines in order: every
-// earlier record was written out before it. An unparseable line anywhere
-// else is corruption and fails the replay.
+// replayJournal folds a journal's records into the pending set. A bad
+// record the file ends inside (cache.TornTail) is a torn tail from a crash
+// mid-append: it is dropped with a warning, because appends are whole
+// records in order: every earlier record was written out before it. A bad
+// record with bytes after it, or a record that passes its checksum but does
+// not decode, is corruption and fails the replay. So does a journal of JSON
+// lines, the format before records: it is refused, never read as damage.
 func replayJournal(data []byte, path string) ([]PendingJob, []string, error) {
-	type pendingAt struct {
-		job PendingJob
-		seq int
+	if len(data) > 0 && data[0] == '{' {
+		return nil, nil, fmt.Errorf(
+			"service: journal %s holds JSON lines, a format this p2god does not read; move it aside to start", path)
 	}
-	pending := map[string]pendingAt{}
+	recs, end := cache.ReadRecords(data)
 	var warnings []string
-	seq := 0
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed journal ends with '\n', leaving one empty trailing
-	// element; drop empties at the end but not in the middle.
-	for len(lines) > 0 && len(bytes.TrimSpace(lines[len(lines)-1])) == 0 {
-		lines = lines[:len(lines)-1]
+	if end < len(data) {
+		if !cache.TornTail(data[end:]) {
+			return nil, nil, fmt.Errorf(
+				"service: journal %s corrupt at byte %d (record %d, not a torn tail)", path, end, len(recs)+1)
+		}
+		warnings = append(warnings, fmt.Sprintf(
+			"journal %s: dropping torn final record (%d bytes)", path, len(data)-end))
 	}
-	for i, line := range lines {
+	// pending maps a job to its accepted record while the job is pending.
+	pending := map[string]int{}
+	specs := make([]*JobSpec, len(recs))
+	for i, rec := range recs {
 		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			if i == len(lines)-1 {
-				warnings = append(warnings, fmt.Sprintf(
-					"journal %s: dropping torn final record (%d bytes): %v", path, len(line), err))
-				continue
+		if err := json.Unmarshal(rec.Val, &e); err != nil || e.ID != rec.Key {
+			if err == nil {
+				err = fmt.Errorf("entry id %q under key %q", e.ID, rec.Key)
 			}
 			return nil, warnings, fmt.Errorf(
-				"service: journal %s corrupt at line %d (not a torn tail): %v", path, i+1, err)
+				"service: journal %s record %d passes its checksum but does not decode: %v", path, i+1, err)
 		}
 		switch e.Op {
 		case "accepted":
 			if e.Spec != nil {
-				pending[e.ID] = pendingAt{job: PendingJob{ID: e.ID, Spec: *e.Spec}, seq: seq}
-				seq++
+				pending[e.ID], specs[i] = i, e.Spec
 			}
-		case "finished":
+		case "finished", "takeover":
+			// A takeover: another replica reclaimed the job; it is no
+			// longer this journal's responsibility.
 			delete(pending, e.ID)
-		case "takeover":
-			// Another replica reclaimed the job; it is no longer this
-			// journal's responsibility.
-			delete(pending, e.ID)
-		case "requeued":
-			// still pending; the entry only documents the drain
-		case "device":
-			// mid-fleet progress; the fleet job itself is re-run on
-			// recovery and its finished device rows come back from the
-			// job's checkpoint, so the entry is informational
 		}
+		// "requeued" documents a drain: the job stays pending. "device" is
+		// mid-fleet progress: the re-run fleet job gets its finished rows
+		// back from its checkpoint.
 	}
-	order := make([]pendingAt, 0, len(pending))
-	for _, p := range pending {
-		order = append(order, p)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].seq < order[b].seq })
-	out := make([]PendingJob, 0, len(order))
-	for _, p := range order {
-		out = append(out, p.job)
+	var out []PendingJob
+	for i, rec := range recs {
+		if at, ok := pending[rec.Key]; ok && at == i {
+			out = append(out, PendingJob{ID: rec.Key, Spec: *specs[i]})
+		}
 	}
 	return out, warnings, nil
 }
@@ -199,7 +188,7 @@ func (j *Journal) Finished(id string, state JobState) {
 
 // answered records a job served from the artifact cache at admission. It
 // was never pending — replay ignores a finished with no accepted — so the
-// line documents the request without paying for a flush.
+// record documents the request without paying for a flush.
 func (j *Journal) answered(id string) {
 	if j == nil {
 		return
@@ -211,8 +200,8 @@ func (j *Journal) answered(id string) {
 // operator reading the journal after a crash can see how far the fleet
 // got. Recovery does not replay these — the re-run fleet job recovers
 // finished rows from its checkpoint instead, each fsynced there before its
-// line — so they are not flushed one by one: the fleet's finished record
-// syncs them.
+// record here — so they are not flushed one by one: the fleet's finished
+// record syncs them.
 func (j *Journal) Device(id, device, status string) {
 	if j == nil {
 		return
@@ -231,36 +220,50 @@ func (j *Journal) Requeued(id string) {
 
 // AppendTakeover appends a takeover record to the journal at path (a
 // dead peer's journal, not the caller's own): the named job is now owned
-// by replica `by`. The append is direct — open, write one fsynced line,
-// close — because the dead peer's journal has no live *Journal handle.
+// by replica `by`. The append is direct — open, write one fsynced record,
+// close — because the dead peer's journal has no live *Journal handle. A
+// torn tail the peer left is cut off first, so the record is readable
+// after it.
 func AppendTakeover(path, jobID, by string) error {
-	e := journalEntry{
-		Op:   "takeover",
-		ID:   jobID,
-		By:   by,
-		Time: time.Now().UTC().Format(time.RFC3339Nano),
-	}
-	data, err := json.Marshal(e)
+	rec, err := journalRecord(journalEntry{Op: "takeover", ID: jobID, By: by})
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("service: append takeover: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Write(append(data, '\n')); err != nil {
+	data, err := io.ReadAll(f)
+	if err == nil {
+		if _, end := cache.ReadRecords(data); end < len(data) && cache.TornTail(data[end:]) {
+			err = f.Truncate(int64(end))
+		}
+	}
+	if err == nil {
+		_, err = f.Write(rec)
+	}
+	if err != nil {
 		return fmt.Errorf("service: append takeover: %w", err)
 	}
 	return f.Sync()
 }
 
-// append writes one line and, for a record replay acts on, fsyncs. Errors
-// are swallowed after marking nothing: the journal is a recovery aid; a
-// full disk must not take the daemon down with it.
-func (j *Journal) append(e journalEntry, durable bool) {
+// journalRecord stamps the entry's time and frames it as one record.
+func journalRecord(e journalEntry) ([]byte, error) {
 	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	data, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	return cache.AppendRecord(nil, e.ID, data), nil
+}
+
+// append writes one record and, for a record replay acts on, fsyncs.
+// Errors are swallowed after marking nothing: the journal is a recovery
+// aid; a full disk must not take the daemon down with it.
+func (j *Journal) append(e journalEntry, durable bool) {
+	rec, err := journalRecord(e)
 	if err != nil {
 		return
 	}
@@ -269,17 +272,9 @@ func (j *Journal) append(e journalEntry, durable bool) {
 	if j.f == nil {
 		return
 	}
-	if _, err := j.f.Write(append(data, '\n')); err == nil && durable {
+	if _, err := j.f.Write(rec); err == nil && durable {
 		_ = j.f.Sync()
 	}
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
 }
 
 // Close closes the underlying file. Further appends are silent no-ops —

@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"p2go/internal/cache"
 )
 
 // TestJournalCrashRecovery is the kill -9 scenario: jobs journaled as
@@ -162,7 +166,7 @@ func TestDrainWithoutJournalCancels(t *testing.T) {
 }
 
 // TestJournalTornLineTolerated: a crash mid-append leaves a torn final
-// line; recovery skips it and keeps every complete record.
+// record; recovery skips it and keeps every complete record.
 func TestJournalTornLineTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := OpenJournal(path)
@@ -175,7 +179,8 @@ func TestJournalTornLineTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"accepted","id":"j-0000`); err != nil {
+	rec := cache.AppendRecord(nil, "j-000002", []byte(`{"op":"accepted","id":"j-000002","spec":{"seed":3}}`))
+	if _, err := f.Write(rec[:len(rec)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -193,7 +198,7 @@ func TestJournalTornLineTolerated(t *testing.T) {
 		t.Fatalf("recovered %+v, want the one complete record", pending)
 	}
 	if len(warnings) != 1 {
-		t.Fatalf("torn final line produced %d warning(s), want 1: %v", len(warnings), warnings)
+		t.Fatalf("torn final record produced %d warning(s), want 1: %v", len(warnings), warnings)
 	}
 }
 
@@ -216,10 +221,14 @@ func TestJournalTruncationEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// base = end of the first record including its newline; everything
-	// past it belongs to the last record.
-	base := bytes.IndexByte(data, '\n') + 1
-	if base <= 0 || base >= len(data) {
+	// base = end of the first record; everything past it belongs to the
+	// last record.
+	recs, _ := cache.ReadRecords(data)
+	if len(recs) != 2 {
+		t.Fatalf("journal of two appends holds %d records", len(recs))
+	}
+	base := len(cache.AppendRecord(nil, recs[0].Key, recs[0].Val))
+	if base >= len(data) {
 		t.Fatalf("journal layout unexpected: base %d of %d bytes", base, len(data))
 	}
 
@@ -237,10 +246,10 @@ func TestJournalTruncationEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
-		// The last record survives only when every byte of its JSON made
-		// it to disk (the trailing newline itself is optional).
+		// The last record survives only when every byte of it made it to
+		// disk.
 		wantJobs := 1
-		if cut >= len(data)-1 {
+		if cut == len(data) {
 			wantJobs = 2
 		}
 		if len(pending) != wantJobs {
@@ -268,10 +277,154 @@ func TestJournalNilSafe(t *testing.T) {
 	j.Accepted("x", JobSpec{})
 	j.Finished("x", StateDone)
 	j.Requeued("x")
-	if j.Path() != "" {
-		t.Error("nil journal has a path")
-	}
 	if err := j.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// realJournal is the journal a manager writes for three accepted jobs, the
+// first of which finished, and a fourth answered: what a daemon killed with
+// two jobs queued leaves behind.
+func realJournal(t *testing.T) (data []byte, specs map[string]JobSpec) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(ManagerConfig{Workers: 1, Journal: j})
+	specs = map[string]JobSpec{}
+	for _, seed := range []int64{17, 18, 19} {
+		spec := JobSpec{Kind: "optimize", Workload: "quickstart", Seed: seed}
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		specs[st.ID] = spec
+	}
+	j.Finished("j-000001", StateDone)
+	j.answered("j-000004")
+	j.Close()
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return data, specs
+}
+
+// TestJournalFlippedByteNeverChangesSpec: one flipped byte anywhere in a
+// real journal is a warning (the damaged record is the last one, or its
+// lengths now run past the end) or an error; recovery never hands back a
+// job whose spec is not the one it was accepted with.
+func TestJournalFlippedByteNeverChangesSpec(t *testing.T) {
+	data, specs := realJournal(t)
+	pending, warnings, err := replayJournal(data, "real")
+	if err != nil || len(warnings) != 0 || len(pending) != 2 {
+		t.Fatalf("the undamaged journal: %d pending, warnings %q, %v; want 2 clean", len(pending), warnings, err)
+	}
+	for off := range data {
+		for _, mask := range []byte{0x01, 0x40, 0xff} {
+			b := bytes.Clone(data)
+			b[off] ^= mask
+			pending, warnings, err := replayJournal(b, "flipped")
+			if err == nil && len(warnings) == 0 {
+				t.Fatalf("byte %d ^ %#x: replayed %d jobs with no warning or error", off, mask, len(pending))
+			}
+			for _, p := range pending {
+				if want, ok := specs[p.ID]; !ok || !reflect.DeepEqual(p.Spec, want) {
+					t.Fatalf("byte %d ^ %#x: recovered %s with spec %+v, want %+v", off, mask, p.ID, p.Spec, want)
+				}
+			}
+		}
+	}
+}
+
+// TestJournalZeroTailIsTorn: a power loss can leave zeros where unsynced
+// records (device progress, admission answers) were appended. Recovery
+// drops them with one warning and keeps every record before them; the same
+// zeros with a record after them are corruption.
+func TestJournalZeroTailIsTorn(t *testing.T) {
+	data, _ := realJournal(t)
+	want, _, err := replayJournal(data, "real")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 11, 12, 300, 4096} {
+		got, warnings, err := replayJournal(append(bytes.Clone(data), make([]byte, n)...), "zeros")
+		if err != nil || len(warnings) != 1 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d zero bytes at the end: %v, warnings %q, %d pending; want the %d jobs and one warning",
+				n, err, warnings, len(got), len(want))
+		}
+	}
+	recs, _ := cache.ReadRecords(data)
+	last := cache.AppendRecord(nil, recs[0].Key, recs[0].Val)
+	mid := append(append(bytes.Clone(data), make([]byte, 64)...), last...)
+	if _, _, err := replayJournal(mid, "zeros"); err == nil {
+		t.Fatal("zeros followed by a record replayed without error")
+	}
+}
+
+// TestJournalRefusesUndecodableRecords: a record whose checksum holds but
+// whose value is not a journal entry for its key was never written by a
+// journal; replay fails rather than skip it.
+func TestJournalRefusesUndecodableRecords(t *testing.T) {
+	data, _ := realJournal(t)
+	for name, rec := range map[string][]byte{
+		"not JSON":  cache.AppendRecord(nil, "j-000005", []byte("not json")),
+		"wrong key": cache.AppendRecord(nil, "j-000005", []byte(`{"op":"accepted","id":"j-000006"}`)),
+	} {
+		if _, _, err := replayJournal(append(bytes.Clone(data), rec...), "bad"); err == nil ||
+			!strings.Contains(err.Error(), "does not decode") {
+			t.Errorf("%s: %v, want a decode error", name, err)
+		}
+	}
+}
+
+// TestJournalRefusesJSONLines: a journal of JSON lines, the format before
+// records, is refused with an error that names the file, so a daemon
+// started over it fails instead of dropping its contents.
+func TestJournalRefusesJSONLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	old := `{"op":"accepted","id":"j-000001","spec":{"kind":"optimize","workload":"quickstart","seed":1},"time":"t"}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if _, _, err := j.Recover(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Recover of a JSON-lines journal: %v, want an error naming %s", err, path)
+	}
+	if data, _ := os.ReadFile(path); string(data) != old {
+		t.Errorf("the refused journal was rewritten to %q", data)
+	}
+	if _, _, err := ReadPending(path); err == nil {
+		t.Error("ReadPending read a JSON-lines journal")
+	}
+}
+
+// TestTakeoverCutsTornTail: a takeover record appended to a dead peer's
+// journal that ends torn lands after the cut, so the next scan reads it
+// and the job is no longer pending there.
+func TestTakeoverCutsTornTail(t *testing.T) {
+	data, _ := realJournal(t)
+	path := filepath.Join(t.TempDir(), "peer.jsonl")
+	rec := cache.AppendRecord(nil, "j-000009", []byte(`{"op":"accepted","id":"j-000009"}`))
+	if err := os.WriteFile(path, append(bytes.Clone(data), rec[:20]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendTakeover(path, "j-000002", "r2"); err != nil {
+		t.Fatal(err)
+	}
+	pending, warnings, err := ReadPending(path)
+	if err != nil || len(warnings) != 0 {
+		t.Fatalf("after the takeover: %v, warnings %q", err, warnings)
+	}
+	if ids := pendingIDs(pending); !reflect.DeepEqual(ids, []string{"j-000003"}) {
+		t.Fatalf("pending after the takeover of j-000002: %q, want [j-000003]", ids)
 	}
 }

@@ -36,27 +36,6 @@ var (
 	ErrCircuitOpen = errors.New("service: circuit open for this job spec")
 )
 
-// transientError marks a failure worth retrying with backoff.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// MarkTransient wraps err so the manager's per-job retry loop re-runs
-// the job instead of failing it outright.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
 // maxFinishedJobs bounds how many terminal jobs are retained for status
 // queries; the oldest are pruned first. Results stay available through
 // the artifact cache regardless.
@@ -117,14 +96,10 @@ type ManagerConfig struct {
 	Logger *slog.Logger
 }
 
-// Job retry and circuit-breaker policy. A transiently failing job is re-run
-// up to maxJobRetries times, the first retry after retryBackoff, doubling
-// per attempt. A spec's circuit opens after breakerThreshold consecutive
-// failures and rejects re-submissions for breakerCooldown before admitting
-// one trial job.
+// Circuit-breaker policy: a spec's circuit opens after breakerThreshold
+// consecutive failures and rejects re-submissions for breakerCooldown
+// before admitting one trial job.
 const (
-	maxJobRetries    = 2
-	retryBackoff     = 10 * time.Millisecond
 	breakerThreshold = 3
 	breakerCooldown  = 30 * time.Second
 )
@@ -178,8 +153,6 @@ type Manager struct {
 	// execFn computes a job's result bytes; replaced in tests to make
 	// job behavior controllable. Production value is (*Manager).execute.
 	execFn func(ctx context.Context, job *Job) ([]byte, error)
-	// sleep is the retry-backoff clock; replaced in tests.
-	sleep func(time.Duration)
 	// now is the breaker clock; replaced in tests.
 	now func() time.Time
 	// renewEvery is the period of the background cluster loop (membership
@@ -218,13 +191,14 @@ func NewManager(cfg ManagerConfig) *Manager {
 		breakers:   map[string]*breakerState{},
 	}
 	m.metrics.observeAnalyses(m.analysis.Stats)
+	// A damaged spill file is a miss; count it as validHit counts its own.
+	cfg.Cache.SetOnCorrupt(func() { m.metrics.add(cacheCorruptions, "", 1) })
 	if cfg.Profiles != nil {
 		// The store predates the manager; route its capture outcomes into
 		// this registry now that both exist.
 		cfg.Profiles.SetOnCapture(m.metrics.ProfileCaptured)
 	}
 	m.execFn = m.execute
-	m.sleep = time.Sleep
 	m.now = time.Now
 	if cfg.Cluster != nil {
 		m.renewEvery = cfg.Cluster.TTL() / 3
@@ -895,32 +869,11 @@ func (m *Manager) breakerUpdateLocked(digest string, outcome JobState) {
 	}
 }
 
-// runExec runs the job's pipeline with panic recovery and bounded retry
-// for transient errors. It is invoked inside the cache's single-flight
-// fill, so a recovered panic surfaces as a plain fill error and cannot
-// leak an inflight entry.
-func (m *Manager) runExec(ctx context.Context, job *Job) ([]byte, error) {
-	backoff := retryBackoff
-	for attempt := 0; ; attempt++ {
-		out, err := m.execOnce(ctx, job)
-		if err == nil || ctx.Err() != nil {
-			return out, err
-		}
-		if !IsTransient(err) || attempt >= maxJobRetries {
-			return nil, err
-		}
-		m.metrics.add(jobRetries, "", 1)
-		m.mu.Lock()
-		job.retries++
-		m.mu.Unlock()
-		m.sleep(backoff)
-		backoff *= 2
-	}
-}
-
-// execOnce runs the pipeline once, converting a worker panic into an
-// error so a crashing job fails alone instead of taking the daemon down.
-func (m *Manager) execOnce(ctx context.Context, job *Job) (out []byte, err error) {
+// runExec runs the job's pipeline once, converting a worker panic into an
+// error so a crashing job fails alone instead of taking the daemon down. It
+// is invoked inside the cache's single-flight fill, so a recovered panic
+// surfaces as a plain fill error and cannot leak an inflight entry.
+func (m *Manager) runExec(ctx context.Context, job *Job) (out []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.metrics.add(workerPanics, "", 1)
@@ -929,9 +882,6 @@ func (m *Manager) execOnce(ctx context.Context, job *Job) (out []byte, err error
 	}()
 	if m.cfg.Faults.Fire(faults.WorkerPanic) {
 		panic("injected worker panic")
-	}
-	if ferr := m.cfg.Faults.Err(faults.JobTransient); ferr != nil {
-		return nil, MarkTransient(ferr)
 	}
 	return m.execFn(ctx, job)
 }

@@ -85,7 +85,6 @@ var (
 	fleetDevices = counter("p2god_fleet_devices_total", "Fleet device rows finished, by row status.", "status")
 	// Resilience: every degradation path the daemon takes is counted, so
 	// failures are observable rather than silent.
-	jobRetries       = counter("p2god_job_retries_total", "Transient job failures retried with backoff.", "")
 	workerPanics     = counter("p2god_worker_panics_total", "Worker panics recovered into failed jobs.", "")
 	circuitOpened    = counter("p2god_circuit_opened_total", "Per-digest circuit breakers opened after repeated failures.", "")
 	circuitRejected  = counter("p2god_circuit_rejected_total", "Submissions rejected by an open circuit breaker.", "")

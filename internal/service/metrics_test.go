@@ -85,7 +85,6 @@ func recordEveryEvent(met *Metrics) {
 	met.add(fleetDevices, "failed", 1)
 	met.FleetJobCompleted(64, 2.25)
 	met.FleetJobCompleted(3, 0.05)
-	met.add(jobRetries, "", 1)
 	met.add(workerPanics, "", 1)
 	met.add(circuitOpened, "", 1)
 	met.add(circuitRejected, "", 1)

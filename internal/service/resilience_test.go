@@ -12,9 +12,6 @@ import (
 	"p2go/internal/faults"
 )
 
-// noBackoff keeps retry delays out of the test clock.
-func noBackoff(time.Duration) {}
-
 // TestWorkerPanicRecovered: a panicking job fails alone; the worker (and
 // the daemon) survive to run the next job.
 func TestWorkerPanicRecovered(t *testing.T) {
@@ -62,85 +59,6 @@ func TestInjectedWorkerPanic(t *testing.T) {
 	second, _ := m.Submit(JobSpec{Workload: "quickstart", Seed: 2})
 	if st := waitTerminal(t, m, second.ID); st.State != StateDone {
 		t.Fatalf("job after injected panic = %s (%q), want done", st.State, st.Error)
-	}
-}
-
-// TestTransientRetrySucceeds: transient failures are retried with backoff
-// and the retry count is visible in the job status.
-func TestTransientRetrySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	m := NewManager(ManagerConfig{Workers: 1})
-	m.sleep = noBackoff
-	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
-		if calls.Add(1) < 3 {
-			return nil, MarkTransient(errors.New("flaky"))
-		}
-		return []byte(`{}`), nil
-	}
-	m.Start()
-	defer m.Drain(time.Second)
-
-	st, err := m.Submit(JobSpec{Workload: "quickstart"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin := waitTerminal(t, m, st.ID)
-	if fin.State != StateDone {
-		t.Fatalf("retried job = %s (%q), want done", fin.State, fin.Error)
-	}
-	if fin.Retries != 2 || calls.Load() != 3 {
-		t.Errorf("retries = %d (calls %d), want 2 retries over 3 calls", fin.Retries, calls.Load())
-	}
-}
-
-// TestTransientRetryExhausted: a persistently transient failure fails for
-// good once the retry budget is spent; non-transient errors never retry.
-func TestTransientRetryExhausted(t *testing.T) {
-	var calls atomic.Int64
-	m := NewManager(ManagerConfig{Workers: 1})
-	m.sleep = noBackoff
-	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
-		calls.Add(1)
-		if job.Spec.Seed == 7 {
-			return nil, MarkTransient(errors.New("always flaky"))
-		}
-		return nil, errors.New("hard failure")
-	}
-	m.Start()
-	defer m.Drain(time.Second)
-
-	flaky, _ := m.Submit(JobSpec{Workload: "quickstart", Seed: 7})
-	if st := waitTerminal(t, m, flaky.ID); st.State != StateFailed || st.Retries != 2 {
-		t.Fatalf("exhausted job = %s retries=%d, want failed after 2 retries", st.State, st.Retries)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("calls = %d, want 3 (1 + 2 retries)", calls.Load())
-	}
-
-	calls.Store(0)
-	hard, _ := m.Submit(JobSpec{Workload: "quickstart", Seed: 8})
-	if st := waitTerminal(t, m, hard.ID); st.State != StateFailed || st.Retries != 0 {
-		t.Fatalf("hard-failed job = %s retries=%d, want failed with no retries", st.State, st.Retries)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("non-transient error ran %d times, want 1", calls.Load())
-	}
-}
-
-// TestInjectedTransient: the faults.JobTransient injector drives the same
-// retry loop; a one-event window is absorbed by a single retry.
-func TestInjectedTransient(t *testing.T) {
-	set := faults.MustSet(faults.Spec{Point: faults.JobTransient, From: 0, To: 1})
-	m := NewManager(ManagerConfig{Workers: 1, Faults: set})
-	m.sleep = noBackoff
-	m.execFn = func(ctx context.Context, job *Job) ([]byte, error) { return []byte(`{}`), nil }
-	m.Start()
-	defer m.Drain(time.Second)
-
-	st, _ := m.Submit(JobSpec{Workload: "quickstart"})
-	fin := waitTerminal(t, m, st.ID)
-	if fin.State != StateDone || fin.Retries != 1 {
-		t.Fatalf("injected transient = %s retries=%d, want done after 1 retry", fin.State, fin.Retries)
 	}
 }
 
@@ -327,7 +245,6 @@ func TestCacheCorruptionDetected(t *testing.T) {
 // Prometheus exposition.
 func TestResilienceMetricsRendered(t *testing.T) {
 	met := NewMetrics()
-	met.add(jobRetries, "", 1)
 	met.add(workerPanics, "", 1)
 	met.add(circuitOpened, "", 1)
 	met.add(circuitRejected, "", 1)
@@ -337,7 +254,6 @@ func TestResilienceMetricsRendered(t *testing.T) {
 	var buf bytes.Buffer
 	met.WritePrometheus(&buf, nil)
 	for _, want := range []string{
-		"p2god_job_retries_total 1",
 		"p2god_worker_panics_total 1",
 		"p2god_circuit_opened_total 1",
 		"p2god_circuit_rejected_total 1",

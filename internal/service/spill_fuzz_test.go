@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/fleet"
 	"p2go/internal/report"
 )
@@ -43,16 +44,65 @@ func spillRun(tb testing.TB, dir string) (prof, fl JobStatus, corruptions int) {
 		return st
 	}
 	prof, fl = run(spillProfileSpec), run(spillFleetSpec)
+	return prof, fl, corruptionCount(tb, m)
+}
+
+// corruptionCount reads p2god_cache_corruption_total off m's exposition.
+func corruptionCount(tb testing.TB, m *Manager) (n int) {
+	tb.Helper()
 	var buf bytes.Buffer
 	m.Metrics().WritePrometheus(&buf, nil)
 	for _, line := range strings.Split(buf.String(), "\n") {
 		if v, ok := strings.CutPrefix(line, "p2god_cache_corruption_total "); ok {
-			if _, err := fmt.Sscan(v, &corruptions); err != nil {
+			if _, err := fmt.Sscan(v, &n); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
-	return prof, fl, corruptions
+	return n
+}
+
+// TestFlippedSpillByteRecomputed: one flipped byte anywhere in a spilled
+// "job:" artifact — lengths, key, report or checksum — makes the file a
+// miss: the job is recomputed, the damage counted once, the file replaced
+// by the recomputed report's record, and the damaged bytes never served.
+func TestFlippedSpillByteRecomputed(t *testing.T) {
+	spec := JobSpec{Workload: "quickstart", Seed: 4}
+	key := "job:" + spec.RouteKey()
+	stored := []byte(`{"kind":"optimize","stages":[8,3],"seed":4}`)
+	fresh := []byte(`{"kind":"optimize","recomputed":true}`)
+	file := cache.AppendRecord(nil, key, stored)
+	for off := range file {
+		dir := t.TempDir()
+		flipped := bytes.Clone(file)
+		flipped[off] ^= 0x08
+		if err := os.WriteFile(filepath.Join(dir, "job_"+spec.RouteKey()), flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := NewManager(ManagerConfig{Workers: 1, Cache: NewCache(0, dir)})
+		fills := 0
+		m.execFn = func(ctx context.Context, job *Job) ([]byte, error) {
+			fills++
+			return fresh, nil
+		}
+		m.Start()
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = waitTerminal(t, m, st.ID)
+		m.Drain(time.Second)
+		if st.State != StateDone || st.Cached || !bytes.Equal(st.Result, fresh) || fills != 1 {
+			t.Fatalf("byte %d flipped: %s cached=%v result %q after %d fills; want the one recompute served",
+				off, st.State, st.Cached, st.Result, fills)
+		}
+		if n := corruptionCount(t, m); n != 1 {
+			t.Fatalf("byte %d flipped: %d corruptions counted, want 1", off, n)
+		}
+		if got, _ := os.ReadFile(filepath.Join(dir, "job_"+spec.RouteKey())); !bytes.Equal(got, cache.AppendRecord(nil, key, fresh)) {
+			t.Fatalf("byte %d flipped: spill file %q after the recompute, want its record", off, got)
+		}
+	}
 }
 
 // withoutResources re-encodes a job report without its resources block,
@@ -90,19 +140,23 @@ func fleetResult(tb testing.TB, st JobStatus) *report.FleetResult {
 // runs both jobs through a Manager over it:
 //
 //   - nothing panics, and both jobs finish;
-//   - a job artifact that is valid JSON is served as it is: validHit checks
-//     only that, because it runs on every cached resubmit;
-//   - one that is not is purged, counted once in
-//     p2god_cache_corruption_total, and recomputed to the report a fresh
-//     run gives (its resources block aside), which is spilled in its place;
+//   - a job spill file that is exactly one valid record under the job's key,
+//     whose value is valid JSON, is served as that value: validHit checks
+//     only the JSON, because it runs on every cached resubmit;
+//   - any other file (a bad, torn, foreign or other key's record, or a
+//     record of a value that is not JSON) is recomputed to the report a
+//     fresh run gives (its resources block aside), counted once in
+//     p2god_cache_corruption_total, and replaced by the record of the
+//     recomputed report;
 //   - a device whose checkpoint record is missing, bad or does not decode as
 //     an optimized row is recomputed to the fresh run's row; one whose
 //     record is valid is served as cached;
 //   - the done fleet leaves no checkpoint behind.
 //
 // The corpus under testdata/fuzz/FuzzSpillFiles holds a real job spill file
-// and a real checkpoint, torn prefixes of both and a checkpoint with one
-// byte flipped.
+// and a real checkpoint, torn prefixes of both, a checkpoint with one byte
+// flipped, a job file with one byte flipped, and a job file written in the
+// unframed format spill files had before records.
 func FuzzSpillFiles(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte(`{"kind":"profile"}`), []byte(`{"status":"optimized"}`))
@@ -113,6 +167,7 @@ func FuzzSpillFiles(f *testing.F) {
 	if n != 0 {
 		f.Fatalf("a fresh run counted %d corruptions", n)
 	}
+	jobKey := "job:" + spillProfileSpec.RouteKey()
 	jobFile := "job_" + spillProfileSpec.RouteKey()
 	ckptFile := "fleetckpt_" + spillFleetSpec.RouteKey()
 	if _, err := os.Stat(filepath.Join(fresh, ckptFile)); !os.IsNotExist(err) {
@@ -121,14 +176,11 @@ func FuzzSpillFiles(f *testing.F) {
 	wantProf := withoutResources(f, freshProf.Result)
 	wantRow := rowKeys(f, fleetResult(f, freshFleet))
 	// The device's key, from a checkpoint the manager's writer fills.
-	rows, _ := parseCheckpoint(writeCheckpoint(f, f.TempDir(), *spillFleetSpec.Fleet, spillFleetSpec.RouteKey()))
+	rows, _ := cache.ReadRecords(writeCheckpoint(f, f.TempDir(), *spillFleetSpec.Fleet, spillFleetSpec.RouteKey()))
 	if len(rows) != 1 {
 		f.Fatalf("a one-device fleet checkpointed %d rows", len(rows))
 	}
-	var deviceKey string
-	for k := range rows {
-		deviceKey = k
-	}
+	deviceKey := rows[0].Key
 
 	f.Fuzz(func(t *testing.T, job, ckpt []byte) {
 		dir := t.TempDir()
@@ -140,26 +192,34 @@ func FuzzSpillFiles(f *testing.F) {
 		}
 		prof, fl, corruptions := spillRun(t, dir)
 
-		if json.Valid(job) {
-			if !prof.Cached || !bytes.Equal(prof.Result, job) || corruptions != 0 {
-				t.Fatalf("valid JSON artifact: cached=%v, %d corruptions, served %q", prof.Cached, corruptions, prof.Result)
+		recs, end := cache.ReadRecords(job)
+		if len(recs) == 1 && end == len(job) && recs[0].Key == jobKey && json.Valid(recs[0].Val) {
+			if !prof.Cached || !bytes.Equal(prof.Result, recs[0].Val) || corruptions != 0 {
+				t.Fatalf("valid record: cached=%v, %d corruptions, served %q", prof.Cached, corruptions, prof.Result)
 			}
 		} else {
 			if prof.Cached || corruptions != 1 {
-				t.Fatalf("invalid artifact: cached=%v, %d corruptions; want recomputed and counted once", prof.Cached, corruptions)
+				t.Fatalf("damaged spill file: cached=%v, %d corruptions; want recomputed and counted once", prof.Cached, corruptions)
 			}
 			if got := withoutResources(t, prof.Result); got != wantProf {
 				t.Fatalf("recomputed report\n%s\nwant\n%s", got, wantProf)
 			}
-			if spilled, err := os.ReadFile(filepath.Join(dir, jobFile)); err != nil || !bytes.Equal(spilled, prof.Result) {
-				t.Fatalf("spill after the recompute: %q (%v), want the recomputed report", spilled, err)
+			if spilled, err := os.ReadFile(filepath.Join(dir, jobFile)); err != nil ||
+				!bytes.Equal(spilled, cache.AppendRecord(nil, jobKey, prof.Result)) {
+				t.Fatalf("spill after the recompute: %q (%v), want the recomputed report's record", spilled, err)
 			}
 		}
 
-		rows, _ := parseCheckpoint(ckpt)
-		row, present := rows[deviceKey]
-		if present && !bytes.Contains(ckpt, appendRecord(nil, deviceKey, row)) {
-			t.Fatalf("the reader accepted a record the writer would not have written")
+		var row []byte
+		present := false
+		rows, _ := cache.ReadRecords(ckpt)
+		for _, r := range rows {
+			if !bytes.Contains(ckpt, cache.AppendRecord(nil, r.Key, r.Val)) {
+				t.Fatalf("the reader accepted a record the writer would not have written")
+			}
+			if r.Key == deviceKey {
+				row, present = r.Val, true
+			}
 		}
 		var decoded report.FleetDevice
 		optimized := present && json.Unmarshal(row, &decoded) == nil && decoded.Status == report.FleetOptimized

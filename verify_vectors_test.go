@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"p2go/internal/controller"
+	"p2go/internal/core"
 	"p2go/internal/obs"
 	"p2go/internal/p4"
 	"p2go/internal/rt"
@@ -100,10 +101,21 @@ func sameOutcome(t *testing.T, label string, got *EquivalenceReport, gotErr erro
 	}
 }
 
+// fateExact is the sweep's default half: a run of the default schedule must
+// leave every packet's fate as it was, or its check names the first that
+// moved.
+func fateExact(rep *EquivalenceReport) error {
+	if rep.Mismatches != 0 {
+		return fmt.Errorf("the default schedule changed packet fates: %s", rep)
+	}
+	return nil
+}
+
 // TestVerifierVectorsAgreeWithReplay: for every workload, seed and schedule
 // (default, and tune first), the facade's check, which reads both sides from
 // the outcomes the optimizer's replays recorded, reports field for field
-// what the lock-step reference reports, and never has to replay.
+// what the lock-step reference reports, and never has to replay; and every
+// default run is fate-exact.
 func TestVerifierVectorsAgreeWithReplay(t *testing.T) {
 	runs, fellBack := 0, 0
 	for _, name := range workloads.Names() {
@@ -134,6 +146,11 @@ func TestVerifierVectorsAgreeWithReplay(t *testing.T) {
 				sameOutcome(t, label, got, gotErr, want, wantErr)
 				plain, plainErr := VerifyEquivalence(res, cfg, trace)
 				sameOutcome(t, label+" (VerifyEquivalence)", plain, plainErr, want, wantErr)
+				if !tune && gotErr == nil {
+					if err := fateExact(got); err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
+				}
 				runs++
 				if replayed > 0 {
 					fellBack++
@@ -143,6 +160,35 @@ func TestVerifierVectorsAgreeWithReplay(t *testing.T) {
 		}
 	}
 	t.Logf("%d runs, %d fell back to a replay", runs, fellBack)
+}
+
+// TestVerifierVectorsCatchCountOnlyGate: the sweep's default half is live.
+// Under the seeded count-only gate Phase 3 lands syncookie seed 6's memory
+// reduction, whose profile stays equal while 24 packets change fates, and
+// the check the sweep holds every default run to refuses it.
+func TestVerifierVectorsCatchCountOnlyGate(t *testing.T) {
+	w, err := workloads.Get("syncookie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := w.Config()
+	trace, err := w.Trace(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := core.SeedCountOnlyGate()
+	res, err := Optimize(p4.MustParse(w.Source), cfg, trace, Options{})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := VerifyEquivalence(res, cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fateExact(rep) == nil {
+		t.Fatalf("under the count-only gate syncookie seed 6 is fate-exact (%s): the sweep cannot catch the gate's loss", rep)
+	}
 }
 
 // TestVerifierVectorsRefuseOtherInputs: a check whose program, rules or
