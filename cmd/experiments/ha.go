@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"p2go/internal/cache"
 	"p2go/internal/cluster"
 	"p2go/internal/fleet"
 	"p2go/internal/report"
@@ -95,12 +96,12 @@ func runHAChaos(short bool, seed int64) error {
 		return fmt.Errorf("submit to %s: %w", victim.id, err)
 	}
 
-	// Kill once the run is provably mid-flight: at least two device rows
-	// journaled, with most of the fleet still uncomputed.
+	// Kill once the run is provably mid-flight: at least two optimized
+	// device rows journaled, with most of the fleet still uncomputed.
+	journal := victim.node.JournalPath(victim.id)
 	killDeadline := time.Now().Add(2 * time.Minute)
 	for {
-		data, _ := os.ReadFile(victim.node.JournalPath(victim.id))
-		if bytes.Count(data, []byte(`"op":"device"`)) >= 2 {
+		if n, _ := journaledRows(journal, st.ID); n >= 2 {
 			break
 		}
 		if s, ok := victim.m.Get(st.ID, false); ok && s.State.Terminal() {
@@ -114,10 +115,13 @@ func runHAChaos(short bool, seed int64) error {
 	killedAt := time.Now()
 	victim.m.Kill()
 	// Kill closes the victim's journal before anything else, so these are
-	// the device lines it wrote; each row reached the checkpoint first.
-	journaled, err := journaledRows(victim.node.JournalPath(victim.id), st.ID)
+	// the device records it wrote; each row reached the checkpoint first.
+	journaled, err := journaledRows(journal, st.ID)
 	if err != nil {
 		return err
+	}
+	if journaled < 2 {
+		return fmt.Errorf("%d optimized device rows in the victim's journal after the kill, but 2 were read before it", journaled)
 	}
 	fmt.Printf("kill -9 %s mid-run (job %s, %d-device fleet, %d device rows journaled, lease TTL %s)\n",
 		victim.id, st.ID, devices, journaled, ttl)
@@ -175,7 +179,7 @@ func runHAChaos(short bool, seed int64) error {
 		}
 	}
 	if cached < journaled {
-		return fmt.Errorf("%d rows re-served after the kill, but %d were journaled before it, each checkpointed before its line",
+		return fmt.Errorf("%d rows re-served after the kill, but %d were journaled before it, each checkpointed before its record",
 			cached, journaled)
 	}
 	fmt.Printf("equivalence: report matches the baseline (%d devices; %d rows re-served from the checkpoint, %d recomputed)\n",
@@ -184,16 +188,21 @@ func runHAChaos(short bool, seed int64) error {
 	return nil
 }
 
-// journaledRows counts the optimized device rows of a job in a journal.
+// journaledRows counts the optimized device rows of a job in a journal's
+// valid records (a record the victim was still writing is not one yet).
 func journaledRows(path, jobID string) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
+	recs, _ := cache.ReadRecords(data)
 	n := 0
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		var e struct{ Op, ID, State string }
-		if json.Unmarshal(line, &e) == nil && e.Op == "device" && e.ID == jobID && e.State == report.FleetOptimized {
+	for _, rec := range recs {
+		var e struct{ Op, State string }
+		if rec.Key != jobID || json.Unmarshal(rec.Val, &e) != nil {
+			continue
+		}
+		if e.Op == "device" && e.State == report.FleetOptimized {
 			n++
 		}
 	}

@@ -52,11 +52,13 @@ func ReadRecords(data []byte) ([]Record, int) {
 
 // TornTail reports whether rest, what ReadRecords left after the valid
 // prefix, is what an interrupted append leaves: a record cut short (its
-// header, or the extent that declares, runs to the end of the data), or
-// zeros, which a power loss can leave where unsynced appends were. Anything
-// else has bytes after a bad record, which no crash writes.
-func TornTail(rest []byte) bool {
-	if extent, ok := recordExtent(rest); !ok || extent >= uint64(len(rest)) {
+// header, or the extent of at most maxLen bytes that declares, runs to the
+// end of the data), or zeros, which a power loss can leave where unsynced
+// appends were. No crash writes anything else: bytes after a bad record, or
+// an extent longer than the writer's largest record, which is a damaged
+// length that would otherwise swallow every record after it.
+func TornTail(rest []byte, maxLen int) bool {
+	if extent, ok := recordExtent(rest); !ok || extent >= uint64(len(rest)) && extent <= uint64(maxLen) {
 		return true
 	}
 	for _, b := range rest {

@@ -19,7 +19,9 @@ import (
 //     flipped length moves the extent the sum is checked over, and then a
 //     match is a 2^-32 accident);
 //   - every cut of the stream short of its end reads back as the records it
-//     still holds whole, and what follows them is a torn tail;
+//     still holds whole, and what follows them is a torn tail, unless the
+//     reader's bound on a record is shorter than the cut one declares (then
+//     only zeros are torn);
 //   - arbitrary bytes never panic the reader, and every record it accepts
 //     is one the writer would have written there.
 func FuzzRecords(f *testing.F) {
@@ -56,8 +58,13 @@ func FuzzRecords(f *testing.F) {
 			if !sameRecords(got, want[:len(got)]) {
 				t.Fatalf("cut at %d: read records that were not written", cut)
 			}
-			if end < cut && !TornTail(stream[end:cut]) {
+			if end < cut && !TornTail(stream[end:cut], len(stream)) {
 				t.Fatalf("cut at %d: the %d bytes after the valid prefix are not a torn tail", cut, cut-end)
+			}
+			next := want[len(got)]
+			rest := stream[end:cut]
+			if cut-end >= 8 && bytes.Count(rest, []byte{0}) < len(rest) && TornTail(rest, 11+len(next.Key)+len(next.Val)) {
+				t.Fatalf("cut at %d: a record longer than the bound is a torn tail", cut)
 			}
 		}
 
@@ -71,7 +78,7 @@ func FuzzRecords(f *testing.F) {
 			if !bytes.Equal(again, raw[:end]) {
 				t.Fatalf("read %d records from %q that do not re-encode to its %d-byte prefix", len(got), raw, end)
 			}
-			TornTail(raw[end:])
+			TornTail(raw[end:], len(raw))
 		}
 	})
 }

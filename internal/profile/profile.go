@@ -90,37 +90,19 @@ func (p *Profile) Fates(key [32]byte) []sim.Outcome {
 // FateDiff names the first trace packet whose outcome differs between the
 // replays that produced p and other, "" when every packet's is the same or
 // when either recorded no vector (a derived profile) or they cover different
-// packet counts. Vectors over the same flow index compare flow by flow, with
-// no expansion: flows are numbered in order of first occurrence, so the
-// first differing flow's first packet is the first differing packet.
+// packet counts. It reads both vectors through their flow index, if any, and
+// expands neither.
 func (p *Profile) FateDiff(other *Profile) string {
 	a, b := &p.fates, &other.fates
 	if a.out == nil || b.out == nil || a.len() != b.len() {
 		return ""
 	}
-	packet := -1
-	if len(a.flow) == 0 && len(b.flow) == 0 || len(a.flow) > 0 && len(b.flow) > 0 && &a.flow[0] == &b.flow[0] {
-		for i := range a.out {
-			if a.out[i] != b.out[i] {
-				packet = i
-				break
-			}
-		}
-		if packet >= 0 && len(a.flow) > 0 {
-			packet = slices.Index(a.flow, int32(packet))
-		}
-	} else {
-		for j := 0; j < a.len(); j++ {
-			if a.at(j) != b.at(j) {
-				packet = j
-				break
-			}
+	for j := 0; j < a.len(); j++ {
+		if a.at(j) != b.at(j) {
+			return fmt.Sprintf("packet %d: %s instead of %s", j, fateText(b.at(j)), fateText(a.at(j)))
 		}
 	}
-	if packet < 0 {
-		return ""
-	}
-	return fmt.Sprintf("packet %d: %s instead of %s", packet, fateText(b.at(packet)), fateText(a.at(packet)))
+	return ""
 }
 
 // len is the number of trace packets the vector covers.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"p2go/internal/cache"
+	"p2go/internal/cluster"
 )
 
 // Journal is p2god's crash-safe, append-only job journal. Every accepted
@@ -32,7 +33,7 @@ import (
 // of a job answered at admission — get no flush of their own and become
 // durable with the next synced record, so a power loss can only drop (or
 // zero) records recovery would have skipped. replayJournal says which
-// damage recovery tolerates.
+// damage recovery tolerates. A nil *Journal journals nothing.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -57,6 +58,13 @@ type journalEntry struct {
 	// Time is RFC3339Nano, informational only.
 	Time string `json:"time"`
 }
+
+// maxJournalRecord is the longest record a torn tail may declare, so a
+// damaged length in the middle of a journal is corruption, not a torn tail
+// that swallows every record after it. It is eight times maxSpecBytes, room
+// for any real spec; a crash that cuts a longer record fails recovery,
+// which names the journal rather than drop what follows the cut.
+const maxJournalRecord = 64 << 20
 
 // PendingJob is one accepted-but-unfinished job recovered from a
 // journal, keyed by the ID it was originally accepted under — recovery
@@ -83,11 +91,7 @@ func OpenJournal(path string) (*Journal, error) {
 func (j *Journal) Recover() ([]PendingJob, []string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: read journal: %w", err)
-	}
-	pending, warnings, err := replayJournal(data, j.path)
+	pending, warnings, err := ReadPending(j.path)
 	if err != nil {
 		return nil, warnings, err
 	}
@@ -128,7 +132,7 @@ func replayJournal(data []byte, path string) ([]PendingJob, []string, error) {
 	recs, end := cache.ReadRecords(data)
 	var warnings []string
 	if end < len(data) {
-		if !cache.TornTail(data[end:]) {
+		if !cache.TornTail(data[end:], maxJournalRecord) {
 			return nil, nil, fmt.Errorf(
 				"service: journal %s corrupt at byte %d (record %d, not a torn tail)", path, end, len(recs)+1)
 		}
@@ -172,17 +176,11 @@ func replayJournal(data []byte, path string) ([]PendingJob, []string, error) {
 
 // Accepted records an admitted job before its submitter is answered.
 func (j *Journal) Accepted(id string, spec JobSpec) {
-	if j == nil {
-		return
-	}
 	j.append(journalEntry{Op: "accepted", ID: id, Spec: &spec}, true)
 }
 
 // Finished records a terminal outcome; the job will not be recovered.
 func (j *Journal) Finished(id string, state JobState) {
-	if j == nil {
-		return
-	}
 	j.append(journalEntry{Op: "finished", ID: id, State: string(state)}, true)
 }
 
@@ -190,9 +188,6 @@ func (j *Journal) Finished(id string, state JobState) {
 // was never pending — replay ignores a finished with no accepted — so the
 // record documents the request without paying for a flush.
 func (j *Journal) answered(id string) {
-	if j == nil {
-		return
-	}
 	j.append(journalEntry{Op: "finished", ID: id, State: string(StateDone)}, false)
 }
 
@@ -203,18 +198,12 @@ func (j *Journal) answered(id string) {
 // record here — so they are not flushed one by one: the fleet's finished
 // record syncs them.
 func (j *Journal) Device(id, device, status string) {
-	if j == nil {
-		return
-	}
 	j.append(journalEntry{Op: "device", ID: id, Device: device, State: status}, false)
 }
 
 // Requeued documents that a drain left the job pending on purpose; it
 // stays recoverable.
 func (j *Journal) Requeued(id string) {
-	if j == nil {
-		return
-	}
 	j.append(journalEntry{Op: "requeued", ID: id}, true)
 }
 
@@ -223,7 +212,9 @@ func (j *Journal) Requeued(id string) {
 // by replica `by`. The append is direct — open, write one fsynced record,
 // close — because the dead peer's journal has no live *Journal handle. A
 // torn tail the peer left is cut off first, so the record is readable
-// after it.
+// after it. Survivors reclaiming different jobs from one peer at once
+// each hold the file's lock from the read to the write, so none cuts off
+// another's record, whole or in flight.
 func AppendTakeover(path, jobID, by string) error {
 	rec, err := journalRecord(journalEntry{Op: "takeover", ID: jobID, By: by})
 	if err != nil {
@@ -233,10 +224,13 @@ func AppendTakeover(path, jobID, by string) error {
 	if err != nil {
 		return fmt.Errorf("service: append takeover: %w", err)
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
+	defer f.Close() // releases the lock
+	var data []byte
+	if err = cluster.LockFile(f); err == nil {
+		data, err = io.ReadAll(f)
+	}
 	if err == nil {
-		if _, end := cache.ReadRecords(data); end < len(data) && cache.TornTail(data[end:]) {
+		if _, end := cache.ReadRecords(data); end < len(data) && cache.TornTail(data[end:], maxJournalRecord) {
 			err = f.Truncate(int64(end))
 		}
 	}
@@ -263,6 +257,9 @@ func journalRecord(e journalEntry) ([]byte, error) {
 // Errors are swallowed after marking nothing: the journal is a recovery
 // aid; a full disk must not take the daemon down with it.
 func (j *Journal) append(e journalEntry, durable bool) {
+	if j == nil {
+		return
+	}
 	rec, err := journalRecord(e)
 	if err != nil {
 		return

@@ -339,6 +339,22 @@ func TestJournalFlippedByteNeverChangesSpec(t *testing.T) {
 			}
 		}
 	}
+	// A flipped high bit in a length makes a record declare more than any
+	// journal record holds. Before the last record that is corruption, not
+	// a torn tail that would drop every record after it.
+	recs, _ := cache.ReadRecords(data)
+	start := 0
+	for i, rec := range recs[:len(recs)-1] {
+		for _, field := range []int{0, 4} {
+			b := bytes.Clone(data)
+			b[start+field] ^= 0x40
+			if _, warnings, err := replayJournal(b, "flipped"); err == nil {
+				t.Errorf("record %d of %d: a high bit flipped in a length replayed with warnings %q, want an error",
+					i+1, len(recs), warnings)
+			}
+		}
+		start += len(cache.AppendRecord(nil, rec.Key, rec.Val))
+	}
 }
 
 // TestJournalZeroTailIsTorn: a power loss can leave zeros where unsynced
@@ -426,5 +442,35 @@ func TestTakeoverCutsTornTail(t *testing.T) {
 	}
 	if ids := pendingIDs(pending); !reflect.DeepEqual(ids, []string{"j-000003"}) {
 		t.Fatalf("pending after the takeover of j-000002: %q, want [j-000003]", ids)
+	}
+}
+
+// TestConcurrentTakeoversKeepEveryRecord: survivors reclaiming different
+// jobs from one dead peer at once, its journal ending torn, each cut the
+// tail and append under the file's lock, so no cut removes another's
+// takeover record, whole or half written.
+func TestConcurrentTakeoversKeepEveryRecord(t *testing.T) {
+	data, _ := realJournal(t)
+	rec := cache.AppendRecord(nil, "j-000009", []byte(`{"op":"accepted","id":"j-000009"}`))
+	torn := append(bytes.Clone(data), rec[:20]...)
+	path := filepath.Join(t.TempDir(), "peer.jsonl")
+	for round := range 50 {
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, 2)
+		for i, id := range []string{"j-000002", "j-000003"} {
+			go func() { errs <- AppendTakeover(path, id, fmt.Sprintf("r%d", i+2)) }()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		pending, warnings, err := ReadPending(path)
+		if err != nil || len(warnings) != 0 || len(pending) != 0 {
+			t.Fatalf("round %d: %v, warnings %q, pending %q after both takeovers; want none",
+				round, err, warnings, pendingIDs(pending))
+		}
 	}
 }
